@@ -1,17 +1,13 @@
-//! Hot-path throughput: allocating versus in-place PG, and scoped-spawn
-//! versus pooled chromatic sweeps.
+//! Hot-path throughput: scalar versus batched PG, and pooled chromatic
+//! sweeps across thread counts.
 //!
-//! Three comparisons on a 128×128 MRF:
+//! Two measurements on a 128×128 MRF:
 //!
-//! 1. `ProbabilityPipeline::generate` (allocates a fresh [`PgOutput`] per
-//!    call) versus `generate_into` (reuses caller buffers) for the
-//!    fixed-point and CoopMC pipelines.
-//! 2. Scalar `generate_into` versus the lane-packed `generate_batch_into`,
+//! 1. Scalar `generate_into` (reusing caller buffers) for the fixed-point
+//!    and CoopMC pipelines, versus the lane-packed `generate_batch_into`,
 //!    which evaluates a whole color-class slice (8 / 64 rows) per call.
-//! 3. The pre-pool chromatic engine — scoped `std::thread` spawns per color
-//!    class with per-step `Vec`s, reimplemented here as a baseline — versus
-//!    the persistent-pool [`ChromaticEngine`], at 1/2/4/8 threads. Rows with
-//!    more threads than `host_cpus` are marked `"starved": true`.
+//! 2. The persistent-pool [`ChromaticEngine`] at 1/2/4/8 threads. Rows
+//!    with more threads than `host_cpus` are marked `"starved": true`.
 //!
 //! Emits `BENCH_hotpath.json` (samples/sec) at the repo root. Run with
 //! `cargo bench -p coopmc-bench --bench hot_path`.
@@ -21,76 +17,13 @@ use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::{
     CoopMcPipeline, FixedPipeline, PgBatch, PgOutput, ProbabilityPipeline,
 };
-use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::image_segmentation;
 use coopmc_models::{GibbsModel, LabelScore};
-use coopmc_rng::SplitMix64;
-use coopmc_sampler::{Sampler, TreeSampler};
 
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
 const WIDTH: usize = 128;
 const HEIGHT: usize = 128;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Same `(seed, iteration, var)` derivation the chromatic engine uses, so
-/// the baseline samples the identical chain.
-fn draw_rng(seed: u64, iteration: u64, var: usize) -> SplitMix64 {
-    let mut mixer = SplitMix64::new(
-        seed ^ iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (var as u64).wrapping_mul(0xDEAD_BEEF_CAFE_F00D),
-    );
-    SplitMix64::new(mixer.derive())
-}
-
-/// The engine this PR replaced: scoped thread spawns per color class, fresh
-/// score/probability buffers every step. Kept here (not in the library) so
-/// the benchmark always compares against the historical cost model.
-struct ScopedBaseline<P> {
-    pipeline: P,
-    n_threads: usize,
-    seed: u64,
-}
-
-impl<P: ProbabilityPipeline + Sync> ScopedBaseline<P> {
-    fn sweep<M: ChromaticModel + Sync>(&self, model: &mut M, iteration: u64) -> usize {
-        let mut updated = 0usize;
-        for class in model.color_classes() {
-            let chunk = class.len().div_ceil(self.n_threads).max(1);
-            let results: Vec<Vec<(usize, usize)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = class
-                    .chunks(chunk)
-                    .map(|vars| {
-                        let model_ref: &M = &*model;
-                        scope.spawn(move || {
-                            let sampler = TreeSampler::new();
-                            let mut out = Vec::new();
-                            for &var in vars {
-                                if model_ref.is_clamped(var) {
-                                    continue;
-                                }
-                                let mut scores: Vec<LabelScore> = Vec::new();
-                                model_ref.scores(var, &mut scores);
-                                let pg = self.pipeline.generate(&scores);
-                                let mut rng = draw_rng(self.seed, iteration, var);
-                                let label = sampler.sample(&pg.probs, &mut rng).label;
-                                out.push((var, label));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for out in results {
-                updated += out.len();
-                for (var, label) in out {
-                    model.update(var, label);
-                }
-            }
-        }
-        updated
-    }
-}
 
 fn pg_row(name: &str, api: &str, m: &Measurement) -> String {
     JsonObject::new()
@@ -123,10 +56,6 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let fixed = FixedPipeline::new(8, true);
     let coopmc = CoopMcPipeline::new(64, 8);
 
-    let m = h.run("pg/fixed8/generate", || {
-        black_box(&fixed).generate(&scores).probs[0]
-    });
-    rows.push(pg_row("fixed8_dynorm", "generate", &m));
     let mut out = PgOutput::new();
     let m = h.run("pg/fixed8/generate_into", || {
         black_box(&fixed).generate_into(&scores, &mut out);
@@ -134,10 +63,6 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     });
     rows.push(pg_row("fixed8_dynorm", "generate_into", &m));
 
-    let m = h.run("pg/coopmc64x8/generate", || {
-        black_box(&coopmc).generate(&scores).probs[0]
-    });
-    rows.push(pg_row("coopmc64x8", "generate", &m));
     let mut out = PgOutput::new();
     let m = h.run("pg/coopmc64x8/generate_into", || {
         black_box(&coopmc).generate_into(&scores, &mut out);
@@ -168,38 +93,8 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     }
 }
 
-fn bench_sweeps(h: &Harness, host_cpus: usize, rows: &mut Vec<String>) -> (f64, f64) {
+fn bench_sweeps(h: &Harness, host_cpus: usize, rows: &mut Vec<String>) {
     let n_vars = (WIDTH * HEIGHT) as f64;
-    let mut scoped_1t = 0.0;
-    let mut pooled_1t = 0.0;
-
-    for threads in THREAD_COUNTS {
-        let baseline = ScopedBaseline {
-            pipeline: FixedPipeline::new(8, true),
-            n_threads: threads,
-            seed: 11,
-        };
-        let mut app = image_segmentation(WIDTH, HEIGHT, 2022);
-        let mut it = 0u64;
-        let m = h.run(&format!("sweep/scoped/{threads}t"), || {
-            it += 1;
-            baseline.sweep(&mut app.mrf, it)
-        });
-        let per_sec = m.per_second() * n_vars;
-        if threads == 1 {
-            scoped_1t = per_sec;
-        }
-        rows.push(
-            JsonObject::new()
-                .string("engine", "scoped_spawn")
-                .number("threads", threads as f64)
-                .number("median_sweep_ns", m.median_ns())
-                .number("samples_per_sec", per_sec)
-                .raw("starved", (threads > host_cpus).to_string())
-                .render(),
-        );
-    }
-
     for threads in THREAD_COUNTS {
         let engine = ChromaticEngine::new(FixedPipeline::new(8, true), threads, 11);
         let mut app = image_segmentation(WIDTH, HEIGHT, 2022);
@@ -208,21 +103,16 @@ fn bench_sweeps(h: &Harness, host_cpus: usize, rows: &mut Vec<String>) -> (f64, 
             it += 1;
             engine.sweep(&mut app.mrf, it)
         });
-        let per_sec = m.per_second() * n_vars;
-        if threads == 1 {
-            pooled_1t = per_sec;
-        }
         rows.push(
             JsonObject::new()
                 .string("engine", "pooled")
                 .number("threads", threads as f64)
                 .number("median_sweep_ns", m.median_ns())
-                .number("samples_per_sec", per_sec)
+                .number("samples_per_sec", m.per_second() * n_vars)
                 .raw("starved", (threads > host_cpus).to_string())
                 .render(),
         );
     }
-    (scoped_1t, pooled_1t)
 }
 
 fn main() {
@@ -239,15 +129,13 @@ fn main() {
         );
     }
 
-    println!("\n== PG: generate vs generate_into vs generate_batch_into (128x128 MRF scores) ==");
+    println!("\n== PG: generate_into vs generate_batch_into (128x128 MRF scores) ==");
     let mut pg_rows = Vec::new();
     bench_pg(&h, &mut pg_rows);
 
-    println!("\n== Chromatic sweep: scoped-spawn baseline vs worker pool ==");
+    println!("\n== Chromatic sweep: worker pool ==");
     let mut sweep_rows = Vec::new();
-    let (scoped_1t, pooled_1t) = bench_sweeps(&h, host_cpus, &mut sweep_rows);
-    let speedup = pooled_1t / scoped_1t;
-    println!("\n1-thread sweep throughput: scoped {scoped_1t:.0}/s, pooled {pooled_1t:.0}/s ({speedup:.2}x)");
+    bench_sweeps(&h, host_cpus, &mut sweep_rows);
 
     let doc = JsonObject::new()
         .string("schema", "coopmc-bench-hotpath/1")
@@ -264,7 +152,6 @@ fn main() {
         .raw("profile_enabled", "false".to_owned())
         .raw("pg", json_array(&pg_rows))
         .raw("sweeps", json_array(&sweep_rows))
-        .number("pooled_over_scoped_1t", speedup)
         .render();
     std::fs::write(JSON_PATH, doc + "\n").expect("write BENCH_hotpath.json");
     println!("wrote {JSON_PATH}");

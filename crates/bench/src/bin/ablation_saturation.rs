@@ -43,7 +43,7 @@ impl NarrowAccPipeline {
 }
 
 impl ProbabilityPipeline for NarrowAccPipeline {
-    fn generate(&self, scores: &[LabelScore]) -> PgOutput {
+    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
         let mut log_scores: Vec<f64> = scores
             .iter()
             .map(|s| match s {
@@ -75,12 +75,11 @@ impl ProbabilityPipeline for NarrowAccPipeline {
         if !log_scores.is_empty() {
             dynorm_apply(&mut log_scores, 1);
         }
-        let probs = log_scores.iter().map(|&s| self.table.exp(s)).collect();
-        PgOutput {
-            probs,
-            ops: OpCounts::new(),
-            telemetry: PgTelemetry::new(),
-        }
+        out.probs.clear();
+        out.probs
+            .extend(log_scores.iter().map(|&s| self.table.exp(s)));
+        out.ops = OpCounts::new();
+        out.telemetry = PgTelemetry::new();
     }
 
     fn name(&self) -> String {
@@ -98,11 +97,12 @@ fn run(
     let sampler = TreeSampler::new();
     let mut rng = SplitMix64::new(seeds::CHAIN);
     let mut scores = Vec::new();
+    let mut pg = PgOutput::new();
     let mut tail = Vec::new();
     for sweep in 0..25 {
         for var in 0..model.num_variables() {
             model.scores(var, &mut scores);
-            let pg = pipeline.generate(&scores);
+            pipeline.generate_into(&scores, &mut pg);
             let label = sampler.sample(&pg.probs, &mut rng).label;
             model.update(var, label);
         }

@@ -10,7 +10,7 @@
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_bench::seeds;
 use coopmc_core::experiments::mrf_golden;
-use coopmc_core::pipeline::{PipelineConfig, ProbabilityPipeline};
+use coopmc_core::pipeline::{PgOutput, PipelineConfig, ProbabilityPipeline};
 use coopmc_fixed::QFormat;
 use coopmc_kernels::faults::{FaultInjector, FaultModel};
 use coopmc_models::metrics::normalized_mse;
@@ -33,11 +33,12 @@ fn run_with_faults(
     let mut rng = SplitMix64::new(seeds::CHAIN);
     let mut fault_rng = SplitMix64::new(seeds::CHAIN ^ 0xFA17);
     let mut scores: Vec<LabelScore> = Vec::new();
+    let mut pg = PgOutput::new();
     let mut tail = Vec::new();
     for sweep in 0..30 {
         for var in 0..model.num_variables() {
             model.scores(var, &mut scores);
-            let mut pg = pipeline.generate(&scores);
+            pipeline.generate_into(&scores, &mut pg);
             if let Some(inj) = &injector {
                 inj.corrupt_vector(&mut pg.probs, &mut fault_rng);
             }

@@ -8,6 +8,8 @@ use coopmc_bench::seeds;
 use coopmc_core::engine::GibbsEngine;
 use coopmc_core::pipeline::PipelineConfig;
 use coopmc_models::workloads::{all_workloads, BuiltWorkload};
+use coopmc_obs::journal::phase_percent;
+use coopmc_obs::TraceRecorder;
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::SequentialSampler;
 
@@ -27,21 +29,24 @@ fn main() {
         "paper PU%",
     ]);
     for spec in all_workloads() {
-        let mut engine = GibbsEngine::new(
+        // The journal carries each sweep's PG/SD/PU wall time.
+        let journal = TraceRecorder::new();
+        let mut engine = GibbsEngine::with_recorder(
             PipelineConfig::float32().build(),
             SequentialSampler::new(),
             SplitMix64::new(seeds::CHAIN),
+            &journal,
         );
         let iters = match spec.kind {
             coopmc_models::workloads::ModelKind::Bn => 2000,
             _ => 8,
         };
-        let stats = match spec.build(seeds::WORKLOAD) {
+        match spec.build(seeds::WORKLOAD) {
             BuiltWorkload::Mrf(mut app) => engine.run(&mut app.mrf, iters),
             BuiltWorkload::Bn(mut net) => engine.run(&mut net, iters),
             BuiltWorkload::Lda(mut lda) => engine.run(&mut lda, iters),
         };
-        let (pg, sd, pu) = stats.breakdown_percent();
+        let (pg, sd, pu) = phase_percent(&journal.sweeps()).expect("journaled sweeps");
         let (ppg, psd, ppu) = spec.paper_breakdown;
         table.row(vec![
             Cell::text(spec.name),

@@ -1,6 +1,5 @@
-//! The generic Gibbs inference engine with per-step instrumentation.
-
-use std::time::{Duration, Instant};
+//! The generic Gibbs inference engine, and the per-lane tally both engines
+//! account a sweep through.
 
 use coopmc_kernels::cost::{
     OpCounts, ADD_CYCLES, DIV_CYCLES, EXP_APPROX_CYCLES, LUT_CYCLES, MUL_CYCLES, TREE_LAYER_CYCLES,
@@ -9,11 +8,11 @@ use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::{GibbsModel, LabelScore};
 use coopmc_obs::health::{ConvergenceController, Decision};
-use coopmc_obs::journal::SweepSample;
+use coopmc_obs::journal::{ColorSample, SweepSample};
 use coopmc_obs::profile::Kernel;
 use coopmc_obs::{NoopRecorder, Recorder};
 use coopmc_rng::HwRng;
-use coopmc_sampler::{SampleScratch, Sampler};
+use coopmc_sampler::{SampleResult, SampleScratch, Sampler};
 
 use crate::pipeline::{PgOutput, ProbabilityPipeline};
 
@@ -24,7 +23,13 @@ use crate::pipeline::{PgOutput, ProbabilityPipeline};
 /// PU with this constant, and a cross-crate test pins the two together.
 pub const PU_CYCLES: u64 = 4;
 
-/// Cumulative statistics of an engine run.
+/// Cumulative statistics of an engine run: deterministic counts and
+/// modeled hardware cycles only.
+///
+/// Wall times are the recorder's business: a journaling recorder receives
+/// each sweep's PG/SD/PU split as a `SweepSample`, and
+/// `coopmc_obs::journal::phase_percent` turns those into the Table II
+/// breakdown.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Completed full sweeps.
@@ -36,12 +41,6 @@ pub struct RunStats {
     /// Draws that hit the all-zero-mass uniform fallback (the Fig. 2 flush
     /// regime).
     pub uniform_fallbacks: u64,
-    /// Wall time in Probability Generation.
-    pub pg_time: Duration,
-    /// Wall time in Sampling from Distribution.
-    pub sd_time: Duration,
-    /// Wall time in Parameter Update.
-    pub pu_time: Duration,
     /// Datapath operation tally across the run.
     pub ops: OpCounts,
     /// Total sampler cycles (hardware model accounting).
@@ -60,64 +59,169 @@ impl RunStats {
         self.pg_cycles + self.sd_cycles + PU_CYCLES * self.updates
     }
 
-    /// Runtime percentages `(PG%, SD%, PU%)` — the Table II breakdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no time was recorded.
-    pub fn breakdown_percent(&self) -> (f64, f64, f64) {
-        let total =
-            self.pg_time.as_secs_f64() + self.sd_time.as_secs_f64() + self.pu_time.as_secs_f64();
-        assert!(total > 0.0, "no time recorded");
-        (
-            100.0 * self.pg_time.as_secs_f64() / total,
-            100.0 * self.sd_time.as_secs_f64() / total,
-            100.0 * self.pu_time.as_secs_f64() / total,
-        )
+    /// Add one completed sweep's tally.
+    fn add_sweep(&mut self, sweep: &Tally) {
+        self.iterations += 1;
+        self.updates += sweep.updates;
+        self.flips += sweep.flips;
+        self.uniform_fallbacks += sweep.uniform_fallbacks;
+        self.ops.merge(&sweep.ops);
+        self.sd_cycles += sweep.sd_cycles;
+        // `sequential_cycles` is linear in the op counts, so pricing the
+        // sweep's merged tally equals summing per-draw prices.
+        self.pg_cycles += sweep.ops.sequential_cycles();
     }
 }
 
-/// Elementwise difference of two op tallies (`after` must dominate).
-pub(crate) fn delta_ops(after: &OpCounts, before: &OpCounts) -> OpCounts {
-    OpCounts {
-        add: after.add - before.add,
-        mul: after.mul - before.mul,
-        div: after.div - before.div,
-        lut: after.lut - before.lut,
-        approx: after.approx - before.approx,
-        cmp: after.cmp - before.cmp,
-    }
-}
-
-/// Attribute a sweep's modeled cycles to profiler kernels on `lane`.
+/// What one lane did over one chunk of work. Both engines account for a
+/// sweep through it: the sequential engine's chunk is its whole sweep; the
+/// chromatic engine keeps one per worker slot plus one for the
+/// coordinator's commits, and merges them after each class barrier.
 ///
-/// The split mirrors how the fused PG datapath spends its op tally:
-/// accumulator add/mul/div land in `pg.normalize`, NormTree comparators in
-/// `pg.dynorm`, TableExp/TableLog lookups and approximation-ALU calls in
-/// `pg.exp_batch` — together exactly [`OpCounts::sequential_cycles`], so the
-/// ledger's modeled total matches the journal's `pg_cycles`. SD is the
-/// sampler's own latency tally and PU is [`PU_CYCLES`] per committed update,
-/// matching [`RunStats::simulated_hw_cycles`].
-pub(crate) fn emit_kernel_cycles<Rec: Recorder>(
-    rec: &Rec,
-    lane: usize,
-    ops: &OpCounts,
-    sd_cycles: u64,
-    updates: u64,
-) {
-    rec.prof_cycles(
-        lane,
-        Kernel::PgNormalize,
-        ops.add * ADD_CYCLES + ops.mul * MUL_CYCLES + ops.div * DIV_CYCLES,
-    );
-    rec.prof_cycles(lane, Kernel::PgDynorm, ops.cmp * TREE_LAYER_CYCLES);
-    rec.prof_cycles(
-        lane,
-        Kernel::PgExpBatch,
-        ops.lut * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
-    );
-    rec.prof_cycles(lane, Kernel::SdSampleRows, sd_cycles);
-    rec.prof_cycles(lane, Kernel::PuUpdate, PU_CYCLES * updates);
+/// Counts and modeled cycles are integer adds and always kept. The wall
+/// times are differences of [`Recorder::now_ns`] readings, so under the
+/// [`NoopRecorder`] they are constant zeros and no clock is read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    /// Variables committed.
+    pub(crate) updates: u64,
+    /// Committed variables whose label changed.
+    pub(crate) flips: u64,
+    /// Draws that hit the uniform fallback.
+    pub(crate) uniform_fallbacks: u64,
+    /// PG datapath operations of every draw.
+    pub(crate) ops: OpCounts,
+    /// Modeled sampler cycles.
+    pub(crate) sd_cycles: u64,
+    /// Batched PG calls.
+    pub(crate) pg_batches: u64,
+    /// Rows evaluated through batched PG calls.
+    pub(crate) pg_batch_rows: u64,
+    /// DyNorm/exp-kernel observations (merged only when journaling).
+    pub(crate) telemetry: PgTelemetry,
+    /// Wall time gathering scores, ns.
+    pub(crate) gather_ns: u64,
+    /// Wall time in the PG datapath, ns.
+    pub(crate) pg_ns: u64,
+    /// Wall time in SD, ns.
+    pub(crate) sd_ns: u64,
+    /// Wall time in PU, ns.
+    pub(crate) pu_ns: u64,
+    /// The fused datapath's stage split of `pg_ns` (profiling only).
+    pub(crate) phases: StagePhases,
+}
+
+impl Tally {
+    /// Account one draw: its PG op tally and the sampler's result.
+    pub(crate) fn draw(&mut self, ops: &OpCounts, sample: &SampleResult) {
+        self.ops.merge(ops);
+        self.sd_cycles += sample.cycles;
+        self.uniform_fallbacks += u64::from(sample.fallback);
+    }
+
+    /// Fold a PG buffer's stage accumulator in and zero it for the next
+    /// chunk. A detached accumulator (`None`: not profiling) is left alone.
+    pub(crate) fn take_phases(&mut self, phases: &mut Option<StagePhases>) {
+        if let Some(p) = phases {
+            self.phases.merge(p);
+            *p = StagePhases::default();
+        }
+    }
+
+    /// Add another lane's tally.
+    pub(crate) fn merge(&mut self, other: &Tally) {
+        self.updates += other.updates;
+        self.flips += other.flips;
+        self.uniform_fallbacks += other.uniform_fallbacks;
+        self.ops.merge(&other.ops);
+        self.sd_cycles += other.sd_cycles;
+        self.pg_batches += other.pg_batches;
+        self.pg_batch_rows += other.pg_batch_rows;
+        self.telemetry.merge(&other.telemetry);
+        self.gather_ns += other.gather_ns;
+        self.pg_ns += other.pg_ns;
+        self.sd_ns += other.sd_ns;
+        self.pu_ns += other.pu_ns;
+        self.phases.merge(&other.phases);
+    }
+
+    /// Report the chunk to the kernel profiler as `lane`'s leaves and
+    /// modeled cycles (nothing unless profiling). One leaf per kernel that
+    /// took time keeps ring traffic proportional to chunks, not variables.
+    ///
+    /// The cycle split mirrors how the fused PG datapath spends its op
+    /// tally: accumulator add/mul/div land in `pg.normalize`, NormTree
+    /// comparators in `pg.dynorm`, TableExp/TableLog lookups and
+    /// approximation-ALU calls in `pg.exp_batch` — together exactly
+    /// [`OpCounts::sequential_cycles`], so the ledger's modeled total
+    /// matches the journal's `pg_cycles`. SD is the sampler's own latency
+    /// tally and PU is [`PU_CYCLES`] per committed update, matching
+    /// [`RunStats::simulated_hw_cycles`].
+    pub(crate) fn flush_profile<Rec: Recorder>(&self, rec: &Rec, lane: usize) {
+        if !rec.prof_enabled() {
+            return;
+        }
+        let (ops, phases) = (&self.ops, &self.phases);
+        for (kernel, ns, cycles) in [
+            (Kernel::PgGather, self.gather_ns, 0),
+            (
+                Kernel::PgNormalize,
+                phases.normalize_ns,
+                ops.add * ADD_CYCLES + ops.mul * MUL_CYCLES + ops.div * DIV_CYCLES,
+            ),
+            (
+                Kernel::PgDynorm,
+                phases.dynorm_ns,
+                ops.cmp * TREE_LAYER_CYCLES,
+            ),
+            (
+                Kernel::PgExpBatch,
+                phases.exp_ns,
+                ops.lut * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
+            ),
+            (Kernel::SdSampleRows, self.sd_ns, self.sd_cycles),
+            (Kernel::PuUpdate, self.pu_ns, PU_CYCLES * self.updates),
+        ] {
+            if ns > 0 {
+                rec.prof_leaf(lane, kernel, ns);
+            }
+            rec.prof_cycles(lane, kernel, cycles);
+        }
+    }
+
+    /// Journal the sweep this tally covers, which started at `start_ns`.
+    pub(crate) fn end_sweep<Rec: Recorder>(
+        &self,
+        rec: &Rec,
+        chain: u64,
+        iteration: u64,
+        start_ns: u64,
+        colors: Vec<ColorSample>,
+    ) {
+        rec.end_sweep(&SweepSample {
+            chain,
+            iteration,
+            start_ns,
+            wall_ns: rec.now_ns().saturating_sub(start_ns),
+            updates: self.updates,
+            flips: self.flips,
+            uniform_fallbacks: self.uniform_fallbacks,
+            // Table II's PG includes gathering the scores.
+            pg_ns: self.gather_ns + self.pg_ns,
+            sd_ns: self.sd_ns,
+            pu_ns: self.pu_ns,
+            pg_cycles: self.ops.sequential_cycles(),
+            sd_cycles: self.sd_cycles,
+            pu_cycles: PU_CYCLES * self.updates,
+            pg_batches: self.pg_batches,
+            pg_batch_rows: self.pg_batch_rows,
+            norm_max: self.telemetry.norm_max,
+            exp_in_min: self.telemetry.exp_in_min,
+            exp_in_max: self.telemetry.exp_in_max,
+            stat: None,
+            colors,
+        });
+    }
 }
 
 /// Drives a [`GibbsModel`] through PG → SD → PU sweeps.
@@ -126,12 +230,14 @@ pub(crate) fn emit_kernel_cycles<Rec: Recorder>(
 /// scratch), so after a warm-up sweep has grown them to the model's label
 /// count, a steady-state sweep performs **zero heap allocations**.
 ///
-/// The engine is generic over a [`Recorder`]; the default [`NoopRecorder`]
-/// is statically dispatched into nothing, so the counting-allocator test in
-/// `tests/alloc_free.rs` proves instrumented-but-disabled sweeps keep the
-/// zero-allocation guarantee. Construct with
-/// [`GibbsEngine::with_recorder`] (typically over `&TraceRecorder`, so the
-/// caller keeps ownership for export) to emit one journal record per sweep.
+/// The engine is generic over a [`Recorder`], its only instrumentation
+/// seam: every clock read goes through [`Recorder::now_ns`]. The default
+/// [`NoopRecorder`] is statically dispatched into nothing — it reads no
+/// clock — so the counting-allocator test in `tests/alloc_free.rs` proves
+/// instrumented-but-disabled sweeps keep the zero-allocation guarantee.
+/// Construct with [`GibbsEngine::with_recorder`] (typically over
+/// `&TraceRecorder`, so the caller keeps ownership for export) to emit one
+/// journal record per sweep.
 #[derive(Debug, Clone)]
 pub struct GibbsEngine<P, S, R, Rec = NoopRecorder> {
     pipeline: P,
@@ -143,8 +249,8 @@ pub struct GibbsEngine<P, S, R, Rec = NoopRecorder> {
     /// 1-based journal iteration, monotone for the engine's lifetime (so
     /// repeated `run` calls on one engine keep a valid journal).
     journal_iteration: u64,
-    /// Per-sweep PG telemetry aggregate (recording only).
-    sweep_telemetry: PgTelemetry,
+    /// The current (or last completed) sweep's tally.
+    tally: Tally,
     scores: Vec<LabelScore>,
     pg: PgOutput,
     sd_scratch: SampleScratch,
@@ -161,6 +267,10 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> GibbsEngine<P, S, R> {
 impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P, S, R, Rec> {
     /// Assemble an engine that reports every sweep to `recorder`.
     pub fn with_recorder(pipeline: P, sampler: S, rng: R, recorder: Rec) -> Self {
+        let pg = PgOutput {
+            phases: recorder.prof_enabled().then(StagePhases::default),
+            ..PgOutput::new()
+        };
         Self {
             pipeline,
             sampler,
@@ -168,9 +278,9 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
             recorder,
             chain: 0,
             journal_iteration: 0,
-            sweep_telemetry: PgTelemetry::new(),
+            tally: Tally::default(),
             scores: Vec::new(),
-            pg: PgOutput::new(),
+            pg,
             sd_scratch: SampleScratch::new(),
         }
     }
@@ -197,124 +307,62 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
         self.journal_iteration
     }
 
-    /// Resample a single variable; returns its new label, or `None` if the
-    /// variable is clamped.
-    pub fn step(
-        &mut self,
-        model: &mut dyn GibbsModel,
-        var: usize,
-        stats: &mut RunStats,
-    ) -> Option<usize> {
+    /// Resample `var`, whose work starts at clock reading `t`; returns the
+    /// reading at the end of its update (`t` itself for a clamped
+    /// variable). Each phase boundary is read once.
+    fn step(&mut self, model: &mut dyn GibbsModel, var: usize, t: u64) -> u64 {
         if model.is_clamped(var) {
-            return None;
+            return t;
         }
         let old_label = model.label(var);
-        let prof = self.recorder.prof_enabled();
-        let mut phases = StagePhases::default();
-        let t0 = Instant::now();
         model.begin_resample(var);
         model.scores_into(var, &mut self.scores);
-        let tg = Instant::now();
-        if prof {
-            self.pipeline
-                .generate_into_profiled(&self.scores, &mut self.pg, &mut phases);
-        } else {
-            self.pipeline.generate_into(&self.scores, &mut self.pg);
-        }
-        let t1 = Instant::now();
+        let t_gather = self.recorder.now_ns();
+        self.pipeline.generate_into(&self.scores, &mut self.pg);
+        let t_pg = self.recorder.now_ns();
         let sample = self
             .sampler
             .sample_into(&self.pg.probs, &mut self.rng, &mut self.sd_scratch);
-        let t2 = Instant::now();
+        let t_sd = self.recorder.now_ns();
         model.update(var, sample.label);
-        let t3 = Instant::now();
-        if prof {
-            // Sequential engine: everything runs on lane 0, the coordinator.
-            self.recorder
-                .prof_leaf(0, Kernel::PgGather, (tg - t0).as_nanos() as u64);
-            if phases.active {
-                self.recorder
-                    .prof_leaf(0, Kernel::PgNormalize, phases.normalize_ns);
-                self.recorder
-                    .prof_leaf(0, Kernel::PgDynorm, phases.dynorm_ns);
-                self.recorder
-                    .prof_leaf(0, Kernel::PgExpBatch, phases.exp_ns);
-            }
-            self.recorder
-                .prof_leaf(0, Kernel::SdSampleRows, (t2 - t1).as_nanos() as u64);
-            self.recorder
-                .prof_leaf(0, Kernel::PuUpdate, (t3 - t2).as_nanos() as u64);
-        }
-
-        stats.pg_time += t1 - t0;
-        stats.sd_time += t2 - t1;
-        stats.pu_time += t3 - t2;
-        stats.pg_cycles += self.pg.ops.sequential_cycles();
-        stats.ops.merge(&self.pg.ops);
-        stats.sd_cycles += sample.cycles;
-        stats.updates += 1;
-        stats.flips += u64::from(sample.label != old_label);
-        stats.uniform_fallbacks += u64::from(sample.fallback);
+        let t_pu = self.recorder.now_ns();
+        let tally = &mut self.tally;
+        tally.gather_ns += t_gather - t;
+        tally.pg_ns += t_pg - t_gather;
+        tally.sd_ns += t_sd - t_pg;
+        tally.pu_ns += t_pu - t_sd;
+        tally.draw(&self.pg.ops, &sample);
+        tally.updates += 1;
+        tally.flips += u64::from(sample.label != old_label);
         if self.recorder.enabled() {
-            self.sweep_telemetry.merge(&self.pg.telemetry);
+            tally.telemetry.merge(&self.pg.telemetry);
         }
-        Some(sample.label)
+        t_pu
     }
 
     /// One full sweep over every variable.
     pub fn sweep(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) {
-        // With the NoopRecorder this whole prologue/epilogue folds away:
-        // `enabled()` and `prof_enabled()` are compile-time false.
-        let prof = self.recorder.prof_enabled();
-        let (start_ns, before) = if self.recorder.enabled() || prof {
-            (self.recorder.now_ns(), stats.clone())
-        } else {
-            (0, RunStats::default())
-        };
-        if prof {
-            self.recorder.prof_begin(0, Kernel::Sweep);
-        }
+        self.recorder.prof_begin(0, Kernel::Sweep);
+        let start_ns = self.recorder.now_ns();
+        self.tally = Tally::default();
+        let mut t = start_ns;
         for var in 0..model.num_variables() {
-            self.step(model, var, stats);
+            t = self.step(model, var, t);
         }
-        if prof {
-            self.recorder.prof_end(0, Kernel::Sweep);
-            emit_kernel_cycles(
-                &self.recorder,
-                0,
-                &delta_ops(&stats.ops, &before.ops),
-                stats.sd_cycles - before.sd_cycles,
-                stats.updates - before.updates,
-            );
-        }
-        stats.iterations += 1;
+        self.tally.take_phases(&mut self.pg.phases);
+        // The sequential engine runs everything on lane 0, the coordinator.
+        self.tally.flush_profile(&self.recorder, 0);
+        self.recorder.prof_end(0, Kernel::Sweep);
+        stats.add_sweep(&self.tally);
         self.journal_iteration += 1;
         if self.recorder.enabled() {
-            let updates = stats.updates - before.updates;
-            let sample = SweepSample {
-                chain: self.chain,
-                iteration: self.journal_iteration,
+            self.tally.end_sweep(
+                &self.recorder,
+                self.chain,
+                self.journal_iteration,
                 start_ns,
-                wall_ns: self.recorder.now_ns().saturating_sub(start_ns),
-                updates,
-                flips: stats.flips - before.flips,
-                uniform_fallbacks: stats.uniform_fallbacks - before.uniform_fallbacks,
-                pg_ns: (stats.pg_time - before.pg_time).as_nanos() as u64,
-                sd_ns: (stats.sd_time - before.sd_time).as_nanos() as u64,
-                pu_ns: (stats.pu_time - before.pu_time).as_nanos() as u64,
-                pg_cycles: stats.pg_cycles - before.pg_cycles,
-                sd_cycles: stats.sd_cycles - before.sd_cycles,
-                pu_cycles: PU_CYCLES * updates,
-                pg_batches: 0,
-                pg_batch_rows: 0,
-                norm_max: self.sweep_telemetry.norm_max,
-                exp_in_min: self.sweep_telemetry.exp_in_min,
-                exp_in_max: self.sweep_telemetry.exp_in_max,
-                stat: None,
-                colors: Vec::new(),
-            };
-            self.recorder.end_sweep(&sample);
-            self.sweep_telemetry = PgTelemetry::new();
+                Vec::new(),
+            );
         }
     }
 
@@ -340,51 +388,32 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
     /// this is exactly [`run`](Self::run): the controller neither observes
     /// the chain's labels nor its RNG, so controlled and plain runs are
     /// bit-identical — pinned by the workspace `tests/health.rs`.
-    pub fn run_controlled(
+    pub fn run_controlled<M: GibbsModel>(
         &mut self,
-        model: &mut dyn GibbsModel,
+        model: &mut M,
         max_sweeps: u64,
-        mut stat_fn: impl FnMut(&dyn GibbsModel) -> Option<f64>,
-        controller: &mut impl ConvergenceController,
+        mut stat_fn: impl FnMut(&M) -> Option<f64>,
+        controller: &mut (impl ConvergenceController + ?Sized),
     ) -> RunStats {
         let mut stats = RunStats::default();
         for _ in 0..max_sweeps {
-            let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
             self.sweep(model, &mut stats);
             let stat = stat_fn(model);
-            if self.recorder.enabled() {
-                if let Some(v) = stat {
-                    self.recorder
-                        .observe_stat(self.chain, self.journal_iteration, v);
-                }
+            if let (true, Some(v)) = (self.recorder.enabled(), stat) {
+                self.recorder
+                    .observe_stat(self.chain, self.journal_iteration, v);
             }
+            let t = &self.tally;
             let decision = controller.observe_sweep(
                 self.journal_iteration,
-                stats.updates - u0,
-                stats.flips - f0,
-                stats.uniform_fallbacks - fb0,
+                t.updates,
+                t.flips,
+                t.uniform_fallbacks,
                 stat,
             );
             if decision == Decision::Stop {
                 break;
             }
-        }
-        stats
-    }
-
-    /// Run `iterations` sweeps, invoking `observer` after each with the
-    /// journal iteration index (1-based, monotone across `run` calls) and
-    /// the model.
-    pub fn run_observed(
-        &mut self,
-        model: &mut dyn GibbsModel,
-        iterations: u64,
-        mut observer: impl FnMut(u64, &dyn GibbsModel),
-    ) -> RunStats {
-        let mut stats = RunStats::default();
-        for _ in 0..iterations {
-            self.sweep(model, &mut stats);
-            observer(self.journal_iteration, model);
         }
         stats
     }
@@ -426,28 +455,62 @@ mod tests {
         assert_eq!(net.label(d), 0);
     }
 
-    #[test]
-    fn breakdown_percentages_sum_to_100() {
-        let mut app = image_segmentation(10, 10, 4);
-        let mut engine = GibbsEngine::new(
-            PipelineConfig::coopmc(64, 8).build(),
-            TreeSampler::new(),
-            SplitMix64::new(3),
-        );
-        let stats = engine.run(&mut app.mrf, 2);
-        let (pg, sd, pu) = stats.breakdown_percent();
-        assert!((pg + sd + pu - 100.0).abs() < 1e-9);
-        assert!(pg > 0.0 && sd > 0.0);
+    /// A journaling recorder whose clock advances one tick per read, so a
+    /// sweep's phase accounting is exact and deterministic.
+    #[derive(Default)]
+    struct TickClock {
+        ticks: std::sync::atomic::AtomicU64,
+        sweeps: std::sync::Mutex<Vec<SweepSample>>,
+    }
+
+    impl Recorder for TickClock {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn now_ns(&self) -> u64 {
+            self.ticks
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        }
+
+        fn end_sweep(&self, sample: &SweepSample) {
+            self.sweeps.lock().unwrap().push(sample.clone());
+        }
     }
 
     #[test]
-    fn observer_sees_every_iteration() {
-        let mut app = image_segmentation(8, 8, 5);
-        let mut engine =
-            GibbsEngine::new(FloatPipeline::new(), TreeSampler::new(), SplitMix64::new(4));
-        let mut seen = Vec::new();
-        engine.run_observed(&mut app.mrf, 4, |it, _| seen.push(it));
-        assert_eq!(seen, vec![1, 2, 3, 4]);
+    fn every_clock_read_goes_through_the_recorder() {
+        let mut net = asia();
+        net.set_evidence(net.node_index("dysp").unwrap(), 0);
+        let clock = TickClock::default();
+        let mut engine = GibbsEngine::with_recorder(
+            FloatPipeline::new(),
+            TreeSampler::new(),
+            SplitMix64::new(3),
+            &clock,
+        );
+        let stats = engine.run(&mut net, 2);
+        let sweeps = clock.sweeps.lock().unwrap().clone();
+        assert_eq!(sweeps.len(), 2);
+        for s in &sweeps {
+            // Seven free variables, one tick per phase boundary: gather and
+            // the datapath make up PG, then SD and PU.
+            assert_eq!(s.updates, 7);
+            assert_eq!((s.pg_ns, s.sd_ns, s.pu_ns), (14, 7, 7));
+            assert_eq!(s.wall_ns, 4 * 7 + 1, "one read opens the sweep");
+        }
+        // Start read, four boundaries per update, one read closing each sweep.
+        assert_eq!(
+            clock.ticks.load(std::sync::atomic::Ordering::Relaxed),
+            2 * (1 + 4 * 7 + 1)
+        );
+        let journal_updates: u64 = sweeps.iter().map(|s| s.updates).sum();
+        assert_eq!(journal_updates, stats.updates);
+        let journal_cycles: u64 = sweeps
+            .iter()
+            .map(|s| s.pg_cycles + s.sd_cycles + s.pu_cycles)
+            .sum();
+        assert_eq!(journal_cycles, stats.simulated_hw_cycles());
     }
 
     #[test]

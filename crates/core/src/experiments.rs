@@ -47,9 +47,12 @@ pub fn mrf_trace(
     let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(seed));
     let mut trace = Trace::new();
     trace.push(0, normalized_mse(&untrained, golden, &untrained));
-    engine.run_observed(&mut model, iterations, |it, m| {
-        trace.push(it, normalized_mse(&m.labels(), golden, &untrained));
-    });
+    let mut stats = crate::engine::RunStats::default();
+    for _ in 0..iterations {
+        engine.sweep(&mut model, &mut stats);
+        let nmse = normalized_mse(&model.labels(), golden, &untrained);
+        trace.push(engine.journal_iteration(), nmse);
+    }
     trace
 }
 

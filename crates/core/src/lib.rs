@@ -13,9 +13,13 @@
 //! 3. **PU** — the model commits the label.
 //!
 //! The [`engine::GibbsEngine`] drives any [`coopmc_models::GibbsModel`]
-//! through these steps with per-step instrumentation (the Table II runtime
-//! breakdown), and [`experiments`] holds the convergence-measurement
-//! helpers shared by the examples and the table/figure benches.
+//! through these steps, and the [`parallel::ChromaticEngine`] does so one
+//! color class at a time over a worker pool. Both report to a
+//! [`coopmc_obs::Recorder`], their only instrumentation seam: a journaling
+//! recorder receives the Table II PG/SD/PU wall times, the default
+//! `NoopRecorder` reads no clock. [`experiments`] holds the
+//! convergence-measurement helpers shared by the examples and the
+//! table/figure benches.
 //!
 //! # Quickstart
 //!

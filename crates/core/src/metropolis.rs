@@ -12,7 +12,7 @@ use coopmc_models::{GibbsModel, LabelScore};
 use coopmc_rng::HwRng;
 
 use crate::engine::RunStats;
-use crate::pipeline::ProbabilityPipeline;
+use crate::pipeline::{PgOutput, ProbabilityPipeline};
 
 /// Metropolis–Hastings single-site driver.
 ///
@@ -25,6 +25,7 @@ pub struct MetropolisEngine<P, R> {
     pipeline: P,
     rng: R,
     scores: Vec<LabelScore>,
+    pg: PgOutput,
 }
 
 impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
@@ -34,6 +35,7 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
             pipeline,
             rng,
             scores: Vec::new(),
+            pg: PgOutput::new(),
         }
     }
 
@@ -50,7 +52,8 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
         }
         model.begin_resample(var);
         model.scores(var, &mut self.scores);
-        let pg = self.pipeline.generate(&self.scores);
+        self.pipeline.generate_into(&self.scores, &mut self.pg);
+        let pg = &self.pg;
         stats.ops.merge(&pg.ops);
         let p_cur = pg.probs[current];
         let p_new = pg.probs[proposal];
@@ -98,6 +101,7 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
 /// Converges fast to a local optimum; returns the number of label changes.
 pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &P) -> usize {
     let mut scores = Vec::new();
+    let mut pg = PgOutput::new();
     let mut changes = 0usize;
     for var in 0..model.num_variables() {
         if model.is_clamped(var) {
@@ -105,7 +109,7 @@ pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &
         }
         model.begin_resample(var);
         model.scores(var, &mut scores);
-        let pg = pipeline.generate(&scores);
+        pipeline.generate_into(&scores, &mut pg);
         let best = pg
             .probs
             .iter()

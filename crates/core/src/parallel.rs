@@ -13,14 +13,12 @@
 //! so a 1-thread and an 8-thread run produce identical chains — a strong
 //! correctness handle that the tests exploit.
 
-use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::fusion::StagePhases;
-use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
 use coopmc_models::{GibbsModel, LabelScore};
 use coopmc_obs::health::{ConvergenceController, Decision};
-use coopmc_obs::journal::{ColorSample, SweepSample};
+use coopmc_obs::journal::ColorSample;
 use coopmc_obs::profile::Kernel;
 use coopmc_obs::{metrics, NoopRecorder, Recorder};
 use coopmc_rng::SplitMix64;
@@ -28,7 +26,7 @@ use coopmc_sampler::{SampleResult, SampleScratch, Sampler, TreeSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{emit_kernel_cycles, PU_CYCLES};
+use crate::engine::Tally;
 use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
@@ -64,71 +62,19 @@ struct SweepScratch {
     batch_vars: Vec<usize>,
     /// Per-row draws of the current stride.
     draws: Vec<SampleResult>,
-    /// Uniform-fallback draws in this slot's current chunk. Always counted
-    /// (one add per draw) so chain-health runs see fallbacks without a
-    /// recorder.
-    fallbacks: u64,
-    /// Per-chunk recording aggregates; only touched when a recorder is
-    /// enabled.
-    trace: ChunkTrace,
+    /// This slot's chunk, merged into the sweep after the class barrier.
+    tally: Tally,
 }
 
-/// Per-chunk observation aggregate, drained into the sweep record after the
-/// class barrier (recording only). The `gather_ns`/stage-phase fields and
-/// the op tally feed the kernel profiler's per-lane leaves; they overlap
-/// `pg_ns` (which keeps the journal's Table II semantics: gather + datapath
-/// together) rather than re-partitioning it.
-#[derive(Debug, Default)]
-struct ChunkTrace {
-    pg_ns: u64,
-    sd_ns: u64,
-    pg_cycles: u64,
-    sd_cycles: u64,
-    pg_batches: u64,
-    pg_batch_rows: u64,
-    telemetry: PgTelemetry,
-    /// Time in `scores_into` (the PG gather), profiling only.
-    gather_ns: u64,
-    /// Fused-datapath stage splits, profiling only.
-    normalize_ns: u64,
-    dynorm_ns: u64,
-    exp_ns: u64,
-    /// Whether any evaluation reported stage phases (fused pipelines only).
-    phases_active: bool,
-    /// Datapath op tally, for per-lane modeled-cycle attribution.
-    ops: OpCounts,
-}
-
-impl ChunkTrace {
-    fn reset(&mut self) {
-        *self = ChunkTrace::default();
+impl SweepScratch {
+    /// Empty buffers, with the PG stage accumulators attached when
+    /// profiling.
+    fn new(profiling: bool) -> Self {
+        let mut scratch = Self::default();
+        scratch.pg.phases = profiling.then(StagePhases::default);
+        scratch.batch.phases = scratch.pg.phases;
+        scratch
     }
-}
-
-/// Per-sweep chain-behaviour counts: what a convergence controller needs
-/// from one sweep, trackable without (and independently of) a recorder.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SweepCounts {
-    /// Variables resampled this sweep.
-    pub updates: u64,
-    /// Resampled variables whose label changed.
-    pub flips: u64,
-    /// Draws that hit the all-zero-mass uniform fallback.
-    pub uniform_fallbacks: u64,
-}
-
-/// Per-sweep recording aggregate for the chromatic engine (recording only).
-#[derive(Debug, Default)]
-struct SweepAcc {
-    pg_ns: u64,
-    sd_ns: u64,
-    pu_ns: u64,
-    pg_cycles: u64,
-    sd_cycles: u64,
-    pg_batches: u64,
-    pg_batch_rows: u64,
-    telemetry: PgTelemetry,
-    colors: Vec<ColorSample>,
 }
 
 /// Chromatic parallel Gibbs engine.
@@ -140,9 +86,10 @@ struct SweepAcc {
 /// `(seed, iteration, var)` alone, and draws of a class are committed only
 /// after the whole class finishes, so neither chunking nor scheduling order
 /// can leak into the chain. Recording (the `Rec` parameter, default
-/// [`NoopRecorder`] = compiled out) observes the chain without touching the
-/// draw path, so recorded and unrecorded runs are **bit-identical** — a
-/// property the observability tests assert across thread counts.
+/// [`NoopRecorder`] = compiled out, no clock read) observes the chain
+/// without touching the draw path, so recorded and unrecorded runs are
+/// **bit-identical** — a property the observability tests assert across
+/// thread counts.
 #[derive(Debug)]
 pub struct ChromaticEngine<P, Rec = NoopRecorder> {
     pipeline: P,
@@ -155,7 +102,7 @@ pub struct ChromaticEngine<P, Rec = NoopRecorder> {
     scratch: Vec<Mutex<SweepScratch>>,
 }
 
-impl<P: ProbabilityPipeline + Sync> ChromaticEngine<P> {
+impl<P: ProbabilityPipeline> ChromaticEngine<P> {
     /// Build an engine running `n_threads` persistent worker threads, with
     /// recording disabled.
     ///
@@ -167,7 +114,7 @@ impl<P: ProbabilityPipeline + Sync> ChromaticEngine<P> {
     }
 }
 
-impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
+impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
     /// Build an engine that reports every sweep (and per-color worker-pool
     /// utilization) to `recorder`.
     ///
@@ -177,7 +124,7 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
     pub fn with_recorder(pipeline: P, n_threads: usize, seed: u64, recorder: Rec) -> Self {
         assert!(n_threads > 0, "need at least one thread");
         let scratch = (0..n_threads)
-            .map(|_| Mutex::new(SweepScratch::default()))
+            .map(|_| Mutex::new(SweepScratch::new(recorder.prof_enabled())))
             .collect();
         Self {
             pipeline,
@@ -244,18 +191,19 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
     /// Returns the number of variables updated.
     pub fn sweep<M: ChromaticModel + Sync>(&self, model: &mut M, iteration: u64) -> usize {
         let classes = model.color_classes();
-        self.sweep_classes(model, &classes, iteration, None)
+        self.sweep_classes(model, &classes, iteration).updates as usize
     }
 
-    /// Resample one chunk of a color class against an immutable snapshot.
+    /// Resample one chunk of a color class against an immutable snapshot,
+    /// then report the chunk to the profiler on `lane`.
     ///
     /// With `batch_rows > 1` the chunk is processed in batch strides: runs
     /// of same-width log-domain score rows are gathered and evaluated with
     /// one `generate_batch_into` + one `sample_rows_into` per stride.
-    /// Factor-domain (or empty) rows fall back to the per-variable path.
-    /// Draw order within `out` is irrelevant — commits happen after the
-    /// class barrier and each variable appears once — so grouping cannot
-    /// change the chain.
+    /// Factor-domain (or empty) rows, and every row at stride 1, take the
+    /// per-variable path. Draw order within `out` is irrelevant — commits
+    /// happen after the class barrier and each variable appears once — so
+    /// grouping cannot change the chain.
     fn resample_chunk<M: ChromaticModel>(
         &self,
         model: &M,
@@ -264,272 +212,126 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         scratch: &mut SweepScratch,
         lane: usize,
     ) {
-        let enabled = self.recorder.enabled();
-        let prof = self.recorder.prof_enabled();
-        // `timing` drives the Instant captures and ChunkTrace aggregation;
-        // `enabled` alone decides whether the trace reaches the journal.
-        let timing = enabled || prof;
-        let sampler = TreeSampler::new();
         scratch.out.clear();
-        scratch.fallbacks = 0;
-        scratch.trace.reset();
-        if self.batch_rows <= 1 {
-            for &var in vars {
-                if model.is_clamped(var) {
-                    continue;
-                }
-                let t0 = timing.then(std::time::Instant::now);
-                model.scores_into(var, &mut scratch.scores);
-                if prof {
-                    if let Some(t0) = t0 {
-                        scratch.trace.gather_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                self.draw_var_from_scores(var, iteration, &sampler, scratch, t0, prof);
-            }
-            self.emit_chunk_profile(scratch, lane, prof);
-            return;
-        }
         scratch.batch_scores.clear();
         scratch.batch_vars.clear();
+        scratch.tally = Tally::default();
         let mut width = 0usize;
+        let mut t = self.recorder.now_ns();
         for &var in vars {
             if model.is_clamped(var) {
                 continue;
             }
-            let t0 = timing.then(std::time::Instant::now);
             model.scores_into(var, &mut scratch.scores);
-            if prof {
-                if let Some(t0) = t0 {
-                    scratch.trace.gather_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-            let batchable = !scratch.scores.is_empty()
+            let t_gather = self.recorder.now_ns();
+            scratch.tally.gather_ns += t_gather - t;
+            t = t_gather;
+            let batchable = self.batch_rows > 1
+                && !scratch.scores.is_empty()
                 && scratch
                     .scores
                     .iter()
                     .all(|s| matches!(s, LabelScore::LogDomain(_)));
             if !batchable {
-                self.draw_var_from_scores(var, iteration, &sampler, scratch, t0, prof);
+                t = self.draw_one(var, iteration, scratch, t);
                 continue;
             }
             let w = scratch.scores.len();
             if !scratch.batch_vars.is_empty() && w != width {
-                self.flush_batch(width, iteration, &sampler, scratch, timing, prof);
+                t = self.flush_batch(width, iteration, scratch, t);
             }
             width = w;
             scratch.batch_scores.extend(scratch.scores.iter().cloned());
             scratch.batch_vars.push(var);
-            if let Some(t0) = t0 {
-                scratch.trace.pg_ns += t0.elapsed().as_nanos() as u64;
-            }
             if scratch.batch_vars.len() == self.batch_rows {
-                self.flush_batch(width, iteration, &sampler, scratch, timing, prof);
+                t = self.flush_batch(width, iteration, scratch, t);
             }
         }
-        self.flush_batch(width, iteration, &sampler, scratch, timing, prof);
-        self.emit_chunk_profile(scratch, lane, prof);
-    }
-
-    /// Flush one finished chunk's trace to the profiler as per-lane kernel
-    /// leaves plus the lane's modeled-cycle attribution. One leaf per kernel
-    /// per *chunk* (not per variable) keeps ring traffic proportional to
-    /// jobs, like the pool's own accounting.
-    fn emit_chunk_profile(&self, scratch: &SweepScratch, lane: usize, prof: bool) {
-        if !prof {
-            return;
-        }
-        let tr = &scratch.trace;
-        let rec = &self.recorder;
-        rec.prof_leaf(lane, Kernel::PgGather, tr.gather_ns);
-        if tr.phases_active {
-            rec.prof_leaf(lane, Kernel::PgNormalize, tr.normalize_ns);
-            rec.prof_leaf(lane, Kernel::PgDynorm, tr.dynorm_ns);
-            rec.prof_leaf(lane, Kernel::PgExpBatch, tr.exp_ns);
-        }
-        rec.prof_leaf(lane, Kernel::SdSampleRows, tr.sd_ns);
-        // PU commits happen on the coordinator after the class barrier, so
-        // a chunk attributes zero update cycles (the sweep adds them there).
-        emit_kernel_cycles(rec, lane, &tr.ops, tr.sd_cycles, 0);
+        self.flush_batch(width, iteration, scratch, t);
+        let tally = &mut scratch.tally;
+        tally.take_phases(&mut scratch.pg.phases);
+        tally.take_phases(&mut scratch.batch.phases);
+        tally.flush_profile(&self.recorder, lane);
     }
 
     /// Scalar PG + SD for one variable whose scores are already gathered in
-    /// `scratch.scores`. `t0` is the phase timer started before the gather.
-    fn draw_var_from_scores(
-        &self,
-        var: usize,
-        iteration: u64,
-        sampler: &TreeSampler,
-        scratch: &mut SweepScratch,
-        t0: Option<std::time::Instant>,
-        prof: bool,
-    ) {
-        if prof {
-            let mut phases = StagePhases::default();
-            self.pipeline
-                .generate_into_profiled(&scratch.scores, &mut scratch.pg, &mut phases);
-            if phases.active {
-                let tr = &mut scratch.trace;
-                tr.phases_active = true;
-                tr.normalize_ns += phases.normalize_ns;
-                tr.dynorm_ns += phases.dynorm_ns;
-                tr.exp_ns += phases.exp_ns;
-            }
-        } else {
-            self.pipeline
-                .generate_into(&scratch.scores, &mut scratch.pg);
-        }
-        let t1 = t0.map(|_| std::time::Instant::now());
+    /// `scratch.scores`, starting at clock reading `t`; returns the reading
+    /// after its draw.
+    fn draw_one(&self, var: usize, iteration: u64, scratch: &mut SweepScratch, t: u64) -> u64 {
+        self.pipeline
+            .generate_into(&scratch.scores, &mut scratch.pg);
+        let t_pg = self.recorder.now_ns();
         let mut rng = draw_rng(self.seed, iteration, var);
-        let sample = sampler.sample_into(&scratch.pg.probs, &mut rng, &mut scratch.sd);
+        let sample = TreeSampler::new().sample_into(&scratch.pg.probs, &mut rng, &mut scratch.sd);
+        let t_sd = self.recorder.now_ns();
         scratch.out.push((var, sample.label));
-        scratch.fallbacks += u64::from(sample.fallback);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let tr = &mut scratch.trace;
-            tr.pg_ns += (t1 - t0).as_nanos() as u64;
-            tr.sd_ns += t1.elapsed().as_nanos() as u64;
-            tr.pg_cycles += scratch.pg.ops.sequential_cycles();
-            tr.sd_cycles += sample.cycles;
-            tr.telemetry.merge(&scratch.pg.telemetry);
-            tr.ops.merge(&scratch.pg.ops);
+        let tally = &mut scratch.tally;
+        tally.pg_ns += t_pg - t;
+        tally.sd_ns += t_sd - t_pg;
+        tally.draw(&scratch.pg.ops, &sample);
+        if self.recorder.enabled() {
+            tally.telemetry.merge(&scratch.pg.telemetry);
         }
+        t_sd
     }
 
-    /// Evaluate the gathered stride: one `generate_batch_into` call, then
-    /// one draw per row with the row's own `(seed, iteration, var)` RNG —
-    /// exactly the RNG the scalar path would have used, which is what makes
-    /// batching invisible to the chain.
-    fn flush_batch(
-        &self,
-        width: usize,
-        iteration: u64,
-        sampler: &TreeSampler,
-        scratch: &mut SweepScratch,
-        timing: bool,
-        prof: bool,
-    ) {
+    /// Evaluate the gathered stride, starting at clock reading `t`: one
+    /// `generate_batch_into` call, then one draw per row with the row's own
+    /// `(seed, iteration, var)` RNG — exactly the RNG the scalar path would
+    /// have used, which is what makes batching invisible to the chain.
+    /// Returns the reading after the draws.
+    fn flush_batch(&self, width: usize, iteration: u64, scratch: &mut SweepScratch, t: u64) -> u64 {
         if scratch.batch_vars.is_empty() {
-            return;
+            return t;
         }
-        let t0 = timing.then(std::time::Instant::now);
-        if prof {
-            let mut phases = StagePhases::default();
-            self.pipeline.generate_batch_into_profiled(
-                &scratch.batch_scores,
-                width,
-                &mut scratch.batch,
-                &mut phases,
-            );
-            if phases.active {
-                let tr = &mut scratch.trace;
-                tr.phases_active = true;
-                tr.normalize_ns += phases.normalize_ns;
-                tr.dynorm_ns += phases.dynorm_ns;
-                tr.exp_ns += phases.exp_ns;
-            }
-        } else {
-            self.pipeline
-                .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);
-        }
-        let t1 = timing.then(std::time::Instant::now);
+        self.pipeline
+            .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);
+        let t_pg = self.recorder.now_ns();
         let seed = self.seed;
         let row_vars = &scratch.batch_vars;
-        sampler.sample_rows_into(
+        TreeSampler::new().sample_rows_into(
             &scratch.batch.probs,
             width,
             |row| draw_rng(seed, iteration, row_vars[row]),
             &mut scratch.draws,
             &mut scratch.sd,
         );
-        for (&var, sample) in scratch.batch_vars.iter().zip(&scratch.draws) {
+        let t_sd = self.recorder.now_ns();
+        let tally = &mut scratch.tally;
+        tally.pg_ns += t_pg - t;
+        tally.sd_ns += t_sd - t_pg;
+        tally.pg_batches += 1;
+        tally.pg_batch_rows += row_vars.len() as u64;
+        for ((&var, sample), ops) in row_vars.iter().zip(&scratch.draws).zip(&scratch.batch.ops) {
             scratch.out.push((var, sample.label));
-            scratch.fallbacks += u64::from(sample.fallback);
+            tally.draw(ops, sample);
         }
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let rows = scratch.batch_vars.len() as u64;
-            let tr = &mut scratch.trace;
-            tr.pg_ns += (t1 - t0).as_nanos() as u64;
-            tr.sd_ns += t1.elapsed().as_nanos() as u64;
-            tr.telemetry.merge(&scratch.batch.telemetry);
-            tr.pg_batches += 1;
-            tr.pg_batch_rows += rows;
-            for (ops, sample) in scratch.batch.ops.iter().zip(&scratch.draws) {
-                tr.pg_cycles += ops.sequential_cycles();
-                tr.sd_cycles += sample.cycles;
-                tr.ops.merge(ops);
-            }
+        if self.recorder.enabled() {
+            tally.telemetry.merge(&scratch.batch.telemetry);
         }
         scratch.batch_scores.clear();
         scratch.batch_vars.clear();
+        t_sd
     }
 
-    /// Commit one slot's draws into the model; counts flips only when a
-    /// recording or health-controlled pass asked for them (extra
-    /// `model.label` reads — observation only, the chain is untouched).
-    fn commit_slot<M: ChromaticModel>(
-        model: &mut M,
-        out: &[(usize, usize)],
-        counts: Option<&mut SweepCounts>,
-    ) {
-        match counts {
-            Some(c) => {
-                for &(var, label) in out {
-                    c.flips += u64::from(model.label(var) != label);
-                    model.update(var, label);
-                }
-                c.updates += out.len() as u64;
-            }
-            None => {
-                for &(var, label) in out {
-                    model.update(var, label);
-                }
-            }
-        }
-    }
-
-    /// Drain one slot's chunk trace into the sweep aggregate.
-    fn drain_trace(acc: &mut SweepAcc, trace: &ChunkTrace) {
-        acc.pg_cycles += trace.pg_cycles;
-        acc.sd_cycles += trace.sd_cycles;
-        acc.pg_ns += trace.pg_ns;
-        acc.sd_ns += trace.sd_ns;
-        acc.pg_batches += trace.pg_batches;
-        acc.pg_batch_rows += trace.pg_batch_rows;
-        acc.telemetry.merge(&trace.telemetry);
-    }
-
-    /// Sweep with precomputed color classes (lets `run` compute them once).
-    ///
-    /// `counts`, when supplied, receives the sweep's update/flip/fallback
-    /// tally — the input a [`ConvergenceController`] needs — whether or not
-    /// a recorder is attached.
+    /// Sweep with precomputed color classes (lets `run` compute them once);
+    /// returns the sweep's tally.
     fn sweep_classes<M: ChromaticModel + Sync>(
         &self,
         model: &mut M,
         classes: &[Vec<usize>],
         iteration: u64,
-        counts: Option<&mut SweepCounts>,
-    ) -> usize {
-        let enabled = self.recorder.enabled();
-        let prof = self.recorder.prof_enabled();
-        // Profiling needs the update tally for PU cycle attribution even
-        // when the journal recorder is off; counting is observation-only
-        // (extra `model.label` reads), never chain-visible.
-        let counting = enabled || prof || counts.is_some();
-        let mut local = SweepCounts::default();
-        let sweep_start = if enabled { self.recorder.now_ns() } else { 0 };
-        let mut rec = enabled.then(SweepAcc::default);
-        let mut updated = 0usize;
-        if prof {
-            self.recorder.prof_begin(0, Kernel::Sweep);
-        }
+    ) -> Tally {
+        let rec = &self.recorder;
+        rec.prof_begin(0, Kernel::Sweep);
+        let sweep_start = rec.now_ns();
+        let mut sweep = Tally::default();
+        // The coordinator's own chunk: the commits after each barrier.
+        let mut commit = Tally::default();
+        let mut colors = Vec::new();
         for (class_idx, class) in classes.iter().enumerate() {
-            let class_start = if enabled { self.recorder.now_ns() } else { 0 };
-            let busy_before = if enabled {
-                self.pool.total_busy_ns()
-            } else {
-                0
-            };
+            let class_start = rec.now_ns();
+            let busy_before = self.pool.total_busy_ns();
             let chunk = class.len().div_ceil(self.n_threads).max(1);
             let inline = self.n_threads == 1 || class.len() <= chunk;
             let n_slots = if inline {
@@ -553,36 +355,25 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                     })
                     .collect();
                 let n_jobs = jobs.len();
-                self.pool.execute_with(jobs, &self.recorder);
+                self.pool.execute_with(jobs, rec);
                 n_jobs
             };
-            // The class barrier ends here; commits below are the PU phase.
-            let barrier_ns = if enabled {
-                self.recorder.now_ns().saturating_sub(class_start)
-            } else {
-                0
-            };
-            // Commit after the class barrier. Commit order is irrelevant to
-            // the chain (each var appears once), so chunking cannot change
-            // the result.
-            let t_commit = (enabled || prof).then(std::time::Instant::now);
+            // The class barrier ends here; the commits below are the PU
+            // phase. Commit order is irrelevant to the chain (each var
+            // appears once), so chunking cannot change the result.
+            let barrier_end = rec.now_ns();
             for slot in &self.scratch[..n_slots] {
                 let scratch = slot.lock().unwrap();
-                updated += scratch.out.len();
-                Self::commit_slot(model, &scratch.out, counting.then_some(&mut local));
-                if counting {
-                    local.uniform_fallbacks += scratch.fallbacks;
+                for &(var, label) in &scratch.out {
+                    commit.flips += u64::from(model.label(var) != label);
+                    model.update(var, label);
                 }
-                if let Some(acc) = rec.as_mut() {
-                    Self::drain_trace(acc, &scratch.trace);
-                }
+                commit.updates += scratch.out.len() as u64;
+                sweep.merge(&scratch.tally);
             }
-            let commit_ns = t_commit.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            if prof {
-                self.recorder.prof_leaf(0, Kernel::PuUpdate, commit_ns);
-            }
-            if let Some(acc) = rec.as_mut() {
-                acc.pu_ns += commit_ns;
+            commit.pu_ns += rec.now_ns() - barrier_end;
+            if rec.enabled() {
+                let barrier_ns = barrier_end - class_start;
                 // Worker busy time inside the barrier; the inline path runs
                 // on the calling thread, so busy == wall by construction.
                 let busy_ns = if inline {
@@ -596,13 +387,13 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 } else {
                     (busy_ns as f64 / capacity as f64).clamp(0.0, 1.0)
                 };
-                acc.colors.push(ColorSample {
+                colors.push(ColorSample {
                     class: class_idx as u64,
                     wall_ns: barrier_ns,
                     busy_ns,
                     utilization,
                 });
-                self.recorder.span(
+                rec.span(
                     &format!("color {class_idx}"),
                     "pool",
                     class_start,
@@ -611,15 +402,11 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 );
             }
         }
-        if prof {
-            // PU runs on the coordinator: attribute its modeled cycles to
-            // lane 0, then close the sweep span.
-            self.recorder
-                .prof_cycles(0, Kernel::PuUpdate, PU_CYCLES * local.updates);
-            self.recorder.prof_end(0, Kernel::Sweep);
-        }
-        if let Some(acc) = rec {
-            for c in &acc.colors {
+        commit.flush_profile(rec, 0);
+        rec.prof_end(0, Kernel::Sweep);
+        sweep.merge(&commit);
+        if rec.enabled() {
+            for c in &colors {
                 metrics::gauge_with(
                     "coopmc_pool_color_utilization",
                     &[("color", &c.class.to_string())],
@@ -633,34 +420,9 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 metrics::gauge_with("coopmc_pool_worker_jobs", &[("worker", &worker)])
                     .set(w.jobs as f64);
             }
-            let sample = SweepSample {
-                chain: self.chain,
-                iteration: iteration + 1,
-                start_ns: sweep_start,
-                wall_ns: self.recorder.now_ns().saturating_sub(sweep_start),
-                updates: local.updates,
-                flips: local.flips,
-                uniform_fallbacks: local.uniform_fallbacks,
-                pg_ns: acc.pg_ns,
-                sd_ns: acc.sd_ns,
-                pu_ns: acc.pu_ns,
-                pg_cycles: acc.pg_cycles,
-                sd_cycles: acc.sd_cycles,
-                pu_cycles: PU_CYCLES * local.updates,
-                pg_batches: acc.pg_batches,
-                pg_batch_rows: acc.pg_batch_rows,
-                norm_max: acc.telemetry.norm_max,
-                exp_in_min: acc.telemetry.exp_in_min,
-                exp_in_max: acc.telemetry.exp_in_max,
-                stat: None,
-                colors: acc.colors,
-            };
-            self.recorder.end_sweep(&sample);
+            sweep.end_sweep(rec, self.chain, iteration + 1, sweep_start, colors);
         }
-        if let Some(c) = counts {
-            *c = local;
-        }
-        updated
+        sweep
     }
 
     /// Run `iterations` sweeps. Color classes are computed once and reused
@@ -668,25 +430,8 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
     pub fn run<M: ChromaticModel + Sync>(&self, model: &mut M, iterations: u64) -> usize {
         let classes = model.color_classes();
         (0..iterations)
-            .map(|it| self.sweep_classes(model, &classes, it, None))
+            .map(|it| self.sweep_classes(model, &classes, it).updates as usize)
             .sum()
-    }
-
-    /// Run `iterations` sweeps, invoking `observer` after each with the
-    /// 1-based iteration number (matching the journal) and the model.
-    pub fn run_observed<M: ChromaticModel + Sync>(
-        &self,
-        model: &mut M,
-        iterations: u64,
-        mut observer: impl FnMut(u64, &M),
-    ) -> usize {
-        let classes = model.color_classes();
-        let mut updated = 0;
-        for it in 0..iterations {
-            updated += self.sweep_classes(model, &classes, it, None);
-            observer(it + 1, model);
-        }
-        updated
     }
 
     /// Run up to `max_sweeps` sweeps, consulting `controller` after each
@@ -703,24 +448,22 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         model: &mut M,
         max_sweeps: u64,
         mut stat_fn: impl FnMut(&M) -> Option<f64>,
-        controller: &mut impl ConvergenceController,
+        controller: &mut (impl ConvergenceController + ?Sized),
     ) -> usize {
         let classes = model.color_classes();
         let mut updated = 0;
         for it in 0..max_sweeps {
-            let mut counts = SweepCounts::default();
-            updated += self.sweep_classes(model, &classes, it, Some(&mut counts));
+            let sweep = self.sweep_classes(model, &classes, it);
+            updated += sweep.updates as usize;
             let stat = stat_fn(model);
-            if self.recorder.enabled() {
-                if let Some(v) = stat {
-                    self.recorder.observe_stat(self.chain, it + 1, v);
-                }
+            if let (true, Some(v)) = (self.recorder.enabled(), stat) {
+                self.recorder.observe_stat(self.chain, it + 1, v);
             }
             let decision = controller.observe_sweep(
                 it + 1,
-                counts.updates,
-                counts.flips,
-                counts.uniform_fallbacks,
+                sweep.updates,
+                sweep.flips,
+                sweep.uniform_fallbacks,
                 stat,
             );
             if decision == Decision::Stop {
@@ -741,7 +484,7 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
 /// only perturb the chain, not its stationary tendency toward low energy.
 ///
 /// Runs `sweeps` full passes and writes the final labels back into `mrf`.
-pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline + Sync>(
+pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline>(
     mrf: &mut GridMrf,
     pipeline: &P,
     sweeps: u64,
@@ -791,7 +534,7 @@ pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::GibbsEngine;
+    use crate::engine::{GibbsEngine, PU_CYCLES};
     use crate::pipeline::{CoopMcPipeline, FloatPipeline};
     use coopmc_models::bn::earthquake;
     use coopmc_models::mrf::image_segmentation;

@@ -29,6 +29,11 @@ pub struct PgOutput {
     /// enabled). `None` fields mean the datapath produced no such value —
     /// e.g. the direct baseline has no NormTree maximum.
     pub telemetry: PgTelemetry,
+    /// Per-stage wall-time accumulator for the kernel profiler. `None` (the
+    /// default) reads no stage clock; `Some` makes a fused datapath add
+    /// each evaluation's stage times here, across calls, without changing
+    /// the result. Datapaths without a stage decomposition leave it as is.
+    pub phases: Option<StagePhases>,
 }
 
 impl PgOutput {
@@ -53,6 +58,9 @@ pub struct PgBatch {
     pub ops: Vec<OpCounts>,
     /// Merged DyNorm/exp-kernel observations across all rows.
     pub telemetry: PgTelemetry,
+    /// Per-stage wall-time accumulator; same contract as
+    /// [`PgOutput::phases`].
+    pub phases: Option<StagePhases>,
     /// Scalar scratch reused by the row-loop fallback path.
     row: PgOutput,
 }
@@ -97,12 +105,14 @@ fn batch_rows_via_scalar<P: ProbabilityPipeline + ?Sized>(
     out.probs.clear();
     out.ops.clear();
     out.telemetry = PgTelemetry::new();
+    out.row.phases = out.phases;
     for row in scores.chunks_exact(width) {
         pipeline.generate_into(row, &mut out.row);
         out.probs.extend_from_slice(&out.row.probs);
         out.ops.push(out.row.ops);
         out.telemetry.merge(&out.row.telemetry);
     }
+    out.phases = out.row.phases;
 }
 
 /// Per-thread working memory shared by the pipeline implementations.
@@ -147,31 +157,18 @@ fn refill_exprs(scores: &[LabelScore], exprs: &mut Vec<FactorExpr>) {
 
 /// A Probability Generation datapath.
 ///
-/// Implementors must override at least one of
-/// [`ProbabilityPipeline::generate`] /
-/// [`ProbabilityPipeline::generate_into`] — each default delegates to the
-/// other.
-pub trait ProbabilityPipeline {
-    /// Evaluate the label scores into unnormalized probabilities.
-    fn generate(&self, scores: &[LabelScore]) -> PgOutput {
-        let mut out = PgOutput::new();
-        self.generate_into(scores, &mut out);
-        out
-    }
-
-    /// Evaluate into a caller-owned [`PgOutput`], overwriting its previous
-    /// contents.
+/// `Sync` because both engines share one pipeline across worker threads;
+/// the built-in datapaths keep their working memory in per-thread scratch.
+pub trait ProbabilityPipeline: Sync {
+    /// Evaluate the label scores into a caller-owned [`PgOutput`],
+    /// overwriting its previous contents.
     ///
-    /// Identical results to [`ProbabilityPipeline::generate`]; the
-    /// difference is allocation behaviour. The built-in pipelines reuse
-    /// `out.probs` and per-thread scratch buffers, so a warm steady-state
-    /// call performs **zero heap allocations** — the property the Gibbs
-    /// engine's hot path is built on. The default implementation delegates
-    /// to `generate` (custom pipelines only need to override one of the
-    /// two).
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
-        *out = self.generate(scores);
-    }
+    /// The built-in pipelines reuse `out.probs` and per-thread scratch
+    /// buffers, so a warm steady-state call performs **zero heap
+    /// allocations** — the property the Gibbs engine's hot path is built
+    /// on. When `out.phases` is attached, fused datapaths also accumulate
+    /// their stage times there (the result is bit-identical either way).
+    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput);
 
     /// Evaluate a whole batch of same-width score rows in one call.
     ///
@@ -190,37 +187,6 @@ pub trait ProbabilityPipeline {
     /// `width`.
     fn generate_batch_into(&self, scores: &[LabelScore], width: usize, out: &mut PgBatch) {
         batch_rows_via_scalar(self, scores, width, out);
-    }
-
-    /// As [`ProbabilityPipeline::generate_into`], additionally accumulating
-    /// per-stage wall times into `phases` for the kernel profiler.
-    ///
-    /// The result must be bit-identical to the unprofiled call. The default
-    /// delegates and leaves `phases` untouched (`active == false`), meaning
-    /// the datapath offers no stage decomposition — its whole PG time then
-    /// shows up as sweep self time in the flamegraph.
-    fn generate_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: &mut StagePhases,
-    ) {
-        let _ = &phases;
-        self.generate_into(scores, out);
-    }
-
-    /// As [`ProbabilityPipeline::generate_batch_into`], additionally
-    /// accumulating per-stage wall times into `phases`; same contract as
-    /// [`ProbabilityPipeline::generate_into_profiled`].
-    fn generate_batch_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        width: usize,
-        out: &mut PgBatch,
-        phases: &mut StagePhases,
-    ) {
-        let _ = &phases;
-        self.generate_batch_into(scores, width, out);
     }
 
     /// Short human-readable name for reports.
@@ -448,19 +414,21 @@ impl ProbabilityPipeline for CoopMcPipeline {
                     LabelScore::LogDomain(v) => *v,
                     _ => unreachable!(),
                 }));
-                self.fusion.evaluate_log_scores_traced_into(
+                self.fusion.evaluate_log_scores_into(
                     &scratch.log_scores,
                     &mut scratch.work,
                     &mut out.probs,
                     &mut out.telemetry,
+                    out.phases.as_mut(),
                 )
             } else {
                 refill_exprs(scores, &mut scratch.exprs);
-                self.fusion.evaluate_factors_traced_into(
+                self.fusion.evaluate_factors_into(
                     &scratch.exprs,
                     &mut scratch.work,
                     &mut out.probs,
                     &mut out.telemetry,
+                    out.phases.as_mut(),
                 )
             };
         });
@@ -487,96 +455,14 @@ impl ProbabilityPipeline for CoopMcPipeline {
                 _ => unreachable!(),
             }));
             out.telemetry = PgTelemetry::new();
-            self.fusion.evaluate_log_score_rows_traced_into(
+            self.fusion.evaluate_log_score_rows_into(
                 &scratch.log_scores,
                 width,
                 &mut scratch.work,
                 &mut out.probs,
                 &mut out.ops,
                 &mut out.telemetry,
-            );
-        });
-    }
-
-    fn generate_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: &mut StagePhases,
-    ) {
-        PG_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
-            out.telemetry = PgTelemetry::new();
-            out.ops = if all_log {
-                scratch.log_scores.clear();
-                scratch.log_scores.extend(scores.iter().map(|s| match s {
-                    LabelScore::LogDomain(v) => *v,
-                    _ => unreachable!(),
-                }));
-                self.fusion.evaluate_log_scores_phased_into(
-                    &scratch.log_scores,
-                    &mut scratch.work,
-                    &mut out.probs,
-                    &mut out.telemetry,
-                    phases,
-                )
-            } else {
-                refill_exprs(scores, &mut scratch.exprs);
-                self.fusion.evaluate_factors_phased_into(
-                    &scratch.exprs,
-                    &mut scratch.work,
-                    &mut out.probs,
-                    &mut out.telemetry,
-                    phases,
-                )
-            };
-        });
-    }
-
-    fn generate_batch_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        width: usize,
-        out: &mut PgBatch,
-        phases: &mut StagePhases,
-    ) {
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(
-            scores.len() % width,
-            0,
-            "batch length must be a multiple of the row width"
-        );
-        let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
-        if !all_log {
-            // Factor rows keep the per-row path (still bit-identical).
-            out.probs.clear();
-            out.ops.clear();
-            out.telemetry = PgTelemetry::new();
-            for row in scores.chunks_exact(width) {
-                self.generate_into_profiled(row, &mut out.row, phases);
-                out.probs.extend_from_slice(&out.row.probs);
-                out.ops.push(out.row.ops);
-                out.telemetry.merge(&out.row.telemetry);
-            }
-            return;
-        }
-        PG_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.log_scores.clear();
-            scratch.log_scores.extend(scores.iter().map(|s| match s {
-                LabelScore::LogDomain(v) => *v,
-                _ => unreachable!(),
-            }));
-            out.telemetry = PgTelemetry::new();
-            self.fusion.evaluate_log_score_rows_phased_into(
-                &scratch.log_scores,
-                width,
-                &mut scratch.work,
-                &mut out.probs,
-                &mut out.ops,
-                &mut out.telemetry,
-                phases,
+                out.phases.as_mut(),
             );
         });
     }
@@ -649,35 +535,12 @@ impl PipelineConfig {
 }
 
 impl<P: ProbabilityPipeline + ?Sized> ProbabilityPipeline for Box<P> {
-    fn generate(&self, scores: &[LabelScore]) -> PgOutput {
-        (**self).generate(scores)
-    }
-
     fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
         (**self).generate_into(scores, out)
     }
 
     fn generate_batch_into(&self, scores: &[LabelScore], width: usize, out: &mut PgBatch) {
         (**self).generate_batch_into(scores, width, out)
-    }
-
-    fn generate_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: &mut StagePhases,
-    ) {
-        (**self).generate_into_profiled(scores, out, phases)
-    }
-
-    fn generate_batch_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        width: usize,
-        out: &mut PgBatch,
-        phases: &mut StagePhases,
-    ) {
-        (**self).generate_batch_into_profiled(scores, width, out, phases)
     }
 
     fn name(&self) -> String {
@@ -693,10 +556,17 @@ mod tests {
         vals.iter().map(|&v| LabelScore::LogDomain(v)).collect()
     }
 
+    /// One evaluation into a fresh output.
+    fn generate(p: &(impl ProbabilityPipeline + ?Sized), scores: &[LabelScore]) -> PgOutput {
+        let mut out = PgOutput::new();
+        p.generate_into(scores, &mut out);
+        out
+    }
+
     #[test]
     fn float_pipeline_matches_softmax_ratios() {
         let p = FloatPipeline::new();
-        let out = p.generate(&log_scores(&[-3.0, -1.0, -2.0]));
+        let out = generate(&p, &log_scores(&[-3.0, -1.0, -2.0]));
         let r = out.probs[1] / out.probs[0];
         assert!((r - (2.0f64).exp()).abs() < 1e-12);
         assert_eq!(
@@ -709,14 +579,14 @@ mod tests {
     fn fixed_low_precision_without_dynorm_flushes() {
         // The Fig. 2 failure mode: large negative scores, 4-bit exp kernel.
         let p = FixedPipeline::new(4, false);
-        let out = p.generate(&log_scores(&[-20.0, -18.0, -19.0]));
+        let out = generate(&p, &log_scores(&[-20.0, -18.0, -19.0]));
         assert!(out.probs.iter().all(|&x| x == 0.0), "{:?}", out.probs);
     }
 
     #[test]
     fn fixed_low_precision_with_dynorm_recovers() {
         let p = FixedPipeline::new(4, true);
-        let out = p.generate(&log_scores(&[-20.0, -18.0, -19.0]));
+        let out = generate(&p, &log_scores(&[-20.0, -18.0, -19.0]));
         assert_eq!(out.probs[1], 1.0);
         assert!(out.probs[0] < out.probs[2] && out.probs[2] < out.probs[1]);
     }
@@ -724,18 +594,21 @@ mod tests {
     #[test]
     fn coopmc_pipeline_handles_both_score_forms() {
         let p = CoopMcPipeline::new(128, 16);
-        let log_out = p.generate(&log_scores(&[-9.0, -8.0]));
+        let log_out = generate(&p, &log_scores(&[-9.0, -8.0]));
         assert_eq!(log_out.probs[1], 1.0);
-        let factor_out = p.generate(&[
-            LabelScore::Factors {
-                numerators: vec![0.2, 0.5],
-                denominators: vec![0.8],
-            },
-            LabelScore::Factors {
-                numerators: vec![0.4, 0.5],
-                denominators: vec![0.8],
-            },
-        ]);
+        let factor_out = generate(
+            &p,
+            &[
+                LabelScore::Factors {
+                    numerators: vec![0.2, 0.5],
+                    denominators: vec![0.8],
+                },
+                LabelScore::Factors {
+                    numerators: vec![0.4, 0.5],
+                    denominators: vec![0.8],
+                },
+            ],
+        );
         assert!(factor_out.probs[1] > factor_out.probs[0]);
     }
 
@@ -764,9 +637,9 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let f = FloatPipeline::new().generate(&scores);
-        let x = FixedPipeline::new(8, true).generate(&scores);
-        let c = CoopMcPipeline::new(64, 8).generate(&scores);
+        let f = generate(&FloatPipeline::new(), &scores);
+        let x = generate(&FixedPipeline::new(8, true), &scores);
+        let c = generate(&CoopMcPipeline::new(64, 8), &scores);
         assert_eq!(argmax(&f.probs), 1);
         assert_eq!(argmax(&x.probs), 1);
         assert_eq!(argmax(&c.probs), 1);
@@ -777,14 +650,17 @@ mod tests {
         // Regression: log-domain and factor scores in one vector must be
         // shifted by the SAME constant, or their relative weights distort.
         let p = FloatPipeline::new();
-        let out = p.generate(&[
-            LabelScore::LogDomain(0.25_f64.ln()),
-            LabelScore::Factors {
-                numerators: vec![0.5, 0.5],
-                denominators: vec![],
-            },
-            LabelScore::LogDomain(0.5_f64.ln()),
-        ]);
+        let out = generate(
+            &p,
+            &[
+                LabelScore::LogDomain(0.25_f64.ln()),
+                LabelScore::Factors {
+                    numerators: vec![0.5, 0.5],
+                    denominators: vec![],
+                },
+                LabelScore::LogDomain(0.5_f64.ln()),
+            ],
+        );
         // All three labels carry probability 0.25/0.25/0.5 — equal scores
         // must come out equal regardless of representation.
         assert!(
@@ -799,32 +675,38 @@ mod tests {
     #[test]
     fn float_pipeline_degenerate_cases_are_well_defined() {
         let p = FloatPipeline::new();
-        assert!(p.generate(&[]).probs.is_empty());
+        assert!(generate(&p, &[]).probs.is_empty());
         // All labels carry zero mass: emit zeros (uniform-fallback regime),
         // never NaN.
-        let out = p.generate(&[
-            LabelScore::Factors {
-                numerators: vec![0.0],
-                denominators: vec![],
-            },
-            LabelScore::LogDomain(f64::NEG_INFINITY),
-        ]);
+        let out = generate(
+            &p,
+            &[
+                LabelScore::Factors {
+                    numerators: vec![0.0],
+                    denominators: vec![],
+                },
+                LabelScore::LogDomain(f64::NEG_INFINITY),
+            ],
+        );
         assert_eq!(out.probs, vec![0.0, 0.0]);
         // A zero-mass factor label among live ones stays exactly zero.
-        let out = p.generate(&[
-            LabelScore::Factors {
-                numerators: vec![0.0],
-                denominators: vec![],
-            },
-            LabelScore::LogDomain(-1.0),
-        ]);
+        let out = generate(
+            &p,
+            &[
+                LabelScore::Factors {
+                    numerators: vec![0.0],
+                    denominators: vec![],
+                },
+                LabelScore::LogDomain(-1.0),
+            ],
+        );
         assert_eq!(out.probs[0], 0.0);
         assert_eq!(out.probs[1], 1.0);
     }
 
     #[test]
-    fn generate_into_matches_generate_for_all_pipelines() {
-        let log = log_scores(&[-4.0, -2.5, -3.1]);
+    fn reused_and_phased_outputs_are_bit_identical_for_all_pipelines() {
+        let log = log_scores(&[-4.0, -2.5, -3.1, -0.7]);
         let factors = vec![
             LabelScore::Factors {
                 numerators: vec![0.2, 0.5],
@@ -841,68 +723,54 @@ mod tests {
             Box::new(FixedPipeline::new(8, false)),
             Box::new(CoopMcPipeline::new(64, 8)),
         ];
-        // One dirty reused output across pipelines and score forms.
+        // One dirty reused output across pipelines and score forms, and one
+        // with the stage accumulator attached.
         let mut out = PgOutput::new();
+        let mut phased = PgOutput {
+            phases: Some(StagePhases::default()),
+            ..PgOutput::new()
+        };
         for p in &pipelines {
             for scores in [&log, &factors] {
-                let fresh = p.generate(scores);
+                let fresh = generate(p, scores);
                 p.generate_into(scores, &mut out);
-                assert_eq!(fresh, out, "{} diverged", p.name());
-            }
-        }
-    }
-
-    #[test]
-    fn profiled_generate_is_bit_identical_for_all_pipelines() {
-        let log = log_scores(&[-4.0, -2.5, -3.1, -0.7]);
-        let factors = vec![
-            LabelScore::Factors {
-                numerators: vec![0.2, 0.5],
-                denominators: vec![0.8],
-            },
-            LabelScore::Factors {
-                numerators: vec![0.4, 0.5],
-                denominators: vec![0.8],
-            },
-        ];
-        let pipelines: Vec<Box<dyn ProbabilityPipeline>> = vec![
-            Box::new(FloatPipeline::new()),
-            Box::new(FixedPipeline::new(8, true)),
-            Box::new(CoopMcPipeline::new(64, 8)),
-        ];
-        let (mut out, mut profiled) = (PgOutput::new(), PgOutput::new());
-        let mut phases = StagePhases::default();
-        for p in &pipelines {
-            for scores in [&log, &factors] {
-                p.generate_into(scores, &mut out);
-                p.generate_into_profiled(scores, &mut profiled, &mut phases);
-                assert_eq!(out, profiled, "{} diverged under profiling", p.name());
+                assert_eq!(fresh, out, "{} diverged on reuse", p.name());
+                p.generate_into(scores, &mut phased);
+                assert_eq!(fresh.probs, phased.probs, "{} diverged phased", p.name());
+                assert_eq!(fresh.ops, phased.ops);
+                assert_eq!(fresh.telemetry, phased.telemetry);
             }
         }
         // CoopMC decomposes into stages; the float reference does not.
-        assert!(phases.active, "CoopMC pipeline must fill stage phases");
-        let mut float_phases = StagePhases::default();
-        FloatPipeline::new().generate_into_profiled(&log, &mut profiled, &mut float_phases);
-        assert!(!float_phases.active);
+        assert_ne!(phased.phases, Some(StagePhases::default()));
+        let mut float = PgOutput {
+            phases: Some(StagePhases::default()),
+            ..PgOutput::new()
+        };
+        FloatPipeline::new().generate_into(&log, &mut float);
+        assert_eq!(float.phases, Some(StagePhases::default()));
 
         // The batched path agrees too, for both score forms.
-        let (mut batch, mut pbatch) = (PgBatch::new(), PgBatch::new());
         let p = CoopMcPipeline::new(64, 8);
         for scores in [&log, &factors] {
-            let mut bphases = StagePhases::default();
+            let mut batch = PgBatch::new();
+            let mut pbatch = PgBatch {
+                phases: Some(StagePhases::default()),
+                ..PgBatch::new()
+            };
             p.generate_batch_into(scores, 2, &mut batch);
-            p.generate_batch_into_profiled(scores, 2, &mut pbatch, &mut bphases);
+            p.generate_batch_into(scores, 2, &mut pbatch);
             assert_eq!(batch.probs, pbatch.probs);
             assert_eq!(batch.ops, pbatch.ops);
             assert_eq!(batch.telemetry, pbatch.telemetry);
-            assert!(bphases.active);
+            assert_ne!(pbatch.phases, Some(StagePhases::default()));
         }
     }
 
     #[test]
     fn op_counts_reported_for_fixed_path() {
         let p = FixedPipeline::new(8, true);
-        let out = p.generate(&log_scores(&[-1.0, -2.0, -3.0]));
+        let out = generate(&p, &log_scores(&[-1.0, -2.0, -3.0]));
         assert_eq!(out.ops.approx, 3, "one exp ALU call per label");
         assert!(out.ops.cmp > 0, "DyNorm comparators must be counted");
     }
@@ -928,7 +796,7 @@ mod tests {
                 assert_eq!(batch.rows(width), rows, "{}", p.name());
                 let mut merged = PgTelemetry::new();
                 for (r, row_scores) in flat.chunks_exact(width).enumerate() {
-                    let scalar = p.generate(row_scores);
+                    let scalar = generate(p, row_scores);
                     assert_eq!(
                         batch.probs_row(r, width),
                         &scalar.probs[..],
@@ -955,7 +823,7 @@ mod tests {
         let mut batch = PgBatch::new();
         p.generate_batch_into(&rows, 2, &mut batch);
         for (r, row_scores) in rows.chunks_exact(2).enumerate() {
-            let scalar = p.generate(row_scores);
+            let scalar = generate(&p, row_scores);
             assert_eq!(batch.probs_row(r, 2), &scalar.probs[..], "row {r}");
             assert_eq!(batch.ops[r], scalar.ops, "row {r}");
         }

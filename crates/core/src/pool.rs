@@ -175,25 +175,24 @@ impl WorkerPool {
     /// [`execute`](Self::execute), reporting dispatch/join latency to a
     /// profiling recorder.
     ///
-    /// When `recorder.prof_enabled()` the time spent feeding the job channel
-    /// is emitted as a `pool.dispatch` leaf and the time blocked on worker
-    /// acks as a `pool.join` leaf, both on lane 0 (the coordinator) — the
-    /// join leaf is how the scaling-curve bench separates coordinator wait
-    /// from worker busy time. With the [`coopmc_obs::NoopRecorder`] this is
-    /// exactly `execute`.
+    /// The time spent feeding the job channel is reported as a
+    /// `pool.dispatch` leaf and the time blocked on worker acks as a
+    /// `pool.join` leaf, both on lane 0 (the coordinator) — the join leaf is
+    /// how the scaling-curve bench separates coordinator wait from worker
+    /// busy time. Both are timed with the recorder's clock, so with the
+    /// [`coopmc_obs::NoopRecorder`] this is exactly `execute`.
     pub fn execute_with<'scope, Rec: coopmc_obs::Recorder>(
         &self,
         batch: Vec<Box<dyn FnOnce() + Send + 'scope>>,
         recorder: &Rec,
     ) {
         use coopmc_obs::profile::Kernel;
-        let prof = recorder.prof_enabled();
         // `into_inner` on poison: a previous batch that propagated a job
         // panic must not brick the pool.
         let _gate = self.batch_gate.lock().unwrap_or_else(|e| e.into_inner());
         let n = batch.len();
         let jobs = self.jobs.as_ref().expect("pool is live outside drop");
-        let t_dispatch = Instant::now();
+        let t_dispatch = recorder.now_ns();
         for job in batch {
             // SAFETY: erasing 'scope to 'static is sound because this
             // function does not return (not even by panic) until the ack
@@ -207,14 +206,8 @@ impl WorkerPool {
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
             jobs.send(job).expect("workers alive while pool is live");
         }
-        if prof {
-            recorder.prof_leaf(
-                0,
-                Kernel::PoolDispatch,
-                t_dispatch.elapsed().as_nanos() as u64,
-            );
-        }
-        let t_join = Instant::now();
+        let t_join = recorder.now_ns();
+        recorder.prof_leaf(0, Kernel::PoolDispatch, t_join - t_dispatch);
         let mut panicked = false;
         {
             let acks = self.acks.lock().unwrap_or_else(|e| e.into_inner());
@@ -225,9 +218,7 @@ impl WorkerPool {
                 }
             }
         }
-        if prof {
-            recorder.prof_leaf(0, Kernel::PoolJoin, t_join.elapsed().as_nanos() as u64);
-        }
+        recorder.prof_leaf(0, Kernel::PoolJoin, recorder.now_ns() - t_join);
         assert!(!panicked, "worker panicked");
     }
 }

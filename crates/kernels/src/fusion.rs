@@ -23,18 +23,16 @@ use crate::exp::{ExpKernel, TableExp};
 use crate::log::LogKernel;
 use crate::telemetry::PgTelemetry;
 
-/// Per-stage wall times of one fused PG evaluation, filled by the
-/// `*_phased_into` variants for the kernel profiler.
+/// Per-stage wall times of fused PG evaluations, for the kernel profiler.
 ///
 /// Stage names follow the datapath order: `normalize` is the
 /// accumulator-bus arithmetic/requantization feeding the bus, `dynorm`
-/// the NormTree max-shift, `exp` the TableExp lookup. Times accumulate
-/// across calls so one `StagePhases` can cover a whole sweep.
+/// the NormTree max-shift, `exp` the TableExp lookup. Every `LogFusion`
+/// evaluation takes an `Option<&mut StagePhases>`: `None` reads no clock,
+/// `Some` adds each stage's time, so one accumulator can cover a whole
+/// sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StagePhases {
-    /// True once any phased evaluation has run; lets callers distinguish
-    /// "no stage decomposition available" from "stages took 0 ns".
-    pub active: bool,
     /// Accumulator-bus arithmetic / requantization, ns.
     pub normalize_ns: u64,
     /// DyNorm NormTree max-shift, ns.
@@ -44,9 +42,44 @@ pub struct StagePhases {
 }
 
 impl StagePhases {
-    /// Reset all phase times and the `active` flag.
-    pub fn reset(&mut self) {
-        *self = StagePhases::default();
+    /// Add another accumulator's stage times to this one.
+    pub fn merge(&mut self, other: &StagePhases) {
+        self.normalize_ns += other.normalize_ns;
+        self.dynorm_ns += other.dynorm_ns;
+        self.exp_ns += other.exp_ns;
+    }
+}
+
+/// Stage clock of one evaluation: reads `Instant::now` only when a
+/// [`StagePhases`] accumulator is attached, holding it with the last
+/// reading.
+struct StageClock<'a>(Option<(&'a mut StagePhases, Instant)>);
+
+// `#[inline]` with a cold timing body: the evaluations are instantiated in
+// other crates, and an untimed stage must cost one branch, not a call.
+impl<'a> StageClock<'a> {
+    #[inline]
+    fn start(phases: Option<&'a mut StagePhases>) -> Self {
+        Self(phases.map(|p| (p, Instant::now())))
+    }
+
+    /// Close the current stage, adding its time to the field `stage` picks.
+    #[inline]
+    fn lap(&mut self, stage: fn(&mut StagePhases) -> &mut u64) {
+        if let Some((phases, last)) = &mut self.0 {
+            Self::record(phases, last, stage);
+        }
+    }
+
+    #[cold]
+    fn record(
+        phases: &mut StagePhases,
+        last: &mut Instant,
+        stage: fn(&mut StagePhases) -> &mut u64,
+    ) {
+        let now = Instant::now();
+        *stage(phases) += now.duration_since(*last).as_nanos() as u64;
+        *last = now;
     }
 }
 
@@ -159,70 +192,37 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         self.acc_fmt
     }
 
-    /// Evaluate a full label vector of factor expressions (Eq. 11).
+    /// Evaluate a full label vector of factor expressions (Eq. 11) into
+    /// fresh buffers: a convenience over
+    /// [`LogFusion::evaluate_factors_into`].
     pub fn evaluate_factors(&self, exprs: &[FactorExpr]) -> PgResult {
-        let mut work = Vec::new();
-        let mut probs = Vec::new();
-        let ops = self.evaluate_factors_into(exprs, &mut work, &mut probs);
+        let (mut work, mut probs) = (Vec::new(), Vec::new());
+        let mut telemetry = PgTelemetry::new();
+        let ops = self.evaluate_factors_into(exprs, &mut work, &mut probs, &mut telemetry, None);
         PgResult { probs, ops }
     }
 
-    /// [`LogFusion::evaluate_factors`] writing into caller-owned buffers.
+    /// Evaluate a label vector of factor expressions (Eq. 11) into
+    /// caller-owned buffers.
     ///
     /// `work` holds the log-domain accumulator values between accumulation
     /// and the exp stage; `probs` receives the output vector. Both are
     /// cleared first and only grow if shorter than `exprs` — with warmed
-    /// buffers the evaluation is allocation-free.
+    /// buffers the evaluation is allocation-free. `telemetry` collects the
+    /// DyNorm/exp-kernel observations for the run journal (a handful of
+    /// comparisons, no allocation); `phases`, when attached, accumulates
+    /// per-stage wall times for the kernel profiler. Neither changes the
+    /// result.
     pub fn evaluate_factors_into(
         &self,
         exprs: &[FactorExpr],
         work: &mut Vec<f64>,
         probs: &mut Vec<f64>,
-    ) -> OpCounts {
-        self.factors_impl(exprs, work, probs, None, None)
-    }
-
-    /// [`LogFusion::evaluate_factors_into`] that additionally records
-    /// DyNorm/exp-kernel telemetry for the run journal. `telemetry` is a
-    /// plain stack accumulator; recording costs a handful of comparisons
-    /// per call and no allocation.
-    pub fn evaluate_factors_traced_into(
-        &self,
-        exprs: &[FactorExpr],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
         telemetry: &mut PgTelemetry,
-    ) -> OpCounts {
-        self.factors_impl(exprs, work, probs, Some(telemetry), None)
-    }
-
-    /// [`LogFusion::evaluate_factors_traced_into`] that additionally
-    /// accumulates per-stage wall times into `phases` for the kernel
-    /// profiler. The result is bit-identical to the unphased call.
-    pub fn evaluate_factors_phased_into(
-        &self,
-        exprs: &[FactorExpr],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-        phases: &mut StagePhases,
-    ) -> OpCounts {
-        self.factors_impl(exprs, work, probs, Some(telemetry), Some(phases))
-    }
-
-    fn factors_impl(
-        &self,
-        exprs: &[FactorExpr],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: Option<&mut PgTelemetry>,
-        mut phases: Option<&mut StagePhases>,
+        phases: Option<&mut StagePhases>,
     ) -> OpCounts {
         let mut ops = OpCounts::new();
-        let t0 = phases.as_deref_mut().map(|p| {
-            p.active = true;
-            Instant::now()
-        });
+        let mut clock = StageClock::start(phases);
         work.clear();
         for e in exprs {
             let mut acc = Fixed::zero(self.acc_fmt);
@@ -238,123 +238,62 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
             }
             work.push(acc.to_f64());
         }
-        if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            p.normalize_ns += t0.elapsed().as_nanos() as u64;
-        }
-        self.finish_into(work, probs, &mut ops, telemetry, phases);
+        clock.lap(|p| &mut p.normalize_ns);
+        self.finish_into(work, probs, &mut ops, telemetry, clock);
         ops
     }
 
     /// Evaluate a label vector whose scores are already in the log domain
-    /// (e.g. MRF energies `-β·TC`): skips the log kernels.
-    pub fn evaluate_log_scores(&self, scores: &[f64]) -> PgResult {
-        let mut work = Vec::new();
-        let mut probs = Vec::new();
-        let ops = self.evaluate_log_scores_into(scores, &mut work, &mut probs);
-        PgResult { probs, ops }
-    }
-
-    /// [`LogFusion::evaluate_log_scores`] writing into caller-owned
-    /// buffers; same contract as [`LogFusion::evaluate_factors_into`].
+    /// (e.g. MRF energies `-β·TC`), skipping the log kernels; same buffer,
+    /// telemetry and phase contract as [`LogFusion::evaluate_factors_into`].
+    #[inline]
     pub fn evaluate_log_scores_into(
         &self,
         scores: &[f64],
         work: &mut Vec<f64>,
         probs: &mut Vec<f64>,
-    ) -> OpCounts {
-        self.log_scores_impl(scores, work, probs, None, None)
-    }
-
-    /// [`LogFusion::evaluate_log_scores_into`] that additionally records
-    /// DyNorm/exp-kernel telemetry for the run journal.
-    pub fn evaluate_log_scores_traced_into(
-        &self,
-        scores: &[f64],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
         telemetry: &mut PgTelemetry,
-    ) -> OpCounts {
-        self.log_scores_impl(scores, work, probs, Some(telemetry), None)
-    }
-
-    /// [`LogFusion::evaluate_log_scores_traced_into`] that additionally
-    /// accumulates per-stage wall times into `phases` for the kernel
-    /// profiler. The result is bit-identical to the unphased call.
-    pub fn evaluate_log_scores_phased_into(
-        &self,
-        scores: &[f64],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-        phases: &mut StagePhases,
-    ) -> OpCounts {
-        self.log_scores_impl(scores, work, probs, Some(telemetry), Some(phases))
-    }
-
-    fn log_scores_impl(
-        &self,
-        scores: &[f64],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: Option<&mut PgTelemetry>,
-        mut phases: Option<&mut StagePhases>,
+        phases: Option<&mut StagePhases>,
     ) -> OpCounts {
         let mut ops = OpCounts::new();
-        let t0 = phases.as_deref_mut().map(|p| {
-            p.active = true;
-            Instant::now()
-        });
+        let mut clock = StageClock::start(phases);
         work.clear();
         work.extend(scores.iter().map(|&s| self.acc_fmt.requantize_nearest(s)));
-        if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            p.normalize_ns += t0.elapsed().as_nanos() as u64;
-        }
-        self.finish_into(work, probs, &mut ops, telemetry, phases);
+        clock.lap(|p| &mut p.normalize_ns);
+        self.finish_into(work, probs, &mut ops, telemetry, clock);
         ops
     }
 
+    // Inlined, like `evaluate_log_scores_into`, so an untimed scalar
+    // evaluation keeps its stage clock out of memory.
+    #[inline]
     fn finish_into(
         &self,
         scores: &mut [f64],
         probs: &mut Vec<f64>,
         ops: &mut OpCounts,
-        telemetry: Option<&mut PgTelemetry>,
-        mut phases: Option<&mut StagePhases>,
+        telemetry: &mut PgTelemetry,
+        mut clock: StageClock<'_>,
     ) {
         probs.clear();
         if scores.is_empty() {
             return;
         }
-        let t0 = phases.as_deref_mut().map(|_| Instant::now());
         if self.dynorm {
             let report = dynorm_apply(scores, self.pipelines);
             ops.cmp += report.comparisons;
             ops.add += scores.len() as u64; // the broadcast subtraction
-            if let Some(t) = telemetry {
-                t.observe_norm_max(report.max);
-                for &s in scores.iter() {
-                    t.observe_exp_input(s);
-                }
-            }
-        } else if let Some(t) = telemetry {
-            for &s in scores.iter() {
-                t.observe_exp_input(s);
-            }
+            telemetry.observe_norm_max(report.max);
         }
-        let t1 = if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            let now = Instant::now();
-            p.dynorm_ns += now.duration_since(t0).as_nanos() as u64;
-            Some(now)
-        } else {
-            None
-        };
+        for &s in scores.iter() {
+            telemetry.observe_exp_input(s);
+        }
+        clock.lap(|p| &mut p.dynorm_ns);
         probs.extend(scores.iter().map(|&s| {
             ops.lut += 1;
             self.exp.exp(s)
         }));
-        if let (Some(p), Some(t1)) = (phases, t1) {
-            p.exp_ns += t1.elapsed().as_nanos() as u64;
-        }
+        clock.lap(|p| &mut p.exp_ns);
     }
 }
 
@@ -364,39 +303,25 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
     ///
     /// `scores` is row-major (`scores.len() / width` rows of exactly
     /// `width` labels). The result is **bit-identical** to calling
-    /// [`LogFusion::evaluate_log_scores_traced_into`] once per row: the
-    /// same per-score accumulator quantization, the same per-row DyNorm
-    /// fold, and the same ROM entries — only fused into one quantize pass,
-    /// one [`dynorm_apply_rows`] sweep and one lane-packed
+    /// [`LogFusion::evaluate_log_scores_into`] once per row: the same
+    /// per-score accumulator quantization, the same per-row DyNorm fold,
+    /// and the same ROM entries — only fused into one quantize pass, one
+    /// [`dynorm_apply_rows`] sweep and one lane-packed
     /// [`TableExp::exp_batch_into`] gather over the contiguous buffer.
     ///
     /// `probs` receives the concatenated per-row probability vectors and
     /// `ops_per_row` one tally per row (matching the scalar path's
     /// per-call [`OpCounts`] exactly, so modeled cycle totals are
     /// batching-invariant). All output buffers are cleared first; with
-    /// warmed buffers the evaluation is allocation-free.
+    /// warmed buffers the evaluation is allocation-free. `telemetry` and
+    /// `phases` follow [`LogFusion::evaluate_factors_into`].
     ///
     /// # Panics
     ///
     /// Panics if `width == 0` or `scores.len()` is not a multiple of
     /// `width`.
-    pub fn evaluate_log_score_rows_traced_into(
-        &self,
-        scores: &[f64],
-        width: usize,
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        ops_per_row: &mut Vec<OpCounts>,
-        telemetry: &mut PgTelemetry,
-    ) {
-        self.log_score_rows_impl(scores, width, work, probs, ops_per_row, telemetry, None)
-    }
-
-    /// [`LogFusion::evaluate_log_score_rows_traced_into`] that additionally
-    /// accumulates per-stage wall times into `phases` for the kernel
-    /// profiler. The result is bit-identical to the unphased call.
     #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_log_score_rows_phased_into(
+    pub fn evaluate_log_score_rows_into(
         &self,
         scores: &[f64],
         width: usize,
@@ -404,29 +329,7 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
         probs: &mut Vec<f64>,
         ops_per_row: &mut Vec<OpCounts>,
         telemetry: &mut PgTelemetry,
-        phases: &mut StagePhases,
-    ) {
-        self.log_score_rows_impl(
-            scores,
-            width,
-            work,
-            probs,
-            ops_per_row,
-            telemetry,
-            Some(phases),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn log_score_rows_impl(
-        &self,
-        scores: &[f64],
-        width: usize,
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        ops_per_row: &mut Vec<OpCounts>,
-        telemetry: &mut PgTelemetry,
-        mut phases: Option<&mut StagePhases>,
+        phases: Option<&mut StagePhases>,
     ) {
         assert!(width > 0, "row width must be positive");
         assert_eq!(
@@ -434,22 +337,13 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
             0,
             "batch length must be a multiple of the row width"
         );
-        let t0 = phases.as_deref_mut().map(|p| {
-            p.active = true;
-            Instant::now()
-        });
+        let mut clock = StageClock::start(phases);
         // Stage 1: the accumulator-bus quantization, identical per score.
         work.clear();
         work.extend(scores.iter().map(|&s| self.acc_fmt.requantize_nearest(s)));
         ops_per_row.clear();
         probs.clear();
-        let t1 = if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            let now = Instant::now();
-            p.normalize_ns += now.duration_since(t0).as_nanos() as u64;
-            Some(now)
-        } else {
-            None
-        };
+        clock.lap(|p| &mut p.normalize_ns);
         if scores.is_empty() {
             return;
         }
@@ -477,19 +371,11 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
         for &s in work.iter() {
             telemetry.observe_exp_input(s);
         }
-        let t2 = if let (Some(p), Some(t1)) = (phases.as_deref_mut(), t1) {
-            let now = Instant::now();
-            p.dynorm_ns += now.duration_since(t1).as_nanos() as u64;
-            Some(now)
-        } else {
-            None
-        };
+        clock.lap(|p| &mut p.dynorm_ns);
         // Stage 3: one gathered TableExp lookup over the whole batch.
         probs.resize(scores.len(), 0.0);
         self.exp.exp_batch_into(work, probs);
-        if let (Some(p), Some(t2)) = (phases, t2) {
-            p.exp_ns += t2.elapsed().as_nanos() as u64;
-        }
+        clock.lap(|p| &mut p.exp_ns);
     }
 }
 
@@ -550,6 +436,16 @@ mod tests {
 
     fn acc() -> QFormat {
         QFormat::baseline32()
+    }
+
+    /// One unphased log-score evaluation into fresh buffers.
+    fn log_scores<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        scores: &[f64],
+    ) -> (Vec<f64>, OpCounts, PgTelemetry) {
+        let (mut work, mut probs, mut tel) = (Vec::new(), Vec::new(), PgTelemetry::new());
+        let ops = fusion.evaluate_log_scores_into(scores, &mut work, &mut probs, &mut tel, None);
+        (probs, ops, tel)
     }
 
     #[test]
@@ -630,10 +526,10 @@ mod tests {
     #[test]
     fn log_scores_path_skips_log_kernels() {
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 2);
-        let result = fusion.evaluate_log_scores(&[-10.0, -9.0, -12.0]);
-        assert_eq!(result.probs[1], 1.0);
+        let (probs, ops, _) = log_scores(&fusion, &[-10.0, -9.0, -12.0]);
+        assert_eq!(probs[1], 1.0);
         // one lut per exp, none per log
-        assert_eq!(result.ops.lut, 3);
+        assert_eq!(ops.lut, 3);
     }
 
     #[test]
@@ -685,12 +581,11 @@ mod tests {
     fn empty_vector_is_empty() {
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
         assert!(fusion.evaluate_factors(&[]).probs.is_empty());
-        assert!(fusion.evaluate_log_scores(&[]).probs.is_empty());
+        assert!(log_scores(&fusion, &[]).0.is_empty());
     }
 
     #[test]
     fn batched_rows_are_bit_identical_to_per_row_scalar_calls() {
-        use crate::telemetry::PgTelemetry;
         // Cover both SWAR (64 ≤ 255 entries) and scalar-fallback (1024)
         // exp tables, several widths (ragged vs the 8-lane packing) and
         // pipeline counts (multi-pass NormTree folds included).
@@ -708,25 +603,21 @@ mod tests {
                     .collect();
                 let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
                 let mut batched_tel = PgTelemetry::new();
-                fusion.evaluate_log_score_rows_traced_into(
+                fusion.evaluate_log_score_rows_into(
                     &flat,
                     width,
                     &mut work,
                     &mut probs,
                     &mut ops_rows,
                     &mut batched_tel,
+                    None,
                 );
                 assert_eq!(probs.len(), rows * width);
                 assert_eq!(ops_rows.len(), rows);
                 let mut scalar_tel = PgTelemetry::new();
                 for (row, chunk) in flat.chunks_exact(width).enumerate() {
-                    let (mut w, mut p) = (Vec::new(), Vec::new());
-                    let ops = fusion.evaluate_log_scores_traced_into(
-                        chunk,
-                        &mut w,
-                        &mut p,
-                        &mut scalar_tel,
-                    );
+                    let (p, ops, tel) = log_scores(&fusion, chunk);
+                    scalar_tel.merge(&tel);
                     assert_eq!(
                         probs[row * width..(row + 1) * width],
                         p[..],
@@ -747,25 +638,23 @@ mod tests {
 
     #[test]
     fn batched_rows_without_dynorm_match_scalar_too() {
-        use crate::telemetry::PgTelemetry;
         let fusion =
             LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4).without_dynorm();
         let width = 4;
         let flat: Vec<f64> = (0..width * 3).map(|i| -(i as f64) * 0.9).collect();
         let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
         let mut tel = PgTelemetry::new();
-        fusion.evaluate_log_score_rows_traced_into(
+        fusion.evaluate_log_score_rows_into(
             &flat,
             width,
             &mut work,
             &mut probs,
             &mut ops_rows,
             &mut tel,
+            None,
         );
         for (row, chunk) in flat.chunks_exact(width).enumerate() {
-            let (mut w, mut p) = (Vec::new(), Vec::new());
-            let mut stel = PgTelemetry::new();
-            let ops = fusion.evaluate_log_scores_traced_into(chunk, &mut w, &mut p, &mut stel);
+            let (p, ops, _) = log_scores(&fusion, chunk);
             assert_eq!(probs[row * width..(row + 1) * width], p[..]);
             assert_eq!(ops_rows[row], ops);
         }
@@ -773,90 +662,86 @@ mod tests {
 
     #[test]
     fn phased_evaluation_is_bit_identical_and_fills_phases() {
-        use crate::telemetry::PgTelemetry;
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
         let scores = [-10.0, -9.0, -12.0, -11.5];
-
-        let (mut w1, mut p1, mut tel1) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let ops1 = fusion.evaluate_log_scores_traced_into(&scores, &mut w1, &mut p1, &mut tel1);
+        let (p1, ops1, tel1) = log_scores(&fusion, &scores);
 
         let (mut w2, mut p2, mut tel2) = (Vec::new(), Vec::new(), PgTelemetry::new());
         let mut phases = StagePhases::default();
-        let ops2 = fusion.evaluate_log_scores_phased_into(
+        let ops2 = fusion.evaluate_log_scores_into(
             &scores,
             &mut w2,
             &mut p2,
             &mut tel2,
-            &mut phases,
+            Some(&mut phases),
         );
         assert_eq!(p1, p2);
         assert_eq!(ops1, ops2);
         assert_eq!(tel1, tel2);
-        assert!(phases.active, "phased call must mark phases active");
+        assert_ne!(phases, StagePhases::default(), "phases must accumulate");
 
         // The batched rows path agrees too.
         let (mut wb, mut pb, mut opsb, mut telb) =
             (Vec::new(), Vec::new(), Vec::new(), PgTelemetry::new());
         let mut bphases = StagePhases::default();
-        fusion.evaluate_log_score_rows_phased_into(
+        fusion.evaluate_log_score_rows_into(
             &scores,
             scores.len(),
             &mut wb,
             &mut pb,
             &mut opsb,
             &mut telb,
-            &mut bphases,
+            Some(&mut bphases),
         );
         assert_eq!(p1, pb);
         assert_eq!(vec![ops1], opsb);
-        assert!(bphases.active);
+        assert_ne!(bphases, StagePhases::default());
 
         // Factor expressions fill phases through the same plumbing.
         let exprs = vec![FactorExpr::product(vec![0.5, 0.7])];
         let (mut wf, mut pf, mut telf) = (Vec::new(), Vec::new(), PgTelemetry::new());
         let mut fphases = StagePhases::default();
         let fops =
-            fusion.evaluate_factors_phased_into(&exprs, &mut wf, &mut pf, &mut telf, &mut fphases);
+            fusion.evaluate_factors_into(&exprs, &mut wf, &mut pf, &mut telf, Some(&mut fphases));
         let plain = fusion.evaluate_factors(&exprs);
         assert_eq!(pf, plain.probs);
         assert_eq!(fops, plain.ops);
-        assert!(fphases.active);
-        fphases.reset();
-        assert_eq!(fphases, StagePhases::default());
+        assert_ne!(fphases, StagePhases::default());
+        let before = fphases;
+        fphases.merge(&bphases);
+        assert_eq!(fphases.exp_ns, before.exp_ns + bphases.exp_ns);
     }
 
     #[test]
     fn batched_rows_reuse_dirty_buffers_correctly() {
-        use crate::telemetry::PgTelemetry;
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
         let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
         let mut tel = PgTelemetry::new();
         // A big first batch leaves stale content behind...
         let big: Vec<f64> = (0..40).map(|i| -(i as f64)).collect();
-        fusion.evaluate_log_score_rows_traced_into(
+        fusion.evaluate_log_score_rows_into(
             &big,
             8,
             &mut work,
             &mut probs,
             &mut ops_rows,
             &mut tel,
+            None,
         );
         // ...which a smaller second batch must fully overwrite.
         let small = [-1.0, -2.0, -3.0, -4.0];
         let mut tel2 = PgTelemetry::new();
-        fusion.evaluate_log_score_rows_traced_into(
+        fusion.evaluate_log_score_rows_into(
             &small,
             2,
             &mut work,
             &mut probs,
             &mut ops_rows,
             &mut tel2,
+            None,
         );
         assert_eq!(probs.len(), 4);
         assert_eq!(ops_rows.len(), 2);
-        let (mut w, mut p) = (Vec::new(), Vec::new());
-        let mut stel = PgTelemetry::new();
-        fusion.evaluate_log_scores_traced_into(&small[..2], &mut w, &mut p, &mut stel);
-        assert_eq!(probs[..2], p[..]);
+        assert_eq!(probs[..2], log_scores(&fusion, &small[..2]).0[..]);
     }
 }

@@ -85,6 +85,21 @@ pub struct SweepSample {
     pub colors: Vec<ColorSample>,
 }
 
+/// The Table II runtime breakdown `(PG%, SD%, PU%)` of journaled sweeps:
+/// each phase's share of the summed `pg_ns` / `sd_ns` / `pu_ns`. `None`
+/// when the sweeps carry no phase time (no sweeps, or a clockless
+/// recorder).
+pub fn phase_percent(sweeps: &[SweepSample]) -> Option<(f64, f64, f64)> {
+    let (pg, sd, pu) = sweeps.iter().fold((0u64, 0u64, 0u64), |(pg, sd, pu), s| {
+        (pg + s.pg_ns, sd + s.sd_ns, pu + s.pu_ns)
+    });
+    let total = (pg + sd + pu) as f64;
+    (total > 0.0).then(|| {
+        let pct = |ns: u64| 100.0 * ns as f64 / total;
+        (pct(pg), pct(sd), pct(pu))
+    })
+}
+
 /// Render one journal line (no trailing newline). `ess` / `rhat` are the
 /// running diagnostics computed over the chain so far; pass `None` while
 /// there are too few samples.
@@ -528,6 +543,22 @@ pub fn validate_journal(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_percent_splits_summed_phase_time() {
+        assert_eq!(phase_percent(&[]), None);
+        let mut a = sample(1);
+        (a.pg_ns, a.sd_ns, a.pu_ns) = (300, 100, 0);
+        let mut b = sample(2);
+        (b.pg_ns, b.sd_ns, b.pu_ns) = (300, 200, 100);
+        assert_eq!(phase_percent(&[a.clone(), b]), Some((60.0, 30.0, 10.0)));
+        (a.pg_ns, a.sd_ns) = (0, 0);
+        assert_eq!(
+            phase_percent(&[a]),
+            None,
+            "a clockless journal has no split"
+        );
+    }
 
     fn sample(iter: u64) -> SweepSample {
         SweepSample {

@@ -433,6 +433,11 @@ impl SpanProfiler {
 }
 
 impl Recorder for SpanProfiler {
+    /// The profiler's clock: the engines time kernel leaves with it.
+    fn now_ns(&self) -> u64 {
+        SpanProfiler::now_ns(self)
+    }
+
     fn prof_enabled(&self) -> bool {
         true
     }
@@ -475,8 +480,14 @@ impl<R: Recorder> Recorder for Profiled<'_, R> {
         self.inner.enabled()
     }
 
+    /// The inner recorder's clock when it records (so journal spans keep
+    /// its epoch), else the profiler's.
     fn now_ns(&self) -> u64 {
-        self.inner.now_ns()
+        if self.inner.enabled() {
+            self.inner.now_ns()
+        } else {
+            self.profiler.now_ns()
+        }
     }
 
     fn end_sweep(&self, sample: &SweepSample) {

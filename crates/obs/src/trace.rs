@@ -36,7 +36,9 @@ pub trait Recorder: Sync {
         false
     }
 
-    /// Nanoseconds since this recorder's epoch (0 when disabled).
+    /// Nanoseconds since this recorder's epoch: the engines' only clock.
+    /// A recorder that neither journals nor profiles keeps the default 0,
+    /// so its engines read no clock at all.
     #[inline]
     fn now_ns(&self) -> u64 {
         0

@@ -7,6 +7,8 @@
 use coopmc::core::engine::{GibbsEngine, RunStats};
 use coopmc::core::pipeline::PipelineConfig;
 use coopmc::models::bn::{asia, exact_marginal, MarginalCounter};
+use coopmc::obs::journal::phase_percent;
+use coopmc::obs::TraceRecorder;
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
@@ -27,11 +29,14 @@ fn main() {
     );
     let targets = ["tub", "lung", "bronc", "either", "xray", "smoke"];
 
-    // Gibbs estimate through the full CoopMC datapath.
-    let mut engine = GibbsEngine::new(
+    // Gibbs estimate through the full CoopMC datapath, journaled for the
+    // PG/SD/PU wall-time split.
+    let journal = TraceRecorder::new();
+    let mut engine = GibbsEngine::with_recorder(
         PipelineConfig::coopmc(128, 16).build(),
         TreeSampler::new(),
         SplitMix64::new(2024),
+        &journal,
     );
     let mut counter = MarginalCounter::new(&net);
     let mut stats = RunStats::default();
@@ -56,7 +61,7 @@ fn main() {
         );
     }
 
-    let (pg, sd, pu) = stats.breakdown_percent();
+    let (pg, sd, pu) = phase_percent(&journal.sweeps()).expect("journaled sweeps");
     println!(
         "\n{} sweeps through the CoopMC datapath; breakdown PG {pg:.0}% SD {sd:.0}% PU {pu:.0}%",
         10_000

@@ -8,6 +8,8 @@ use coopmc::core::engine::GibbsEngine;
 use coopmc::core::experiments::{mrf_converged_nmse, mrf_golden};
 use coopmc::core::pipeline::PipelineConfig;
 use coopmc::models::mrf::image_segmentation;
+use coopmc::obs::journal::phase_percent;
+use coopmc::obs::TraceRecorder;
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::{Sampler, TreeSampler};
 
@@ -36,15 +38,17 @@ fn main() {
         println!("{:<22} {:>16.4}", config.build().name(), nmse);
     }
 
-    // 4. Peek under the hood: the engine exposes the PG/SD/PU breakdown.
+    // 4. Peek under the hood: a journaling recorder times PG/SD/PU.
     let mut model = app.mrf.clone();
-    let mut engine = GibbsEngine::new(
+    let journal = TraceRecorder::new();
+    let mut engine = GibbsEngine::with_recorder(
         PipelineConfig::coopmc(64, 8).build(),
         TreeSampler::new(),
         SplitMix64::new(1),
+        &journal,
     );
-    let stats = engine.run(&mut model, 10);
-    let (pg, sd, pu) = stats.breakdown_percent();
+    engine.run(&mut model, 10);
+    let (pg, sd, pu) = phase_percent(&journal.sweeps()).expect("journaled sweeps");
     println!("\nruntime breakdown over 10 sweeps: PG {pg:.1}%  SD {sd:.1}%  PU {pu:.1}%");
     println!(
         "sampler latency: {} cycles per 2-label draw (tree) vs {} (sequential)",

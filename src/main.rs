@@ -13,26 +13,36 @@
 //! Pipeline SPECs: `float32`, `fixed:<bits>`, `fixed+dn:<bits>`,
 //! `coopmc:<size>x<bits>`. Sampler KINDs: `seq`, `tree`, `pipe`, `alias`.
 //!
+//! `--threads 1` runs the sequential engine with the `--sampler` of choice;
+//! `--threads T > 1` runs the chromatic engine over a `T`-worker pool for
+//! MRF and BN workloads (LDA has no color classes), with the TreeSampler
+//! as its SD stage. Any pipeline runs on either engine.
+//!
 //! `--health` streams chain-health diagnostics (online ESS / rank-normalized
 //! split R-hat / MCSE, anomaly detectors) while the chain runs; the
 //! early-stop flags additionally end the run once rank-normalized R-hat ≤ R
 //! **and** windowed ESS ≥ E (each implies `--health`; the other threshold
-//! defaults to R = 1.01, E = 100).
+//! defaults to R = 1.01, E = 100). Neither journals anything by itself: the
+//! engines record only for the output and profile flags.
 
 use std::process::ExitCode;
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
-use coopmc::core::pipeline::{CoopMcPipeline, PipelineConfig, ProbabilityPipeline};
+use coopmc::core::pipeline::PipelineConfig;
 use coopmc::hw::accel::case_study_table;
 use coopmc::hw::area::{sampler_area, SamplerKind};
 use coopmc::hw::reconcile::divergence_ledger;
 use coopmc::hw::roofline::roofline;
-use coopmc::models::workloads::{all_workloads, BuiltWorkload, WorkloadSpec};
+use coopmc::models::bn::{BayesNet, MarginalCounter};
+use coopmc::models::coloring::ChromaticModel;
+use coopmc::models::lda::Lda;
+use coopmc::models::mrf::GridMrf;
+use coopmc::models::workloads::{all_workloads, BuiltWorkload, ModelKind, WorkloadSpec};
 use coopmc::models::GibbsModel;
-use coopmc::obs::health::{ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig};
+use coopmc::obs::health::{ChainHealth, ConvergenceController, EarlyStop, HealthConfig, NoControl};
 use coopmc::obs::{NoopRecorder, Profiled, Recorder, SpanProfiler, TraceRecorder};
-use coopmc::rng::{HwRng, SplitMix64};
+use coopmc::rng::SplitMix64;
 use coopmc::sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
 /// Parsed `run` subcommand options.
@@ -88,6 +98,35 @@ impl RunArgs {
     /// profiler output file).
     fn profile_enabled(&self) -> bool {
         self.profile || self.flame_out.is_some() || self.profile_out.is_some()
+    }
+
+    /// Whether a journal, trace or metrics file is requested: the only
+    /// reason to run a `TraceRecorder`.
+    fn journal_enabled(&self) -> bool {
+        self.journal_out.is_some() || self.trace_out.is_some() || self.metrics_out.is_some()
+    }
+
+    /// Reject what the chromatic engine (`--threads > 1`) cannot run: LDA
+    /// is not a chromatic model, and the chromatic SD stage is the
+    /// TreeSampler.
+    fn check_threads(&self, kind: ModelKind) -> Result<(), String> {
+        if self.threads == 1 {
+            Ok(())
+        } else if kind == ModelKind::Lda {
+            Err(
+                "--threads > 1 runs the chromatic engine, and LDA has no color classes; \
+                 run LDA with --threads 1"
+                    .to_owned(),
+            )
+        } else if self.sampler != "tree" {
+            Err(format!(
+                "--threads > 1 samples with the chromatic engine's TreeSampler; \
+                 --sampler {} needs --threads 1",
+                self.sampler
+            ))
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -279,51 +318,6 @@ fn report_health(ctl: &EarlyStop, budget: u64) {
     );
 }
 
-/// Drive up to `sweeps` manual sweeps of a sequential engine, reporting the
-/// per-sweep statistic from `stat_fn` to `observer` (journal capture) and to
-/// `controller` (health / early stop). The manual loop exists because the
-/// interesting statistics (energy, joint probability, log-likelihood) live
-/// on the concrete model types, which `GibbsEngine::run_controlled`'s
-/// `&dyn GibbsModel` callback cannot see.
-fn drive_gibbs<P, S, R, Rec, M, F>(
-    engine: &mut GibbsEngine<P, S, R, Rec>,
-    model: &mut M,
-    sweeps: u64,
-    observer: Option<&dyn Recorder>,
-    mut stat_fn: F,
-    mut controller: Option<&mut EarlyStop<'_>>,
-) where
-    P: ProbabilityPipeline,
-    S: Sampler,
-    R: HwRng,
-    Rec: Recorder,
-    M: GibbsModel,
-    F: FnMut(&M) -> f64,
-{
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(model, &mut stats);
-        let stat = stat_fn(model);
-        let it = engine.journal_iteration();
-        if let Some(rec) = observer {
-            rec.observe_stat(0, it, stat);
-        }
-        if let Some(ctl) = controller.as_deref_mut() {
-            let decision = ctl.observe_sweep(
-                it,
-                stats.updates - u0,
-                stats.flips - f0,
-                stats.uniform_fallbacks - fb0,
-                Some(stat),
-            );
-            if decision == Decision::Stop {
-                break;
-            }
-        }
-    }
-}
-
 /// Divergence-ledger gate for profiled CLI runs: a modeled kernel's share
 /// of measured self time may differ from its share of modeled cycles by at
 /// most this much. Host wall-clock shares are only loosely coupled to
@@ -332,162 +326,95 @@ fn drive_gibbs<P, S, R, Rec, M, F>(
 /// feed), not model precision.
 const PROFILE_DIVERGENCE_TOLERANCE: f64 = 0.5;
 
-/// Execute the built workload with `rec` as the engines' recorder. Generic
-/// so one body serves the plain `&TraceRecorder` and both [`Profiled`]
-/// shapes (journal + profiler, profiler only).
-fn run_workload<Rec: Recorder + Copy>(
+/// Run `model` on the sequential engine with the `--sampler` of choice.
+fn run_sequential<M: GibbsModel>(
+    args: &RunArgs,
+    rec: impl Recorder,
+    model: &mut M,
+    stat: impl FnMut(&M) -> Option<f64>,
+    ctl: &mut dyn ConvergenceController,
+) {
+    GibbsEngine::with_recorder(
+        args.pipeline.build(),
+        build_sampler(&args.sampler),
+        SplitMix64::new(args.seed),
+        rec,
+    )
+    .run_controlled(model, args.sweeps, stat, ctl);
+}
+
+/// Run a model with color classes: chromatically at `--threads > 1`, else
+/// sequentially.
+fn run_chain<M: ChromaticModel + Sync>(
+    args: &RunArgs,
+    rec: impl Recorder,
+    model: &mut M,
+    stat: impl FnMut(&M) -> Option<f64>,
+    ctl: &mut dyn ConvergenceController,
+) {
+    if args.threads > 1 {
+        ChromaticEngine::with_recorder(args.pipeline.build(), args.threads, args.seed, rec)
+            .run_controlled(model, args.sweeps, stat, ctl);
+    } else {
+        run_sequential(args, rec, model, stat, ctl);
+    }
+}
+
+/// Run the built workload with `rec` as the engines' recorder and return
+/// its result lines. Each model's closure runs after every sweep; it
+/// computes the chain statistic only when the controller or the journal
+/// consumes one.
+fn run_workload(
     args: &RunArgs,
     built: BuiltWorkload,
-    rec: Rec,
+    rec: impl Recorder,
     controller: Option<&mut EarlyStop<'_>>,
-) -> Result<(), String> {
-    let tracing =
-        args.journal_out.is_some() || args.trace_out.is_some() || args.metrics_out.is_some();
-    let observing = tracing || rec.prof_enabled();
-    let observer = observing.then_some(&rec as &dyn Recorder);
+) -> String {
+    let want_stat = controller.is_some() || rec.enabled();
+    let mut no_control = NoControl;
+    let ctl: &mut dyn ConvergenceController = match controller {
+        Some(c) => c,
+        None => &mut no_control,
+    };
     match built {
         BuiltWorkload::Mrf(mut app) => {
             let e0 = app.mrf.energy();
-            if args.threads > 1 {
-                let (size, bits) = match args.pipeline {
-                    PipelineConfig::CoopMc { size_lut, bit_lut } => (size_lut, bit_lut),
-                    _ => {
-                        return Err(
-                            "--threads > 1 currently supports only coopmc pipelines".to_owned()
-                        )
-                    }
-                };
-                let pipeline = CoopMcPipeline::new(size, bits);
-                match (observing, controller) {
-                    (true, Some(ctl)) => {
-                        ChromaticEngine::with_recorder(pipeline, args.threads, args.seed, rec)
-                            .run_controlled(&mut app.mrf, args.sweeps, |m| Some(m.energy()), ctl);
-                    }
-                    (true, None) => {
-                        ChromaticEngine::with_recorder(pipeline, args.threads, args.seed, rec)
-                            .run_observed(&mut app.mrf, args.sweeps, |it, m| {
-                                rec.observe_stat(0, it, m.energy());
-                            });
-                    }
-                    (false, Some(ctl)) => {
-                        ChromaticEngine::new(pipeline, args.threads, args.seed).run_controlled(
-                            &mut app.mrf,
-                            args.sweeps,
-                            |m| Some(m.energy()),
-                            ctl,
-                        );
-                    }
-                    (false, None) => {
-                        ChromaticEngine::new(pipeline, args.threads, args.seed)
-                            .run(&mut app.mrf, args.sweeps);
-                    }
-                }
-            } else if observing || controller.is_some() {
-                let mut engine = GibbsEngine::with_recorder(
-                    args.pipeline.build(),
-                    TreeSampler::new(),
-                    SplitMix64::new(args.seed),
-                    rec,
-                );
-                drive_gibbs(
-                    &mut engine,
-                    &mut app.mrf,
-                    args.sweeps,
-                    observer,
-                    |m| m.energy(),
-                    controller,
-                );
-            } else {
-                let mut engine = GibbsEngine::new(
-                    args.pipeline.build(),
-                    TreeSampler::new(),
-                    SplitMix64::new(args.seed),
-                );
-                engine.run(&mut app.mrf, args.sweeps);
-            }
-            println!("energy: {e0:.1} -> {:.1}", app.mrf.energy());
+            let stat = |m: &GridMrf| want_stat.then(|| m.energy());
+            run_chain(args, rec, &mut app.mrf, stat, ctl);
+            format!("energy: {e0:.1} -> {:.1}\n", app.mrf.energy())
         }
         BuiltWorkload::Bn(mut net) => {
-            let mut counter = coopmc::models::bn::MarginalCounter::new(&net);
-            if observing || controller.is_some() {
-                let mut engine = GibbsEngine::with_recorder(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                    rec,
-                );
-                drive_gibbs(
-                    &mut engine,
-                    &mut net,
-                    args.sweeps,
-                    observer,
-                    |n| {
-                        counter.record(n);
-                        n.joint_prob().ln()
-                    },
-                    controller,
-                );
-            } else {
-                let mut engine = GibbsEngine::new(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                );
-                let mut stats = RunStats::default();
-                for _ in 0..args.sweeps {
-                    engine.sweep(&mut net, &mut stats);
-                    counter.record(&net);
-                }
-            }
-            println!("{:<14} {:>10}", "node", "P(label 0)");
+            let mut counter = MarginalCounter::new(&net);
+            let stat = |n: &BayesNet| {
+                counter.record(n);
+                want_stat.then(|| n.joint_prob().ln())
+            };
+            run_chain(args, rec, &mut net, stat, ctl);
+            let mut out = format!("{:<14} {:>10}\n", "node", "P(label 0)");
             for v in 0..net.num_variables() {
-                println!(
-                    "{:<14} {:>10.4}",
-                    net.nodes()[v].name,
-                    counter.marginal(v)[0]
-                );
+                let p0 = counter.marginal(v)[0];
+                out += &format!("{:<14} {p0:>10.4}\n", net.nodes()[v].name);
             }
+            out
         }
         BuiltWorkload::Lda(mut lda) => {
             let ll0 = lda.log_likelihood();
-            if observing || controller.is_some() {
-                let mut engine = GibbsEngine::with_recorder(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                    rec,
-                );
-                drive_gibbs(
-                    &mut engine,
-                    &mut lda,
-                    args.sweeps,
-                    observer,
-                    |l| l.log_likelihood(),
-                    controller,
-                );
-            } else {
-                let mut engine = GibbsEngine::new(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                );
-                engine.run(&mut lda, args.sweeps);
-            }
-            println!("log-likelihood: {ll0:.0} -> {:.0}", lda.log_likelihood());
+            let stat = |l: &Lda| want_stat.then(|| l.log_likelihood());
+            run_sequential(args, rec, &mut lda, stat, ctl);
+            format!("log-likelihood: {ll0:.0} -> {:.0}\n", lda.log_likelihood())
         }
     }
-    Ok(())
 }
 
 fn cmd_run(args: RunArgs) -> Result<(), String> {
     let spec = find_workload(&args.workload)
         .ok_or_else(|| format!("no workload matches '{}'", args.workload))?;
+    args.check_threads(spec.kind)?;
     println!(
         "running {} | pipeline {:?} | sampler {} | {} sweeps | seed {} | {} thread(s)",
         spec.name, args.pipeline, args.sampler, args.sweeps, args.seed, args.threads
     );
-    let tracing =
-        args.journal_out.is_some() || args.trace_out.is_some() || args.metrics_out.is_some();
+    let journal = args.journal_enabled();
     let recorder = TraceRecorder::new();
     // Lane 0 is the coordinator; lanes 1..=threads are pool worker slots.
     let profiler = args
@@ -495,23 +422,19 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         .then(|| SpanProfiler::new(args.threads + 1));
     let mut controller = args
         .health_enabled()
-        .then(|| build_controller(&args, tracing.then_some(&recorder as &dyn Recorder)));
+        .then(|| build_controller(&args, journal.then_some(&recorder as &dyn Recorder)));
     let built = spec.build(args.seed);
-    match (&profiler, tracing) {
-        (Some(p), true) => run_workload(
-            &args,
-            built,
-            Profiled::new(&recorder, p),
-            controller.as_mut(),
-        )?,
-        (Some(p), false) => run_workload(
-            &args,
-            built,
-            Profiled::new(NoopRecorder, p),
-            controller.as_mut(),
-        )?,
-        (None, _) => run_workload(&args, built, &recorder, controller.as_mut())?,
-    }
+    let ctl = controller.as_mut();
+    // The recorder follows the output and profile flags alone: a health or
+    // early-stop run reads the chain through its controller and keeps the
+    // clockless NoopRecorder.
+    let report = match (&profiler, journal) {
+        (Some(p), true) => run_workload(&args, built, Profiled::new(&recorder, p), ctl),
+        (Some(p), false) => run_workload(&args, built, p, ctl),
+        (None, true) => run_workload(&args, built, &recorder, ctl),
+        (None, false) => run_workload(&args, built, NoopRecorder, ctl),
+    };
+    print!("{report}");
     if let Some(ctl) = &controller {
         report_health(ctl, args.sweeps);
     }
@@ -777,6 +700,118 @@ mod tests {
         assert!(parse_run_args(&to_vec(&["w", "--threads", "0"])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--sweeps"])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--whatever", "1"])).is_err());
+    }
+
+    fn args(flags: &[&str]) -> RunArgs {
+        let v: Vec<String> = flags.iter().map(|x| x.to_string()).collect();
+        parse_run_args(&v).unwrap()
+    }
+
+    #[test]
+    fn recorder_follows_output_and_profile_flags_only() {
+        for flags in [
+            &["w", "--health"][..],
+            &["w", "--early-stop-rhat", "1.05"],
+            &["w", "--early-stop-ess", "50", "--sweeps", "9"],
+        ] {
+            let a = args(flags);
+            assert!(a.health_enabled());
+            assert!(
+                !a.journal_enabled() && !a.profile_enabled(),
+                "{flags:?} must run the NoopRecorder"
+            );
+        }
+        for out in ["--journal-out", "--trace-out", "--metrics-out"] {
+            assert!(
+                args(&["w", "--health", out, "f"]).journal_enabled(),
+                "{out}"
+            );
+        }
+        let profiled = args(&["w", "--health", "--profile"]);
+        assert!(profiled.profile_enabled() && !profiled.journal_enabled());
+    }
+
+    /// A small many-label MRF for driver tests.
+    fn small_mrf() -> coopmc::models::mrf::MrfApp {
+        coopmc::models::mrf::stereo_matching(12, 8, 5)
+    }
+
+    #[test]
+    fn mrf_runs_honour_the_sampler_flag() {
+        let run = |sampler: &str| {
+            let a = args(&["w", "--sampler", sampler, "--sweeps", "4", "--seed", "3"]);
+            run_workload(&a, BuiltWorkload::Mrf(small_mrf()), NoopRecorder, None)
+        };
+        let mut app = small_mrf();
+        let e0 = app.mrf.energy();
+        GibbsEngine::new(
+            PipelineConfig::coopmc(64, 8).build(),
+            AliasSampler::new(),
+            SplitMix64::new(3),
+        )
+        .run(&mut app.mrf, 4);
+        let direct = format!("energy: {e0:.1} -> {:.1}\n", app.mrf.energy());
+        assert_eq!(run("alias"), direct);
+        assert_ne!(
+            run("tree"),
+            direct,
+            "the sampler choice must reach the engine"
+        );
+    }
+
+    #[test]
+    fn bn_runs_chromatically_above_one_thread() {
+        let run = |threads: &str| {
+            let a = args(&["w", "--threads", threads, "--sweeps", "300"]);
+            a.check_threads(ModelKind::Bn).unwrap();
+            let net = coopmc::models::bn::asia();
+            run_workload(&a, BuiltWorkload::Bn(net), NoopRecorder, None)
+        };
+        let (one, two) = (run("1"), run("2"));
+        assert_eq!(two, run("3"), "chromatic chains ignore the pool size");
+        assert_ne!(one, two, "two threads must leave the sequential engine");
+    }
+
+    #[test]
+    fn any_pipeline_runs_chromatically() {
+        let a = args(&[
+            "w",
+            "--pipeline",
+            "float32",
+            "--threads",
+            "2",
+            "--sweeps",
+            "3",
+        ]);
+        a.check_threads(ModelKind::Mrf).unwrap();
+        let got = run_workload(&a, BuiltWorkload::Mrf(small_mrf()), NoopRecorder, None);
+        let mut app = small_mrf();
+        let e0 = app.mrf.energy();
+        ChromaticEngine::new(PipelineConfig::float32().build(), 2, a.seed).run(&mut app.mrf, 3);
+        assert_eq!(got, format!("energy: {e0:.1} -> {:.1}\n", app.mrf.energy()));
+    }
+
+    #[test]
+    fn lda_is_refused_above_one_thread() {
+        assert!(args(&["w"]).check_threads(ModelKind::Lda).is_ok());
+        let err = args(&["w", "--threads", "2"])
+            .check_threads(ModelKind::Lda)
+            .unwrap_err();
+        assert!(err.contains("LDA"), "{err}");
+    }
+
+    #[test]
+    fn non_tree_samplers_are_refused_above_one_thread() {
+        for sampler in ["seq", "pipe", "alias"] {
+            let one = args(&["w", "--sampler", sampler]);
+            assert!(one.check_threads(ModelKind::Mrf).is_ok());
+            let many = args(&["w", "--sampler", sampler, "--threads", "4"]);
+            let err = many.check_threads(ModelKind::Bn).unwrap_err();
+            assert!(err.contains(sampler), "{err}");
+        }
+        assert!(args(&["w", "--threads", "4"])
+            .check_threads(ModelKind::Mrf)
+            .is_ok());
     }
 
     #[test]
