@@ -51,7 +51,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let app = image_segmentation(WIDTH, HEIGHT, 2022);
     let var = WIDTH * (HEIGHT / 2) + WIDTH / 2;
     let mut scores: Vec<LabelScore> = Vec::new();
-    app.mrf.scores(var, &mut scores);
+    app.mrf.scores_into(var, &mut scores);
 
     let fixed = FixedPipeline::new(8, true);
     let coopmc = CoopMcPipeline::new(64, 8);
@@ -78,7 +78,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
         let mut flat: Vec<LabelScore> = Vec::with_capacity(batch_rows * width);
         let mut tmp: Vec<LabelScore> = Vec::new();
         for r in 0..batch_rows {
-            app.mrf.scores(var + r, &mut tmp);
+            app.mrf.scores_into(var + r, &mut tmp);
             flat.extend(tmp.iter().cloned());
         }
         let mut batch = PgBatch::new();

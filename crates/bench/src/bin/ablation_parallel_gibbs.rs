@@ -55,6 +55,7 @@ fn main() {
         let mut model = app.mrf.clone();
         let engine = ChromaticEngine::with_recorder(
             CoopMcPipeline::new(64, 8),
+            TreeSampler::new(),
             threads,
             seeds::CHAIN,
             &recorder,

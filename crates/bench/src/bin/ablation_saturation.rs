@@ -101,7 +101,7 @@ fn run(
     let mut tail = Vec::new();
     for sweep in 0..25 {
         for var in 0..model.num_variables() {
-            model.scores(var, &mut scores);
+            model.scores_into(var, &mut scores);
             pipeline.generate_into(&scores, &mut pg);
             let label = sampler.sample(&pg.probs, &mut rng).label;
             model.update(var, label);

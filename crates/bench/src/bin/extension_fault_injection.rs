@@ -37,7 +37,7 @@ fn run_with_faults(
     let mut tail = Vec::new();
     for sweep in 0..30 {
         for var in 0..model.num_variables() {
-            model.scores(var, &mut scores);
+            model.scores_into(var, &mut scores);
             pipeline.generate_into(&scores, &mut pg);
             if let Some(inj) = &injector {
                 inj.corrupt_vector(&mut pg.probs, &mut fault_rng);

@@ -63,8 +63,13 @@ impl Row {
 /// journal lines so the curve ships its kernel attribution.
 fn run_chromatic(threads: usize) -> (Row, String) {
     let profiler = SpanProfiler::new(threads + 1);
-    let engine =
-        ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), threads, SEED, &profiler);
+    let engine = ChromaticEngine::with_recorder(
+        CoopMcPipeline::new(64, 8),
+        TreeSampler::new(),
+        threads,
+        SEED,
+        &profiler,
+    );
     let mut app = image_segmentation(WIDTH, HEIGHT, MRF_SEED);
     let start = Instant::now();
     for it in 0..SWEEPS {

@@ -1,5 +1,8 @@
-//! The generic Gibbs inference engine, and the per-lane tally both engines
-//! account a sweep through.
+//! The sweep core both Gibbs engines are built on, and the sequential
+//! engine. A `Lane` runs the gather → PG → SD flow into its `Tally`; a
+//! `Chain` journals each sweep and drives both engines' runs.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use coopmc_kernels::cost::{
     OpCounts, ADD_CYCLES, DIV_CYCLES, EXP_APPROX_CYCLES, LUT_CYCLES, MUL_CYCLES, TREE_LAYER_CYCLES,
@@ -7,14 +10,15 @@ use coopmc_kernels::cost::{
 use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::{GibbsModel, LabelScore};
-use coopmc_obs::health::{ConvergenceController, Decision};
+use coopmc_obs::health::{ConvergenceController, Decision, NoControl};
 use coopmc_obs::journal::{ColorSample, SweepSample};
 use coopmc_obs::profile::Kernel;
 use coopmc_obs::{NoopRecorder, Recorder};
 use coopmc_rng::HwRng;
 use coopmc_sampler::{SampleResult, SampleScratch, Sampler};
 
-use crate::pipeline::{PgOutput, ProbabilityPipeline};
+use crate::parallel::DEFAULT_BATCH_ROWS;
+use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
 
 /// Modeled Parameter Update cost per variable commit, in cycles.
 ///
@@ -75,13 +79,13 @@ impl RunStats {
 
 /// What one lane did over one chunk of work. Both engines account for a
 /// sweep through it: the sequential engine's chunk is its whole sweep; the
-/// chromatic engine keeps one per worker slot plus one for the
+/// chromatic engine keeps one per worker lane plus one for the
 /// coordinator's commits, and merges them after each class barrier.
 ///
 /// Counts and modeled cycles are integer adds and always kept. The wall
 /// times are differences of [`Recorder::now_ns`] readings, so under the
 /// [`NoopRecorder`] they are constant zeros and no clock is read.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Tally {
     /// Variables committed.
     pub(crate) updates: u64,
@@ -224,6 +228,274 @@ impl Tally {
     }
 }
 
+/// One lane's hot-path buffers and running tally: the sequential engine
+/// owns one, the chromatic engine one per worker slot. Once a warm-up sweep
+/// has grown them to the model's rows, a lane allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
+    /// The score row gathered last.
+    row: Vec<LabelScore>,
+    /// Scalar PG output.
+    pg: PgOutput,
+    /// The current stride's rows: the first `vars.len() * width` entries;
+    /// the rest are slots kept for reuse.
+    stride: Vec<LabelScore>,
+    /// Row width of the current stride.
+    width: usize,
+    /// Variables owning the stride's rows, in gather order.
+    vars: Vec<usize>,
+    /// Batched PG output.
+    batch: PgBatch,
+    /// Per-row draws of the last stride.
+    draws: Vec<SampleResult>,
+    /// Sampler working memory.
+    sd: SampleScratch,
+    /// `(var, label)` draws awaiting the class barrier's commit.
+    pub(crate) out: Vec<(usize, usize)>,
+    /// What this lane did since its chunk began.
+    pub(crate) tally: Tally,
+    /// Clock reading at the last phase boundary.
+    t: u64,
+}
+
+impl Lane {
+    /// Empty buffers, with the PG stage accumulators attached when
+    /// profiling.
+    pub(crate) fn new(profiling: bool) -> Self {
+        let mut lane = Self::default();
+        lane.pg.phases = profiling.then(StagePhases::default);
+        lane.batch.phases = lane.pg.phases;
+        lane
+    }
+
+    /// Start a chunk at clock reading `t`. A draw reads nothing else not
+    /// overwritten first, so a lane a panic left mid-chunk draws correctly.
+    fn begin(&mut self, t: u64) {
+        self.tally = Tally::default();
+        self.vars.clear();
+        self.out.clear();
+        self.t = t;
+    }
+
+    /// Nanoseconds since the last phase boundary, which moves to now.
+    fn lap(&mut self, rec: &impl Recorder) -> u64 {
+        let last = std::mem::replace(&mut self.t, rec.now_ns());
+        self.t - last
+    }
+
+    /// Gather `var`'s score row.
+    fn gather<M: GibbsModel + ?Sized>(&mut self, model: &M, var: usize, rec: &impl Recorder) {
+        model.scores_into(var, &mut self.row);
+        self.tally.gather_ns += self.lap(rec);
+    }
+
+    /// End the chunk: fold the PG stage accumulators into the tally and
+    /// report it to the profiler as `lane`'s.
+    pub(crate) fn finish(&mut self, rec: &impl Recorder, lane: usize) {
+        self.tally.take_phases(&mut self.pg.phases);
+        self.tally.take_phases(&mut self.batch.phases);
+        self.tally.flush_profile(rec, lane);
+    }
+
+    /// A chromatic chunk: gather the free variables of `vars` from the
+    /// class snapshot in `model` and draw them in strides of up to
+    /// [`DEFAULT_BATCH_ROWS`] same-width rows, each row with its own
+    /// `rng(var)`. The draws wait in `out` for the class barrier; their
+    /// order cannot reach the chain, since each variable appears once.
+    pub(crate) fn strides<M: GibbsModel + ?Sized, R: HwRng>(
+        &mut self,
+        model: &M,
+        vars: &[usize],
+        pipeline: &impl ProbabilityPipeline,
+        sampler: &impl Sampler,
+        rng: impl Fn(usize) -> R,
+        rec: &impl Recorder,
+    ) {
+        self.begin(rec.now_ns());
+        for &var in vars {
+            if model.is_clamped(var) {
+                continue;
+            }
+            self.gather(model, var, rec);
+            let width = self.row.len();
+            if self.vars.len() == DEFAULT_BATCH_ROWS || width != self.width {
+                self.draw_stride(pipeline, sampler, &rng, rec);
+            }
+            self.width = width;
+            let end = (self.vars.len() + 1) * width;
+            self.stride
+                .resize(end.max(self.stride.len()), LabelScore::LogDomain(0.0));
+            // Swapped, not cloned: factor rows keep their buffers.
+            self.row.swap_with_slice(&mut self.stride[end - width..end]);
+            self.vars.push(var);
+        }
+        self.draw_stride(pipeline, sampler, &rng, rec);
+    }
+
+    /// Draw the stride's rows, if any: one `generate_batch_into` (which is
+    /// bit-identical to per-row `generate_into`), then one draw per row
+    /// with its variable's RNG.
+    fn draw_stride<R: HwRng>(
+        &mut self,
+        pipeline: &impl ProbabilityPipeline,
+        sampler: &impl Sampler,
+        rng: &impl Fn(usize) -> R,
+        rec: &impl Recorder,
+    ) {
+        let rows = self.vars.len();
+        if rows == 0 {
+            return;
+        }
+        let width = self.width;
+        pipeline.generate_batch_into(&self.stride[..rows * width], width, &mut self.batch);
+        self.tally.pg_ns += self.lap(rec);
+        let vars = &self.vars;
+        sampler.sample_rows_into(
+            &self.batch.probs,
+            width,
+            |row| rng(vars[row]),
+            &mut self.draws,
+            &mut self.sd,
+        );
+        self.tally.sd_ns += self.lap(rec);
+        let tally = &mut self.tally;
+        tally.pg_batches += 1;
+        tally.pg_batch_rows += rows as u64;
+        for ((&var, sample), ops) in self.vars.iter().zip(&self.draws).zip(&self.batch.ops) {
+            self.out.push((var, sample.label));
+            tally.draw(ops, sample);
+        }
+        if rec.enabled() {
+            tally.telemetry.merge(&self.batch.telemetry);
+        }
+        self.vars.clear();
+    }
+}
+
+/// What both engines keep around their sweeps: the recorder, the chain id
+/// journal records carry, and the journal's sweep counter.
+#[derive(Debug)]
+pub(crate) struct Chain<Rec> {
+    pub(crate) recorder: Rec,
+    pub(crate) id: u64,
+    /// 1-based journal iteration of the last sweep, monotone for the
+    /// engine's lifetime, so repeated runs on one engine keep a valid
+    /// journal.
+    iteration: AtomicU64,
+}
+
+impl<Rec: Recorder> Chain<Rec> {
+    pub(crate) fn new(recorder: Rec) -> Self {
+        Self {
+            recorder,
+            id: 0,
+            iteration: AtomicU64::new(0),
+        }
+    }
+
+    /// The journal iteration of the last sweep.
+    pub(crate) fn iteration(&self) -> u64 {
+        self.iteration.load(Ordering::Relaxed)
+    }
+
+    /// One sweep: open its span and clock, let `body` resample from that
+    /// reading (flushing lane 0's profile itself) and return the sweep's
+    /// tally and per-color samples, then close the span and journal it.
+    pub(crate) fn sweep(&self, body: impl FnOnce(u64) -> (Tally, Vec<ColorSample>)) -> Tally {
+        let rec = &self.recorder;
+        rec.prof_begin(0, Kernel::Sweep);
+        let start_ns = rec.now_ns();
+        let (tally, colors) = body(start_ns);
+        rec.prof_end(0, Kernel::Sweep);
+        let iteration = self.iteration.fetch_add(1, Ordering::Relaxed) + 1;
+        if rec.enabled() {
+            tally.end_sweep(rec, self.id, iteration, start_ns, colors);
+        }
+        tally
+    }
+
+    /// Run up to `max_sweeps` sweeps of `body`, which gets the model, the
+    /// run-local sweep index and the sweep's start reading. After each,
+    /// `stat_fn`'s statistic goes to the recorder (when enabled) and, with
+    /// the sweep's counts, to `controller`, which may end the run.
+    pub(crate) fn drive<M: ?Sized>(
+        &self,
+        model: &mut M,
+        max_sweeps: u64,
+        mut body: impl FnMut(&mut M, u64, u64) -> (Tally, Vec<ColorSample>),
+        mut stat_fn: impl FnMut(&M) -> Option<f64>,
+        controller: &mut (impl ConvergenceController + ?Sized),
+    ) -> RunStats {
+        let mut stats = RunStats::default();
+        for it in 0..max_sweeps {
+            let tally = self.sweep(|start| body(model, it, start));
+            stats.add_sweep(&tally);
+            let stat = stat_fn(model);
+            let iteration = self.iteration();
+            if let (true, Some(v)) = (self.recorder.enabled(), stat) {
+                self.recorder.observe_stat(self.id, iteration, v);
+            }
+            let decision = controller.observe_sweep(
+                iteration,
+                tally.updates,
+                tally.flips,
+                tally.uniform_fallbacks,
+                stat,
+            );
+            if decision == Decision::Stop {
+                break;
+            }
+        }
+        stats
+    }
+}
+
+/// The sequential sweep: every variable in index order through scalar PG
+/// and SD on one RNG stream, each draw committed at once, all on one lane.
+#[derive(Debug)]
+struct Scan<P, S, R> {
+    pipeline: P,
+    sampler: S,
+    rng: R,
+    lane: Lane,
+}
+
+impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> Scan<P, S, R> {
+    /// One sweep from clock reading `start`, reported as lane 0's chunk.
+    fn sweep<M: GibbsModel + ?Sized>(
+        &mut self,
+        model: &mut M,
+        rec: &impl Recorder,
+        start: u64,
+    ) -> (Tally, Vec<ColorSample>) {
+        let (lane, rng) = (&mut self.lane, &mut self.rng);
+        lane.begin(start);
+        for var in 0..model.num_variables() {
+            if model.is_clamped(var) {
+                continue;
+            }
+            let old_label = model.label(var);
+            model.begin_resample(var);
+            lane.gather(model, var, rec);
+            self.pipeline.generate_into(&lane.row, &mut lane.pg);
+            lane.tally.pg_ns += lane.lap(rec);
+            let sample = self.sampler.sample_into(&lane.pg.probs, rng, &mut lane.sd);
+            lane.tally.sd_ns += lane.lap(rec);
+            model.update(var, sample.label);
+            lane.tally.pu_ns += lane.lap(rec);
+            let tally = &mut lane.tally;
+            tally.draw(&lane.pg.ops, &sample);
+            tally.updates += 1;
+            tally.flips += u64::from(sample.label != old_label);
+            if rec.enabled() {
+                tally.telemetry.merge(&lane.pg.telemetry);
+            }
+        }
+        lane.finish(rec, 0);
+        (lane.tally, Vec::new())
+    }
+}
+
 /// Drives a [`GibbsModel`] through PG → SD → PU sweeps.
 ///
 /// The engine owns every hot-path buffer (score vector, PG output, sampler
@@ -238,22 +510,10 @@ impl Tally {
 /// Construct with [`GibbsEngine::with_recorder`] (typically over
 /// `&TraceRecorder`, so the caller keeps ownership for export) to emit one
 /// journal record per sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GibbsEngine<P, S, R, Rec = NoopRecorder> {
-    pipeline: P,
-    sampler: S,
-    rng: R,
-    recorder: Rec,
-    /// Chain identifier stamped into journal records.
-    chain: u64,
-    /// 1-based journal iteration, monotone for the engine's lifetime (so
-    /// repeated `run` calls on one engine keep a valid journal).
-    journal_iteration: u64,
-    /// The current (or last completed) sweep's tally.
-    tally: Tally,
-    scores: Vec<LabelScore>,
-    pg: PgOutput,
-    sd_scratch: SampleScratch,
+    scan: Scan<P, S, R>,
+    chain: Chain<Rec>,
 }
 
 impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> GibbsEngine<P, S, R> {
@@ -267,112 +527,50 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> GibbsEngine<P, S, R> {
 impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P, S, R, Rec> {
     /// Assemble an engine that reports every sweep to `recorder`.
     pub fn with_recorder(pipeline: P, sampler: S, rng: R, recorder: Rec) -> Self {
-        let pg = PgOutput {
-            phases: recorder.prof_enabled().then(StagePhases::default),
-            ..PgOutput::new()
-        };
+        let lane = Lane::new(recorder.prof_enabled());
         Self {
-            pipeline,
-            sampler,
-            rng,
-            recorder,
-            chain: 0,
-            journal_iteration: 0,
-            tally: Tally::default(),
-            scores: Vec::new(),
-            pg,
-            sd_scratch: SampleScratch::new(),
+            scan: Scan {
+                pipeline,
+                sampler,
+                rng,
+                lane,
+            },
+            chain: Chain::new(recorder),
         }
     }
 
     /// Set the chain identifier stamped into journal records.
     pub fn with_chain(mut self, chain: u64) -> Self {
-        self.chain = chain;
+        self.chain.id = chain;
         self
     }
 
     /// The pipeline.
     pub fn pipeline(&self) -> &P {
-        &self.pipeline
+        &self.scan.pipeline
     }
 
     /// The recorder.
     pub fn recorder(&self) -> &Rec {
-        &self.recorder
+        &self.chain.recorder
     }
 
     /// The 1-based iteration number journal records carry; monotone across
     /// repeated `run` calls on the same engine.
     pub fn journal_iteration(&self) -> u64 {
-        self.journal_iteration
-    }
-
-    /// Resample `var`, whose work starts at clock reading `t`; returns the
-    /// reading at the end of its update (`t` itself for a clamped
-    /// variable). Each phase boundary is read once.
-    fn step(&mut self, model: &mut dyn GibbsModel, var: usize, t: u64) -> u64 {
-        if model.is_clamped(var) {
-            return t;
-        }
-        let old_label = model.label(var);
-        model.begin_resample(var);
-        model.scores_into(var, &mut self.scores);
-        let t_gather = self.recorder.now_ns();
-        self.pipeline.generate_into(&self.scores, &mut self.pg);
-        let t_pg = self.recorder.now_ns();
-        let sample = self
-            .sampler
-            .sample_into(&self.pg.probs, &mut self.rng, &mut self.sd_scratch);
-        let t_sd = self.recorder.now_ns();
-        model.update(var, sample.label);
-        let t_pu = self.recorder.now_ns();
-        let tally = &mut self.tally;
-        tally.gather_ns += t_gather - t;
-        tally.pg_ns += t_pg - t_gather;
-        tally.sd_ns += t_sd - t_pg;
-        tally.pu_ns += t_pu - t_sd;
-        tally.draw(&self.pg.ops, &sample);
-        tally.updates += 1;
-        tally.flips += u64::from(sample.label != old_label);
-        if self.recorder.enabled() {
-            tally.telemetry.merge(&self.pg.telemetry);
-        }
-        t_pu
+        self.chain.iteration()
     }
 
     /// One full sweep over every variable.
     pub fn sweep(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) {
-        self.recorder.prof_begin(0, Kernel::Sweep);
-        let start_ns = self.recorder.now_ns();
-        self.tally = Tally::default();
-        let mut t = start_ns;
-        for var in 0..model.num_variables() {
-            t = self.step(model, var, t);
-        }
-        self.tally.take_phases(&mut self.pg.phases);
-        // The sequential engine runs everything on lane 0, the coordinator.
-        self.tally.flush_profile(&self.recorder, 0);
-        self.recorder.prof_end(0, Kernel::Sweep);
-        stats.add_sweep(&self.tally);
-        self.journal_iteration += 1;
-        if self.recorder.enabled() {
-            self.tally.end_sweep(
-                &self.recorder,
-                self.chain,
-                self.journal_iteration,
-                start_ns,
-                Vec::new(),
-            );
-        }
+        let rec = &self.chain.recorder;
+        let tally = self.chain.sweep(|start| self.scan.sweep(model, rec, start));
+        stats.add_sweep(&tally);
     }
 
     /// Run `iterations` full sweeps.
     pub fn run(&mut self, model: &mut dyn GibbsModel, iterations: u64) -> RunStats {
-        let mut stats = RunStats::default();
-        for _ in 0..iterations {
-            self.sweep(model, &mut stats);
-        }
-        stats
+        self.run_controlled(model, iterations, |_| None, &mut NoControl)
     }
 
     /// Run up to `max_sweeps` sweeps, consulting `controller` after each.
@@ -384,38 +582,21 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
     /// sweep's update/flip/fallback counts. The run ends early when the
     /// controller returns [`Decision::Stop`].
     ///
-    /// With [`coopmc_obs::health::NoControl`] and a `|_| None` statistic
-    /// this is exactly [`run`](Self::run): the controller neither observes
-    /// the chain's labels nor its RNG, so controlled and plain runs are
-    /// bit-identical — pinned by the workspace `tests/health.rs`.
-    pub fn run_controlled<M: GibbsModel>(
+    /// With [`NoControl`] and a `|_| None` statistic this is exactly
+    /// [`run`](Self::run): the controller neither observes the chain's
+    /// labels nor its RNG, so controlled and plain runs are bit-identical —
+    /// pinned by the workspace `tests/health.rs`.
+    pub fn run_controlled<M: GibbsModel + ?Sized>(
         &mut self,
         model: &mut M,
         max_sweeps: u64,
-        mut stat_fn: impl FnMut(&M) -> Option<f64>,
+        stat_fn: impl FnMut(&M) -> Option<f64>,
         controller: &mut (impl ConvergenceController + ?Sized),
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        for _ in 0..max_sweeps {
-            self.sweep(model, &mut stats);
-            let stat = stat_fn(model);
-            if let (true, Some(v)) = (self.recorder.enabled(), stat) {
-                self.recorder
-                    .observe_stat(self.chain, self.journal_iteration, v);
-            }
-            let t = &self.tally;
-            let decision = controller.observe_sweep(
-                self.journal_iteration,
-                t.updates,
-                t.flips,
-                t.uniform_fallbacks,
-                stat,
-            );
-            if decision == Decision::Stop {
-                break;
-            }
-        }
-        stats
+        let rec = &self.chain.recorder;
+        let scan = |m: &mut M, _, start| self.scan.sweep(m, rec, start);
+        self.chain
+            .drive(model, max_sweeps, scan, stat_fn, controller)
     }
 }
 

@@ -51,7 +51,7 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
             return false;
         }
         model.begin_resample(var);
-        model.scores(var, &mut self.scores);
+        model.scores_into(var, &mut self.scores);
         self.pipeline.generate_into(&self.scores, &mut self.pg);
         let pg = &self.pg;
         stats.ops.merge(&pg.ops);
@@ -108,7 +108,7 @@ pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &
             continue;
         }
         model.begin_resample(var);
-        model.scores(var, &mut scores);
+        model.scores_into(var, &mut scores);
         pipeline.generate_into(&scores, &mut pg);
         let best = pg
             .probs

@@ -6,32 +6,30 @@
 //! ("Hogwild!") updates that tolerate stale neighbour reads. CoopMC's PG/SD
 //! optimizations are orthogonal and compose with both — which this module
 //! demonstrates executably: both engines accept any
-//! [`ProbabilityPipeline`].
+//! [`ProbabilityPipeline`], and the chromatic engine any [`Sampler`].
 //!
 //! The chromatic engine is **deterministic regardless of thread count**:
 //! every variable draw uses an RNG seeded by `(seed, iteration, variable)`,
 //! so a 1-thread and an 8-thread run produce identical chains — a strong
 //! correctness handle that the tests exploit.
 
-use coopmc_kernels::fusion::StagePhases;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
 use coopmc_models::{GibbsModel, LabelScore};
-use coopmc_obs::health::{ConvergenceController, Decision};
+use coopmc_obs::health::{ConvergenceController, NoControl};
 use coopmc_obs::journal::ColorSample;
-use coopmc_obs::profile::Kernel;
 use coopmc_obs::{metrics, NoopRecorder, Recorder};
 use coopmc_rng::SplitMix64;
-use coopmc_sampler::{SampleResult, SampleScratch, Sampler, TreeSampler};
+use coopmc_sampler::{SampleScratch, Sampler, TreeSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::engine::Tally;
-use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
+use crate::engine::{Chain, Lane, Tally};
+use crate::pipeline::{PgOutput, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
-/// Default batch stride of the chromatic engine: one lane-packed word of
-/// the fixed-8 datapath per `generate_batch_into` call.
+/// Batch stride of the chromatic engine: one lane-packed word of the
+/// fixed-8 datapath per `generate_batch_into` call.
 pub const DEFAULT_BATCH_ROWS: usize = coopmc_fixed::lane::LANES;
 
 /// Derive the per-variable RNG for a chromatic draw. SplitMix64's finalizer
@@ -44,37 +42,10 @@ fn draw_rng(seed: u64, iteration: u64, var: usize) -> SplitMix64 {
     SplitMix64::new(mixer.derive())
 }
 
-/// Per-worker-slot hot-path buffers for the chromatic engine. Each dispatch
-/// slot keeps its own, so steady-state sweeps reuse warm memory.
-#[derive(Debug, Default)]
-struct SweepScratch {
-    scores: Vec<LabelScore>,
-    pg: PgOutput,
-    sd: SampleScratch,
-    /// `(var, label)` draws of this slot's chunk, committed after the class
-    /// barrier.
-    out: Vec<(usize, usize)>,
-    /// Batched PG output shared by every stride this slot evaluates.
-    batch: PgBatch,
-    /// Gathered same-width rows awaiting the next `generate_batch_into`.
-    batch_scores: Vec<LabelScore>,
-    /// Variables owning each gathered row, in gather order.
-    batch_vars: Vec<usize>,
-    /// Per-row draws of the current stride.
-    draws: Vec<SampleResult>,
-    /// This slot's chunk, merged into the sweep after the class barrier.
-    tally: Tally,
-}
-
-impl SweepScratch {
-    /// Empty buffers, with the PG stage accumulators attached when
-    /// profiling.
-    fn new(profiling: bool) -> Self {
-        let mut scratch = Self::default();
-        scratch.pg.phases = profiling.then(StagePhases::default);
-        scratch.batch.phases = scratch.pg.phases;
-        scratch
-    }
+/// Lock a lane, recovering one a panicked chunk poisoned: every chunk
+/// resets what it reads when it begins.
+fn lock(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
+    lane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Chromatic parallel Gibbs engine.
@@ -85,94 +56,76 @@ impl SweepScratch {
 /// independent of thread count: every draw's RNG is derived from
 /// `(seed, iteration, var)` alone, and draws of a class are committed only
 /// after the whole class finishes, so neither chunking nor scheduling order
-/// can leak into the chain. Recording (the `Rec` parameter, default
-/// [`NoopRecorder`] = compiled out, no clock read) observes the chain
-/// without touching the draw path, so recorded and unrecorded runs are
-/// **bit-identical** — a property the observability tests assert across
-/// thread counts.
+/// can leak into the chain. Each chunk evaluates its rows in
+/// [`DEFAULT_BATCH_ROWS`] strides, which the batched kernels make
+/// bit-identical to per-row evaluation. Recording (the `Rec` parameter,
+/// default [`NoopRecorder`] = compiled out, no clock read) observes the
+/// chain without touching the draw path, so recorded and unrecorded runs
+/// are **bit-identical** — a property the observability tests assert
+/// across thread counts.
 #[derive(Debug)]
-pub struct ChromaticEngine<P, Rec = NoopRecorder> {
+pub struct ChromaticEngine<P, S = TreeSampler, Rec = NoopRecorder> {
     pipeline: P,
-    n_threads: usize,
+    sampler: S,
     seed: u64,
-    chain: u64,
-    batch_rows: usize,
-    recorder: Rec,
+    chain: Chain<Rec>,
     pool: WorkerPool,
-    scratch: Vec<Mutex<SweepScratch>>,
+    /// One per worker slot; inline chunks run on the first.
+    lanes: Vec<Mutex<Lane>>,
 }
 
 impl<P: ProbabilityPipeline> ChromaticEngine<P> {
-    /// Build an engine running `n_threads` persistent worker threads, with
-    /// recording disabled.
+    /// Build an engine running `n_threads` persistent worker threads that
+    /// draw with the [`TreeSampler`], with recording disabled.
     ///
     /// # Panics
     ///
     /// Panics if `n_threads == 0`.
     pub fn new(pipeline: P, n_threads: usize, seed: u64) -> Self {
-        Self::with_recorder(pipeline, n_threads, seed, NoopRecorder)
+        Self::with_recorder(pipeline, TreeSampler::new(), n_threads, seed, NoopRecorder)
     }
 }
 
-impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
-    /// Build an engine that reports every sweep (and per-color worker-pool
-    /// utilization) to `recorder`.
+impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P, S, Rec> {
+    /// Build an engine that draws with `sampler` and reports every sweep
+    /// (and per-color worker-pool utilization) to `recorder`.
     ///
     /// # Panics
     ///
     /// Panics if `n_threads == 0`.
-    pub fn with_recorder(pipeline: P, n_threads: usize, seed: u64, recorder: Rec) -> Self {
-        assert!(n_threads > 0, "need at least one thread");
-        let scratch = (0..n_threads)
-            .map(|_| Mutex::new(SweepScratch::new(recorder.prof_enabled())))
-            .collect();
+    pub fn with_recorder(
+        pipeline: P,
+        sampler: S,
+        n_threads: usize,
+        seed: u64,
+        recorder: Rec,
+    ) -> Self {
         Self {
             pipeline,
-            n_threads,
+            sampler,
             seed,
-            chain: 0,
-            batch_rows: DEFAULT_BATCH_ROWS,
-            recorder,
             pool: WorkerPool::new(n_threads),
-            scratch,
+            lanes: (0..n_threads)
+                .map(|_| Mutex::new(Lane::new(recorder.prof_enabled())))
+                .collect(),
+            chain: Chain::new(recorder),
         }
     }
 
     /// Set the chain identifier stamped into journal records.
     pub fn with_chain(mut self, chain: u64) -> Self {
-        self.chain = chain;
+        self.chain.id = chain;
         self
-    }
-
-    /// Set the batch stride: how many same-width log-domain rows each
-    /// worker gathers per `generate_batch_into` call (`1` restores the
-    /// scalar per-variable path). The chain is **bit-identical** for every
-    /// stride — each row still sees its own `(seed, iteration, var)` RNG
-    /// and the batched kernels are bit-exact with their scalar forms — so
-    /// the stride only trades call overhead against gather-buffer size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0`.
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        assert!(rows > 0, "batch stride must be positive");
-        self.batch_rows = rows;
-        self
-    }
-
-    /// The configured batch stride.
-    pub fn batch_rows(&self) -> usize {
-        self.batch_rows
     }
 
     /// Number of worker threads.
     pub fn n_threads(&self) -> usize {
-        self.n_threads
+        self.pool.n_threads()
     }
 
     /// The recorder.
     pub fn recorder(&self) -> &Rec {
-        &self.recorder
+        &self.chain.recorder
     }
 
     /// Cumulative busy time across the pool's workers, in nanoseconds.
@@ -185,146 +138,32 @@ impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
         self.pool.total_busy_ns()
     }
 
-    /// One full sweep: each color class is resampled concurrently from the
-    /// same snapshot, then committed before the next class starts.
-    ///
-    /// Returns the number of variables updated.
+    /// One full sweep with `iteration`'s draw RNGs (the journal numbers
+    /// sweeps itself): each color class is resampled concurrently from the
+    /// same snapshot, then committed before the next class starts. Returns
+    /// the number of variables updated.
     pub fn sweep<M: ChromaticModel + Sync>(&self, model: &mut M, iteration: u64) -> usize {
         let classes = model.color_classes();
-        self.sweep_classes(model, &classes, iteration).updates as usize
+        let sweep = |_| self.sweep_classes(model, &classes, iteration);
+        self.chain.sweep(sweep).updates as usize
     }
 
-    /// Resample one chunk of a color class against an immutable snapshot,
-    /// then report the chunk to the profiler on `lane`.
-    ///
-    /// With `batch_rows > 1` the chunk is processed in batch strides: runs
-    /// of same-width log-domain score rows are gathered and evaluated with
-    /// one `generate_batch_into` + one `sample_rows_into` per stride.
-    /// Factor-domain (or empty) rows, and every row at stride 1, take the
-    /// per-variable path. Draw order within `out` is irrelevant — commits
-    /// happen after the class barrier and each variable appears once — so
-    /// grouping cannot change the chain.
-    fn resample_chunk<M: ChromaticModel>(
-        &self,
-        model: &M,
-        vars: &[usize],
-        iteration: u64,
-        scratch: &mut SweepScratch,
-        lane: usize,
-    ) {
-        scratch.out.clear();
-        scratch.batch_scores.clear();
-        scratch.batch_vars.clear();
-        scratch.tally = Tally::default();
-        let mut width = 0usize;
-        let mut t = self.recorder.now_ns();
-        for &var in vars {
-            if model.is_clamped(var) {
-                continue;
-            }
-            model.scores_into(var, &mut scratch.scores);
-            let t_gather = self.recorder.now_ns();
-            scratch.tally.gather_ns += t_gather - t;
-            t = t_gather;
-            let batchable = self.batch_rows > 1
-                && !scratch.scores.is_empty()
-                && scratch
-                    .scores
-                    .iter()
-                    .all(|s| matches!(s, LabelScore::LogDomain(_)));
-            if !batchable {
-                t = self.draw_one(var, iteration, scratch, t);
-                continue;
-            }
-            let w = scratch.scores.len();
-            if !scratch.batch_vars.is_empty() && w != width {
-                t = self.flush_batch(width, iteration, scratch, t);
-            }
-            width = w;
-            scratch.batch_scores.extend(scratch.scores.iter().cloned());
-            scratch.batch_vars.push(var);
-            if scratch.batch_vars.len() == self.batch_rows {
-                t = self.flush_batch(width, iteration, scratch, t);
-            }
-        }
-        self.flush_batch(width, iteration, scratch, t);
-        let tally = &mut scratch.tally;
-        tally.take_phases(&mut scratch.pg.phases);
-        tally.take_phases(&mut scratch.batch.phases);
-        tally.flush_profile(&self.recorder, lane);
-    }
-
-    /// Scalar PG + SD for one variable whose scores are already gathered in
-    /// `scratch.scores`, starting at clock reading `t`; returns the reading
-    /// after its draw.
-    fn draw_one(&self, var: usize, iteration: u64, scratch: &mut SweepScratch, t: u64) -> u64 {
-        self.pipeline
-            .generate_into(&scratch.scores, &mut scratch.pg);
-        let t_pg = self.recorder.now_ns();
-        let mut rng = draw_rng(self.seed, iteration, var);
-        let sample = TreeSampler::new().sample_into(&scratch.pg.probs, &mut rng, &mut scratch.sd);
-        let t_sd = self.recorder.now_ns();
-        scratch.out.push((var, sample.label));
-        let tally = &mut scratch.tally;
-        tally.pg_ns += t_pg - t;
-        tally.sd_ns += t_sd - t_pg;
-        tally.draw(&scratch.pg.ops, &sample);
-        if self.recorder.enabled() {
-            tally.telemetry.merge(&scratch.pg.telemetry);
-        }
-        t_sd
-    }
-
-    /// Evaluate the gathered stride, starting at clock reading `t`: one
-    /// `generate_batch_into` call, then one draw per row with the row's own
-    /// `(seed, iteration, var)` RNG — exactly the RNG the scalar path would
-    /// have used, which is what makes batching invisible to the chain.
-    /// Returns the reading after the draws.
-    fn flush_batch(&self, width: usize, iteration: u64, scratch: &mut SweepScratch, t: u64) -> u64 {
-        if scratch.batch_vars.is_empty() {
-            return t;
-        }
-        self.pipeline
-            .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);
-        let t_pg = self.recorder.now_ns();
-        let seed = self.seed;
-        let row_vars = &scratch.batch_vars;
-        TreeSampler::new().sample_rows_into(
-            &scratch.batch.probs,
-            width,
-            |row| draw_rng(seed, iteration, row_vars[row]),
-            &mut scratch.draws,
-            &mut scratch.sd,
-        );
-        let t_sd = self.recorder.now_ns();
-        let tally = &mut scratch.tally;
-        tally.pg_ns += t_pg - t;
-        tally.sd_ns += t_sd - t_pg;
-        tally.pg_batches += 1;
-        tally.pg_batch_rows += row_vars.len() as u64;
-        for ((&var, sample), ops) in row_vars.iter().zip(&scratch.draws).zip(&scratch.batch.ops) {
-            scratch.out.push((var, sample.label));
-            tally.draw(ops, sample);
-        }
-        if self.recorder.enabled() {
-            tally.telemetry.merge(&scratch.batch.telemetry);
-        }
-        scratch.batch_scores.clear();
-        scratch.batch_vars.clear();
-        t_sd
-    }
-
-    /// Sweep with precomputed color classes (lets `run` compute them once);
-    /// returns the sweep's tally.
+    /// Resample every class in turn: chunks of the class run on the pool
+    /// (or inline, when one chunk covers it), then the coordinator commits
+    /// their draws. Returns the sweep's tally and per-color samples.
     fn sweep_classes<M: ChromaticModel + Sync>(
         &self,
         model: &mut M,
         classes: &[Vec<usize>],
         iteration: u64,
-    ) -> Tally {
-        let rec = &self.recorder;
-        rec.prof_begin(0, Kernel::Sweep);
-        let sweep_start = rec.now_ns();
+    ) -> (Tally, Vec<ColorSample>) {
+        let rec = &self.chain.recorder;
+        let chunk_on = |lane: &Mutex<Lane>, model: &M, vars: &[usize], lane_idx: usize| {
+            let lane = &mut *lock(lane);
+            let rng = |var| draw_rng(self.seed, iteration, var);
+            lane.strides(model, vars, &self.pipeline, &self.sampler, rng, rec);
+            lane.finish(rec, lane_idx);
+        };
         let mut sweep = Tally::default();
         // The coordinator's own chunk: the commits after each barrier.
         let mut commit = Tally::default();
@@ -332,26 +171,23 @@ impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
         for (class_idx, class) in classes.iter().enumerate() {
             let class_start = rec.now_ns();
             let busy_before = self.pool.total_busy_ns();
-            let chunk = class.len().div_ceil(self.n_threads).max(1);
-            let inline = self.n_threads == 1 || class.len() <= chunk;
+            let chunk = class.len().div_ceil(self.lanes.len()).max(1);
+            let inline = self.lanes.len() == 1 || class.len() <= chunk;
             let n_slots = if inline {
                 // Single chunk: run inline, skip the dispatch round-trip.
                 // Inline work executes on the coordinator, hence lane 0.
-                let scratch = &mut *self.scratch[0].lock().unwrap();
-                self.resample_chunk(&*model, class, iteration, scratch, 0);
+                chunk_on(&self.lanes[0], model, class, 0);
                 1
             } else {
+                let model: &M = model;
                 let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = class
                     .chunks(chunk)
-                    .zip(&self.scratch)
+                    .zip(&self.lanes)
                     .enumerate()
-                    .map(|(slot_idx, (vars, slot))| {
-                        let model_ref: &M = &*model;
-                        Box::new(move || {
-                            let scratch = &mut *slot.lock().unwrap();
-                            // Profiler lane i + 1 is pool worker slot i.
-                            self.resample_chunk(model_ref, vars, iteration, scratch, slot_idx + 1);
-                        }) as Box<dyn FnOnce() + Send + '_>
+                    .map(|(slot, (vars, lane))| {
+                        // Profiler lane i + 1 is pool worker slot i.
+                        Box::new(move || chunk_on(lane, model, vars, slot + 1))
+                            as Box<dyn FnOnce() + Send + '_>
                     })
                     .collect();
                 let n_jobs = jobs.len();
@@ -362,14 +198,14 @@ impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
             // phase. Commit order is irrelevant to the chain (each var
             // appears once), so chunking cannot change the result.
             let barrier_end = rec.now_ns();
-            for slot in &self.scratch[..n_slots] {
-                let scratch = slot.lock().unwrap();
-                for &(var, label) in &scratch.out {
+            for lane in &self.lanes[..n_slots] {
+                let lane = lock(lane);
+                for &(var, label) in &lane.out {
                     commit.flips += u64::from(model.label(var) != label);
                     model.update(var, label);
                 }
-                commit.updates += scratch.out.len() as u64;
-                sweep.merge(&scratch.tally);
+                commit.updates += lane.out.len() as u64;
+                sweep.merge(&lane.tally);
             }
             commit.pu_ns += rec.now_ns() - barrier_end;
             if rec.enabled() {
@@ -398,12 +234,11 @@ impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
                     "pool",
                     class_start,
                     barrier_ns,
-                    self.chain,
+                    self.chain.id,
                 );
             }
         }
         commit.flush_profile(rec, 0);
-        rec.prof_end(0, Kernel::Sweep);
         sweep.merge(&commit);
         if rec.enabled() {
             for c in &colors {
@@ -420,24 +255,21 @@ impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
                 metrics::gauge_with("coopmc_pool_worker_jobs", &[("worker", &worker)])
                     .set(w.jobs as f64);
             }
-            sweep.end_sweep(rec, self.chain, iteration + 1, sweep_start, colors);
         }
-        sweep
+        (sweep, colors)
     }
 
     /// Run `iterations` sweeps. Color classes are computed once and reused
     /// across all sweeps.
     pub fn run<M: ChromaticModel + Sync>(&self, model: &mut M, iterations: u64) -> usize {
-        let classes = model.color_classes();
-        (0..iterations)
-            .map(|it| self.sweep_classes(model, &classes, it).updates as usize)
-            .sum()
+        self.run_controlled(model, iterations, |_| None, &mut NoControl)
     }
 
     /// Run up to `max_sweeps` sweeps, consulting `controller` after each
     /// with the sweep's update/flip/fallback counts and the statistic
     /// `stat_fn` extracts from the model. Stops early when the controller
-    /// returns [`Decision::Stop`]; returns total variables updated.
+    /// returns [`coopmc_obs::health::Decision::Stop`]; returns total
+    /// variables updated.
     ///
     /// The controller only *observes* the chain (counts and a derived
     /// statistic) — it never touches the `(seed, iteration, var)` draw
@@ -447,30 +279,15 @@ impl<P: ProbabilityPipeline, Rec: Recorder> ChromaticEngine<P, Rec> {
         &self,
         model: &mut M,
         max_sweeps: u64,
-        mut stat_fn: impl FnMut(&M) -> Option<f64>,
+        stat_fn: impl FnMut(&M) -> Option<f64>,
         controller: &mut (impl ConvergenceController + ?Sized),
     ) -> usize {
         let classes = model.color_classes();
-        let mut updated = 0;
-        for it in 0..max_sweeps {
-            let sweep = self.sweep_classes(model, &classes, it);
-            updated += sweep.updates as usize;
-            let stat = stat_fn(model);
-            if let (true, Some(v)) = (self.recorder.enabled(), stat) {
-                self.recorder.observe_stat(self.chain, it + 1, v);
-            }
-            let decision = controller.observe_sweep(
-                it + 1,
-                sweep.updates,
-                sweep.flips,
-                sweep.uniform_fallbacks,
-                stat,
-            );
-            if decision == Decision::Stop {
-                break;
-            }
-        }
-        updated
+        let sweep = |m: &mut M, it, _| self.sweep_classes(m, &classes, it);
+        let stats = self
+            .chain
+            .drive(model, max_sweeps, sweep, stat_fn, controller);
+        stats.updates as usize
     }
 }
 
@@ -538,6 +355,7 @@ mod tests {
     use crate::pipeline::{CoopMcPipeline, FloatPipeline};
     use coopmc_models::bn::earthquake;
     use coopmc_models::mrf::image_segmentation;
+    use coopmc_obs::profile::Kernel;
 
     #[test]
     fn chromatic_is_deterministic_across_thread_counts() {
@@ -649,37 +467,58 @@ mod tests {
         let _ = ChromaticEngine::new(FloatPipeline::new(), 0, 1);
     }
 
+    /// The chromatic chain computed one row at a time: scalar
+    /// `generate_into` and `sample_into` per variable with the engine's
+    /// per-variable RNG, each class committed after all its draws.
+    fn scalar_chain<M: ChromaticModel>(
+        model: &mut M,
+        pipeline: &impl ProbabilityPipeline,
+        seed: u64,
+        sweeps: u64,
+    ) {
+        let (mut scores, mut pg, mut sd) = (Vec::new(), PgOutput::new(), SampleScratch::new());
+        for it in 0..sweeps {
+            for class in model.color_classes() {
+                let mut draws = Vec::new();
+                for &var in class.iter().filter(|&&v| !model.is_clamped(v)) {
+                    model.scores_into(var, &mut scores);
+                    pipeline.generate_into(&scores, &mut pg);
+                    let mut rng = draw_rng(seed, it, var);
+                    let sample = TreeSampler::new().sample_into(&pg.probs, &mut rng, &mut sd);
+                    draws.push((var, sample.label));
+                }
+                for (var, label) in draws {
+                    model.update(var, label);
+                }
+            }
+        }
+    }
+
     #[test]
     fn batched_chains_are_bit_identical_to_scalar_chains() {
-        // The tentpole acceptance criterion: any batch stride (including
-        // ragged tails, strides wider than a class chunk, and the scalar
-        // stride 1) must produce the exact same chain.
-        let run = |rows: usize, threads: usize| {
-            let mut app = image_segmentation(20, 16, 21);
-            let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 909)
-                .with_batch_rows(rows);
-            engine.run(&mut app.mrf, 6);
-            app.mrf.labels()
-        };
-        let scalar = run(1, 1);
-        for rows in [2, 5, 8, 32] {
-            assert_eq!(scalar, run(rows, 1), "stride {rows}, 1 thread");
-            assert_eq!(scalar, run(rows, 3), "stride {rows}, 3 threads");
+        // Strided evaluation, ragged tails and chunking across threads
+        // included, must reproduce the row-at-a-time chain exactly.
+        let app = image_segmentation(20, 16, 21);
+        let mut scalar = app.mrf.clone();
+        scalar_chain(&mut scalar, &CoopMcPipeline::new(64, 8), 909, 6);
+        for threads in [1, 3] {
+            let mut mrf = app.mrf.clone();
+            ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 909).run(&mut mrf, 6);
+            assert_eq!(scalar.labels(), mrf.labels(), "{threads} threads");
         }
     }
 
     #[test]
     fn batched_chains_match_scalar_on_factor_fallback_models() {
-        // Bayesian-network scores are factor-domain, so every row takes the
-        // scalar fallback inside the batched path — chains must still match.
-        let run = |rows: usize| {
-            let mut net = earthquake();
-            net.set_evidence(2, 0);
-            let engine = ChromaticEngine::new(FloatPipeline::new(), 2, 31).with_batch_rows(rows);
-            engine.run(&mut net, 8);
-            (0..5).map(|v| net.label(v)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(8));
+        // Bayesian-network scores are factor-domain, so their strides take
+        // the per-row fallback inside `generate_batch_into` — chains must
+        // still match the row-at-a-time chain.
+        let mut net = earthquake();
+        net.set_evidence(2, 0);
+        let mut scalar = net.clone();
+        scalar_chain(&mut scalar, &FloatPipeline::new(), 31, 8);
+        ChromaticEngine::new(FloatPipeline::new(), 2, 31).run(&mut net, 8);
+        assert_eq!(scalar.labels(), net.labels());
     }
 
     #[test]
@@ -751,7 +590,13 @@ mod tests {
         let prof = SpanProfiler::new(4);
         let (labels, updated) = {
             let mut app = image_segmentation(20, 16, 21);
-            let engine = ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), 3, 909, &prof);
+            let engine = ChromaticEngine::with_recorder(
+                CoopMcPipeline::new(64, 8),
+                TreeSampler::new(),
+                3,
+                909,
+                &prof,
+            );
             let updated = engine.run(&mut app.mrf, 4);
             (app.mrf.labels(), updated)
         };
@@ -794,14 +639,62 @@ mod tests {
 
     #[test]
     fn default_batch_stride_is_one_packed_word() {
-        let engine = ChromaticEngine::new(FloatPipeline::new(), 1, 1);
-        assert_eq!(engine.batch_rows(), DEFAULT_BATCH_ROWS);
+        assert_eq!(DEFAULT_BATCH_ROWS, coopmc_fixed::lane::LANES);
         assert_eq!(DEFAULT_BATCH_ROWS, 8);
+        // At one thread each class is one chunk, cut into full strides
+        // plus a ragged tail.
+        let recorder = coopmc_obs::TraceRecorder::new();
+        let mut app = image_segmentation(12, 10, 3);
+        let strides: u64 = app
+            .mrf
+            .color_classes()
+            .iter()
+            .map(|c| c.len().div_ceil(DEFAULT_BATCH_ROWS) as u64)
+            .sum();
+        ChromaticEngine::with_recorder(FloatPipeline::new(), TreeSampler::new(), 1, 1, &recorder)
+            .run(&mut app.mrf, 1);
+        let sweep = &recorder.sweeps()[0];
+        assert_eq!((sweep.pg_batches, sweep.pg_batch_rows), (strides, 120));
+    }
+
+    /// One variable without labels: a zero-width row.
+    struct NoLabels;
+
+    impl GibbsModel for NoLabels {
+        fn num_variables(&self) -> usize {
+            1
+        }
+
+        fn num_labels(&self, _: usize) -> usize {
+            0
+        }
+
+        fn scores_into(&self, _: usize, out: &mut Vec<LabelScore>) {
+            out.clear();
+        }
+
+        fn update(&mut self, _: usize, _: usize) {}
+
+        fn label(&self, _: usize) -> usize {
+            0
+        }
+    }
+
+    impl ChromaticModel for NoLabels {
+        fn color_classes(&self) -> Vec<Vec<usize>> {
+            vec![vec![0]]
+        }
+
+        fn dependency_graph(&self) -> Vec<Vec<usize>> {
+            vec![Vec::new()]
+        }
     }
 
     #[test]
-    #[should_panic(expected = "batch stride must be positive")]
+    #[should_panic(expected = "row width must be positive")]
     fn zero_batch_stride_panics() {
-        let _ = ChromaticEngine::new(FloatPipeline::new(), 1, 1).with_batch_rows(0);
+        // The stride path refuses a zero-width stride rather than drawing
+        // from nothing.
+        ChromaticEngine::new(FloatPipeline::new(), 1, 1).sweep(&mut NoLabels, 0);
     }
 }

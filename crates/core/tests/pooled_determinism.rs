@@ -5,10 +5,18 @@
 //! barrier, so 1-thread and 8-thread runs produce bit-identical label
 //! sequences.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use coopmc_core::parallel::ChromaticEngine;
-use coopmc_core::pipeline::{CoopMcPipeline, FixedPipeline, FloatPipeline};
+use coopmc_core::pipeline::{
+    CoopMcPipeline, FixedPipeline, FloatPipeline, PgOutput, ProbabilityPipeline,
+};
 use coopmc_models::mrf::image_segmentation;
-use coopmc_models::GibbsModel;
+use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_obs::journal::validate_journal;
+use coopmc_obs::TraceRecorder;
+use coopmc_sampler::TreeSampler;
 
 #[test]
 fn pooled_chromatic_chain_is_identical_at_1_and_8_threads() {
@@ -57,4 +65,48 @@ fn repeated_runs_on_one_engine_share_the_pool() {
     engine.run(&mut b.mrf, 3);
     assert_eq!(a.mrf.labels(), b.mrf.labels());
     assert_eq!(engine.n_threads(), 4);
+}
+
+#[test]
+fn repeated_journaling_runs_keep_one_valid_journal() {
+    // The journal numbers sweeps across runs while each run's draws restart
+    // at iteration 0, so both runs still produce the same chain.
+    let recorder = TraceRecorder::new();
+    let engine =
+        ChromaticEngine::with_recorder(FloatPipeline::new(), TreeSampler::new(), 2, 7, &recorder);
+    let mut a = image_segmentation(12, 12, 3);
+    let mut b = image_segmentation(12, 12, 3);
+    engine.run(&mut a.mrf, 3);
+    engine.run(&mut b.mrf, 3);
+    assert_eq!(a.mrf.labels(), b.mrf.labels());
+    let iterations: Vec<u64> = recorder.sweeps().iter().map(|s| s.iteration).collect();
+    assert_eq!(iterations, [1, 2, 3, 4, 5, 6]);
+    assert_eq!(validate_journal(&recorder.journal_jsonl()), Ok(6));
+}
+
+/// The float datapath, except that its first evaluation emits a NaN weight.
+struct NanOnce(AtomicBool);
+
+impl ProbabilityPipeline for NanOnce {
+    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
+        FloatPipeline::new().generate_into(scores, out);
+        if !self.0.swap(true, Ordering::Relaxed) {
+            out.probs[0] = f64::NAN;
+        }
+    }
+
+    fn name(&self) -> String {
+        "nan-once".to_owned()
+    }
+}
+
+#[test]
+fn a_caught_worker_panic_leaves_the_engine_usable() {
+    for threads in [1, 2] {
+        let engine = ChromaticEngine::new(NanOnce(AtomicBool::new(false)), threads, 5);
+        let mut app = image_segmentation(12, 12, 3);
+        let first = catch_unwind(AssertUnwindSafe(|| engine.sweep(&mut app.mrf, 0)));
+        assert!(first.is_err(), "the NaN weight must trip the sampler");
+        assert_eq!(engine.sweep(&mut app.mrf, 1), 144, "{threads} threads");
+    }
 }

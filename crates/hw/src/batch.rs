@@ -1,7 +1,7 @@
 //! Modeled parallel-PG-unit (batched) datapath configuration.
 //!
-//! The software batch stride (`ChromaticEngine::with_batch_rows`,
-//! `generate_batch_into`) models an accelerator that replicates the PG
+//! The chromatic engine's batch stride (`DEFAULT_BATCH_ROWS` rows per
+//! `generate_batch_into` call) models an accelerator that replicates the PG
 //! datapath into `pg_units` independent units, each evaluating one
 //! variable's label vector per issue slot. A color-class stride of `rows`
 //! same-shape variables then costs `ceil(rows / pg_units)` back-to-back

@@ -14,7 +14,7 @@ pub use exact::exact_marginal;
 pub use networks::{asia, cancer, earthquake, sprinkler, survey};
 pub use sampling::{forward_sample, likelihood_weighting};
 
-use crate::{GibbsModel, LabelScore};
+use crate::{fill_factors, GibbsModel, LabelScore};
 
 /// One node of a Bayesian network.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,49 +229,13 @@ impl GibbsModel for BayesNet {
         self.evidence[var].is_some()
     }
 
-    fn scores(&self, var: usize, out: &mut Vec<LabelScore>) {
-        out.clear();
-        for label in 0..self.nodes[var].card {
-            let mut numerators = Vec::with_capacity(1 + self.children[var].len());
-            numerators.push(self.local_prob(var, label));
-            for &c in &self.children[var] {
-                numerators.push(self.child_prob_given(c, var, label));
-            }
-            out.push(LabelScore::Factors {
-                numerators,
-                denominators: Vec::new(),
-            });
-        }
-    }
-
     fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
-        let card = self.nodes[var].card;
-        out.truncate(card);
-        out.resize_with(card, || LabelScore::Factors {
-            numerators: Vec::new(),
-            denominators: Vec::new(),
-        });
-        for (label, slot) in out.iter_mut().enumerate() {
-            if !matches!(slot, LabelScore::Factors { .. }) {
-                *slot = LabelScore::Factors {
-                    numerators: Vec::new(),
-                    denominators: Vec::new(),
-                };
-            }
-            let LabelScore::Factors {
-                numerators,
-                denominators,
-            } = slot
-            else {
-                unreachable!()
-            };
-            numerators.clear();
-            denominators.clear();
+        fill_factors(out, self.nodes[var].card, |label, numerators, _| {
             numerators.push(self.local_prob(var, label));
             for &c in &self.children[var] {
                 numerators.push(self.child_prob_given(c, var, label));
             }
-        }
+        });
     }
 
     fn update(&mut self, var: usize, label: usize) {
@@ -394,7 +358,7 @@ mod tests {
         let mut net = chain();
         net.set_labels(vec![0, 1]);
         let mut out = Vec::new();
-        net.scores(0, &mut out);
+        net.scores_into(0, &mut out);
         // score(A=a) = P(A=a) * P(B=1 | A=a)
         let v0 = out[0].reference_value();
         let v1 = out[1].reference_value();

@@ -385,7 +385,7 @@ mod tests {
         for (name, net) in [("cancer", cancer()), ("sprinkler", sprinkler())] {
             let mut out = Vec::new();
             for v in 0..net.num_variables() {
-                net.scores(v, &mut out);
+                net.scores_into(v, &mut out);
                 assert_eq!(out.len(), net.num_labels(v), "{name} node {v}");
                 assert!(
                     out.iter().any(|s| s.reference_value() > 0.0),

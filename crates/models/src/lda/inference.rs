@@ -170,7 +170,7 @@ mod tests {
         for _ in 0..40 {
             for i in 0..lda.num_variables() {
                 lda.begin_resample(i);
-                lda.scores(i, &mut scores);
+                lda.scores_into(i, &mut scores);
                 let probs: Vec<f64> = scores.iter().map(|s| s.reference_value()).collect();
                 let total: f64 = probs.iter().sum();
                 let mut t = rng.next_f64() * total;

@@ -20,7 +20,7 @@ pub mod sparse;
 pub use corpus::{synthetic_corpus, Corpus, CorpusSpec};
 pub use inference::TopicModel;
 
-use crate::{GibbsModel, LabelScore};
+use crate::{fill_factors, GibbsModel, LabelScore};
 
 /// A collapsed-Gibbs LDA model over a fixed corpus.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,50 +182,16 @@ impl GibbsModel for Lda {
         self.remove_token(var);
     }
 
-    fn scores(&self, var: usize, out: &mut Vec<LabelScore>) {
-        out.clear();
-        let (d, v) = self.tokens[var];
-        for k in 0..self.n_topics {
-            let dt = self.dt[d as usize * self.n_topics + k] as f64;
-            let vt = self.vt[k * self.n_vocab + v as usize] as f64;
-            let total = self.topic_total[k] as f64;
-            out.push(LabelScore::Factors {
-                numerators: vec![dt + self.alpha, vt + self.beta],
-                denominators: vec![total + self.beta * self.n_vocab as f64],
-            });
-        }
-    }
-
     fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
         let (d, v) = self.tokens[var];
-        out.truncate(self.n_topics);
-        out.resize_with(self.n_topics, || LabelScore::Factors {
-            numerators: Vec::new(),
-            denominators: Vec::new(),
-        });
-        for (k, slot) in out.iter_mut().enumerate() {
-            if !matches!(slot, LabelScore::Factors { .. }) {
-                *slot = LabelScore::Factors {
-                    numerators: Vec::new(),
-                    denominators: Vec::new(),
-                };
-            }
-            let LabelScore::Factors {
-                numerators,
-                denominators,
-            } = slot
-            else {
-                unreachable!()
-            };
+        fill_factors(out, self.n_topics, |k, numerators, denominators| {
             let dt = self.dt[d as usize * self.n_topics + k] as f64;
             let vt = self.vt[k * self.n_vocab + v as usize] as f64;
             let total = self.topic_total[k] as f64;
-            numerators.clear();
             numerators.push(dt + self.alpha);
             numerators.push(vt + self.beta);
-            denominators.clear();
             denominators.push(total + self.beta * self.n_vocab as f64);
-        }
+        });
     }
 
     fn update(&mut self, var: usize, label: usize) {
@@ -322,7 +288,7 @@ mod tests {
         let mut lda = Lda::new(&tiny_corpus(), 2, 0.5, 0.1);
         lda.begin_resample(0);
         let mut out = Vec::new();
-        lda.scores(0, &mut out);
+        lda.scores_into(0, &mut out);
         let v = 4.0;
         // token 0: doc 0, word 0. After removal: dt(0,0)=3, vt(0,0)=1, total=7
         let expect0 = (3.0 + 0.5) * (1.0 + 0.1) / (7.0 + 0.1 * v);

@@ -155,7 +155,7 @@ mod tests {
             let b = decompose(&lda, token);
             let dense_from_buckets = b.dense(5);
             let mut scores = Vec::new();
-            lda.scores(token, &mut scores);
+            lda.scores_into(token, &mut scores);
             for (k, s) in scores.iter().enumerate() {
                 let want = match s {
                     LabelScore::Factors { .. } => s.reference_value(),

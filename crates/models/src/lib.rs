@@ -72,6 +72,36 @@ impl LabelScore {
     }
 }
 
+/// Refill `out` with `n` factor rows, reusing each slot's vectors:
+/// `fill(label, numerators, denominators)` receives them cleared.
+pub(crate) fn fill_factors(
+    out: &mut Vec<LabelScore>,
+    n: usize,
+    mut fill: impl FnMut(usize, &mut Vec<f64>, &mut Vec<f64>),
+) {
+    let empty = || LabelScore::Factors {
+        numerators: Vec::new(),
+        denominators: Vec::new(),
+    };
+    out.truncate(n);
+    out.resize_with(n, empty);
+    for (label, slot) in out.iter_mut().enumerate() {
+        if let LabelScore::LogDomain(_) = slot {
+            *slot = empty();
+        }
+        let LabelScore::Factors {
+            numerators,
+            denominators,
+        } = slot
+        else {
+            unreachable!()
+        };
+        numerators.clear();
+        denominators.clear();
+        fill(label, numerators, denominators);
+    }
+}
+
 /// A model that can be trained by single-site Gibbs sampling through the
 /// three-step PG → SD → PU flow of the paper (§III, Fig. 1).
 pub trait GibbsModel {
@@ -96,22 +126,14 @@ pub trait GibbsModel {
 
     /// Fill `out` with one [`LabelScore`] per label of `var`, given the
     /// current state of every other variable (the PG input).
-    fn scores(&self, var: usize, out: &mut Vec<LabelScore>);
-
-    /// Like [`GibbsModel::scores`], but allowed to **recycle the existing
-    /// contents of `out`** — in particular the inner numerator/denominator
-    /// vectors of [`LabelScore::Factors`] entries left over from a previous
-    /// call — instead of rebuilding them.
     ///
-    /// The result must be identical to `scores`; only allocation behaviour
-    /// may differ. The engine's hot path calls this with a long-lived
-    /// buffer, so models whose `scores` builds per-label `Factors` should
-    /// override it to be allocation-free in steady state. The default
-    /// simply delegates to `scores` (already allocation-free for log-domain
-    /// models such as the grid MRF).
-    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
-        self.scores(var, out);
-    }
+    /// `out` may hold anything a previous call left in it, from any
+    /// variable or model, and the result must not depend on it. Models
+    /// recycle those contents — in particular the inner
+    /// numerator/denominator vectors of [`LabelScore::Factors`] entries —
+    /// so a gather into the engines' long-lived buffers is allocation-free
+    /// in steady state.
+    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>);
 
     /// Commit the sampled label for `var` (the PU step).
     fn update(&mut self, var: usize, label: usize);

@@ -337,7 +337,7 @@ impl GibbsModel for GridMrf {
         self.n_labels
     }
 
-    fn scores(&self, var: usize, out: &mut Vec<LabelScore>) {
+    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
         out.clear();
         for l in 0..self.n_labels {
             out.push(LabelScore::LogDomain(-self.beta * self.total_cost(var, l)));
@@ -414,7 +414,7 @@ mod tests {
     fn scores_are_negative_beta_times_cost() {
         let m = small_mrf();
         let mut out = Vec::new();
-        m.scores(4, &mut out);
+        m.scores_into(4, &mut out);
         assert_eq!(out.len(), 4);
         for (l, s) in out.iter().enumerate() {
             match s {

@@ -77,7 +77,7 @@ fn mrf_scores_are_valid_log_domain() {
         let mrf = arb_grid(g);
         let var = g.index(mrf.num_variables());
         let mut out = Vec::new();
-        mrf.scores(var, &mut out);
+        mrf.scores_into(var, &mut out);
         assert_eq!(out.len(), mrf.num_labels(var));
         for s in &out {
             match s {
@@ -147,9 +147,10 @@ fn lda_counts_conserved() {
     });
 }
 
-/// `scores_into` (the buffer-recycling hot-path API) produces exactly what
-/// `scores` produces, for every model family, even when the output buffer
-/// holds stale entries from a different variable or model.
+/// `scores_into` recycles its buffer without letting the old contents leak:
+/// for every model family, a buffer dirtied by other variables and models
+/// (log-domain and factor rows of other widths) yields exactly the scores a
+/// fresh buffer does.
 #[test]
 fn scores_into_matches_scores() {
     check("scores_into_matches_scores", 48, |g| {
@@ -172,7 +173,7 @@ fn scores_into_matches_scores() {
             for _ in 0..6 {
                 let var = g.index(m.num_variables());
                 let mut fresh = Vec::new();
-                m.scores(var, &mut fresh);
+                m.scores_into(var, &mut fresh);
                 m.scores_into(var, &mut recycled);
                 assert_eq!(fresh, recycled);
             }
@@ -195,7 +196,7 @@ fn lda_scores_are_positive_factors() {
         let tok = g.index(lda.num_variables());
         lda.begin_resample(tok);
         let mut out = Vec::new();
-        lda.scores(tok, &mut out);
+        lda.scores_into(tok, &mut out);
         lda.update(tok, 0);
         assert_eq!(out.len(), 4);
         for s in &out {

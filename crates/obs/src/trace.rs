@@ -485,6 +485,15 @@ mod tests {
     use super::*;
     use crate::journal::validate_journal;
 
+    /// Run the tests that record sweeps one at a time: each bumps the
+    /// global `coopmc_updates_total` counter, which
+    /// `metrics_counters_accumulate` reads exactly.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn push_sweep(rec: &TraceRecorder, iteration: u64, stat: f64) {
         let sample = SweepSample {
             chain: 0,
@@ -514,6 +523,7 @@ mod tests {
 
     #[test]
     fn journal_has_running_diagnostics() {
+        let _serial = serial();
         let rec = TraceRecorder::new();
         let mut x = 10.0;
         for it in 1..=12 {
@@ -533,6 +543,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_phase_spans() {
+        let _serial = serial();
         let rec = TraceRecorder::new();
         push_sweep(&rec, 1, 1.0);
         rec.span("color 0", "pool", 100, 50, 3);
@@ -569,6 +580,7 @@ mod tests {
 
     #[test]
     fn metrics_counters_accumulate() {
+        let _serial = serial();
         let rec = TraceRecorder::new();
         let before = metrics::counter("coopmc_updates_total").get();
         push_sweep(&rec, 1, 0.0);
@@ -584,6 +596,7 @@ mod tests {
     /// non-finite dropped) — on a fixed smooth series.
     #[test]
     fn incremental_export_matches_the_old_full_series_rescan() {
+        let _serial = serial();
         use coopmc_models::diagnostics::{effective_sample_size, gelman_rubin};
         let rec = TraceRecorder::new();
         let mut x = 5.0;
@@ -621,6 +634,7 @@ mod tests {
 
     #[test]
     fn health_records_interleave_after_their_sweep() {
+        let _serial = serial();
         let rec = TraceRecorder::new();
         for it in 1..=4u64 {
             push_sweep(&rec, it, it as f64);

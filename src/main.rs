@@ -13,10 +13,10 @@
 //! Pipeline SPECs: `float32`, `fixed:<bits>`, `fixed+dn:<bits>`,
 //! `coopmc:<size>x<bits>`. Sampler KINDs: `seq`, `tree`, `pipe`, `alias`.
 //!
-//! `--threads 1` runs the sequential engine with the `--sampler` of choice;
-//! `--threads T > 1` runs the chromatic engine over a `T`-worker pool for
-//! MRF and BN workloads (LDA has no color classes), with the TreeSampler
-//! as its SD stage. Any pipeline runs on either engine.
+//! `--threads 1` runs the sequential engine; `--threads T > 1` runs the
+//! chromatic engine over a `T`-worker pool for MRF and BN workloads (LDA
+//! has no color classes). Any pipeline and any sampler run on either
+//! engine.
 //!
 //! `--health` streams chain-health diagnostics (online ESS / rank-normalized
 //! split R-hat / MCSE, anomaly detectors) while the chain runs; the
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
-use coopmc::core::pipeline::PipelineConfig;
+use coopmc::core::pipeline::{PipelineConfig, ProbabilityPipeline};
 use coopmc::hw::accel::case_study_table;
 use coopmc::hw::area::{sampler_area, SamplerKind};
 use coopmc::hw::reconcile::divergence_ledger;
@@ -107,23 +107,14 @@ impl RunArgs {
     }
 
     /// Reject what the chromatic engine (`--threads > 1`) cannot run: LDA
-    /// is not a chromatic model, and the chromatic SD stage is the
-    /// TreeSampler.
+    /// is not a chromatic model.
     fn check_threads(&self, kind: ModelKind) -> Result<(), String> {
-        if self.threads == 1 {
-            Ok(())
-        } else if kind == ModelKind::Lda {
+        if self.threads > 1 && kind == ModelKind::Lda {
             Err(
                 "--threads > 1 runs the chromatic engine, and LDA has no color classes; \
                  run LDA with --threads 1"
                     .to_owned(),
             )
-        } else if self.sampler != "tree" {
-            Err(format!(
-                "--threads > 1 samples with the chromatic engine's TreeSampler; \
-                 --sampler {} needs --threads 1",
-                self.sampler
-            ))
         } else {
             Ok(())
         }
@@ -234,7 +225,10 @@ fn find_workload(name: &str) -> Option<WorkloadSpec> {
     })
 }
 
-fn build_sampler(kind: &str) -> Box<dyn Sampler> {
+/// A `--sampler` choice; `Sync` so the chromatic engine's pool can share it.
+type BoxedSampler = Box<dyn Sampler + Sync>;
+
+fn build_sampler(kind: &str) -> BoxedSampler {
     match kind {
         "seq" => Box::new(SequentialSampler::new()),
         "pipe" => Box::new(PipeTreeSampler::new()),
@@ -326,44 +320,46 @@ fn report_health(ctl: &EarlyStop, budget: u64) {
 /// feed), not model precision.
 const PROFILE_DIVERGENCE_TOLERANCE: f64 = 0.5;
 
-/// Run `model` on the sequential engine with the `--sampler` of choice.
-fn run_sequential<M: GibbsModel>(
-    args: &RunArgs,
-    rec: impl Recorder,
-    model: &mut M,
-    stat: impl FnMut(&M) -> Option<f64>,
-    ctl: &mut dyn ConvergenceController,
-) {
-    GibbsEngine::with_recorder(
-        args.pipeline.build(),
-        build_sampler(&args.sampler),
-        SplitMix64::new(args.seed),
-        rec,
-    )
-    .run_controlled(model, args.sweeps, stat, ctl);
+/// The engine `--threads` selects, built with the `--pipeline`,
+/// `--sampler` and `--seed` of choice.
+enum Engine<Rec> {
+    Sequential(Box<GibbsEngine<Box<dyn ProbabilityPipeline>, BoxedSampler, SplitMix64, Rec>>),
+    Chromatic(ChromaticEngine<Box<dyn ProbabilityPipeline>, BoxedSampler, Rec>),
 }
 
-/// Run a model with color classes: chromatically at `--threads > 1`, else
-/// sequentially.
-fn run_chain<M: ChromaticModel + Sync>(
-    args: &RunArgs,
-    rec: impl Recorder,
-    model: &mut M,
-    stat: impl FnMut(&M) -> Option<f64>,
-    ctl: &mut dyn ConvergenceController,
-) {
-    if args.threads > 1 {
-        ChromaticEngine::with_recorder(args.pipeline.build(), args.threads, args.seed, rec)
-            .run_controlled(model, args.sweeps, stat, ctl);
-    } else {
-        run_sequential(args, rec, model, stat, ctl);
+impl<Rec: Recorder> Engine<Rec> {
+    /// Sequential at one thread, chromatic over a `--threads` pool above.
+    fn new(args: &RunArgs, rec: Rec) -> Self {
+        let (pipeline, sampler) = (args.pipeline.build(), build_sampler(&args.sampler));
+        let (threads, seed) = (args.threads, args.seed);
+        if threads == 1 {
+            let engine = GibbsEngine::with_recorder(pipeline, sampler, SplitMix64::new(seed), rec);
+            Self::Sequential(Box::new(engine))
+        } else {
+            let engine = ChromaticEngine::with_recorder(pipeline, sampler, threads, seed, rec);
+            Self::Chromatic(engine)
+        }
+    }
+
+    /// Run a model with color classes; returns the variables updated.
+    fn run<M: ChromaticModel + Sync>(
+        self,
+        model: &mut M,
+        sweeps: u64,
+        stat: impl FnMut(&M) -> Option<f64>,
+        ctl: &mut dyn ConvergenceController,
+    ) -> u64 {
+        match self {
+            Self::Sequential(mut e) => e.run_controlled(model, sweeps, stat, ctl).updates,
+            Self::Chromatic(e) => e.run_controlled(model, sweeps, stat, ctl) as u64,
+        }
     }
 }
 
-/// Run the built workload with `rec` as the engines' recorder and return
-/// its result lines. Each model's closure runs after every sweep; it
-/// computes the chain statistic only when the controller or the journal
-/// consumes one.
+/// Run the built workload on the engine `args` selects, with `rec` as its
+/// recorder, and return its result lines. Each model's closure runs after
+/// every sweep; it computes the chain statistic only when the controller
+/// or the journal consumes one.
 fn run_workload(
     args: &RunArgs,
     built: BuiltWorkload,
@@ -371,16 +367,16 @@ fn run_workload(
     controller: Option<&mut EarlyStop<'_>>,
 ) -> String {
     let want_stat = controller.is_some() || rec.enabled();
-    let mut no_control = NoControl;
+    let engine = Engine::new(args, rec);
     let ctl: &mut dyn ConvergenceController = match controller {
         Some(c) => c,
-        None => &mut no_control,
+        None => &mut NoControl,
     };
     match built {
         BuiltWorkload::Mrf(mut app) => {
             let e0 = app.mrf.energy();
             let stat = |m: &GridMrf| want_stat.then(|| m.energy());
-            run_chain(args, rec, &mut app.mrf, stat, ctl);
+            engine.run(&mut app.mrf, args.sweeps, stat, ctl);
             format!("energy: {e0:.1} -> {:.1}\n", app.mrf.energy())
         }
         BuiltWorkload::Bn(mut net) => {
@@ -389,7 +385,7 @@ fn run_workload(
                 counter.record(n);
                 want_stat.then(|| n.joint_prob().ln())
             };
-            run_chain(args, rec, &mut net, stat, ctl);
+            engine.run(&mut net, args.sweeps, stat, ctl);
             let mut out = format!("{:<14} {:>10}\n", "node", "P(label 0)");
             for v in 0..net.num_variables() {
                 let p0 = counter.marginal(v)[0];
@@ -400,7 +396,10 @@ fn run_workload(
         BuiltWorkload::Lda(mut lda) => {
             let ll0 = lda.log_likelihood();
             let stat = |l: &Lda| want_stat.then(|| l.log_likelihood());
-            run_sequential(args, rec, &mut lda, stat, ctl);
+            let Engine::Sequential(mut engine) = engine else {
+                unreachable!("check_threads keeps LDA on one thread")
+            };
+            engine.run_controlled(&mut lda, args.sweeps, stat, ctl);
             format!("log-likelihood: {ll0:.0} -> {:.0}\n", lda.log_likelihood())
         }
     }
@@ -798,20 +797,6 @@ mod tests {
             .check_threads(ModelKind::Lda)
             .unwrap_err();
         assert!(err.contains("LDA"), "{err}");
-    }
-
-    #[test]
-    fn non_tree_samplers_are_refused_above_one_thread() {
-        for sampler in ["seq", "pipe", "alias"] {
-            let one = args(&["w", "--sampler", sampler]);
-            assert!(one.check_threads(ModelKind::Mrf).is_ok());
-            let many = args(&["w", "--sampler", sampler, "--threads", "4"]);
-            let err = many.check_threads(ModelKind::Bn).unwrap_err();
-            assert!(err.contains(sampler), "{err}");
-        }
-        assert!(args(&["w", "--threads", "4"])
-            .check_threads(ModelKind::Mrf)
-            .is_ok());
     }
 
     #[test]

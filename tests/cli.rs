@@ -3,9 +3,18 @@
 //! about itself, never the chain. Every workload family prints the same
 //! final objective (or marginals) with no flag and under each of them, and
 //! an early-stop run stops at the same sweep whether or not it writes a
-//! journal.
+//! journal. The sampler flag, by contrast, reaches the chain at any thread
+//! count.
 
 use std::process::Command;
+
+use coopmc::core::parallel::ChromaticEngine;
+use coopmc::core::pipeline::CoopMcPipeline;
+use coopmc::models::bn::{BayesNet, MarginalCounter};
+use coopmc::models::workloads::{all_workloads, BuiltWorkload};
+use coopmc::obs::health::NoControl;
+use coopmc::obs::NoopRecorder;
+use coopmc::sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler};
 
 /// Run `coopmc run <args>` and return its stdout.
 fn coopmc(args: &[&str]) -> String {
@@ -109,4 +118,53 @@ fn early_stop_lands_on_the_same_sweep_with_or_without_outputs() {
     std::fs::remove_file(&journal).ok();
     assert_eq!(stop_line(&plain), stop_line(&recorded));
     assert_eq!(chain_report(&plain), chain_report(&recorded));
+}
+
+#[test]
+fn any_sampler_runs_chromatically() {
+    // Each `--sampler` reaches the chromatic engine: the marginals ignore
+    // the pool size and match a `ChromaticEngine` built with that sampler.
+    let samplers: [(&str, Box<dyn Sampler + Sync>); 3] = [
+        ("seq", Box::new(SequentialSampler::new())),
+        ("pipe", Box::new(PipeTreeSampler::new())),
+        ("alias", Box::new(AliasSampler::new())),
+    ];
+    let (seed, sweeps) = (11, 300);
+    let report = |sampler: &str, threads: &str| {
+        let cmd = format!(
+            "bn-asia --sampler {sampler} --threads {threads} --sweeps {sweeps} --seed {seed}"
+        );
+        chain_report(&coopmc(&cmd.split_whitespace().collect::<Vec<_>>()))
+    };
+    let spec = all_workloads()
+        .into_iter()
+        .find(|w| w.name == "BN-ASIA")
+        .expect("BN-ASIA is registered");
+    for (name, sampler) in samplers {
+        let two = report(name, "2");
+        assert_eq!(two, report(name, "3"), "--sampler {name}");
+
+        let BuiltWorkload::Bn(mut net) = spec.build(seed) else {
+            unreachable!("BN-ASIA builds a Bayesian network")
+        };
+        let mut counter = MarginalCounter::new(&net);
+        let engine = ChromaticEngine::with_recorder(
+            CoopMcPipeline::new(64, 8),
+            sampler,
+            2,
+            seed,
+            NoopRecorder,
+        );
+        let record = |n: &BayesNet| {
+            counter.record(n);
+            None
+        };
+        engine.run_controlled(&mut net, sweeps, record, &mut NoControl);
+        let mut direct = format!("{:<14} {:>10}", "node", "P(label 0)");
+        for (v, node) in net.nodes().iter().enumerate() {
+            direct += &format!("\n{:<14} {:>10.4}", node.name, counter.marginal(v)[0]);
+        }
+        assert_eq!(two, direct, "--sampler {name}");
+    }
+    assert_ne!(report("alias", "2"), report("tree", "2"));
 }

@@ -119,8 +119,13 @@ fn recording_does_not_perturb_the_pooled_chain() {
     let run = |threads: usize| {
         let mut app = image_segmentation(24, 24, 31);
         let recorder = TraceRecorder::new();
-        let engine =
-            ChromaticEngine::with_recorder(FixedPipeline::new(8, true), threads, 2024, &recorder);
+        let engine = ChromaticEngine::with_recorder(
+            FixedPipeline::new(8, true),
+            TreeSampler::new(),
+            threads,
+            2024,
+            &recorder,
+        );
         let updated = engine.run(&mut app.mrf, 6);
         (updated, app.mrf.labels(), recorder.sweeps())
     };

@@ -5,7 +5,8 @@
 //! 1. **Golden chains.** With profiling off, the float, CoopMC and
 //!    chromatic chains land on the exact label checksums recorded before
 //!    the profiler existed — the instrumentation hooks cost nothing and
-//!    change nothing when disabled.
+//!    change nothing when disabled. A BN chromatic golden pins the
+//!    factor-row path the same way.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
 //! 3. **Flamegraph accounting.** The collapsed-stack self times of a real
@@ -21,6 +22,7 @@ use coopmc::core::engine::{GibbsEngine, RunStats};
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline};
 use coopmc::hw::reconcile::divergence_ledger;
+use coopmc::models::bn::asia;
 use coopmc::models::mrf::image_segmentation;
 use coopmc::models::GibbsModel;
 use coopmc::obs::{Kernel, NoopRecorder, Profiled, SpanProfiler};
@@ -74,7 +76,13 @@ fn chromatic_labels(profiler: Option<&SpanProfiler>) -> Vec<usize> {
     let mut app = image_segmentation(20, 16, 21);
     match profiler {
         Some(p) => {
-            let engine = ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), 3, 909, p);
+            let engine = ChromaticEngine::with_recorder(
+                CoopMcPipeline::new(64, 8),
+                TreeSampler::new(),
+                3,
+                909,
+                p,
+            );
             for it in 0..6 {
                 engine.sweep(&mut app.mrf, it);
             }
@@ -111,6 +119,30 @@ fn profile_off_chains_match_pre_profiler_goldens() {
         0xe21b_a970_2601_ecbe,
         "chromatic chain drifted"
     );
+}
+
+#[test]
+fn bn_chromatic_chain_matches_its_golden_at_every_thread_count() {
+    // Factor-domain rows through the chromatic engine, recorded before the
+    // engine sent them through its batch strides.
+    for threads in 1..=3 {
+        let mut net = asia();
+        net.set_evidence(net.node_index("dysp").unwrap(), 0);
+        let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 909);
+        // FNV-1a folded over every sweep's labels, so any drift mid-run shows.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for it in 0..200 {
+            engine.sweep(&mut net, it);
+            for l in net.labels() {
+                h ^= l as u64;
+                h = h.wrapping_mul(0x1_0000_01b3);
+            }
+        }
+        assert_eq!(
+            h, 0x5cb0_2e46_e1a0_f44a,
+            "BN chain drifted at {threads} threads"
+        );
+    }
 }
 
 #[test]

@@ -24,7 +24,7 @@ fn structural_sweep(
 ) {
     let mut scores: Vec<LabelScore> = Vec::new();
     for var in 0..model.num_variables() {
-        model.scores(var, &mut scores);
+        model.scores_into(var, &mut scores);
         // Pack each label's log-domain score into a single-factor lane.
         let factors: Vec<Vec<f64>> = scores
             .iter()
@@ -52,7 +52,7 @@ fn behavioral_sweep(model: &mut dyn GibbsModel, rng: &mut SplitMix64) {
     let sampler = TreeSampler::new();
     let mut scores: Vec<LabelScore> = Vec::new();
     for var in 0..model.num_variables() {
-        model.scores(var, &mut scores);
+        model.scores_into(var, &mut scores);
         let mut logs: Vec<f64> = scores
             .iter()
             .map(|s| match s {
