@@ -6,11 +6,11 @@
 //! 1. **chromatic** — one [`ChromaticEngine`] + [`CoopMcPipeline`] chain on
 //!    an image-segmentation MRF, profiled with a [`SpanProfiler`] so the
 //!    per-lane kernel attribution ships alongside the scaling numbers.
-//!    Efficiency is `pool_busy_ns / (wall_ns * threads)`; the single-thread
-//!    row runs inline on the coordinator (the pool never dispatches), so its
-//!    busy time is the wall time by construction and efficiency is 1.
+//!    Efficiency is `pool_busy_ns / (wall_ns * threads)`; the pool counts
+//!    the calling thread's slot 0 like every worker's, so the single-thread
+//!    row is measured the same way as the others.
 //! 2. **chains** — `threads` fully independent [`GibbsEngine`] chains, one
-//!    pool job each. This is the embarrassingly-parallel ceiling: any gap
+//!    pool slot each. This is the embarrassingly-parallel ceiling: any gap
 //!    from 1.0 is dispatch overhead or host contention, not algorithm.
 //!
 //! Rows where `threads` exceeds `host_cpus` are marked `starved` — their
@@ -30,7 +30,7 @@ use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::CoopMcPipeline;
 use coopmc_core::pool::WorkerPool;
 use coopmc_models::mrf::image_segmentation;
-use coopmc_obs::SpanProfiler;
+use coopmc_obs::{NoopRecorder, SpanProfiler};
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::TreeSampler;
 
@@ -62,7 +62,7 @@ impl Row {
 /// Chromatic-engine run at `threads`; returns the row and the profiler's
 /// journal lines so the curve ships its kernel attribution.
 fn run_chromatic(threads: usize) -> (Row, String) {
-    let profiler = SpanProfiler::new(threads + 1);
+    let profiler = SpanProfiler::new(threads);
     let engine = ChromaticEngine::with_recorder(
         CoopMcPipeline::new(64, 8),
         TreeSampler::new(),
@@ -75,44 +75,30 @@ fn run_chromatic(threads: usize) -> (Row, String) {
     for it in 0..SWEEPS {
         engine.sweep(&mut app.mrf, it);
     }
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    // Single-thread sweeps run inline on the coordinator: the pool never
-    // dispatches, so its busy counter stays zero. The one lane that exists
-    // is the coordinator and it is busy for the whole wall — say so rather
-    // than reporting a bogus 0% efficiency.
-    let busy_ns = if threads == 1 {
-        wall_ns
-    } else {
-        engine.pool_busy_ns()
-    };
     let row = Row {
         mode: "chromatic",
         threads,
-        wall_ns,
-        busy_ns,
+        wall_ns: start.elapsed().as_nanos() as u64,
+        busy_ns: engine.pool_busy_ns(),
     };
     (row, profiler.journal_jsonl(0))
 }
 
-/// `threads` independent chains, one pool job each.
+/// `threads` independent chains, one pool slot each.
 fn run_chains(threads: usize) -> Row {
     let pool = WorkerPool::new(threads);
     let start = Instant::now();
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
-        .map(|i| {
-            Box::new(move || {
-                let mut app = image_segmentation(WIDTH, HEIGHT, MRF_SEED);
-                let mut engine = GibbsEngine::new(
-                    CoopMcPipeline::new(64, 8),
-                    TreeSampler,
-                    SplitMix64::new(SEED ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                );
-                let stats = engine.run(&mut app.mrf, SWEEPS);
-                std::hint::black_box(stats.updates);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.execute(jobs);
+    let chain = |i: usize| {
+        let mut app = image_segmentation(WIDTH, HEIGHT, MRF_SEED);
+        let mut engine = GibbsEngine::new(
+            CoopMcPipeline::new(64, 8),
+            TreeSampler,
+            SplitMix64::new(SEED ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        );
+        let stats = engine.run(&mut app.mrf, SWEEPS);
+        std::hint::black_box(stats.updates);
+    };
+    pool.broadcast(threads, &chain, &NoopRecorder);
     let wall_ns = start.elapsed().as_nanos() as u64;
     Row {
         mode: "chains",

@@ -79,7 +79,7 @@ impl RunStats {
 
 /// What one lane did over one chunk of work. Both engines account for a
 /// sweep through it: the sequential engine's chunk is its whole sweep; the
-/// chromatic engine keeps one per worker lane plus one for the
+/// chromatic engine keeps one per pool slot plus one for the
 /// coordinator's commits, and merges them after each class barrier.
 ///
 /// Counts and modeled cycles are integer adds and always kept. The wall
@@ -229,7 +229,7 @@ impl Tally {
 }
 
 /// One lane's hot-path buffers and running tally: the sequential engine
-/// owns one, the chromatic engine one per worker slot. Once a warm-up sweep
+/// owns one, the chromatic engine one per pool slot. Once a warm-up sweep
 /// has grown them to the model's rows, a lane allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Lane {

@@ -38,7 +38,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the worker pool (`pool`) contains one
-// documented, locally-allowed unsafe block for lifetime-erased job dispatch.
+// documented, locally-allowed unsafe block erasing a task's lifetime.
 
 pub mod engine;
 pub mod experiments;

@@ -51,8 +51,9 @@ fn lock(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
 /// Chromatic parallel Gibbs engine.
 ///
 /// Worker threads are spawned **once** (at construction) into a persistent
-/// [`WorkerPool`] and fed one job per chunk per color class — no per-sweep
-/// thread spawning. Despite the pool, the engine stays deterministic
+/// [`WorkerPool`]; each color class is one broadcast in which slot `s` (the
+/// caller is slot 0) draws the class's `s`-th chunk — no per-sweep thread
+/// spawning, no per-class allocation. The engine stays deterministic
 /// independent of thread count: every draw's RNG is derived from
 /// `(seed, iteration, var)` alone, and draws of a class are committed only
 /// after the whole class finishes, so neither chunking nor scheduling order
@@ -70,13 +71,13 @@ pub struct ChromaticEngine<P, S = TreeSampler, Rec = NoopRecorder> {
     seed: u64,
     chain: Chain<Rec>,
     pool: WorkerPool,
-    /// One per worker slot; inline chunks run on the first.
+    /// One per pool slot; lane 0 belongs to the calling thread.
     lanes: Vec<Mutex<Lane>>,
 }
 
 impl<P: ProbabilityPipeline> ChromaticEngine<P> {
-    /// Build an engine running `n_threads` persistent worker threads that
-    /// draw with the [`TreeSampler`], with recording disabled.
+    /// Build an engine on `n_threads` threads (the caller and `n_threads − 1`
+    /// persistent workers) that draws with the [`TreeSampler`], unrecorded.
     ///
     /// # Panics
     ///
@@ -118,7 +119,7 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
         self
     }
 
-    /// Number of worker threads.
+    /// Number of threads, the calling one included.
     pub fn n_threads(&self) -> usize {
         self.pool.n_threads()
     }
@@ -128,12 +129,12 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
         &self.chain.recorder
     }
 
-    /// Cumulative busy time across the pool's workers, in nanoseconds.
+    /// Cumulative busy time across the pool's slots, in nanoseconds.
     ///
-    /// Inline work (single-thread engines, or classes small enough to skip
-    /// the dispatch round-trip) runs on the coordinator and is *not*
-    /// counted here — this is the pool's own job accounting, exposed so
-    /// scaling studies can compute utilization without a recorder.
+    /// Slot 0, the calling thread, is counted like every worker, so this
+    /// covers every chunk of every class at any thread count. It is the
+    /// pool's own accounting, the one clock the pool always reads, exposed
+    /// so scaling studies can compute utilization without a recorder.
     pub fn pool_busy_ns(&self) -> u64 {
         self.pool.total_busy_ns()
     }
@@ -148,9 +149,10 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
         self.chain.sweep(sweep).updates as usize
     }
 
-    /// Resample every class in turn: chunks of the class run on the pool
-    /// (or inline, when one chunk covers it), then the coordinator commits
-    /// their draws. Returns the sweep's tally and per-color samples.
+    /// Resample every class in turn, one pool broadcast per class in which
+    /// slot `s` draws the class's `s`-th chunk on lane `s`, then commit the
+    /// draws on the calling thread. Returns the sweep's tally and per-color
+    /// samples.
     fn sweep_classes<M: ChromaticModel + Sync>(
         &self,
         model: &mut M,
@@ -158,12 +160,6 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
         iteration: u64,
     ) -> (Tally, Vec<ColorSample>) {
         let rec = &self.chain.recorder;
-        let chunk_on = |lane: &Mutex<Lane>, model: &M, vars: &[usize], lane_idx: usize| {
-            let lane = &mut *lock(lane);
-            let rng = |var| draw_rng(self.seed, iteration, var);
-            lane.strides(model, vars, &self.pipeline, &self.sampler, rng, rec);
-            lane.finish(rec, lane_idx);
-        };
         let mut sweep = Tally::default();
         // The coordinator's own chunk: the commits after each barrier.
         let mut commit = Tally::default();
@@ -172,33 +168,20 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
             let class_start = rec.now_ns();
             let busy_before = self.pool.total_busy_ns();
             let chunk = class.len().div_ceil(self.lanes.len()).max(1);
-            let inline = self.lanes.len() == 1 || class.len() <= chunk;
-            let n_slots = if inline {
-                // Single chunk: run inline, skip the dispatch round-trip.
-                // Inline work executes on the coordinator, hence lane 0.
-                chunk_on(&self.lanes[0], model, class, 0);
-                1
-            } else {
-                let model: &M = model;
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = class
-                    .chunks(chunk)
-                    .zip(&self.lanes)
-                    .enumerate()
-                    .map(|(slot, (vars, lane))| {
-                        // Profiler lane i + 1 is pool worker slot i.
-                        Box::new(move || chunk_on(lane, model, vars, slot + 1))
-                            as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                let n_jobs = jobs.len();
-                self.pool.execute_with(jobs, rec);
-                n_jobs
+            let slots = class.len().div_ceil(chunk).max(1);
+            let resample = |slot: usize| {
+                let lane = &mut *lock(&self.lanes[slot]);
+                let vars = class.chunks(chunk).nth(slot).unwrap_or_default();
+                let rng = |var| draw_rng(self.seed, iteration, var);
+                lane.strides(&*model, vars, &self.pipeline, &self.sampler, rng, rec);
+                lane.finish(rec, slot);
             };
+            self.pool.broadcast(slots, &resample, rec);
             // The class barrier ends here; the commits below are the PU
             // phase. Commit order is irrelevant to the chain (each var
             // appears once), so chunking cannot change the result.
             let barrier_end = rec.now_ns();
-            for lane in &self.lanes[..n_slots] {
+            for lane in &self.lanes[..slots] {
                 let lane = lock(lane);
                 for &(var, label) in &lane.out {
                     commit.flips += u64::from(model.label(var) != label);
@@ -210,14 +193,8 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
             commit.pu_ns += rec.now_ns() - barrier_end;
             if rec.enabled() {
                 let barrier_ns = barrier_end - class_start;
-                // Worker busy time inside the barrier; the inline path runs
-                // on the calling thread, so busy == wall by construction.
-                let busy_ns = if inline {
-                    barrier_ns
-                } else {
-                    self.pool.total_busy_ns().saturating_sub(busy_before)
-                };
-                let capacity = barrier_ns.saturating_mul(n_slots as u64);
+                let busy_ns = self.pool.total_busy_ns().saturating_sub(busy_before);
+                let capacity = barrier_ns.saturating_mul(slots as u64);
                 let utilization = if capacity == 0 {
                     1.0
                 } else {
@@ -587,7 +564,7 @@ mod tests {
             engine.run(&mut app.mrf, 4);
             app.mrf.labels()
         };
-        let prof = SpanProfiler::new(4);
+        let prof = SpanProfiler::new(3);
         let (labels, updated) = {
             let mut app = image_segmentation(20, 16, 21);
             let engine = ChromaticEngine::with_recorder(
@@ -610,8 +587,8 @@ mod tests {
         assert_eq!(sweep.calls, 4);
         assert_eq!(sweep.unclosed, 0);
         // 320 vars over 2 color classes and 3 threads: every class is
-        // chunked across the pool, so worker lanes must carry PG/SD leaves
-        // and the coordinator the dispatch/join/commit ones.
+        // chunked across the pool's three slots, so every lane carries PG/SD
+        // leaves and the coordinator the dispatch/join/commit ones too.
         for k in [Kernel::PoolDispatch, Kernel::PoolJoin, Kernel::PuUpdate] {
             assert!(
                 reports.iter().any(|r| r.kernel == k && r.worker == 0),
@@ -619,11 +596,11 @@ mod tests {
                 k.name()
             );
         }
-        for lane in 1..=3 {
+        for lane in 0..3 {
             for k in [Kernel::PgGather, Kernel::PgNormalize, Kernel::SdSampleRows] {
                 assert!(
                     reports.iter().any(|r| r.kernel == k && r.worker == lane),
-                    "missing {} on worker lane {lane}",
+                    "missing {} on lane {lane}",
                     k.name()
                 );
             }

@@ -1,139 +1,165 @@
-//! A persistent worker-thread pool for the parallel Gibbs engines.
+//! A persistent worker-thread pool for the chromatic Gibbs engine, which
+//! resamples one color class per barrier, thousands of times a run.
 //!
-//! The chromatic engine dispatches one batch of jobs per color class, every
-//! sweep, for thousands of sweeps. Spawning OS threads per class (the naive
-//! `std::thread::scope` approach) pays thread-creation latency on every
-//! batch; this pool spawns its workers **once** and feeds them jobs over a
-//! channel, which is the difference between microseconds and milliseconds
-//! per class on small models.
-//!
-//! Design: a single `std::sync::mpsc` job channel shared by all workers
-//! behind a mutex (SPMC), plus a completion channel workers ack on after
-//! every job. [`WorkerPool::execute`] submits a batch of borrowing closures
-//! and blocks until all of them have acked — that barrier is what makes
-//! lending non-`'static` closures to the workers sound (see the safety
-//! notes on `execute`).
+//! One primitive, [`WorkerPool::broadcast`], runs a borrowed task on slots
+//! `0..slots`: the calling thread runs slot 0 and `n − 1` persistent workers
+//! the rest. They meet at a start and an end [`Barrier`] behind a gate
+//! mutex, and a drop guard meets the end barrier whether `broadcast`
+//! returns or unwinds, so no task outlives the call. A broadcast allocates
+//! nothing.
 
 #![allow(unsafe_code)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A lifetime-erased job. Only ever constructed inside
-/// [`WorkerPool::execute`], which guarantees the erased borrows stay alive
-/// until the job has finished.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use coopmc_obs::profile::Kernel;
+use coopmc_obs::{NoopRecorder, Recorder};
 
-/// Outcome ack a worker sends after running one job.
-#[derive(Debug, Clone, Copy)]
-enum Ack {
-    Done,
-    Panicked,
+/// A task with its borrows erased. Only [`WorkerPool::broadcast`] makes
+/// one, and it clears it before the borrows end.
+type Task = &'static (dyn Fn(usize) + Sync);
+
+/// What the caller publishes to the workers for one broadcast.
+#[derive(Default)]
+struct Round {
+    /// `None` outside a broadcast: a worker released from the start barrier
+    /// without a task exits.
+    task: Option<Task>,
+    /// Slots `0..slots` run the task.
+    slots: usize,
+    /// The first panicking task's payload.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// Per-worker idle/busy accounting, updated with relaxed atomics after
-/// every job (two stores per *job*, not per variable — the cost is noise
-/// next to channel traffic, so the accounting is always on).
-#[derive(Debug, Default)]
-struct WorkerAccounting {
-    /// Nanoseconds spent executing job closures.
+/// One slot's busy nanoseconds and tasks run: relaxed atomics, bumped once
+/// per run.
+#[derive(Default)]
+struct SlotAccounting {
     busy_ns: AtomicU64,
-    /// Jobs executed.
     jobs: AtomicU64,
 }
 
-/// A snapshot of one worker's cumulative accounting.
+/// The pool's state; each worker holds it through an `Arc`.
+struct Shared {
+    /// Lets one broadcast at a time use the barriers.
+    gate: Mutex<()>,
+    round: Mutex<Round>,
+    start: Barrier,
+    end: Barrier,
+    slots: Vec<SlotAccounting>,
+}
+
+impl Shared {
+    /// Lock the round; every update is one assignment, so it is never torn.
+    fn round(&self) -> MutexGuard<'_, Round> {
+        self.round.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `slot` of `task`, keeping the first panic's payload and timing
+    /// the run into the slot's accounting.
+    fn run(&self, slot: usize, task: &(dyn Fn(usize) + Sync)) {
+        let t0 = Instant::now();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(slot))) {
+            self.round().panic.get_or_insert(payload);
+        }
+        let acc = &self.slots[slot];
+        acc.busy_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        acc.jobs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A worker's life: run `slot` of every round until the pool drops.
+    fn serve(&self, slot: usize) {
+        loop {
+            self.start.wait();
+            let Round { task, slots, .. } = *self.round();
+            let Some(task) = task else { return };
+            if slot < slots {
+                self.run(slot, task);
+            }
+            self.end.wait();
+        }
+    }
+}
+
+/// Ends a round when dropped, even by an unwind: meets the end barrier, so
+/// every worker has finished the task, then clears the task.
+struct EndOfRound<'a>(&'a Shared);
+
+impl Drop for EndOfRound<'_> {
+    fn drop(&mut self) {
+        self.0.end.wait();
+        self.0.round().task = None;
+    }
+}
+
+/// A snapshot of one slot's cumulative accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStats {
-    /// Nanoseconds this worker spent executing job closures since the pool
-    /// was created.
+    /// Nanoseconds this slot has spent running tasks.
     pub busy_ns: u64,
-    /// Jobs this worker has executed since the pool was created.
+    /// Tasks this slot has run (one per broadcast it took part in).
     pub jobs: u64,
 }
 
-/// A fixed-size pool of persistent worker threads executing batches of
-/// scoped jobs.
-#[derive(Debug)]
+/// A fixed-size pool of threads running borrowed tasks: the calling thread
+/// is slot 0 and `n − 1` persistent workers are slots `1..n`.
 pub struct WorkerPool {
-    /// `None` only during drop (taking the sender closes the channel).
-    jobs: Option<Sender<Job>>,
-    /// Behind a mutex so the pool is `Sync`; only the batch holder reads it.
-    acks: Mutex<Receiver<Ack>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Per-worker busy/job tallies, shared with the worker threads.
-    accounting: Arc<Vec<WorkerAccounting>>,
-    /// Serializes `execute` batches so acks of concurrent callers can't
-    /// interleave.
-    batch_gate: Mutex<()>,
+}
+
+impl fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("n_threads", &self.n_threads())
+            .finish_non_exhaustive()
+    }
 }
 
 impl WorkerPool {
-    /// Spawn a pool with `n_threads` persistent workers.
+    /// A pool of `n_threads` slots: the caller plus `n_threads − 1`
+    /// spawned workers.
     ///
     /// # Panics
     ///
     /// Panics if `n_threads == 0`.
     pub fn new(n_threads: usize) -> Self {
         assert!(n_threads > 0, "need at least one thread");
-        let (jobs_tx, jobs_rx) = channel::<Job>();
-        let (acks_tx, acks_rx) = channel::<Ack>();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let accounting: Arc<Vec<WorkerAccounting>> = Arc::new(
-            (0..n_threads)
-                .map(|_| WorkerAccounting::default())
-                .collect(),
-        );
-        let workers = (0..n_threads)
-            .map(|i| {
-                let jobs_rx = Arc::clone(&jobs_rx);
-                let acks_tx = acks_tx.clone();
-                let accounting = Arc::clone(&accounting);
+        let shared = Arc::new(Shared {
+            gate: Mutex::default(),
+            round: Mutex::default(),
+            start: Barrier::new(n_threads),
+            end: Barrier::new(n_threads),
+            slots: (0..n_threads).map(|_| SlotAccounting::default()).collect(),
+        });
+        let workers = (1..n_threads)
+            .map(|slot| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("coopmc-worker-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only while dequeuing.
-                        let job = match jobs_rx.lock().unwrap().recv() {
-                            Ok(job) => job,
-                            Err(_) => return, // pool dropped: channel closed
-                        };
-                        let t0 = Instant::now();
-                        let ack = match catch_unwind(AssertUnwindSafe(job)) {
-                            Ok(()) => Ack::Done,
-                            Err(_) => Ack::Panicked,
-                        };
-                        let slot = &accounting[i];
-                        slot.busy_ns
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        slot.jobs.fetch_add(1, Ordering::Relaxed);
-                        // The pool may already be gone mid-drop; a dead ack
-                        // channel just means nobody is waiting.
-                        let _ = acks_tx.send(ack);
-                    })
+                    .name(format!("coopmc-worker-{}", slot - 1))
+                    .spawn(move || shared.serve(slot))
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        Self {
-            jobs: Some(jobs_tx),
-            acks: Mutex::new(acks_rx),
-            workers,
-            accounting,
-            batch_gate: Mutex::new(()),
-        }
+        Self { shared, workers }
     }
 
-    /// Number of worker threads.
+    /// Number of slots: the caller plus the spawned workers.
     pub fn n_threads(&self) -> usize {
-        self.workers.len()
+        self.shared.slots.len()
     }
 
-    /// Snapshot every worker's cumulative busy/job tallies.
+    /// Snapshot every slot's cumulative busy/job tallies, slot 0 first.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.accounting
+        self.shared
+            .slots
             .iter()
             .map(|a| WorkerStats {
                 busy_ns: a.busy_ns.load(Ordering::Relaxed),
@@ -142,91 +168,87 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Total nanoseconds workers have spent executing jobs (all workers).
+    /// Total nanoseconds every slot, slot 0 included, has spent running
+    /// tasks.
     pub fn total_busy_ns(&self) -> u64 {
-        self.accounting
+        self.shared
+            .slots
             .iter()
             .map(|a| a.busy_ns.load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Total jobs executed by the pool.
-    pub fn total_jobs(&self) -> u64 {
-        self.accounting
-            .iter()
-            .map(|a| a.jobs.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Run a batch of jobs to completion on the pool.
-    ///
-    /// Blocks until every job has finished. Jobs may borrow from the
-    /// caller's stack (`'scope`), which is what the chromatic engine needs:
-    /// they capture `&Model` and per-worker scratch slots.
+    /// Run `task(slot)` for every slot in `0..slots` and return once all
+    /// have finished; the task may borrow from the caller's stack. The
+    /// calling thread runs slot 0 and worker `i` slot `i + 1`. The
+    /// `pool.dispatch` (publish, start barrier) and `pool.join` (end
+    /// barrier) leaves go to `rec`'s lane 0, timed with `rec`'s clock.
     ///
     /// # Panics
     ///
-    /// Panics with "worker panicked" if any job panicked (after all jobs in
-    /// the batch have completed, so borrows are never left dangling).
-    pub fn execute<'scope>(&self, batch: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        self.execute_with(batch, &coopmc_obs::NoopRecorder);
+    /// Panics unless `1 <= slots <= n_threads()`. If a task panicked,
+    /// re-raises the first payload once every slot has finished; the pool
+    /// stays usable.
+    pub fn broadcast(&self, slots: usize, task: &(dyn Fn(usize) + Sync), rec: &impl Recorder) {
+        let n = self.n_threads();
+        assert!((1..=n).contains(&slots), "{slots} slots on {n} threads");
+        let shared = &*self.shared;
+        // A panic re-raised by an earlier broadcast poisons the gate; the
+        // round it guarded has ended all the same.
+        let _gate = shared.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let t_dispatch = rec.now_ns();
+        // A payload left by a round that unwound early: its drop may panic.
+        drop(shared.round().panic.take());
+        // SAFETY: workers read the erased reference only between the start
+        // and the end barrier of this round, and `EndOfRound` meets the end
+        // barrier and clears the reference before this function returns or
+        // unwinds past it; nothing between publishing (which drops no
+        // payload) and the start barrier can panic. The borrows `task` holds
+        // therefore outlive every use.
+        let erased = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Task>(task) };
+        *shared.round() = Round {
+            task: Some(erased),
+            slots,
+            panic: None,
+        };
+        shared.start.wait();
+        let round = EndOfRound(shared);
+        rec.prof_leaf(0, Kernel::PoolDispatch, rec.now_ns() - t_dispatch);
+        shared.run(0, task);
+        let t_join = rec.now_ns();
+        drop(round);
+        rec.prof_leaf(0, Kernel::PoolJoin, rec.now_ns() - t_join);
+        let panic = shared.round().panic.take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 
-    /// [`execute`](Self::execute), reporting dispatch/join latency to a
-    /// profiling recorder.
+    /// Run a batch of jobs, which may borrow from the caller's stack,
+    /// round-robin over the slots: slot `s` runs jobs `s`, `s + slots`, …
     ///
-    /// The time spent feeding the job channel is reported as a
-    /// `pool.dispatch` leaf and the time blocked on worker acks as a
-    /// `pool.join` leaf, both on lane 0 (the coordinator) — the join leaf is
-    /// how the scaling-curve bench separates coordinator wait from worker
-    /// busy time. Both are timed with the recorder's clock, so with the
-    /// [`coopmc_obs::NoopRecorder`] this is exactly `execute`.
-    pub fn execute_with<'scope, Rec: coopmc_obs::Recorder>(
-        &self,
-        batch: Vec<Box<dyn FnOnce() + Send + 'scope>>,
-        recorder: &Rec,
-    ) {
-        use coopmc_obs::profile::Kernel;
-        // `into_inner` on poison: a previous batch that propagated a job
-        // panic must not brick the pool.
-        let _gate = self.batch_gate.lock().unwrap_or_else(|e| e.into_inner());
-        let n = batch.len();
-        let jobs = self.jobs.as_ref().expect("pool is live outside drop");
-        let t_dispatch = recorder.now_ns();
-        for job in batch {
-            // SAFETY: erasing 'scope to 'static is sound because this
-            // function does not return (not even by panic) until the ack
-            // loop below has received one ack per submitted job, and a
-            // worker only acks *after* the job closure has been consumed.
-            // The borrows captured in `job` therefore strictly outlive its
-            // execution. The ack loop cannot miss acks: `batch_gate`
-            // serializes batches, and workers never terminate while
-            // `self.jobs` is alive.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-            jobs.send(job).expect("workers alive while pool is live");
-        }
-        let t_join = recorder.now_ns();
-        recorder.prof_leaf(0, Kernel::PoolDispatch, t_join - t_dispatch);
-        let mut panicked = false;
-        {
-            let acks = self.acks.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..n {
-                match acks.recv().expect("workers alive while pool is live") {
-                    Ack::Done => {}
-                    Ack::Panicked => panicked = true,
-                }
+    /// # Panics
+    ///
+    /// A panicking job ends its slot's turn; once the other slots have
+    /// finished theirs, its payload is re-raised.
+    pub fn execute<'scope>(&self, batch: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+        let slots = batch.len().clamp(1, self.n_threads());
+        let jobs: Vec<_> = batch.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let run_slot = |slot: usize| {
+            for job in jobs.iter().skip(slot).step_by(slots) {
+                let job = job.lock().expect("no job runs under its lock").take();
+                job.expect("slots take disjoint jobs")();
             }
-        }
-        recorder.prof_leaf(0, Kernel::PoolJoin, recorder.now_ns() - t_join);
-        assert!(!panicked, "worker panicked");
+        };
+        self.broadcast(slots, &run_slot, &NoopRecorder);
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the job channel makes every worker's recv fail and exit.
-        drop(self.jobs.take());
+        // Released from the start barrier with no task, every worker exits;
+        // workers catch their tasks' panics, so joining reports nothing.
+        self.shared.start.wait();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -236,7 +258,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn executes_borrowing_jobs() {
@@ -298,7 +320,12 @@ mod tests {
                 .collect();
             pool.execute(jobs);
         }));
-        assert!(result.is_err(), "execute must propagate the panic");
+        let payload = result.expect_err("execute must propagate the panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"boom"),
+            "the job's own payload"
+        );
         assert_eq!(counter.load(Ordering::SeqCst), 3, "other jobs still ran");
         // The pool stays usable after a panicked batch.
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(|| {})];
@@ -306,22 +333,19 @@ mod tests {
     }
 
     #[test]
-    fn execute_with_profiler_emits_dispatch_and_join_leaves() {
-        use coopmc_obs::profile::Kernel;
+    fn broadcast_with_profiler_emits_dispatch_and_join_leaves() {
         use coopmc_obs::SpanProfiler;
         let pool = WorkerPool::new(2);
-        let prof = SpanProfiler::new(3);
+        let prof = SpanProfiler::new(2);
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..5)
-            .map(|_| {
-                let counter = &counter;
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.execute_with(jobs, &&prof);
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
+        pool.broadcast(
+            2,
+            &|_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            },
+            &&prof,
+        );
+        assert_eq!(counter.load(Ordering::SeqCst), 2);
         let reports = prof.kernel_reports();
         for k in [Kernel::PoolDispatch, Kernel::PoolJoin] {
             let row = reports
@@ -341,7 +365,6 @@ mod tests {
     #[test]
     fn worker_accounting_tracks_jobs_and_busy_time() {
         let pool = WorkerPool::new(3);
-        assert_eq!(pool.total_jobs(), 0);
         assert_eq!(pool.total_busy_ns(), 0);
         for _ in 0..4 {
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
@@ -353,13 +376,94 @@ mod tests {
                 .collect();
             pool.execute(jobs);
         }
-        assert_eq!(pool.total_jobs(), 24, "every job must be accounted");
+        // Six jobs on three slots: every slot runs once per batch.
         let stats = pool.worker_stats();
         assert_eq!(stats.len(), 3);
-        assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 24);
+        assert!(stats.iter().all(|s| s.jobs == 4), "{stats:?}");
         assert_eq!(
             stats.iter().map(|s| s.busy_ns).sum::<u64>(),
             pool.total_busy_ns()
         );
+    }
+
+    /// A recorder whose clock panics on its second reading — inside a
+    /// broadcast, after the workers were released — flagging it first.
+    struct PanickingClock {
+        reads: AtomicUsize,
+        broke: AtomicBool,
+    }
+
+    impl Recorder for PanickingClock {
+        fn now_ns(&self) -> u64 {
+            if self.reads.fetch_add(1, Ordering::SeqCst) == 1 {
+                self.broke.store(true, Ordering::SeqCst);
+                panic!("clock broke");
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn a_panicking_recorder_leaves_no_task_running() {
+        let pool = WorkerPool::new(2);
+        let rec = PanickingClock {
+            reads: AtomicUsize::new(0),
+            broke: AtomicBool::new(false),
+        };
+        let (running, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // The worker is mid-task when the clock breaks, and stays there
+        // long enough for an unguarded caller to unwind past it.
+        let task = |_| {
+            running.fetch_add(1, Ordering::SeqCst);
+            while !rec.broke.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            running.fetch_sub(1, Ordering::SeqCst);
+            done.fetch_add(1, Ordering::SeqCst);
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| pool.broadcast(2, &task, &rec)));
+        assert!(result.is_err(), "the recorder's panic reaches the caller");
+        assert_eq!(
+            running.load(Ordering::SeqCst),
+            0,
+            "a task outlived the call"
+        );
+        // The panic came before slot 0 ran; the worker's slot finished.
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+        pool.broadcast(2, &task, &NoopRecorder);
+        assert_eq!(done.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn many_broadcasts_over_cycling_slot_counts_and_two_callers() {
+        let pool = WorkerPool::new(4);
+        // Every call sees its own slots `0..slots` run once each, and no
+        // other slot, even while another thread broadcasts on the pool.
+        let call = |slots: usize| {
+            let hits = [(); 4].map(|_| AtomicUsize::new(0));
+            pool.broadcast(
+                slots,
+                &|slot| {
+                    hits[slot].fetch_add(1, Ordering::SeqCst);
+                },
+                &NoopRecorder,
+            );
+            let hits = hits.map(AtomicUsize::into_inner);
+            let expected: Vec<usize> = (0..4).map(|s| usize::from(s < slots)).collect();
+            assert_eq!(hits[..], expected[..], "{slots} slots");
+        };
+        for i in 0..10_000 {
+            call(i % 4 + 1);
+        }
+        std::thread::scope(|s| {
+            for offset in 0..2 {
+                s.spawn(move || {
+                    for i in 0..2_000 {
+                        call((i + offset) % 4 + 1);
+                    }
+                });
+            }
+        });
     }
 }

@@ -1,0 +1,96 @@
+//! The zero-allocation guarantee of the chromatic engine at every thread
+//! count.
+//!
+//! A counting `#[global_allocator]` wrapper measures heap traffic during
+//! warm sweeps of [`ChromaticEngine`] at 1, 2 and 4 threads: every color
+//! class is one pool broadcast whose slots draw into lanes the first sweeps
+//! have grown, so once warm a sweep must allocate **nothing**, on the
+//! calling thread or on any worker.
+//!
+//! This file deliberately contains a single `#[test]`: the counter is
+//! process-global, and a concurrently running sibling test would pollute
+//! the measurement window.
+
+// The counting allocator must implement the unsafe `GlobalAlloc` trait;
+// every unsafe block merely forwards to `System`.
+#![allow(unsafe_code)]
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use coopmc_core::parallel::ChromaticEngine;
+use coopmc_core::pipeline::CoopMcPipeline;
+use coopmc_models::mrf::image_segmentation;
+use coopmc_obs::health::{ConvergenceController, Decision};
+
+/// Forwards to the system allocator, counting allocations while armed.
+struct CountingAlloc;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ARMED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if ARMED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ARMED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Sweeps before the counter is armed: the first grows every lane's
+/// buffers and each thread's pipeline scratch.
+const WARM_SWEEPS: u64 = 2;
+const SWEEPS: u64 = 6;
+
+/// Arms the counter once the warm-up sweeps are done.
+struct ArmAfterWarmUp;
+
+impl ConvergenceController for ArmAfterWarmUp {
+    fn observe_sweep(&mut self, it: u64, _: u64, _: u64, _: u64, _: Option<f64>) -> Decision {
+        if it == WARM_SWEEPS {
+            ALLOCS.store(0, Ordering::SeqCst);
+            ARMED.store(true, Ordering::SeqCst);
+        }
+        Decision::Continue
+    }
+}
+
+#[test]
+fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
+    for threads in [1, 2, 4] {
+        let mut app = image_segmentation(32, 32, 21);
+        let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 7);
+        let updated = engine.run_controlled(&mut app.mrf, SWEEPS, |_| None, &mut ArmAfterWarmUp);
+        ARMED.store(false, Ordering::SeqCst);
+
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            allocs,
+            0,
+            "{threads} threads: {} warm chromatic sweeps made {allocs} allocations",
+            SWEEPS - WARM_SWEEPS
+        );
+        assert_eq!(updated as u64, SWEEPS * 32 * 32, "{threads} threads");
+    }
+}

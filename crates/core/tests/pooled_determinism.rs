@@ -102,11 +102,17 @@ impl ProbabilityPipeline for NanOnce {
 
 #[test]
 fn a_caught_worker_panic_leaves_the_engine_usable() {
-    for threads in [1, 2] {
+    for threads in [1, 2, 4] {
         let engine = ChromaticEngine::new(NanOnce(AtomicBool::new(false)), threads, 5);
         let mut app = image_segmentation(12, 12, 3);
         let first = catch_unwind(AssertUnwindSafe(|| engine.sweep(&mut app.mrf, 0)));
-        assert!(first.is_err(), "the NaN weight must trip the sampler");
+        let payload = first.expect_err("the NaN weight must trip the sampler");
+        // The sampler's own message reaches the caller at every thread count.
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert!(
+            message.is_some_and(|m| m.starts_with("invalid weight NaN at index ")),
+            "{threads} threads: {message:?}"
+        );
         assert_eq!(engine.sweep(&mut app.mrf, 1), 144, "{threads} threads");
     }
 }

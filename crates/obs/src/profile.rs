@@ -58,9 +58,11 @@ pub enum Kernel {
     SdSampleRows = 5,
     /// Parameter-update commit (`model.update`).
     PuUpdate = 6,
-    /// Worker-pool job dispatch (send side).
+    /// Worker-pool dispatch: publishing a broadcast's task and passing its
+    /// start barrier.
     PoolDispatch = 7,
-    /// Worker-pool ack barrier (join side).
+    /// Worker-pool join: the coordinator's wait at a broadcast's end
+    /// barrier.
     PoolJoin = 8,
 }
 
@@ -239,9 +241,10 @@ pub struct KernelReport {
 
 /// Hierarchical kernel-span profiler with fixed-capacity per-lane rings.
 ///
-/// Lane 0 is the coordinator (the thread driving sweeps); lanes `1..=n`
-/// are pool workers. Out-of-range lane indices clamp to the last lane
-/// rather than panic.
+/// Lane *i* is pool slot *i*. Lane 0 is the coordinator: the thread
+/// driving sweeps, which also runs slot 0 of every pool broadcast. Lanes
+/// `1..n` are the pool's `n − 1` workers. Out-of-range lane indices clamp
+/// to the last lane rather than panic.
 #[derive(Debug)]
 pub struct SpanProfiler {
     epoch: Instant,
@@ -250,7 +253,7 @@ pub struct SpanProfiler {
 }
 
 impl SpanProfiler {
-    /// Create a profiler with `lanes` lanes (coordinator + workers).
+    /// Create a profiler with `lanes` lanes, one per pool slot.
     /// All ring/stack/aggregate storage is allocated here; recording
     /// never allocates.
     pub fn new(lanes: usize) -> SpanProfiler {
@@ -264,7 +267,7 @@ impl SpanProfiler {
         }
     }
 
-    /// Number of lanes (coordinator + workers).
+    /// Number of lanes, one per pool slot.
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
     }

@@ -14,9 +14,9 @@
 //! `coopmc:<size>x<bits>`. Sampler KINDs: `seq`, `tree`, `pipe`, `alias`.
 //!
 //! `--threads 1` runs the sequential engine; `--threads T > 1` runs the
-//! chromatic engine over a `T`-worker pool for MRF and BN workloads (LDA
-//! has no color classes). Any pipeline and any sampler run on either
-//! engine.
+//! chromatic engine on `T` threads (the caller and `T − 1` pool workers)
+//! for MRF and BN workloads (LDA has no color classes). Any pipeline and
+//! any sampler run on either engine.
 //!
 //! `--health` streams chain-health diagnostics (online ESS / rank-normalized
 //! split R-hat / MCSE, anomaly detectors) while the chain runs; the
@@ -415,10 +415,10 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
     );
     let journal = args.journal_enabled();
     let recorder = TraceRecorder::new();
-    // Lane 0 is the coordinator; lanes 1..=threads are pool worker slots.
+    // Lane i is pool slot i; slot 0 is the coordinator's own.
     let profiler = args
         .profile_enabled()
-        .then(|| SpanProfiler::new(args.threads + 1));
+        .then(|| SpanProfiler::new(args.threads));
     let mut controller = args
         .health_enabled()
         .then(|| build_controller(&args, journal.then_some(&recorder as &dyn Recorder)));
