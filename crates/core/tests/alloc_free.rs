@@ -4,7 +4,8 @@
 //! warm steady-state sweep of [`GibbsEngine`] with the fixed-point pipeline
 //! and the tree sampler: after a warm-up run has grown every scratch buffer
 //! (engine score/PG/sampler buffers, per-thread pipeline scratch), a full
-//! sweep must allocate **nothing**.
+//! sweep must allocate **nothing**. A warm LDA-NIPS sweep through the
+//! CoopMC pipeline pins the factor-row path (TableLog → LogFusion) too.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -17,8 +18,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coopmc_core::engine::GibbsEngine;
-use coopmc_core::pipeline::FixedPipeline;
+use coopmc_core::pipeline::{CoopMcPipeline, FixedPipeline};
 use coopmc_models::mrf::image_segmentation;
+use coopmc_models::workloads::{all_workloads, BuiltWorkload};
+use coopmc_models::GibbsModel;
 use coopmc_obs::NoopRecorder;
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::TreeSampler;
@@ -113,4 +116,34 @@ fn warm_steady_state_sweep_allocates_nothing() {
         "a warm instrumented-but-disabled sweep must not touch the heap \
          ({allocs} allocations observed)"
     );
+
+    // The factor-row path: every LDA score row is `(DT+α)(VT+β)/(ΣVT+βV)`,
+    // read by the CoopMC pipeline's TableLog and LogFusion accumulator.
+    let nips = all_workloads()
+        .into_iter()
+        .find(|w| w.name == "LDA-NIPS")
+        .expect("LDA-NIPS is registered");
+    let BuiltWorkload::Lda(mut lda) = nips.build_scaled(1.0, 2022) else {
+        panic!("LDA-NIPS builds an LDA model");
+    };
+    let mut engine = GibbsEngine::new(
+        CoopMcPipeline::new(64, 8),
+        TreeSampler::new(),
+        SplitMix64::new(2022),
+    );
+    let mut stats = coopmc_core::engine::RunStats::default();
+    engine.sweep(&mut lda, &mut stats);
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    engine.sweep(&mut lda, &mut stats);
+    ARMED.store(false, Ordering::SeqCst);
+
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        allocs, 0,
+        "a warm LDA sweep through the CoopMC factor path must not touch the heap \
+         ({allocs} allocations observed)"
+    );
+    assert_eq!(stats.updates, 2 * lda.num_variables() as u64);
 }

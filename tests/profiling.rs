@@ -5,7 +5,8 @@
 //! 1. **Golden chains.** With profiling off, the float, CoopMC and
 //!    chromatic chains land on the exact label checksums recorded before
 //!    the profiler existed — the instrumentation hooks cost nothing and
-//!    change nothing when disabled. A BN chromatic golden pins the
+//!    change nothing when disabled. A BN chromatic golden and two
+//!    sequential factor-row goldens (LDA-NIPS, BN-ASIA) pin the
 //!    factor-row path the same way.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
@@ -24,6 +25,7 @@ use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline};
 use coopmc::hw::reconcile::divergence_ledger;
 use coopmc::models::bn::asia;
 use coopmc::models::mrf::image_segmentation;
+use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::models::GibbsModel;
 use coopmc::obs::{Kernel, NoopRecorder, Profiled, SpanProfiler};
 use coopmc::rng::SplitMix64;
@@ -143,6 +145,52 @@ fn bn_chromatic_chain_matches_its_golden_at_every_thread_count() {
             "BN chain drifted at {threads} threads"
         );
     }
+}
+
+/// FNV-1a folded over every sweep's labels of a sequential
+/// `CoopMcPipeline::new(64, 8)` + `TreeSampler` chain.
+fn seq_sweep_checksum(model: &mut dyn GibbsModel, seed: u64, sweeps: u64) -> u64 {
+    let mut engine = GibbsEngine::new(
+        CoopMcPipeline::new(64, 8),
+        TreeSampler::new(),
+        SplitMix64::new(seed),
+    );
+    let mut stats = RunStats::default();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..sweeps {
+        engine.sweep(model, &mut stats);
+        for l in model.labels() {
+            h ^= l as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn sequential_factor_row_chains_match_their_goldens() {
+    // Every LDA and BN score row is a factor row: these chains run the
+    // TableLog → LogFusion path end to end.
+    let nips = all_workloads()
+        .into_iter()
+        .find(|w| w.name == "LDA-NIPS")
+        .expect("LDA-NIPS is registered");
+    let BuiltWorkload::Lda(mut lda) = nips.build_scaled(1.0, 2022) else {
+        panic!("LDA-NIPS builds an LDA model");
+    };
+    assert_eq!(
+        seq_sweep_checksum(&mut lda, 2022, 8),
+        0xd36d_b615_b7a8_b072,
+        "LDA-NIPS sequential chain drifted"
+    );
+
+    let mut net = asia();
+    net.set_evidence(net.node_index("dysp").unwrap(), 0);
+    assert_eq!(
+        seq_sweep_checksum(&mut net, 909, 2000),
+        0xae2a_4b69_7ab2_0389,
+        "BN-ASIA sequential chain drifted"
+    );
 }
 
 #[test]
