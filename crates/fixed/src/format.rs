@@ -185,6 +185,24 @@ impl QFormat {
         r.clamp(self.min_raw() as f64, self.max_raw() as f64) * self.resolution()
     }
 
+    /// Snap `x` onto this format's grid with round-to-nearest (ties away
+    /// from zero) and saturation, returning the raw integer.
+    ///
+    /// Equal to `Fixed::from_f64(x, fmt, Rounding::Nearest).raw()` — same
+    /// NaN→0 contract, same rounding, same saturation — without building a
+    /// `Fixed` or widening to `i128`. This is the quantizer in front of an
+    /// integer accumulator bus. Scaling [`QFormat::requantize_nearest`]'s
+    /// `f64` back up by `2^frac_bits` is not: where `max_raw` is not
+    /// `f64`-representable (55+ total bits) it rounds to `max_raw + 1`.
+    #[inline]
+    pub fn quantize_nearest_raw(&self, x: f64) -> i64 {
+        const LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2^63
+        let scaled = (x * (1i64 << self.frac_bits) as f64).clamp(-LIMIT, LIMIT);
+        // The rounded value is integral and within ±2^63, so the saturating
+        // cast is exact up to 2^63 - 1, which the clamp below absorbs.
+        (crate::round_ties_away(scaled) as i64).clamp(self.min_raw(), self.max_raw())
+    }
+
     /// The closed representable interval `[min_value, max_value]`.
     ///
     /// This is the contract a wire annotated with this format promises to
@@ -289,6 +307,8 @@ mod tests {
 
     #[test]
     fn requantize_nearest_is_bit_identical_to_fixed_round_trip() {
+        // `quantize_nearest_raw` rides along: it must equal `Fixed`'s raw
+        // word everywhere, saturation on the 55+-bit formats included.
         use crate::Fixed;
         // Narrow, standard and near-maximal formats — including ones whose
         // max_raw exceeds 2^53 and is not f64-representable.
@@ -298,6 +318,7 @@ mod tests {
             QFormat::baseline32(),
             QFormat::new(15, 46).unwrap(),
             QFormat::new(3, 58).unwrap(),
+            QFormat::new(0, 62).unwrap(),
         ];
         for fmt in formats {
             let res = fmt.resolution();
@@ -327,13 +348,15 @@ mod tests {
                 }
             }
             for x in probes {
-                let want = Fixed::from_f64(x, fmt, Rounding::Nearest).to_f64();
-                let got = fmt.requantize_nearest(x);
+                let fixed = Fixed::from_f64(x, fmt, Rounding::Nearest);
+                let (want, got) = (fixed.to_f64(), fmt.requantize_nearest(x));
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
                     "{fmt:?} x={x:e}: got {got:e} want {want:e}"
                 );
+                let raw = fmt.quantize_nearest_raw(x);
+                assert_eq!(raw, fixed.raw(), "{fmt:?} x={x:e}: raw");
             }
         }
     }
