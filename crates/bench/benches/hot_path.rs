@@ -6,6 +6,9 @@
 //! 1. Scalar `generate_into` (reusing caller buffers) for the fixed-point
 //!    and CoopMC pipelines, versus the lane-packed `generate_batch_into`,
 //!    which evaluates a whole color-class slice (8 / 64 rows) per call.
+//!    One more scalar CoopMC row (`generate_into/lda16`) evaluates a
+//!    16-topic LDA-NIPS token row, so the gate also sees the factor path
+//!    (TableLog → LogFusion).
 //! 2. The persistent-pool [`ChromaticEngine`] at 1/2/4/8 threads. Rows
 //!    with more threads than `host_cpus` are marked `"starved": true`.
 //!
@@ -18,6 +21,7 @@ use coopmc_core::pipeline::{
     CoopMcPipeline, FixedPipeline, PgBatch, PgOutput, ProbabilityPipeline,
 };
 use coopmc_models::mrf::image_segmentation;
+use coopmc_models::workloads::{all_workloads, BuiltWorkload};
 use coopmc_models::{GibbsModel, LabelScore};
 
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
@@ -69,6 +73,23 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
         out.probs[0]
     });
     rows.push(pg_row("coopmc64x8", "generate_into", &m));
+
+    // One LDA-NIPS token: 16 factor rows `(DT+α)(VT+β)/(ΣVT+βV)`.
+    let nips = all_workloads()
+        .into_iter()
+        .find(|w| w.name == "LDA-NIPS")
+        .expect("LDA-NIPS is registered");
+    let BuiltWorkload::Lda(lda) = nips.build_scaled(1.0, 2022) else {
+        panic!("LDA-NIPS builds an LDA model");
+    };
+    let mut lda_scores: Vec<LabelScore> = Vec::new();
+    lda.scores_into(lda.num_variables() / 2, &mut lda_scores);
+    let mut out = PgOutput::new();
+    let m = h.run("pg/coopmc64x8/generate_into/lda16", || {
+        black_box(&coopmc).generate_into(&lda_scores, &mut out);
+        out.probs[0]
+    });
+    rows.push(pg_row("coopmc64x8", "generate_into/lda16", &m));
 
     // Batched lane-packed evaluation: one call covers a whole color-class
     // slice of same-width variables (here: consecutive pixels of the center
