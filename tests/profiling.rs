@@ -7,7 +7,8 @@
 //!    the profiler existed — the instrumentation hooks cost nothing and
 //!    change nothing when disabled. A BN chromatic golden and two
 //!    sequential factor-row goldens (LDA-NIPS, BN-ASIA) pin the
-//!    factor-row path the same way.
+//!    factor-row path the same way, and 64-label restoration and 8-connected
+//!    stereo goldens pin the wide log-domain rows through every engine.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
 //! 3. **Flamegraph accounting.** The collapsed-stack self times of a real
@@ -20,11 +21,11 @@
 use std::time::Instant;
 
 use coopmc::core::engine::{GibbsEngine, RunStats};
-use coopmc::core::parallel::ChromaticEngine;
-use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline};
+use coopmc::core::parallel::{hogwild_mrf_sweeps, ChromaticEngine};
+use coopmc::core::pipeline::{CoopMcPipeline, FixedPipeline, FloatPipeline, ProbabilityPipeline};
 use coopmc::hw::reconcile::divergence_ledger;
 use coopmc::models::bn::asia;
-use coopmc::models::mrf::image_segmentation;
+use coopmc::models::mrf::{image_restoration, image_segmentation, stereo_matching, Connectivity};
 use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::models::GibbsModel;
 use coopmc::obs::{Kernel, NoopRecorder, Profiled, SpanProfiler};
@@ -190,6 +191,73 @@ fn sequential_factor_row_chains_match_their_goldens() {
         seq_sweep_checksum(&mut net, 909, 2000),
         0xae2a_4b69_7ab2_0389,
         "BN-ASIA sequential chain drifted"
+    );
+}
+
+/// FNV-1a folded over every sweep's labels of a chromatic chain on
+/// `image_restoration(40, 26, 2022)`.
+fn restore_chromatic_checksum<P: ProbabilityPipeline>(
+    pipeline: P,
+    threads: usize,
+    sweeps: u64,
+) -> u64 {
+    let mut mrf = image_restoration(40, 26, 2022).mrf;
+    let engine = ChromaticEngine::new(pipeline, threads, 909);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for it in 0..sweeps {
+        engine.sweep(&mut mrf, it);
+        for l in mrf.labels() {
+            h ^= l as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn wide_mrf_chains_match_their_goldens() {
+    // 64-label restoration (occlusion mask included) and 8-connected
+    // 16-label stereo rows through every engine, recorded before the
+    // engines gathered MRF rows as flat log-domain strides.
+    for threads in 1..=3 {
+        assert_eq!(
+            restore_chromatic_checksum(CoopMcPipeline::new(64, 8), threads, 30),
+            0x7514_12ee_a180_8c8b,
+            "restoration chromatic chain drifted at {threads} threads"
+        );
+    }
+    assert_eq!(
+        restore_chromatic_checksum(FixedPipeline::new(8, true), 2, 10),
+        0x453e_c039_43b0_cc93,
+        "restoration fixed8+dynorm chromatic chain drifted"
+    );
+    assert_eq!(
+        restore_chromatic_checksum(FloatPipeline::new(), 2, 10),
+        0xe8d7_bbfb_7307_a3dc,
+        "restoration float chromatic chain drifted"
+    );
+
+    let mut restore = image_restoration(40, 26, 2022).mrf;
+    assert_eq!(
+        seq_sweep_checksum(&mut restore, 7, 10),
+        0xb9ef_16ce_628a_e8a8,
+        "restoration sequential chain drifted"
+    );
+    let mut stereo = stereo_matching(48, 32, 5)
+        .mrf
+        .with_connectivity(Connectivity::Eight);
+    assert_eq!(
+        seq_sweep_checksum(&mut stereo, 7, 10),
+        0x8a11_dd04_7826_0799,
+        "8-connected stereo sequential chain drifted"
+    );
+
+    let mut hogwild = image_restoration(40, 26, 2022).mrf;
+    hogwild_mrf_sweeps(&mut hogwild, &CoopMcPipeline::new(64, 8), 5, 1, 3);
+    assert_eq!(
+        label_checksum(&hogwild.labels()),
+        0x2a8b_c4b1_77eb_f563,
+        "restoration hogwild chain drifted"
     );
 }
 
