@@ -4,30 +4,89 @@
 //! For each [`in_tree_configs`] pipeline shape, random same-width
 //! log-domain score batches — including ragged row counts whose
 //! `len % 8 != 0` tails exercise the lane-packed datapath's scalar tail
-//! loop — must produce **bit-identical** probabilities, per-row op counts
-//! and merged telemetry whether evaluated row-by-row with `generate_into`
-//! or in one `generate_batch_into` call.
+//! loop, and 64-label rows — must produce **bit-identical**
+//! probabilities, per-row op counts and merged telemetry whether evaluated
+//! row-by-row with `generate_into`, in one `generate_batch_into` call, or
+//! in place as flat rows with `generate_log_rows_into`, with the stage
+//! accumulator detached or attached.
 
 use coopmc_analyze::contracts::in_tree_configs;
 use coopmc_core::pipeline::{CoopMcPipeline, PgBatch, PgOutput, ProbabilityPipeline};
+use coopmc_kernels::cost::OpCounts;
+use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::LabelScore;
 use coopmc_rng::{HwRng, SplitMix64};
 
 /// Random log-domain scores spanning the useful DyNorm input range, with a
 /// few exact ties and deep-negative outliers mixed in.
-fn random_scores(rng: &mut SplitMix64, n: usize) -> Vec<LabelScore> {
+fn random_scores(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| {
             let u = rng.next_f64();
-            let s = match i % 7 {
+            match i % 7 {
                 0 => 0.0,
                 1 => -40.0 * u,
                 _ => -8.0 * u,
-            };
-            LabelScore::LogDomain(s)
+            }
         })
         .collect()
+}
+
+/// Batch outputs reused across every call: one with the stage accumulator
+/// detached, one with it attached.
+fn reused_batches() -> [PgBatch; 2] {
+    let mut attached = PgBatch::new();
+    attached.phases = Some(StagePhases::default());
+    [PgBatch::new(), attached]
+}
+
+/// Leave contents in `out` that no evaluation may read.
+fn stale(out: &mut PgBatch) {
+    out.probs.push(7.0);
+    out.ops.push(OpCounts {
+        add: 99,
+        ..OpCounts::new()
+    });
+    out.telemetry.observe_norm_max(1e300);
+    out.telemetry.observe_exp_input(-1e300);
+}
+
+/// Evaluate the width-`width` rows of `values` through both batched entry
+/// points into each of `outs`, and require the row-by-row scalar result
+/// bit for bit: probs, per-row ops and merged telemetry.
+fn assert_rows_bit_exact(
+    pipeline: &CoopMcPipeline,
+    values: &[f64],
+    width: usize,
+    outs: &mut [PgBatch; 2],
+    what: &str,
+) {
+    let scores: Vec<LabelScore> = values.iter().map(|&v| LabelScore::LogDomain(v)).collect();
+    let (mut scalar, mut probs, mut ops) = (PgOutput::new(), Vec::new(), Vec::new());
+    let mut merged = PgTelemetry::new();
+    for row in scores.chunks_exact(width) {
+        pipeline.generate_into(row, &mut scalar);
+        probs.extend_from_slice(&scalar.probs);
+        ops.push(scalar.ops);
+        merged.merge(&scalar.telemetry);
+    }
+    let check = |out: &PgBatch, path: &str, attached: bool| {
+        let at = format!("{path} (phases attached: {attached}): {what}");
+        assert_eq!(out.probs, probs, "probs diverge: {at}");
+        assert_eq!(out.ops, ops, "ops diverge: {at}");
+        assert_eq!(out.telemetry, merged, "telemetry diverges: {at}");
+        assert_eq!(out.phases.is_some(), attached, "{at}");
+    };
+    for out in outs.iter_mut() {
+        let attached = out.phases.is_some();
+        stale(out);
+        pipeline.generate_batch_into(&scores, width, out);
+        check(out, "generate_batch_into", attached);
+        stale(out);
+        pipeline.generate_log_rows_into(values, width, out);
+        check(out, "generate_log_rows_into", attached);
+    }
 }
 
 #[test]
@@ -43,36 +102,27 @@ fn batched_pg_is_bit_exact_for_every_in_tree_config() {
     assert!(shapes.len() >= 5, "expected the full in-tree config sweep");
 
     let mut rng = SplitMix64::new(0xC0DE_2026);
-    let mut scalar = PgOutput::new();
-    let mut batch = PgBatch::new();
+    let mut outs = reused_batches();
     for &(size_lut, bit_lut, pipelines) in &shapes {
         let pipeline = CoopMcPipeline::with_pipelines(size_lut, bit_lut, pipelines);
-        // Ragged row counts: tails of every residue class mod 8.
-        for &(rows, width) in &[(1, 2), (3, 4), (5, 3), (8, 4), (11, 2), (13, 5), (16, 8)] {
+        // Ragged row counts: tails of every residue class mod 8, and
+        // 64-label rows.
+        for &(rows, width) in &[
+            (1, 2),
+            (3, 4),
+            (5, 3),
+            (8, 4),
+            (11, 2),
+            (13, 5),
+            (16, 8),
+            (3, 64),
+            (8, 64),
+        ] {
             for _seed_round in 0..4 {
                 let scores = random_scores(&mut rng, rows * width);
-                pipeline.generate_batch_into(&scores, width, &mut batch);
-                assert_eq!(batch.rows(width), rows);
-                let mut merged = PgTelemetry::new();
-                for row in 0..rows {
-                    pipeline.generate_into(&scores[row * width..(row + 1) * width], &mut scalar);
-                    let got = batch.probs_row(row, width);
-                    assert_eq!(
-                        got,
-                        &scalar.probs[..],
-                        "probs diverge: lut{size_lut}x{bit_lut} p{pipelines} \
-                         rows={rows} width={width} row={row}"
-                    );
-                    assert_eq!(
-                        batch.ops[row], scalar.ops,
-                        "ops diverge: lut{size_lut}x{bit_lut} row={row}"
-                    );
-                    merged.merge(&scalar.telemetry);
-                }
-                assert_eq!(
-                    batch.telemetry, merged,
-                    "telemetry diverges: lut{size_lut}x{bit_lut} rows={rows} width={width}"
-                );
+                let what =
+                    format!("lut{size_lut}x{bit_lut} p{pipelines} rows={rows} width={width}");
+                assert_rows_bit_exact(&pipeline, &scores, width, &mut outs, &what);
             }
         }
     }
@@ -86,16 +136,12 @@ fn batched_pg_survives_flush_regime_inputs() {
     // its uniform fallback).
     let pipeline = CoopMcPipeline::with_pipelines(64, 8, 8);
     let mut rng = SplitMix64::new(0xF1u64);
-    let width = 4;
-    let rows = 9;
-    let scores: Vec<LabelScore> = (0..rows * width)
-        .map(|_| LabelScore::LogDomain(-500.0 - 100.0 * rng.next_f64()))
-        .collect();
-    let mut batch = PgBatch::new();
-    pipeline.generate_batch_into(&scores, width, &mut batch);
-    let mut scalar = PgOutput::new();
-    for row in 0..rows {
-        pipeline.generate_into(&scores[row * width..(row + 1) * width], &mut scalar);
-        assert_eq!(batch.probs_row(row, width), &scalar.probs[..], "row {row}");
+    let mut outs = reused_batches();
+    for (rows, width) in [(9, 4), (9, 64)] {
+        let scores: Vec<f64> = (0..rows * width)
+            .map(|_| -500.0 - 100.0 * rng.next_f64())
+            .collect();
+        let what = format!("flush rows={rows} width={width}");
+        assert_rows_bit_exact(&pipeline, &scores, width, &mut outs, &what);
     }
 }

@@ -8,7 +8,9 @@
 //!    which evaluates a whole color-class slice (8 / 64 rows) per call.
 //!    One more scalar CoopMC row (`generate_into/lda16`) evaluates a
 //!    16-topic LDA-NIPS token row, so the gate also sees the factor path
-//!    (TableLog → LogFusion).
+//!    (TableLog → LogFusion), and `generate_log_rows_into/restore64`
+//!    evaluates 8 flat 64-label image-restoration rows per call in place,
+//!    the chromatic engine's MRF stride.
 //! 2. The persistent-pool [`ChromaticEngine`] at 1/2/4/8 threads. Rows
 //!    with more threads than `host_cpus` are marked `"starved": true`.
 //!
@@ -20,7 +22,7 @@ use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::{
     CoopMcPipeline, FixedPipeline, PgBatch, PgOutput, ProbabilityPipeline,
 };
-use coopmc_models::mrf::image_segmentation;
+use coopmc_models::mrf::{image_restoration, image_segmentation};
 use coopmc_models::workloads::{all_workloads, BuiltWorkload};
 use coopmc_models::{GibbsModel, LabelScore};
 
@@ -41,10 +43,10 @@ fn pg_row(name: &str, api: &str, m: &Measurement) -> String {
 /// A batched-PG row: one call evaluates `rows` variables, so the per-row
 /// time (directly comparable with the scalar rows above) is the per-call
 /// median divided by the stride.
-fn pg_batch_row(name: &str, rows: usize, m: &Measurement) -> String {
+fn pg_batch_row(name: &str, api: &str, rows: usize, m: &Measurement) -> String {
     JsonObject::new()
         .string("pipeline", name)
-        .string("api", &format!("generate_batch_into/rows={rows}"))
+        .string("api", api)
         .number("batch_rows", rows as f64)
         .number("median_ns", m.median_ns() / rows as f64)
         .number("samples_per_sec", m.per_second() * rows as f64)
@@ -110,8 +112,25 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
                 batch.probs[0]
             },
         );
-        rows.push(pg_batch_row("coopmc64x8", batch_rows, &m));
+        let api = format!("generate_batch_into/rows={batch_rows}");
+        rows.push(pg_batch_row("coopmc64x8", &api, batch_rows, &m));
     }
+
+    // One chromatic stride of image restoration: 8 consecutive center-row
+    // pixels' 64-label log-domain rows, gathered flat and read in place.
+    let restore = image_restoration(WIDTH, HEIGHT, 2022).mrf;
+    let stride = 8;
+    let mut logs: Vec<f64> = Vec::with_capacity(stride * 64);
+    for r in 0..stride {
+        assert!(restore.log_scores_into(var + r, &mut logs));
+    }
+    let mut batch = PgBatch::new();
+    let m = h.run("pg/coopmc64x8/generate_log_rows_into/restore64", || {
+        black_box(&coopmc).generate_log_rows_into(black_box(&logs), 64, &mut batch);
+        batch.probs[0]
+    });
+    let api = "generate_log_rows_into/restore64";
+    rows.push(pg_batch_row("coopmc64x8", api, stride, &m));
 }
 
 fn bench_sweeps(h: &Harness, host_cpus: usize, rows: &mut Vec<String>) {

@@ -15,7 +15,7 @@
 
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::GibbsModel;
 use coopmc_obs::health::{ConvergenceController, NoControl};
 use coopmc_obs::journal::ColorSample;
 use coopmc_obs::{metrics, NoopRecorder, Recorder};
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::engine::{Chain, Lane, Tally};
-use crate::pipeline::{PgOutput, ProbabilityPipeline};
+use crate::pipeline::{PgBatch, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
 /// Batch stride of the chromatic engine: one lane-packed word of the
@@ -298,19 +298,15 @@ pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline>(
                 // All hot-path buffers live for the whole worker: steady-
                 // state iterations allocate nothing.
                 let sampler = TreeSampler::new();
-                let mut probs_in: Vec<LabelScore> = Vec::with_capacity(n_labels);
-                let mut pg = PgOutput::new();
+                let mut row = vec![0.0; n_labels];
+                let mut pg = PgBatch::new();
                 let mut sd = SampleScratch::new();
                 for it in 0..sweeps {
                     let mut var = t;
                     while var < n {
-                        probs_in.clear();
-                        for l in 0..n_labels {
-                            let cost = mrf_ref
-                                .total_cost_at(var, l, |j| shared[j].load(Ordering::Relaxed));
-                            probs_in.push(LabelScore::LogDomain(-mrf_ref.beta() * cost));
-                        }
-                        pipeline.generate_into(&probs_in, &mut pg);
+                        let read = |j: usize| shared[j].load(Ordering::Relaxed);
+                        mrf_ref.log_row_into(var, read, &mut row);
+                        pipeline.generate_log_rows_into(&row, n_labels, &mut pg);
                         let mut rng = draw_rng(seed ^ 0x5150, it, var);
                         let label = sampler.sample_into(&pg.probs, &mut rng, &mut sd).label;
                         shared[var].store(label, Ordering::Relaxed);
@@ -329,9 +325,10 @@ pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline>(
 mod tests {
     use super::*;
     use crate::engine::{GibbsEngine, PU_CYCLES};
-    use crate::pipeline::{CoopMcPipeline, FloatPipeline};
+    use crate::pipeline::{CoopMcPipeline, FloatPipeline, PgOutput};
     use coopmc_models::bn::earthquake;
     use coopmc_models::mrf::image_segmentation;
+    use coopmc_models::LabelScore;
     use coopmc_obs::profile::Kernel;
 
     #[test]

@@ -5,7 +5,9 @@
 //! and the tree sampler: after a warm-up run has grown every scratch buffer
 //! (engine score/PG/sampler buffers, per-thread pipeline scratch), a full
 //! sweep must allocate **nothing**. A warm LDA-NIPS sweep through the
-//! CoopMC pipeline pins the factor-row path (TableLog → LogFusion) too.
+//! CoopMC pipeline pins the factor-row path (TableLog → LogFusion) too, and
+//! warm 64-label restoration sweeps pin the flat log-domain rows that the
+//! fixed-point and (boxed) CoopMC pipelines read in place.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -17,9 +19,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use coopmc_core::engine::GibbsEngine;
-use coopmc_core::pipeline::{CoopMcPipeline, FixedPipeline};
-use coopmc_models::mrf::image_segmentation;
+use coopmc_core::engine::{GibbsEngine, RunStats};
+use coopmc_core::pipeline::{CoopMcPipeline, FixedPipeline, PipelineConfig, ProbabilityPipeline};
+use coopmc_models::mrf::{image_restoration, image_segmentation};
 use coopmc_models::workloads::{all_workloads, BuiltWorkload};
 use coopmc_models::GibbsModel;
 use coopmc_obs::NoopRecorder;
@@ -62,6 +64,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations during one sweep of a sequential engine over a
+/// 64-label restoration model, after a warm-up sweep.
+fn warm_restoration_sweep_allocs(pipeline: impl ProbabilityPipeline) -> u64 {
+    let mut app = image_restoration(32, 24, 5);
+    let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(7));
+    let mut stats = RunStats::default();
+    engine.sweep(&mut app.mrf, &mut stats);
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    engine.sweep(&mut app.mrf, &mut stats);
+    ARMED.store(false, Ordering::SeqCst);
+    assert_eq!(stats.updates, 2 * 32 * 24);
+    ALLOCS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn warm_steady_state_sweep_allocates_nothing() {
     let mut app = image_segmentation(32, 32, 21);
@@ -70,7 +88,7 @@ fn warm_steady_state_sweep_allocates_nothing() {
         TreeSampler::new(),
         SplitMix64::new(7),
     );
-    let mut stats = coopmc_core::engine::RunStats::default();
+    let mut stats = RunStats::default();
 
     // Warm-up: grows the engine's score/PG/sampler buffers and the
     // pipeline's per-thread scratch to this model's label count.
@@ -101,7 +119,7 @@ fn warm_steady_state_sweep_allocates_nothing() {
         SplitMix64::new(7),
         NoopRecorder,
     );
-    let mut stats = coopmc_core::engine::RunStats::default();
+    let mut stats = RunStats::default();
     engine.sweep(&mut app.mrf, &mut stats);
     engine.sweep(&mut app.mrf, &mut stats);
 
@@ -131,7 +149,7 @@ fn warm_steady_state_sweep_allocates_nothing() {
         TreeSampler::new(),
         SplitMix64::new(2022),
     );
-    let mut stats = coopmc_core::engine::RunStats::default();
+    let mut stats = RunStats::default();
     engine.sweep(&mut lda, &mut stats);
 
     ALLOCS.store(0, Ordering::SeqCst);
@@ -146,4 +164,20 @@ fn warm_steady_state_sweep_allocates_nothing() {
          ({allocs} allocations observed)"
     );
     assert_eq!(stats.updates, 2 * lda.num_variables() as u64);
+
+    // 64-label log-domain rows, gathered into a flat buffer that PG reads
+    // in place. A pipeline left on the trait's wrapping default would
+    // allocate a `LabelScore` row per variable.
+    let allocs = warm_restoration_sweep_allocs(FixedPipeline::new(8, true));
+    assert_eq!(
+        allocs, 0,
+        "a warm restoration sweep through fixed8+dynorm must not touch the heap \
+         ({allocs} allocations observed)"
+    );
+    let allocs = warm_restoration_sweep_allocs(PipelineConfig::coopmc(64, 8).build());
+    assert_eq!(
+        allocs, 0,
+        "a warm restoration sweep through the boxed CoopMC pipeline must not touch \
+         the heap ({allocs} allocations observed)"
+    );
 }

@@ -5,7 +5,8 @@
 //! warm sweeps of [`ChromaticEngine`] at 1, 2 and 4 threads: every color
 //! class is one pool broadcast whose slots draw into lanes the first sweeps
 //! have grown, so once warm a sweep must allocate **nothing**, on the
-//! calling thread or on any worker.
+//! calling thread or on any worker. Both 2-label segmentation and 64-label
+//! restoration rows are pinned.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::CoopMcPipeline;
-use coopmc_models::mrf::image_segmentation;
+use coopmc_models::mrf::{image_restoration, image_segmentation, MrfApp};
 use coopmc_obs::health::{ConvergenceController, Decision};
 
 /// Forwards to the system allocator, counting allocations while armed.
@@ -78,19 +79,28 @@ impl ConvergenceController for ArmAfterWarmUp {
 
 #[test]
 fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
-    for threads in [1, 2, 4] {
-        let mut app = image_segmentation(32, 32, 21);
-        let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 7);
-        let updated = engine.run_controlled(&mut app.mrf, SWEEPS, |_| None, &mut ArmAfterWarmUp);
-        ARMED.store(false, Ordering::SeqCst);
+    let models: [fn() -> MrfApp; 2] = [
+        || image_segmentation(32, 32, 21),
+        || image_restoration(32, 24, 5),
+    ];
+    for build in models {
+        for threads in [1, 2, 4] {
+            let mut app = build();
+            let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 7);
+            let updated =
+                engine.run_controlled(&mut app.mrf, SWEEPS, |_| None, &mut ArmAfterWarmUp);
+            ARMED.store(false, Ordering::SeqCst);
 
-        let allocs = ALLOCS.load(Ordering::SeqCst);
-        assert_eq!(
-            allocs,
-            0,
-            "{threads} threads: {} warm chromatic sweeps made {allocs} allocations",
-            SWEEPS - WARM_SWEEPS
-        );
-        assert_eq!(updated as u64, SWEEPS * 32 * 32, "{threads} threads");
+            let allocs = ALLOCS.load(Ordering::SeqCst);
+            assert_eq!(
+                allocs,
+                0,
+                "{} at {threads} threads: {} warm chromatic sweeps made {allocs} allocations",
+                app.name,
+                SWEEPS - WARM_SWEEPS
+            );
+            let variables = app.mrf.width() * app.mrf.height();
+            assert_eq!(updated, SWEEPS as usize * variables, "{threads} threads");
+        }
     }
 }

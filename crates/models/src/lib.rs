@@ -135,6 +135,19 @@ pub trait GibbsModel {
     /// in steady state.
     fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>);
 
+    /// Append `var`'s score row to `out` as flat log-domain values, one
+    /// `f64` per label, and return `true` — bit-identical to the
+    /// [`LabelScore::LogDomain`] row [`GibbsModel::scores_into`] gives.
+    ///
+    /// Models whose rows are factor rows keep the default, which writes
+    /// nothing and returns `false`; the engines then gather through
+    /// `scores_into`. Rows are appended, not overwritten, so an engine can
+    /// gather several variables' rows into one contiguous stride.
+    fn log_scores_into(&self, var: usize, out: &mut Vec<f64>) -> bool {
+        let _ = (var, out);
+        false
+    }
+
     /// Commit the sampled label for `var` (the PU step).
     fn update(&mut self, var: usize, label: usize);
 
@@ -164,5 +177,18 @@ mod tests {
             denominators: vec![0.0],
         };
         assert_eq!(z.reference_value(), 0.0);
+    }
+
+    #[test]
+    fn factor_row_models_write_no_log_rows() {
+        let mut out = vec![-1.0];
+        assert!(!bn::asia().log_scores_into(0, &mut out));
+        let corpus = lda::Corpus {
+            n_docs: 1,
+            n_vocab: 2,
+            tokens: vec![(0, 0), (0, 1)],
+        };
+        assert!(!lda::Lda::new(&corpus, 2, 0.1, 0.01).log_scores_into(0, &mut out));
+        assert_eq!(out, [-1.0]);
     }
 }

@@ -14,6 +14,10 @@ pub use apps::{
 
 use crate::{GibbsModel, LabelScore};
 
+/// Widest row [`GibbsModel::scores_into`] stages on the stack; wider rows
+/// take a heap buffer per call.
+const STACK_ROW: usize = 64;
+
 /// A pairwise/unary cost function family used by the MRF energy (Eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostFn {
@@ -233,15 +237,9 @@ impl GridMrf {
         .flatten()
     }
 
-    /// Total cost `TC_i(l)` of node `i` taking label `l` (Eq. 3).
+    /// Total cost `TC_i(l)` of node `i` taking label `l` (Eq. 3): the
+    /// per-label reference [`GridMrf::log_row_into`] reproduces bit for bit.
     pub fn total_cost(&self, i: usize, l: usize) -> f64 {
-        self.total_cost_at(i, l, |j| self.labels[j])
-    }
-
-    /// Total cost with neighbour labels read through `read` instead of the
-    /// model's own label field — the hook the Hogwild engine uses to read
-    /// (possibly stale) shared atomic labels.
-    pub fn total_cost_at(&self, i: usize, l: usize, read: impl Fn(usize) -> usize) -> f64 {
         let dc = if self.data_mask[i] {
             self.data_cost.cost(l as f64, self.observed[i])
         } else {
@@ -249,9 +247,49 @@ impl GridMrf {
         };
         let sc: f64 = self
             .neighbours(i)
-            .map(|j| self.smooth_cost.cost(l as f64, read(j) as f64))
+            .map(|j| self.smooth_cost.cost(l as f64, self.labels[j] as f64))
             .sum();
         dc + self.lambda * sc
+    }
+
+    /// Write node `i`'s Gibbs score row, `-β · TC_i(l)` for every label
+    /// `l`, into `out[l]`, with neighbour labels read through `read`.
+    ///
+    /// The neighbour labels, the data mask and the observation are read
+    /// once per row, not once per label. Every score then takes
+    /// [`GridMrf::total_cost`]'s float operations in the same order — the
+    /// neighbour costs summed from `Iterator::sum`'s start value, then
+    /// `dc + λ·Σ`, then `-β·tc` — so it is bit-identical to
+    /// `-β · total_cost(i, l)` when `read` returns the model's own labels.
+    /// The loops run neighbour by neighbour over all labels, which lets
+    /// them vectorize. The Hogwild engine passes its shared atomic labels
+    /// as `read`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the label count.
+    pub fn log_row_into(&self, i: usize, read: impl Fn(usize) -> usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_labels, "one score per label");
+        let mut neighbours = [0.0; 8];
+        let mut k = 0;
+        for j in self.neighbours(i) {
+            neighbours[k] = read(j) as f64;
+            k += 1;
+        }
+        let observed = self.data_mask[i].then(|| self.observed[i]);
+        // Labels count in `u32`, whose conversion to `f64` vectorizes.
+        let labels = 0..u32::try_from(out.len()).expect("label count fits in u32");
+        // `total_cost`'s `sum()` folds its neighbour costs from this value.
+        out.fill(std::iter::empty::<f64>().sum());
+        for &b in &neighbours[..k] {
+            for (l, s) in labels.clone().zip(out.iter_mut()) {
+                *s += self.smooth_cost.cost(f64::from(l), b);
+            }
+        }
+        for (l, s) in labels.zip(out.iter_mut()) {
+            let dc = observed.map_or(0.0, |y| self.data_cost.cost(f64::from(l), y));
+            *s = -self.beta * (dc + self.lambda * *s);
+        }
     }
 
     /// Total energy of the current configuration (for convergence
@@ -338,10 +376,24 @@ impl GibbsModel for GridMrf {
     }
 
     fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
+        let (mut stack, mut heap) = ([0.0; STACK_ROW], Vec::new());
+        let row = match stack.get_mut(..self.n_labels) {
+            Some(row) => row,
+            None => {
+                heap.resize(self.n_labels, 0.0);
+                &mut heap[..]
+            }
+        };
+        self.log_row_into(var, |j| self.labels[j], row);
         out.clear();
-        for l in 0..self.n_labels {
-            out.push(LabelScore::LogDomain(-self.beta * self.total_cost(var, l)));
-        }
+        out.extend(row.iter().map(|&s| LabelScore::LogDomain(s)));
+    }
+
+    fn log_scores_into(&self, var: usize, out: &mut Vec<f64>) -> bool {
+        let start = out.len();
+        out.resize(start + self.n_labels, 0.0);
+        self.log_row_into(var, |j| self.labels[j], &mut out[start..]);
+        true
     }
 
     fn update(&mut self, var: usize, label: usize) {
@@ -412,16 +464,55 @@ mod tests {
 
     #[test]
     fn scores_are_negative_beta_times_cost() {
-        let m = small_mrf();
-        let mut out = Vec::new();
-        m.scores_into(4, &mut out);
-        assert_eq!(out.len(), 4);
-        for (l, s) in out.iter().enumerate() {
-            match s {
-                LabelScore::LogDomain(v) => {
-                    assert!((v + m.beta() * m.total_cost(4, l)).abs() < 1e-12)
+        // Both row forms must equal the per-label reference bit for bit,
+        // on every node (corners, edges, a masked one) and label, for every
+        // cost family as data and as smooth cost, under both
+        // connectivities, for rows staged on the stack (4 labels) and on
+        // the heap (70 labels).
+        let costs = [
+            CostFn::TruncatedLinear { trunc: 2.5 },
+            CostFn::TruncatedQuadratic { trunc: 5.0 },
+            CostFn::Potts { penalty: 1.5 },
+        ];
+        let observed = vec![0.0, 1.3, 2.0, 3.7, 1.0, 2.2, 0.4, 3.0, 2.9, 1.1, 0.0, 3.0];
+        let (mut logs, mut scores) = (Vec::new(), Vec::new());
+        for n_labels in [4, 70] {
+            for data_cost in costs {
+                for smooth_cost in costs {
+                    for connectivity in [Connectivity::Four, Connectivity::Eight] {
+                        let mut m = GridMrf::new(
+                            4,
+                            3,
+                            n_labels,
+                            observed.clone(),
+                            data_cost,
+                            smooth_cost,
+                            0.7,
+                            1.3,
+                        )
+                        .with_connectivity(connectivity);
+                        let mut mask = vec![true; 12];
+                        mask[5] = false;
+                        m.set_data_mask(mask);
+                        m.set_labels(vec![3, 0, 2, 1, 1, 3, 0, 2, 2, 0, 3, 1]);
+                        for var in 0..12 {
+                            logs.clear();
+                            logs.push(-9.0);
+                            assert!(m.log_scores_into(var, &mut logs), "rows are log-domain");
+                            assert_eq!(logs[0], -9.0, "rows are appended");
+                            m.scores_into(var, &mut scores);
+                            assert_eq!((logs.len(), scores.len()), (1 + n_labels, n_labels));
+                            for l in 0..n_labels {
+                                let want = (-m.beta() * m.total_cost(var, l)).to_bits();
+                                assert_eq!(logs[1 + l].to_bits(), want, "{var}/{l}");
+                                let LabelScore::LogDomain(v) = scores[l] else {
+                                    panic!("MRF must produce log-domain scores");
+                                };
+                                assert_eq!(v.to_bits(), want, "{var}/{l}");
+                            }
+                        }
+                    }
                 }
-                _ => panic!("MRF must produce log-domain scores"),
             }
         }
     }
