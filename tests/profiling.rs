@@ -5,10 +5,11 @@
 //! 1. **Golden chains.** With profiling off, the float, CoopMC and
 //!    chromatic chains land on the exact label checksums recorded before
 //!    the profiler existed — the instrumentation hooks cost nothing and
-//!    change nothing when disabled. A BN chromatic golden and two
-//!    sequential factor-row goldens (LDA-NIPS, BN-ASIA) pin the
-//!    factor-row path the same way, and 64-label restoration and 8-connected
-//!    stereo goldens pin the wide log-domain rows through every engine.
+//!    change nothing when disabled. BN chromatic goldens (ASIA, and SURVEY
+//!    with its 3- and 2-label nodes) and sequential factor-row goldens
+//!    (LDA-NIPS, BN-ASIA) pin the factor-row path through every pipeline,
+//!    and 64-label restoration and 8-connected stereo goldens pin the wide
+//!    log-domain rows through every engine.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
 //! 3. **Flamegraph accounting.** The collapsed-stack self times of a real
@@ -24,7 +25,7 @@ use coopmc::core::engine::{GibbsEngine, RunStats};
 use coopmc::core::parallel::{hogwild_mrf_sweeps, ChromaticEngine};
 use coopmc::core::pipeline::{CoopMcPipeline, FixedPipeline, FloatPipeline, ProbabilityPipeline};
 use coopmc::hw::reconcile::divergence_ledger;
-use coopmc::models::bn::asia;
+use coopmc::models::bn::{asia, survey};
 use coopmc::models::mrf::{image_restoration, image_segmentation, stereo_matching, Connectivity};
 use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::models::GibbsModel;
@@ -148,14 +149,15 @@ fn bn_chromatic_chain_matches_its_golden_at_every_thread_count() {
     }
 }
 
-/// FNV-1a folded over every sweep's labels of a sequential
-/// `CoopMcPipeline::new(64, 8)` + `TreeSampler` chain.
-fn seq_sweep_checksum(model: &mut dyn GibbsModel, seed: u64, sweeps: u64) -> u64 {
-    let mut engine = GibbsEngine::new(
-        CoopMcPipeline::new(64, 8),
-        TreeSampler::new(),
-        SplitMix64::new(seed),
-    );
+/// FNV-1a folded over every sweep's labels of a sequential `pipeline` +
+/// `TreeSampler` chain.
+fn seq_sweep_checksum(
+    pipeline: impl ProbabilityPipeline,
+    model: &mut dyn GibbsModel,
+    seed: u64,
+    sweeps: u64,
+) -> u64 {
+    let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(seed));
     let mut stats = RunStats::default();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for _ in 0..sweeps {
@@ -172,26 +174,92 @@ fn seq_sweep_checksum(model: &mut dyn GibbsModel, seed: u64, sweeps: u64) -> u64
 fn sequential_factor_row_chains_match_their_goldens() {
     // Every LDA and BN score row is a factor row: these chains run the
     // TableLog → LogFusion path end to end.
+    assert_eq!(
+        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut lda_nips(), 2022, 8),
+        0xd36d_b615_b7a8_b072,
+        "LDA-NIPS sequential chain drifted"
+    );
+    assert_eq!(
+        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut asia_dysp0(), 909, 2000),
+        0xae2a_4b69_7ab2_0389,
+        "BN-ASIA sequential chain drifted"
+    );
+}
+
+/// LDA-NIPS at CI scale.
+fn lda_nips() -> coopmc::models::lda::Lda {
     let nips = all_workloads()
         .into_iter()
         .find(|w| w.name == "LDA-NIPS")
         .expect("LDA-NIPS is registered");
-    let BuiltWorkload::Lda(mut lda) = nips.build_scaled(1.0, 2022) else {
+    let BuiltWorkload::Lda(lda) = nips.build_scaled(1.0, 2022) else {
         panic!("LDA-NIPS builds an LDA model");
     };
-    assert_eq!(
-        seq_sweep_checksum(&mut lda, 2022, 8),
-        0xd36d_b615_b7a8_b072,
-        "LDA-NIPS sequential chain drifted"
-    );
+    lda
+}
 
+/// BN-ASIA with `dysp = 0`.
+fn asia_dysp0() -> coopmc::models::bn::BayesNet {
     let mut net = asia();
     net.set_evidence(net.node_index("dysp").unwrap(), 0);
+    net
+}
+
+#[test]
+fn factor_row_chains_match_their_goldens_through_every_pipeline() {
+    // Factor rows through the direct fixed-point datapath and the float
+    // reference, sequentially; and SURVEY's 3- and 2-label factor rows
+    // through the chromatic engine's strides, whose widths break between
+    // nodes. Recorded before factor rows were gathered as flat strides.
     assert_eq!(
-        seq_sweep_checksum(&mut net, 909, 2000),
-        0xae2a_4b69_7ab2_0389,
-        "BN-ASIA sequential chain drifted"
+        seq_sweep_checksum(FixedPipeline::new(8, true), &mut lda_nips(), 2022, 8),
+        0xb727_d521_e588_6953,
+        "LDA-NIPS fixed8+dynorm sequential chain drifted"
     );
+    assert_eq!(
+        seq_sweep_checksum(FloatPipeline::new(), &mut lda_nips(), 2022, 8),
+        0xe37a_de4a_5ffa_6759,
+        "LDA-NIPS float sequential chain drifted"
+    );
+    assert_eq!(
+        seq_sweep_checksum(FixedPipeline::new(8, true), &mut asia_dysp0(), 909, 2000),
+        0xccac_183a_9155_17d7,
+        "BN-ASIA fixed8+dynorm sequential chain drifted"
+    );
+    assert_eq!(
+        seq_sweep_checksum(FloatPipeline::new(), &mut asia_dysp0(), 909, 2000),
+        0x13ce_2d9e_9e30_10a9,
+        "BN-ASIA float sequential chain drifted"
+    );
+    for threads in 1..=3 {
+        assert_eq!(
+            survey_chromatic_checksum(CoopMcPipeline::new(64, 8), threads),
+            0x1274_b0d2_0c56_6204,
+            "SURVEY coopmc chromatic chain drifted at {threads} threads"
+        );
+        assert_eq!(
+            survey_chromatic_checksum(FixedPipeline::new(8, true), threads),
+            0x661d_0944_0233_51a4,
+            "SURVEY fixed8+dynorm chromatic chain drifted at {threads} threads"
+        );
+    }
+}
+
+/// FNV-1a folded over every sweep's labels of a 300-sweep chromatic chain
+/// on SURVEY with `residence = 1`.
+fn survey_chromatic_checksum<P: ProbabilityPipeline>(pipeline: P, threads: usize) -> u64 {
+    let mut net = survey();
+    net.set_evidence(net.node_index("residence").unwrap(), 1);
+    let engine = ChromaticEngine::new(pipeline, threads, 909);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for it in 0..300 {
+        engine.sweep(&mut net, it);
+        for l in net.labels() {
+            h ^= l as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
 }
 
 /// FNV-1a folded over every sweep's labels of a chromatic chain on
@@ -239,7 +307,7 @@ fn wide_mrf_chains_match_their_goldens() {
 
     let mut restore = image_restoration(40, 26, 2022).mrf;
     assert_eq!(
-        seq_sweep_checksum(&mut restore, 7, 10),
+        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut restore, 7, 10),
         0xb9ef_16ce_628a_e8a8,
         "restoration sequential chain drifted"
     );
@@ -247,7 +315,7 @@ fn wide_mrf_chains_match_their_goldens() {
         .mrf
         .with_connectivity(Connectivity::Eight);
     assert_eq!(
-        seq_sweep_checksum(&mut stereo, 7, 10),
+        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut stereo, 7, 10),
         0x8a11_dd04_7826_0799,
         "8-connected stereo sequential chain drifted"
     );
