@@ -1,21 +1,22 @@
 //! Property tests: the batched PG datapath is bit-exact with the scalar
 //! one for every in-tree datapath configuration.
 //!
-//! For each [`in_tree_configs`] pipeline shape, random same-width
-//! log-domain score batches — including ragged row counts whose
-//! `len % 8 != 0` tails exercise the lane-packed datapath's scalar tail
-//! loop, and 64-label rows — must produce **bit-identical**
-//! probabilities, per-row op counts and merged telemetry whether evaluated
-//! row-by-row with `generate_into`, in one `generate_batch_into` call, or
-//! in place as flat rows with `generate_log_rows_into`, with the stage
-//! accumulator detached or attached.
+//! For each [`in_tree_configs`] pipeline shape, random same-width score
+//! strides — log-domain rows, LDA-shaped factor rows (two numerators, one
+//! denominator) and BN-shaped factor rows (numerators only), with ragged
+//! row counts whose `len % 8 != 0` tails exercise the lane-packed
+//! datapath's scalar tail loop, and 64-label rows — must produce
+//! **bit-identical** probabilities, per-row op counts and merged telemetry
+//! whether evaluated row-by-row through the `LabelScore` wrapper
+//! `generate_into`, in one `generate_batch_into` call, or in place with
+//! `generate_rows_into`, with the stage accumulator detached or attached.
 
 use coopmc_analyze::contracts::in_tree_configs;
 use coopmc_core::pipeline::{CoopMcPipeline, PgBatch, PgOutput, ProbabilityPipeline};
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
-use coopmc_models::LabelScore;
+use coopmc_models::{LabelScore, ScoreRows};
 use coopmc_rng::{HwRng, SplitMix64};
 
 /// Random log-domain scores spanning the useful DyNorm input range, with a
@@ -31,6 +32,52 @@ fn random_scores(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// Random factor labels: LDA-shaped (`(DT+α)(VT+β) / (ΣVT+βV)`) or, with
+/// `lda == false`, BN-shaped (one to four CPT entries, now and then zero).
+fn random_factors(rng: &mut SplitMix64, n: usize, lda: bool) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..n)
+        .map(|i| {
+            if lda {
+                let count = |rng: &mut SplitMix64, max: usize| rng.uniform_index(max) as f64;
+                let numerators = vec![count(rng, 40) + 0.1, count(rng, 12) + 0.01];
+                (numerators, vec![count(rng, 400) + 2.56])
+            } else {
+                let numerators = (0..1 + i % 4).map(|_| match rng.uniform_index(9) {
+                    0 => 0.0,
+                    _ => rng.next_f64(),
+                });
+                (numerators.collect(), Vec::new())
+            }
+        })
+        .collect()
+}
+
+/// Factor labels as `LabelScore`s and as a stride of `width`-label rows.
+fn factor_inputs(labels: Vec<(Vec<f64>, Vec<f64>)>, width: usize) -> (Vec<LabelScore>, ScoreRows) {
+    let mut stride = ScoreRows::new();
+    for row in labels.chunks_exact(width) {
+        stride.push_factor_row(width, |l| (row[l].0.clone(), row[l].1.clone()));
+    }
+    let scores = labels
+        .into_iter()
+        .map(|(numerators, denominators)| LabelScore::Factors {
+            numerators,
+            denominators,
+        });
+    (scores.collect(), stride)
+}
+
+/// Log-domain `values` as `LabelScore`s and as a stride of `width`-label
+/// rows.
+fn log_inputs(values: &[f64], width: usize) -> (Vec<LabelScore>, ScoreRows) {
+    let mut stride = ScoreRows::new();
+    for row in values.chunks_exact(width) {
+        stride.push_log_row(width).copy_from_slice(row);
+    }
+    let scores = values.iter().map(|&v| LabelScore::LogDomain(v));
+    (scores.collect(), stride)
 }
 
 /// Batch outputs reused across every call: one with the stage accumulator
@@ -52,17 +99,17 @@ fn stale(out: &mut PgBatch) {
     out.telemetry.observe_exp_input(-1e300);
 }
 
-/// Evaluate the width-`width` rows of `values` through both batched entry
-/// points into each of `outs`, and require the row-by-row scalar result
-/// bit for bit: probs, per-row ops and merged telemetry.
+/// Evaluate the width-`width` rows of `scores` / `stride` (one input in
+/// two forms) through both stride entry points into each of `outs`, and
+/// require the row-by-row `generate_into` result bit for bit: probs,
+/// per-row ops and merged telemetry.
 fn assert_rows_bit_exact(
     pipeline: &CoopMcPipeline,
-    values: &[f64],
+    (scores, stride): &(Vec<LabelScore>, ScoreRows),
     width: usize,
     outs: &mut [PgBatch; 2],
     what: &str,
 ) {
-    let scores: Vec<LabelScore> = values.iter().map(|&v| LabelScore::LogDomain(v)).collect();
     let (mut scalar, mut probs, mut ops) = (PgOutput::new(), Vec::new(), Vec::new());
     let mut merged = PgTelemetry::new();
     for row in scores.chunks_exact(width) {
@@ -81,11 +128,11 @@ fn assert_rows_bit_exact(
     for out in outs.iter_mut() {
         let attached = out.phases.is_some();
         stale(out);
-        pipeline.generate_batch_into(&scores, width, out);
+        pipeline.generate_batch_into(scores, width, out);
         check(out, "generate_batch_into", attached);
         stale(out);
-        pipeline.generate_log_rows_into(values, width, out);
-        check(out, "generate_log_rows_into", attached);
+        pipeline.generate_rows_into(stride, out);
+        check(out, "generate_rows_into", attached);
     }
 }
 
@@ -119,10 +166,16 @@ fn batched_pg_is_bit_exact_for_every_in_tree_config() {
             (8, 64),
         ] {
             for _seed_round in 0..4 {
-                let scores = random_scores(&mut rng, rows * width);
                 let what =
                     format!("lut{size_lut}x{bit_lut} p{pipelines} rows={rows} width={width}");
-                assert_rows_bit_exact(&pipeline, &scores, width, &mut outs, &what);
+                let log = log_inputs(&random_scores(&mut rng, rows * width), width);
+                assert_rows_bit_exact(&pipeline, &log, width, &mut outs, &what);
+                for lda in [true, false] {
+                    let labels = random_factors(&mut rng, rows * width, lda);
+                    let what = format!("{what} factors (lda: {lda})");
+                    let factors = factor_inputs(labels, width);
+                    assert_rows_bit_exact(&pipeline, &factors, width, &mut outs, &what);
+                }
             }
         }
     }
@@ -133,15 +186,39 @@ fn batched_pg_survives_flush_regime_inputs() {
     // Scores far outside the LUT range drive the TableExp flush-to-zero
     // path; the lane-packed clamp must agree with the scalar clamp bit for
     // bit, including all-zero rows (which the sampler later resolves with
-    // its uniform fallback).
+    // its uniform fallback). Factor rows spanning hundreds of nats between
+    // labels flush the same way after DyNorm.
     let pipeline = CoopMcPipeline::with_pipelines(64, 8, 8);
     let mut rng = SplitMix64::new(0xF1u64);
     let mut outs = reused_batches();
-    for (rows, width) in [(9, 4), (9, 64)] {
+    for (rows, width) in [(9, 4), (9, 64), (5, 2)] {
         let scores: Vec<f64> = (0..rows * width)
             .map(|_| -500.0 - 100.0 * rng.next_f64())
             .collect();
         let what = format!("flush rows={rows} width={width}");
-        assert_rows_bit_exact(&pipeline, &scores, width, &mut outs, &what);
+        assert_rows_bit_exact(
+            &pipeline,
+            &log_inputs(&scores, width),
+            width,
+            &mut outs,
+            &what,
+        );
+        for lda in [true, false] {
+            let labels = (0..rows * width).map(|i| {
+                let tiny = |rng: &mut SplitMix64| (-250.0 - 50.0 * rng.next_f64()).exp();
+                let first = if i % width == 0 { 1.0 } else { tiny(&mut rng) };
+                if lda {
+                    (
+                        vec![first, tiny(&mut rng)],
+                        vec![1.0 + 9.0 * rng.next_f64()],
+                    )
+                } else {
+                    (vec![first], Vec::new())
+                }
+            });
+            let factors = factor_inputs(labels.collect(), width);
+            let what = format!("{what} factors (lda: {lda})");
+            assert_rows_bit_exact(&pipeline, &factors, width, &mut outs, &what);
+        }
     }
 }

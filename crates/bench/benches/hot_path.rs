@@ -1,16 +1,19 @@
-//! Hot-path throughput: scalar versus batched PG, and pooled chromatic
-//! sweeps across thread counts.
+//! Hot-path throughput: PG over one row versus a stride of rows, and
+//! pooled chromatic sweeps across thread counts.
 //!
 //! Two measurements on a 128×128 MRF:
 //!
-//! 1. Scalar `generate_into` (reusing caller buffers) for the fixed-point
-//!    and CoopMC pipelines, versus the lane-packed `generate_batch_into`,
-//!    which evaluates a whole color-class slice (8 / 64 rows) per call.
-//!    One more scalar CoopMC row (`generate_into/lda16`) evaluates a
-//!    16-topic LDA-NIPS token row, so the gate also sees the factor path
-//!    (TableLog → LogFusion), and `generate_log_rows_into/restore64`
-//!    evaluates 8 flat 64-label image-restoration rows per call in place,
-//!    the chromatic engine's MRF stride.
+//! 1. `generate_rows_into`, the one PG entry point both engines call, for
+//!    the fixed-point and CoopMC pipelines: over one gathered row (the
+//!    sequential scan's call) and over a whole color-class slice of 8 / 64
+//!    rows (the chromatic stride, through the lane-packed datapath). One
+//!    more CoopMC row evaluates a 16-topic LDA-NIPS token row, so the gate
+//!    also sees the factor path (TableLog → LogFusion), and another 8
+//!    gathered 64-label image-restoration rows, the chromatic engine's MRF
+//!    stride. The JSON rows keep their baseline keys: `generate_into`
+//!    (one row), `generate_into/lda16`, `generate_batch_into/rows={8,64}`
+//!    and `generate_log_rows_into/restore64`, named after the calls the
+//!    engines made when the baseline was recorded.
 //! 2. The persistent-pool [`ChromaticEngine`] at 1/2/4/8 threads. Rows
 //!    with more threads than `host_cpus` are marked `"starved": true`.
 //!
@@ -19,12 +22,10 @@
 
 use coopmc_bench::harness::{black_box, git_commit, json_array, Harness, JsonObject, Measurement};
 use coopmc_core::parallel::ChromaticEngine;
-use coopmc_core::pipeline::{
-    CoopMcPipeline, FixedPipeline, PgBatch, PgOutput, ProbabilityPipeline,
-};
+use coopmc_core::pipeline::{CoopMcPipeline, FixedPipeline, PgBatch, ProbabilityPipeline};
 use coopmc_models::mrf::{image_restoration, image_segmentation};
 use coopmc_models::workloads::{all_workloads, BuiltWorkload};
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
 const WIDTH: usize = 128;
@@ -53,25 +54,33 @@ fn pg_batch_row(name: &str, api: &str, rows: usize, m: &Measurement) -> String {
         .render()
 }
 
+/// The score rows of `vars`, gathered onto one stride.
+fn gather(model: &dyn GibbsModel, vars: impl IntoIterator<Item = usize>) -> ScoreRows {
+    let mut rows = ScoreRows::new();
+    for var in vars {
+        model.row_into(var, &mut rows);
+    }
+    rows
+}
+
 fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let app = image_segmentation(WIDTH, HEIGHT, 2022);
     let var = WIDTH * (HEIGHT / 2) + WIDTH / 2;
-    let mut scores: Vec<LabelScore> = Vec::new();
-    app.mrf.scores_into(var, &mut scores);
+    let row = gather(&app.mrf, [var]);
 
     let fixed = FixedPipeline::new(8, true);
     let coopmc = CoopMcPipeline::new(64, 8);
 
-    let mut out = PgOutput::new();
-    let m = h.run("pg/fixed8/generate_into", || {
-        black_box(&fixed).generate_into(&scores, &mut out);
+    let mut out = PgBatch::new();
+    let m = h.run("pg/fixed8/one_row", || {
+        black_box(&fixed).generate_rows_into(black_box(&row), &mut out);
         out.probs[0]
     });
     rows.push(pg_row("fixed8_dynorm", "generate_into", &m));
 
-    let mut out = PgOutput::new();
-    let m = h.run("pg/coopmc64x8/generate_into", || {
-        black_box(&coopmc).generate_into(&scores, &mut out);
+    let mut out = PgBatch::new();
+    let m = h.run("pg/coopmc64x8/one_row", || {
+        black_box(&coopmc).generate_rows_into(black_box(&row), &mut out);
         out.probs[0]
     });
     rows.push(pg_row("coopmc64x8", "generate_into", &m));
@@ -84,49 +93,36 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let BuiltWorkload::Lda(lda) = nips.build_scaled(1.0, 2022) else {
         panic!("LDA-NIPS builds an LDA model");
     };
-    let mut lda_scores: Vec<LabelScore> = Vec::new();
-    lda.scores_into(lda.num_variables() / 2, &mut lda_scores);
-    let mut out = PgOutput::new();
-    let m = h.run("pg/coopmc64x8/generate_into/lda16", || {
-        black_box(&coopmc).generate_into(&lda_scores, &mut out);
+    let token = gather(&lda, [lda.num_variables() / 2]);
+    let mut out = PgBatch::new();
+    let m = h.run("pg/coopmc64x8/one_row/lda16", || {
+        black_box(&coopmc).generate_rows_into(black_box(&token), &mut out);
         out.probs[0]
     });
     rows.push(pg_row("coopmc64x8", "generate_into/lda16", &m));
 
-    // Batched lane-packed evaluation: one call covers a whole color-class
-    // slice of same-width variables (here: consecutive pixels of the center
-    // row, all 2-label log-domain).
-    let width = scores.len();
+    // Lane-packed evaluation: one call covers a whole color-class slice of
+    // same-width variables (here: consecutive pixels of the center row,
+    // all 2-label log-domain).
     for &batch_rows in &[8usize, 64] {
-        let mut flat: Vec<LabelScore> = Vec::with_capacity(batch_rows * width);
-        let mut tmp: Vec<LabelScore> = Vec::new();
-        for r in 0..batch_rows {
-            app.mrf.scores_into(var + r, &mut tmp);
-            flat.extend(tmp.iter().cloned());
-        }
+        let stride = gather(&app.mrf, var..var + batch_rows);
         let mut batch = PgBatch::new();
-        let m = h.run(
-            &format!("pg/coopmc64x8/generate_batch_into/{batch_rows}"),
-            || {
-                black_box(&coopmc).generate_batch_into(black_box(&flat), width, &mut batch);
-                batch.probs[0]
-            },
-        );
+        let m = h.run(&format!("pg/coopmc64x8/stride/{batch_rows}"), || {
+            black_box(&coopmc).generate_rows_into(black_box(&stride), &mut batch);
+            batch.probs[0]
+        });
         let api = format!("generate_batch_into/rows={batch_rows}");
         rows.push(pg_batch_row("coopmc64x8", &api, batch_rows, &m));
     }
 
     // One chromatic stride of image restoration: 8 consecutive center-row
-    // pixels' 64-label log-domain rows, gathered flat and read in place.
+    // pixels' 64-label log-domain rows.
     let restore = image_restoration(WIDTH, HEIGHT, 2022).mrf;
     let stride = 8;
-    let mut logs: Vec<f64> = Vec::with_capacity(stride * 64);
-    for r in 0..stride {
-        assert!(restore.log_scores_into(var + r, &mut logs));
-    }
+    let restore_rows = gather(&restore, var..var + stride);
     let mut batch = PgBatch::new();
-    let m = h.run("pg/coopmc64x8/generate_log_rows_into/restore64", || {
-        black_box(&coopmc).generate_log_rows_into(black_box(&logs), 64, &mut batch);
+    let m = h.run("pg/coopmc64x8/stride/restore64", || {
+        black_box(&coopmc).generate_rows_into(black_box(&restore_rows), &mut batch);
         batch.probs[0]
     });
     let api = "generate_log_rows_into/restore64";
@@ -169,7 +165,7 @@ fn main() {
         );
     }
 
-    println!("\n== PG: generate_into vs generate_batch_into (128x128 MRF scores) ==");
+    println!("\n== PG: one row vs a stride per call (128x128 MRF scores) ==");
     let mut pg_rows = Vec::new();
     bench_pg(&h, &mut pg_rows);
 

@@ -11,7 +11,7 @@
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_bench::seeds;
 use coopmc_core::experiments::mrf_golden;
-use coopmc_core::pipeline::{PgOutput, ProbabilityPipeline};
+use coopmc_core::pipeline::{PgBatch, ProbabilityPipeline};
 use coopmc_fixed::{Fixed, QFormat, Rounding};
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::dynorm::dynorm_apply;
@@ -19,7 +19,7 @@ use coopmc_kernels::exp::{ExpKernel, TableExp};
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::metrics::normalized_mse;
 use coopmc_models::mrf::image_restoration;
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::{Sampler, TreeSampler};
 
@@ -42,44 +42,44 @@ impl NarrowAccPipeline {
     }
 }
 
-impl ProbabilityPipeline for NarrowAccPipeline {
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
-        let mut log_scores: Vec<f64> = scores
-            .iter()
-            .map(|s| match s {
-                LabelScore::LogDomain(v) => {
-                    if self.wrap {
-                        // Model the wrapped accumulation: quantize at full
-                        // width, then discard the high bits two's-complement
-                        // style (what a narrow adder without saturation
-                        // logic leaves in its register).
-                        let wide = Fixed::from_f64(
-                            *v,
-                            QFormat::new(15, self.fmt.frac_bits()).unwrap(),
-                            Rounding::Nearest,
-                        );
-                        let width = self.fmt.total_bits();
-                        let modulus = 1i64 << width;
-                        let mut raw = wide.raw().rem_euclid(modulus);
-                        if raw >= modulus / 2 {
-                            raw -= modulus;
-                        }
-                        raw as f64 * self.fmt.resolution()
-                    } else {
-                        Fixed::from_f64(*v, self.fmt, Rounding::Nearest).to_f64()
-                    }
-                }
-                other => other.reference_value().ln(),
-            })
-            .collect();
-        if !log_scores.is_empty() {
-            dynorm_apply(&mut log_scores, 1);
+impl NarrowAccPipeline {
+    /// One log-domain score on the narrow accumulator.
+    fn accumulate(&self, v: f64) -> f64 {
+        if self.wrap {
+            // Model the wrapped accumulation: quantize at full width, then
+            // discard the high bits two's-complement style (what a narrow
+            // adder without saturation logic leaves in its register).
+            let wide = Fixed::from_f64(
+                v,
+                QFormat::new(15, self.fmt.frac_bits()).unwrap(),
+                Rounding::Nearest,
+            );
+            let width = self.fmt.total_bits();
+            let modulus = 1i64 << width;
+            let mut raw = wide.raw().rem_euclid(modulus);
+            if raw >= modulus / 2 {
+                raw -= modulus;
+            }
+            raw as f64 * self.fmt.resolution()
+        } else {
+            Fixed::from_f64(v, self.fmt, Rounding::Nearest).to_f64()
         }
+    }
+}
+
+impl ProbabilityPipeline for NarrowAccPipeline {
+    fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
         out.probs.clear();
-        out.probs
-            .extend(log_scores.iter().map(|&s| self.table.exp(s)));
-        out.ops = OpCounts::new();
+        out.ops.clear();
         out.telemetry = PgTelemetry::new();
+        let logs = rows.logs().expect("the ablation runs log-domain MRF rows");
+        for row in logs.chunks_exact(rows.width().max(1)) {
+            let mut log_scores: Vec<f64> = row.iter().map(|&v| self.accumulate(v)).collect();
+            dynorm_apply(&mut log_scores, 1);
+            out.probs
+                .extend(log_scores.iter().map(|&s| self.table.exp(s)));
+            out.ops.push(OpCounts::new());
+        }
     }
 
     fn name(&self) -> String {
@@ -96,13 +96,13 @@ fn run(
     let mut model = app.mrf.clone();
     let sampler = TreeSampler::new();
     let mut rng = SplitMix64::new(seeds::CHAIN);
-    let mut scores = Vec::new();
-    let mut pg = PgOutput::new();
+    let (mut rows, mut pg) = (ScoreRows::new(), PgBatch::new());
     let mut tail = Vec::new();
     for sweep in 0..25 {
         for var in 0..model.num_variables() {
-            model.scores_into(var, &mut scores);
-            pipeline.generate_into(&scores, &mut pg);
+            rows.clear();
+            model.row_into(var, &mut rows);
+            pipeline.generate_rows_into(&rows, &mut pg);
             let label = sampler.sample(&pg.probs, &mut rng).label;
             model.update(var, label);
         }

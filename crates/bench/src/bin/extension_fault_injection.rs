@@ -10,12 +10,12 @@
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_bench::seeds;
 use coopmc_core::experiments::mrf_golden;
-use coopmc_core::pipeline::{PgOutput, PipelineConfig, ProbabilityPipeline};
+use coopmc_core::pipeline::{PgBatch, PipelineConfig, ProbabilityPipeline};
 use coopmc_fixed::QFormat;
 use coopmc_kernels::faults::{FaultInjector, FaultModel};
 use coopmc_models::metrics::normalized_mse;
 use coopmc_models::mrf::stereo_matching;
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::{Sampler, TreeSampler};
 
@@ -32,13 +32,13 @@ fn run_with_faults(
     let sampler = TreeSampler::new();
     let mut rng = SplitMix64::new(seeds::CHAIN);
     let mut fault_rng = SplitMix64::new(seeds::CHAIN ^ 0xFA17);
-    let mut scores: Vec<LabelScore> = Vec::new();
-    let mut pg = PgOutput::new();
+    let (mut rows, mut pg) = (ScoreRows::new(), PgBatch::new());
     let mut tail = Vec::new();
     for sweep in 0..30 {
         for var in 0..model.num_variables() {
-            model.scores_into(var, &mut scores);
-            pipeline.generate_into(&scores, &mut pg);
+            rows.clear();
+            model.row_into(var, &mut rows);
+            pipeline.generate_rows_into(&rows, &mut pg);
             if let Some(inj) = &injector {
                 inj.corrupt_vector(&mut pg.probs, &mut fault_rng);
             }

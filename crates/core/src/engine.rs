@@ -9,7 +9,7 @@ use coopmc_kernels::cost::{
 };
 use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::health::{ConvergenceController, Decision, NoControl};
 use coopmc_obs::journal::{ColorSample, SweepSample};
 use coopmc_obs::profile::Kernel;
@@ -18,7 +18,7 @@ use coopmc_rng::HwRng;
 use coopmc_sampler::{SampleResult, SampleScratch, Sampler};
 
 use crate::parallel::DEFAULT_BATCH_ROWS;
-use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
+use crate::pipeline::{PgBatch, ProbabilityPipeline};
 
 /// Modeled Parameter Update cost per variable commit, in cycles.
 ///
@@ -232,28 +232,16 @@ impl Tally {
 /// owns one, the chromatic engine one per pool slot. Once a warm-up sweep
 /// has grown them to the model's rows, a lane allocates nothing.
 ///
-/// A model that writes log-domain rows ([`GibbsModel::log_scores_into`])
-/// has them gathered straight onto `logs`, which PG reads in place; factor
-/// rows go through `row` and the [`LabelScore`] stride.
+/// Rows are gathered with [`GibbsModel::row_into`] onto one stride, which
+/// PG reads in place with one
+/// [`ProbabilityPipeline::generate_rows_into`] call.
 #[derive(Debug, Default)]
 pub(crate) struct Lane {
-    /// The factor row gathered last.
-    row: Vec<LabelScore>,
-    /// Scalar PG output.
-    pg: PgOutput,
-    /// The current factor stride's rows: the first `vars.len() * width`
-    /// entries; the rest are slots kept for reuse.
-    stride: Vec<LabelScore>,
-    /// The current log-domain stride's rows, row-major, followed by at
-    /// most the row gathered last.
-    logs: Vec<f64>,
-    /// Whether the current stride holds log-domain rows.
-    log: bool,
-    /// Row width of the current stride.
-    width: usize,
+    /// The current stride's rows.
+    rows: ScoreRows,
     /// Variables owning the stride's rows, in gather order.
     vars: Vec<usize>,
-    /// Batched PG output.
+    /// PG output of the last stride.
     batch: PgBatch,
     /// Per-row draws of the last stride.
     draws: Vec<SampleResult>,
@@ -268,12 +256,11 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    /// Empty buffers, with the PG stage accumulators attached when
+    /// Empty buffers, with the PG stage accumulator attached when
     /// profiling.
     pub(crate) fn new(profiling: bool) -> Self {
         let mut lane = Self::default();
-        lane.pg.phases = profiling.then(StagePhases::default);
-        lane.batch.phases = lane.pg.phases;
+        lane.batch.phases = profiling.then(StagePhases::default);
         lane
     }
 
@@ -281,8 +268,8 @@ impl Lane {
     /// overwritten first, so a lane a panic left mid-chunk draws correctly.
     fn begin(&mut self, t: u64) {
         self.tally = Tally::default();
+        self.rows.clear();
         self.vars.clear();
-        self.logs.clear();
         self.out.clear();
         self.t = t;
     }
@@ -293,36 +280,33 @@ impl Lane {
         self.t - last
     }
 
-    /// Gather `var`'s score row: appended to `logs` if the model writes
-    /// log-domain rows (returns `true`), else into `row`.
-    fn gather<M: GibbsModel + ?Sized>(
-        &mut self,
-        model: &M,
-        var: usize,
-        rec: &impl Recorder,
-    ) -> bool {
-        let log = model.log_scores_into(var, &mut self.logs);
-        if !log {
-            model.scores_into(var, &mut self.row);
-        }
+    /// Append `var`'s score row to the stride.
+    fn gather<M: GibbsModel + ?Sized>(&mut self, model: &M, var: usize, rec: &impl Recorder) {
+        model.row_into(var, &mut self.rows);
         self.tally.gather_ns += self.lap(rec);
-        log
     }
 
-    /// End the chunk: fold the PG stage accumulators into the tally and
+    /// Evaluate the stride's rows with one `generate_rows_into` call, which
+    /// gives each row the result it would get alone.
+    fn pg(&mut self, pipeline: &impl ProbabilityPipeline, rec: &impl Recorder) {
+        pipeline.generate_rows_into(&self.rows, &mut self.batch);
+        self.tally.pg_ns += self.lap(rec);
+    }
+
+    /// End the chunk: fold the PG stage accumulator into the tally and
     /// report it to the profiler as `lane`'s.
     pub(crate) fn finish(&mut self, rec: &impl Recorder, lane: usize) {
-        self.tally.take_phases(&mut self.pg.phases);
         self.tally.take_phases(&mut self.batch.phases);
         self.tally.flush_profile(rec, lane);
     }
 
     /// A chromatic chunk: gather the free variables of `vars` from the
     /// class snapshot in `model` and draw them in strides of up to
-    /// [`DEFAULT_BATCH_ROWS`] rows of one width and one form, each row with
-    /// its own `rng(var)`. The draws wait in `out` for the class barrier;
-    /// their order cannot reach the chain, since each variable appears
-    /// once.
+    /// [`DEFAULT_BATCH_ROWS`] rows of one width, each row with its own
+    /// `rng(var)`. A row has one entry per label, so a stride breaks
+    /// before a variable of another label count is gathered. The draws
+    /// wait in `out` for the class barrier; their order cannot reach the
+    /// chain, since each variable appears once.
     pub(crate) fn strides<M: GibbsModel + ?Sized, R: HwRng>(
         &mut self,
         model: &M,
@@ -337,35 +321,18 @@ impl Lane {
             if model.is_clamped(var) {
                 continue;
             }
-            let gathered = self.logs.len();
-            let log = self.gather(model, var, rec);
-            let width = if log {
-                self.logs.len() - gathered
-            } else {
-                self.row.len()
-            };
-            if self.vars.len() == DEFAULT_BATCH_ROWS || width != self.width || log != self.log {
+            let full = self.vars.len() == DEFAULT_BATCH_ROWS;
+            if full || model.num_labels(var) != self.rows.width() {
                 self.draw_stride(pipeline, sampler, &rng, rec);
             }
-            self.width = width;
-            self.log = log;
-            if !log {
-                let end = (self.vars.len() + 1) * width;
-                self.stride
-                    .resize(end.max(self.stride.len()), LabelScore::LogDomain(0.0));
-                // Swapped, not cloned: factor rows keep their buffers.
-                self.row.swap_with_slice(&mut self.stride[end - width..end]);
-            }
+            self.gather(model, var, rec);
             self.vars.push(var);
         }
         self.draw_stride(pipeline, sampler, &rng, rec);
     }
 
-    /// Draw the stride's rows, if any: one `generate_log_rows_into` or
-    /// `generate_batch_into` (each bit-identical to per-row
-    /// `generate_into`), then one draw per row with its variable's RNG. A
-    /// log-domain stride's rows then leave `logs`, so a row gathered after
-    /// them moves to its front.
+    /// Draw the stride's rows, if any, each with its variable's RNG, and
+    /// empty the stride.
     fn draw_stride<R: HwRng>(
         &mut self,
         pipeline: &impl ProbabilityPipeline,
@@ -377,18 +344,11 @@ impl Lane {
         if rows == 0 {
             return;
         }
-        let (width, len) = (self.width, rows * self.width);
-        if self.log {
-            pipeline.generate_log_rows_into(&self.logs[..len], width, &mut self.batch);
-            self.logs.drain(..len);
-        } else {
-            pipeline.generate_batch_into(&self.stride[..len], width, &mut self.batch);
-        }
-        self.tally.pg_ns += self.lap(rec);
+        self.pg(pipeline, rec);
         let vars = &self.vars;
         sampler.sample_rows_into(
             &self.batch.probs,
-            width,
+            self.rows.width(),
             |row| rng(vars[row]),
             &mut self.draws,
             &mut self.sd,
@@ -404,6 +364,7 @@ impl Lane {
         if rec.enabled() {
             tally.telemetry.merge(&self.batch.telemetry);
         }
+        self.rows.clear();
         self.vars.clear();
     }
 }
@@ -486,10 +447,9 @@ impl<Rec: Recorder> Chain<Rec> {
     }
 }
 
-/// The sequential sweep: every variable in index order through scalar PG
-/// and SD on one RNG stream, each draw committed at once, all on one lane.
-/// A log-domain row is evaluated as a one-row `generate_log_rows_into`
-/// call, a factor row by `generate_into`.
+/// The sequential sweep: every variable in index order through PG and SD
+/// on one RNG stream, each draw committed at once, all on one lane. Each
+/// row is evaluated by a one-row `generate_rows_into` call.
 #[derive(Debug)]
 struct Scan<P, S, R> {
     pipeline: P,
@@ -514,36 +474,21 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> Scan<P, S, R> {
             }
             let old_label = model.label(var);
             model.begin_resample(var);
-            lane.logs.clear();
-            let log = lane.gather(model, var, rec);
-            if log {
-                let width = lane.logs.len();
-                self.pipeline
-                    .generate_log_rows_into(&lane.logs, width, &mut lane.batch);
-            } else {
-                self.pipeline.generate_into(&lane.row, &mut lane.pg);
-            }
-            lane.tally.pg_ns += lane.lap(rec);
-            let (probs, ops) = if log {
-                (&lane.batch.probs, lane.batch.ops[0])
-            } else {
-                (&lane.pg.probs, lane.pg.ops)
-            };
-            let sample = self.sampler.sample_into(probs, rng, &mut lane.sd);
+            lane.rows.clear();
+            lane.gather(model, var, rec);
+            lane.pg(&self.pipeline, rec);
+            let sample = self
+                .sampler
+                .sample_into(&lane.batch.probs, rng, &mut lane.sd);
             lane.tally.sd_ns += lane.lap(rec);
             model.update(var, sample.label);
             lane.tally.pu_ns += lane.lap(rec);
             let tally = &mut lane.tally;
-            tally.draw(&ops, &sample);
+            tally.draw(&lane.batch.ops[0], &sample);
             tally.updates += 1;
             tally.flips += u64::from(sample.label != old_label);
             if rec.enabled() {
-                let telemetry = if log {
-                    &lane.batch.telemetry
-                } else {
-                    &lane.pg.telemetry
-                };
-                tally.telemetry.merge(telemetry);
+                tally.telemetry.merge(&lane.batch.telemetry);
             }
         }
         lane.finish(rec, 0);
@@ -553,7 +498,7 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> Scan<P, S, R> {
 
 /// Drives a [`GibbsModel`] through PG → SD → PU sweeps.
 ///
-/// The engine owns every hot-path buffer (score vector, PG output, sampler
+/// The engine owns every hot-path buffer (score rows, PG batch, sampler
 /// scratch), so after a warm-up sweep has grown them to the model's label
 /// count, a steady-state sweep performs **zero heap allocations**.
 ///

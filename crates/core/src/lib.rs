@@ -4,10 +4,11 @@
 //! This crate assembles the substrates into the paper's three-step flow
 //! (Fig. 1):
 //!
-//! 1. **PG** — a [`pipeline::ProbabilityPipeline`] turns a model's
-//!    [`coopmc_models::LabelScore`] vector into unnormalized probabilities.
-//!    Variants: float reference, plain fixed point (the "without DyNorm"
-//!    baseline of Fig. 2/10), and the full CoopMC datapath
+//! 1. **PG** — a [`pipeline::ProbabilityPipeline`] turns the score rows a
+//!    model gathers into a [`coopmc_models::ScoreRows`] stride (log-domain
+//!    or factor rows) into unnormalized probabilities, reading them in
+//!    place. Variants: float reference, plain fixed point (the "without
+//!    DyNorm" baseline of Fig. 2/10), and the full CoopMC datapath
 //!    (DyNorm + TableExp + LogFusion).
 //! 2. **SD** — any [`coopmc_sampler::Sampler`] draws the new label.
 //! 3. **PU** — the model commits the label.

@@ -8,11 +8,11 @@
 //! apply identically), plus the two classic non-sampling baselines used in
 //! the MRF literature — ICM (greedy) and annealed Gibbs.
 
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_rng::HwRng;
 
 use crate::engine::RunStats;
-use crate::pipeline::{PgOutput, ProbabilityPipeline};
+use crate::pipeline::{PgBatch, ProbabilityPipeline};
 
 /// Metropolis–Hastings single-site driver.
 ///
@@ -24,8 +24,8 @@ use crate::pipeline::{PgOutput, ProbabilityPipeline};
 pub struct MetropolisEngine<P, R> {
     pipeline: P,
     rng: R,
-    scores: Vec<LabelScore>,
-    pg: PgOutput,
+    rows: ScoreRows,
+    pg: PgBatch,
 }
 
 impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
@@ -34,8 +34,8 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
         Self {
             pipeline,
             rng,
-            scores: Vec::new(),
-            pg: PgOutput::new(),
+            rows: ScoreRows::new(),
+            pg: PgBatch::new(),
         }
     }
 
@@ -51,10 +51,11 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
             return false;
         }
         model.begin_resample(var);
-        model.scores_into(var, &mut self.scores);
-        self.pipeline.generate_into(&self.scores, &mut self.pg);
+        self.rows.clear();
+        model.row_into(var, &mut self.rows);
+        self.pipeline.generate_rows_into(&self.rows, &mut self.pg);
         let pg = &self.pg;
-        stats.ops.merge(&pg.ops);
+        stats.ops.merge(&pg.ops[0]);
         let p_cur = pg.probs[current];
         let p_new = pg.probs[proposal];
         // Accept with min(1, p_new / p_cur); an all-zero pair falls back to
@@ -100,16 +101,16 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
 /// variable takes its argmax label under the pipeline's probabilities.
 /// Converges fast to a local optimum; returns the number of label changes.
 pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &P) -> usize {
-    let mut scores = Vec::new();
-    let mut pg = PgOutput::new();
+    let (mut rows, mut pg) = (ScoreRows::new(), PgBatch::new());
     let mut changes = 0usize;
     for var in 0..model.num_variables() {
         if model.is_clamped(var) {
             continue;
         }
         model.begin_resample(var);
-        model.scores_into(var, &mut scores);
-        pipeline.generate_into(&scores, &mut pg);
+        rows.clear();
+        model.row_into(var, &mut rows);
+        pipeline.generate_rows_into(&rows, &mut pg);
         let best = pg
             .probs
             .iter()

@@ -15,7 +15,7 @@
 
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
-use coopmc_models::GibbsModel;
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::health::{ConvergenceController, NoControl};
 use coopmc_obs::journal::ColorSample;
 use coopmc_obs::{metrics, NoopRecorder, Recorder};
@@ -298,15 +298,16 @@ pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline>(
                 // All hot-path buffers live for the whole worker: steady-
                 // state iterations allocate nothing.
                 let sampler = TreeSampler::new();
-                let mut row = vec![0.0; n_labels];
+                let mut rows = ScoreRows::new();
                 let mut pg = PgBatch::new();
                 let mut sd = SampleScratch::new();
                 for it in 0..sweeps {
                     let mut var = t;
                     while var < n {
                         let read = |j: usize| shared[j].load(Ordering::Relaxed);
-                        mrf_ref.log_row_into(var, read, &mut row);
-                        pipeline.generate_log_rows_into(&row, n_labels, &mut pg);
+                        rows.clear();
+                        mrf_ref.log_row_into(var, read, rows.push_log_row(n_labels));
+                        pipeline.generate_rows_into(&rows, &mut pg);
                         let mut rng = draw_rng(seed ^ 0x5150, it, var);
                         let label = sampler.sample_into(&pg.probs, &mut rng, &mut sd).label;
                         shared[var].store(label, Ordering::Relaxed);
@@ -328,7 +329,6 @@ mod tests {
     use crate::pipeline::{CoopMcPipeline, FloatPipeline, PgOutput};
     use coopmc_models::bn::earthquake;
     use coopmc_models::mrf::image_segmentation;
-    use coopmc_models::LabelScore;
     use coopmc_obs::profile::Kernel;
 
     #[test]
@@ -643,8 +643,8 @@ mod tests {
             0
         }
 
-        fn scores_into(&self, _: usize, out: &mut Vec<LabelScore>) {
-            out.clear();
+        fn row_into(&self, _: usize, rows: &mut ScoreRows) {
+            rows.push_log_row(0);
         }
 
         fn update(&mut self, _: usize, _: usize) {}
@@ -667,8 +667,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width must be positive")]
     fn zero_batch_stride_panics() {
-        // The stride path refuses a zero-width stride rather than drawing
-        // from nothing.
+        // The gather refuses a zero-width row rather than drawing from
+        // nothing.
         ChromaticEngine::new(FloatPipeline::new(), 1, 1).sweep(&mut NoLabels, 0);
     }
 }

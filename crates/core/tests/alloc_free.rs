@@ -3,11 +3,12 @@
 //! A counting `#[global_allocator]` wrapper measures heap traffic during a
 //! warm steady-state sweep of [`GibbsEngine`] with the fixed-point pipeline
 //! and the tree sampler: after a warm-up run has grown every scratch buffer
-//! (engine score/PG/sampler buffers, per-thread pipeline scratch), a full
-//! sweep must allocate **nothing**. A warm LDA-NIPS sweep through the
-//! CoopMC pipeline pins the factor-row path (TableLog → LogFusion) too, and
-//! warm 64-label restoration sweeps pin the flat log-domain rows that the
-//! fixed-point and (boxed) CoopMC pipelines read in place.
+//! (the engine's score rows, PG batch with the datapath's working memory,
+//! and sampler buffers), a full sweep must allocate **nothing**. A warm
+//! LDA-NIPS sweep through the CoopMC pipeline pins the factor-row path
+//! (TableLog → LogFusion) too, and warm 64-label restoration sweeps pin the
+//! log rows that the fixed-point and (boxed) CoopMC pipelines read in
+//! place.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -90,8 +91,8 @@ fn warm_steady_state_sweep_allocates_nothing() {
     );
     let mut stats = RunStats::default();
 
-    // Warm-up: grows the engine's score/PG/sampler buffers and the
-    // pipeline's per-thread scratch to this model's label count.
+    // Warm-up: grows the engine's score/PG/sampler buffers to this model's
+    // label count.
     engine.sweep(&mut app.mrf, &mut stats);
     engine.sweep(&mut app.mrf, &mut stats);
 
@@ -165,9 +166,8 @@ fn warm_steady_state_sweep_allocates_nothing() {
     );
     assert_eq!(stats.updates, 2 * lda.num_variables() as u64);
 
-    // 64-label log-domain rows, gathered into a flat buffer that PG reads
-    // in place. A pipeline left on the trait's wrapping default would
-    // allocate a `LabelScore` row per variable.
+    // 64-label log-domain rows, gathered into a stride that PG reads in
+    // place.
     let allocs = warm_restoration_sweep_allocs(FixedPipeline::new(8, true));
     assert_eq!(
         allocs, 0,

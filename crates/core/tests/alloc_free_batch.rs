@@ -1,11 +1,11 @@
 //! The zero-allocation guarantee of the batched PG datapath.
 //!
 //! Same counting-allocator technique as `alloc_free.rs`, aimed at the
-//! lane-packed batch path: once a warm-up call has grown the engine-owned
-//! `PgBatch` buffers (and the pipeline's thread-local scratch) to the
-//! stride's shape, every further `generate_batch_into` +
-//! `sample_rows_into` stride must allocate **nothing** — the property that
-//! lets the chromatic engine batch inside its warm-sweep envelope.
+//! lane-packed batch path through the `LabelScore` entry point: once a
+//! warm-up call has grown the caller-owned `PgBatch` buffers (the converted
+//! rows and the datapath's working memory among them) to the stride's
+//! shape, every further `generate_batch_into` + `sample_rows_into` stride
+//! must allocate **nothing**.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -71,8 +71,8 @@ fn warm_batch_strides_allocate_nothing() {
     let mut draws: Vec<SampleResult> = Vec::new();
     let mut sd = SampleScratch::new();
 
-    // Warm-up: grows the batch buffers, the pipeline's thread-local
-    // scratch, the draw vector and the sampler tree to this shape.
+    // Warm-up: grows the batch buffers, the draw vector and the sampler
+    // tree to this shape.
     for _ in 0..2 {
         pipeline.generate_batch_into(&scores, width, &mut batch);
         sampler.sample_rows_into(

@@ -5,8 +5,9 @@
 //! warm sweeps of [`ChromaticEngine`] at 1, 2 and 4 threads: every color
 //! class is one pool broadcast whose slots draw into lanes the first sweeps
 //! have grown, so once warm a sweep must allocate **nothing**, on the
-//! calling thread or on any worker. Both 2-label segmentation and 64-label
-//! restoration rows are pinned.
+//! calling thread or on any worker. 2-label segmentation and 64-label
+//! restoration log rows are pinned, and so are BN-SURVEY's factor rows,
+//! whose strides break between its 3- and 2-label nodes.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -20,6 +21,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::CoopMcPipeline;
+use coopmc_models::bn::survey;
+use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{image_restoration, image_segmentation, MrfApp};
 use coopmc_obs::health::{ConvergenceController, Decision};
 
@@ -60,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Sweeps before the counter is armed: the first grows every lane's
-/// buffers and each thread's pipeline scratch.
+/// buffers.
 const WARM_SWEEPS: u64 = 2;
 const SWEEPS: u64 = 6;
 
@@ -77,6 +80,15 @@ impl ConvergenceController for ArmAfterWarmUp {
     }
 }
 
+/// Heap allocations during the warm sweeps of a `threads`-thread chromatic
+/// run on `model`, and the variables it updated.
+fn warm_allocs<M: ChromaticModel + Sync>(model: &mut M, threads: usize) -> (u64, usize) {
+    let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 7);
+    let updated = engine.run_controlled(model, SWEEPS, |_| None, &mut ArmAfterWarmUp);
+    ARMED.store(false, Ordering::SeqCst);
+    (ALLOCS.load(Ordering::SeqCst), updated)
+}
+
 #[test]
 fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
     let models: [fn() -> MrfApp; 2] = [
@@ -86,12 +98,7 @@ fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
     for build in models {
         for threads in [1, 2, 4] {
             let mut app = build();
-            let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 7);
-            let updated =
-                engine.run_controlled(&mut app.mrf, SWEEPS, |_| None, &mut ArmAfterWarmUp);
-            ARMED.store(false, Ordering::SeqCst);
-
-            let allocs = ALLOCS.load(Ordering::SeqCst);
+            let (allocs, updated) = warm_allocs(&mut app.mrf, threads);
             assert_eq!(
                 allocs,
                 0,
@@ -102,5 +109,17 @@ fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
             let variables = app.mrf.width() * app.mrf.height();
             assert_eq!(updated, SWEEPS as usize * variables, "{threads} threads");
         }
+    }
+    for threads in [1, 2, 4] {
+        let mut net = survey();
+        net.set_evidence(net.node_index("residence").unwrap(), 1);
+        let (allocs, updated) = warm_allocs(&mut net, threads);
+        assert_eq!(
+            allocs,
+            0,
+            "BN-SURVEY at {threads} threads: {} warm chromatic sweeps made {allocs} allocations",
+            SWEEPS - WARM_SWEEPS
+        );
+        assert_eq!(updated, SWEEPS as usize * 5, "{threads} threads");
     }
 }

@@ -74,10 +74,9 @@ fn warm_profiled_sweep_allocates_nothing_and_stays_chain_invisible() {
     );
     let mut stats = coopmc_core::engine::RunStats::default();
 
-    // Warm-up: grows the engine's score/PG/sampler buffers and the
-    // pipeline's per-thread scratch; the profiler ring is preallocated at
-    // construction and may already be dropping spans, which is fine —
-    // drops are a counter bump, not an allocation.
+    // Warm-up: grows the engine's score/PG/sampler buffers; the profiler
+    // ring is preallocated at construction and may already be dropping
+    // spans, which is fine — drops are a counter bump, not an allocation.
     engine.sweep(&mut app.mrf, &mut stats);
     engine.sweep(&mut app.mrf, &mut stats);
 

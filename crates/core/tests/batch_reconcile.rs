@@ -9,13 +9,14 @@
 //! stride, and the rendered journal must still validate.
 
 use coopmc_core::parallel::ChromaticEngine;
-use coopmc_core::pipeline::{CoopMcPipeline, PgOutput, ProbabilityPipeline};
+use coopmc_core::pipeline::{CoopMcPipeline, PgBatch, PgOutput, ProbabilityPipeline};
 use coopmc_hw::area::SamplerKind;
 use coopmc_hw::batch::PgUnitConfig;
 use coopmc_hw::cycles::PgTiming;
 use coopmc_hw::reconcile::reconcile;
+use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::mrf::image_segmentation;
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::journal::validate_journal;
 use coopmc_obs::TraceRecorder;
 use coopmc_sampler::TreeSampler;
@@ -68,13 +69,23 @@ fn batched_runs_reconcile_against_the_cycle_model() {
     assert!(journal.contains("\"pg_batch_rows\":"));
 }
 
-/// A pipeline evaluated one row at a time: the default
-/// `generate_batch_into` calls the scalar `generate_into` per row.
+/// A pipeline evaluated one row at a time: each row of a stride goes
+/// through its own `generate_into` call.
 struct RowByRow(CoopMcPipeline);
 
 impl ProbabilityPipeline for RowByRow {
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
-        self.0.generate_into(scores, out);
+    fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
+        let (mut scores, mut pg) = (Vec::new(), PgOutput::new());
+        out.probs.clear();
+        out.ops.clear();
+        out.telemetry = PgTelemetry::new();
+        for row in 0..rows.len() {
+            rows.label_scores_into(row, &mut scores);
+            self.0.generate_into(&scores, &mut pg);
+            out.probs.extend_from_slice(&pg.probs);
+            out.ops.push(pg.ops);
+            out.telemetry.merge(&pg.telemetry);
+        }
     }
 
     fn name(&self) -> String {

@@ -10,10 +10,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::{
-    CoopMcPipeline, FixedPipeline, FloatPipeline, PgOutput, ProbabilityPipeline,
+    CoopMcPipeline, FixedPipeline, FloatPipeline, PgBatch, ProbabilityPipeline,
 };
 use coopmc_models::mrf::image_segmentation;
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::journal::validate_journal;
 use coopmc_obs::TraceRecorder;
 use coopmc_sampler::TreeSampler;
@@ -88,8 +88,8 @@ fn repeated_journaling_runs_keep_one_valid_journal() {
 struct NanOnce(AtomicBool);
 
 impl ProbabilityPipeline for NanOnce {
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
-        FloatPipeline::new().generate_into(scores, out);
+    fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
+        FloatPipeline::new().generate_rows_into(rows, out);
         if !self.0.swap(true, Ordering::Relaxed) {
             out.probs[0] = f64::NAN;
         }

@@ -222,10 +222,10 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     /// label, read where the caller keeps them. Each factor's log is
     /// quantized onto the accumulator bus and summed as a raw integer that
     /// saturates after every add and subtract, exactly as a `Fixed`
-    /// accumulator would. `work` holds the log-domain accumulator values
-    /// between accumulation and the exp stage; `probs` receives the output
-    /// vector. Both are cleared first and only grow if shorter than the row
-    /// count — with warmed buffers the evaluation is allocation-free.
+    /// accumulator would. `work` (cleared first) holds the log-domain
+    /// accumulator values between accumulation and the exp stage; the
+    /// output vector is appended to `probs`. With warmed buffers the
+    /// evaluation is allocation-free.
     /// `telemetry` collects the DyNorm/exp-kernel observations for the run
     /// journal (a handful of comparisons, no allocation); `phases`, when
     /// attached, accumulates per-stage wall times for the kernel profiler.
@@ -296,7 +296,6 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         telemetry: &mut PgTelemetry,
         mut clock: StageClock<'_>,
     ) {
-        probs.clear();
         if scores.is_empty() {
             return;
         }
@@ -428,16 +427,15 @@ impl DirectDatapath {
     }
 
     /// [`DirectDatapath::evaluate_factors`] over borrowed
-    /// `(numerators, denominators)` rows, writing into a caller-owned
-    /// output buffer (cleared first); allocation-free once `probs` has
-    /// capacity for every row.
+    /// `(numerators, denominators)` rows, appending to a caller-owned
+    /// output buffer; allocation-free once `probs` has capacity for every
+    /// row.
     pub fn evaluate_factors_into<'r>(
         &self,
         rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
         probs: &mut Vec<f64>,
     ) -> OpCounts {
         let mut ops = OpCounts::new();
-        probs.clear();
         for (numerators, denominators) in rows {
             let mut acc = Fixed::one(self.fmt);
             for &a in numerators {

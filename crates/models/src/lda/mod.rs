@@ -20,7 +20,7 @@ pub mod sparse;
 pub use corpus::{synthetic_corpus, Corpus, CorpusSpec};
 pub use inference::TopicModel;
 
-use crate::{fill_factors, GibbsModel, LabelScore};
+use crate::{GibbsModel, ScoreRows};
 
 /// A collapsed-Gibbs LDA model over a fixed corpus.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,15 +182,14 @@ impl GibbsModel for Lda {
         self.remove_token(var);
     }
 
-    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
+    fn row_into(&self, var: usize, rows: &mut ScoreRows) {
         let (d, v) = self.tokens[var];
-        fill_factors(out, self.n_topics, |k, numerators, denominators| {
+        rows.push_factor_row(self.n_topics, |k| {
             let dt = self.dt[d as usize * self.n_topics + k] as f64;
             let vt = self.vt[k * self.n_vocab + v as usize] as f64;
             let total = self.topic_total[k] as f64;
-            numerators.push(dt + self.alpha);
-            numerators.push(vt + self.beta);
-            denominators.push(total + self.beta * self.n_vocab as f64);
+            let numerators = [dt + self.alpha, vt + self.beta];
+            (numerators, [total + self.beta * self.n_vocab as f64])
         });
     }
 

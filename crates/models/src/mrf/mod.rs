@@ -12,11 +12,7 @@ pub use apps::{
     image_restoration, image_segmentation, sound_source_separation, stereo_matching, MrfApp,
 };
 
-use crate::{GibbsModel, LabelScore};
-
-/// Widest row [`GibbsModel::scores_into`] stages on the stack; wider rows
-/// take a heap buffer per call.
-const STACK_ROW: usize = 64;
+use crate::{GibbsModel, ScoreRows};
 
 /// A pairwise/unary cost function family used by the MRF energy (Eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -375,25 +371,8 @@ impl GibbsModel for GridMrf {
         self.n_labels
     }
 
-    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
-        let (mut stack, mut heap) = ([0.0; STACK_ROW], Vec::new());
-        let row = match stack.get_mut(..self.n_labels) {
-            Some(row) => row,
-            None => {
-                heap.resize(self.n_labels, 0.0);
-                &mut heap[..]
-            }
-        };
-        self.log_row_into(var, |j| self.labels[j], row);
-        out.clear();
-        out.extend(row.iter().map(|&s| LabelScore::LogDomain(s)));
-    }
-
-    fn log_scores_into(&self, var: usize, out: &mut Vec<f64>) -> bool {
-        let start = out.len();
-        out.resize(start + self.n_labels, 0.0);
-        self.log_row_into(var, |j| self.labels[j], &mut out[start..]);
-        true
+    fn row_into(&self, var: usize, rows: &mut ScoreRows) {
+        self.log_row_into(var, |j| self.labels[j], rows.push_log_row(self.n_labels));
     }
 
     fn update(&mut self, var: usize, label: usize) {
@@ -409,6 +388,7 @@ impl GibbsModel for GridMrf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LabelScore;
 
     fn small_mrf() -> GridMrf {
         GridMrf::new(
@@ -464,18 +444,17 @@ mod tests {
 
     #[test]
     fn scores_are_negative_beta_times_cost() {
-        // Both row forms must equal the per-label reference bit for bit,
-        // on every node (corners, edges, a masked one) and label, for every
-        // cost family as data and as smooth cost, under both
-        // connectivities, for rows staged on the stack (4 labels) and on
-        // the heap (70 labels).
+        // The appended row and its `LabelScore` form must equal the
+        // per-label reference bit for bit, on every node (corners, edges, a
+        // masked one) and label, for every cost family as data and as
+        // smooth cost, under both connectivities, at 4 and 70 labels.
         let costs = [
             CostFn::TruncatedLinear { trunc: 2.5 },
             CostFn::TruncatedQuadratic { trunc: 5.0 },
             CostFn::Potts { penalty: 1.5 },
         ];
         let observed = vec![0.0, 1.3, 2.0, 3.7, 1.0, 2.2, 0.4, 3.0, 2.9, 1.1, 0.0, 3.0];
-        let (mut logs, mut scores) = (Vec::new(), Vec::new());
+        let (mut rows, mut scores) = (ScoreRows::new(), Vec::new());
         for n_labels in [4, 70] {
             for data_cost in costs {
                 for smooth_cost in costs {
@@ -496,15 +475,16 @@ mod tests {
                         m.set_data_mask(mask);
                         m.set_labels(vec![3, 0, 2, 1, 1, 3, 0, 2, 2, 0, 3, 1]);
                         for var in 0..12 {
-                            logs.clear();
-                            logs.push(-9.0);
-                            assert!(m.log_scores_into(var, &mut logs), "rows are log-domain");
+                            rows.clear();
+                            rows.push_log_row(n_labels).fill(-9.0);
+                            m.row_into(var, &mut rows);
+                            let logs = rows.logs().expect("rows are log-domain");
                             assert_eq!(logs[0], -9.0, "rows are appended");
                             m.scores_into(var, &mut scores);
-                            assert_eq!((logs.len(), scores.len()), (1 + n_labels, n_labels));
+                            assert_eq!((logs.len(), scores.len()), (2 * n_labels, n_labels));
                             for l in 0..n_labels {
                                 let want = (-m.beta() * m.total_cost(var, l)).to_bits();
-                                assert_eq!(logs[1 + l].to_bits(), want, "{var}/{l}");
+                                assert_eq!(logs[n_labels + l].to_bits(), want, "{var}/{l}");
                                 let LabelScore::LogDomain(v) = scores[l] else {
                                     panic!("MRF must produce log-domain scores");
                                 };

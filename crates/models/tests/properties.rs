@@ -4,7 +4,7 @@
 use coopmc_models::coloring::{greedy_coloring, verify_coloring, ChromaticModel};
 use coopmc_models::lda::{synthetic_corpus, CorpusSpec, Lda};
 use coopmc_models::mrf::{CostFn, GridMrf};
-use coopmc_models::{GibbsModel, LabelScore};
+use coopmc_models::{GibbsModel, LabelScore, ScoreRows};
 use coopmc_testkit::{check, Gen};
 
 fn arb_grid(g: &mut Gen) -> GridMrf {
@@ -147,10 +147,11 @@ fn lda_counts_conserved() {
     });
 }
 
-/// `scores_into` recycles its buffer without letting the old contents leak:
-/// for every model family, a buffer dirtied by other variables and models
-/// (log-domain and factor rows of other widths) yields exactly the scores a
-/// fresh buffer does.
+/// Gathers recycle their buffers without letting the old contents leak: for
+/// every model family, a row appended to a stride whose buffers last held
+/// rows of other forms and widths, after a stale row of another variable,
+/// equals the same row gathered into a fresh stride; and `scores_into`,
+/// into a buffer dirtied the same way, returns exactly that row.
 #[test]
 fn scores_into_matches_scores() {
     check("scores_into_matches_scores", 48, |g| {
@@ -167,15 +168,27 @@ fn scores_into_matches_scores() {
         let mut lda = Lda::new(&corpus, 3, 0.5, 0.1);
         lda.randomize_topics(g.u64());
         let models: Vec<&dyn GibbsModel> = vec![&mrf, &bn, &lda];
-        // One reused (deliberately dirty) buffer across all models/vars.
-        let mut recycled = Vec::new();
+        // One reused (deliberately dirty) stride and buffer across all
+        // models and variables.
+        let (mut stale, mut recycled) = (ScoreRows::new(), Vec::new());
         for m in models {
             for _ in 0..6 {
                 let var = g.index(m.num_variables());
-                let mut fresh = Vec::new();
-                m.scores_into(var, &mut fresh);
+                let mut fresh = ScoreRows::new();
+                m.row_into(var, &mut fresh);
+                assert_eq!((fresh.len(), fresh.width()), (1, m.num_labels(var)));
+                let other = g.index(m.num_variables());
+                stale.clear();
+                if m.num_labels(other) == m.num_labels(var) {
+                    m.row_into(other, &mut stale);
+                }
+                m.row_into(var, &mut stale);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                fresh.label_scores_into(0, &mut want);
+                stale.label_scores_into(stale.len() - 1, &mut got);
+                assert_eq!(want, got);
                 m.scores_into(var, &mut recycled);
-                assert_eq!(fresh, recycled);
+                assert_eq!(want, recycled);
             }
         }
     });

@@ -121,26 +121,35 @@ impl RunArgs {
     }
 }
 
-/// Parse a pipeline spec string.
+/// Parse a pipeline spec string, refusing datapath parameters the
+/// pipelines cannot be built with.
 fn parse_pipeline(spec: &str) -> Result<PipelineConfig, String> {
+    let bits = |bits: &str, max: u32| {
+        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
+        if (1..=max).contains(&b) {
+            Ok(b)
+        } else {
+            Err(format!("bits in '{spec}' must be in 1..={max}"))
+        }
+    };
     if spec == "float32" {
         return Ok(PipelineConfig::float32());
     }
-    if let Some(bits) = spec.strip_prefix("fixed+dn:") {
-        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
-        return Ok(PipelineConfig::fixed_dynorm(b));
+    if let Some(b) = spec.strip_prefix("fixed+dn:") {
+        return Ok(PipelineConfig::fixed_dynorm(bits(b, 46)?));
     }
-    if let Some(bits) = spec.strip_prefix("fixed:") {
-        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
-        return Ok(PipelineConfig::fixed(b));
+    if let Some(b) = spec.strip_prefix("fixed:") {
+        return Ok(PipelineConfig::fixed(bits(b, 46)?));
     }
     if let Some(rest) = spec.strip_prefix("coopmc:") {
-        let (size, bits) = rest
+        let (size, b) = rest
             .split_once('x')
             .ok_or_else(|| format!("expected coopmc:<size>x<bits>, got '{spec}'"))?;
         let s: usize = size.parse().map_err(|_| format!("bad size in '{spec}'"))?;
-        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
-        return Ok(PipelineConfig::coopmc(s, b));
+        if s == 0 {
+            return Err(format!("size in '{spec}' must be at least 1"));
+        }
+        return Ok(PipelineConfig::coopmc(s, bits(b, 52)?));
     }
     Err(format!(
         "unknown pipeline '{spec}' (try float32, fixed:8, fixed+dn:8, coopmc:64x8)"
@@ -173,7 +182,10 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             "--sweeps" => {
                 out.sweeps = value(&mut it)?
                     .parse()
-                    .map_err(|_| "bad --sweeps value".to_owned())?
+                    .map_err(|_| "bad --sweeps value".to_owned())?;
+                if out.sweeps == 0 {
+                    return Err("--sweeps must be at least 1".to_owned());
+                }
             }
             "--seed" => {
                 out.seed = value(&mut it)?
@@ -616,6 +628,31 @@ mod tests {
         assert!(parse_pipeline("magic").is_err());
         assert!(parse_pipeline("coopmc:64").is_err());
         assert!(parse_pipeline("fixed:x").is_err());
+        // The edges of every valid range parse; one step past them is
+        // refused with the range named, not left to a constructor's panic.
+        assert_eq!(
+            parse_pipeline("fixed:46").unwrap(),
+            PipelineConfig::fixed(46)
+        );
+        assert_eq!(
+            parse_pipeline("fixed+dn:1").unwrap(),
+            PipelineConfig::fixed_dynorm(1)
+        );
+        assert_eq!(
+            parse_pipeline("coopmc:1x52").unwrap(),
+            PipelineConfig::coopmc(1, 52)
+        );
+        for (spec, range) in [
+            ("fixed:0", "1..=46"),
+            ("fixed:47", "1..=46"),
+            ("fixed+dn:0", "1..=46"),
+            ("coopmc:0x8", "at least 1"),
+            ("coopmc:64x0", "1..=52"),
+            ("coopmc:64x53", "1..=52"),
+        ] {
+            let err = parse_pipeline(spec).unwrap_err();
+            assert!(err.contains(spec) && err.contains(range), "{spec}: {err}");
+        }
     }
 
     #[test]
@@ -697,6 +734,10 @@ mod tests {
         assert!(parse_run_args(&to_vec(&[])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--sampler", "magic"])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--threads", "0"])).is_err());
+        let err = parse_run_args(&to_vec(&["w", "--sweeps", "0"])).unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
+        let err = parse_run_args(&to_vec(&["w", "--pipeline", "fixed:0"])).unwrap_err();
+        assert!(err.contains("1..=46"), "{err}");
         assert!(parse_run_args(&to_vec(&["w", "--sweeps"])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--whatever", "1"])).is_err());
     }
