@@ -7,8 +7,9 @@ use coopmc_bench::harness::{black_box, Harness};
 use coopmc_fixed::QFormat;
 use coopmc_kernels::dynorm::dynorm_apply;
 use coopmc_kernels::exp::{ExpKernel, FixedExp, FloatExp, TableExp};
-use coopmc_kernels::fusion::{DirectDatapath, FactorExpr, LogFusion};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion};
 use coopmc_kernels::log::TableLog;
+use coopmc_kernels::telemetry::PgTelemetry;
 
 fn bench_exp_kernels(h: &Harness) {
     let inputs: Vec<f64> = (0..256).map(|i| -(i as f64) * 0.0625).collect();
@@ -38,9 +39,8 @@ fn bench_dynorm(h: &Harness) {
 }
 
 fn bench_factor_datapaths(h: &Harness) {
-    let exprs: Vec<FactorExpr> = (0..64)
-        .map(|i| FactorExpr::ratio(vec![0.1 + 0.01 * i as f64, 0.5], vec![0.9]))
-        .collect();
+    let numerators: Vec<[f64; 2]> = (0..64).map(|i| [0.1 + 0.01 * i as f64, 0.5]).collect();
+    let rows = || numerators.iter().map(|n| (&n[..], &[0.9][..]));
     let direct = DirectDatapath::new(QFormat::baseline32());
     let fused = LogFusion::new(
         TableLog::new(1024, 16),
@@ -48,11 +48,20 @@ fn bench_factor_datapaths(h: &Harness) {
         QFormat::baseline32(),
         8,
     );
+    let (mut work, mut probs, mut telemetry) = (Vec::new(), Vec::new(), PgTelemetry::new());
     h.run("factor_datapath/direct_mul_div", || {
-        direct.evaluate_factors(black_box(&exprs))
+        probs.clear();
+        direct.evaluate_factors_into(black_box(rows()), &mut probs)
     });
     h.run("factor_datapath/logfusion_lut", || {
-        fused.evaluate_factors(black_box(&exprs))
+        probs.clear();
+        fused.evaluate_factors_into(
+            black_box(rows()),
+            &mut work,
+            &mut probs,
+            &mut telemetry,
+            None,
+        )
     });
 }
 

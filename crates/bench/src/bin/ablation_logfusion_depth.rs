@@ -7,8 +7,9 @@ use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_fixed::QFormat;
 use coopmc_kernels::cost::{ADD_CYCLES, DIV_CYCLES, LUT_CYCLES, MUL_CYCLES};
 use coopmc_kernels::exp::TableExp;
-use coopmc_kernels::fusion::{DirectDatapath, FactorExpr, LogFusion};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion};
 use coopmc_kernels::log::TableLog;
+use coopmc_kernels::telemetry::PgTelemetry;
 
 fn main() {
     let mut report = Report::new(
@@ -38,9 +39,18 @@ fn main() {
         let fused_cycles = depth as u64 * (ADD_CYCLES + LUT_CYCLES) + LUT_CYCLES;
         // numeric check on a representative expression
         let nums: Vec<f64> = (0..depth - 1).map(|i| 0.4 + 0.02 * i as f64).collect();
-        let expr = FactorExpr::ratio(if nums.is_empty() { vec![0.5] } else { nums }, vec![0.7]);
-        let dval = direct.evaluate_factors(std::slice::from_ref(&expr)).probs[0];
-        let fval = fusion.evaluate_factors(std::slice::from_ref(&expr)).probs[0];
+        let row = (
+            if nums.is_empty() {
+                &[0.5][..]
+            } else {
+                &nums[..]
+            },
+            &[0.7][..],
+        );
+        let (mut dval, mut work, mut fval) = (Vec::new(), Vec::new(), Vec::new());
+        direct.evaluate_factors_into([row], &mut dval);
+        fusion.evaluate_factors_into([row], &mut work, &mut fval, &mut PgTelemetry::new(), None);
+        let (dval, fval) = (dval[0], fval[0]);
         table.row(vec![
             Cell::int(depth as i64),
             Cell::int(direct_cycles as i64),

@@ -14,11 +14,6 @@ pub fn header(id: &str, description: &str) {
     println!("================================================================");
 }
 
-/// Print a footer noting what to compare against in the paper.
-pub fn paper_note(note: &str) {
-    println!("\npaper reference: {note}");
-}
-
 /// Format a floating value in a fixed-width cell.
 pub fn cell(v: f64, width: usize, decimals: usize) -> String {
     format!("{v:>width$.decimals$}")

@@ -17,8 +17,8 @@ use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
 use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::health::{ConvergenceController, NoControl};
-use coopmc_obs::journal::ColorSample;
-use coopmc_obs::{metrics, NoopRecorder, Recorder};
+use coopmc_obs::journal::{ColorSample, SweepSample};
+use coopmc_obs::{NoopRecorder, Recorder};
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::{SampleScratch, Sampler, TreeSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -107,16 +107,10 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
             seed,
             pool: WorkerPool::new(n_threads),
             lanes: (0..n_threads)
-                .map(|_| Mutex::new(Lane::new(recorder.prof_enabled())))
+                .map(|_| Mutex::new(Lane::new(recorder.profiling())))
                 .collect(),
             chain: Chain::new(recorder),
         }
-    }
-
-    /// Set the chain identifier stamped into journal records.
-    pub fn with_chain(mut self, chain: u64) -> Self {
-        self.chain.id = chain;
-        self
     }
 
     /// Number of threads, the calling one included.
@@ -145,25 +139,27 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
     /// the number of variables updated.
     pub fn sweep<M: ChromaticModel + Sync>(&self, model: &mut M, iteration: u64) -> usize {
         let classes = model.color_classes();
-        let sweep = |_| self.sweep_classes(model, &classes, iteration);
-        self.chain.sweep(sweep).updates as usize
+        let sweep = |m: &mut M, _| self.sweep_classes(m, &classes, iteration);
+        self.chain.sweep(model, sweep, |_| None).0.updates as usize
     }
 
     /// Resample every class in turn, one pool broadcast per class in which
     /// slot `s` draws the class's `s`-th chunk on lane `s`, then commit the
-    /// draws on the calling thread. Returns the sweep's tally and per-color
-    /// samples.
+    /// draws on the calling thread. Returns the sweep's tally and, when
+    /// journaling, a journal record holding only the per-color samples and
+    /// the pool's slot totals.
     fn sweep_classes<M: ChromaticModel + Sync>(
         &self,
         model: &mut M,
         classes: &[Vec<usize>],
         iteration: u64,
-    ) -> (Tally, Vec<ColorSample>) {
+    ) -> (Tally, SweepSample) {
         let rec = &self.chain.recorder;
         let mut sweep = Tally::default();
         // The coordinator's own chunk: the commits after each barrier.
         let mut commit = Tally::default();
-        let mut colors = Vec::new();
+        let mut commit_end = 0;
+        let mut pool = SweepSample::default();
         for (class_idx, class) in classes.iter().enumerate() {
             let class_start = rec.now_ns();
             let busy_before = self.pool.total_busy_ns();
@@ -190,50 +186,32 @@ impl<P: ProbabilityPipeline, S: Sampler + Sync, Rec: Recorder> ChromaticEngine<P
                 commit.updates += lane.out.len() as u64;
                 sweep.merge(&lane.tally);
             }
-            commit.pu_ns += rec.now_ns() - barrier_end;
+            commit_end = rec.now_ns();
+            commit.pu_ns += commit_end - barrier_end;
             if rec.enabled() {
-                let barrier_ns = barrier_end - class_start;
+                let wall_ns = barrier_end - class_start;
                 let busy_ns = self.pool.total_busy_ns().saturating_sub(busy_before);
-                let capacity = barrier_ns.saturating_mul(slots as u64);
+                let capacity = wall_ns.saturating_mul(slots as u64);
                 let utilization = if capacity == 0 {
                     1.0
                 } else {
                     (busy_ns as f64 / capacity as f64).clamp(0.0, 1.0)
                 };
-                colors.push(ColorSample {
+                pool.colors.push(ColorSample {
                     class: class_idx as u64,
-                    wall_ns: barrier_ns,
+                    start_ns: class_start,
+                    wall_ns,
                     busy_ns,
                     utilization,
                 });
-                rec.span(
-                    &format!("color {class_idx}"),
-                    "pool",
-                    class_start,
-                    barrier_ns,
-                    self.chain.id,
-                );
             }
         }
-        commit.flush_profile(rec, 0);
+        commit.flush_profile(rec, 0, commit_end);
         sweep.merge(&commit);
         if rec.enabled() {
-            for c in &colors {
-                metrics::gauge_with(
-                    "coopmc_pool_color_utilization",
-                    &[("color", &c.class.to_string())],
-                )
-                .set(c.utilization);
-            }
-            for (i, w) in self.pool.worker_stats().iter().enumerate() {
-                let worker = i.to_string();
-                metrics::gauge_with("coopmc_pool_worker_busy_ns", &[("worker", &worker)])
-                    .set(w.busy_ns as f64);
-                metrics::gauge_with("coopmc_pool_worker_jobs", &[("worker", &worker)])
-                    .set(w.jobs as f64);
-            }
+            pool.slots = self.pool.worker_stats();
         }
-        (sweep, colors)
+        (sweep, pool)
     }
 
     /// Run `iterations` sweeps. Color classes are computed once and reused

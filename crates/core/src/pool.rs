@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use coopmc_obs::profile::Kernel;
-use coopmc_obs::{NoopRecorder, Recorder};
+use coopmc_obs::{Event, NoopRecorder, Recorder, WorkerStats};
 
 /// A task with its borrows erased. Only [`WorkerPool::broadcast`] makes
 /// one, and it clears it before the borrows end.
@@ -99,15 +99,6 @@ impl Drop for EndOfRound<'_> {
     }
 }
 
-/// A snapshot of one slot's cumulative accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Nanoseconds this slot has spent running tasks.
-    pub busy_ns: u64,
-    /// Tasks this slot has run (one per broadcast it took part in).
-    pub jobs: u64,
-}
-
 /// A fixed-size pool of threads running borrowed tasks: the calling thread
 /// is slot 0 and `n − 1` persistent workers are slots `1..n`.
 pub struct WorkerPool {
@@ -182,7 +173,8 @@ impl WorkerPool {
     /// have finished; the task may borrow from the caller's stack. The
     /// calling thread runs slot 0 and worker `i` slot `i + 1`. The
     /// `pool.dispatch` (publish, start barrier) and `pool.join` (end
-    /// barrier) leaves go to `rec`'s lane 0, timed with `rec`'s clock.
+    /// barrier) times go to `rec` as lane 0's [`Event::Kernel`]s, timed
+    /// with `rec`'s clock.
     ///
     /// # Panics
     ///
@@ -213,11 +205,11 @@ impl WorkerPool {
         };
         shared.start.wait();
         let round = EndOfRound(shared);
-        rec.prof_leaf(0, Kernel::PoolDispatch, rec.now_ns() - t_dispatch);
+        leaf(rec, Kernel::PoolDispatch, t_dispatch);
         shared.run(0, task);
         let t_join = rec.now_ns();
         drop(round);
-        rec.prof_leaf(0, Kernel::PoolJoin, rec.now_ns() - t_join);
+        leaf(rec, Kernel::PoolJoin, t_join);
         let panic = shared.round().panic.take();
         if let Some(payload) = panic {
             resume_unwind(payload);
@@ -242,6 +234,18 @@ impl WorkerPool {
         };
         self.broadcast(slots, &run_slot, &NoopRecorder);
     }
+}
+
+/// Report lane 0's time in `kernel` since clock reading `start_ns`.
+fn leaf(rec: &impl Recorder, kernel: Kernel, start_ns: u64) {
+    let end_ns = rec.now_ns();
+    rec.record(Event::Kernel {
+        lane: 0,
+        kernel,
+        end_ns,
+        dur_ns: end_ns - start_ns,
+        cycles: 0,
+    });
 }
 
 impl Drop for WorkerPool {

@@ -9,6 +9,10 @@
 //! restoration log rows are pinned, and so are BN-SURVEY's factor rows,
 //! whose strides break between its 3- and 2-label nodes.
 //!
+//! A journaling run allocates for the journal records it keeps, but its
+//! pool gauges are registered once, so it allocates as often at 1, 2 and 4
+//! threads.
+//!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
 //! the measurement window.
@@ -25,6 +29,8 @@ use coopmc_models::bn::survey;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{image_restoration, image_segmentation, MrfApp};
 use coopmc_obs::health::{ConvergenceController, Decision};
+use coopmc_obs::TraceRecorder;
+use coopmc_sampler::TreeSampler;
 
 /// Forwards to the system allocator, counting allocations while armed.
 struct CountingAlloc;
@@ -122,4 +128,23 @@ fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
         );
         assert_eq!(updated, SWEEPS as usize * 5, "{threads} threads");
     }
+    let journaled = [1, 2, 4].map(|threads| {
+        let recorder = TraceRecorder::new();
+        let mut app = image_segmentation(32, 32, 21);
+        let engine = ChromaticEngine::with_recorder(
+            CoopMcPipeline::new(64, 8),
+            TreeSampler::new(),
+            threads,
+            7,
+            &recorder,
+        );
+        engine.run_controlled(&mut app.mrf, SWEEPS, |_| None, &mut ArmAfterWarmUp);
+        ARMED.store(false, Ordering::SeqCst);
+        assert_eq!(recorder.sweeps().len(), SWEEPS as usize);
+        ALLOCS.load(Ordering::SeqCst)
+    });
+    assert!(
+        journaled.iter().all(|&a| a == journaled[0]),
+        "warm journaled sweeps at 1, 2 and 4 threads made {journaled:?} allocations"
+    );
 }

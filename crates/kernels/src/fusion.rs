@@ -83,66 +83,6 @@ impl<'a> StageClock<'a> {
     }
 }
 
-/// One element of a probability vector expressed as a product of linear
-/// domain factors divided by another product (Eq. 11's numerators `a_i` and
-/// denominators `b_j`).
-///
-/// A Bayesian-network label score is a product of CPT entries
-/// (denominator-free); an LDA label score is
-/// `(DT + α)(VT + β) / (ΣVT + βV)` — one denominator.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FactorExpr {
-    /// Linear-domain numerator factors `a_i`.
-    pub numerators: Vec<f64>,
-    /// Linear-domain denominator factors `b_j`.
-    pub denominators: Vec<f64>,
-}
-
-impl FactorExpr {
-    /// A score that is a plain product of `numerators`.
-    pub fn product(numerators: Vec<f64>) -> Self {
-        Self {
-            numerators,
-            denominators: Vec::new(),
-        }
-    }
-
-    /// A score with both numerator and denominator factors.
-    pub fn ratio(numerators: Vec<f64>, denominators: Vec<f64>) -> Self {
-        Self {
-            numerators,
-            denominators,
-        }
-    }
-
-    /// Exact real value of the expression (float reference).
-    pub fn reference_value(&self) -> f64 {
-        let num: f64 = self.numerators.iter().product();
-        let den: f64 = self.denominators.iter().product();
-        if den == 0.0 {
-            0.0
-        } else {
-            num / den
-        }
-    }
-}
-
-/// The borrowed `(numerators, denominators)` rows of `exprs`.
-fn expr_rows(exprs: &[FactorExpr]) -> impl Iterator<Item = (&[f64], &[f64])> {
-    exprs
-        .iter()
-        .map(|e| (e.numerators.as_slice(), e.denominators.as_slice()))
-}
-
-/// Result of evaluating a probability vector through a PG datapath.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PgResult {
-    /// Unnormalized probabilities, one per label.
-    pub probs: Vec<f64>,
-    /// Primitive-operation tally for the cycle/energy models.
-    pub ops: OpCounts,
-}
-
 /// The fused log-domain PG datapath: log kernels → fixed-point
 /// accumulation → DyNorm → exp kernel.
 #[derive(Debug, Clone)]
@@ -182,37 +122,6 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     pub fn without_dynorm(mut self) -> Self {
         self.dynorm = false;
         self
-    }
-
-    /// The log kernel.
-    pub fn log_kernel(&self) -> &L {
-        &self.log
-    }
-
-    /// The exp kernel.
-    pub fn exp_kernel(&self) -> &E {
-        &self.exp
-    }
-
-    /// Accumulator bus format.
-    pub fn accumulator_format(&self) -> QFormat {
-        self.acc_fmt
-    }
-
-    /// Evaluate a full label vector of factor expressions (Eq. 11) into
-    /// fresh buffers: a convenience over
-    /// [`LogFusion::evaluate_factors_into`].
-    pub fn evaluate_factors(&self, exprs: &[FactorExpr]) -> PgResult {
-        let (mut work, mut probs) = (Vec::new(), Vec::new());
-        let mut telemetry = PgTelemetry::new();
-        let ops = self.evaluate_factors_into(
-            expr_rows(exprs),
-            &mut work,
-            &mut probs,
-            &mut telemetry,
-            None,
-        );
-        PgResult { probs, ops }
     }
 
     /// Evaluate a label vector of factor rows (Eq. 11) into caller-owned
@@ -418,18 +327,11 @@ impl DirectDatapath {
         self.fmt
     }
 
-    /// Evaluate a label vector of factor expressions with explicit
-    /// multiply/divide sequences.
-    pub fn evaluate_factors(&self, exprs: &[FactorExpr]) -> PgResult {
-        let mut probs = Vec::new();
-        let ops = self.evaluate_factors_into(expr_rows(exprs), &mut probs);
-        PgResult { probs, ops }
-    }
-
-    /// [`DirectDatapath::evaluate_factors`] over borrowed
-    /// `(numerators, denominators)` rows, appending to a caller-owned
-    /// output buffer; allocation-free once `probs` has capacity for every
-    /// row.
+    /// Evaluate a label vector of factor rows (Eq. 11's numerators `a_i`
+    /// and denominators `b_j`) with explicit multiply/divide sequences.
+    /// `rows` yields one borrowed `(numerators, denominators)` pair per
+    /// label; the output vector is appended to `probs`, allocation-free
+    /// once it has capacity for every row.
     pub fn evaluate_factors_into<'r>(
         &self,
         rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
@@ -462,6 +364,32 @@ mod tests {
         QFormat::baseline32()
     }
 
+    /// A factor row: borrowed numerators and denominators.
+    type Row<'a> = (&'a [f64], &'a [f64]);
+
+    /// Borrow owned factor rows.
+    fn borrow(rows: &[(Vec<f64>, Vec<f64>)]) -> Vec<Row<'_>> {
+        rows.iter().map(|(n, d)| (&n[..], &d[..])).collect()
+    }
+
+    /// One unphased factor-row evaluation into fresh buffers.
+    fn factors<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        rows: &[Row],
+    ) -> (Vec<f64>, OpCounts) {
+        let (mut work, mut probs, mut tel) = (Vec::new(), Vec::new(), PgTelemetry::new());
+        let rows = rows.iter().copied();
+        let ops = fusion.evaluate_factors_into(rows, &mut work, &mut probs, &mut tel, None);
+        (probs, ops)
+    }
+
+    /// One direct-datapath evaluation into a fresh buffer.
+    fn direct_factors(direct: &DirectDatapath, rows: &[Row]) -> (Vec<f64>, OpCounts) {
+        let mut probs = Vec::new();
+        let ops = direct.evaluate_factors_into(rows.iter().copied(), &mut probs);
+        (probs, ops)
+    }
+
     /// One unphased log-score evaluation into fresh buffers.
     fn log_scores<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
@@ -476,19 +404,19 @@ mod tests {
     /// `Fixed` quantization and saturating add/sub per factor.
     fn fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
-        exprs: &[FactorExpr],
+        rows: &[Row],
     ) -> (Vec<f64>, OpCounts, PgTelemetry) {
         let fmt = fusion.acc_fmt;
         let mut ops = OpCounts::new();
         let mut work = Vec::new();
-        for e in exprs {
+        for &(numerators, denominators) in rows {
             let mut acc = Fixed::zero(fmt);
-            for &a in &e.numerators {
+            for &a in numerators {
                 ops.lut += 1;
                 acc = acc + Fixed::from_f64(fusion.log.log(a), fmt, Rounding::Nearest);
                 ops.add += 1;
             }
-            for &b in &e.denominators {
+            for &b in denominators {
                 ops.lut += 1;
                 acc = acc - Fixed::from_f64(fusion.log.log(b), fmt, Rounding::Nearest);
                 ops.add += 1;
@@ -510,13 +438,13 @@ mod tests {
     /// bit: probabilities, op tallies and telemetry.
     fn assert_matches_fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
-        exprs: &[FactorExpr],
+        rows: &[Row],
         what: &str,
     ) {
-        let (want, want_ops, want_tel) = fixed_loop(fusion, exprs);
+        let (want, want_ops, want_tel) = fixed_loop(fusion, rows);
         let (mut work, mut probs, mut tel) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let ops =
-            fusion.evaluate_factors_into(expr_rows(exprs), &mut work, &mut probs, &mut tel, None);
+        let it = rows.iter().copied();
+        let ops = fusion.evaluate_factors_into(it, &mut work, &mut probs, &mut tel, None);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&probs), bits(&want), "{what}: probs");
         assert_eq!(ops, want_ops, "{what}: ops");
@@ -529,14 +457,14 @@ mod tests {
         // from saturation (so per-add clamping shows), carry a zero factor
         // (LOG_ZERO) or non-finite factors, plus LDA-shaped
         // `(DT+α)(VT+β)/(ΣVT+βV)` rows.
-        let mut exprs = vec![
-            FactorExpr::ratio(vec![1e300; 4], vec![1e300; 4]),
-            FactorExpr::ratio(vec![1e-300; 3], vec![1e-300, 1e-300]),
-            FactorExpr::ratio(vec![0.0, 1e300], vec![1e-300]),
-            FactorExpr::ratio(vec![f64::INFINITY, 0.5], vec![f64::NAN]),
-            FactorExpr::ratio(vec![3.0e4, 7.0e4], vec![2.5e-5]),
-            FactorExpr::product(vec![0.75]),
-            FactorExpr::default(),
+        let mut owned = vec![
+            (vec![1e300; 4], vec![1e300; 4]),
+            (vec![1e-300; 3], vec![1e-300, 1e-300]),
+            (vec![0.0, 1e300], vec![1e-300]),
+            (vec![f64::INFINITY, 0.5], vec![f64::NAN]),
+            (vec![3.0e4, 7.0e4], vec![2.5e-5]),
+            (vec![0.75], vec![]),
+            (vec![], vec![]),
         ];
         let mut state = 0x5EED_F00Du64;
         for _ in 0..64 {
@@ -544,11 +472,12 @@ mod tests {
             let dt = (state >> 40) % 90;
             let vt = (state >> 20) % 400;
             let total = 400 + (state >> 8) % 6000;
-            exprs.push(FactorExpr::ratio(
+            owned.push((
                 vec![dt as f64 + 50.0 / 16.0, vt as f64 + 0.01],
                 vec![total as f64 + 0.01 * 256.0],
             ));
         }
+        let exprs = borrow(&owned);
         let formats = [
             QFormat::new(1, 4).unwrap(),
             QFormat::new(5, 10).unwrap(),
@@ -574,10 +503,7 @@ mod tests {
                     rest -= 1e300f64.ln();
                 }
                 walk_back.push(rest.exp());
-                let rows = [
-                    FactorExpr::ratio(vec![0.5, f64::INFINITY], walk_back),
-                    FactorExpr::product(vec![1e-3]),
-                ];
+                let rows: [Row; 2] = [(&[0.5, f64::INFINITY], &walk_back), (&[1e-3], &[])];
                 let what = format!("walk-back {fmt}");
                 assert_matches_fixed_loop(&float, &rows, &what);
                 assert_matches_fixed_loop(&float.clone().without_dynorm(), &rows, &what);
@@ -593,77 +519,54 @@ mod tests {
     }
 
     #[test]
-    fn factor_expr_reference_value() {
-        let e = FactorExpr::ratio(vec![0.5, 0.4], vec![0.1]);
-        assert!((e.reference_value() - 2.0).abs() < 1e-12);
-        assert_eq!(
-            FactorExpr::ratio(vec![1.0], vec![0.0]).reference_value(),
-            0.0
-        );
-    }
-
-    #[test]
     fn fused_float_kernels_match_reference_ratios() {
         // With float log/exp kernels the fused result must match the direct
         // ratio up to accumulator quantization.
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 4);
-        let exprs = vec![
-            FactorExpr::ratio(vec![0.5, 0.8], vec![0.9]),
-            FactorExpr::ratio(vec![0.3, 0.6], vec![0.9]),
-        ];
-        let result = fusion.evaluate_factors(&exprs);
+        let rows: [Row; 2] = [(&[0.5, 0.8], &[0.9]), (&[0.3, 0.6], &[0.9])];
+        let (probs, _) = factors(&fusion, &rows);
         // DyNorm rescales both by the same constant: ratios are preserved.
-        let got = result.probs[0] / result.probs[1];
-        let want = exprs[0].reference_value() / exprs[1].reference_value();
+        let got = probs[0] / probs[1];
+        let value = |(n, d): Row| n.iter().product::<f64>() / d.iter().product::<f64>();
+        let want = value(rows[0]) / value(rows[1]);
         assert!((got - want).abs() / want < 1e-3, "got {got} want {want}");
     }
 
     #[test]
     fn fused_lut_kernels_preserve_argmax_and_ordering() {
         let fusion = LogFusion::new(TableLog::new(128, 16), TableExp::new(128, 16), acc(), 4);
-        let exprs: Vec<FactorExpr> = [0.02, 0.5, 0.1, 0.31]
-            .iter()
-            .map(|&p| FactorExpr::product(vec![p, 0.7]))
-            .collect();
-        let result = fusion.evaluate_factors(&exprs);
-        let argmax = result
-            .probs
+        let owned = [0.02, 0.5, 0.1, 0.31].map(|p| (vec![p, 0.7], vec![]));
+        let (probs, _) = factors(&fusion, &borrow(&owned));
+        let argmax = probs
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap()
             .0;
         assert_eq!(argmax, 1);
-        assert!(result.probs[3] > result.probs[2]);
-        assert!(result.probs[2] > result.probs[0]);
+        assert!(probs[3] > probs[2]);
+        assert!(probs[2] > probs[0]);
     }
 
     #[test]
     fn dynorm_pins_best_label_at_one_through_table_exp() {
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
         // Tiny probabilities that would all flush to zero without DyNorm.
-        let exprs: Vec<FactorExpr> = [1e-6, 3e-6, 2e-6]
-            .iter()
-            .map(|&p| FactorExpr::product(vec![p]))
-            .collect();
-        let result = fusion.evaluate_factors(&exprs);
-        assert_eq!(result.probs[1], 1.0, "best label must map to exp(0) = 1");
-        assert!(result.probs.iter().all(|&p| p > 0.0), "{:?}", result.probs);
+        let owned = [1e-6, 3e-6, 2e-6].map(|p| (vec![p], vec![]));
+        let (probs, _) = factors(&fusion, &borrow(&owned));
+        assert_eq!(probs[1], 1.0, "best label must map to exp(0) = 1");
+        assert!(probs.iter().all(|&p| p > 0.0), "{probs:?}");
     }
 
     #[test]
     fn without_dynorm_low_precision_flushes_everything() {
         let fusion =
             LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4).without_dynorm();
-        let exprs: Vec<FactorExpr> = [1e-6, 3e-6, 2e-6]
-            .iter()
-            .map(|&p| FactorExpr::product(vec![p]))
-            .collect();
-        let result = fusion.evaluate_factors(&exprs);
+        let owned = [1e-6, 3e-6, 2e-6].map(|p| (vec![p], vec![]));
+        let (probs, _) = factors(&fusion, &borrow(&owned));
         assert!(
-            result.probs.iter().all(|&p| p == 0.0),
-            "tiny probs must flush without DyNorm: {:?}",
-            result.probs
+            probs.iter().all(|&p| p == 0.0),
+            "tiny probs must flush without DyNorm: {probs:?}"
         );
     }
 
@@ -679,21 +582,19 @@ mod tests {
     #[test]
     fn op_counts_match_factor_structure() {
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
-        let exprs = vec![FactorExpr::ratio(vec![0.5, 0.5, 0.5], vec![0.25, 0.75])];
-        let r = fusion.evaluate_factors(&exprs);
+        let (_, ops) = factors(&fusion, &[(&[0.5, 0.5, 0.5], &[0.25, 0.75])]);
         // 5 log lookups + 1 exp lookup, 5 adds + 1 dynorm subtract
-        assert_eq!(r.ops.lut, 6);
-        assert_eq!(r.ops.add, 6);
+        assert_eq!(ops.lut, 6);
+        assert_eq!(ops.add, 6);
     }
 
     #[test]
     fn direct_datapath_matches_reference_for_benign_values() {
         let direct = DirectDatapath::new(acc());
-        let exprs = vec![FactorExpr::ratio(vec![0.5, 0.5], vec![0.125])];
-        let r = direct.evaluate_factors(&exprs);
-        assert!((r.probs[0] - 2.0).abs() < 1e-3);
-        assert_eq!(r.ops.mul, 2);
-        assert_eq!(r.ops.div, 1);
+        let (probs, ops) = direct_factors(&direct, &[(&[0.5, 0.5], &[0.125])]);
+        assert!((probs[0] - 2.0).abs() < 1e-3);
+        assert_eq!(ops.mul, 2);
+        assert_eq!(ops.div, 1);
     }
 
     #[test]
@@ -701,30 +602,26 @@ mod tests {
         // §III-C: long multiply sequences underflow in fixed point; this is
         // what LogFusion fixes.
         let direct = DirectDatapath::new(acc());
-        let exprs = vec![FactorExpr::product(vec![1e-3; 6])];
-        let r = direct.evaluate_factors(&exprs);
-        assert_eq!(r.probs[0], 0.0, "product of six 1e-3 must underflow Q15.16");
+        let rows: [Row; 1] = [(&[1e-3; 6], &[])];
+        let (probs, _) = direct_factors(&direct, &rows);
+        assert_eq!(probs[0], 0.0, "product of six 1e-3 must underflow Q15.16");
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
-        let f = fusion.evaluate_factors(&exprs);
-        assert!(f.probs[0] > 0.0, "LogFusion+DyNorm must not underflow");
+        let (fused, _) = factors(&fusion, &rows);
+        assert!(fused[0] > 0.0, "LogFusion+DyNorm must not underflow");
     }
 
     #[test]
     fn zero_factor_yields_zero_probability() {
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 2);
-        let exprs = vec![
-            FactorExpr::product(vec![0.0, 0.5]),
-            FactorExpr::product(vec![0.5, 0.5]),
-        ];
-        let r = fusion.evaluate_factors(&exprs);
-        assert_eq!(r.probs[0], 0.0, "a zero factor must kill the label");
-        assert!(r.probs[1] > 0.0);
+        let (probs, _) = factors(&fusion, &[(&[0.0, 0.5], &[]), (&[0.5, 0.5], &[])]);
+        assert_eq!(probs[0], 0.0, "a zero factor must kill the label");
+        assert!(probs[1] > 0.0);
     }
 
     #[test]
     fn empty_vector_is_empty() {
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
-        assert!(fusion.evaluate_factors(&[]).probs.is_empty());
+        assert!(factors(&fusion, &[]).0.is_empty());
         assert!(log_scores(&fusion, &[]).0.is_empty());
     }
 
@@ -841,20 +738,13 @@ mod tests {
         assert_eq!(vec![ops1], opsb);
         assert_ne!(bphases, StagePhases::default());
 
-        // Factor expressions fill phases through the same plumbing.
-        let exprs = vec![FactorExpr::product(vec![0.5, 0.7])];
+        // Factor rows fill phases through the same plumbing.
+        let rows: [Row; 1] = [(&[0.5, 0.7], &[])];
         let (mut wf, mut pf, mut telf) = (Vec::new(), Vec::new(), PgTelemetry::new());
         let mut fphases = StagePhases::default();
-        let fops = fusion.evaluate_factors_into(
-            expr_rows(&exprs),
-            &mut wf,
-            &mut pf,
-            &mut telf,
-            Some(&mut fphases),
-        );
-        let plain = fusion.evaluate_factors(&exprs);
-        assert_eq!(pf, plain.probs);
-        assert_eq!(fops, plain.ops);
+        let fops =
+            fusion.evaluate_factors_into(rows, &mut wf, &mut pf, &mut telf, Some(&mut fphases));
+        assert_eq!((pf, fops), factors(&fusion, &rows));
         assert_ne!(fphases, StagePhases::default());
         let before = fphases;
         fphases.merge(&bphases);

@@ -4,8 +4,9 @@
 use coopmc_fixed::QFormat;
 use coopmc_kernels::dynorm::{dynorm_apply, NormTree};
 use coopmc_kernels::exp::{ExpKernel, FixedExp, FloatExp, TableExp};
-use coopmc_kernels::fusion::{DirectDatapath, FactorExpr, LogFusion};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion};
 use coopmc_kernels::log::{FloatLog, LogKernel, TableLog};
+use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_testkit::{check, Gen};
 
 fn arb_scores(g: &mut Gen) -> Vec<f64> {
@@ -104,11 +105,12 @@ fn fusion_preserves_ratios() {
             QFormat::new(15, 30).unwrap(),
             4,
         );
-        let exprs: Vec<FactorExpr> = ps.iter().map(|&p| FactorExpr::product(vec![p])).collect();
-        let r = fusion.evaluate_factors(&exprs);
+        let rows = ps.iter().map(|p| (std::slice::from_ref(p), &[][..]));
+        let (mut work, mut probs) = (Vec::new(), Vec::new());
+        fusion.evaluate_factors_into(rows, &mut work, &mut probs, &mut PgTelemetry::new(), None);
         for i in 1..ps.len() {
             let want = ps[i] / ps[0];
-            let got = r.probs[i] / r.probs[0];
+            let got = probs[i] / probs[0];
             assert!((got - want).abs() / want < 1e-4, "want {want} got {got}");
         }
     });
@@ -169,18 +171,24 @@ fn direct_and_fused_agree_on_argmax() {
         if sorted[0] - sorted[1] <= 0.02 {
             return;
         }
-        let exprs: Vec<FactorExpr> = ps
-            .iter()
-            .map(|&p| FactorExpr::ratio(vec![p, 0.5], vec![0.9]))
-            .collect();
-        let direct = DirectDatapath::new(QFormat::baseline32()).evaluate_factors(&exprs);
-        let fused = LogFusion::new(
+        let numerators: Vec<[f64; 2]> = ps.iter().map(|&p| [p, 0.5]).collect();
+        let rows = || numerators.iter().map(|n| (&n[..], &[0.9][..]));
+        let mut direct = Vec::new();
+        DirectDatapath::new(QFormat::baseline32()).evaluate_factors_into(rows(), &mut direct);
+        let (mut work, mut fused) = (Vec::new(), Vec::new());
+        LogFusion::new(
             TableLog::new(1024, 24),
             TableExp::new(1024, 24),
             QFormat::new(15, 24).unwrap(),
             4,
         )
-        .evaluate_factors(&exprs);
+        .evaluate_factors_into(
+            rows(),
+            &mut work,
+            &mut fused,
+            &mut PgTelemetry::new(),
+            None,
+        );
         let argmax = |v: &[f64]| {
             v.iter()
                 .enumerate()
@@ -188,6 +196,6 @@ fn direct_and_fused_agree_on_argmax() {
                 .unwrap()
                 .0
         };
-        assert_eq!(argmax(&direct.probs), argmax(&fused.probs));
+        assert_eq!(argmax(&direct), argmax(&fused));
     });
 }

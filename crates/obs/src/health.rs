@@ -38,9 +38,8 @@
 //! falls to the threshold *and* windowed ESS reaches the budget — exactly
 //! the progress/early-stop signal the planned `coopmc-serve` needs.
 
-use crate::journal::render_health_line;
 use crate::metrics::{self, Counter, Gauge};
-use crate::trace::Recorder;
+use crate::trace::{Event, Recorder};
 
 /// Diagnostics refresh and detector tuning for one [`ChainHealth`].
 #[derive(Debug, Clone, PartialEq)]
@@ -752,8 +751,9 @@ pub struct StopInfo {
 /// Early-stop convergence controller: wraps a [`ChainHealth`] and stops the
 /// chain once rank-normalized split R-hat ≤ `rhat_threshold` **and**
 /// windowed ESS ≥ `ess_budget`. Refreshed [`HealthRecord`] snapshots are
-/// forwarded to the attached [`Recorder`] (so `--journal-out` captures
-/// them); the default `NoopRecorder` discards them for free.
+/// forwarded to the attached [`Recorder`] as [`Event::Health`] (so
+/// `--journal-out` captures them); the default `NoopRecorder` discards
+/// them for free.
 pub struct EarlyStop<'a> {
     health: ChainHealth,
     rhat_threshold: f64,
@@ -836,7 +836,7 @@ impl ConvergenceController for EarlyStop<'_> {
                 .observe_sweep(iteration, updates, flips, uniform_fallbacks, stat);
         let record = self.health.record();
         if refreshed && self.recorder.enabled() {
-            self.recorder.health(record);
+            self.recorder.record(Event::Health(record));
         }
         self.info.iteration = iteration;
         self.info.rhat = record.rhat;
@@ -851,13 +851,6 @@ impl ConvergenceController for EarlyStop<'_> {
         }
         Decision::Continue
     }
-}
-
-/// Render a [`HealthRecord`] as its `coopmc-health/1` journal line (no
-/// trailing newline). Thin re-export so callers don't need the journal
-/// module for one function.
-pub fn health_line(record: &HealthRecord) -> String {
-    render_health_line(record)
 }
 
 #[cfg(test)]

@@ -28,6 +28,9 @@ pub const PROFILE_SCHEMA: &str = "coopmc-profile/1";
 pub struct ColorSample {
     /// Color-class index within the sweep.
     pub class: u64,
+    /// Clock reading at the class's dispatch (not journaled; it places the
+    /// class's Chrome-trace span).
+    pub start_ns: u64,
     /// Wall time of the class barrier (dispatch → last commit), ns.
     pub wall_ns: u64,
     /// Summed worker busy time inside the barrier, ns.
@@ -78,11 +81,24 @@ pub struct SweepSample {
     pub exp_in_min: Option<f64>,
     /// Largest exp-kernel input observed (post-normalization).
     pub exp_in_max: Option<f64>,
-    /// Model statistic for this sweep (MRF energy, BN log joint, LDA
-    /// log-likelihood), when an observer supplied one.
+    /// Model statistic after this sweep (MRF energy, BN log joint, LDA
+    /// log-likelihood), when the run computed one.
     pub stat: Option<f64>,
     /// Per-color worker-pool utilization (chromatic engine only).
     pub colors: Vec<ColorSample>,
+    /// Every pool slot's cumulative totals at the sweep's end, slot 0
+    /// first (chromatic engine only; not journaled, they feed the pool
+    /// gauges).
+    pub slots: Vec<WorkerStats>,
+}
+
+/// A snapshot of one pool slot's cumulative accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkerStats {
+    /// Nanoseconds this slot has spent running tasks.
+    pub busy_ns: u64,
+    /// Tasks this slot has run (one per broadcast it took part in).
+    pub jobs: u64,
 }
 
 /// The Table II runtime breakdown `(PG%, SD%, PU%)` of journaled sweeps:
@@ -583,9 +599,14 @@ mod tests {
             stat: Some(-123.0),
             colors: vec![ColorSample {
                 class: 0,
+                start_ns: iter * 1000,
                 wall_ns: 450,
                 busy_ns: 400,
                 utilization: 0.888,
+            }],
+            slots: vec![WorkerStats {
+                busy_ns: 400,
+                jobs: 1,
             }],
         }
     }

@@ -1,28 +1,34 @@
-//! `coopmc-obs`: zero-overhead tracing, phase-level metrics and the
-//! per-chain run journal for the CoopMC reproduction.
+//! `coopmc-obs`: one observation seam for the CoopMC reproduction, and
+//! the reducers that turn what it sees into a run journal, a Chrome trace,
+//! Prometheus metrics, a kernel profile and chain-health diagnostics.
 //!
-//! Three layers, all `std`-only (the build container is offline):
+//! Everything is `std`-only (the build container is offline):
 //!
-//! 1. **Metrics** ([`metrics`]) — relaxed-atomic counters, gauges and
-//!    histograms behind a process-global registry with Prometheus-style
-//!    text exposition.
-//! 2. **Tracing** ([`trace`]) — a [`Recorder`] trait whose disabled form,
-//!    [`NoopRecorder`], is statically dispatched into nothing; the engines
-//!    are generic over it, so the warm-sweep zero-allocation guarantee from
-//!    the perf work survives instrumentation and is proved by the
-//!    counting-allocator test in `coopmc-core`.
-//! 3. **Journal** ([`journal`]) — one JSONL record per sweep per chain
-//!    (`coopmc-journal/1`), carrying the Table II phase split in wall time
-//!    and modeled cycles, DyNorm/TableExp telemetry, chain-quality
-//!    statistics and worker-pool utilization, plus a Chrome-trace export
-//!    of spans for `chrome://tracing`.
-//!
-//! 4. **Profiling** ([`profile`]) — a hierarchical kernel-span profiler
-//!    ([`SpanProfiler`]) behind the same static-dispatch `prof_*` hooks,
-//!    with fixed-capacity per-worker span rings, per-`(lane, kernel)`
-//!    self/total attribution and modeled-cycle tallies, exported as
-//!    collapsed-stack flamegraph text, a `coopmc-profile/1` journal
-//!    section and Chrome-trace span merges.
+//! 1. **Seam** ([`trace`]) — the engines report to a statically dispatched
+//!    [`Recorder`]: two flags (journaling, profiling), one clock
+//!    ([`Recorder::now_ns`]) and one closed [`Event`] vocabulary (sweep
+//!    start, sweep end with its journal record, kernel time, health
+//!    refresh). The disabled form, [`NoopRecorder`], reads no clock and
+//!    compiles to nothing, so the warm-sweep zero-allocation guarantee
+//!    survives instrumentation (proved by the counting-allocator tests in
+//!    `coopmc-core`). A pair `(A, B)` feeds both members one stream on
+//!    one clock.
+//! 2. **Journal, trace and metrics** ([`journal`], [`TraceRecorder`],
+//!    [`metrics`]) — one JSONL record per sweep per chain
+//!    (`coopmc-journal/1`) with the Table II phase split in wall time and
+//!    modeled cycles, DyNorm/TableExp telemetry, chain-quality statistics
+//!    and worker-pool utilization; a Chrome-trace export; and
+//!    relaxed-atomic counters, gauges and histograms in a process-global
+//!    registry with Prometheus-style text exposition.
+//! 3. **Profiling** ([`profile`]) — a hierarchical kernel-span profiler
+//!    ([`SpanProfiler`]) with fixed-capacity per-worker span rings,
+//!    per-`(lane, kernel)` self/total attribution and modeled-cycle
+//!    tallies, exported as collapsed-stack flamegraph text, a
+//!    `coopmc-profile/1` journal section and the Chrome trace's kernel
+//!    tracks.
+//! 4. **Health** ([`health`]) — streaming ESS / R-hat / MCSE and anomaly
+//!    detectors, and the early-stop controller that forwards its
+//!    refreshes as [`Event::Health`].
 //!
 //! The `coopmc-obs-check` binary validates a journal file against the
 //! schemas; CI runs it on a freshly traced chain.
@@ -38,9 +44,11 @@ pub use health::{
     ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig, HealthEvent,
     HealthEventKind, HealthRecord, NoControl, StopInfo,
 };
-pub use journal::{ColorSample, ProfileSample, SweepSample, HEALTH_SCHEMA, PROFILE_SCHEMA, SCHEMA};
+pub use journal::{
+    ColorSample, ProfileSample, SweepSample, WorkerStats, HEALTH_SCHEMA, PROFILE_SCHEMA, SCHEMA,
+};
 pub use metrics::{
     counter, counter_with, describe, gauge, gauge_with, histogram, log2_buckets, render,
 };
-pub use profile::{Kernel, KernelReport, Profiled, SpanProfiler};
-pub use trace::{NoopRecorder, Recorder, TraceRecorder};
+pub use profile::{Kernel, KernelReport, SpanProfiler};
+pub use trace::{Event, NoopRecorder, Recorder, TraceRecorder};

@@ -1,20 +1,23 @@
 //! Kernel-level cycle-attribution profiler.
 //!
 //! [`SpanProfiler`] is a hierarchical span profiler with fixed-capacity
-//! per-worker span rings. It is wired into the engines through the
-//! `prof_*` hooks on [`Recorder`], which — like the tracing hooks — are
-//! statically dispatched: the [`NoopRecorder`](crate::trace::NoopRecorder)
-//! defaults fold to nothing, so the warm-sweep zero-allocation guarantee
-//! and chain bit-identity survive (both are pinned by tests in
-//! `coopmc-core` and the workspace `tests/profiling.rs`).
+//! per-worker span rings, built as a [`Recorder`] over the engines' events:
+//! [`Event::SweepStart`] and [`Event::SweepEnd`] open and close the `sweep`
+//! span on the coordinator lane, and every [`Event::Kernel`] closes a leaf
+//! span and attributes its modeled cycles. Every span is timed with the
+//! events' own timestamps, so the profiler reads no clock while it records.
+//! Under static dispatch the [`NoopRecorder`](crate::trace::NoopRecorder)
+//! engines emit nothing, so the warm-sweep zero-allocation guarantee and
+//! chain bit-identity survive (both are pinned by tests in `coopmc-core`
+//! and the workspace `tests/profiling.rs`).
 //!
 //! The span vocabulary is closed: every instrumented site names a
 //! [`Kernel`], so exports (collapsed-stack flamegraph text, the
-//! `coopmc-profile/1` journal section, Chrome-trace merge) and the
-//! `coopmc_hw` divergence ledger all share one spelling of each kernel.
+//! `coopmc-profile/1` journal section, the Chrome-trace kernel tracks) and
+//! the `coopmc_hw` divergence ledger all share one spelling of each kernel.
 //!
 //! Recording is allocation-free after construction: each lane owns a
-//! preallocated ring of [`RingSpan`]s (spans past capacity are counted in
+//! preallocated ring of spans (spans past capacity are counted in
 //! `spans_dropped`, aggregates keep accumulating), a fixed-depth span
 //! stack (imbalance is counted in `unclosed`, never panics), and a
 //! fixed-size per-kernel aggregate table. Modeled cycles are attributed
@@ -24,10 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::health::HealthRecord;
 use crate::journal::{render_profile_line, ProfileSample};
-use crate::trace::Recorder;
-use crate::SweepSample;
+use crate::trace::{Event, Recorder};
 
 /// Maximum nesting depth of open spans per lane. The engine vocabulary
 /// nests at most two deep (`sweep` → kernel leaf); extra headroom keeps
@@ -45,7 +46,7 @@ pub const RING_CAPACITY: usize = 8192;
 pub enum Kernel {
     /// Whole-sweep root span on the coordinator lane.
     Sweep = 0,
-    /// Host-side score gather (`model.scores_into`) feeding the PG core.
+    /// Host-side score gather (`model.row_into`) feeding the PG core.
     PgGather = 1,
     /// PG stage 1: accumulator-bus arithmetic / requantization into the
     /// accumulator format (the normalization bus of the paper's PG core).
@@ -113,45 +114,14 @@ impl Kernel {
     pub fn from_name(name: &str) -> Option<Kernel> {
         KERNELS.iter().copied().find(|k| k.name() == name)
     }
-
-    fn from_u8(v: u8) -> Kernel {
-        KERNELS[v as usize]
-    }
 }
 
 /// One completed span in a lane's fixed-capacity ring.
 #[derive(Debug, Clone, Copy)]
-pub struct RingSpan {
-    /// Kernel discriminant ([`Kernel::from_u8`] order).
-    kernel: u8,
-    /// Nesting depth at close time (0 = root).
-    depth: u8,
-    /// Start, nanoseconds since the profiler epoch.
+struct RingSpan {
+    kernel: Kernel,
     start_ns: u64,
-    /// Duration in nanoseconds.
     dur_ns: u64,
-}
-
-impl RingSpan {
-    /// Kernel the span belongs to.
-    pub fn kernel(&self) -> Kernel {
-        Kernel::from_u8(self.kernel)
-    }
-
-    /// Nesting depth at close time (0 = root).
-    pub fn depth(&self) -> u8 {
-        self.depth
-    }
-
-    /// Start, nanoseconds since the profiler epoch.
-    pub fn start_ns(&self) -> u64 {
-        self.start_ns
-    }
-
-    /// Duration in nanoseconds.
-    pub fn dur_ns(&self) -> u64 {
-        self.dur_ns
-    }
 }
 
 /// Per-kernel running aggregate inside a lane.
@@ -163,9 +133,9 @@ struct KernelAgg {
 }
 
 /// One open frame on a lane's span stack.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    kernel: u8,
+    kernel: Kernel,
     start_ns: u64,
     child_ns: u64,
 }
@@ -184,8 +154,13 @@ struct Lane {
 
 impl Lane {
     fn new() -> Lane {
+        let frame = Frame {
+            kernel: Kernel::Sweep,
+            start_ns: 0,
+            child_ns: 0,
+        };
         Lane {
-            stack: [Frame::default(); MAX_DEPTH],
+            stack: [frame; MAX_DEPTH],
             depth: 0,
             unclosed: 0,
             dropped: 0,
@@ -194,7 +169,7 @@ impl Lane {
         }
     }
 
-    fn record_closed(&mut self, kernel: u8, start_ns: u64, dur_ns: u64, child_ns: u64) {
+    fn record_closed(&mut self, kernel: Kernel, start_ns: u64, dur_ns: u64, child_ns: u64) {
         let agg = &mut self.agg[kernel as usize];
         agg.calls += 1;
         agg.total_ns += dur_ns;
@@ -205,7 +180,6 @@ impl Lane {
         if self.ring.len() < RING_CAPACITY {
             self.ring.push(RingSpan {
                 kernel,
-                depth: self.depth as u8,
                 start_ns,
                 dur_ns,
             });
@@ -214,7 +188,6 @@ impl Lane {
         }
     }
 }
-
 /// Self/total attribution for one `(worker lane, kernel)` pair, plus the
 /// lane's loss counters. `modeled_cycles` is the closed-form hardware cost
 /// attributed to the same pair by the engines (see `coopmc_hw`).
@@ -267,71 +240,48 @@ impl SpanProfiler {
         }
     }
 
-    /// Number of lanes, one per pool slot.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+    fn lane(&self, lane: usize) -> std::sync::MutexGuard<'_, Lane> {
+        let lane = &self.lanes[lane.min(self.lanes.len() - 1)];
+        lane.lock().expect("profiler lane poisoned")
     }
 
-    /// Nanoseconds since the profiler epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn lane(&self, lane: usize) -> &Mutex<Lane> {
-        &self.lanes[lane.min(self.lanes.len() - 1)]
-    }
-
-    /// Open a span for `kernel` on `lane`.
-    pub fn begin(&self, lane: usize, kernel: Kernel) {
-        let now = self.now_ns();
-        let mut lane = self.lane(lane).lock().expect("profiler lane poisoned");
+    /// Open a span for `kernel` on `lane` at `start_ns`.
+    fn begin(&self, lane: usize, kernel: Kernel, start_ns: u64) {
+        let mut lane = self.lane(lane);
         if lane.depth == MAX_DEPTH {
             lane.unclosed += 1;
             return;
         }
         let depth = lane.depth;
         lane.stack[depth] = Frame {
-            kernel: kernel as u8,
-            start_ns: now,
+            kernel,
+            start_ns,
             child_ns: 0,
         };
         lane.depth += 1;
     }
 
-    /// Close the innermost span on `lane`, which must be `kernel`; a
-    /// mismatch or an empty stack counts as imbalance instead of closing.
-    pub fn end(&self, lane: usize, kernel: Kernel) {
-        let now = self.now_ns();
-        let mut lane = self.lane(lane).lock().expect("profiler lane poisoned");
-        if lane.depth == 0 || lane.stack[lane.depth - 1].kernel != kernel as u8 {
+    /// Close the innermost span on `lane` at `end_ns`; it must be
+    /// `kernel`. A mismatch or an empty stack counts as imbalance instead
+    /// of closing.
+    fn end(&self, lane: usize, kernel: Kernel, end_ns: u64) {
+        let mut lane = self.lane(lane);
+        if lane.depth == 0 || lane.stack[lane.depth - 1].kernel != kernel {
             lane.unclosed += 1;
             return;
         }
         lane.depth -= 1;
         let frame = lane.stack[lane.depth];
-        let dur = now.saturating_sub(frame.start_ns);
+        let dur = end_ns.saturating_sub(frame.start_ns);
         lane.record_closed(frame.kernel, frame.start_ns, dur, frame.child_ns);
-    }
-
-    /// Record an already-timed leaf span of `dur_ns` ending now.
-    pub fn leaf(&self, lane: usize, kernel: Kernel, dur_ns: u64) {
-        let now = self.now_ns();
-        let mut lane = self.lane(lane).lock().expect("profiler lane poisoned");
-        lane.record_closed(kernel as u8, now.saturating_sub(dur_ns), dur_ns, 0);
-    }
-
-    /// Attribute `cycles` modeled hardware cycles to `(lane, kernel)`.
-    pub fn add_cycles(&self, lane: usize, kernel: Kernel, cycles: u64) {
-        let lane = lane.min(self.cycles.len() - 1);
-        self.cycles[lane][kernel as usize].fetch_add(cycles, Ordering::Relaxed);
     }
 
     /// Per-`(lane, kernel)` attribution rows, lane-major then kernel
     /// order; rows with zero calls and zero cycles are omitted.
     pub fn kernel_reports(&self) -> Vec<KernelReport> {
         let mut out = Vec::new();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let lane = lane.lock().expect("profiler lane poisoned");
+        for i in 0..self.lanes.len() {
+            let lane = self.lane(i);
             let unclosed = lane.unclosed + lane.depth as u64;
             let lane_start = out.len();
             for kernel in KERNELS {
@@ -368,7 +318,6 @@ impl SpanProfiler {
         }
         out
     }
-
     /// Collapsed-stack flamegraph text (`frame;frame count` per line,
     /// counts in nanoseconds of self time). Coordinator kernels nest
     /// under `sweep`; worker-lane kernels stack under `worker-<i>`.
@@ -423,12 +372,11 @@ impl SpanProfiler {
 
     /// Snapshot of every retained ring span as
     /// `(lane, kernel, start_ns, dur_ns)`, for Chrome-trace merging.
-    pub fn ring_spans(&self) -> Vec<(usize, Kernel, u64, u64)> {
+    pub(crate) fn ring_spans(&self) -> Vec<(usize, Kernel, u64, u64)> {
         let mut out = Vec::new();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let lane = lane.lock().expect("profiler lane poisoned");
-            for span in &lane.ring {
-                out.push((i, span.kernel(), span.start_ns, span.dur_ns));
+        for i in 0..self.lanes.len() {
+            for span in &self.lane(i).ring {
+                out.push((i, span.kernel, span.start_ns, span.dur_ns));
             }
         }
         out
@@ -436,101 +384,39 @@ impl SpanProfiler {
 }
 
 impl Recorder for SpanProfiler {
-    /// The profiler's clock: the engines time kernel leaves with it.
-    fn now_ns(&self) -> u64 {
-        SpanProfiler::now_ns(self)
-    }
-
-    fn prof_enabled(&self) -> bool {
+    fn profiling(&self) -> bool {
         true
     }
 
-    fn prof_begin(&self, lane: usize, kernel: Kernel) {
-        self.begin(lane, kernel);
-    }
-
-    fn prof_end(&self, lane: usize, kernel: Kernel) {
-        self.end(lane, kernel);
-    }
-
-    fn prof_leaf(&self, lane: usize, kernel: Kernel, dur_ns: u64) {
-        self.leaf(lane, kernel, dur_ns);
-    }
-
-    fn prof_cycles(&self, lane: usize, kernel: Kernel, cycles: u64) {
-        self.add_cycles(lane, kernel, cycles);
-    }
-}
-
-/// Recorder combinator that layers kernel profiling (routed to a
-/// [`SpanProfiler`]) on top of any tracing recorder. `Copy` so the
-/// engines can keep their by-value recorder plumbing.
-#[derive(Debug, Clone, Copy)]
-pub struct Profiled<'a, R> {
-    inner: R,
-    profiler: &'a SpanProfiler,
-}
-
-impl<'a, R: Recorder> Profiled<'a, R> {
-    /// Layer `profiler` on top of `inner`.
-    pub fn new(inner: R, profiler: &'a SpanProfiler) -> Profiled<'a, R> {
-        Profiled { inner, profiler }
-    }
-}
-
-impl<R: Recorder> Recorder for Profiled<'_, R> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    /// The inner recorder's clock when it records (so journal spans keep
-    /// its epoch), else the profiler's.
+    /// The profiler's clock, which times engines that run on the profiler
+    /// alone; paired behind a journaling recorder it goes unread.
     fn now_ns(&self) -> u64 {
-        if self.inner.enabled() {
-            self.inner.now_ns()
-        } else {
-            self.profiler.now_ns()
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Sweep events open and close lane 0's `sweep` span; a kernel event
+    /// closes a leaf span ending at its `end_ns` (none for a zero
+    /// duration) and attributes its cycles.
+    fn record(&self, event: Event<'_>) {
+        match event {
+            Event::SweepStart { start_ns } => self.begin(0, Kernel::Sweep, start_ns),
+            Event::SweepEnd { end_ns, .. } => self.end(0, Kernel::Sweep, end_ns),
+            Event::Kernel {
+                lane,
+                kernel,
+                end_ns,
+                dur_ns,
+                cycles,
+            } => {
+                if dur_ns > 0 {
+                    let start_ns = end_ns.saturating_sub(dur_ns);
+                    self.lane(lane).record_closed(kernel, start_ns, dur_ns, 0);
+                }
+                let lane = lane.min(self.cycles.len() - 1);
+                self.cycles[lane][kernel as usize].fetch_add(cycles, Ordering::Relaxed);
+            }
+            Event::Health(_) => {}
         }
-    }
-
-    fn end_sweep(&self, sample: &SweepSample) {
-        self.inner.end_sweep(sample);
-    }
-
-    fn observe_stat(&self, chain: u64, iteration: u64, stat: f64) {
-        self.inner.observe_stat(chain, iteration, stat);
-    }
-
-    fn span(&self, name: &str, category: &str, start_ns: u64, dur_ns: u64, tid: u64) {
-        self.inner.span(name, category, start_ns, dur_ns, tid);
-    }
-
-    fn event(&self, name: &str) {
-        self.inner.event(name);
-    }
-
-    fn health(&self, record: &HealthRecord) {
-        self.inner.health(record);
-    }
-
-    fn prof_enabled(&self) -> bool {
-        true
-    }
-
-    fn prof_begin(&self, lane: usize, kernel: Kernel) {
-        self.profiler.begin(lane, kernel);
-    }
-
-    fn prof_end(&self, lane: usize, kernel: Kernel) {
-        self.profiler.end(lane, kernel);
-    }
-
-    fn prof_leaf(&self, lane: usize, kernel: Kernel, dur_ns: u64) {
-        self.profiler.leaf(lane, kernel, dur_ns);
-    }
-
-    fn prof_cycles(&self, lane: usize, kernel: Kernel, cycles: u64) {
-        self.profiler.add_cycles(lane, kernel, cycles);
     }
 }
 
@@ -546,23 +432,35 @@ mod tests {
         assert_eq!(Kernel::from_name("pg.bogus"), None);
     }
 
-    /// Spin until the profiler clock has advanced past `floor_ns`, so
-    /// synthetic child durations can't exceed the real parent span.
-    fn spin_past(prof: &SpanProfiler, floor_ns: u64) {
-        let t0 = prof.now_ns();
-        while prof.now_ns() - t0 < floor_ns {
-            std::hint::spin_loop();
-        }
+    /// A kernel event: `kernel` ran on `lane` for `dur_ns` ending at
+    /// `end_ns`, worth `cycles` modeled cycles.
+    fn leaf(prof: &SpanProfiler, lane: usize, kernel: Kernel, end_ns: u64, dur_ns: u64) {
+        prof.record(Event::Kernel {
+            lane,
+            kernel,
+            end_ns,
+            dur_ns,
+            cycles: 0,
+        });
+    }
+
+    /// A `sweep` span from `start_ns` to `end_ns` around `body`'s events.
+    fn sweep(prof: &SpanProfiler, start_ns: u64, end_ns: u64, body: impl FnOnce()) {
+        prof.record(Event::SweepStart { start_ns });
+        body();
+        prof.record(Event::SweepEnd {
+            end_ns,
+            sample: None,
+        });
     }
 
     #[test]
     fn nested_spans_split_self_and_total() {
         let prof = SpanProfiler::new(1);
-        prof.begin(0, Kernel::Sweep);
-        spin_past(&prof, 10_000);
-        prof.leaf(0, Kernel::PuUpdate, 1_000);
-        prof.leaf(0, Kernel::SdSampleRows, 2_000);
-        prof.end(0, Kernel::Sweep);
+        sweep(&prof, 0, 10_000, || {
+            leaf(&prof, 0, Kernel::PuUpdate, 5_000, 1_000);
+            leaf(&prof, 0, Kernel::SdSampleRows, 9_000, 2_000);
+        });
 
         let reports = prof.kernel_reports();
         let sweep = reports
@@ -583,11 +481,10 @@ mod tests {
     #[test]
     fn flamegraph_self_times_sum_to_root_total() {
         let prof = SpanProfiler::new(1);
-        prof.begin(0, Kernel::Sweep);
-        spin_past(&prof, 10_000);
-        prof.leaf(0, Kernel::PgExpBatch, 500);
-        prof.leaf(0, Kernel::PuUpdate, 250);
-        prof.end(0, Kernel::Sweep);
+        sweep(&prof, 0, 10_000, || {
+            leaf(&prof, 0, Kernel::PgExpBatch, 4_000, 500);
+            leaf(&prof, 0, Kernel::PuUpdate, 8_000, 250);
+        });
 
         let flame = prof.flamegraph();
         let mut sum = 0u64;
@@ -608,9 +505,9 @@ mod tests {
     #[test]
     fn imbalance_is_counted_not_fatal() {
         let prof = SpanProfiler::new(1);
-        prof.end(0, Kernel::Sweep); // end with empty stack
-        prof.begin(0, Kernel::Sweep);
-        prof.end(0, Kernel::PuUpdate); // mismatched close
+        prof.end(0, Kernel::Sweep, 0); // end with empty stack
+        prof.begin(0, Kernel::Sweep, 0);
+        prof.end(0, Kernel::PuUpdate, 0); // mismatched close
         let reports = prof.kernel_reports();
         let sweep = reports
             .iter()
@@ -624,8 +521,8 @@ mod tests {
     fn ring_overflow_drops_spans_but_keeps_aggregates() {
         let prof = SpanProfiler::new(1);
         let n = (RING_CAPACITY + 10) as u64;
-        for _ in 0..n {
-            prof.leaf(0, Kernel::PuUpdate, 1);
+        for i in 0..n {
+            leaf(&prof, 0, Kernel::PuUpdate, i + 1, 1);
         }
         let reports = prof.kernel_reports();
         let pu = reports
@@ -641,7 +538,7 @@ mod tests {
     #[test]
     fn worker_lanes_render_worker_stacks() {
         let prof = SpanProfiler::new(3);
-        prof.leaf(2, Kernel::PgExpBatch, 123);
+        leaf(&prof, 2, Kernel::PgExpBatch, 200, 123);
         let flame = prof.flamegraph();
         assert_eq!(flame, "worker-1;pg.exp_batch 123\n");
     }
@@ -649,8 +546,13 @@ mod tests {
     #[test]
     fn out_of_range_lane_clamps() {
         let prof = SpanProfiler::new(2);
-        prof.leaf(99, Kernel::PuUpdate, 7);
-        prof.add_cycles(99, Kernel::PuUpdate, 4);
+        prof.record(Event::Kernel {
+            lane: 99,
+            kernel: Kernel::PuUpdate,
+            end_ns: 7,
+            dur_ns: 7,
+            cycles: 4,
+        });
         let reports = prof.kernel_reports();
         let row = reports
             .iter()
@@ -661,12 +563,33 @@ mod tests {
     }
 
     #[test]
+    fn zero_duration_kernel_attributes_cycles_without_a_span() {
+        let prof = SpanProfiler::new(1);
+        prof.record(Event::Kernel {
+            lane: 0,
+            kernel: Kernel::PgDynorm,
+            end_ns: 50,
+            dur_ns: 0,
+            cycles: 9,
+        });
+        let reports = prof.kernel_reports();
+        assert_eq!(reports.len(), 1);
+        assert_eq!((reports[0].calls, reports[0].modeled_cycles), (0, 9));
+        assert!(prof.ring_spans().is_empty());
+    }
+
+    #[test]
     fn journal_lines_carry_the_profile_schema() {
         let prof = SpanProfiler::new(1);
-        prof.begin(0, Kernel::Sweep);
-        prof.leaf(0, Kernel::SdSampleRows, 10);
-        prof.end(0, Kernel::Sweep);
-        prof.add_cycles(0, Kernel::SdSampleRows, 5);
+        sweep(&prof, 0, 100, || {
+            prof.record(Event::Kernel {
+                lane: 0,
+                kernel: Kernel::SdSampleRows,
+                end_ns: 50,
+                dur_ns: 10,
+                cycles: 5,
+            });
+        });
         let text = prof.journal_jsonl(0);
         assert!(text.contains("\"schema\":\"coopmc-profile/1\""));
         assert!(text.contains("\"kernel\":\"sd.sample_rows\""));

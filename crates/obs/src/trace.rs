@@ -1,38 +1,53 @@
-//! The span/event tracing layer: a statically dispatched [`Recorder`]
-//! abstraction whose disabled form compiles to nothing.
+//! The observation seam: a statically dispatched [`Recorder`] that the
+//! engines report one closed vocabulary of [`Event`]s to, and the
+//! [`TraceRecorder`] that reduces them to the run journal, the global
+//! metrics registry and a Chrome trace.
 //!
-//! The Gibbs engines are generic over `Rec: Recorder`. With the default
-//! [`NoopRecorder`] every recorder call is an inlined empty function and
-//! every `if recorder.enabled()` block is dead code the optimizer removes —
-//! which is how instrumentation coexists with the warm-sweep
-//! **zero-allocation guarantee** (proved by the counting-allocator test in
-//! `coopmc-core`). With a [`TraceRecorder`] the same call sites feed the
-//! run journal, the global metrics registry and a Chrome-trace span log.
+//! The Gibbs engines are generic over `Rec: Recorder` and read every clock
+//! through [`Recorder::now_ns`], so a run has one clock and every event
+//! timestamp comes from it; no reducer reads a clock of its own. With the
+//! default [`NoopRecorder`] the clock is a constant 0, every
+//! [`Recorder::record`] call is an inlined empty function, and every block
+//! behind [`Recorder::enabled`] or [`Recorder::profiling`] is dead code the
+//! optimizer removes — which is how instrumentation coexists with the
+//! warm-sweep **zero-allocation guarantee** (proved by the
+//! counting-allocator tests in `coopmc-core`).
 //!
 //! Recorders are shared by reference (`&TraceRecorder` implements
 //! `Recorder`), so the caller keeps ownership and can export the journal /
-//! trace / metrics after the run.
+//! trace / metrics after the run. A pair `(A, B)` of recorders passes every
+//! event to both members and times the run with the first one's clock.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::health::{ChainHealth, HealthConfig, HealthRecord};
 use crate::journal::{render_health_line, render_line, SweepSample};
-use crate::metrics;
-use crate::profile::Kernel;
+use crate::metrics::{self, Gauge};
+use crate::profile::{Kernel, SpanProfiler};
 
-/// A sink for sweep samples, spans and chain statistics.
+/// A sink for the engines' [`Event`]s.
 ///
-/// All methods have empty default bodies; a no-op implementor compiles to
-/// nothing under static dispatch. Implementors that actually record must
-/// override [`Recorder::enabled`] to return `true` — instrumented code uses
-/// it to skip aggregation work entirely when recording is off.
+/// Every method has a default body that records nothing, so a no-op
+/// implementor compiles to nothing under static dispatch. A recorder that
+/// journals overrides [`Recorder::enabled`], one that profiles kernels
+/// [`Recorder::profiling`]; either needs a real [`Recorder::now_ns`].
 pub trait Recorder: Sync {
-    /// Whether this recorder captures anything. Instrumented hot paths
-    /// guard their aggregation behind this so a disabled recorder costs
-    /// zero work (the branch is resolved at compile time).
+    /// Whether this recorder journals. Engines build an
+    /// [`Event::SweepEnd`]'s [`SweepSample`] and merge kernel telemetry
+    /// only when it does (the branch is resolved at compile time).
     #[inline]
     fn enabled(&self) -> bool {
+        false
+    }
+
+    /// Whether this recorder profiles kernels. Engines time the PG stages
+    /// and emit [`Event::Kernel`] only when it does, independently of
+    /// [`Recorder::enabled`] (a run can profile without journaling and
+    /// vice versa).
+    #[inline]
+    fn profiling(&self) -> bool {
         false
     }
 
@@ -44,69 +59,44 @@ pub trait Recorder: Sync {
         0
     }
 
-    /// Record one completed sweep.
+    /// Observe one event.
     #[inline]
-    fn end_sweep(&self, sample: &SweepSample) {
-        let _ = sample;
+    fn record(&self, event: Event<'_>) {
+        let _ = event;
     }
+}
 
-    /// Attach a model statistic (energy, log-likelihood, …) to a sweep.
-    #[inline]
-    fn observe_stat(&self, chain: u64, iteration: u64, stat: f64) {
-        let _ = (chain, iteration, stat);
-    }
-
-    /// Record a completed span (Chrome-trace "X" event).
-    #[inline]
-    fn span(&self, name: &str, category: &str, start_ns: u64, dur_ns: u64, tid: u64) {
-        let _ = (name, category, start_ns, dur_ns, tid);
-    }
-
-    /// Record an instantaneous event.
-    #[inline]
-    fn event(&self, name: &str) {
-        let _ = name;
-    }
-
-    /// Record a refreshed chain-health snapshot (a `coopmc-health/1`
-    /// journal line). Forwarded by the early-stop convergence controller
-    /// whenever its diagnostics refresh.
-    #[inline]
-    fn health(&self, record: &HealthRecord) {
-        let _ = record;
-    }
-
-    /// Whether kernel-level span profiling is on. Engines guard the extra
-    /// per-kernel timing behind this, independently of [`Recorder::enabled`]
-    /// (a run can profile without journaling and vice versa).
-    #[inline]
-    fn prof_enabled(&self) -> bool {
-        false
-    }
-
-    /// Open a hierarchical kernel span on a worker lane.
-    #[inline]
-    fn prof_begin(&self, lane: usize, kernel: Kernel) {
-        let _ = (lane, kernel);
-    }
-
-    /// Close the innermost kernel span on a worker lane.
-    #[inline]
-    fn prof_end(&self, lane: usize, kernel: Kernel) {
-        let _ = (lane, kernel);
-    }
-
-    /// Record an already-timed leaf kernel span ending now.
-    #[inline]
-    fn prof_leaf(&self, lane: usize, kernel: Kernel, dur_ns: u64) {
-        let _ = (lane, kernel, dur_ns);
-    }
-
-    /// Attribute modeled hardware cycles to `(lane, kernel)`.
-    #[inline]
-    fn prof_cycles(&self, lane: usize, kernel: Kernel, cycles: u64) {
-        let _ = (lane, kernel, cycles);
-    }
+/// What the engines report: one closed vocabulary, every timestamp read
+/// from the engine's recorder with [`Recorder::now_ns`].
+#[derive(Debug, Clone, Copy)]
+pub enum Event<'a> {
+    /// A sweep begins.
+    SweepStart {
+        /// Clock reading at the sweep's start.
+        start_ns: u64,
+    },
+    /// A sweep ended.
+    SweepEnd {
+        /// Clock reading at the sweep's end, before its model statistic.
+        end_ns: u64,
+        /// The sweep's journal record, when the recorder journals.
+        sample: Option<&'a SweepSample>,
+    },
+    /// Wall time and modeled cycles a lane spent in one kernel.
+    Kernel {
+        /// Lane (pool slot) the kernel ran on; 0 is the coordinator.
+        lane: usize,
+        /// Kernel the time and cycles belong to.
+        kernel: Kernel,
+        /// Clock reading at the span's end.
+        end_ns: u64,
+        /// Measured wall time, ns; 0 attributes cycles only.
+        dur_ns: u64,
+        /// Modeled hardware cycles.
+        cycles: u64,
+    },
+    /// A chain-health refresh, forwarded by the early-stop controller.
+    Health(&'a HealthRecord),
 }
 
 /// The zero-cost disabled recorder: every method is an inlined no-op.
@@ -122,85 +112,75 @@ impl<T: Recorder + ?Sized> Recorder for &T {
     }
 
     #[inline]
+    fn profiling(&self) -> bool {
+        (**self).profiling()
+    }
+
+    #[inline]
     fn now_ns(&self) -> u64 {
         (**self).now_ns()
     }
 
     #[inline]
-    fn end_sweep(&self, sample: &SweepSample) {
-        (**self).end_sweep(sample)
-    }
-
-    #[inline]
-    fn observe_stat(&self, chain: u64, iteration: u64, stat: f64) {
-        (**self).observe_stat(chain, iteration, stat)
-    }
-
-    #[inline]
-    fn span(&self, name: &str, category: &str, start_ns: u64, dur_ns: u64, tid: u64) {
-        (**self).span(name, category, start_ns, dur_ns, tid)
-    }
-
-    #[inline]
-    fn event(&self, name: &str) {
-        (**self).event(name)
-    }
-
-    #[inline]
-    fn health(&self, record: &HealthRecord) {
-        (**self).health(record)
-    }
-
-    #[inline]
-    fn prof_enabled(&self) -> bool {
-        (**self).prof_enabled()
-    }
-
-    #[inline]
-    fn prof_begin(&self, lane: usize, kernel: Kernel) {
-        (**self).prof_begin(lane, kernel)
-    }
-
-    #[inline]
-    fn prof_end(&self, lane: usize, kernel: Kernel) {
-        (**self).prof_end(lane, kernel)
-    }
-
-    #[inline]
-    fn prof_leaf(&self, lane: usize, kernel: Kernel, dur_ns: u64) {
-        (**self).prof_leaf(lane, kernel, dur_ns)
-    }
-
-    #[inline]
-    fn prof_cycles(&self, lane: usize, kernel: Kernel, cycles: u64) {
-        (**self).prof_cycles(lane, kernel, cycles)
+    fn record(&self, event: Event<'_>) {
+        (**self).record(event)
     }
 }
 
-/// One completed span for the Chrome-trace export.
-#[derive(Debug, Clone, PartialEq)]
-struct Span {
-    name: String,
-    category: String,
-    start_ns: u64,
-    dur_ns: u64,
-    tid: u64,
+/// Both members observe every event; the first member's clock times the
+/// run, so put the recorder whose epoch the exports should share first.
+impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.0.enabled() || self.1.enabled()
+    }
+
+    #[inline]
+    fn profiling(&self) -> bool {
+        self.0.profiling() || self.1.profiling()
+    }
+
+    #[inline]
+    fn now_ns(&self) -> u64 {
+        self.0.now_ns()
+    }
+
+    #[inline]
+    fn record(&self, event: Event<'_>) {
+        self.0.record(event);
+        self.1.record(event);
+    }
 }
 
 #[derive(Debug, Default)]
 struct TraceInner {
     sweeps: Vec<SweepSample>,
-    spans: Vec<Span>,
-    /// `(chain, iteration, stat)` observations, joined to sweeps on export.
-    stats: Vec<(u64, u64, f64)>,
-    events: Vec<(u64, String)>,
     /// Chain-health snapshots, interleaved into the journal on export.
     health: Vec<HealthRecord>,
+    /// Pool gauges by color class and by slot, registered on first use.
+    color_utilization: Vec<&'static Gauge>,
+    slot_busy_ns: Vec<&'static Gauge>,
+    slot_jobs: Vec<&'static Gauge>,
 }
 
-/// The enabled recorder: captures sweep samples, spans and statistics in
-/// memory and exports them as a JSONL journal, a Chrome-trace file and
-/// global registry metrics.
+/// Gauge `name{label="i"}`, looked up in the registry once and then kept
+/// in `cache`.
+fn cached_gauge(
+    cache: &mut Vec<&'static Gauge>,
+    i: usize,
+    name: &str,
+    label: &str,
+) -> &'static Gauge {
+    while cache.len() <= i {
+        let value = cache.len().to_string();
+        cache.push(metrics::gauge_with(name, &[(label, &value)]));
+    }
+    cache[i]
+}
+
+/// The journaling recorder: keeps sweep samples and health snapshots in
+/// memory, feeds the global metrics registry as sweeps end, and exports a
+/// JSONL journal and a Chrome trace.
 #[derive(Debug)]
 pub struct TraceRecorder {
     epoch: Instant,
@@ -280,41 +260,30 @@ impl TraceRecorder {
     }
 
     /// Render the run journal as JSONL, one line per sweep per chain, with
-    /// any chain-health snapshots ([`Recorder::health`]) interleaved after
-    /// the sweep they were refreshed at.
+    /// any chain-health snapshots ([`Event::Health`]) interleaved after the
+    /// sweep they were refreshed at.
     ///
-    /// Model statistics attached via [`Recorder::observe_stat`] are joined
-    /// onto their sweeps; running ESS (≥ 4 samples) and split-chain
-    /// Gelman–Rubin (≥ 8 samples) come from a per-chain incremental
-    /// [`ChainHealth`] in export mode ([`HealthConfig::for_export`]), so
-    /// export cost is linear in chain length instead of the quadratic
-    /// full-series rescan this replaced. Per-line values are identical to
-    /// the old rescan for chains up to the export window (4096 statistics);
-    /// past that the diagnostics cover the trailing window only.
+    /// Running ESS (≥ 4 samples) and split-chain Gelman–Rubin (≥ 8
+    /// samples) of the sweeps' model statistics come from a per-chain
+    /// incremental [`ChainHealth`] in export mode
+    /// ([`HealthConfig::for_export`]), so export cost is linear in chain
+    /// length instead of the quadratic full-series rescan this replaced.
+    /// Per-line values are identical to the old rescan for chains up to
+    /// the export window (4096 statistics); past that the diagnostics
+    /// cover the trailing window only.
     pub fn journal_jsonl(&self) -> String {
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
         // Per-chain incremental diagnostics, fed one statistic per line.
-        let mut health: std::collections::BTreeMap<u64, ChainHealth> =
-            std::collections::BTreeMap::new();
+        let mut health: BTreeMap<u64, ChainHealth> = BTreeMap::new();
         // Health snapshots not yet emitted, in arrival order per chain.
-        let mut pending: std::collections::BTreeMap<
-            u64,
-            std::collections::VecDeque<&HealthRecord>,
-        > = std::collections::BTreeMap::new();
+        let mut pending: BTreeMap<u64, VecDeque<&HealthRecord>> = BTreeMap::new();
         for r in &inner.health {
             pending.entry(r.chain).or_default().push_back(r);
         }
         for s in &inner.sweeps {
-            let stat = s.stat.or_else(|| {
-                inner
-                    .stats
-                    .iter()
-                    .find(|(c, it, _)| *c == s.chain && *it == s.iteration)
-                    .map(|&(_, _, v)| v)
-            });
             let (mut ess, mut rhat) = (None, None);
-            if let Some(v) = stat {
+            if let Some(v) = s.stat {
                 let h = health
                     .entry(s.chain)
                     .or_insert_with(|| ChainHealth::new(s.chain, HealthConfig::for_export()));
@@ -328,9 +297,7 @@ impl TraceRecorder {
                 ess = h.record().ess;
                 rhat = h.record().rhat_split;
             }
-            let mut line = s.clone();
-            line.stat = stat;
-            out.push_str(&render_line(&line, ess, rhat));
+            out.push_str(&render_line(s, ess, rhat));
             out.push('\n');
             if let Some(queue) = pending.get_mut(&s.chain) {
                 while queue.front().is_some_and(|r| r.iteration <= s.iteration) {
@@ -350,44 +317,45 @@ impl TraceRecorder {
         out
     }
 
-    /// Render every recorded span (plus synthetic per-phase child spans of
-    /// each sweep) as a Chrome-trace (`chrome://tracing` / Perfetto) JSON
-    /// document.
+    /// Render the recorded sweeps as a Chrome-trace (`chrome://tracing` /
+    /// Perfetto) JSON document: one span per sweep, per color class, and
+    /// per phase, plus every span `profiler` kept in its rings.
     ///
     /// Phase spans are per-sweep aggregates laid out back-to-back inside
     /// their sweep span — their widths are exact, their internal order
     /// within the sweep is schematic (PG/SD/PU interleave per variable).
-    pub fn chrome_trace_json(&self) -> String {
+    /// Kernel spans carry the timestamps of the events that made them, so
+    /// they share the sweeps' clock when the profiler and this recorder
+    /// observed one engine; their lanes become thread ids `1000 + lane`,
+    /// sorting after the chain rows.
+    pub fn chrome_trace_json(&self, profiler: Option<&SpanProfiler>) -> String {
         let inner = self.inner.lock().unwrap();
         let mut events = Vec::new();
         for s in &inner.sweeps {
+            let sweep = format!("sweep {}", s.iteration);
             events.push(render_trace_event(
-                &format!("sweep {}", s.iteration),
-                "sweep",
-                s.start_ns,
-                s.wall_ns,
-                s.chain,
+                &sweep, "sweep", s.start_ns, s.wall_ns, s.chain,
             ));
             let mut cursor = s.start_ns;
             for (name, dur) in [("PG", s.pg_ns), ("SD", s.sd_ns), ("PU", s.pu_ns)] {
                 events.push(render_trace_event(name, "phase", cursor, dur, s.chain));
                 cursor += dur;
             }
+            for c in &s.colors {
+                let color = format!("color {}", c.class);
+                events.push(render_trace_event(
+                    &color, "pool", c.start_ns, c.wall_ns, s.chain,
+                ));
+            }
         }
-        for sp in &inner.spans {
+        for (lane, kernel, start_ns, dur_ns) in profiler.map_or_else(Vec::new, |p| p.ring_spans()) {
+            let tid = 1000 + lane as u64;
             events.push(render_trace_event(
-                &sp.name,
-                &sp.category,
-                sp.start_ns,
-                sp.dur_ns,
-                sp.tid,
-            ));
-        }
-        for (ts, name) in &inner.events {
-            events.push(format!(
-                "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":0,\"s\":\"g\"}}",
-                quoted(name),
-                *ts as f64 / 1_000.0
+                kernel.name(),
+                "kernel",
+                start_ns,
+                dur_ns,
+                tid,
             ));
         }
         format!(
@@ -396,9 +364,46 @@ impl TraceRecorder {
         )
     }
 
-    /// Number of recorded sweeps.
-    pub fn sweep_count(&self) -> usize {
-        self.inner.lock().unwrap().sweeps.len()
+    /// Journal one completed sweep: bump the registry's counters,
+    /// histograms and pool gauges, and keep the sample for export.
+    fn end_sweep(&self, sample: &SweepSample) {
+        self.m_sweeps.inc();
+        self.m_updates.add(sample.updates);
+        self.m_flips.add(sample.flips);
+        self.m_fallbacks.add(sample.uniform_fallbacks);
+        self.m_pg_ns.add(sample.pg_ns);
+        self.m_sd_ns.add(sample.sd_ns);
+        self.m_pu_ns.add(sample.pu_ns);
+        self.m_pg_cycles.add(sample.pg_cycles);
+        self.m_sd_cycles.add(sample.sd_cycles);
+        self.m_pu_cycles.add(sample.pu_cycles);
+        self.h_sweep_us.observe(sample.wall_ns as f64 / 1_000.0);
+        self.h_pg_us.observe(sample.pg_ns as f64 / 1_000.0);
+        self.h_sd_us.observe(sample.sd_ns as f64 / 1_000.0);
+        self.h_pu_us.observe(sample.pu_ns as f64 / 1_000.0);
+        let inner = &mut *self.inner.lock().unwrap();
+        for c in &sample.colors {
+            let util = &mut inner.color_utilization;
+            cached_gauge(
+                util,
+                c.class as usize,
+                "coopmc_pool_color_utilization",
+                "color",
+            )
+            .set(c.utilization);
+        }
+        for (i, slot) in sample.slots.iter().enumerate() {
+            cached_gauge(
+                &mut inner.slot_busy_ns,
+                i,
+                "coopmc_pool_worker_busy_ns",
+                "worker",
+            )
+            .set(slot.busy_ns as f64);
+            cached_gauge(&mut inner.slot_jobs, i, "coopmc_pool_worker_jobs", "worker")
+                .set(slot.jobs as f64);
+        }
+        inner.sweeps.push(sample.clone());
     }
 }
 
@@ -430,60 +435,22 @@ impl Recorder for TraceRecorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn end_sweep(&self, sample: &SweepSample) {
-        self.m_sweeps.inc();
-        self.m_updates.add(sample.updates);
-        self.m_flips.add(sample.flips);
-        self.m_fallbacks.add(sample.uniform_fallbacks);
-        self.m_pg_ns.add(sample.pg_ns);
-        self.m_sd_ns.add(sample.sd_ns);
-        self.m_pu_ns.add(sample.pu_ns);
-        self.m_pg_cycles.add(sample.pg_cycles);
-        self.m_sd_cycles.add(sample.sd_cycles);
-        self.m_pu_cycles.add(sample.pu_cycles);
-        self.h_sweep_us.observe(sample.wall_ns as f64 / 1_000.0);
-        self.h_pg_us.observe(sample.pg_ns as f64 / 1_000.0);
-        self.h_sd_us.observe(sample.sd_ns as f64 / 1_000.0);
-        self.h_pu_us.observe(sample.pu_ns as f64 / 1_000.0);
-        self.inner.lock().unwrap().sweeps.push(sample.clone());
-    }
-
-    fn observe_stat(&self, chain: u64, iteration: u64, stat: f64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .stats
-            .push((chain, iteration, stat));
-    }
-
-    fn span(&self, name: &str, category: &str, start_ns: u64, dur_ns: u64, tid: u64) {
-        self.inner.lock().unwrap().spans.push(Span {
-            name: name.to_owned(),
-            category: category.to_owned(),
-            start_ns,
-            dur_ns,
-            tid,
-        });
-    }
-
-    fn event(&self, name: &str) {
-        let ts = self.now_ns();
-        self.inner
-            .lock()
-            .unwrap()
-            .events
-            .push((ts, name.to_owned()));
-    }
-
-    fn health(&self, record: &HealthRecord) {
-        self.inner.lock().unwrap().health.push(*record);
+    fn record(&self, event: Event<'_>) {
+        match event {
+            Event::SweepEnd {
+                sample: Some(sample),
+                ..
+            } => self.end_sweep(sample),
+            Event::Health(record) => self.inner.lock().unwrap().health.push(*record),
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::validate_journal;
+    use crate::journal::{validate_journal, ColorSample};
 
     /// Run the tests that record sweeps one at a time: each bumps the
     /// global `coopmc_updates_total` counter, which
@@ -494,8 +461,9 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn push_sweep(rec: &TraceRecorder, iteration: u64, stat: f64) {
-        let sample = SweepSample {
+    /// The journal record of sweep `iteration` with model statistic `stat`.
+    fn sample(iteration: u64, stat: f64) -> SweepSample {
+        SweepSample {
             chain: 0,
             iteration,
             start_ns: iteration * 1_000,
@@ -514,11 +482,22 @@ mod tests {
             norm_max: Some(-0.5),
             exp_in_min: Some(-4.0),
             exp_in_max: Some(0.0),
-            stat: None,
+            stat: Some(stat),
             colors: Vec::new(),
-        };
-        rec.observe_stat(0, iteration, stat);
-        rec.end_sweep(&sample);
+            slots: Vec::new(),
+        }
+    }
+
+    fn record_sweep(rec: &impl Recorder, s: &SweepSample) {
+        let end_ns = s.start_ns + s.wall_ns;
+        rec.record(Event::SweepEnd {
+            end_ns,
+            sample: Some(s),
+        });
+    }
+
+    fn push_sweep(rec: &TraceRecorder, iteration: u64, stat: f64) {
+        record_sweep(rec, &sample(iteration, stat));
     }
 
     #[test]
@@ -545,14 +524,19 @@ mod tests {
     fn chrome_trace_is_valid_json_with_phase_spans() {
         let _serial = serial();
         let rec = TraceRecorder::new();
-        push_sweep(&rec, 1, 1.0);
-        rec.span("color 0", "pool", 100, 50, 3);
-        rec.event("checkpoint");
-        let doc = rec.chrome_trace_json();
+        let mut s = sample(1, 1.0);
+        s.colors.push(ColorSample {
+            class: 0,
+            start_ns: 100,
+            wall_ns: 50,
+            ..ColorSample::default()
+        });
+        record_sweep(&rec, &s);
+        let doc = rec.chrome_trace_json(None);
         let v = crate::json::parse(&doc).expect("trace must parse");
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-        // 1 sweep + 3 phases + 1 span + 1 instant event.
-        assert_eq!(events.len(), 6);
+        // 1 sweep + 3 phases + 1 color span.
+        assert_eq!(events.len(), 5);
         let names: Vec<&str> = events
             .iter()
             .map(|e| e.get("name").unwrap().as_str().unwrap())
@@ -576,6 +560,41 @@ mod tests {
         // Reference forwarding preserves enabled().
         let r = &TraceRecorder::new();
         assert!(Recorder::enabled(&r));
+    }
+
+    /// The profiler's ring spans merge at the timestamps of the events
+    /// that made them: a pair reads one clock, so nothing is shifted.
+    #[test]
+    fn profiler_spans_merge_at_their_event_timestamps() {
+        let _serial = serial();
+        let (rec, prof) = (TraceRecorder::new(), SpanProfiler::new(2));
+        let pair = (&rec, &prof);
+        assert!(pair.enabled() && pair.profiling());
+        let s = sample(1, 0.0);
+        pair.record(Event::SweepStart {
+            start_ns: s.start_ns,
+        });
+        pair.record(Event::Kernel {
+            lane: 1,
+            kernel: Kernel::PgGather,
+            end_ns: 1_500,
+            dur_ns: 200,
+            cycles: 0,
+        });
+        record_sweep(&pair, &s);
+        let doc = crate::json::parse(&rec.chrome_trace_json(Some(&prof))).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let span = |name: &str| {
+            let e = events
+                .iter()
+                .find(|e| e.get("name").and_then(crate::json::Value::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} span"));
+            let num = |k: &str| e.get(k).unwrap().as_num().unwrap();
+            (num("ts"), num("dur"), num("tid"))
+        };
+        assert_eq!(span("pg.gather"), (1.3, 0.2, 1001.0));
+        assert_eq!(span("sweep"), (1.0, 0.8, 1000.0));
+        assert_eq!(span("sweep 1"), (1.0, 0.8, 0.0));
     }
 
     #[test]
@@ -647,11 +666,11 @@ mod tests {
             flip_rate: 0.25,
             ..HealthRecord::default()
         };
-        Recorder::health(&rec, &r);
+        rec.record(Event::Health(&r));
         r.iteration = 9; // past the last sweep: flushed at the end
         r.samples = 9;
         r.window = 9;
-        Recorder::health(&rec, &r);
+        rec.record(Event::Health(&r));
         let journal = rec.journal_jsonl();
         assert_eq!(validate_journal(&journal).unwrap(), 6);
         let schemas: Vec<String> = journal

@@ -1,10 +1,11 @@
 //! Chain invisibility through the `coopmc` binary: the observation flags
-//! (`--health`, `--journal-out`, `--profile`) change what a run reports
-//! about itself, never the chain. Every workload family prints the same
-//! final objective (or marginals) with no flag and under each of them, and
-//! an early-stop run stops at the same sweep whether or not it writes a
-//! journal. The sampler flag, by contrast, reaches the chain at any thread
-//! count.
+//! (`--health`, `--journal-out`, `--profile`, and every output at once)
+//! change what a run reports about itself, never the chain. Every workload
+//! family prints the same final objective (or marginals) with no flag and
+//! under each of them, and an early-stop run stops at the same sweep
+//! whether or not it writes a journal. A profiled, traced chromatic run
+//! puts every kernel span inside a journaled sweep. The sampler flag, by
+//! contrast, reaches the chain at any thread count.
 
 use std::process::Command;
 
@@ -13,6 +14,7 @@ use coopmc::core::pipeline::CoopMcPipeline;
 use coopmc::models::bn::{BayesNet, MarginalCounter};
 use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::obs::health::NoControl;
+use coopmc::obs::json::{self, Value};
 use coopmc::obs::NoopRecorder;
 use coopmc::sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler};
 
@@ -45,33 +47,52 @@ fn chain_report(stdout: &str) -> String {
         .join("\n")
 }
 
-/// A journal path unique to this process and `tag`.
-fn journal_path(tag: &str) -> String {
-    let name = format!("coopmc-cli-{}-{tag}.jsonl", std::process::id());
+/// A temporary file path unique to this process and `name`.
+fn temp_path(name: &str) -> String {
+    let name = format!("coopmc-cli-{}-{name}", std::process::id());
     std::env::temp_dir().join(name).display().to_string()
 }
 
 /// Assert that `coopmc run <args>` prints the same chain report, containing
-/// `objective`, under no flag, `--health`, `--journal-out` and `--profile`.
-fn assert_flags_are_chain_invisible(tag: &str, args: &str, objective: &str) {
+/// `objective`, under no flag, `--health`, `--journal-out`, `--profile`,
+/// and `--profile` with the journal, trace and metrics outputs at once.
+/// Returns the Chrome trace the last run wrote.
+fn assert_flags_are_chain_invisible(tag: &str, args: &str, objective: &str) -> String {
     let args: Vec<&str> = args.split_whitespace().collect();
     let plain = chain_report(&coopmc(&args));
     assert!(
         plain.contains(objective),
         "{args:?} printed no {objective}: {plain}"
     );
-    let journal = journal_path(tag);
+    let journal = temp_path(&format!("{tag}.jsonl"));
+    let trace = temp_path(&format!("{tag}.trace.json"));
+    let metrics = temp_path(&format!("{tag}.prom"));
     for flags in [
         &["--health"][..],
         &["--journal-out", &journal],
         &["--profile"],
+        &[
+            "--profile",
+            "--journal-out",
+            &journal,
+            "--trace-out",
+            &trace,
+            "--metrics-out",
+            &metrics,
+        ],
     ] {
         let run: Vec<&str> = args.iter().chain(flags).copied().collect();
         assert_eq!(chain_report(&coopmc(&run)), plain, "{run:?}");
     }
     let written = std::fs::read_to_string(&journal).expect("journal written");
-    assert!(written.contains("coopmc-journal/1"));
-    std::fs::remove_file(&journal).ok();
+    assert!(written.contains("coopmc-journal/1") && written.contains("coopmc-profile/1"));
+    let prom = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert!(prom.contains("coopmc_sweeps_total"));
+    let written_trace = std::fs::read_to_string(&trace).expect("trace written");
+    for path in [journal, trace, metrics] {
+        std::fs::remove_file(path).ok();
+    }
+    written_trace
 }
 
 #[test]
@@ -83,7 +104,36 @@ fn sequential_mrf_chain_ignores_observation_flags() {
 #[test]
 fn chromatic_mrf_chain_ignores_observation_flags() {
     let args = "segmentation --sweeps 3 --seed 4 --threads 2";
-    assert_flags_are_chain_invisible("mrf2", args, "energy:");
+    let trace = assert_flags_are_chain_invisible("mrf2", args, "energy:");
+    // The profiler and the journal observe one engine on one clock, so
+    // every kernel span of the trace lies inside a journaled sweep.
+    let doc = json::parse(&trace).expect("trace parses");
+    let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+    let spans = |cat: &str| -> Vec<(f64, f64)> {
+        events
+            .iter()
+            .filter(|e| e.get("cat").and_then(Value::as_str) == Some(cat))
+            .map(|e| {
+                let num = |k: &str| e.get(k).and_then(Value::as_num).unwrap();
+                (num("ts"), num("ts") + num("dur"))
+            })
+            .collect()
+    };
+    let (sweeps, kernels) = (spans("sweep"), spans("kernel"));
+    assert_eq!(sweeps.len(), 3);
+    assert!(!kernels.is_empty(), "a profiled trace has kernel spans");
+    // One nanosecond of slack absorbs the microsecond float rendering.
+    let inside = |&(s, e): &(f64, f64)| {
+        sweeps
+            .iter()
+            .any(|&(start, end)| start <= s + 1e-3 && e <= end + 1e-3)
+    };
+    for span in &kernels {
+        assert!(
+            inside(span),
+            "kernel span {span:?} outside every sweep {sweeps:?}"
+        );
+    }
 }
 
 #[test]
@@ -108,7 +158,7 @@ fn early_stop_lands_on_the_same_sweep_with_or_without_outputs() {
             .unwrap_or_else(|| panic!("no early-stop line in: {stdout}"))
     };
     let plain = coopmc(&args);
-    let journal = journal_path("early");
+    let journal = temp_path("early.jsonl");
     let journaled: Vec<&str> = args
         .iter()
         .copied()

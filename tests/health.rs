@@ -4,15 +4,15 @@
 //! inside its sweep budget with the converged R-hat on record, and health
 //! diagnostics are thread-count independent on the chromatic engine.
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{CoopMcPipeline, PipelineConfig};
 use coopmc::models::bn::asia;
 use coopmc::models::mrf::image_segmentation;
 use coopmc::models::GibbsModel;
-use coopmc::obs::health::{ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig};
+use coopmc::obs::health::{ChainHealth, ConvergenceController, EarlyStop, HealthConfig, NoControl};
 use coopmc::obs::journal::{validate_journal, HEALTH_SCHEMA};
-use coopmc::obs::{json, Recorder, TraceRecorder};
+use coopmc::obs::{json, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
@@ -36,32 +36,17 @@ fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
         SplitMix64::new(9),
         &recorder,
     );
-    let mut ctl = health.then(|| {
-        EarlyStop::monitor(ChainHealth::new(
-            0,
-            quiet(HealthConfig {
-                refresh_stride: 1,
-                ..HealthConfig::default()
-            }),
-        ))
-        .with_recorder(&recorder)
-    });
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(&mut app.mrf, &mut stats);
-        let energy = app.mrf.energy();
-        recorder.observe_stat(0, engine.journal_iteration(), energy);
-        if let Some(c) = ctl.as_mut() {
-            c.observe_sweep(
-                engine.journal_iteration(),
-                stats.updates - u0,
-                stats.flips - f0,
-                stats.uniform_fallbacks - fb0,
-                Some(energy),
-            );
-        }
-    }
+    let mut monitor = EarlyStop::monitor(ChainHealth::new(
+        0,
+        quiet(HealthConfig {
+            refresh_stride: 1,
+            ..HealthConfig::default()
+        }),
+    ))
+    .with_recorder(&recorder);
+    let mut none = NoControl;
+    let ctl: &mut dyn ConvergenceController = if health { &mut monitor } else { &mut none };
+    engine.run_controlled(&mut app.mrf, sweeps, |m| Some(m.energy()), ctl);
     (app.mrf.labels(), recorder.journal_jsonl())
 }
 
@@ -120,23 +105,7 @@ fn early_stop_ends_an_easy_chain_inside_half_the_budget() {
     );
     let health = ChainHealth::new(0, quiet(HealthConfig::default()));
     let mut ctl = EarlyStop::new(health, 1.01, 50.0).with_recorder(&recorder);
-    let mut stats = RunStats::default();
-    for _ in 0..BUDGET {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(&mut net, &mut stats);
-        let stat = net.joint_prob().ln();
-        recorder.observe_stat(0, engine.journal_iteration(), stat);
-        let decision = ctl.observe_sweep(
-            engine.journal_iteration(),
-            stats.updates - u0,
-            stats.flips - f0,
-            stats.uniform_fallbacks - fb0,
-            Some(stat),
-        );
-        if decision == Decision::Stop {
-            break;
-        }
-    }
+    engine.run_controlled(&mut net, BUDGET, |n| Some(n.joint_prob().ln()), &mut ctl);
 
     let info = ctl.stop_info();
     assert!(

@@ -3,15 +3,16 @@
 //! invisible to the chain itself (thread-count independence holds with
 //! tracing on).
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{FixedPipeline, PipelineConfig};
 use coopmc::hw::area::SamplerKind;
 use coopmc::hw::reconcile::reconcile;
-use coopmc::models::mrf::image_segmentation;
+use coopmc::models::mrf::{image_segmentation, GridMrf};
 use coopmc::models::GibbsModel;
+use coopmc::obs::health::NoControl;
 use coopmc::obs::journal::validate_journal;
-use coopmc::obs::{json, Recorder, TraceRecorder};
+use coopmc::obs::{json, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
@@ -26,11 +27,8 @@ fn traced_mrf_chain(sweeps: u64) -> (TraceRecorder, u64, usize) {
         SplitMix64::new(3),
         &recorder,
     );
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        engine.sweep(&mut app.mrf, &mut stats);
-        recorder.observe_stat(0, engine.journal_iteration(), app.mrf.energy());
-    }
+    let energy = |m: &GridMrf| Some(m.energy());
+    let stats = engine.run_controlled(&mut app.mrf, sweeps, energy, &mut NoControl);
     (recorder, stats.updates, n_labels)
 }
 
@@ -41,7 +39,7 @@ fn traced_chain_journal_is_valid_monotone_and_time_consistent() {
     let journal = recorder.journal_jsonl();
     let lines = validate_journal(&journal).expect("journal must self-validate");
     assert_eq!(lines, 5);
-    // The observer's per-sweep statistic is joined onto every journal line.
+    // The run's per-sweep statistic is on every journal line.
     for line in journal.lines() {
         let v = json::parse(line).expect("journal line must be JSON");
         assert!(
@@ -99,7 +97,7 @@ fn engine_and_hw_model_agree_on_pu_cycles() {
 #[test]
 fn chrome_trace_export_loads_as_json_with_events() {
     let (recorder, _, _) = traced_mrf_chain(3);
-    let trace = recorder.chrome_trace_json();
+    let trace = recorder.chrome_trace_json(None);
     let doc = json::parse(&trace).expect("chrome trace must be valid JSON");
     let events = doc
         .get("traceEvents")

@@ -29,7 +29,7 @@ use coopmc::models::bn::{asia, survey};
 use coopmc::models::mrf::{image_restoration, image_segmentation, stereo_matching, Connectivity};
 use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::models::GibbsModel;
-use coopmc::obs::{Kernel, NoopRecorder, Profiled, SpanProfiler};
+use coopmc::obs::{Kernel, SpanProfiler};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
@@ -55,12 +55,8 @@ fn seq_labels<P: coopmc::core::pipeline::ProbabilityPipeline>(
     let mut stats = RunStats::default();
     match profiler {
         Some(p) => {
-            let mut engine = GibbsEngine::with_recorder(
-                pipeline,
-                TreeSampler::new(),
-                SplitMix64::new(seed),
-                Profiled::new(NoopRecorder, p),
-            );
+            let mut engine =
+                GibbsEngine::with_recorder(pipeline, TreeSampler::new(), SplitMix64::new(seed), p);
             for _ in 0..sweeps {
                 engine.sweep(&mut app.mrf, &mut stats);
             }
@@ -351,7 +347,7 @@ fn flamegraph_self_times_sum_to_measured_wall_within_5_percent() {
         CoopMcPipeline::new(64, 8),
         TreeSampler::new(),
         SplitMix64::new(5),
-        Profiled::new(NoopRecorder, &profiler),
+        &profiler,
     );
     let mut stats = RunStats::default();
     // Every span the engine opens lives inside a sweep, so walling the
@@ -392,7 +388,7 @@ fn divergence_ledger_reconciles_a_real_run_and_the_gate_is_live() {
         CoopMcPipeline::new(64, 8),
         TreeSampler::new(),
         SplitMix64::new(9),
-        Profiled::new(NoopRecorder, &profiler),
+        &profiler,
     );
     let mut stats = RunStats::default();
     for _ in 0..5 {
