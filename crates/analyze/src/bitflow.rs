@@ -43,8 +43,10 @@
 use coopmc_fixed::lane::{self, flow, LaneWord, Primitive, LANES, LO};
 use coopmc_fixed::{round_ties_away, Fixed, QFormat, Rounding};
 use coopmc_hw::batch::PgUnitConfig;
-use coopmc_kernels::dynorm::{dynorm_apply, dynorm_apply_rows};
 use coopmc_kernels::exp::TableExp;
+use coopmc_kernels::fusion::LogFusion;
+use coopmc_kernels::log::{TableLog, LOG_ZERO};
+use coopmc_kernels::telemetry::PgTelemetry;
 
 use crate::contracts::in_tree_configs;
 use crate::netcheck::Severity;
@@ -799,7 +801,7 @@ fn config_theorems(findings: &mut Vec<Finding>) -> usize {
     for cfg in in_tree_configs() {
         checks += 1;
         if cfg.size_lut > u8::MAX as usize {
-            // exp_batch_into takes the scalar fallback loop; the packed
+            // The distance read takes its scalar loop; the packed
             // theorems do not apply and nothing packed runs.
             continue;
         }
@@ -844,8 +846,9 @@ fn limit_word(flush: u8) -> u64 {
 }
 
 /// Exhaustive equivalence of the fused scalar quantizers the batched
-/// kernels apply element-wise: `requantize_nearest` against the two-step
-/// `Fixed` round-trip, and `round_ties_away` against an independent
+/// kernels apply element-wise: `requantize_nearest` and the bus word of
+/// `quantize_nearest_raw` against the two-step `Fixed` round-trip, and
+/// `round_ties_away` against an independent
 /// half-away reference — over dense half-ulp grids plus the edge cases
 /// (NaN, infinities, saturation band).
 fn quantizer_theorems(findings: &mut Vec<Finding>) -> usize {
@@ -873,14 +876,19 @@ fn quantizer_theorems(findings: &mut Vec<Finding>) -> usize {
         let neg_band = (-512i64..=512).map(|k| (k as f64 - max) * res);
         for x in grid.chain(sat_band).chain(neg_band).chain(specials) {
             let fused = fmt.requantize_nearest(x);
-            let two_step = Fixed::from_f64(x, fmt, Rounding::Nearest).to_f64();
-            if fused.to_bits() != two_step.to_bits() {
+            let fixed = Fixed::from_f64(x, fmt, Rounding::Nearest);
+            let two_step = fixed.to_f64();
+            // The bus word the batched kernels quantize to is the same
+            // Fixed word.
+            let word = fmt.quantize_nearest_raw(x);
+            if fused.to_bits() != two_step.to_bits() || word != fixed.raw() {
                 findings.push(Finding {
                     severity: Severity::Error,
                     check: "requantize-equivalence".into(),
                     message: format!(
-                        "requantize_nearest({x:e}) = {fused:e} but the Fixed round-trip \
-                         gives {two_step:e} ({fmt:?})"
+                        "requantize_nearest({x:e}) = {fused:e} (word {word}) but the Fixed \
+                         round-trip gives {two_step:e} (word {}) ({fmt:?})",
+                        fixed.raw()
                     ),
                     provenance: vec![format!(
                         "bit patterns: fused {:#018x}, round-trip {:#018x}",
@@ -933,30 +941,55 @@ fn quantizer_theorems(findings: &mut Vec<Finding>) -> usize {
     checks
 }
 
-/// Row isolation of the batched DyNorm pass: `dynorm_apply_rows` is
-/// structurally row-chunked (no packed arithmetic), so the check here is a
+/// Row isolation of the batched PG pass: `evaluate_log_score_rows_into`
+/// on the CLI default datapath runs DyNorm row by row on bus words, then
+/// one lane-packed distance read across row boundaries. The check is a
 /// bounded-exhaustive differential — every row of a batch must be
-/// bit-identical to a standalone `dynorm_apply` of that row, across a grid
-/// of score patterns and row widths. This is deliberately labeled a check,
-/// not a bit-level theorem.
+/// bit-identical to a standalone `evaluate_log_scores_into` of that row,
+/// across a grid of score patterns and row widths. This is deliberately
+/// labeled a check, not a bit-level theorem.
 fn dynorm_row_checks(findings: &mut Vec<Finding>) -> usize {
-    let patterns: [&[f64]; 4] = [
+    let fusion = LogFusion::new(
+        TableLog::new(64, 8),
+        TableExp::new(64, 8),
+        QFormat::baseline32(),
+        4,
+    );
+    let patterns: [&[f64]; 5] = [
         &[-5.0, -2.5, -9.75, -2.5],
         &[0.0, -1024.0, -0.5, -3.0],
         &[64.0, 0.25, -7.0, -1e6],
         &[-1.0, -1.0, -1.0, -1.0],
+        &[LOG_ZERO, -15.99, -16.0, f64::NAN],
     ];
+    let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
     for width in [2usize, 4] {
         for rows in 1..=patterns.len() {
-            let mut batch: Vec<f64> = patterns[..rows]
+            let batch: Vec<f64> = patterns[..rows]
                 .iter()
                 .flat_map(|p| p[..width].iter().copied())
                 .collect();
-            dynorm_apply_rows(&mut batch, width, 4, |_, _| {});
+            let mut telemetry = PgTelemetry::new();
+            fusion.evaluate_log_score_rows_into(
+                &batch,
+                width,
+                &mut words,
+                &mut probs,
+                &mut ops,
+                &mut telemetry,
+                None,
+            );
             for (row, pat) in patterns[..rows].iter().enumerate() {
-                let mut alone: Vec<f64> = pat[..width].to_vec();
-                let _ = dynorm_apply(&mut alone, 4);
-                let got = &batch[row * width..(row + 1) * width];
+                let mut alone = Vec::new();
+                let mut telemetry = PgTelemetry::new();
+                let _ = fusion.evaluate_log_scores_into(
+                    &pat[..width],
+                    &mut words,
+                    &mut alone,
+                    &mut telemetry,
+                    None,
+                );
+                let got = &probs[row * width..(row + 1) * width];
                 if got
                     .iter()
                     .zip(&alone)
@@ -966,8 +999,8 @@ fn dynorm_row_checks(findings: &mut Vec<Finding>) -> usize {
                         severity: Severity::Error,
                         check: "row-isolation".into(),
                         message: format!(
-                            "dynorm_apply_rows: row {row} of a {rows}×{width} batch diverges \
-                             from a standalone dynorm_apply of the same row"
+                            "evaluate_log_score_rows_into: row {row} of a {rows}×{width} batch \
+                             diverges from a standalone evaluate_log_scores_into of the same row"
                         ),
                         provenance: vec![
                             format!("batch row: {got:?}"),
@@ -1005,7 +1038,7 @@ fn coverage_checks(findings: &mut Vec<Finding>) -> usize {
             severity: Severity::Error,
             check: "lane-coverage".into(),
             message: format!(
-                "exp_batch_into uses primitives without lane theorems: {}",
+                "the batched TableExp read uses primitives without lane theorems: {}",
                 missing.join(", ")
             ),
             provenance: vec![],

@@ -5,7 +5,8 @@
 //! strides — log-domain rows, LDA-shaped factor rows (two numerators, one
 //! denominator) and BN-shaped factor rows (numerators only), with ragged
 //! row counts whose `len % 8 != 0` tails exercise the lane-packed
-//! datapath's scalar tail loop, and 64-label rows — must produce
+//! datapath's scalar tail loop, 64-label rows, and `LOG_ZERO`, NaN and
+//! infinite scores and zero factors — must produce
 //! **bit-identical** probabilities, per-row op counts and merged telemetry
 //! whether evaluated row-by-row through the `LabelScore` wrapper
 //! `generate_into`, in one `generate_batch_into` call, or in place with
@@ -15,19 +16,24 @@ use coopmc_analyze::contracts::in_tree_configs;
 use coopmc_core::pipeline::{CoopMcPipeline, PgBatch, PgOutput, ProbabilityPipeline};
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::fusion::StagePhases;
+use coopmc_kernels::log::LOG_ZERO;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::{LabelScore, ScoreRows};
 use coopmc_rng::{HwRng, SplitMix64};
 
 /// Random log-domain scores spanning the useful DyNorm input range, with a
-/// few exact ties and deep-negative outliers mixed in.
+/// few exact ties and deep-negative outliers mixed in, and now and then a
+/// `LOG_ZERO`, NaN or infinite score: rows where a row's min/max telemetry
+/// could part from per-score observation.
 fn random_scores(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
+    let specials = [LOG_ZERO, f64::NAN, f64::NEG_INFINITY, f64::INFINITY];
     (0..n)
         .map(|i| {
             let u = rng.next_f64();
             match i % 7 {
                 0 => 0.0,
                 1 => -40.0 * u,
+                _ if i % 11 == 3 => specials[rng.uniform_index(specials.len())],
                 _ => -8.0 * u,
             }
         })

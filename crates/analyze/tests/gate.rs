@@ -129,7 +129,7 @@ fn lane_theorems_cover_every_batch_primitive() {
     for p in coopmc_kernels::exp::TableExp::BATCH_LANE_PRIMITIVES {
         assert!(
             proved.contains(p),
-            "primitive {} used by exp_batch_into has no lane theorem",
+            "primitive {} used by the batched TableExp read has no lane theorem",
             p.name()
         );
     }

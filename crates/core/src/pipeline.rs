@@ -72,9 +72,9 @@ pub struct PgBatch {
     /// Per-stage wall-time accumulator; same contract as
     /// [`PgOutput::phases`].
     pub phases: Option<StagePhases>,
-    /// Quantized or accumulated log-domain scores between the datapath's
+    /// The rows' raw accumulator-bus words between the CoopMC datapath's
     /// stages.
-    work: Vec<f64>,
+    words: Vec<i64>,
     /// The rows the label-score entry points convert their input to.
     label_rows: ScoreRows,
 }
@@ -99,7 +99,7 @@ impl PgBatch {
         &self.probs[row * width..(row + 1) * width]
     }
 
-    /// Evaluate `rows` one row at a time: `row_into(row, work, probs,
+    /// Evaluate `rows` one row at a time: `row_into(row, words, probs,
     /// telemetry, phases)` appends row `row`'s probabilities and returns
     /// its op tally. Each row observes into a fresh telemetry that is then
     /// merged into the batch's.
@@ -108,7 +108,7 @@ impl PgBatch {
         rows: &ScoreRows,
         mut row_into: impl FnMut(
             usize,
-            &mut Vec<f64>,
+            &mut Vec<i64>,
             &mut Vec<f64>,
             &mut PgTelemetry,
             Option<&mut StagePhases>,
@@ -119,9 +119,9 @@ impl PgBatch {
         self.telemetry = PgTelemetry::new();
         for row in 0..rows.len() {
             let mut telemetry = PgTelemetry::new();
-            let (work, probs, phases) = (&mut self.work, &mut self.probs, self.phases.as_mut());
+            let (words, probs, phases) = (&mut self.words, &mut self.probs, self.phases.as_mut());
             self.ops
-                .push(row_into(row, work, probs, &mut telemetry, phases));
+                .push(row_into(row, words, probs, &mut telemetry, phases));
             self.telemetry.merge(&telemetry);
         }
     }
@@ -294,29 +294,29 @@ impl FixedPipeline {
     }
 
     /// Append one log-domain row's probabilities from the exp ALU:
-    /// quantize the values onto the datapath format in `quantized`,
-    /// normalize them when DyNorm is on, then exponentiate each.
+    /// quantize the values onto the datapath format, normalize them when
+    /// DyNorm is on, then exponentiate each in place.
     fn log_row_into(
         &self,
         row: &[f64],
-        quantized: &mut Vec<f64>,
         probs: &mut Vec<f64>,
         telemetry: &mut PgTelemetry,
     ) -> OpCounts {
         let mut ops = OpCounts::new();
-        quantized.clear();
-        quantized.extend(row.iter().map(|&v| self.fmt.requantize_nearest(v)));
+        let start = probs.len();
+        probs.extend(row.iter().map(|&v| self.fmt.requantize_nearest(v)));
+        let scores = &mut probs[start..];
         if self.dynorm {
-            let report = dynorm_apply(quantized, 1);
+            let report = dynorm_apply(scores, 1);
             ops.cmp += report.comparisons;
-            ops.add += quantized.len() as u64;
+            ops.add += scores.len() as u64;
             telemetry.observe_norm_max(report.max);
         }
-        probs.extend(quantized.iter().map(|&s| {
+        for s in scores.iter_mut() {
             ops.approx += 1;
-            telemetry.observe_exp_input(s);
-            self.exp.exp(s)
-        }));
+            telemetry.observe_exp_input(*s);
+            *s = self.exp.exp(*s);
+        }
         ops
     }
 }
@@ -327,9 +327,9 @@ impl ProbabilityPipeline for FixedPipeline {
         // (optionally normalized); factor rows run the direct
         // multiplier/divider datapath (no NormTree, no exp kernel —
         // nothing to observe).
-        out.per_row(rows, |row, work, probs, telemetry, _| {
+        out.per_row(rows, |row, _, probs, telemetry, _| {
             match rows.log_row(row) {
-                Some(logs) => self.log_row_into(logs, work, probs, telemetry),
+                Some(logs) => self.log_row_into(logs, probs, telemetry),
                 None => self.direct.evaluate_factors_into(rows.factors(row), probs),
             }
         });
@@ -401,7 +401,7 @@ impl ProbabilityPipeline for CoopMcPipeline {
                 self.fusion.evaluate_log_score_rows_into(
                     logs,
                     rows.width(),
-                    &mut out.work,
+                    &mut out.words,
                     &mut out.probs,
                     &mut out.ops,
                     &mut out.telemetry,
@@ -411,15 +411,15 @@ impl ProbabilityPipeline for CoopMcPipeline {
             // A one-row log stride (the sequential scan's call) takes the
             // scalar kernel, which the vector one matches bit for bit at a
             // lower fixed cost; factor rows go TableLog → LogFusion.
-            _ => out.per_row(rows, |row, work, probs, telemetry, phases| {
+            _ => out.per_row(rows, |row, words, probs, telemetry, phases| {
                 let fusion = &self.fusion;
                 match rows.log_row(row) {
                     Some(logs) => {
-                        fusion.evaluate_log_scores_into(logs, work, probs, telemetry, phases)
+                        fusion.evaluate_log_scores_into(logs, words, probs, telemetry, phases)
                     }
                     None => {
                         let factors = rows.factors(row);
-                        fusion.evaluate_factors_into(factors, work, probs, telemetry, phases)
+                        fusion.evaluate_factors_into(factors, words, probs, telemetry, phases)
                     }
                 }
             }),
@@ -505,7 +505,10 @@ impl<P: ProbabilityPipeline + ?Sized> ProbabilityPipeline for Box<P> {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Debug;
+
     use super::*;
+    use coopmc_kernels::log::LOG_ZERO;
     use coopmc_models::LabelScore;
 
     fn log_scores(vals: &[f64]) -> Vec<LabelScore> {
@@ -825,14 +828,24 @@ mod tests {
             .collect()
     }
 
+    /// A stride's probabilities, tallies and telemetry as bits, so NaN
+    /// and the sign of zero compare too.
+    fn as_bits(probs: &[f64], ops: &[OpCounts], tel: &PgTelemetry) -> impl PartialEq + Debug {
+        let probs: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
+        let tel = [tel.norm_max, tel.exp_in_min, tel.exp_in_max].map(|v| v.map(f64::to_bits));
+        (probs, ops.to_vec(), tel)
+    }
+
     #[test]
     fn batch_generate_is_bit_identical_to_scalar_for_all_pipelines() {
+        // CoopMC on bus words (64x8, 1024x24) and on the f64 path (48x8).
         let pipelines: Vec<Box<dyn ProbabilityPipeline>> = vec![
             Box::new(FloatPipeline::new()),
             Box::new(FixedPipeline::new(8, true)),
             Box::new(FixedPipeline::new(8, false)),
             Box::new(CoopMcPipeline::new(64, 8)),
             Box::new(CoopMcPipeline::with_pipelines(1024, 24, 8)),
+            Box::new(CoopMcPipeline::new(48, 8)),
         ];
         // One batch reused across pipelines, shapes, row forms and both
         // stride entry points, with the stage accumulator detached and
@@ -861,8 +874,14 @@ mod tests {
             (3, 64),
             (8, 64),
         ] {
+            // Now and then a LOG_ZERO, NaN or infinite score, where a row's
+            // min/max telemetry could part from per-score observation.
+            let specials = [LOG_ZERO, f64::NAN, f64::NEG_INFINITY, f64::INFINITY];
             let values: Vec<f64> = (0..rows * width)
-                .map(|i| -(((i * 7) % 23) as f64) * 0.43 - 0.1)
+                .map(|i| match i % 13 {
+                    5 => specials[(i / 13) % specials.len()],
+                    _ => -(((i * 7) % 23) as f64) * 0.43 - 0.1,
+                })
                 .collect();
             // Each form as label scores and as a stride gathered natively.
             let mut log_rows = ScoreRows::new();
@@ -895,6 +914,8 @@ mod tests {
                         ops.push(scalar.ops);
                         merged.merge(&scalar.telemetry);
                     }
+                    let want = as_bits(&probs, &ops, &merged);
+                    let got = |b: &PgBatch| as_bits(&b.probs, &b.ops, &b.telemetry);
                     for batch in &mut outs {
                         let attached = batch.phases.is_some();
                         let log = stride.logs().is_some();
@@ -902,14 +923,10 @@ mod tests {
                         stale(batch);
                         p.generate_batch_into(flat, width, batch);
                         assert_eq!(batch.rows(width), rows, "{at}");
-                        assert_eq!(batch.probs, probs, "{at}");
-                        assert_eq!(batch.ops, ops, "{at} ops");
-                        assert_eq!(batch.telemetry, merged, "{at} telemetry");
+                        assert_eq!(got(batch), want, "{at}");
                         stale(batch);
                         p.generate_rows_into(stride, batch);
-                        assert_eq!(batch.probs, probs, "{at} rows");
-                        assert_eq!(batch.ops, ops, "{at} row ops");
-                        assert_eq!(batch.telemetry, merged, "{at} row telemetry");
+                        assert_eq!(got(batch), want, "{at} rows");
                         assert_eq!(batch.phases.is_some(), attached, "{at}");
                     }
                 }

@@ -198,9 +198,15 @@ impl QFormat {
     pub fn quantize_nearest_raw(&self, x: f64) -> i64 {
         const LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2^63
         let scaled = (x * (1i64 << self.frac_bits) as f64).clamp(-LIMIT, LIMIT);
-        // The rounded value is integral and within ±2^63, so the saturating
-        // cast is exact up to 2^63 - 1, which the clamp below absorbs.
-        (crate::round_ties_away(scaled) as i64).clamp(self.min_raw(), self.max_raw())
+        // `round_ties_away` in integers: the saturating cast truncates
+        // (NaN to 0), the fraction is exact, and the adjustment is added
+        // branch-free. At or beyond ±2^52 every `f64` is integral, so the
+        // fraction is 0 and `t ± 1` cannot overflow; the clamp below
+        // absorbs the cast's saturation at 2^63.
+        let t = scaled as i64;
+        let f = scaled - t as f64;
+        let rounded = t + (f >= 0.5) as i64 - (f <= -0.5) as i64;
+        rounded.clamp(self.min_raw(), self.max_raw())
     }
 
     /// The closed representable interval `[min_value, max_value]`.

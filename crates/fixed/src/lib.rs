@@ -41,19 +41,15 @@ pub use value::Fixed;
 ///
 /// The truncation `x as i64` is exact for `|x| < 2^63` and saturating
 /// beyond, and `x - trunc(x)` is always exact in f64, so the adjustment
-/// compare reproduces round-half-away-from-zero bit for bit. Callers must
-/// reject NaN themselves (a NaN input returns 0).
+/// compare reproduces round-half-away-from-zero bit for bit. The
+/// adjustment is added as a number, not chosen by a branch: the fraction's
+/// side of ±0.5 is data, and a branch on it mispredicts about every other
+/// score. Callers must reject NaN themselves (a NaN input returns 0).
 #[inline]
 pub fn round_ties_away(x: f64) -> f64 {
     let t = x as i64 as f64;
     let f = x - t;
-    if f >= 0.5 {
-        t + 1.0
-    } else if f <= -0.5 {
-        t - 1.0
-    } else {
-        t
-    }
+    t + ((f >= 0.5) as i64 - (f <= -0.5) as i64) as f64
 }
 
 /// Quantize `x` to an unsigned value with `frac_bits` fractional bits,

@@ -120,36 +120,6 @@ pub fn dynorm_apply(values: &mut [f64], pipelines: usize) -> DyNormReport {
     }
 }
 
-/// Apply DyNorm independently to each `width`-wide row of a row-major
-/// batch, invoking `on_row(row_index, report)` once per row in order.
-///
-/// Each row undergoes **exactly** the computation of [`dynorm_apply`] —
-/// same NormTree fold order, same in-place subtraction — so a batched
-/// evaluation is bit-identical to per-row calls. What the batch buys is
-/// locality: one pass over a contiguous buffer instead of one call per
-/// variable, modeling `pg_units` parallel NormTrees each owning a row.
-///
-/// # Panics
-///
-/// Panics if `width == 0`, `pipelines == 0`, or `values.len()` is not a
-/// multiple of `width`.
-pub fn dynorm_apply_rows(
-    values: &mut [f64],
-    width: usize,
-    pipelines: usize,
-    mut on_row: impl FnMut(usize, DyNormReport),
-) {
-    assert!(width > 0, "row width must be positive");
-    assert_eq!(
-        values.len() % width,
-        0,
-        "batch length must be a multiple of the row width"
-    );
-    for (row, chunk) in values.chunks_exact_mut(width).enumerate() {
-        on_row(row, dynorm_apply(chunk, pipelines));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,42 +196,6 @@ mod tests {
     #[should_panic(expected = "at least one input")]
     fn empty_input_panics() {
         NormTree::new(4).max(&[]);
-    }
-
-    #[test]
-    fn rows_apply_matches_per_row_scalar_calls() {
-        // 5 rows of width 3, values chosen so each row has a distinct max.
-        let flat: Vec<f64> = (0..15).map(|i| -((i * 7 % 11) as f64) - 0.5).collect();
-        let mut batched = flat.clone();
-        let mut reports = Vec::new();
-        dynorm_apply_rows(&mut batched, 3, 4, |row, r| reports.push((row, r)));
-        for (row, chunk) in flat.chunks_exact(3).enumerate() {
-            let mut scalar = chunk.to_vec();
-            let want = dynorm_apply(&mut scalar, 4);
-            assert_eq!(batched[row * 3..(row + 1) * 3], scalar[..], "row {row}");
-            assert_eq!(reports[row], (row, want), "row {row} report");
-        }
-    }
-
-    #[test]
-    fn rows_apply_handles_width_one_and_empty() {
-        let mut v = vec![-2.0, -3.0];
-        let mut rows = 0;
-        dynorm_apply_rows(&mut v, 1, 1, |_, r| {
-            assert_eq!(r.comparisons, 1);
-            rows += 1;
-        });
-        assert_eq!(rows, 2);
-        assert_eq!(v, vec![0.0, 0.0]);
-        let mut empty: [f64; 2] = [-1.0, -1.0];
-        dynorm_apply_rows(&mut empty[..0], 4, 4, |_, _| panic!("no rows"));
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the row width")]
-    fn rows_apply_rejects_ragged_batches() {
-        let mut v = vec![-1.0; 7];
-        dynorm_apply_rows(&mut v, 3, 4, |_, _| {});
     }
 
     #[test]

@@ -12,15 +12,20 @@
 //! conversion per output — and, crucially, eliminating the divider from the
 //! PG datapath entirely. DyNorm sits between the accumulation and the exp
 //! kernel so the exp inputs are always in range.
+//!
+//! Every score reaches the accumulator bus as a raw integer word. Where the
+//! configuration allows, the words stay integers through DyNorm and the
+//! TableExp address (see [`LogFusion::new`]); every other configuration
+//! runs DyNorm and the exp kernel on the words' `f64` images.
 
 use std::time::Instant;
 
 use coopmc_fixed::{Fixed, QFormat, Rounding};
 
 use crate::cost::OpCounts;
-use crate::dynorm::{dynorm_apply, dynorm_apply_rows};
-use crate::exp::{ExpKernel, TableExp};
-use crate::log::LogKernel;
+use crate::dynorm::dynorm_apply;
+use crate::exp::{DistanceRom, ExpKernel};
+use crate::log::{LogKernel, LogTables};
 use crate::telemetry::PgTelemetry;
 
 /// Per-stage wall times of fused PG evaluations, for the kernel profiler.
@@ -92,6 +97,9 @@ pub struct LogFusion<L, E> {
     acc_fmt: QFormat,
     pipelines: usize,
     dynorm: bool,
+    /// The log kernel's integer tables on the bus, kept only while the
+    /// datapath runs on bus words.
+    log_tables: Option<LogTables>,
 }
 
 impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
@@ -103,38 +111,73 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     ///   bus (the paper's DN+LF design uses Q15.16).
     /// * `pipelines` — number of parallel PG pipelines sharing the NormTree.
     ///
+    /// The configuration chooses how the bus words flow. With DyNorm on, a
+    /// bus of at most 52 bits (so every word and every difference of two
+    /// words is exact in `f64`) and an exp kernel with a
+    /// [`ExpKernel::distance_rom`] — a [`crate::exp::TableExp::new`] table
+    /// of power-of-two size, up to `2^20` entries on Q15.16 — the words
+    /// stay integers: DyNorm is an integer max and subtract, and TableExp
+    /// reads its ROM at `distance >> shift`. The log kernel's
+    /// [`LogKernel::bus_tables`], when it has them, then read each factor's
+    /// log as a word. Every other configuration runs DyNorm and the exp
+    /// kernel on the words' `f64` images. Both give the same result bit
+    /// for bit; the `f64` path is the reference the word path is tested
+    /// against.
+    ///
     /// # Panics
     ///
     /// Panics if `pipelines == 0`.
     pub fn new(log: L, exp: E, acc_fmt: QFormat, pipelines: usize) -> Self {
         assert!(pipelines > 0, "pipeline count must be positive");
-        Self {
+        let mut fusion = Self {
             log,
             exp,
             acc_fmt,
             pipelines,
             dynorm: true,
+            log_tables: None,
+        };
+        if fusion.distance_rom().is_some() {
+            fusion.log_tables = fusion.log.bus_tables(acc_fmt);
         }
+        fusion
     }
 
     /// Disable DyNorm (used by the ablation showing LogFusion alone fails at
-    /// low precision — the co-dependence the paper's intro stresses).
+    /// low precision — the co-dependence the paper's intro stresses). The
+    /// datapath then runs on `f64` images of the bus words.
     pub fn without_dynorm(mut self) -> Self {
         self.dynorm = false;
+        self.log_tables = None;
         self
+    }
+
+    /// The TableExp ROM the word stage reads, when this configuration runs
+    /// on bus words (see [`LogFusion::new`]).
+    #[inline]
+    fn distance_rom(&self) -> Option<DistanceRom<'_>> {
+        let fmt = self.acc_fmt;
+        let exact = fmt.int_bits() + fmt.frac_bits() < f64::MANTISSA_DIGITS;
+        if self.dynorm && exact {
+            self.exp.distance_rom(fmt.frac_bits())
+        } else {
+            None
+        }
     }
 
     /// Evaluate a label vector of factor rows (Eq. 11) into caller-owned
     /// buffers.
     ///
     /// `rows` yields one borrowed `(numerators, denominators)` pair per
-    /// label, read where the caller keeps them. Each factor's log is
-    /// quantized onto the accumulator bus and summed as a raw integer that
+    /// label, read where the caller keeps them. Each factor's log is read
+    /// onto the accumulator bus as a raw word — from the log kernel's
+    /// integer tables where it has them, otherwise by quantizing the
+    /// kernel's `f64` log once — and summed as a raw integer that
     /// saturates after every add and subtract, exactly as a `Fixed`
-    /// accumulator would. `work` (cleared first) holds the log-domain
-    /// accumulator values between accumulation and the exp stage; the
-    /// output vector is appended to `probs`. With warmed buffers the
-    /// evaluation is allocation-free.
+    /// accumulator would. `words` (cleared first) holds each label's
+    /// accumulated word between accumulation and the exp stage; the output
+    /// vector is appended to `probs`. With warmed buffers the evaluation
+    /// is allocation-free.
     /// `telemetry` collects the DyNorm/exp-kernel observations for the run
     /// journal (a handful of comparisons, no allocation); `phases`, when
     /// attached, accumulates per-stage wall times for the kernel profiler.
@@ -142,7 +185,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     pub fn evaluate_factors_into<'r>(
         &self,
         rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
-        work: &mut Vec<f64>,
+        words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
         telemetry: &mut PgTelemetry,
         phases: Option<&mut StagePhases>,
@@ -150,93 +193,51 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         let mut ops = OpCounts::new();
         let mut clock = StageClock::start(phases);
         let fmt = self.acc_fmt;
-        let (min, max, res) = (fmt.min_raw(), fmt.max_raw(), fmt.resolution());
-        // Both operands lie within ±2^62, so neither the sum nor the
-        // difference can overflow before the clamp saturates it.
-        let log_raw = |x: f64| fmt.quantize_nearest_raw(self.log.log(x));
-        work.clear();
-        for (numerators, denominators) in rows {
-            let mut acc = 0i64;
-            for &a in numerators {
-                acc = (acc + log_raw(a)).clamp(min, max);
+        let float_read = |x: f64| fmt.quantize_nearest_raw(self.log.log(x));
+        words.clear();
+        match &self.log_tables {
+            Some(tables) => {
+                let read = |x: f64| tables.word(x).unwrap_or_else(|| float_read(x));
+                accumulate_into(rows, fmt, read, words, &mut ops);
             }
-            for &b in denominators {
-                acc = (acc - log_raw(b)).clamp(min, max);
-            }
-            let factors = (numerators.len() + denominators.len()) as u64;
-            ops.lut += factors;
-            ops.add += factors;
-            work.push(acc as f64 * res);
+            None => accumulate_into(rows, fmt, float_read, words, &mut ops),
         }
         clock.lap(|p| &mut p.normalize_ns);
-        self.finish_into(work, probs, &mut ops, telemetry, clock);
+        self.finish_into(words, probs, &mut ops, telemetry, clock);
         ops
     }
 
     /// Evaluate a label vector whose scores are already in the log domain
-    /// (e.g. MRF energies `-β·TC`), skipping the log kernels; same buffer,
-    /// telemetry and phase contract as [`LogFusion::evaluate_factors_into`].
+    /// (e.g. MRF energies `-β·TC`), skipping the log kernels: each score is
+    /// quantized once onto the bus. Same buffer, telemetry and phase
+    /// contract as [`LogFusion::evaluate_factors_into`].
     #[inline]
     pub fn evaluate_log_scores_into(
         &self,
         scores: &[f64],
-        work: &mut Vec<f64>,
+        words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
         telemetry: &mut PgTelemetry,
         phases: Option<&mut StagePhases>,
     ) -> OpCounts {
         let mut ops = OpCounts::new();
         let mut clock = StageClock::start(phases);
-        work.clear();
-        work.extend(scores.iter().map(|&s| self.acc_fmt.requantize_nearest(s)));
+        self.quantize_into(scores, words);
         clock.lap(|p| &mut p.normalize_ns);
-        self.finish_into(work, probs, &mut ops, telemetry, clock);
+        self.finish_into(words, probs, &mut ops, telemetry, clock);
         ops
     }
 
-    // Inlined, like `evaluate_log_scores_into`, so an untimed scalar
-    // evaluation keeps its stage clock out of memory.
-    #[inline]
-    fn finish_into(
-        &self,
-        scores: &mut [f64],
-        probs: &mut Vec<f64>,
-        ops: &mut OpCounts,
-        telemetry: &mut PgTelemetry,
-        mut clock: StageClock<'_>,
-    ) {
-        if scores.is_empty() {
-            return;
-        }
-        if self.dynorm {
-            let report = dynorm_apply(scores, self.pipelines);
-            ops.cmp += report.comparisons;
-            ops.add += scores.len() as u64; // the broadcast subtraction
-            telemetry.observe_norm_max(report.max);
-        }
-        for &s in scores.iter() {
-            telemetry.observe_exp_input(s);
-        }
-        clock.lap(|p| &mut p.dynorm_ns);
-        probs.extend(scores.iter().map(|&s| {
-            ops.lut += 1;
-            self.exp.exp(s)
-        }));
-        clock.lap(|p| &mut p.exp_ns);
-    }
-}
-
-impl<L: LogKernel> LogFusion<L, TableExp> {
     /// Evaluate a whole batch of same-width log-domain score rows in one
-    /// call: the vector datapath behind `generate_batch_into`.
+    /// call: the vector datapath behind `generate_rows_into`.
     ///
     /// `scores` is row-major (`scores.len() / width` rows of exactly
     /// `width` labels). The result is **bit-identical** to calling
-    /// [`LogFusion::evaluate_log_scores_into`] once per row: the same
-    /// per-score accumulator quantization, the same per-row DyNorm fold,
-    /// and the same ROM entries — only fused into one quantize pass, one
-    /// [`dynorm_apply_rows`] sweep and one lane-packed
-    /// [`TableExp::exp_batch_into`] gather over the contiguous buffer.
+    /// [`LogFusion::evaluate_log_scores_into`] once per row. On bus words
+    /// the rows share one quantize pass, one DyNorm sweep and one
+    /// [`DistanceRom`] read over the contiguous buffer, lane-packed for
+    /// tables of at most 255 entries; on the `f64` path each row is
+    /// evaluated in turn.
     ///
     /// `probs` receives the concatenated per-row probability vectors and
     /// `ops_per_row` one tally per row (matching the scalar path's
@@ -254,11 +255,11 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
         &self,
         scores: &[f64],
         width: usize,
-        work: &mut Vec<f64>,
+        words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
         ops_per_row: &mut Vec<OpCounts>,
         telemetry: &mut PgTelemetry,
-        phases: Option<&mut StagePhases>,
+        mut phases: Option<&mut StagePhases>,
     ) {
         assert!(width > 0, "row width must be positive");
         assert_eq!(
@@ -266,45 +267,150 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
             0,
             "batch length must be a multiple of the row width"
         );
-        let mut clock = StageClock::start(phases);
-        // Stage 1: the accumulator-bus quantization, identical per score.
-        work.clear();
-        work.extend(scores.iter().map(|&s| self.acc_fmt.requantize_nearest(s)));
         ops_per_row.clear();
         probs.clear();
+        let Some(rom) = self.distance_rom() else {
+            for row in scores.chunks_exact(width) {
+                let phases = phases.as_deref_mut();
+                ops_per_row
+                    .push(self.evaluate_log_scores_into(row, words, probs, telemetry, phases));
+            }
+            return;
+        };
+        let mut clock = StageClock::start(phases);
+        self.quantize_into(scores, words);
         clock.lap(|p| &mut p.normalize_ns);
-        if scores.is_empty() {
+        if !words.is_empty() {
+            let row_ops = |ops| ops_per_row.push(ops);
+            self.finish_words(rom, words, width, probs, telemetry, clock, row_ops);
+        }
+    }
+
+    /// The accumulator-bus quantization of log-domain scores: one raw word
+    /// per score, into `words` (cleared first).
+    #[inline]
+    fn quantize_into(&self, scores: &[f64], words: &mut Vec<i64>) {
+        words.clear();
+        words.extend(scores.iter().map(|&s| self.acc_fmt.quantize_nearest_raw(s)));
+    }
+
+    /// DyNorm and the exp kernel over one label vector of bus words,
+    /// appended to `probs`: the word stage where the configuration runs on
+    /// words, otherwise the `f64` stage on the words' images.
+    // Inlined, like `evaluate_log_scores_into`, so an untimed scalar
+    // evaluation keeps its stage clock out of memory.
+    #[inline]
+    fn finish_into(
+        &self,
+        words: &mut [i64],
+        probs: &mut Vec<f64>,
+        ops: &mut OpCounts,
+        telemetry: &mut PgTelemetry,
+        mut clock: StageClock<'_>,
+    ) {
+        if words.is_empty() {
             return;
         }
-        // Stage 2: per-row DyNorm (one NormTree fold per row, in order).
-        if self.dynorm {
-            dynorm_apply_rows(work, width, self.pipelines, |_, report| {
-                let ops = OpCounts {
-                    add: width as u64, // the broadcast subtraction
-                    lut: width as u64, // the exp gathers below
-                    cmp: report.comparisons,
-                    ..OpCounts::new()
-                };
-                ops_per_row.push(ops);
-                telemetry.observe_norm_max(report.max);
-            });
-        } else {
-            let ops = OpCounts {
-                lut: width as u64,
-                ..OpCounts::new()
-            };
-            for _ in 0..scores.len() / width {
-                ops_per_row.push(ops);
-            }
+        if let Some(rom) = self.distance_rom() {
+            let width = words.len();
+            let row_ops = |row: OpCounts| ops.merge(&row);
+            self.finish_words(rom, words, width, probs, telemetry, clock, row_ops);
+            return;
         }
-        for &s in work.iter() {
+        let res = self.acc_fmt.resolution();
+        let start = probs.len();
+        probs.extend(words.iter().map(|&w| w as f64 * res));
+        let scores = &mut probs[start..];
+        if self.dynorm {
+            let report = dynorm_apply(scores, self.pipelines);
+            ops.cmp += report.comparisons;
+            ops.add += scores.len() as u64; // the broadcast subtraction
+            telemetry.observe_norm_max(report.max);
+        }
+        for &s in scores.iter() {
             telemetry.observe_exp_input(s);
         }
         clock.lap(|p| &mut p.dynorm_ns);
-        // Stage 3: one gathered TableExp lookup over the whole batch.
-        probs.resize(scores.len(), 0.0);
-        self.exp.exp_batch_into(work, probs);
+        for s in scores.iter_mut() {
+            ops.lut += 1;
+            *s = self.exp.exp(*s);
+        }
         clock.lap(|p| &mut p.exp_ns);
+    }
+
+    /// The word stage over the `width`-word rows of `words`: DyNorm as an
+    /// integer max and subtract, which leaves each word's distance below
+    /// its row's maximum, then one `rom` read of every distance, appended
+    /// to `probs`. Each row's telemetry comes from its minimum and maximum
+    /// word, and `row_ops` receives each row's tally of the stage: one
+    /// comparison, one subtraction and one ROM read per label, as on the
+    /// `f64` path.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn finish_words(
+        &self,
+        rom: DistanceRom<'_>,
+        words: &mut [i64],
+        width: usize,
+        probs: &mut Vec<f64>,
+        telemetry: &mut PgTelemetry,
+        mut clock: StageClock<'_>,
+        mut row_ops: impl FnMut(OpCounts),
+    ) {
+        let res = self.acc_fmt.resolution();
+        let n = width as u64;
+        for row in words.chunks_exact_mut(width) {
+            let (lo, hi) = row
+                .iter()
+                .fold((i64::MAX, i64::MIN), |(lo, hi), &w| (lo.min(w), hi.max(w)));
+            for w in row.iter_mut() {
+                *w = hi - *w;
+            }
+            telemetry.observe_norm_max(hi as f64 * res);
+            telemetry.observe_exp_input((lo - hi) as f64 * res);
+            telemetry.observe_exp_input(0.0);
+            row_ops(OpCounts {
+                add: n,
+                lut: n,
+                cmp: n,
+                ..OpCounts::new()
+            });
+        }
+        clock.lap(|p| &mut p.dynorm_ns);
+        let start = probs.len();
+        probs.resize(start + words.len(), 0.0);
+        rom.read_into(words, &mut probs[start..]);
+        clock.lap(|p| &mut p.exp_ns);
+    }
+}
+
+/// Sum each label's factor logs on the bus `fmt`: `log_raw` reads one
+/// factor's log as a raw word, and the accumulator saturates after every
+/// add and subtract, as a `Fixed` accumulator would. One word per label is
+/// appended to `words`, and the log reads and adds are tallied in `ops`.
+#[inline]
+fn accumulate_into<'r>(
+    rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+    fmt: QFormat,
+    log_raw: impl Fn(f64) -> i64,
+    words: &mut Vec<i64>,
+    ops: &mut OpCounts,
+) {
+    let (min, max) = (fmt.min_raw(), fmt.max_raw());
+    // Both operands lie within ±2^62, so neither the sum nor the
+    // difference can overflow before the clamp saturates it.
+    for (numerators, denominators) in rows {
+        let mut acc = 0i64;
+        for &a in numerators {
+            acc = (acc + log_raw(a)).clamp(min, max);
+        }
+        for &b in denominators {
+            acc = (acc - log_raw(b)).clamp(min, max);
+        }
+        let factors = (numerators.len() + denominators.len()) as u64;
+        ops.lut += factors;
+        ops.add += factors;
+        words.push(acc);
     }
 }
 
@@ -357,8 +463,10 @@ impl DirectDatapath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
+
     use crate::exp::{FloatExp, TableExp};
-    use crate::log::{FloatLog, TableLog};
+    use crate::log::{FloatLog, TableLog, LOG_ZERO};
 
     fn acc() -> QFormat {
         QFormat::baseline32()
@@ -401,14 +509,15 @@ mod tests {
     }
 
     /// The `Fixed` accumulation loop the raw accumulator replaced: one
-    /// `Fixed` quantization and saturating add/sub per factor.
+    /// `Fixed` quantization of the kernel's `f64` log and saturating
+    /// add/sub per factor.
     fn fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
         rows: &[Row],
     ) -> (Vec<f64>, OpCounts, PgTelemetry) {
         let fmt = fusion.acc_fmt;
         let mut ops = OpCounts::new();
-        let mut work = Vec::new();
+        let mut words = Vec::new();
         for &(numerators, denominators) in rows {
             let mut acc = Fixed::zero(fmt);
             for &a in numerators {
@@ -421,11 +530,11 @@ mod tests {
                 acc = acc - Fixed::from_f64(fusion.log.log(b), fmt, Rounding::Nearest);
                 ops.add += 1;
             }
-            work.push(acc.to_f64());
+            words.push(acc.raw());
         }
         let (mut probs, mut tel) = (Vec::new(), PgTelemetry::new());
         fusion.finish_into(
-            &mut work,
+            &mut words,
             &mut probs,
             &mut ops,
             &mut tel,
@@ -516,6 +625,127 @@ mod tests {
                 assert_matches_fixed_loop(&table.without_dynorm(), &exprs, &what);
             }
         }
+    }
+
+    /// One datapath on bus words and on the `f64` path: a `with_range`
+    /// TableExp holds the same ROM as `new` but has no distance address.
+    fn words_and_reference(size: usize, bit: u32) -> [LogFusion<TableLog, TableExp>; 2] {
+        let fusion = |exp| LogFusion::new(TableLog::new(size, bit.min(46)), exp, acc(), 4);
+        let words = fusion(TableExp::new(size, bit));
+        let reference = fusion(TableExp::with_range(size, bit, 16.0));
+        assert!(words.distance_rom().is_some(), "{size}x{bit}");
+        assert_eq!(words.log_tables.is_some(), bit <= 16, "{size}x{bit}");
+        assert!(reference.distance_rom().is_none() && reference.log_tables.is_none());
+        [words, reference]
+    }
+
+    /// Probabilities, tallies and telemetry as bits, so NaN and the sign of
+    /// zero compare too.
+    fn as_bits(probs: &[f64], ops: &[OpCounts], tel: &PgTelemetry) -> impl PartialEq + Debug {
+        let probs: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
+        let tel = [tel.norm_max, tel.exp_in_min, tel.exp_in_max].map(|v| v.map(f64::to_bits));
+        (probs, ops.to_vec(), tel)
+    }
+
+    #[test]
+    fn word_path_matches_the_f64_reference_bit_for_bit() {
+        // Log rows with LOG_ZERO, NaN and ±∞ scores, ties and deep
+        // flushes; factor rows shaped like LDA's and BN's, with zero,
+        // subnormal, negative, NaN and ±∞ factors.
+        let log_rows = [
+            [-3.2, -1.0, -7.75, -1.0],
+            [LOG_ZERO, -2.5, f64::NAN, 0.0],
+            [f64::NEG_INFINITY, f64::INFINITY, -1e9, 3.0],
+            [LOG_ZERO; 4],
+            [-500.0, -600.5, -499.99, -515.0],
+            [0.1, 0.1, 0.1 + 1e-6, -15.999],
+        ];
+        let flat: Vec<f64> = log_rows.concat();
+        let owned = [
+            (vec![12.5, 3.01], vec![402.56]),
+            (vec![0.0, 0.5], vec![]),
+            (vec![f64::MIN_POSITIVE / 3.0, 2.0], vec![1.0]),
+            (vec![-0.25, 0.75], vec![f64::NAN]),
+            (vec![f64::INFINITY], vec![0.5]),
+            (vec![1e-300, 1e300], vec![f64::NEG_INFINITY]),
+            (vec![0.999_999, 1.0, 2.0 - 1e-15], vec![1.5]),
+            (vec![], vec![]),
+        ];
+        let factor_rows = borrow(&owned);
+        let sizes = [
+            (1, 8),
+            (2, 1),
+            (16, 4),
+            (64, 8),
+            (256, 16),
+            (1024, 24),
+            (1 << 20, 8),
+        ];
+        for (size, bit) in sizes {
+            let [words, reference] = words_and_reference(size, bit);
+            let run = |f: &LogFusion<TableLog, TableExp>| {
+                let (mut w, mut tel) = (Vec::new(), PgTelemetry::new());
+                let mut out = Vec::new();
+                let mut probs = Vec::new();
+                for row in &log_rows {
+                    let ops = f.evaluate_log_scores_into(row, &mut w, &mut probs, &mut tel, None);
+                    out.push(ops);
+                }
+                let it = factor_rows.iter().copied();
+                let ops = f.evaluate_factors_into(it, &mut w, &mut probs, &mut tel, None);
+                out.push(ops);
+                let single = as_bits(&probs, &out, &tel);
+                let (mut batched, mut ops_rows, mut tel) =
+                    (Vec::new(), Vec::new(), PgTelemetry::new());
+                f.evaluate_log_score_rows_into(
+                    &flat,
+                    4,
+                    &mut w,
+                    &mut batched,
+                    &mut ops_rows,
+                    &mut tel,
+                    None,
+                );
+                (single, as_bits(&batched, &ops_rows, &tel))
+            };
+            assert_eq!(run(&words), run(&reference), "{size}x{bit}");
+        }
+    }
+
+    #[test]
+    fn other_configs_keep_the_f64_path() {
+        let fusion = |log, exp, fmt| LogFusion::new(log, exp, fmt, 4);
+        let words = fusion(TableLog::new(64, 8), TableExp::new(64, 8), acc());
+        assert!(words.distance_rom().is_some() && words.log_tables.is_some());
+        let plain = words.without_dynorm();
+        assert!(plain.distance_rom().is_none() && plain.log_tables.is_none());
+        let f64_paths = [
+            fusion(
+                TableLog::new(64, 8),
+                TableExp::with_range(64, 8, 16.0),
+                acc(),
+            ),
+            fusion(TableLog::new(48, 8), TableExp::new(48, 8), acc()),
+            // Words of more than 52 bits are not exact in f64.
+            fusion(
+                TableLog::new(64, 8),
+                TableExp::new(64, 8),
+                QFormat::new(15, 38).unwrap(),
+            ),
+        ];
+        for f in &f64_paths {
+            assert!(f.distance_rom().is_none() && f.log_tables.is_none());
+        }
+        // A size whose step is finer than a bus word; checked on a narrow
+        // bus rather than with a table of 2^21 entries.
+        let fine = fusion(
+            TableLog::new(256, 8),
+            TableExp::new(256, 8),
+            QFormat::new(15, 3).unwrap(),
+        );
+        assert!(fine.distance_rom().is_none());
+        let float = LogFusion::new(FloatLog::new(), TableExp::new(64, 8), acc(), 4);
+        assert!(float.distance_rom().is_some() && float.log_tables.is_none());
     }
 
     #[test]
@@ -631,7 +861,7 @@ mod tests {
         // exp tables, several widths (ragged vs the 8-lane packing) and
         // pipeline counts (multi-pass NormTree folds included).
         for (size, bit) in [(64u32, 8u32), (1024, 24)] {
-            for (width, pipelines) in [(2usize, 4usize), (3, 1), (8, 4), (13, 4)] {
+            for (width, pipelines) in [(1usize, 4usize), (2, 4), (3, 1), (8, 4), (13, 4)] {
                 let fusion = LogFusion::new(
                     TableLog::new(size as usize, bit),
                     TableExp::new(size as usize, bit),

@@ -5,7 +5,7 @@
 //! point is a LUT-based kernel; the float and approximation-based variants
 //! exist as baselines.
 
-use coopmc_fixed::{Fixed, QFormat, Rounding};
+use coopmc_fixed::{round_ties_away, Fixed, QFormat, Rounding};
 
 /// Value returned for `log(x)` when `x <= 0`: the most negative value a
 /// Q15.16 log bus can carry. A zero factor makes the whole product zero;
@@ -15,6 +15,15 @@ pub const LOG_ZERO: f64 = -32768.0;
 
 /// Stored mantissa bits of an `f64`.
 const MANTISSA_BITS: u32 = f64::MANTISSA_DIGITS - 1;
+
+/// Mask of the stored mantissa bits of an `f64`.
+const MANTISSA_MASK: u64 = (1 << MANTISSA_BITS) - 1;
+
+/// The widest [`TableLog`] entries that read as two integer tables
+/// ([`LogTables`]). Every power-of-two table of at most 16 fraction bits
+/// does, at any size; on the paper's Q15.16 bus, tables of 17 or more bits
+/// have cells that differ.
+const TWO_TABLE_MAX_BITS: u32 = 16;
 
 /// A natural-logarithm kernel.
 pub trait LogKernel {
@@ -26,6 +35,51 @@ pub trait LogKernel {
 
     /// Short human-readable kernel name for reports.
     fn name(&self) -> &'static str;
+
+    /// The kernel as two integer tables of words on the bus `fmt`, when it
+    /// reads exactly that way ([`LogTables`]). `None`, the default, means
+    /// every input goes through [`LogKernel::log`] and is quantized onto
+    /// the bus.
+    fn bus_tables(&self, fmt: QFormat) -> Option<LogTables> {
+        let _ = fmt;
+        None
+    }
+}
+
+/// A [`TableLog`] read as two integer tables of accumulator-bus words.
+///
+/// For a positive normal input with biased exponent `E` and stored
+/// mantissa `m`, the bus word of the table's log is
+/// `exponent[E] + mantissa[m >> shift]`: `exponent[E]` is the word of
+/// `log(2^(E − 1023))` and `mantissa` holds the ROM entries as words.
+/// That equals quantizing [`LogKernel::log`] onto the bus, cell for cell,
+/// when the entries have at most 16 fraction bits and the bus carries
+/// every entry and every `e·ln2` exactly. Zero, negative, subnormal,
+/// infinite and NaN inputs have no cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogTables {
+    /// Bus words of `log(2^e)` by biased exponent; entry 0 (zero and
+    /// subnormal inputs) is never read.
+    exponent: Box<[i64; 0x7ff]>,
+    /// Bus words of the ROM entries.
+    mantissa: Box<[i64]>,
+    /// Right shift from the 52 stored mantissa bits to the ROM address.
+    shift: u32,
+}
+
+impl LogTables {
+    /// The bus word of the table's log of `x`, or `None` when `x` is not
+    /// a positive normal number.
+    #[inline]
+    pub(crate) fn word(&self, x: f64) -> Option<i64> {
+        let bits = x.to_bits();
+        // Sign and biased exponent: 1..=0x7fe is a positive normal number.
+        let biased = bits >> MANTISSA_BITS;
+        (biased.wrapping_sub(1) < 0x7fe).then(|| {
+            let idx = (bits & MANTISSA_MASK) >> self.shift;
+            self.exponent[biased as usize] + self.mantissa[idx as usize]
+        })
+    }
 }
 
 /// Full-precision reference logarithm.
@@ -128,6 +182,10 @@ impl LogKernel for FixedLog {
 /// of two `2^k`, where `log2` rounds up to `k` and the float index reads
 /// entry 0 of octave `k`. There the priority encoder reads the last entry
 /// of octave `k − 1`, which is the specified result.
+///
+/// On an accumulator bus such as LogFusion's Q15.16, a power-of-two table
+/// of at most 16 fraction bits also reads as two integer tables, with no
+/// float arithmetic ([`LogKernel::bus_tables`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableLog {
     entries: Vec<f64>,
@@ -209,7 +267,7 @@ impl LogKernel for TableLog {
         match self.addr_shift {
             Some(shift) if biased.wrapping_sub(1) < 0x7fe => {
                 let e = (biased as i64 - 1023) as f64;
-                let idx = ((bits & ((1 << MANTISSA_BITS) - 1)) >> shift) as usize;
+                let idx = ((bits & MANTISSA_MASK) >> shift) as usize;
                 let val = e * std::f64::consts::LN_2 + self.entries[idx];
                 self.out_fmt.requantize_nearest(val)
             }
@@ -223,6 +281,32 @@ impl LogKernel for TableLog {
 
     fn name(&self) -> &'static str {
         "table-log"
+    }
+
+    fn bus_tables(&self, fmt: QFormat) -> Option<LogTables> {
+        // The bus must carry every entry and every e·ln2 (|e·ln2| < 710)
+        // without rounding or saturating them.
+        let fits = self.bit_lut <= TWO_TABLE_MAX_BITS.min(fmt.frac_bits())
+            && fmt.int_bits() >= self.out_fmt.int_bits();
+        let shift = self.addr_shift.filter(|_| fits)?;
+        // `log(2^e)` reads entry 0, which is 0: e·ln2 rounded to the ROM
+        // grid, which no `e` saturates, then moved onto the bus exactly.
+        let grid = (1u64 << self.bit_lut) as f64;
+        let up = fmt.frac_bits() - self.bit_lut;
+        let exponent = Box::new(std::array::from_fn(|biased| {
+            let e = (biased as i64 - 1023) as f64;
+            (round_ties_away(e * std::f64::consts::LN_2 * grid) as i64) << up
+        }));
+        let mantissa = self
+            .entries
+            .iter()
+            .map(|&m| fmt.quantize_nearest_raw(m))
+            .collect();
+        Some(LogTables {
+            exponent,
+            mantissa,
+            shift,
+        })
     }
 }
 
@@ -412,6 +496,125 @@ mod tests {
                 assert_eq!(k.log(x).to_bits(), k.log_by_float_index(x).to_bits());
             }
         }
+    }
+
+    /// The paper's Q15.16 accumulator bus.
+    fn bus() -> QFormat {
+        QFormat::baseline32()
+    }
+
+    /// Cells of `k`'s two tables on the bus `fmt` that differ from the
+    /// float read quantized onto it, over every (exponent, address) cell.
+    fn differing_cells(k: &TableLog, tables: &LogTables, fmt: QFormat) -> usize {
+        let mut differing = 0;
+        for biased in 1..=0x7fe {
+            for i in 0..k.size_lut() as u64 {
+                let x = from_parts(biased, i << tables.shift);
+                let want = fmt.quantize_nearest_raw(k.log(x));
+                differing += usize::from(tables.word(x) != Some(want));
+            }
+        }
+        differing
+    }
+
+    #[test]
+    fn two_tables_read_every_cell_of_the_cli_default_as_the_float_read() {
+        // 2,046 exponents × 64 addresses = 130,944 cells. A cell's log
+        // depends only on its exponent and address, so its lower edge
+        // stands for every input in it.
+        let k = TableLog::new(64, 8);
+        let tables = k.bus_tables(bus()).expect("64x8 reads as two tables");
+        assert_eq!(differing_cells(&k, &tables, bus()), 0);
+        for x in [0.0, -0.0, -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(tables.word(x), None, "x={x:e}");
+        }
+        assert_eq!(tables.word(f64::MIN_POSITIVE / 3.0), None, "subnormal");
+    }
+
+    #[test]
+    fn two_tables_hold_at_every_size_up_to_16_bits() {
+        // Per exponent, one argument covers every size at once. Let
+        // p = e·ln2 as `log` computes it and m an entry: a multiple of
+        // 2^-b in [0, 1], whatever the size. `log` rounds p + m to
+        // `f64`, off by at most half an ulp of |p| + 1, then to the 2^-b
+        // grid. If p·2^b lies further than that error (scaled by 2^b)
+        // from the rounding tie between its grid neighbours, adding m
+        // (a whole number of grid steps) can neither cross the tie nor
+        // land on it, so the grid value of p + m is that of p plus m
+        // exactly: the bus word is exponent[E] + mantissa[idx] for every
+        // entry of every size. The bus holds b ≤ 16 bits exactly.
+        let ln2 = std::f64::consts::LN_2;
+        for bit in 1..=TWO_TABLE_MAX_BITS {
+            let grid = (1u64 << bit) as f64;
+            let k = TableLog::new(1, bit);
+            let tables = k.bus_tables(bus()).expect("at most 16 bits");
+            for biased in 1..=0x7fe_u64 {
+                let p = (biased as i64 - 1023) as f64 * ln2;
+                let scaled = p * grid;
+                let tie_distance = (scaled - scaled.floor() - 0.5).abs();
+                let octave = f64::from_bits((p.abs() + 1.0).to_bits() & !MANTISSA_MASK);
+                let half_ulp = octave * f64::EPSILON / 2.0;
+                assert!(
+                    tie_distance > half_ulp * grid,
+                    "2^-{bit} grid, biased exponent {biased}: p·2^b is {tie_distance:e} from a tie"
+                );
+                // exponent[E] is the closed form of log(2^e) on the bus.
+                let x = from_parts(biased, 0);
+                let want = bus().quantize_nearest_raw(k.log(x));
+                assert_eq!(tables.exponent[biased as usize], want, "{bit} bits, {x:e}");
+            }
+        }
+        // Every power-of-two size up to 1024 builds its tables at every
+        // width up to 16 bits, with entries on the 2^-bit grid in [0, 1].
+        for n in 0..=10 {
+            for bit in 1..=TWO_TABLE_MAX_BITS {
+                let k = TableLog::new(1 << n, bit);
+                let tables = k.bus_tables(bus()).expect("at most 16 bits");
+                let step = 1i64 << (16 - bit);
+                assert!(tables.mantissa.iter().all(|&w| w % step == 0));
+                assert!(k.entries.iter().all(|&m| (0.0..1.0).contains(&m)));
+            }
+        }
+        // Two more exhaustive cell sweeps, at the widest rule-width table
+        // in tree and at the narrowest entries.
+        for (size, bit) in [(1024, 16), (2, 1)] {
+            let k = TableLog::new(size, bit);
+            let tables = k.bus_tables(bus()).unwrap();
+            assert_eq!(differing_cells(&k, &tables, bus()), 0, "{size}x{bit}");
+        }
+    }
+
+    #[test]
+    fn wider_tables_differ_and_keep_the_float_read() {
+        // Entries of 17 or more fraction bits are off the Q15.16 grid: two
+        // tables that quantize log(2^e) and each entry onto the bus
+        // separately differ from the float read on some cells, so those
+        // tables keep the float read.
+        for (size, bit, want) in [(64, 17, 27_594), (1024, 24, 516_849)] {
+            let k = TableLog::new(size, bit);
+            assert_eq!(k.bus_tables(bus()), None, "{size}x{bit}");
+            let word = |x: f64| bus().quantize_nearest_raw(x);
+            let tables = LogTables {
+                exponent: Box::new(std::array::from_fn(|b| {
+                    word(k.log(from_parts(b as u64, 0)))
+                })),
+                mantissa: k.entries.iter().map(|&m| word(m)).collect(),
+                shift: k.addr_shift.unwrap(),
+            };
+            assert_eq!(differing_cells(&k, &tables, bus()), want, "{size}x{bit}");
+        }
+        // Sizes that are not powers of two, and buses that would round or
+        // saturate the tables, keep the float read too.
+        assert_eq!(TableLog::new(48, 8).bus_tables(bus()), None);
+        assert_eq!(
+            TableLog::new(64, 8).bus_tables(QFormat::new(15, 4).unwrap()),
+            None
+        );
+        assert_eq!(
+            TableLog::new(64, 8).bus_tables(QFormat::new(9, 16).unwrap()),
+            None
+        );
+        assert_eq!(FloatLog::new().bus_tables(bus()), None);
     }
 
     #[test]

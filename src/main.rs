@@ -126,6 +126,12 @@ impl RunArgs {
     }
 }
 
+/// Largest `coopmc:<size>` LUT. 2^20 is the last size whose TableExp step
+/// (`16 / size`) lies on the Q15.16 bus grid. A larger size, often a typo,
+/// would allocate ROMs of `size` `f64`s each, tens of GB for a few extra
+/// digits.
+const MAX_LUT_SIZE: usize = 1 << 20;
+
 /// Parse a pipeline spec string, refusing datapath parameters the
 /// pipelines cannot be built with.
 fn parse_pipeline(spec: &str) -> Result<PipelineConfig, String> {
@@ -151,8 +157,8 @@ fn parse_pipeline(spec: &str) -> Result<PipelineConfig, String> {
             .split_once('x')
             .ok_or_else(|| format!("expected coopmc:<size>x<bits>, got '{spec}'"))?;
         let s: usize = size.parse().map_err(|_| format!("bad size in '{spec}'"))?;
-        if s == 0 {
-            return Err(format!("size in '{spec}' must be at least 1"));
+        if !(1..=MAX_LUT_SIZE).contains(&s) {
+            return Err(format!("size in '{spec}' must be in 1..={MAX_LUT_SIZE}"));
         }
         return Ok(PipelineConfig::coopmc(s, bits(b, 52)?));
     }
@@ -662,11 +668,17 @@ mod tests {
             parse_pipeline("coopmc:1x52").unwrap(),
             PipelineConfig::coopmc(1, 52)
         );
+        assert_eq!(
+            parse_pipeline("coopmc:1048576x8").unwrap(),
+            PipelineConfig::coopmc(1 << 20, 8)
+        );
         for (spec, range) in [
             ("fixed:0", "1..=46"),
             ("fixed:47", "1..=46"),
             ("fixed+dn:0", "1..=46"),
-            ("coopmc:0x8", "at least 1"),
+            ("coopmc:0x8", "1..=1048576"),
+            ("coopmc:1048577x8", "1..=1048576"),
+            ("coopmc:6400000000x8", "1..=1048576"),
             ("coopmc:64x0", "1..=52"),
             ("coopmc:64x53", "1..=52"),
         ] {
@@ -758,6 +770,9 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         let err = parse_run_args(&to_vec(&["w", "--pipeline", "fixed:0"])).unwrap_err();
         assert!(err.contains("1..=46"), "{err}");
+        // A mistyped LUT size is refused before any table is built.
+        let err = parse_run_args(&to_vec(&["w", "--pipeline", "coopmc:6400000000x8"])).unwrap_err();
+        assert!(err.contains("1..=1048576"), "{err}");
         assert!(parse_run_args(&to_vec(&["w", "--sweeps"])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--whatever", "1"])).is_err());
     }
