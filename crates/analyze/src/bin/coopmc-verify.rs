@@ -1,7 +1,7 @@
 //! The `coopmc-verify` gate: statically verify every in-tree netlist,
-//! datapath configuration, error budget, pipeline schedule and chromatic
-//! schedule. Exits nonzero on any contract violation, so CI can run it as
-//! a hard gate.
+//! datapath configuration, error budget, pipeline schedule, PG word
+//! operation and chromatic schedule. Exits nonzero on any contract
+//! violation, so CI can run it as a hard gate.
 //!
 //! `--json` emits the structured report (contract names, bound versus
 //! limit, wire provenance) instead of text — CI archives it as an
@@ -11,62 +11,21 @@
 //! local iteration; CI keeps running everything). `--export-schematic DIR`
 //! additionally writes the canonical circuits' graphviz/JSON schematics
 //! into `DIR`. The flags combine (`--only` is ignored by `--demo-broken`).
+//! An unknown flag, or a flag missing its value, exits 1 with a message:
+//! the parser is [`coopmc_analyze::VerifyArgs`], shared with
+//! `coopmc verify`.
 
 use std::process::ExitCode;
 
+use coopmc_analyze::VerifyArgs;
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let demo = args.iter().any(|a| a == "--demo-broken");
-    let json = args.iter().any(|a| a == "--json");
-    let only = match args.iter().position(|a| a == "--only") {
-        Some(i) => match args.get(i + 1) {
-            Some(name) => Some(name.clone()),
-            None => {
-                eprintln!(
-                    "--only needs a section name (one of: {})",
-                    coopmc_analyze::verify::SECTION_TITLES.join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Some(i) = args.iter().position(|a| a == "--export-schematic") {
-        let Some(dir) = args.get(i + 1) else {
-            eprintln!("--export-schematic needs a directory argument");
-            return ExitCode::FAILURE;
-        };
-        match coopmc_analyze::descriptor::export_schematics(std::path::Path::new(dir)) {
-            Ok(written) => {
-                for p in written {
-                    eprintln!("wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("schematic export failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match VerifyArgs::parse(&args).and_then(|args| args.run()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
         }
-    }
-    let report = if demo {
-        coopmc_analyze::verify::run_broken_demo()
-    } else {
-        match coopmc_analyze::verify::run_sections(only.as_deref()) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.has_errors() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }

@@ -35,15 +35,14 @@
 //!   netlist census, the closed-form schedule DAGs, the structural area
 //!   anchors and a dead-wire/unconnected-pin lint, and the canonical
 //!   circuits' schematics are exported as graphviz/JSON.
-//! - [`bitflow`] — the `lane-datapath` gate: a bit-level abstract
-//!   interpreter (known bits + lane taint + boundary-carry leaks) over the
-//!   shared SWAR dataflows of `coopmc_fixed::lane::flow`, proving lane
-//!   isolation, per-lane scalar equivalence (closed by exhaustive per-lane
-//!   enumeration) and overflow-freedom for the batched fixed-8 datapath.
+//! - [`words`] — the `pg-words` gate: the fused quantizers the PG datapath
+//!   applies to every score, checked against the `Fixed` round-trip and a
+//!   half-away-from-zero reference, and the row isolation of the batched
+//!   PG pass on bus words.
 //! - [`verify`] — the full in-tree sweep behind the `coopmc-verify` binary
-//!   and the `coopmc verify` CLI subcommand; exits nonzero on any error.
+//!   and the `coopmc verify` CLI subcommand, and the one argument parser
+//!   both share ([`VerifyArgs`]); exits nonzero on any error.
 
-pub mod bitflow;
 pub mod contracts;
 pub mod descriptor;
 pub mod errprop;
@@ -52,8 +51,8 @@ pub mod netcheck;
 pub mod races;
 pub mod schedule;
 pub mod verify;
+pub mod words;
 
-pub use bitflow::{broken_lane_demo, proved_primitives, verify_lane_datapath, AbsWord};
 pub use contracts::{check_datapath, in_tree_configs, ContractViolation, DatapathConfig};
 pub use descriptor::{
     broken_descriptor_demo, comb_depth, export_schematics, lint_descriptor, verify_descriptors,
@@ -70,5 +69,6 @@ pub use schedule::{
     tree_sampler_dag, verify_schedules, DepDag, ScheduleFinding,
 };
 pub use verify::{
-    run_all, run_broken_demo, run_sections, VerifyReport, JSON_SCHEMA_VERSION, SECTION_TITLES,
+    run_all, run_broken_demo, run_sections, VerifyArgs, VerifyReport, JSON_SCHEMA_VERSION,
+    SECTION_TITLES,
 };

@@ -25,11 +25,9 @@
 //!    [`crate::descriptor`]: every circuit's descriptor-derived census,
 //!    schedule DAG and structural area against the netlist and the
 //!    closed forms, plus the dead-wire/unconnected-pin lint.
-//! 7. **lane-datapath** — the bit-level lane theorems of
-//!    [`crate::bitflow`]: lane isolation, per-lane scalar equivalence and
-//!    overflow-freedom for every SWAR primitive and the batched kernels
-//!    built on them, plus the packed-width registration against
-//!    `coopmc_hw::batch::PgUnitConfig`.
+//! 7. **pg-words** — the checks of [`crate::words`]: the fused quantizers
+//!    against the `Fixed` round-trip and a half-away-from-zero reference,
+//!    and the row isolation of the batched PG pass on bus words.
 //! 8. **chromatic-schedules** — the race detector over every in-tree
 //!    [`ChromaticModel`].
 //!
@@ -38,6 +36,10 @@
 //! document (contract name, bound versus limit, wire provenance) for the CI
 //! artifact; its layout is documented in DESIGN.md §13 and versioned by the
 //! leading `schema_version` field ([`JSON_SCHEMA_VERSION`]).
+//!
+//! [`VerifyArgs`] parses the flags of the `coopmc-verify` binary and the
+//! `coopmc verify` subcommand, and [`VerifyArgs::run`] is the body both
+//! entry points run.
 
 use coopmc_fixed::{QFormat, Rounding};
 use coopmc_hw::cycles::LatencyTable;
@@ -79,7 +81,7 @@ pub const SECTION_TITLES: [&str; 8] = [
     "error-propagation",
     "pipeline-schedules",
     "descriptor-drift",
-    "lane-datapath",
+    "pg-words",
     "chromatic-schedules",
 ];
 
@@ -632,12 +634,11 @@ fn descriptor_section() -> SectionReport {
     section
 }
 
-/// Section 7: the bit-level lane theorems — isolation, scalar equivalence
-/// and overflow-freedom for the SWAR datapath, plus width registration,
-/// fused-quantizer equivalence and primitive coverage.
-fn lane_datapath_section() -> SectionReport {
-    let mut section = SectionReport::new("lane-datapath");
-    let (checks, findings) = crate::bitflow::verify_lane_datapath();
+/// Section 7: the fused-quantizer and row-isolation checks of the PG
+/// datapath's bus words.
+fn pg_words_section() -> SectionReport {
+    let mut section = SectionReport::new("pg-words");
+    let (checks, findings) = crate::words::verify_pg_words();
     section.checks = checks;
     for f in findings {
         section.push(f);
@@ -732,8 +733,8 @@ pub fn run_sections(only: Option<&str>) -> Result<VerifyReport, String> {
     if wanted("descriptor-drift") {
         sections.push(descriptor_section());
     }
-    if wanted("lane-datapath") {
-        sections.push(lane_datapath_section());
+    if wanted("pg-words") {
+        sections.push(pg_words_section());
     }
     if wanted("chromatic-schedules") {
         sections.push(chromatic_section());
@@ -756,12 +757,7 @@ pub fn run_sections(only: Option<&str>) -> Result<VerifyReport, String> {
 ///   round-robins its rows over only 4 (an over-claimed batch width), and
 /// - a tree-sampler descriptor whose traverse-step comparator count
 ///   silently diverged from the netlist (the descriptor-drift gate fails
-///   with the tampered node's path and pins in the provenance), and
-/// - two lane-datapath defects: a SWAR guard mask whose lane-3 byte
-///   slipped one bit (`0x7F` where `0x80` belongs), bleeding a
-///   data-dependent borrow into lane 4, and a clamp that selects through
-///   the un-spread `lane_ge` verdict (a non-mask select), both caught with
-///   bit/lane provenance by [`crate::bitflow::broken_lane_demo`].
+///   with the tampered node's path and pins in the provenance).
 pub fn run_broken_demo() -> VerifyReport {
     let mut broken = DatapathConfig::coopmc("demo-broken:64x8-range2", 64, 8);
     broken.lut_range = 2.0;
@@ -897,22 +893,92 @@ pub fn run_broken_demo() -> VerifyReport {
         descsec.push(f);
     }
 
-    // Lane-datapath demo: the slipped guard mask and the un-spread select.
-    let mut lanesec = SectionReport::new("lane-datapath");
-    let (checks, findings) = crate::bitflow::broken_lane_demo();
-    lanesec.checks = checks;
-    for f in findings {
-        lanesec.push(f);
-    }
-
     VerifyReport {
         sections: vec![
             contract_section("datapath-contracts", &[broken, narrow]),
             errsec,
             schedsec,
             descsec,
-            lanesec,
         ],
+    }
+}
+
+/// The flags of the `coopmc-verify` binary and the `coopmc verify`
+/// subcommand. Both entry points parse them with [`VerifyArgs::parse`] and
+/// run them with [`VerifyArgs::run`].
+#[derive(Debug, Default, PartialEq)]
+pub struct VerifyArgs {
+    /// `--demo-broken`: verify the seeded defects of [`run_broken_demo`]
+    /// instead of the tree; `only` is then ignored.
+    demo_broken: bool,
+    /// `--json`: print [`VerifyReport::to_json`] instead of the text report.
+    json: bool,
+    /// `--only SECTION`: run one section of [`SECTION_TITLES`].
+    only: Option<String>,
+    /// `--export-schematic DIR`: first write the canonical circuits'
+    /// graphviz/JSON schematics into `DIR`.
+    export_schematic: Option<String>,
+}
+
+impl VerifyArgs {
+    /// Parse a verify argument list (the flags only, without the program
+    /// or subcommand name). An unknown flag, or a flag missing its value,
+    /// is an error that names it.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut out = Self::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--demo-broken" => out.demo_broken = true,
+                "--json" => out.json = true,
+                "--only" => {
+                    let name = it.next().ok_or_else(|| {
+                        format!(
+                            "--only needs a section name (one of: {})",
+                            SECTION_TITLES.join(", ")
+                        )
+                    })?;
+                    out.only = Some(name.clone());
+                }
+                "--export-schematic" => {
+                    let dir = it
+                        .next()
+                        .ok_or("--export-schematic needs a directory argument")?;
+                    out.export_schematic = Some(dir.clone());
+                }
+                other => return Err(format!("unknown flag '{other}'")),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Write the schematics if asked, then run the sweep and print its
+    /// report on stdout. The error is the message for stderr: a failed
+    /// export, an unknown section, or a report with errors (the gate
+    /// fails).
+    pub fn run(&self) -> Result<(), String> {
+        if let Some(dir) = &self.export_schematic {
+            let written = crate::descriptor::export_schematics(std::path::Path::new(dir))
+                .map_err(|e| format!("schematic export failed: {e}"))?;
+            for p in written {
+                eprintln!("wrote {}", p.display());
+            }
+        }
+        let report = if self.demo_broken {
+            run_broken_demo()
+        } else {
+            run_sections(self.only.as_deref())?
+        };
+        if self.json {
+            println!("{}", report.to_json());
+        } else {
+            print!("{}", report.render());
+        }
+        if report.has_errors() {
+            Err("static verification failed".to_owned())
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -936,13 +1002,13 @@ mod tests {
 
     #[test]
     fn only_filter_runs_one_section_and_rejects_unknown_names() {
-        let report = run_sections(Some("lane-datapath")).expect("valid section");
+        let report = run_sections(Some("pg-words")).expect("valid section");
         assert_eq!(report.sections.len(), 1);
-        assert_eq!(report.sections[0].title, "lane-datapath");
+        assert_eq!(report.sections[0].title, "pg-words");
         assert!(!report.has_errors(), "{}", report.render());
         let err = run_sections(Some("no-such-section")).unwrap_err();
         assert!(err.contains("no-such-section"));
-        assert!(err.contains("lane-datapath"), "must list the vocabulary");
+        assert!(err.contains("pg-words"), "must list the vocabulary");
     }
 
     #[test]
@@ -958,19 +1024,6 @@ mod tests {
         assert!(rendered.contains("II = 1"));
         assert!(rendered.contains("demo-broken:overclaimed-batch-width"));
         assert!(rendered.contains("FAILED"));
-        // The lane-datapath demo catches both seeded defects.
-        let lanesec = report
-            .sections
-            .iter()
-            .find(|s| s.title == "lane-datapath")
-            .expect("lane section present");
-        let iso = lanesec
-            .errors()
-            .find(|f| f.check == "lane-isolation")
-            .expect("isolation finding present");
-        assert!(iso.provenance.iter().any(|l| l.contains("lane 4")));
-        assert!(lanesec.errors().any(|f| f.check == "lane-overflow"));
-        assert!(lanesec.errors().any(|f| f.check == "lane-mask"));
         // The error-propagation finding carries a wire-level trace.
         let errsec = report
             .sections
@@ -1040,6 +1093,31 @@ mod tests {
 
         let clean = run_all().to_json();
         assert!(clean.starts_with("{\"schema_version\":1,\"status\":\"passed\""));
+    }
+
+    #[test]
+    fn verify_args_parse_and_refuse_missing_values() {
+        let to_vec = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let all = [
+            "--json",
+            "--demo-broken",
+            "--only",
+            "lanes",
+            "--export-schematic",
+            "d",
+        ];
+        let parsed = VerifyArgs::parse(&to_vec(&all)).unwrap();
+        let want = VerifyArgs {
+            demo_broken: true,
+            json: true,
+            only: Some("lanes".to_owned()),
+            export_schematic: Some("d".to_owned()),
+        };
+        assert_eq!(parsed, want);
+        assert_eq!(VerifyArgs::parse(&[]), Ok(VerifyArgs::default()));
+        for bad in [&["--only"][..], &["--export-schematic"], &["--jsn"]] {
+            assert!(VerifyArgs::parse(&to_vec(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,210 @@
+//! The `pg-words` gate: the word operations CoopMC's PG datapath runs on
+//! the Q15.16 accumulator bus, checked by running them. The fused
+//! quantizers must match the `Fixed` round-trip and a half-away-from-zero
+//! reference, and every row of a batched PG pass must match the same row
+//! evaluated alone. [`verify_pg_words`] runs both for the `pg-words`
+//! section of `coopmc-verify`.
+
+use coopmc_fixed::{round_ties_away, Fixed, QFormat, Rounding};
+use coopmc_kernels::exp::TableExp;
+use coopmc_kernels::fusion::LogFusion;
+use coopmc_kernels::log::{TableLog, LOG_ZERO};
+use coopmc_kernels::telemetry::PgTelemetry;
+
+use crate::netcheck::Severity;
+use crate::verify::Finding;
+
+/// Exhaustive equivalence of the fused scalar quantizers the batched
+/// kernels apply element-wise: `requantize_nearest` and the bus word of
+/// `quantize_nearest_raw` against the two-step `Fixed` round-trip, and
+/// `round_ties_away` against an independent
+/// half-away reference — over dense half-ulp grids plus the edge cases
+/// (NaN, infinities, saturation band).
+fn quantizer_checks(findings: &mut Vec<Finding>) -> usize {
+    let mut checks = 0;
+
+    checks += 1;
+    let fmts = [
+        QFormat::baseline32(),
+        QFormat::new(5, 10).expect("valid format"),
+    ];
+    'requant: for fmt in fmts {
+        let res = fmt.resolution();
+        let max = fmt.max_raw() as f64;
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+        ];
+        let grid = (-65_536i64..=65_536).map(|k| k as f64 * res / 2.0);
+        let sat_band = (-512i64..=512).map(|k| (max + k as f64) * res);
+        let neg_band = (-512i64..=512).map(|k| (k as f64 - max) * res);
+        for x in grid.chain(sat_band).chain(neg_band).chain(specials) {
+            let fused = fmt.requantize_nearest(x);
+            let fixed = Fixed::from_f64(x, fmt, Rounding::Nearest);
+            let two_step = fixed.to_f64();
+            // The bus word the batched kernels quantize to is the same
+            // Fixed word.
+            let word = fmt.quantize_nearest_raw(x);
+            if fused.to_bits() != two_step.to_bits() || word != fixed.raw() {
+                findings.push(Finding {
+                    severity: Severity::Error,
+                    check: "requantize-equivalence".into(),
+                    message: format!(
+                        "requantize_nearest({x:e}) = {fused:e} (word {word}) but the Fixed \
+                         round-trip gives {two_step:e} (word {}) ({fmt:?})",
+                        fixed.raw()
+                    ),
+                    provenance: vec![format!(
+                        "bit patterns: fused {:#018x}, round-trip {:#018x}",
+                        fused.to_bits(),
+                        two_step.to_bits()
+                    )],
+                    bound: None,
+                    limit: None,
+                });
+                break 'requant;
+            }
+        }
+    }
+
+    checks += 1;
+    let half_away = |x: f64| -> f64 {
+        if x.is_nan() {
+            return 0.0;
+        }
+        if x >= 0.0 {
+            (x + 0.5).floor()
+        } else {
+            -((-x + 0.5).floor())
+        }
+    };
+    for k in -131_072i64..=131_072 {
+        // Half-integers hit every tie; the ±0.25 offsets hit both rounding
+        // directions. All values are exact in f64, so the reference's
+        // `+ 0.5` is exact too.
+        for x in [k as f64 / 2.0, k as f64 / 2.0 + 0.25, k as f64 / 2.0 - 0.25] {
+            let got = round_ties_away(x);
+            let want = half_away(x);
+            // Value equality: the reference produces -0.0 for negative
+            // inputs rounding to zero, which is not part of the contract.
+            if got != want {
+                findings.push(Finding {
+                    severity: Severity::Error,
+                    check: "round-ties-equivalence".into(),
+                    message: format!(
+                        "round_ties_away({x}) = {got} but half-away-from-zero gives {want}"
+                    ),
+                    provenance: vec![],
+                    bound: Some(got),
+                    limit: Some(want),
+                });
+                return checks;
+            }
+        }
+    }
+    checks
+}
+
+/// Row isolation of the batched PG pass: `evaluate_log_score_rows_into`
+/// on the CLI default datapath runs DyNorm row by row on bus words, then
+/// one distance read across row boundaries. The check is a
+/// bounded-exhaustive differential — every row of a batch must be
+/// bit-identical to a standalone `evaluate_log_scores_into` of that row,
+/// across a grid of score patterns and row widths. This is deliberately
+/// labeled a check, not a bit-level theorem.
+fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
+    let fusion = LogFusion::new(
+        TableLog::new(64, 8),
+        TableExp::new(64, 8),
+        QFormat::baseline32(),
+        4,
+    );
+    let patterns: [&[f64]; 5] = [
+        &[-5.0, -2.5, -9.75, -2.5],
+        &[0.0, -1024.0, -0.5, -3.0],
+        &[64.0, 0.25, -7.0, -1e6],
+        &[-1.0, -1.0, -1.0, -1.0],
+        &[LOG_ZERO, -15.99, -16.0, f64::NAN],
+    ];
+    let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+    for width in [2usize, 4] {
+        for rows in 1..=patterns.len() {
+            let batch: Vec<f64> = patterns[..rows]
+                .iter()
+                .flat_map(|p| p[..width].iter().copied())
+                .collect();
+            let mut telemetry = PgTelemetry::new();
+            fusion.evaluate_log_score_rows_into(
+                &batch,
+                width,
+                &mut words,
+                &mut probs,
+                &mut ops,
+                &mut telemetry,
+                None,
+            );
+            for (row, pat) in patterns[..rows].iter().enumerate() {
+                let mut alone = Vec::new();
+                let mut telemetry = PgTelemetry::new();
+                let _ = fusion.evaluate_log_scores_into(
+                    &pat[..width],
+                    &mut words,
+                    &mut alone,
+                    &mut telemetry,
+                    None,
+                );
+                let got = &probs[row * width..(row + 1) * width];
+                if got
+                    .iter()
+                    .zip(&alone)
+                    .any(|(g, w)| g.to_bits() != w.to_bits())
+                {
+                    findings.push(Finding {
+                        severity: Severity::Error,
+                        check: "row-isolation".into(),
+                        message: format!(
+                            "evaluate_log_score_rows_into: row {row} of a {rows}×{width} batch \
+                             diverges from a standalone evaluate_log_scores_into of the same row"
+                        ),
+                        provenance: vec![
+                            format!("batch row: {got:?}"),
+                            format!("alone: {alone:?}"),
+                        ],
+                        bound: None,
+                        limit: None,
+                    });
+                    return 1;
+                }
+            }
+        }
+    }
+    1
+}
+
+/// Run the fused-quantizer and row-isolation checks. Returns
+/// `(checks, findings)` for the `pg-words` section of the verify report.
+pub fn verify_pg_words() -> (usize, Vec<Finding>) {
+    let mut findings = Vec::new();
+    let checks = quantizer_checks(&mut findings) + row_isolation_checks(&mut findings);
+    (checks, findings)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantizer_and_row_checks_pass_clean() {
+        let (checks, findings) = verify_pg_words();
+        assert_eq!(checks, 3);
+        assert!(
+            findings.is_empty(),
+            "clean words must verify: {findings:#?}"
+        );
+    }
+}

@@ -3,10 +3,9 @@
 //!
 //! For each [`in_tree_configs`] pipeline shape, random same-width score
 //! strides — log-domain rows, LDA-shaped factor rows (two numerators, one
-//! denominator) and BN-shaped factor rows (numerators only), with ragged
-//! row counts whose `len % 8 != 0` tails exercise the lane-packed
-//! datapath's scalar tail loop, 64-label rows, and `LOG_ZERO`, NaN and
-//! infinite scores and zero factors — must produce
+//! denominator) and BN-shaped factor rows (numerators only), with row
+//! counts on either side of the engine's 8-row stride, 64-label rows, and
+//! `LOG_ZERO`, NaN and infinite scores and zero factors — must produce
 //! **bit-identical** probabilities, per-row op counts and merged telemetry
 //! whether evaluated row-by-row through the `LabelScore` wrapper
 //! `generate_into`, in one `generate_batch_into` call, or in place with
@@ -190,10 +189,10 @@ fn batched_pg_is_bit_exact_for_every_in_tree_config() {
 #[test]
 fn batched_pg_survives_flush_regime_inputs() {
     // Scores far outside the LUT range drive the TableExp flush-to-zero
-    // path; the lane-packed clamp must agree with the scalar clamp bit for
-    // bit, including all-zero rows (which the sampler later resolves with
-    // its uniform fallback). Factor rows spanning hundreds of nats between
-    // labels flush the same way after DyNorm.
+    // path; the batched read must flush exactly where the per-row read
+    // does, bit for bit, including all-zero rows (which the sampler later
+    // resolves with its uniform fallback). Factor rows spanning hundreds
+    // of nats between labels flush the same way after DyNorm.
     let pipeline = CoopMcPipeline::with_pipelines(64, 8, 8);
     let mut rng = SplitMix64::new(0xF1u64);
     let mut outs = reused_batches();

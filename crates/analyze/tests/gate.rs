@@ -18,7 +18,7 @@ fn gate_passes_on_the_current_tree() {
     assert!(stdout.contains("datapath-contracts"));
     assert!(stdout.contains("error-propagation"));
     assert!(stdout.contains("pipeline-schedules"));
-    assert!(stdout.contains("lane-datapath"));
+    assert!(stdout.contains("pg-words"));
     assert!(stdout.contains("chromatic-schedules"));
 }
 
@@ -62,12 +62,6 @@ fn gate_fails_on_a_broken_config_with_diagnostics() {
     assert!(stdout.contains("lut-step"));
     assert!(stdout.contains("under-claims"));
     assert!(stdout.contains("II = 1"));
-    // The lane-datapath demo reports both seeded defects with bit/lane
-    // provenance: the slipped guard mask bleeds lane 3 into lane 4, the
-    // un-spread verdict emits a non-mask select byte.
-    assert!(stdout.contains("depend on foreign input lanes"));
-    assert!(stdout.contains("lane 4"));
-    assert!(stdout.contains("non-mask byte"));
 }
 
 #[test]
@@ -86,23 +80,30 @@ fn broken_json_carries_bounds_limits_and_provenance() {
     assert!(json.contains("\"check\":\"pipe-tree-ii\""));
     // Wire-level provenance survives into the artifact.
     assert!(json.contains("\"provenance\":[\"lut-step"));
-    // The two seeded lane defects are named findings CI can grep for.
-    assert!(json.contains("\"check\":\"lane-isolation\""));
-    assert!(json.contains("\"check\":\"lane-overflow\""));
-    assert!(json.contains("\"check\":\"lane-mask\""));
-    assert!(json.contains("carry into bit 32 (lane 4 boundary)"));
+    // Every other seeded-defect family is a named finding CI greps for.
+    for check in [
+        "lut-covers-dynorm-range",
+        "batched-pg-latency",
+        "census-drift",
+    ] {
+        let key = format!("\"check\":\"{check}\"");
+        assert!(json.contains(&key), "missing {check}");
+    }
 }
 
 #[test]
 fn only_flag_restricts_the_sweep_to_one_section() {
     let out = Command::new(env!("CARGO_BIN_EXE_coopmc-verify"))
-        .args(["--only", "lane-datapath", "--json"])
+        .args(["--only", "pg-words", "--json"])
         .output()
-        .expect("run coopmc-verify --only lane-datapath --json");
+        .expect("run coopmc-verify --only pg-words --json");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "lane section must pass:\n{stdout}");
+    assert!(
+        out.status.success(),
+        "pg-words section must pass:\n{stdout}"
+    );
     let json = stdout.trim();
-    assert!(json.contains("\"title\":\"lane-datapath\""));
+    assert!(json.contains("\"title\":\"pg-words\""));
     // Exactly one section runs.
     assert_eq!(json.matches("\"title\":").count(), 1);
     // The big sweeps are skipped.
@@ -118,19 +119,19 @@ fn only_flag_rejects_unknown_sections_with_the_vocabulary() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no-such-section"));
-    assert!(stderr.contains("lane-datapath"), "must list valid sections");
+    assert!(stderr.contains("pg-words"), "must list valid sections");
 }
 
-/// The acceptance guarantee of the lane section: every primitive the
-/// batched exp address path is built on has a lane theorem.
 #[test]
-fn lane_theorems_cover_every_batch_primitive() {
-    let proved = coopmc_analyze::bitflow::proved_primitives();
-    for p in coopmc_kernels::exp::TableExp::BATCH_LANE_PRIMITIVES {
-        assert!(
-            proved.contains(p),
-            "primitive {} used by the batched TableExp read has no lane theorem",
-            p.name()
-        );
+fn unknown_flags_are_refused_by_name() {
+    for flag in ["--demo-brokn", "--jsn"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_coopmc-verify"))
+            .arg(flag)
+            .output()
+            .expect("run coopmc-verify with a mistyped flag");
+        assert!(!out.status.success(), "{flag} must fail the gate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} must run no sweep");
     }
 }

@@ -6,7 +6,7 @@
 //! 1. `generate_rows_into`, the one PG entry point both engines call, for
 //!    the fixed-point and CoopMC pipelines: over one gathered row (the
 //!    sequential scan's call) and over a whole color-class slice of 8 / 64
-//!    rows (the chromatic stride, through the lane-packed datapath). One
+//!    rows (the chromatic stride, through the batched datapath). One
 //!    more CoopMC row evaluates a 16-topic LDA-NIPS token row, so the gate
 //!    also sees the factor path (TableLog → LogFusion), and another 8
 //!    gathered 64-label image-restoration rows, the chromatic engine's MRF
@@ -101,7 +101,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     });
     rows.push(pg_row("coopmc64x8", "generate_into/lda16", &m));
 
-    // Lane-packed evaluation: one call covers a whole color-class slice of
+    // Batched evaluation: one call covers a whole color-class slice of
     // same-width variables (here: consecutive pixels of the center row,
     // all 2-label log-domain).
     for &batch_rows in &[8usize, 64] {

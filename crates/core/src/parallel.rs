@@ -28,9 +28,9 @@ use crate::engine::{Chain, Lane, Tally};
 use crate::pipeline::{PgBatch, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
-/// Batch stride of the chromatic engine: one lane-packed word of the
-/// fixed-8 datapath per `generate_batch_into` call.
-pub const DEFAULT_BATCH_ROWS: usize = coopmc_fixed::lane::LANES;
+/// The chromatic engine's stride: a chunk of a color class is gathered and
+/// evaluated up to this many variables per `generate_rows_into` call.
+pub const DEFAULT_BATCH_ROWS: usize = 8;
 
 /// Derive the per-variable RNG for a chromatic draw. SplitMix64's finalizer
 /// decorrelates the structured seeds.
@@ -590,8 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_stride_is_one_packed_word() {
-        assert_eq!(DEFAULT_BATCH_ROWS, coopmc_fixed::lane::LANES);
+    fn default_batch_stride_is_eight_rows() {
         assert_eq!(DEFAULT_BATCH_ROWS, 8);
         // At one thread each class is one chunk, cut into full strides
         // plus a ragged tail.

@@ -140,8 +140,8 @@ pub trait ProbabilityPipeline: Sync {
     /// Each row's result is **bit-identical** whichever rows it is
     /// evaluated with: implementations may fuse work across rows (the
     /// CoopMC pipeline batches a log stride's quantize pass, NormTree
-    /// reduction and lane-packed TableExp gather) but must preserve per-row
-    /// results exactly. The built-in pipelines keep their working memory in
+    /// reduction and TableExp read) but must preserve per-row results
+    /// exactly. The built-in pipelines keep their working memory in
     /// `out`, so a warm call performs **zero heap allocations** — the
     /// property the engines' hot path is built on. When `out.phases` is
     /// attached, fused datapaths also accumulate their stage times there
@@ -862,8 +862,8 @@ mod tests {
         let mut attached = PgBatch::new();
         attached.phases = Some(StagePhases::default());
         let mut outs = [PgBatch::new(), attached];
-        // Ragged row counts around the 8-lane packing, several widths, and
-        // 64-label rows.
+        // Row counts on either side of the 8-row stride, several widths,
+        // and 64-label rows.
         for (rows, width) in [
             (1usize, 2usize),
             (3, 2),

@@ -1,7 +1,7 @@
 //! The zero-allocation guarantee of the batched PG datapath.
 //!
 //! Same counting-allocator technique as `alloc_free.rs`, aimed at the
-//! lane-packed batch path through the `LabelScore` entry point: once a
+//! batched PG path through the `LabelScore` entry point: once a
 //! warm-up call has grown the caller-owned `PgBatch` buffers (the converted
 //! rows and the datapath's working memory among them) to the stride's
 //! shape, every further `generate_batch_into` + `sample_rows_into` stride

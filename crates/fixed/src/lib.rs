@@ -24,8 +24,6 @@
 //! # }
 //! ```
 
-pub mod lane;
-
 mod format;
 mod value;
 

@@ -35,14 +35,6 @@ pub struct PgUnitConfig {
 }
 
 impl PgUnitConfig {
-    /// Packed 8-bit ROM-address lanes each modeled PG unit retires per
-    /// word — the hardware analogue of the eight parallel TableExp ROM
-    /// ports the software SWAR datapath emulates. The lane-datapath
-    /// verifier checks this against `coopmc_fixed::lane::LANES` and treats
-    /// any mismatch as a hard error: the analyzer's lane theorems are
-    /// only about the width the model claims.
-    pub const PACKED_LANES: usize = 8;
-
     /// Cycles for one unit to evaluate one variable's label vector.
     pub fn per_call_cycles(&self) -> u64 {
         self.timing.cycles(self.n_labels, self.factor_ops)

@@ -9,7 +9,7 @@
 //!   previous accelerators ([`FixedExp`]), and
 //! - the LUT-based [`TableExp`] enabled by DyNorm (Eq. 10).
 
-use coopmc_fixed::{lane, quantize_unsigned, QFormat};
+use coopmc_fixed::{quantize_unsigned, QFormat};
 
 /// An exponential kernel mapping a (log-domain) score to `e^x`.
 ///
@@ -156,18 +156,6 @@ pub struct TableExp {
 }
 
 impl TableExp {
-    /// The SWAR primitives the packed [`DistanceRom`] read is built on.
-    /// The `lane-datapath` section of `coopmc-verify` asserts its theorems
-    /// cover every member, so a kernel change that pulls in a new
-    /// primitive fails verification until the analyzer covers it too.
-    pub const BATCH_LANE_PRIMITIVES: &'static [lane::Primitive] = &[
-        lane::Primitive::Pack8,
-        lane::Primitive::Unpack8,
-        lane::Primitive::Splat8,
-        lane::Primitive::LaneGe,
-        lane::Primitive::LaneSelect,
-    ];
-
     /// Build a table with `size_lut` entries of `bit_lut` fractional bits
     /// each, with the default step `16 / size_lut`.
     ///
@@ -336,22 +324,9 @@ pub struct DistanceRom<'a> {
 }
 
 impl DistanceRom<'_> {
-    /// The entry at address `k`, or zero at and past the flush code.
-    #[inline]
-    fn read(&self, k: usize) -> f64 {
-        self.entries.get(k).copied().unwrap_or(0.0)
-    }
-
     /// Read the ROM at every distance word: `out[i]` is the entry at
-    /// `min(distances[i] >> shift, size_lut)`. Distances must be
-    /// non-negative.
-    ///
-    /// Tables with at most 255 entries take the lane-packed path: per
-    /// `chunks_exact` group of 8 distances, the addresses, saturated into a
-    /// byte, are packed into one `u64`, range-clamped to the flush code
-    /// with a single SWAR compare/select, and gathered from the ROM — the
-    /// software analogue of eight parallel ROM ports. Larger tables and the
-    /// ragged tail read one address at a time.
+    /// `min(distances[i] >> shift, size_lut)`, zero at the flush code.
+    /// Distances must be non-negative.
     ///
     /// # Panics
     ///
@@ -362,34 +337,10 @@ impl DistanceRom<'_> {
             out.len(),
             "a distance read requires matching input/output lengths"
         );
-        let len = self.entries.len();
-        let address = |d: i64| (d as u64 >> self.shift).min(len as u64) as usize;
-        // The flush code must fit a lane for the packed path.
-        let (packed, limit) = match u8::try_from(len) {
-            Ok(flush) => (
-                distances.len() - distances.len() % lane::LANES,
-                lane::splat8(flush),
-            ),
-            Err(_) => (0, 0),
-        };
-        for (chunk, out_chunk) in distances[..packed]
-            .chunks_exact(lane::LANES)
-            .zip(out[..packed].chunks_exact_mut(lane::LANES))
-        {
-            let mut codes = [0u8; lane::LANES];
-            for (c, &d) in codes.iter_mut().zip(chunk) {
-                *c = (d as u64 >> self.shift).min(u8::MAX as u64) as u8;
-            }
-            let word = lane::pack8(codes);
-            // One compare/select clamps all out-of-range addresses to the
-            // flush code.
-            let clamped = lane::lane_select(lane::lane_ge(word, limit), limit, word);
-            for (o, c) in out_chunk.iter_mut().zip(lane::unpack8(clamped)) {
-                *o = self.read(c as usize);
-            }
-        }
-        for (o, &d) in out[packed..].iter_mut().zip(&distances[packed..]) {
-            *o = self.read(address(d));
+        let flush = self.entries.len() as u64;
+        for (o, &d) in out.iter_mut().zip(distances) {
+            let k = (d as u64 >> self.shift).min(flush) as usize;
+            *o = self.entries.get(k).copied().unwrap_or(0.0);
         }
     }
 }
@@ -549,9 +500,9 @@ mod tests {
     }
 
     /// Distances exercising every address regime: zero, one word either
-    /// side of the first and last knots, the flush edge, the byte
-    /// saturation point and the deepest Q15.16 distance, plus a dense
-    /// sweep so `chunks_exact` groups mix regimes arbitrarily.
+    /// side of the first and last knots, the flush edge, the knots 254–256
+    /// around the largest 8-bit address and the deepest Q15.16 distance,
+    /// plus a dense sweep across the table.
     fn batch_probe_distances(t: &TableExp) -> Vec<i64> {
         let shift = t.distance_rom(BUS_FRAC).expect("a distance address").shift;
         let knot = |k: i64| k << shift;
@@ -579,20 +530,16 @@ mod tests {
 
     #[test]
     fn exp_batch_is_bit_identical_to_scalar_across_table_sizes() {
-        // ≤255 entries takes the SWAR path; 256+ the scalar fallback.
         for (size, bit) in [(16, 4), (64, 8), (128, 8), (256, 16), (1024, 32)] {
             let t = TableExp::new(size, bit);
-            let ds = batch_probe_distances(&t);
-            // Deliberately ragged length (not a multiple of 8).
-            assert_ne!(ds.len() % 8, 0, "probe set should exercise the tail");
-            assert_reads_match_exp(&t, &ds);
+            assert_reads_match_exp(&t, &batch_probe_distances(&t));
         }
     }
 
     #[test]
     fn exp_batch_matches_scalar_on_narrow_range_tables() {
-        // Distances far past a small table's range: most lanes take the
-        // clamp path, in groups that mix flushed and live addresses.
+        // Distances far past a small table's range: most addresses clamp
+        // to the flush code, interleaved with live ones.
         let t = TableExp::new(32, 6);
         let ds: Vec<i64> = (0..80).map(|i| i * (1 << 15)).collect();
         assert_reads_match_exp(&t, &ds);

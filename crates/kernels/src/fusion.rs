@@ -235,9 +235,8 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     /// `width` labels). The result is **bit-identical** to calling
     /// [`LogFusion::evaluate_log_scores_into`] once per row. On bus words
     /// the rows share one quantize pass, one DyNorm sweep and one
-    /// [`DistanceRom`] read over the contiguous buffer, lane-packed for
-    /// tables of at most 255 entries; on the `f64` path each row is
-    /// evaluated in turn.
+    /// [`DistanceRom`] read over the contiguous buffer; on the `f64` path
+    /// each row is evaluated in turn.
     ///
     /// `probs` receives the concatenated per-row probability vectors and
     /// `ops_per_row` one tally per row (matching the scalar path's
@@ -857,9 +856,8 @@ mod tests {
 
     #[test]
     fn batched_rows_are_bit_identical_to_per_row_scalar_calls() {
-        // Cover both SWAR (64 ≤ 255 entries) and scalar-fallback (1024)
-        // exp tables, several widths (ragged vs the 8-lane packing) and
-        // pipeline counts (multi-pass NormTree folds included).
+        // Cover a small (64) and a large (1024) exp table, several widths
+        // and pipeline counts (multi-pass NormTree folds included).
         for (size, bit) in [(64u32, 8u32), (1024, 24)] {
             for (width, pipelines) in [(1usize, 4usize), (2, 4), (3, 1), (8, 4), (13, 4)] {
                 let fusion = LogFusion::new(

@@ -32,6 +32,7 @@
 
 use std::process::ExitCode;
 
+use coopmc::analyze::VerifyArgs;
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{PipelineConfig, ProbabilityPipeline};
@@ -268,31 +269,6 @@ fn parse_hw_args(args: &[String]) -> Result<usize, String> {
         }
     }
     Ok(labels)
-}
-
-/// Parsed `verify` subcommand options.
-#[derive(Debug, Default, PartialEq)]
-struct VerifyArgs {
-    demo_broken: bool,
-    json: bool,
-    only: Option<String>,
-    export_schematic: Option<String>,
-}
-
-/// Parse the argument list of `verify`.
-fn parse_verify_args(args: &[String]) -> Result<VerifyArgs, String> {
-    let mut out = VerifyArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--demo-broken" => out.demo_broken = true,
-            "--json" => out.json = true,
-            "--only" => out.only = Some(flag_value(flag, &mut it)?),
-            "--export-schematic" => out.export_schematic = Some(flag_value(flag, &mut it)?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(out)
 }
 
 fn find_workload(name: &str) -> Option<WorkloadSpec> {
@@ -579,34 +555,6 @@ fn cmd_hw(labels: usize) {
     }
 }
 
-/// Run the static verifier (same sweep as the `coopmc-verify` binary) and
-/// report success as an exit-code-style `Result`. With `export_schematic`,
-/// first write the canonical circuits' graphviz/JSON schematics there.
-fn cmd_verify(args: VerifyArgs) -> Result<(), String> {
-    if let Some(dir) = &args.export_schematic {
-        let written = coopmc::analyze::descriptor::export_schematics(std::path::Path::new(dir))
-            .map_err(|e| format!("schematic export failed: {e}"))?;
-        for p in written {
-            eprintln!("wrote {}", p.display());
-        }
-    }
-    let report = if args.demo_broken {
-        coopmc::analyze::verify::run_broken_demo()
-    } else {
-        coopmc::analyze::verify::run_sections(args.only.as_deref())?
-    };
-    if args.json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.has_errors() {
-        Err("static verification failed".to_owned())
-    } else {
-        Ok(())
-    }
-}
-
 fn usage() -> &'static str {
     "usage:\n  coopmc list\n  coopmc run <workload> [--pipeline SPEC] [--sampler seq|tree|pipe|alias] [--sweeps N] [--seed S] [--threads T] [--health] [--early-stop-rhat R] [--early-stop-ess E] [--journal-out F] [--trace-out F] [--metrics-out F] [--profile] [--flame-out F] [--profile-out F]\n  coopmc hw [--labels N]\n  coopmc verify [--json] [--demo-broken] [--only SECTION] [--export-schematic DIR]"
 }
@@ -620,7 +568,7 @@ fn main() -> ExitCode {
         }
         Some("run") => parse_run_args(&args[1..]).and_then(cmd_run),
         Some("hw") => parse_hw_args(&args[1..]).map(cmd_hw),
-        Some("verify") => parse_verify_args(&args[1..]).and_then(cmd_verify),
+        Some("verify") => VerifyArgs::parse(&args[1..]).and_then(|args| args.run()),
         _ => Err(usage().to_owned()),
     };
     match result {
@@ -789,31 +737,6 @@ mod tests {
         }
         for bad in [&["--labels", "x"][..], &["--labels"], &["--lables", "8"]] {
             assert!(parse_hw_args(&to_vec(bad)).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn verify_args_parse_and_refuse_missing_values() {
-        let to_vec = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        let all = [
-            "--json",
-            "--demo-broken",
-            "--only",
-            "lanes",
-            "--export-schematic",
-            "d",
-        ];
-        let parsed = parse_verify_args(&to_vec(&all)).unwrap();
-        let want = VerifyArgs {
-            demo_broken: true,
-            json: true,
-            only: Some("lanes".to_owned()),
-            export_schematic: Some("d".to_owned()),
-        };
-        assert_eq!(parsed, want);
-        assert_eq!(parse_verify_args(&[]), Ok(VerifyArgs::default()));
-        for bad in [&["--only"][..], &["--export-schematic"], &["--jsn"]] {
-            assert!(parse_verify_args(&to_vec(bad)).is_err(), "{bad:?}");
         }
     }
 
