@@ -260,18 +260,21 @@ pub fn declared_contract(name: &str) -> Option<QualityContract> {
 }
 
 /// Check one configuration's statically derived [`ErrorBudget`] against a
-/// declared [`QualityContract`]. Violations carry the budget's dominant
-/// error source in their message.
+/// declared [`QualityContract`]. Each violation comes with the two numbers
+/// its check compared, `(bound, limit)`: the total-variation bound against
+/// the TV limit, or the margin argmax agreement needs (`2 ×
+/// per_label_abs`) against the declared argmax margin. Violations carry
+/// the budget's dominant error source in their message.
 pub fn check_quality(
     cfg: &DatapathConfig,
     contract: &QualityContract,
     n_labels: usize,
     factor_ops: u64,
-) -> (ErrorBudget, Vec<ContractViolation>) {
+) -> (ErrorBudget, Vec<(ContractViolation, f64, f64)>) {
     let budget = propagate_datapath(cfg, n_labels, factor_ops);
     let mut out = Vec::new();
     if budget.tv_bound > contract.tv_limit {
-        out.push(ContractViolation {
+        let violation = ContractViolation {
             config: cfg.name.clone(),
             contract: "error-tv-bound",
             severity: Severity::Error,
@@ -285,12 +288,13 @@ pub fn check_quality(
                 budget.dominant().source,
                 budget.dominant().amount
             ),
-        });
+        };
+        out.push((violation, budget.tv_bound, contract.tv_limit));
     }
     if let Some(margin) = contract.argmax_margin {
         let needed = 2.0 * budget.per_label_abs;
         if needed > margin {
-            out.push(ContractViolation {
+            let violation = ContractViolation {
                 config: cfg.name.clone(),
                 contract: "error-argmax-margin",
                 severity: Severity::Error,
@@ -299,7 +303,8 @@ pub fn check_quality(
                      (2 × per-label bound {:.3e}), above the declared margin {margin:.3e}",
                     budget.per_label_abs
                 ),
-            });
+            };
+            out.push((violation, needed, margin));
         }
     }
     (budget, out)
@@ -562,9 +567,9 @@ mod tests {
         );
         assert!(violations
             .iter()
-            .any(|v| v.contract == "error-tv-bound" && v.severity == Severity::Error));
+            .any(|(v, ..)| v.contract == "error-tv-bound" && v.severity == Severity::Error));
         assert_eq!(budget.dominant().source, "lut-step");
-        assert!(violations[0].message.contains("lut-step"));
+        assert!(violations[0].0.message.contains("lut-step"));
         // The trace leads with the dominant source.
         assert!(budget.trace()[0].starts_with("lut-step"));
     }

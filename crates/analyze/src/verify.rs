@@ -523,7 +523,7 @@ fn errprop_section() -> SectionReport {
             Some(contract) => {
                 let (budget, violations) =
                     check_quality(&cfg, &contract, WORKLOAD_LABELS, WORKLOAD_FACTOR_OPS);
-                for v in violations {
+                for (v, bound, limit) in violations {
                     let severity = v.severity;
                     let check = v.contract;
                     section.push(Finding {
@@ -531,8 +531,8 @@ fn errprop_section() -> SectionReport {
                         check: check.into(),
                         message: v.to_string(),
                         provenance: budget.trace(),
-                        bound: Some(budget.tv_bound),
-                        limit: Some(contract.tv_limit),
+                        bound: Some(bound),
+                        limit: Some(limit),
                     });
                 }
             }
@@ -797,7 +797,7 @@ pub fn run_broken_demo() -> VerifyReport {
         .copied()
         .max_by(|&a, &b| ea.error(a).total_cmp(&ea.error(b)))
         .expect("core has outputs");
-    for v in violations {
+    for (v, bound, limit) in violations {
         let mut provenance = budget.trace();
         provenance.extend(ea.provenance(core.netlist(), worst, 4));
         let severity = v.severity;
@@ -807,8 +807,8 @@ pub fn run_broken_demo() -> VerifyReport {
             check: check.into(),
             message: v.to_string(),
             provenance,
-            bound: Some(budget.tv_bound),
-            limit: Some(contract.tv_limit),
+            bound: Some(bound),
+            limit: Some(limit),
         });
     }
 
@@ -1038,6 +1038,13 @@ mod tests {
         // The wire-level trace names the ROM by its LutSpec id.
         assert!(tv.provenance.iter().any(|l| l.contains("Lut[table-exp](")));
         assert!(tv.bound.unwrap() > tv.limit.unwrap());
+        // The argmax finding carries its own numbers: the needed margin
+        // (2 × the per-label bound) against the declared margin.
+        let argmax = errsec
+            .errors()
+            .find(|f| f.check == "error-argmax-margin")
+            .expect("argmax finding present");
+        assert_eq!((argmax.bound, argmax.limit), (Some(2.0), Some(0.1)));
         // The descriptor-drift demo fails with path+pin provenance.
         let descsec = report
             .sections
@@ -1088,11 +1095,19 @@ mod tests {
         assert!(json.contains("\"bound\":"));
         assert!(json.contains("\"limit\":0.02"));
         assert!(json.contains("\"provenance\":["));
+        // The layout DESIGN.md §13 documents: a section's `notes` is a
+        // count, a finding without a bound or limit writes `null`, and the
+        // argmax finding carries its own margins.
+        assert!(json
+            .contains("{\"title\":\"error-propagation\",\"checks\":1,\"notes\":0,\"findings\":[{"));
+        assert!(json.contains("\"bound\":null,\"limit\":null,\"provenance\":["));
+        assert!(json.contains("\"bound\":2,\"limit\":0.1,\"provenance\":["));
         // No raw control characters survive escaping.
         assert!(!json.chars().any(|c| (c as u32) < 0x20));
 
         let clean = run_all().to_json();
         assert!(clean.starts_with("{\"schema_version\":1,\"status\":\"passed\""));
+        assert!(clean.contains("{\"title\":\"pg-words\",\"checks\":3,\"notes\":0,\"findings\":[]}"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the Q15.16 accumulator bus, checked by running them. The fused
 //! quantizers must match the `Fixed` round-trip and a half-away-from-zero
 //! reference, and every row of a batched PG pass must match the same row
-//! evaluated alone. [`verify_pg_words`] runs both for the `pg-words`
-//! section of `coopmc-verify`.
+//! evaluated alone on the `f64` reference datapath. [`verify_pg_words`]
+//! runs both for the `pg-words` section of `coopmc-verify`.
 
 use coopmc_fixed::{round_ties_away, Fixed, QFormat, Rounding};
 use coopmc_kernels::exp::TableExp;
@@ -114,16 +114,14 @@ fn quantizer_checks(findings: &mut Vec<Finding>) -> usize {
 /// on the CLI default datapath runs DyNorm row by row on bus words, then
 /// one distance read across row boundaries. The check is a
 /// bounded-exhaustive differential — every row of a batch must be
-/// bit-identical to a standalone `evaluate_log_scores_into` of that row,
-/// across a grid of score patterns and row widths. This is deliberately
-/// labeled a check, not a bit-level theorem.
+/// bit-identical to that row evaluated alone on the `f64` reference
+/// datapath (the same ROM as a `TableExp::with_range` table, which has no
+/// distance address), across a grid of score patterns and row widths. This
+/// is deliberately labeled a check, not a bit-level theorem.
 fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
-    let fusion = LogFusion::new(
-        TableLog::new(64, 8),
-        TableExp::new(64, 8),
-        QFormat::baseline32(),
-        4,
-    );
+    let datapath = |exp| LogFusion::new(TableLog::new(64, 8), exp, QFormat::baseline32());
+    let fusion = datapath(TableExp::new(64, 8));
+    let reference = datapath(TableExp::with_range(64, 8, 16.0));
     let patterns: [&[f64]; 5] = [
         &[-5.0, -2.5, -9.75, -2.5],
         &[0.0, -1024.0, -0.5, -3.0],
@@ -131,7 +129,8 @@ fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
         &[-1.0, -1.0, -1.0, -1.0],
         &[LOG_ZERO, -15.99, -16.0, f64::NAN],
     ];
-    let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut words, mut probs, mut alone, mut ops) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for width in [2usize, 4] {
         for rows in 1..=patterns.len() {
             let batch: Vec<f64> = patterns[..rows]
@@ -149,12 +148,13 @@ fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
                 None,
             );
             for (row, pat) in patterns[..rows].iter().enumerate() {
-                let mut alone = Vec::new();
                 let mut telemetry = PgTelemetry::new();
-                let _ = fusion.evaluate_log_scores_into(
+                reference.evaluate_log_score_rows_into(
                     &pat[..width],
+                    width,
                     &mut words,
                     &mut alone,
+                    &mut ops,
                     &mut telemetry,
                     None,
                 );
@@ -169,7 +169,7 @@ fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
                         check: "row-isolation".into(),
                         message: format!(
                             "evaluate_log_score_rows_into: row {row} of a {rows}×{width} batch \
-                             diverges from a standalone evaluate_log_scores_into of the same row"
+                             diverges from that row evaluated alone on the f64 reference datapath"
                         ),
                         provenance: vec![
                             format!("batch row: {got:?}"),

@@ -144,10 +144,10 @@ fn assert_rows_bit_exact(
 #[test]
 fn batched_pg_is_bit_exact_for_every_in_tree_config() {
     // Dedupe the sweep configs by pipeline shape; the batch path only
-    // depends on (size_lut, bit_lut, pipelines).
-    let mut shapes: Vec<(usize, u32, usize)> = in_tree_configs()
+    // depends on (size_lut, bit_lut).
+    let mut shapes: Vec<(usize, u32)> = in_tree_configs()
         .iter()
-        .map(|c| (c.size_lut, c.bit_lut.min(46), c.pipelines))
+        .map(|c| (c.size_lut, c.bit_lut.min(46)))
         .collect();
     shapes.sort_unstable();
     shapes.dedup();
@@ -155,8 +155,8 @@ fn batched_pg_is_bit_exact_for_every_in_tree_config() {
 
     let mut rng = SplitMix64::new(0xC0DE_2026);
     let mut outs = reused_batches();
-    for &(size_lut, bit_lut, pipelines) in &shapes {
-        let pipeline = CoopMcPipeline::with_pipelines(size_lut, bit_lut, pipelines);
+    for &(size_lut, bit_lut) in &shapes {
+        let pipeline = CoopMcPipeline::new(size_lut, bit_lut);
         // Ragged row counts: tails of every residue class mod 8, and
         // 64-label rows.
         for &(rows, width) in &[
@@ -171,8 +171,7 @@ fn batched_pg_is_bit_exact_for_every_in_tree_config() {
             (8, 64),
         ] {
             for _seed_round in 0..4 {
-                let what =
-                    format!("lut{size_lut}x{bit_lut} p{pipelines} rows={rows} width={width}");
+                let what = format!("lut{size_lut}x{bit_lut} rows={rows} width={width}");
                 let log = log_inputs(&random_scores(&mut rng, rows * width), width);
                 assert_rows_bit_exact(&pipeline, &log, width, &mut outs, &what);
                 for lda in [true, false] {
@@ -193,7 +192,7 @@ fn batched_pg_survives_flush_regime_inputs() {
     // does, bit for bit, including all-zero rows (which the sampler later
     // resolves with its uniform fallback). Factor rows spanning hundreds
     // of nats between labels flush the same way after DyNorm.
-    let pipeline = CoopMcPipeline::with_pipelines(64, 8, 8);
+    let pipeline = CoopMcPipeline::new(64, 8);
     let mut rng = SplitMix64::new(0xF1u64);
     let mut outs = reused_batches();
     for (rows, width) in [(9, 4), (9, 64), (5, 2)] {

@@ -46,22 +46,24 @@ fn bench_factor_datapaths(h: &Harness) {
         TableLog::new(1024, 16),
         TableExp::new(1024, 16),
         QFormat::baseline32(),
-        8,
     );
-    let (mut work, mut probs, mut telemetry) = (Vec::new(), Vec::new(), PgTelemetry::new());
+    let (mut work, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+    let mut telemetry = PgTelemetry::new();
     h.run("factor_datapath/direct_mul_div", || {
         probs.clear();
         direct.evaluate_factors_into(black_box(rows()), &mut probs)
     });
     h.run("factor_datapath/logfusion_lut", || {
-        probs.clear();
-        fused.evaluate_factors_into(
+        fused.evaluate_factor_rows_into(
             black_box(rows()),
+            numerators.len(),
             &mut work,
             &mut probs,
+            &mut ops,
             &mut telemetry,
             None,
-        )
+        );
+        ops[0]
     });
 }
 

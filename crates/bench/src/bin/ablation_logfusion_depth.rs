@@ -29,7 +29,6 @@ fn main() {
         TableLog::new(1024, 24),
         TableExp::new(1024, 24),
         QFormat::baseline32(),
-        1,
     );
     let direct = DirectDatapath::new(QFormat::baseline32());
     for depth in [1usize, 2, 4, 8, 16, 32] {
@@ -47,9 +46,11 @@ fn main() {
             },
             &[0.7][..],
         );
-        let (mut dval, mut work, mut fval) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut dval, mut work, mut fval, mut ops) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         direct.evaluate_factors_into([row], &mut dval);
-        fusion.evaluate_factors_into([row], &mut work, &mut fval, &mut PgTelemetry::new(), None);
+        let tel = &mut PgTelemetry::new();
+        fusion.evaluate_factor_rows_into([row], 1, &mut work, &mut fval, &mut ops, tel, None);
         let (dval, fval) = (dval[0], fval[0]);
         table.row(vec![
             Cell::int(depth as i64),

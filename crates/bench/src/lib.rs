@@ -7,18 +7,6 @@
 
 pub mod harness;
 
-/// Print a report header with the experiment id and a short description.
-pub fn header(id: &str, description: &str) {
-    println!("================================================================");
-    println!("{id}: {description}");
-    println!("================================================================");
-}
-
-/// Format a floating value in a fixed-width cell.
-pub fn cell(v: f64, width: usize, decimals: usize) -> String {
-    format!("{v:>width$.decimals$}")
-}
-
 /// Standard seeds used across the regeneration binaries, so every run is
 /// reproducible.
 pub mod seeds {
@@ -28,14 +16,4 @@ pub mod seeds {
     pub const GOLDEN: u64 = 7001;
     /// Measured-chain seed.
     pub const CHAIN: u64 = 101;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cell_formats_width_and_precision() {
-        assert_eq!(cell(12.345, 8, 2), "   12.35");
-    }
 }

@@ -99,29 +99,22 @@ impl PgBatch {
         &self.probs[row * width..(row + 1) * width]
     }
 
-    /// Evaluate `rows` one row at a time: `row_into(row, words, probs,
-    /// telemetry, phases)` appends row `row`'s probabilities and returns
-    /// its op tally. Each row observes into a fresh telemetry that is then
-    /// merged into the batch's.
+    /// Evaluate `rows` one row at a time, as the float and fixed pipelines
+    /// do: `row_into(row, probs, telemetry)` appends row `row`'s
+    /// probabilities and returns its op tally. Each row observes into a
+    /// fresh telemetry that is then merged into the batch's.
     fn per_row(
         &mut self,
         rows: &ScoreRows,
-        mut row_into: impl FnMut(
-            usize,
-            &mut Vec<i64>,
-            &mut Vec<f64>,
-            &mut PgTelemetry,
-            Option<&mut StagePhases>,
-        ) -> OpCounts,
+        mut row_into: impl FnMut(usize, &mut Vec<f64>, &mut PgTelemetry) -> OpCounts,
     ) {
         self.probs.clear();
         self.ops.clear();
         self.telemetry = PgTelemetry::new();
         for row in 0..rows.len() {
             let mut telemetry = PgTelemetry::new();
-            let (words, probs, phases) = (&mut self.words, &mut self.probs, self.phases.as_mut());
             self.ops
-                .push(row_into(row, words, probs, &mut telemetry, phases));
+                .push(row_into(row, &mut self.probs, &mut telemetry));
             self.telemetry.merge(&telemetry);
         }
     }
@@ -139,11 +132,11 @@ pub trait ProbabilityPipeline: Sync {
     ///
     /// Each row's result is **bit-identical** whichever rows it is
     /// evaluated with: implementations may fuse work across rows (the
-    /// CoopMC pipeline batches a log stride's quantize pass, NormTree
-    /// reduction and TableExp read) but must preserve per-row results
-    /// exactly. The built-in pipelines keep their working memory in
-    /// `out`, so a warm call performs **zero heap allocations** — the
-    /// property the engines' hot path is built on. When `out.phases` is
+    /// CoopMC pipeline evaluates a whole stride in one LogFusion call) but
+    /// must preserve per-row results exactly. An empty stride has width 0
+    /// and leaves `out` empty. The built-in pipelines keep their working
+    /// memory in `out`, so a warm call performs **zero heap allocations** —
+    /// the property the engines' hot path is built on. When `out.phases` is
     /// attached, fused datapaths also accumulate their stage times there
     /// (the result is bit-identical either way).
     fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch);
@@ -245,10 +238,13 @@ fn float_row_into(
 impl ProbabilityPipeline for FloatPipeline {
     fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
         // Factor labels enter through the log of their value.
-        out.per_row(rows, |row, _, probs, telemetry, _| {
+        out.per_row(rows, |row, probs, telemetry| {
             match rows.log_row(row) {
                 Some(logs) => float_row_into(logs.iter().copied(), probs, telemetry),
-                None => float_row_into(rows.factors(row).map(factor_log_value), probs, telemetry),
+                None => {
+                    let logs = rows.factors(row..row + 1).map(factor_log_value);
+                    float_row_into(logs, probs, telemetry)
+                }
             }
             OpCounts::new()
         });
@@ -327,11 +323,11 @@ impl ProbabilityPipeline for FixedPipeline {
         // (optionally normalized); factor rows run the direct
         // multiplier/divider datapath (no NormTree, no exp kernel —
         // nothing to observe).
-        out.per_row(rows, |row, _, probs, telemetry, _| {
-            match rows.log_row(row) {
-                Some(logs) => self.log_row_into(logs, probs, telemetry),
-                None => self.direct.evaluate_factors_into(rows.factors(row), probs),
-            }
+        out.per_row(rows, |row, probs, telemetry| match rows.log_row(row) {
+            Some(logs) => self.log_row_into(logs, probs, telemetry),
+            None => self
+                .direct
+                .evaluate_factors_into(rows.factors(row..row + 1), probs),
         });
     }
 
@@ -345,7 +341,7 @@ impl ProbabilityPipeline for FixedPipeline {
 }
 
 /// The full CoopMC datapath: LogFusion + DyNorm + TableExp (with a TableLog
-/// for linear-domain factors).
+/// for linear-domain factors), one [`LogFusion`] call per stride.
 #[derive(Debug, Clone)]
 pub struct CoopMcPipeline {
     fusion: LogFusion<TableLog, TableExp>,
@@ -362,17 +358,10 @@ impl CoopMcPipeline {
     ///
     /// Panics if `size_lut == 0` or `bit_lut` is outside `1..=52`.
     pub fn new(size_lut: usize, bit_lut: u32) -> Self {
-        Self::with_pipelines(size_lut, bit_lut, 4)
-    }
-
-    /// As [`CoopMcPipeline::new`] with an explicit parallel-pipeline count
-    /// for the shared NormTree.
-    pub fn with_pipelines(size_lut: usize, bit_lut: u32, pipelines: usize) -> Self {
         let fusion = LogFusion::new(
             TableLog::new(size_lut, bit_lut.min(46)),
             TableExp::new(size_lut, bit_lut),
             QFormat::baseline32(),
-            pipelines,
         );
         Self {
             fusion,
@@ -393,36 +382,21 @@ impl CoopMcPipeline {
 }
 
 impl ProbabilityPipeline for CoopMcPipeline {
+    /// One [`LogFusion`] call per stride, whatever its row count: log rows
+    /// skip the log kernels, factor rows go TableLog → LogFusion.
     fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
+        let (fusion, width) = (&self.fusion, rows.width());
+        let (words, probs, ops) = (&mut out.words, &mut out.probs, &mut out.ops);
+        let (telemetry, phases) = (&mut out.telemetry, out.phases.as_mut());
+        *telemetry = PgTelemetry::new();
         match rows.logs() {
-            // The vector datapath over a log stride of several rows.
-            Some(logs) if rows.len() > 1 => {
-                out.telemetry = PgTelemetry::new();
-                self.fusion.evaluate_log_score_rows_into(
-                    logs,
-                    rows.width(),
-                    &mut out.words,
-                    &mut out.probs,
-                    &mut out.ops,
-                    &mut out.telemetry,
-                    out.phases.as_mut(),
-                );
+            Some(logs) => fusion
+                .evaluate_log_score_rows_into(logs, width, words, probs, ops, telemetry, phases),
+            None => {
+                let labels = rows.factors(0..rows.len());
+                fusion
+                    .evaluate_factor_rows_into(labels, width, words, probs, ops, telemetry, phases)
             }
-            // A one-row log stride (the sequential scan's call) takes the
-            // scalar kernel, which the vector one matches bit for bit at a
-            // lower fixed cost; factor rows go TableLog → LogFusion.
-            _ => out.per_row(rows, |row, words, probs, telemetry, phases| {
-                let fusion = &self.fusion;
-                match rows.log_row(row) {
-                    Some(logs) => {
-                        fusion.evaluate_log_scores_into(logs, words, probs, telemetry, phases)
-                    }
-                    None => {
-                        let factors = rows.factors(row);
-                        fusion.evaluate_factors_into(factors, words, probs, telemetry, phases)
-                    }
-                }
-            }),
         }
     }
 
@@ -737,6 +711,29 @@ mod tests {
     }
 
     #[test]
+    fn empty_strides_are_empty_for_every_pipeline() {
+        // CoopMC on bus words (64x8) and on the f64 path (48x8); the batch
+        // starts with stale contents that no call may leave behind.
+        let pipelines: [Box<dyn ProbabilityPipeline>; 5] = [
+            Box::new(FloatPipeline::new()),
+            Box::new(FixedPipeline::new(8, true)),
+            Box::new(FixedPipeline::new(8, false)),
+            Box::new(CoopMcPipeline::new(64, 8)),
+            Box::new(CoopMcPipeline::new(48, 8)),
+        ];
+        for p in &pipelines {
+            let mut out = PgBatch::new();
+            out.probs.push(7.0);
+            out.ops.push(OpCounts::new());
+            out.telemetry.observe_norm_max(1e300);
+            p.generate_rows_into(&ScoreRows::new(), &mut out);
+            assert!(out.probs.is_empty(), "{}", p.name());
+            assert!(out.ops.is_empty(), "{}", p.name());
+            assert_eq!(out.telemetry, PgTelemetry::default(), "{}", p.name());
+        }
+    }
+
+    #[test]
     fn reused_and_phased_outputs_are_bit_identical_for_all_pipelines() {
         let log = log_scores(&[-4.0, -2.5, -3.1, -0.7]);
         let factors = vec![
@@ -844,7 +841,7 @@ mod tests {
             Box::new(FixedPipeline::new(8, true)),
             Box::new(FixedPipeline::new(8, false)),
             Box::new(CoopMcPipeline::new(64, 8)),
-            Box::new(CoopMcPipeline::with_pipelines(1024, 24, 8)),
+            Box::new(CoopMcPipeline::new(1024, 24)),
             Box::new(CoopMcPipeline::new(48, 8)),
         ];
         // One batch reused across pipelines, shapes, row forms and both
@@ -936,7 +933,7 @@ mod tests {
 
     #[test]
     fn batch_generate_handles_factor_rows_via_scalar_fallback() {
-        // Factor rows are evaluated row by row inside the batched call.
+        // Factor rows run as one stride, each row as it would alone.
         let p = CoopMcPipeline::new(128, 16);
         let rows: Vec<LabelScore> = (0..6)
             .map(|i| LabelScore::Factors {

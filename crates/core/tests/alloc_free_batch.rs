@@ -60,7 +60,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_batch_strides_allocate_nothing() {
-    let pipeline = CoopMcPipeline::with_pipelines(64, 8, 8);
+    let pipeline = CoopMcPipeline::new(64, 8);
     let sampler = TreeSampler::new();
     let width = 4;
     let rows = 8;

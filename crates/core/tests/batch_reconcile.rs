@@ -27,7 +27,7 @@ fn batched_runs_reconcile_against_the_cycle_model() {
     let mut app = image_segmentation(16, 12, 5);
     let n_vars = 16 * 12;
     let engine = ChromaticEngine::with_recorder(
-        CoopMcPipeline::with_pipelines(64, 8, 8),
+        CoopMcPipeline::new(64, 8),
         TreeSampler::new(),
         2,
         42,
@@ -107,8 +107,8 @@ fn scalar_and_batched_journals_carry_identical_cycle_totals() {
         engine.run(&mut app.mrf, 3);
         (engine.recorder().sweeps(), app.mrf.labels())
     }
-    let (scalar, scalar_labels) = run(RowByRow(CoopMcPipeline::with_pipelines(64, 8, 8)));
-    let (batched, batched_labels) = run(CoopMcPipeline::with_pipelines(64, 8, 8));
+    let (scalar, scalar_labels) = run(RowByRow(CoopMcPipeline::new(64, 8)));
+    let (batched, batched_labels) = run(CoopMcPipeline::new(64, 8));
     assert_eq!(
         scalar_labels, batched_labels,
         "chains must be bit-identical"

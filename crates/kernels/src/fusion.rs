@@ -13,10 +13,12 @@
 //! PG datapath entirely. DyNorm sits between the accumulation and the exp
 //! kernel so the exp inputs are always in range.
 //!
-//! Every score reaches the accumulator bus as a raw integer word. Where the
-//! configuration allows, the words stay integers through DyNorm and the
-//! TableExp address (see [`LogFusion::new`]); every other configuration
-//! runs DyNorm and the exp kernel on the words' `f64` images.
+//! `LogFusion` evaluates a stride of same-width rows per call, one entry
+//! point per row form. Every score reaches the accumulator bus as a raw
+//! integer word. Where the configuration allows, the words stay integers
+//! through DyNorm and the TableExp address (see [`LogFusion::new`]); every
+//! other configuration runs DyNorm and the exp kernel on the words' `f64`
+//! images.
 
 use std::time::Instant;
 
@@ -89,14 +91,13 @@ impl<'a> StageClock<'a> {
 }
 
 /// The fused log-domain PG datapath: log kernels → fixed-point
-/// accumulation → DyNorm → exp kernel.
+/// accumulation → DyNorm → exp kernel, evaluated one stride of same-width
+/// rows at a time.
 #[derive(Debug, Clone)]
 pub struct LogFusion<L, E> {
     log: L,
     exp: E,
     acc_fmt: QFormat,
-    pipelines: usize,
-    dynorm: bool,
     /// The log kernel's integer tables on the bus, kept only while the
     /// datapath runs on bus words.
     log_tables: Option<LogTables>,
@@ -109,32 +110,24 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     ///   [`crate::log::TableLog`] and [`crate::exp::TableExp`]).
     /// * `acc_fmt` — the fixed-point format of the log-domain accumulator
     ///   bus (the paper's DN+LF design uses Q15.16).
-    /// * `pipelines` — number of parallel PG pipelines sharing the NormTree.
     ///
-    /// The configuration chooses how the bus words flow. With DyNorm on, a
-    /// bus of at most 52 bits (so every word and every difference of two
-    /// words is exact in `f64`) and an exp kernel with a
+    /// The configuration chooses how the bus words flow. With a bus of at
+    /// most 52 bits (so every word and every difference of two words is
+    /// exact in `f64`) and an exp kernel with a
     /// [`ExpKernel::distance_rom`] — a [`crate::exp::TableExp::new`] table
     /// of power-of-two size, up to `2^20` entries on Q15.16 — the words
     /// stay integers: DyNorm is an integer max and subtract, and TableExp
     /// reads its ROM at `distance >> shift`. The log kernel's
     /// [`LogKernel::bus_tables`], when it has them, then read each factor's
     /// log as a word. Every other configuration runs DyNorm and the exp
-    /// kernel on the words' `f64` images. Both give the same result bit
-    /// for bit; the `f64` path is the reference the word path is tested
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pipelines == 0`.
-    pub fn new(log: L, exp: E, acc_fmt: QFormat, pipelines: usize) -> Self {
-        assert!(pipelines > 0, "pipeline count must be positive");
+    /// kernel on the words' `f64` images, row by row. Both give the same
+    /// result bit for bit; the `f64` path is the reference the word path is
+    /// tested against.
+    pub fn new(log: L, exp: E, acc_fmt: QFormat) -> Self {
         let mut fusion = Self {
             log,
             exp,
             acc_fmt,
-            pipelines,
-            dynorm: true,
             log_tables: None,
         };
         if fusion.distance_rom().is_some() {
@@ -143,112 +136,77 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         fusion
     }
 
-    /// Disable DyNorm (used by the ablation showing LogFusion alone fails at
-    /// low precision — the co-dependence the paper's intro stresses). The
-    /// datapath then runs on `f64` images of the bus words.
-    pub fn without_dynorm(mut self) -> Self {
-        self.dynorm = false;
-        self.log_tables = None;
-        self
-    }
-
     /// The TableExp ROM the word stage reads, when this configuration runs
     /// on bus words (see [`LogFusion::new`]).
     #[inline]
     fn distance_rom(&self) -> Option<DistanceRom<'_>> {
         let fmt = self.acc_fmt;
         let exact = fmt.int_bits() + fmt.frac_bits() < f64::MANTISSA_DIGITS;
-        if self.dynorm && exact {
+        if exact {
             self.exp.distance_rom(fmt.frac_bits())
         } else {
             None
         }
     }
 
-    /// Evaluate a label vector of factor rows (Eq. 11) into caller-owned
-    /// buffers.
+    /// Evaluate a stride of same-width factor rows (Eq. 11) into
+    /// caller-owned buffers.
     ///
-    /// `rows` yields one borrowed `(numerators, denominators)` pair per
-    /// label, read where the caller keeps them. Each factor's log is read
-    /// onto the accumulator bus as a raw word — from the log kernel's
-    /// integer tables where it has them, otherwise by quantizing the
-    /// kernel's `f64` log once — and summed as a raw integer that
-    /// saturates after every add and subtract, exactly as a `Fixed`
-    /// accumulator would. `words` (cleared first) holds each label's
-    /// accumulated word between accumulation and the exp stage; the output
-    /// vector is appended to `probs`. With warmed buffers the evaluation
-    /// is allocation-free.
-    /// `telemetry` collects the DyNorm/exp-kernel observations for the run
-    /// journal (a handful of comparisons, no allocation); `phases`, when
-    /// attached, accumulates per-stage wall times for the kernel profiler.
-    /// Neither changes the result.
-    pub fn evaluate_factors_into<'r>(
+    /// `labels` yields one borrowed `(numerators, denominators)` pair per
+    /// label, every row's labels in order, `width` labels to a row. Each
+    /// factor's log is read onto the accumulator bus as a raw word — from
+    /// the log kernel's integer tables where it has them, otherwise by
+    /// quantizing the kernel's `f64` log once — and summed as a raw integer
+    /// that saturates after every add and subtract, exactly as a `Fixed`
+    /// accumulator would.
+    ///
+    /// `words` holds each label's accumulated word between accumulation
+    /// and the exp stage, `probs` receives the row-major probability
+    /// vectors and `ops_per_row` one tally per row. A row's result does not
+    /// depend on the rows evaluated with it, so modeled cycle totals are
+    /// batching-invariant. All three buffers are cleared first; with warmed
+    /// buffers the evaluation is allocation-free. `telemetry` collects the
+    /// DyNorm/exp-kernel observations for the run journal (a handful of
+    /// comparisons, no allocation); `phases`, when attached, accumulates
+    /// per-stage wall times for the kernel profiler. Neither changes the
+    /// result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the labels do not fill whole rows of `width`. Only an
+    /// empty stride may have width 0.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate_factor_rows_into<'r>(
         &self,
-        rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+        labels: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+        width: usize,
         words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
+        ops_per_row: &mut Vec<OpCounts>,
         telemetry: &mut PgTelemetry,
         phases: Option<&mut StagePhases>,
-    ) -> OpCounts {
-        let mut ops = OpCounts::new();
+    ) {
         let mut clock = StageClock::start(phases);
         let fmt = self.acc_fmt;
         let float_read = |x: f64| fmt.quantize_nearest_raw(self.log.log(x));
         words.clear();
+        ops_per_row.clear();
         match &self.log_tables {
             Some(tables) => {
                 let read = |x: f64| tables.word(x).unwrap_or_else(|| float_read(x));
-                accumulate_into(rows, fmt, read, words, &mut ops);
+                accumulate_into(labels, width, fmt, read, words, ops_per_row);
             }
-            None => accumulate_into(rows, fmt, float_read, words, &mut ops),
+            None => accumulate_into(labels, width, fmt, float_read, words, ops_per_row),
         }
         clock.lap(|p| &mut p.normalize_ns);
-        self.finish_into(words, probs, &mut ops, telemetry, clock);
-        ops
+        self.finish_into(words, width, probs, telemetry, clock);
     }
 
-    /// Evaluate a label vector whose scores are already in the log domain
-    /// (e.g. MRF energies `-β·TC`), skipping the log kernels: each score is
-    /// quantized once onto the bus. Same buffer, telemetry and phase
-    /// contract as [`LogFusion::evaluate_factors_into`].
-    #[inline]
-    pub fn evaluate_log_scores_into(
-        &self,
-        scores: &[f64],
-        words: &mut Vec<i64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-        phases: Option<&mut StagePhases>,
-    ) -> OpCounts {
-        let mut ops = OpCounts::new();
-        let mut clock = StageClock::start(phases);
-        self.quantize_into(scores, words);
-        clock.lap(|p| &mut p.normalize_ns);
-        self.finish_into(words, probs, &mut ops, telemetry, clock);
-        ops
-    }
-
-    /// Evaluate a whole batch of same-width log-domain score rows in one
-    /// call: the vector datapath behind `generate_rows_into`.
-    ///
-    /// `scores` is row-major (`scores.len() / width` rows of exactly
-    /// `width` labels). The result is **bit-identical** to calling
-    /// [`LogFusion::evaluate_log_scores_into`] once per row. On bus words
-    /// the rows share one quantize pass, one DyNorm sweep and one
-    /// [`DistanceRom`] read over the contiguous buffer; on the `f64` path
-    /// each row is evaluated in turn.
-    ///
-    /// `probs` receives the concatenated per-row probability vectors and
-    /// `ops_per_row` one tally per row (matching the scalar path's
-    /// per-call [`OpCounts`] exactly, so modeled cycle totals are
-    /// batching-invariant). All output buffers are cleared first; with
-    /// warmed buffers the evaluation is allocation-free. `telemetry` and
-    /// `phases` follow [`LogFusion::evaluate_factors_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or `scores.len()` is not a multiple of
-    /// `width`.
+    /// Evaluate a stride of same-width rows whose scores are already in the
+    /// log domain (e.g. MRF energies `-β·TC`), skipping the log kernels:
+    /// each score is quantized once onto the bus. `scores` is row-major,
+    /// `width` labels to a row. Same buffer, telemetry, phase and panic
+    /// contract as [`LogFusion::evaluate_factor_rows_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_log_score_rows_into(
         &self,
@@ -258,106 +216,60 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         probs: &mut Vec<f64>,
         ops_per_row: &mut Vec<OpCounts>,
         telemetry: &mut PgTelemetry,
-        mut phases: Option<&mut StagePhases>,
+        phases: Option<&mut StagePhases>,
     ) {
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(
-            scores.len() % width,
-            0,
-            "batch length must be a multiple of the row width"
-        );
         ops_per_row.clear();
-        probs.clear();
-        let Some(rom) = self.distance_rom() else {
-            for row in scores.chunks_exact(width) {
-                let phases = phases.as_deref_mut();
-                ops_per_row
-                    .push(self.evaluate_log_scores_into(row, words, probs, telemetry, phases));
-            }
-            return;
-        };
+        ops_per_row.resize(whole_rows(scores.len(), width), finish_ops(width));
         let mut clock = StageClock::start(phases);
-        self.quantize_into(scores, words);
-        clock.lap(|p| &mut p.normalize_ns);
-        if !words.is_empty() {
-            let row_ops = |ops| ops_per_row.push(ops);
-            self.finish_words(rom, words, width, probs, telemetry, clock, row_ops);
-        }
-    }
-
-    /// The accumulator-bus quantization of log-domain scores: one raw word
-    /// per score, into `words` (cleared first).
-    #[inline]
-    fn quantize_into(&self, scores: &[f64], words: &mut Vec<i64>) {
         words.clear();
         words.extend(scores.iter().map(|&s| self.acc_fmt.quantize_nearest_raw(s)));
+        clock.lap(|p| &mut p.normalize_ns);
+        self.finish_into(words, width, probs, telemetry, clock);
     }
 
-    /// DyNorm and the exp kernel over one label vector of bus words,
-    /// appended to `probs`: the word stage where the configuration runs on
-    /// words, otherwise the `f64` stage on the words' images.
-    // Inlined, like `evaluate_log_scores_into`, so an untimed scalar
-    // evaluation keeps its stage clock out of memory.
+    /// DyNorm and the exp kernel over the `width`-word rows of `words`,
+    /// into `probs` (cleared first). Each row's tally of these stages is
+    /// [`finish_ops`] on either path.
+    ///
+    /// Where the configuration runs on words, the word stage covers every
+    /// row at once: DyNorm as an integer max and subtract per row, which
+    /// leaves each word's distance below its row's maximum, then one `rom`
+    /// read of every distance. Each row's telemetry comes from its minimum
+    /// and maximum word. Every other configuration runs the `f64` stage on
+    /// the words' images, row by row.
     #[inline]
     fn finish_into(
         &self,
-        words: &mut [i64],
-        probs: &mut Vec<f64>,
-        ops: &mut OpCounts,
-        telemetry: &mut PgTelemetry,
-        mut clock: StageClock<'_>,
-    ) {
-        if words.is_empty() {
-            return;
-        }
-        if let Some(rom) = self.distance_rom() {
-            let width = words.len();
-            let row_ops = |row: OpCounts| ops.merge(&row);
-            self.finish_words(rom, words, width, probs, telemetry, clock, row_ops);
-            return;
-        }
-        let res = self.acc_fmt.resolution();
-        let start = probs.len();
-        probs.extend(words.iter().map(|&w| w as f64 * res));
-        let scores = &mut probs[start..];
-        if self.dynorm {
-            let report = dynorm_apply(scores, self.pipelines);
-            ops.cmp += report.comparisons;
-            ops.add += scores.len() as u64; // the broadcast subtraction
-            telemetry.observe_norm_max(report.max);
-        }
-        for &s in scores.iter() {
-            telemetry.observe_exp_input(s);
-        }
-        clock.lap(|p| &mut p.dynorm_ns);
-        for s in scores.iter_mut() {
-            ops.lut += 1;
-            *s = self.exp.exp(*s);
-        }
-        clock.lap(|p| &mut p.exp_ns);
-    }
-
-    /// The word stage over the `width`-word rows of `words`: DyNorm as an
-    /// integer max and subtract, which leaves each word's distance below
-    /// its row's maximum, then one `rom` read of every distance, appended
-    /// to `probs`. Each row's telemetry comes from its minimum and maximum
-    /// word, and `row_ops` receives each row's tally of the stage: one
-    /// comparison, one subtraction and one ROM read per label, as on the
-    /// `f64` path.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn finish_words(
-        &self,
-        rom: DistanceRom<'_>,
         words: &mut [i64],
         width: usize,
         probs: &mut Vec<f64>,
         telemetry: &mut PgTelemetry,
         mut clock: StageClock<'_>,
-        mut row_ops: impl FnMut(OpCounts),
     ) {
+        probs.clear();
+        if words.is_empty() {
+            return;
+        }
         let res = self.acc_fmt.resolution();
-        let n = width as u64;
+        let Some(rom) = self.distance_rom() else {
+            for row in words.chunks_exact(width) {
+                let start = probs.len();
+                probs.extend(row.iter().map(|&w| w as f64 * res));
+                let scores = &mut probs[start..];
+                // The NormTree's width sets only its latency, which is not
+                // modeled here.
+                telemetry.observe_norm_max(dynorm_apply(scores, width).max);
+                for &s in scores.iter() {
+                    telemetry.observe_exp_input(s);
+                }
+                clock.lap(|p| &mut p.dynorm_ns);
+                for s in scores.iter_mut() {
+                    *s = self.exp.exp(*s);
+                }
+                clock.lap(|p| &mut p.exp_ns);
+            }
+            return;
+        };
         for row in words.chunks_exact_mut(width) {
             let (lo, hi) = row
                 .iter()
@@ -368,37 +280,57 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
             telemetry.observe_norm_max(hi as f64 * res);
             telemetry.observe_exp_input((lo - hi) as f64 * res);
             telemetry.observe_exp_input(0.0);
-            row_ops(OpCounts {
-                add: n,
-                lut: n,
-                cmp: n,
-                ..OpCounts::new()
-            });
         }
         clock.lap(|p| &mut p.dynorm_ns);
-        let start = probs.len();
-        probs.resize(start + words.len(), 0.0);
-        rom.read_into(words, &mut probs[start..]);
+        probs.resize(words.len(), 0.0);
+        rom.read_into(words, probs);
         clock.lap(|p| &mut p.exp_ns);
     }
+}
+
+/// The DyNorm and exp stages' tally for one `width`-label row: one
+/// comparison, one subtraction and one exp read per label.
+fn finish_ops(width: usize) -> OpCounts {
+    let n = width as u64;
+    OpCounts {
+        add: n,
+        lut: n,
+        cmp: n,
+        ..OpCounts::new()
+    }
+}
+
+/// The number of `width`-label rows that `len` labels fill. Panics unless
+/// they fill whole rows; only an empty stride may have width 0.
+fn whole_rows(len: usize, width: usize) -> usize {
+    let rows = len.checked_div(width).unwrap_or(0);
+    assert_eq!(
+        rows * width,
+        len,
+        "batch length must be a multiple of the row width"
+    );
+    rows
 }
 
 /// Sum each label's factor logs on the bus `fmt`: `log_raw` reads one
 /// factor's log as a raw word, and the accumulator saturates after every
 /// add and subtract, as a `Fixed` accumulator would. One word per label is
-/// appended to `words`, and the log reads and adds are tallied in `ops`.
+/// appended to `words`, and one tally per `width`-label row to
+/// `ops_per_row`: its log reads and adds plus its [`finish_ops`].
 #[inline]
 fn accumulate_into<'r>(
-    rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+    labels: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+    width: usize,
     fmt: QFormat,
     log_raw: impl Fn(f64) -> i64,
     words: &mut Vec<i64>,
-    ops: &mut OpCounts,
+    ops_per_row: &mut Vec<OpCounts>,
 ) {
     let (min, max) = (fmt.min_raw(), fmt.max_raw());
+    let (mut factors, mut in_row) = (0u64, 0usize);
     // Both operands lie within ±2^62, so neither the sum nor the
     // difference can overflow before the clamp saturates it.
-    for (numerators, denominators) in rows {
+    for (numerators, denominators) in labels {
         let mut acc = 0i64;
         for &a in numerators {
             acc = (acc + log_raw(a)).clamp(min, max);
@@ -406,11 +338,21 @@ fn accumulate_into<'r>(
         for &b in denominators {
             acc = (acc - log_raw(b)).clamp(min, max);
         }
-        let factors = (numerators.len() + denominators.len()) as u64;
-        ops.lut += factors;
-        ops.add += factors;
         words.push(acc);
+        factors += (numerators.len() + denominators.len()) as u64;
+        in_row += 1;
+        if in_row == width {
+            let mut ops = finish_ops(width);
+            ops.lut += factors;
+            ops.add += factors;
+            ops_per_row.push(ops);
+            (factors, in_row) = (0, 0);
+        }
     }
+    assert_eq!(
+        in_row, 0,
+        "batch length must be a multiple of the row width"
+    );
 }
 
 /// The direct (non-fused) baseline datapath: fixed-point multiplier and
@@ -471,23 +413,61 @@ mod tests {
         QFormat::baseline32()
     }
 
-    /// A factor row: borrowed numerators and denominators.
+    /// A factor label: borrowed numerators and denominators.
     type Row<'a> = (&'a [f64], &'a [f64]);
 
-    /// Borrow owned factor rows.
+    /// Borrow owned factor labels.
     fn borrow(rows: &[(Vec<f64>, Vec<f64>)]) -> Vec<Row<'_>> {
         rows.iter().map(|(n, d)| (&n[..], &d[..])).collect()
     }
 
-    /// One unphased factor-row evaluation into fresh buffers.
+    /// One unphased evaluation of a stride of `width`-label factor rows
+    /// into fresh buffers.
+    fn factor_stride<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        labels: &[Row],
+        width: usize,
+    ) -> (Vec<f64>, Vec<OpCounts>, PgTelemetry) {
+        let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        let mut tel = PgTelemetry::new();
+        let labels = labels.iter().copied();
+        fusion.evaluate_factor_rows_into(
+            labels, width, &mut words, &mut probs, &mut ops, &mut tel, None,
+        );
+        (probs, ops, tel)
+    }
+
+    /// One unphased evaluation of a stride of `width`-label log rows into
+    /// fresh buffers.
+    fn log_stride<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        scores: &[f64],
+        width: usize,
+    ) -> (Vec<f64>, Vec<OpCounts>, PgTelemetry) {
+        let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        let mut tel = PgTelemetry::new();
+        fusion.evaluate_log_score_rows_into(
+            scores, width, &mut words, &mut probs, &mut ops, &mut tel, None,
+        );
+        (probs, ops, tel)
+    }
+
+    /// One factor row holding every label of `labels`.
     fn factors<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
-        rows: &[Row],
+        labels: &[Row],
     ) -> (Vec<f64>, OpCounts) {
-        let (mut work, mut probs, mut tel) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let rows = rows.iter().copied();
-        let ops = fusion.evaluate_factors_into(rows, &mut work, &mut probs, &mut tel, None);
-        (probs, ops)
+        let (probs, ops, _) = factor_stride(fusion, labels, labels.len());
+        (probs, ops.first().copied().unwrap_or_default())
+    }
+
+    /// One log row holding every score of `scores`.
+    fn log_scores<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        scores: &[f64],
+    ) -> (Vec<f64>, OpCounts, PgTelemetry) {
+        let (probs, ops, tel) = log_stride(fusion, scores, scores.len());
+        (probs, ops.first().copied().unwrap_or_default(), tel)
     }
 
     /// One direct-datapath evaluation into a fresh buffer.
@@ -497,19 +477,9 @@ mod tests {
         (probs, ops)
     }
 
-    /// One unphased log-score evaluation into fresh buffers.
-    fn log_scores<L: LogKernel, E: ExpKernel>(
-        fusion: &LogFusion<L, E>,
-        scores: &[f64],
-    ) -> (Vec<f64>, OpCounts, PgTelemetry) {
-        let (mut work, mut probs, mut tel) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let ops = fusion.evaluate_log_scores_into(scores, &mut work, &mut probs, &mut tel, None);
-        (probs, ops, tel)
-    }
-
     /// The `Fixed` accumulation loop the raw accumulator replaced: one
     /// `Fixed` quantization of the kernel's `f64` log and saturating
-    /// add/sub per factor.
+    /// add/sub per factor, over one row of every label in `rows`.
     fn fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
         rows: &[Row],
@@ -532,30 +502,25 @@ mod tests {
             words.push(acc.raw());
         }
         let (mut probs, mut tel) = (Vec::new(), PgTelemetry::new());
-        fusion.finish_into(
-            &mut words,
-            &mut probs,
-            &mut ops,
-            &mut tel,
-            StageClock::start(None),
-        );
+        let clock = StageClock::start(None);
+        fusion.finish_into(&mut words, rows.len(), &mut probs, &mut tel, clock);
+        ops.merge(&finish_ops(rows.len()));
         (probs, ops, tel)
     }
 
     /// Assert `fusion`'s raw accumulator reproduces [`fixed_loop`] bit for
-    /// bit: probabilities, op tallies and telemetry.
+    /// bit on one row of every label in `rows`: probabilities, op tallies
+    /// and telemetry.
     fn assert_matches_fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
         rows: &[Row],
         what: &str,
     ) {
         let (want, want_ops, want_tel) = fixed_loop(fusion, rows);
-        let (mut work, mut probs, mut tel) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let it = rows.iter().copied();
-        let ops = fusion.evaluate_factors_into(it, &mut work, &mut probs, &mut tel, None);
+        let (probs, ops, tel) = factor_stride(fusion, rows, rows.len());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&probs), bits(&want), "{what}: probs");
-        assert_eq!(ops, want_ops, "{what}: ops");
+        assert_eq!(ops, [want_ops], "{what}: ops");
         assert_eq!(tel, want_tel, "{what}: telemetry");
     }
 
@@ -597,7 +562,7 @@ mod tests {
             QFormat::new(61, 1).unwrap(),
         ];
         for fmt in formats {
-            let float = LogFusion::new(FloatLog::new(), FloatExp::new(), fmt, 4);
+            let float = LogFusion::new(FloatLog::new(), FloatExp::new(), fmt);
             assert_matches_fixed_loop(&float, &exprs, &format!("float-log {fmt}"));
             // Saturate upward from a negative sum, then walk back to just
             // above zero: a saturated word one step off survives to the
@@ -612,16 +577,12 @@ mod tests {
                 }
                 walk_back.push(rest.exp());
                 let rows: [Row; 2] = [(&[0.5, f64::INFINITY], &walk_back), (&[1e-3], &[])];
-                let what = format!("walk-back {fmt}");
-                assert_matches_fixed_loop(&float, &rows, &what);
-                assert_matches_fixed_loop(&float.clone().without_dynorm(), &rows, &what);
+                assert_matches_fixed_loop(&float, &rows, &format!("walk-back {fmt}"));
             }
             for (size, bit) in [(64, 8), (1024, 24), (48, 16)] {
-                let table =
-                    LogFusion::new(TableLog::new(size, bit), TableExp::new(size, bit), fmt, 4);
+                let table = LogFusion::new(TableLog::new(size, bit), TableExp::new(size, bit), fmt);
                 let what = format!("table-log {size}x{bit} {fmt}");
                 assert_matches_fixed_loop(&table, &exprs, &what);
-                assert_matches_fixed_loop(&table.without_dynorm(), &exprs, &what);
             }
         }
     }
@@ -629,7 +590,7 @@ mod tests {
     /// One datapath on bus words and on the `f64` path: a `with_range`
     /// TableExp holds the same ROM as `new` but has no distance address.
     fn words_and_reference(size: usize, bit: u32) -> [LogFusion<TableLog, TableExp>; 2] {
-        let fusion = |exp| LogFusion::new(TableLog::new(size, bit.min(46)), exp, acc(), 4);
+        let fusion = |exp| LogFusion::new(TableLog::new(size, bit.min(46)), exp, acc());
         let words = fusion(TableExp::new(size, bit));
         let reference = fusion(TableExp::with_range(size, bit, 16.0));
         assert!(words.distance_rom().is_some(), "{size}x{bit}");
@@ -640,10 +601,12 @@ mod tests {
 
     /// Probabilities, tallies and telemetry as bits, so NaN and the sign of
     /// zero compare too.
-    fn as_bits(probs: &[f64], ops: &[OpCounts], tel: &PgTelemetry) -> impl PartialEq + Debug {
+    fn as_bits(
+        (probs, ops, tel): &(Vec<f64>, Vec<OpCounts>, PgTelemetry),
+    ) -> impl PartialEq + Debug {
         let probs: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
         let tel = [tel.norm_max, tel.exp_in_min, tel.exp_in_max].map(|v| v.map(f64::to_bits));
-        (probs, ops.to_vec(), tel)
+        (probs, ops.clone(), tel)
     }
 
     #[test]
@@ -670,7 +633,7 @@ mod tests {
             (vec![0.999_999, 1.0, 2.0 - 1e-15], vec![1.5]),
             (vec![], vec![]),
         ];
-        let factor_rows = borrow(&owned);
+        let labels = borrow(&owned);
         let sizes = [
             (1, 8),
             (2, 1),
@@ -682,30 +645,18 @@ mod tests {
         ];
         for (size, bit) in sizes {
             let [words, reference] = words_and_reference(size, bit);
+            // The log rows one at a time and as one stride; the factor
+            // labels as one row and as a stride of two.
             let run = |f: &LogFusion<TableLog, TableExp>| {
-                let (mut w, mut tel) = (Vec::new(), PgTelemetry::new());
-                let mut out = Vec::new();
-                let mut probs = Vec::new();
-                for row in &log_rows {
-                    let ops = f.evaluate_log_scores_into(row, &mut w, &mut probs, &mut tel, None);
-                    out.push(ops);
+                let mut out: Vec<_> = log_rows
+                    .iter()
+                    .map(|row| as_bits(&log_stride(f, row, 4)))
+                    .collect();
+                out.push(as_bits(&log_stride(f, &flat, 4)));
+                for width in [labels.len(), labels.len() / 2] {
+                    out.push(as_bits(&factor_stride(f, &labels, width)));
                 }
-                let it = factor_rows.iter().copied();
-                let ops = f.evaluate_factors_into(it, &mut w, &mut probs, &mut tel, None);
-                out.push(ops);
-                let single = as_bits(&probs, &out, &tel);
-                let (mut batched, mut ops_rows, mut tel) =
-                    (Vec::new(), Vec::new(), PgTelemetry::new());
-                f.evaluate_log_score_rows_into(
-                    &flat,
-                    4,
-                    &mut w,
-                    &mut batched,
-                    &mut ops_rows,
-                    &mut tel,
-                    None,
-                );
-                (single, as_bits(&batched, &ops_rows, &tel))
+                out
             };
             assert_eq!(run(&words), run(&reference), "{size}x{bit}");
         }
@@ -713,20 +664,17 @@ mod tests {
 
     #[test]
     fn other_configs_keep_the_f64_path() {
-        let fusion = |log, exp, fmt| LogFusion::new(log, exp, fmt, 4);
-        let words = fusion(TableLog::new(64, 8), TableExp::new(64, 8), acc());
+        let words = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         assert!(words.distance_rom().is_some() && words.log_tables.is_some());
-        let plain = words.without_dynorm();
-        assert!(plain.distance_rom().is_none() && plain.log_tables.is_none());
         let f64_paths = [
-            fusion(
+            LogFusion::new(
                 TableLog::new(64, 8),
                 TableExp::with_range(64, 8, 16.0),
                 acc(),
             ),
-            fusion(TableLog::new(48, 8), TableExp::new(48, 8), acc()),
+            LogFusion::new(TableLog::new(48, 8), TableExp::new(48, 8), acc()),
             // Words of more than 52 bits are not exact in f64.
-            fusion(
+            LogFusion::new(
                 TableLog::new(64, 8),
                 TableExp::new(64, 8),
                 QFormat::new(15, 38).unwrap(),
@@ -737,13 +685,13 @@ mod tests {
         }
         // A size whose step is finer than a bus word; checked on a narrow
         // bus rather than with a table of 2^21 entries.
-        let fine = fusion(
+        let fine = LogFusion::new(
             TableLog::new(256, 8),
             TableExp::new(256, 8),
             QFormat::new(15, 3).unwrap(),
         );
         assert!(fine.distance_rom().is_none());
-        let float = LogFusion::new(FloatLog::new(), TableExp::new(64, 8), acc(), 4);
+        let float = LogFusion::new(FloatLog::new(), TableExp::new(64, 8), acc());
         assert!(float.distance_rom().is_some() && float.log_tables.is_none());
     }
 
@@ -751,7 +699,7 @@ mod tests {
     fn fused_float_kernels_match_reference_ratios() {
         // With float log/exp kernels the fused result must match the direct
         // ratio up to accumulator quantization.
-        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 4);
+        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc());
         let rows: [Row; 2] = [(&[0.5, 0.8], &[0.9]), (&[0.3, 0.6], &[0.9])];
         let (probs, _) = factors(&fusion, &rows);
         // DyNorm rescales both by the same constant: ratios are preserved.
@@ -763,7 +711,7 @@ mod tests {
 
     #[test]
     fn fused_lut_kernels_preserve_argmax_and_ordering() {
-        let fusion = LogFusion::new(TableLog::new(128, 16), TableExp::new(128, 16), acc(), 4);
+        let fusion = LogFusion::new(TableLog::new(128, 16), TableExp::new(128, 16), acc());
         let owned = [0.02, 0.5, 0.1, 0.31].map(|p| (vec![p, 0.7], vec![]));
         let (probs, _) = factors(&fusion, &borrow(&owned));
         let argmax = probs
@@ -779,7 +727,7 @@ mod tests {
 
     #[test]
     fn dynorm_pins_best_label_at_one_through_table_exp() {
-        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
+        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         // Tiny probabilities that would all flush to zero without DyNorm.
         let owned = [1e-6, 3e-6, 2e-6].map(|p| (vec![p], vec![]));
         let (probs, _) = factors(&fusion, &borrow(&owned));
@@ -788,20 +736,8 @@ mod tests {
     }
 
     #[test]
-    fn without_dynorm_low_precision_flushes_everything() {
-        let fusion =
-            LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4).without_dynorm();
-        let owned = [1e-6, 3e-6, 2e-6].map(|p| (vec![p], vec![]));
-        let (probs, _) = factors(&fusion, &borrow(&owned));
-        assert!(
-            probs.iter().all(|&p| p == 0.0),
-            "tiny probs must flush without DyNorm: {probs:?}"
-        );
-    }
-
-    #[test]
     fn log_scores_path_skips_log_kernels() {
-        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 2);
+        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         let (probs, ops, _) = log_scores(&fusion, &[-10.0, -9.0, -12.0]);
         assert_eq!(probs[1], 1.0);
         // one lut per exp, none per log
@@ -810,7 +746,7 @@ mod tests {
 
     #[test]
     fn op_counts_match_factor_structure() {
-        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
+        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc());
         let (_, ops) = factors(&fusion, &[(&[0.5, 0.5, 0.5], &[0.25, 0.75])]);
         // 5 log lookups + 1 exp lookup, 5 adds + 1 dynorm subtract
         assert_eq!(ops.lut, 6);
@@ -834,14 +770,14 @@ mod tests {
         let rows: [Row; 1] = [(&[1e-3; 6], &[])];
         let (probs, _) = direct_factors(&direct, &rows);
         assert_eq!(probs[0], 0.0, "product of six 1e-3 must underflow Q15.16");
-        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
+        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc());
         let (fused, _) = factors(&fusion, &rows);
         assert!(fused[0] > 0.0, "LogFusion+DyNorm must not underflow");
     }
 
     #[test]
     fn zero_factor_yields_zero_probability() {
-        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 2);
+        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         let (probs, _) = factors(&fusion, &[(&[0.0, 0.5], &[]), (&[0.5, 0.5], &[])]);
         assert_eq!(probs[0], 0.0, "a zero factor must kill the label");
         assert!(probs[1] > 0.0);
@@ -849,139 +785,118 @@ mod tests {
 
     #[test]
     fn empty_vector_is_empty() {
-        let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
-        assert!(factors(&fusion, &[]).0.is_empty());
-        assert!(log_scores(&fusion, &[]).0.is_empty());
+        // An empty stride has width 0, on the f64 path and on bus words.
+        let float = LogFusion::new(FloatLog::new(), FloatExp::new(), acc());
+        let words = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
+        let empty = (Vec::new(), Vec::new(), PgTelemetry::new());
+        assert_eq!(factor_stride(&float, &[], 0), empty);
+        assert_eq!(log_stride(&float, &[], 0), empty);
+        assert_eq!(factor_stride(&words, &[], 0), empty);
+        assert_eq!(log_stride(&words, &[], 0), empty);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of the row width")]
+    fn ragged_factor_strides_are_refused() {
+        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
+        let labels: [Row; 3] = [(&[0.5], &[]); 3];
+        factor_stride(&fusion, &labels, 2);
     }
 
     #[test]
     fn batched_rows_are_bit_identical_to_per_row_scalar_calls() {
-        // Cover a small (64) and a large (1024) exp table, several widths
-        // and pipeline counts (multi-pass NormTree folds included).
-        for (size, bit) in [(64u32, 8u32), (1024, 24)] {
-            for (width, pipelines) in [(1usize, 4usize), (2, 4), (3, 1), (8, 4), (13, 4)] {
-                let fusion = LogFusion::new(
-                    TableLog::new(size as usize, bit),
-                    TableExp::new(size as usize, bit),
-                    acc(),
-                    pipelines,
-                );
+        // Cover a small (64) and a large (1024) exp table on bus words and
+        // a 48-entry one on the f64 path, several widths, and log and
+        // LDA-shaped factor strides: every row of a stride must equal that
+        // row evaluated alone.
+        for (size, bit) in [(64, 8), (1024, 24), (48, 8)] {
+            let fusion = LogFusion::new(TableLog::new(size, bit), TableExp::new(size, bit), acc());
+            for width in [1usize, 2, 3, 8, 13] {
                 let rows = 7;
                 let flat: Vec<f64> = (0..rows * width)
                     .map(|i| -(((i * 13) % 29) as f64) * 0.61 - 0.01)
                     .collect();
-                let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
-                let mut batched_tel = PgTelemetry::new();
-                fusion.evaluate_log_score_rows_into(
-                    &flat,
-                    width,
-                    &mut work,
-                    &mut probs,
-                    &mut ops_rows,
-                    &mut batched_tel,
-                    None,
-                );
-                assert_eq!(probs.len(), rows * width);
-                assert_eq!(ops_rows.len(), rows);
-                let mut scalar_tel = PgTelemetry::new();
-                for (row, chunk) in flat.chunks_exact(width).enumerate() {
-                    let (p, ops, tel) = log_scores(&fusion, chunk);
-                    scalar_tel.merge(&tel);
-                    assert_eq!(
-                        probs[row * width..(row + 1) * width],
-                        p[..],
-                        "{size}x{bit} width {width} row {row}"
-                    );
-                    assert_eq!(
-                        ops_rows[row], ops,
-                        "{size}x{bit} width {width} row {row} ops"
-                    );
+                let owned: Vec<_> = (0..rows * width)
+                    .map(|i| {
+                        let u = ((i * 13) % 29) as f64;
+                        (vec![u + 0.1, 0.5 * u + 0.01], vec![40.0 + 7.0 * u])
+                    })
+                    .collect();
+                let labels = borrow(&owned);
+                let log = log_stride(&fusion, &flat, width);
+                let factor = factor_stride(&fusion, &labels, width);
+                assert_eq!(log.0.len(), rows * width);
+                assert_eq!(log.1.len(), rows);
+                let mut log_alone = (Vec::new(), Vec::new(), PgTelemetry::new());
+                let mut factor_alone = log_alone.clone();
+                for row in 0..rows {
+                    let cols = row * width..(row + 1) * width;
+                    for (alone, (probs, ops, tel)) in [
+                        (
+                            &mut log_alone,
+                            log_stride(&fusion, &flat[cols.clone()], width),
+                        ),
+                        (
+                            &mut factor_alone,
+                            factor_stride(&fusion, &labels[cols], width),
+                        ),
+                    ] {
+                        alone.0.extend(probs);
+                        alone.1.extend(ops);
+                        alone.2.merge(&tel);
+                    }
                 }
-                assert_eq!(
-                    batched_tel, scalar_tel,
-                    "{size}x{bit} width {width} telemetry"
-                );
+                let at = format!("{size}x{bit} width {width}");
+                assert_eq!(as_bits(&log), as_bits(&log_alone), "{at} log");
+                assert_eq!(as_bits(&factor), as_bits(&factor_alone), "{at} factors");
             }
         }
     }
 
     #[test]
-    fn batched_rows_without_dynorm_match_scalar_too() {
-        let fusion =
-            LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4).without_dynorm();
-        let width = 4;
-        let flat: Vec<f64> = (0..width * 3).map(|i| -(i as f64) * 0.9).collect();
-        let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tel = PgTelemetry::new();
-        fusion.evaluate_log_score_rows_into(
-            &flat,
-            width,
-            &mut work,
-            &mut probs,
-            &mut ops_rows,
-            &mut tel,
-            None,
-        );
-        for (row, chunk) in flat.chunks_exact(width).enumerate() {
-            let (p, ops, _) = log_scores(&fusion, chunk);
-            assert_eq!(probs[row * width..(row + 1) * width], p[..]);
-            assert_eq!(ops_rows[row], ops);
-        }
-    }
-
-    #[test]
     fn phased_evaluation_is_bit_identical_and_fills_phases() {
-        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
+        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         let scores = [-10.0, -9.0, -12.0, -11.5];
-        let (p1, ops1, tel1) = log_scores(&fusion, &scores);
+        let labels: [Row; 2] = [(&[0.5, 0.7], &[]), (&[0.25], &[0.5])];
+        let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
 
-        let (mut w2, mut p2, mut tel2) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let mut phases = StagePhases::default();
-        let ops2 = fusion.evaluate_log_scores_into(
-            &scores,
-            &mut w2,
-            &mut p2,
-            &mut tel2,
-            Some(&mut phases),
-        );
-        assert_eq!(p1, p2);
-        assert_eq!(ops1, ops2);
-        assert_eq!(tel1, tel2);
-        assert_ne!(phases, StagePhases::default(), "phases must accumulate");
-
-        // The batched rows path agrees too.
-        let (mut wb, mut pb, mut opsb, mut telb) =
-            (Vec::new(), Vec::new(), Vec::new(), PgTelemetry::new());
-        let mut bphases = StagePhases::default();
+        let (mut tel, mut log_phases) = (PgTelemetry::new(), StagePhases::default());
         fusion.evaluate_log_score_rows_into(
             &scores,
-            scores.len(),
-            &mut wb,
-            &mut pb,
-            &mut opsb,
-            &mut telb,
-            Some(&mut bphases),
+            2,
+            &mut words,
+            &mut probs,
+            &mut ops,
+            &mut tel,
+            Some(&mut log_phases),
         );
-        assert_eq!(p1, pb);
-        assert_eq!(vec![ops1], opsb);
-        assert_ne!(bphases, StagePhases::default());
+        assert_eq!(
+            (probs.clone(), ops.clone(), tel),
+            log_stride(&fusion, &scores, 2)
+        );
+        assert_ne!(log_phases, StagePhases::default(), "phases must accumulate");
 
         // Factor rows fill phases through the same plumbing.
-        let rows: [Row; 1] = [(&[0.5, 0.7], &[])];
-        let (mut wf, mut pf, mut telf) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let mut fphases = StagePhases::default();
-        let fops =
-            fusion.evaluate_factors_into(rows, &mut wf, &mut pf, &mut telf, Some(&mut fphases));
-        assert_eq!((pf, fops), factors(&fusion, &rows));
-        assert_ne!(fphases, StagePhases::default());
-        let before = fphases;
-        fphases.merge(&bphases);
-        assert_eq!(fphases.exp_ns, before.exp_ns + bphases.exp_ns);
+        let (mut tel, mut factor_phases) = (PgTelemetry::new(), StagePhases::default());
+        fusion.evaluate_factor_rows_into(
+            labels,
+            1,
+            &mut words,
+            &mut probs,
+            &mut ops,
+            &mut tel,
+            Some(&mut factor_phases),
+        );
+        assert_eq!((probs, ops, tel), factor_stride(&fusion, &labels, 1));
+        assert_ne!(factor_phases, StagePhases::default());
+        let before = factor_phases;
+        factor_phases.merge(&log_phases);
+        assert_eq!(factor_phases.exp_ns, before.exp_ns + log_phases.exp_ns);
     }
 
     #[test]
     fn batched_rows_reuse_dirty_buffers_correctly() {
-        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
+        let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
         let mut tel = PgTelemetry::new();
         // A big first batch leaves stale content behind...

@@ -103,11 +103,19 @@ fn fusion_preserves_ratios() {
             FloatLog::new(),
             FloatExp::new(),
             QFormat::new(15, 30).unwrap(),
-            4,
         );
         let rows = ps.iter().map(|p| (std::slice::from_ref(p), &[][..]));
-        let (mut work, mut probs) = (Vec::new(), Vec::new());
-        fusion.evaluate_factors_into(rows, &mut work, &mut probs, &mut PgTelemetry::new(), None);
+        let (mut work, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        let tel = &mut PgTelemetry::new();
+        fusion.evaluate_factor_rows_into(
+            rows,
+            ps.len(),
+            &mut work,
+            &mut probs,
+            &mut ops,
+            tel,
+            None,
+        );
         for i in 1..ps.len() {
             let want = ps[i] / ps[0];
             let got = probs[i] / probs[0];
@@ -175,17 +183,18 @@ fn direct_and_fused_agree_on_argmax() {
         let rows = || numerators.iter().map(|n| (&n[..], &[0.9][..]));
         let mut direct = Vec::new();
         DirectDatapath::new(QFormat::baseline32()).evaluate_factors_into(rows(), &mut direct);
-        let (mut work, mut fused) = (Vec::new(), Vec::new());
+        let (mut work, mut fused, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         LogFusion::new(
             TableLog::new(1024, 24),
             TableExp::new(1024, 24),
             QFormat::new(15, 24).unwrap(),
-            4,
         )
-        .evaluate_factors_into(
+        .evaluate_factor_rows_into(
             rows(),
+            ps.len(),
             &mut work,
             &mut fused,
+            &mut ops,
             &mut PgTelemetry::new(),
             None,
         );

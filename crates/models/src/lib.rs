@@ -173,9 +173,9 @@ mod tests {
         };
         lda::Lda::new(&corpus, 2, 0.1, 0.01).row_into(0, &mut rows);
         assert_eq!((rows.len(), rows.logs()), (3, None));
-        assert_eq!(rows.factors(0).next(), Some((&[0.5][..], &[][..])));
+        assert_eq!(rows.factors(0..1).next(), Some((&[0.5][..], &[][..])));
         assert_eq!(
-            rows.factors(2).map(|(n, d)| (n.len(), d.len())).last(),
+            rows.factors(2..3).map(|(n, d)| (n.len(), d.len())).last(),
             Some((2, 1))
         );
     }

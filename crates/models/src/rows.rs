@@ -1,5 +1,7 @@
 //! The score rows a model hands to the Probability Generation step.
 
+use std::ops::Range;
+
 use crate::LabelScore;
 
 /// A row-major stride of score rows, all of one form and one width: what a
@@ -122,11 +124,15 @@ impl ScoreRows {
         self.logs().map(|logs| &logs[row * w..(row + 1) * w])
     }
 
-    /// Row `row`'s `(numerators, denominators)`, label by label. Panics,
-    /// when iterated, if the rows are log rows or there is no row `row`.
-    pub fn factors(&self, row: usize) -> impl Iterator<Item = (&[f64], &[f64])> + Clone + '_ {
+    /// The `(numerators, denominators)` of every label of rows `rows`, row
+    /// after row. Panics, when iterated, if the rows are log rows or out of
+    /// range.
+    pub fn factors(
+        &self,
+        rows: Range<usize>,
+    ) -> impl Iterator<Item = (&[f64], &[f64])> + Clone + '_ {
         let (values, ends) = (&self.values, &self.ends);
-        (row * self.width..(row + 1) * self.width).map(move |i| {
+        (rows.start * self.width..rows.end * self.width).map(move |i| {
             let start = i.checked_sub(1).map_or(0, |prev| ends[prev].1);
             let (numerators_end, end) = ends[i];
             (&values[start..numerators_end], &values[numerators_end..end])
@@ -184,7 +190,7 @@ impl ScoreRows {
         }
         out.truncate(self.width);
         out.resize_with(self.width, || LabelScore::LogDomain(0.0));
-        for (slot, (nums, dens)) in out.iter_mut().zip(self.factors(row)) {
+        for (slot, (nums, dens)) in out.iter_mut().zip(self.factors(row..row + 1)) {
             match slot {
                 LabelScore::Factors {
                     numerators,
@@ -216,7 +222,7 @@ mod tests {
         rows.push_factor_row(2, |l| ([1.0 + l as f64, 0.5], [4.0]));
         rows.push_factor_row(2, |l| (vec![0.25; l], []));
         assert_eq!((rows.len(), rows.width(), rows.logs()), (2, 2, None));
-        let row = |r| rows.factors(r).collect::<Vec<_>>();
+        let row = |r: usize| rows.factors(r..r + 1).collect::<Vec<_>>();
         assert_eq!(
             row(0),
             [(&[1.0, 0.5][..], &[4.0][..]), (&[2.0, 0.5], &[4.0])]
@@ -253,7 +259,7 @@ mod tests {
         ];
         let mut rows = ScoreRows::new();
         rows.push_label_scores(&mixed, 2);
-        let row: Vec<_> = rows.factors(0).collect();
+        let row: Vec<_> = rows.factors(0..1).collect();
         assert_eq!(row[0], (&[(-0.5f64).exp()][..], &[][..]));
         assert_eq!(row[1], (&[0.2, 0.5][..], &[0.8][..]));
 

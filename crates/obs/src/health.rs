@@ -82,21 +82,6 @@ impl Default for HealthConfig {
     }
 }
 
-impl HealthConfig {
-    /// The configuration journal export uses to reproduce the running
-    /// per-line ESS/R-hat columns: refresh every line, detectors and
-    /// metrics off, a window wide enough that short chains see the
-    /// full-series estimates.
-    pub fn for_export() -> Self {
-        Self {
-            window: 4096,
-            refresh_stride: 1,
-            publish_metrics: false,
-            ..Self::default()
-        }
-    }
-}
-
 /// The anomaly classes the detectors can raise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthEventKind {

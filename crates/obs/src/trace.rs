@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::health::{ChainHealth, HealthConfig, HealthRecord};
+use crate::health::{split_rhat, windowed_ess, HealthRecord};
 use crate::journal::{render_health_line, render_line, SweepSample};
 use crate::metrics::{self, Gauge};
 use crate::profile::{Kernel, SpanProfiler};
@@ -178,6 +178,10 @@ fn cached_gauge(
     cache[i]
 }
 
+/// How many of its chain's latest statistics a journal line's ESS and
+/// R-hat cover at most.
+const JOURNAL_WINDOW: usize = 4096;
+
 /// The journaling recorder: keeps sweep samples and health snapshots in
 /// memory, feeds the global metrics registry as sweeps end, and exports a
 /// JSONL journal and a Chrome trace.
@@ -263,19 +267,18 @@ impl TraceRecorder {
     /// any chain-health snapshots ([`Event::Health`]) interleaved after the
     /// sweep they were refreshed at.
     ///
-    /// Running ESS (≥ 4 samples) and split-chain Gelman–Rubin (≥ 8
-    /// samples) of the sweeps' model statistics come from a per-chain
-    /// incremental [`ChainHealth`] in export mode
-    /// ([`HealthConfig::for_export`]), so export cost is linear in chain
-    /// length instead of the quadratic full-series rescan this replaced.
-    /// Per-line values are identical to the old rescan for chains up to
-    /// the export window (4096 statistics); past that the diagnostics
-    /// cover the trailing window only.
+    /// A line whose sweep carries a model statistic also carries the
+    /// running ESS ([`windowed_ess`], ≥ 4 samples) and split-chain
+    /// Gelman–Rubin ([`split_rhat`], ≥ 8 samples, kept only when finite) of
+    /// its chain's statistics so far, computed directly over the last
+    /// 4,096 of them or fewer. Per-line values are identical to a
+    /// full-series rescan for chains up to that window; past it the
+    /// diagnostics cover the trailing window only.
     pub fn journal_jsonl(&self) -> String {
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
-        // Per-chain incremental diagnostics, fed one statistic per line.
-        let mut health: BTreeMap<u64, ChainHealth> = BTreeMap::new();
+        // Each chain's statistics so far, in sweep order.
+        let mut stats: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         // Health snapshots not yet emitted, in arrival order per chain.
         let mut pending: BTreeMap<u64, VecDeque<&HealthRecord>> = BTreeMap::new();
         for r in &inner.health {
@@ -284,18 +287,13 @@ impl TraceRecorder {
         for s in &inner.sweeps {
             let (mut ess, mut rhat) = (None, None);
             if let Some(v) = s.stat {
-                let h = health
-                    .entry(s.chain)
-                    .or_insert_with(|| ChainHealth::new(s.chain, HealthConfig::for_export()));
-                h.observe_sweep(
-                    s.iteration,
-                    s.updates,
-                    s.flips,
-                    s.uniform_fallbacks,
-                    Some(v),
-                );
-                ess = h.record().ess;
-                rhat = h.record().rhat_split;
+                let chain = stats.entry(s.chain).or_default();
+                chain.push(v);
+                let window = &chain[chain.len().saturating_sub(JOURNAL_WINDOW)..];
+                ess = (window.len() >= 4).then(|| windowed_ess(window));
+                rhat = (window.len() >= 8)
+                    .then(|| split_rhat(window))
+                    .filter(|r| r.is_finite());
             }
             out.push_str(&render_line(s, ess, rhat));
             out.push('\n');
