@@ -8,8 +8,9 @@
 //!    change nothing when disabled. BN chromatic goldens (ASIA, and SURVEY
 //!    with its 3- and 2-label nodes) and sequential factor-row goldens
 //!    (LDA-NIPS, BN-ASIA) pin the factor-row path through every pipeline,
-//!    and 64-label restoration and 8-connected stereo goldens pin the wide
-//!    log-domain rows through every engine.
+//!    64-label restoration and 8-connected stereo goldens pin the wide
+//!    log-domain rows through every engine, and sampler goldens pin the
+//!    sequential, pipelined-tree and alias samplers' draws.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
 //! 3. **Flamegraph accounting.** The collapsed-stack self times of a real
@@ -29,9 +30,9 @@ use coopmc::models::bn::{asia, survey};
 use coopmc::models::mrf::{image_restoration, image_segmentation, stereo_matching, Connectivity};
 use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::models::GibbsModel;
-use coopmc::obs::{Kernel, SpanProfiler};
+use coopmc::obs::{Kernel, NoopRecorder, SpanProfiler};
 use coopmc::rng::SplitMix64;
-use coopmc::sampler::TreeSampler;
+use coopmc::sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
 /// FNV-1a over the chain's final labels: the golden-checksum fingerprint.
 fn label_checksum(labels: &[usize]) -> u64 {
@@ -146,14 +147,15 @@ fn bn_chromatic_chain_matches_its_golden_at_every_thread_count() {
 }
 
 /// FNV-1a folded over every sweep's labels of a sequential `pipeline` +
-/// `TreeSampler` chain.
+/// `sampler` chain.
 fn seq_sweep_checksum(
     pipeline: impl ProbabilityPipeline,
+    sampler: impl Sampler,
     model: &mut dyn GibbsModel,
     seed: u64,
     sweeps: u64,
 ) -> u64 {
-    let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(seed));
+    let mut engine = GibbsEngine::new(pipeline, sampler, SplitMix64::new(seed));
     let mut stats = RunStats::default();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for _ in 0..sweeps {
@@ -171,12 +173,24 @@ fn sequential_factor_row_chains_match_their_goldens() {
     // Every LDA and BN score row is a factor row: these chains run the
     // TableLog → LogFusion path end to end.
     assert_eq!(
-        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut lda_nips(), 2022, 8),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 8),
+            TreeSampler::new(),
+            &mut lda_nips(),
+            2022,
+            8
+        ),
         0xd36d_b615_b7a8_b072,
         "LDA-NIPS sequential chain drifted"
     );
     assert_eq!(
-        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut asia_dysp0(), 909, 2000),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 8),
+            TreeSampler::new(),
+            &mut asia_dysp0(),
+            909,
+            2000
+        ),
         0xae2a_4b69_7ab2_0389,
         "BN-ASIA sequential chain drifted"
     );
@@ -208,22 +222,46 @@ fn factor_row_chains_match_their_goldens_through_every_pipeline() {
     // through the chromatic engine's strides, whose widths break between
     // nodes. Recorded before factor rows were gathered as flat strides.
     assert_eq!(
-        seq_sweep_checksum(FixedPipeline::new(8, true), &mut lda_nips(), 2022, 8),
+        seq_sweep_checksum(
+            FixedPipeline::new(8, true),
+            TreeSampler::new(),
+            &mut lda_nips(),
+            2022,
+            8
+        ),
         0xb727_d521_e588_6953,
         "LDA-NIPS fixed8+dynorm sequential chain drifted"
     );
     assert_eq!(
-        seq_sweep_checksum(FloatPipeline::new(), &mut lda_nips(), 2022, 8),
+        seq_sweep_checksum(
+            FloatPipeline::new(),
+            TreeSampler::new(),
+            &mut lda_nips(),
+            2022,
+            8
+        ),
         0xe37a_de4a_5ffa_6759,
         "LDA-NIPS float sequential chain drifted"
     );
     assert_eq!(
-        seq_sweep_checksum(FixedPipeline::new(8, true), &mut asia_dysp0(), 909, 2000),
+        seq_sweep_checksum(
+            FixedPipeline::new(8, true),
+            TreeSampler::new(),
+            &mut asia_dysp0(),
+            909,
+            2000
+        ),
         0xccac_183a_9155_17d7,
         "BN-ASIA fixed8+dynorm sequential chain drifted"
     );
     assert_eq!(
-        seq_sweep_checksum(FloatPipeline::new(), &mut asia_dysp0(), 909, 2000),
+        seq_sweep_checksum(
+            FloatPipeline::new(),
+            TreeSampler::new(),
+            &mut asia_dysp0(),
+            909,
+            2000
+        ),
         0x13ce_2d9e_9e30_10a9,
         "BN-ASIA float sequential chain drifted"
     );
@@ -260,13 +298,14 @@ fn survey_chromatic_checksum<P: ProbabilityPipeline>(pipeline: P, threads: usize
 
 /// FNV-1a folded over every sweep's labels of a chromatic chain on
 /// `image_restoration(40, 26, 2022)`.
-fn restore_chromatic_checksum<P: ProbabilityPipeline>(
+fn restore_chromatic_checksum<P: ProbabilityPipeline, S: Sampler + Sync>(
     pipeline: P,
+    sampler: S,
     threads: usize,
     sweeps: u64,
 ) -> u64 {
     let mut mrf = image_restoration(40, 26, 2022).mrf;
-    let engine = ChromaticEngine::new(pipeline, threads, 909);
+    let engine = ChromaticEngine::with_recorder(pipeline, sampler, threads, 909, NoopRecorder);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for it in 0..sweeps {
         engine.sweep(&mut mrf, it);
@@ -285,25 +324,31 @@ fn wide_mrf_chains_match_their_goldens() {
     // engines gathered MRF rows as flat log-domain strides.
     for threads in 1..=3 {
         assert_eq!(
-            restore_chromatic_checksum(CoopMcPipeline::new(64, 8), threads, 30),
+            restore_chromatic_checksum(CoopMcPipeline::new(64, 8), TreeSampler::new(), threads, 30),
             0x7514_12ee_a180_8c8b,
             "restoration chromatic chain drifted at {threads} threads"
         );
     }
     assert_eq!(
-        restore_chromatic_checksum(FixedPipeline::new(8, true), 2, 10),
+        restore_chromatic_checksum(FixedPipeline::new(8, true), TreeSampler::new(), 2, 10),
         0x453e_c039_43b0_cc93,
         "restoration fixed8+dynorm chromatic chain drifted"
     );
     assert_eq!(
-        restore_chromatic_checksum(FloatPipeline::new(), 2, 10),
+        restore_chromatic_checksum(FloatPipeline::new(), TreeSampler::new(), 2, 10),
         0xe8d7_bbfb_7307_a3dc,
         "restoration float chromatic chain drifted"
     );
 
     let mut restore = image_restoration(40, 26, 2022).mrf;
     assert_eq!(
-        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut restore, 7, 10),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 8),
+            TreeSampler::new(),
+            &mut restore,
+            7,
+            10
+        ),
         0xb9ef_16ce_628a_e8a8,
         "restoration sequential chain drifted"
     );
@@ -311,7 +356,13 @@ fn wide_mrf_chains_match_their_goldens() {
         .mrf
         .with_connectivity(Connectivity::Eight);
     assert_eq!(
-        seq_sweep_checksum(CoopMcPipeline::new(64, 8), &mut stereo, 7, 10),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 8),
+            TreeSampler::new(),
+            &mut stereo,
+            7,
+            10
+        ),
         0x8a11_dd04_7826_0799,
         "8-connected stereo sequential chain drifted"
     );
@@ -322,6 +373,59 @@ fn wide_mrf_chains_match_their_goldens() {
         label_checksum(&hogwild.labels()),
         0x2a8b_c4b1_77eb_f563,
         "restoration hogwild chain drifted"
+    );
+}
+
+/// The chains a sampler golden pins: a sequential 64-label restoration
+/// chain, a sequential BN-ASIA chain and a 2-thread chromatic restoration
+/// chain.
+fn sampler_checksums<S: Sampler + Sync + Copy>(sampler: S) -> [u64; 3] {
+    let mut restore = image_restoration(40, 26, 2022).mrf;
+    [
+        seq_sweep_checksum(CoopMcPipeline::new(64, 8), sampler, &mut restore, 7, 10),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 8),
+            sampler,
+            &mut asia_dysp0(),
+            909,
+            2000,
+        ),
+        restore_chromatic_checksum(CoopMcPipeline::new(64, 8), sampler, 2, 10),
+    ]
+}
+
+#[test]
+fn every_sampler_chain_matches_its_golden() {
+    // Recorded while each sampler still wrote out its own draw. On these
+    // chains the sequential scan and the pipelined tree select the label
+    // TreeSampler selects for every threshold, so their sequential pins
+    // equal the TreeSampler goldens above.
+    assert_eq!(
+        sampler_checksums(SequentialSampler::new()),
+        [
+            0xb9ef_16ce_628a_e8a8,
+            0xae2a_4b69_7ab2_0389,
+            0x387f_4796_97b3_6c5c
+        ],
+        "sequential-sampler chains drifted"
+    );
+    assert_eq!(
+        sampler_checksums(PipeTreeSampler::new()),
+        [
+            0xb9ef_16ce_628a_e8a8,
+            0xae2a_4b69_7ab2_0389,
+            0x387f_4796_97b3_6c5c
+        ],
+        "pipelined-tree chains drifted"
+    );
+    assert_eq!(
+        sampler_checksums(AliasSampler::new()),
+        [
+            0x8683_c1fd_6016_4992,
+            0x24fa_7b21_02f9_4177,
+            0xa924_60b1_3142_518d
+        ],
+        "alias-sampler chains drifted"
     );
 }
 
