@@ -8,7 +8,9 @@
 //! LDA-NIPS sweep through the CoopMC pipeline pins the factor-row path
 //! (TableLog → LogFusion) too, and warm 64-label restoration sweeps pin the
 //! log rows that the fixed-point and (boxed) CoopMC pipelines read in
-//! place.
+//! place. Boxed, as the CLI builds them, the sequential, pipelined-tree and
+//! alias samplers draw through the same scratch; the alias sampler keeps
+//! its table there.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -27,7 +29,7 @@ use coopmc_models::workloads::{all_workloads, BuiltWorkload};
 use coopmc_models::GibbsModel;
 use coopmc_obs::NoopRecorder;
 use coopmc_rng::SplitMix64;
-use coopmc_sampler::TreeSampler;
+use coopmc_sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
 /// Forwards to the system allocator, counting allocations while armed.
 struct CountingAlloc;
@@ -67,9 +69,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap allocations during one sweep of a sequential engine over a
 /// 64-label restoration model, after a warm-up sweep.
-fn warm_restoration_sweep_allocs(pipeline: impl ProbabilityPipeline) -> u64 {
+fn warm_restoration_sweep_allocs(pipeline: impl ProbabilityPipeline, sampler: impl Sampler) -> u64 {
     let mut app = image_restoration(32, 24, 5);
-    let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(7));
+    let mut engine = GibbsEngine::new(pipeline, sampler, SplitMix64::new(7));
     let mut stats = RunStats::default();
     engine.sweep(&mut app.mrf, &mut stats);
 
@@ -168,16 +170,33 @@ fn warm_steady_state_sweep_allocates_nothing() {
 
     // 64-label log-domain rows, gathered into a stride that PG reads in
     // place.
-    let allocs = warm_restoration_sweep_allocs(FixedPipeline::new(8, true));
+    let allocs = warm_restoration_sweep_allocs(FixedPipeline::new(8, true), TreeSampler::new());
     assert_eq!(
         allocs, 0,
         "a warm restoration sweep through fixed8+dynorm must not touch the heap \
          ({allocs} allocations observed)"
     );
-    let allocs = warm_restoration_sweep_allocs(PipelineConfig::coopmc(64, 8).build());
+    let allocs =
+        warm_restoration_sweep_allocs(PipelineConfig::coopmc(64, 8).build(), TreeSampler::new());
     assert_eq!(
         allocs, 0,
         "a warm restoration sweep through the boxed CoopMC pipeline must not touch \
          the heap ({allocs} allocations observed)"
     );
+
+    // The other samplers draw through the same scratch.
+    let samplers: [Box<dyn Sampler>; 3] = [
+        Box::new(SequentialSampler::new()),
+        Box::new(PipeTreeSampler::new()),
+        Box::new(AliasSampler::new()),
+    ];
+    for sampler in samplers {
+        let name = sampler.name();
+        let allocs = warm_restoration_sweep_allocs(CoopMcPipeline::new(64, 8), sampler);
+        assert_eq!(
+            allocs, 0,
+            "a warm restoration sweep through the {name} sampler must not touch the heap \
+             ({allocs} allocations observed)"
+        );
+    }
 }

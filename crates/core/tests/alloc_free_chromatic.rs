@@ -7,7 +7,9 @@
 //! have grown, so once warm a sweep must allocate **nothing**, on the
 //! calling thread or on any worker. 2-label segmentation and 64-label
 //! restoration log rows are pinned, and so are BN-SURVEY's factor rows,
-//! whose strides break between its 3- and 2-label nodes.
+//! whose strides break between its 3- and 2-label nodes. A 2-thread
+//! restoration run through the alias sampler pins a sampler that rebuilds
+//! a table per draw.
 //!
 //! A journaling run allocates for the journal records it keeps, but its
 //! pool gauges are registered once, so it allocates as often at 1, 2 and 4
@@ -29,8 +31,8 @@ use coopmc_models::bn::survey;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{image_restoration, image_segmentation, MrfApp};
 use coopmc_obs::health::{ConvergenceController, Decision};
-use coopmc_obs::TraceRecorder;
-use coopmc_sampler::TreeSampler;
+use coopmc_obs::{NoopRecorder, TraceRecorder};
+use coopmc_sampler::{AliasSampler, Sampler, TreeSampler};
 
 /// Forwards to the system allocator, counting allocations while armed.
 struct CountingAlloc;
@@ -87,9 +89,19 @@ impl ConvergenceController for ArmAfterWarmUp {
 }
 
 /// Heap allocations during the warm sweeps of a `threads`-thread chromatic
-/// run on `model`, and the variables it updated.
-fn warm_allocs<M: ChromaticModel + Sync>(model: &mut M, threads: usize) -> (u64, usize) {
-    let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 7);
+/// run on `model` through `sampler`, and the variables it updated.
+fn warm_allocs<M: ChromaticModel + Sync, S: Sampler + Sync>(
+    model: &mut M,
+    sampler: S,
+    threads: usize,
+) -> (u64, usize) {
+    let engine = ChromaticEngine::with_recorder(
+        CoopMcPipeline::new(64, 8),
+        sampler,
+        threads,
+        7,
+        NoopRecorder,
+    );
     let updated = engine.run_controlled(model, SWEEPS, |_| None, &mut ArmAfterWarmUp);
     ARMED.store(false, Ordering::SeqCst);
     (ALLOCS.load(Ordering::SeqCst), updated)
@@ -104,7 +116,7 @@ fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
     for build in models {
         for threads in [1, 2, 4] {
             let mut app = build();
-            let (allocs, updated) = warm_allocs(&mut app.mrf, threads);
+            let (allocs, updated) = warm_allocs(&mut app.mrf, TreeSampler::new(), threads);
             assert_eq!(
                 allocs,
                 0,
@@ -119,7 +131,7 @@ fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
     for threads in [1, 2, 4] {
         let mut net = survey();
         net.set_evidence(net.node_index("residence").unwrap(), 1);
-        let (allocs, updated) = warm_allocs(&mut net, threads);
+        let (allocs, updated) = warm_allocs(&mut net, TreeSampler::new(), threads);
         assert_eq!(
             allocs,
             0,
@@ -128,6 +140,14 @@ fn warm_chromatic_sweeps_allocate_nothing_at_any_thread_count() {
         );
         assert_eq!(updated, SWEEPS as usize * 5, "{threads} threads");
     }
+    let mut app = image_restoration(32, 24, 5);
+    let (allocs, _) = warm_allocs(&mut app.mrf, AliasSampler::new(), 2);
+    assert_eq!(
+        allocs,
+        0,
+        "alias sampler at 2 threads: {} warm chromatic sweeps made {allocs} allocations",
+        SWEEPS - WARM_SWEEPS
+    );
     let journaled = [1, 2, 4].map(|threads| {
         let recorder = TraceRecorder::new();
         let mut app = image_segmentation(32, 32, 21);

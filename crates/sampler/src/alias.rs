@@ -10,15 +10,71 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{uniform_fallback, validate, SampleResult, Sampler};
+use crate::{validate, SampleScratch, Sampler, SequentialSampler};
 
 /// A built alias table over a fixed distribution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AliasTable {
     /// Acceptance threshold per column, scaled to [0, 1].
     prob: Vec<f64>,
     /// Alias (overflow) label per column.
     alias: Vec<usize>,
+}
+
+/// Vose's construction with its working memory: the table it fills and its
+/// two work lists, kept between builds so that a warm build allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Vose {
+    table: AliasTable,
+    small: Vec<usize>,
+    large: Vec<usize>,
+}
+
+impl Vose {
+    /// Fill the table over `probs`, whose total mass `total` is positive,
+    /// in `O(N)`.
+    fn build(&mut self, probs: &[f64], total: f64) -> &AliasTable {
+        let Self {
+            table,
+            small,
+            large,
+        } = self;
+        let n = probs.len();
+        // The scaled weights are the work values; a column's value is final
+        // once it leaves the small list.
+        let work = &mut table.prob;
+        work.clear();
+        work.extend(probs.iter().map(|&p| p * n as f64 / total));
+        table.alias.clear();
+        table.alias.resize(n, 0);
+        small.clear();
+        large.clear();
+        for (i, &w) in work.iter().enumerate() {
+            if w < 1.0 {
+                small.push(i);
+            } else {
+                large.push(i);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            large.pop();
+            table.alias[s] = l;
+            work[l] = (work[l] + work[s]) - 1.0;
+            if work[l] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        // No donor left: numerical residue pins these columns at 1.
+        for &i in large.iter().chain(small.iter()) {
+            work[i] = 1.0;
+            table.alias[i] = i;
+        }
+        table
+    }
 }
 
 impl AliasTable {
@@ -31,42 +87,9 @@ impl AliasTable {
     pub fn build(probs: &[f64]) -> Self {
         let total = validate(probs);
         assert!(total > 0.0, "alias table needs positive total mass");
-        let n = probs.len();
-        let scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64 / total).collect();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        let mut work = scaled;
-        for (i, &w) in work.iter().enumerate() {
-            if w < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        #[allow(clippy::while_let_loop)] // the donor-exhausted arm must restore `s`
-        loop {
-            let Some(s) = small.pop() else { break };
-            let Some(l) = large.pop() else {
-                // No donor left: numerical residue pins this column at 1.
-                small.push(s);
-                break;
-            };
-            prob[s] = work[s];
-            alias[s] = l;
-            work[l] = (work[l] + work[s]) - 1.0;
-            if work[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        for i in large.into_iter().chain(small) {
-            prob[i] = 1.0;
-            alias[i] = i;
-        }
-        Self { prob, alias }
+        let mut vose = Vose::default();
+        vose.build(probs, total);
+        vose.table
     }
 
     /// Number of columns (labels).
@@ -74,8 +97,8 @@ impl AliasTable {
         self.prob.len()
     }
 
-    /// True if the table is empty (never constructible — kept for the
-    /// conventional pair with [`AliasTable::len`]).
+    /// True if the table has no columns: only the default table, since
+    /// [`AliasTable::build`] refuses an empty distribution.
     pub fn is_empty(&self) -> bool {
         self.prob.is_empty()
     }
@@ -121,28 +144,22 @@ impl AliasSampler {
 }
 
 impl Sampler for AliasSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        let table = AliasTable::build(probs);
-        SampleResult {
-            label: table.sample(rng),
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
+    /// The alias method is not a CDF-inversion sampler; an explicit
+    /// threshold maps through the CDF so cross-sampler equivalence tests
+    /// still hold.
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        SequentialSampler.select(probs, t, scratch)
     }
 
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        // The alias method is not a CDF-inversion sampler; map the
-        // threshold through the CDF so cross-sampler equivalence tests
-        // still hold.
-        crate::SequentialSampler::new().sample_with_threshold(probs, t)
+    /// Build the table in `scratch`, then draw from it.
+    fn draw(
+        &self,
+        probs: &[f64],
+        total: f64,
+        rng: &mut dyn HwRng,
+        scratch: &mut SampleScratch,
+    ) -> usize {
+        scratch.vose.build(probs, total).sample(rng)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
@@ -223,6 +240,27 @@ mod tests {
         let enc = table.encoded_distribution();
         assert!((enc[0] - 0.25).abs() < 1e-12);
         assert!((enc[1] - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scratch_draws_match_fresh_tables() {
+        // A scratch reused across rows of different lengths holds the table
+        // `build` returns, so every draw consumes the RNG as a fresh
+        // table's does.
+        let rows: [&[f64]; 4] = [
+            &[0.1, 0.4, 0.2, 0.3],
+            &[5.0, 0.0, 1.0, 2.0, 0.5, 0.25],
+            &[1.0, 3.0],
+            &[0.3; 7],
+        ];
+        let sampler = AliasSampler::new();
+        let mut scratch = SampleScratch::new();
+        let (mut fresh, mut reused) = (SplitMix64::new(4), SplitMix64::new(4));
+        for probs in rows.iter().cycle().take(80) {
+            let want = AliasTable::build(probs).sample(&mut fresh);
+            let got = sampler.sample_into(probs, &mut reused, &mut scratch);
+            assert_eq!(got.label, want);
+        }
     }
 
     #[test]

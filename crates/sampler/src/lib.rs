@@ -17,7 +17,11 @@
 //! All three implement the same sampling rule — threshold
 //! `T = total · u, u ∼ U[0,1)`, new label = smallest `n` with
 //! `A_x(n) > T` — so they are *statistically identical*; they differ only in
-//! time and area. The equivalence is tested exhaustively in this crate.
+//! time and area. The code keeps that split: a micro-architecture defines
+//! only its CDF inversion ([`Sampler::select`]) and its cycle model, and
+//! every draw runs the one provided skeleton, [`Sampler::sample_into`]:
+//! validate, the all-zero fallback, ThresholdGen, then `select`. The
+//! equivalence is tested exhaustively in this crate.
 //!
 //! # Example
 //!
@@ -30,7 +34,7 @@
 //! let probs = [0.1, 0.7, 0.2];
 //! let result = sampler.sample(&probs, &mut rng);
 //! assert!(result.label < 3);
-//! assert_eq!(result.cycles, 2 * 2 + 3); // 2·⌈log₂(padded 4)⌉? see docs
+//! assert_eq!(result.cycles, 2 * 2 + 3); // 3 labels pad to a depth-2 tree
 //! ```
 
 mod alias;
@@ -44,6 +48,8 @@ pub use sequential::SequentialSampler;
 pub use tree::{TreeSampler, TreeSum};
 
 use coopmc_rng::HwRng;
+
+use alias::Vose;
 
 /// Outcome of drawing one sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,10 +66,11 @@ pub struct SampleResult {
 /// Reusable per-draw working memory for [`Sampler::sample_into`].
 ///
 /// The scratch owns whatever buffers a sampler micro-architecture needs to
-/// rebuild per draw (for the tree samplers, the flat [`TreeSum`] node
-/// buffer). Once warmed to the largest distribution seen, subsequent draws
-/// through the same scratch perform **zero heap allocations** — the property
-/// the Gibbs engine's hot path relies on.
+/// rebuild per draw: the flat [`TreeSum`] node buffer for the tree samplers,
+/// the table and Vose's work lists for the alias sampler. Once warmed to the
+/// largest distribution seen, subsequent draws through the same scratch
+/// perform **zero heap allocations** — the property the Gibbs engine's hot
+/// path relies on.
 ///
 /// A scratch is plain data: create one per sampling thread and pass it to
 /// every draw on that thread. It is not tied to a particular sampler; the
@@ -72,6 +79,8 @@ pub struct SampleResult {
 pub struct SampleScratch {
     /// Reusable adder-tree storage for the tree-based samplers.
     pub(crate) tree: TreeSum,
+    /// Reusable alias table and work lists for the alias sampler.
+    pub(crate) vose: Vose,
 }
 
 impl SampleScratch {
@@ -88,34 +97,81 @@ impl SampleScratch {
 /// zero (the low-precision flush failure mode of Fig. 2), the sampler falls
 /// back to a uniform random label, matching the paper's description of that
 /// degenerate regime.
+///
+/// A micro-architecture implements [`Sampler::select`], its CDF inversion,
+/// plus [`Sampler::latency_cycles`] and [`Sampler::name`]. Every draw runs
+/// the provided skeleton [`Sampler::sample_into`]; the other draw methods
+/// are built on it or on `select`.
 pub trait Sampler {
-    /// Draw one label from `probs` using `rng` for the threshold.
+    /// The CDF inversion: the smallest label `n` whose cumulative mass
+    /// `A(n)` exceeds `t ∈ [0, total)`, or the last label if rounding
+    /// leaves none. `scratch` holds whatever the micro-architecture
+    /// rebuilds per draw.
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize;
+
+    /// Latency in cycles of one sample for an `n`-label distribution.
+    fn latency_cycles(&self, n: usize) -> u64;
+
+    /// Short human-readable name for reports.
+    fn name(&self) -> &'static str;
+
+    /// Steady-state throughput in samples per cycle for an `n`-label
+    /// distribution (`1 / latency` unless pipelined).
+    fn throughput(&self, n: usize) -> f64 {
+        1.0 / self.latency_cycles(n) as f64
+    }
+
+    /// Draw a label from `probs`, whose validated total mass `total` is
+    /// positive: ThresholdGen, then [`Sampler::select`].
+    fn draw(
+        &self,
+        probs: &[f64],
+        total: f64,
+        rng: &mut dyn HwRng,
+        scratch: &mut SampleScratch,
+    ) -> usize {
+        // ThresholdGen: total mass times a uniform draw from the PRNG.
+        self.select(probs, total * rng.next_f64(), scratch)
+    }
+
+    /// Draw one label from `probs`, reusing `scratch` for any per-draw
+    /// working memory; a warmed scratch makes the draw allocation-free.
+    ///
+    /// The one draw path: validate `probs` once, fall back to a uniform
+    /// label if every weight is zero, otherwise [`Sampler::draw`].
     ///
     /// # Panics
     ///
     /// Panics if `probs` is empty or contains a negative or non-finite
     /// weight.
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult;
-
-    /// Draw one label, reusing `scratch` for any per-draw working memory.
-    ///
-    /// Statistically and bit-for-bit identical to [`Sampler::sample`] under
-    /// the same RNG state; the only difference is allocation behaviour —
-    /// a warmed scratch makes the draw allocation-free. The default
-    /// implementation simply delegates to `sample` (correct for samplers
-    /// that need no working memory).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Sampler::sample`].
     fn sample_into(
         &self,
         probs: &[f64],
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
     ) -> SampleResult {
-        let _ = scratch;
-        self.sample(probs, rng)
+        let total = validate(probs);
+        let fallback = total == 0.0;
+        let label = if fallback {
+            uniform_fallback(probs.len(), rng)
+        } else {
+            self.draw(probs, total, rng, scratch)
+        };
+        SampleResult {
+            label,
+            cycles: self.latency_cycles(probs.len()),
+            fallback,
+        }
+    }
+
+    /// Draw one label through a fresh scratch: [`Sampler::sample_into`]
+    /// for callers outside a hot loop.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Sampler::sample_into`].
+    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
+        self.sample_into(probs, rng, &mut SampleScratch::new())
     }
 
     /// Draw one label per `width`-wide row of a row-major batch of
@@ -163,32 +219,55 @@ pub trait Sampler {
         }
     }
 
-    /// Deterministic core: draw with an explicit threshold
+    /// Deterministic core: [`Sampler::select`] with an explicit threshold
     /// `t ∈ [0, total)`. Exposed so different micro-architectures can be
     /// proven equivalent under the same threshold.
     ///
     /// # Panics
     ///
-    /// Same contract as [`Sampler::sample`]; additionally `t` must be in
-    /// `[0, total)`.
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult;
-
-    /// Latency in cycles of one sample for an `n`-label distribution.
-    fn latency_cycles(&self, n: usize) -> u64;
-
-    /// Steady-state throughput in samples per cycle for an `n`-label
-    /// distribution (`1 / latency` unless pipelined).
-    fn throughput(&self, n: usize) -> f64 {
-        1.0 / self.latency_cycles(n) as f64
+    /// Same contract as [`Sampler::sample_into`]; additionally `t` must be
+    /// in `[0, total)`.
+    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
+        let total = validate(probs);
+        assert!(
+            (0.0..total.max(f64::MIN_POSITIVE)).contains(&t),
+            "threshold out of range"
+        );
+        SampleResult {
+            label: self.select(probs, t, &mut SampleScratch::new()),
+            cycles: self.latency_cycles(probs.len()),
+            fallback: false,
+        }
     }
-
-    /// Short human-readable name for reports.
-    fn name(&self) -> &'static str;
 }
 
+/// Forwards what a micro-architecture defines, plus the draw skeleton, so
+/// a boxed draw is one virtual call.
 impl<S: Sampler + ?Sized> Sampler for Box<S> {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        (**self).sample(probs, rng)
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        (**self).select(probs, t, scratch)
+    }
+
+    fn latency_cycles(&self, n: usize) -> u64 {
+        (**self).latency_cycles(n)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn throughput(&self, n: usize) -> f64 {
+        (**self).throughput(n)
+    }
+
+    fn draw(
+        &self,
+        probs: &[f64],
+        total: f64,
+        rng: &mut dyn HwRng,
+        scratch: &mut SampleScratch,
+    ) -> usize {
+        (**self).draw(probs, total, rng, scratch)
     }
 
     fn sample_into(
@@ -198,22 +277,6 @@ impl<S: Sampler + ?Sized> Sampler for Box<S> {
         scratch: &mut SampleScratch,
     ) -> SampleResult {
         (**self).sample_into(probs, rng, scratch)
-    }
-
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        (**self).sample_with_threshold(probs, t)
-    }
-
-    fn latency_cycles(&self, n: usize) -> u64 {
-        (**self).latency_cycles(n)
-    }
-
-    fn throughput(&self, n: usize) -> f64 {
-        (**self).throughput(n)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -235,8 +298,8 @@ pub(crate) fn validate(probs: &[f64]) -> f64 {
     total
 }
 
-/// Shared uniform-fallback for the all-zero distribution.
-pub(crate) fn uniform_fallback(n: usize, rng: &mut dyn HwRng) -> usize {
+/// The uniform fallback for an all-zero distribution.
+fn uniform_fallback(n: usize, rng: &mut dyn HwRng) -> usize {
     rng.uniform_index(n)
 }
 
@@ -250,6 +313,7 @@ mod tests {
             Box::new(SequentialSampler::new()),
             Box::new(TreeSampler::new()),
             Box::new(PipeTreeSampler::new()),
+            Box::new(AliasSampler::new()),
         ]
     }
 

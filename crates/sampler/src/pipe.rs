@@ -2,29 +2,24 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{
-    uniform_fallback, validate, SampleResult, SampleScratch, Sampler, TreeSampler, TreeSum,
-};
+use crate::{SampleScratch, Sampler, TreeSampler};
 
 /// TreeSampler with shift registers between corresponding TreeSum and
 /// TraverseTree layers (paper §III-D, last paragraph).
 ///
 /// The shift registers let a new probability vector enter TreeSum every
 /// cycle while earlier vectors are still traversing: latency per sample is
-/// unchanged versus [`TreeSampler`], but steady-state throughput rises to
-/// **one sample per cycle**. The batch API models a full pipeline: `k`
-/// samples complete in `latency + (k − 1)` cycles.
+/// unchanged versus [`TreeSampler`], and so is the label each draw selects,
+/// but steady-state throughput rises to **one sample per cycle**. The batch
+/// API models a full pipeline: `k` samples complete in
+/// `latency + (k − 1)` cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipeTreeSampler {
-    inner: TreeSampler,
-}
+pub struct PipeTreeSampler;
 
 impl PipeTreeSampler {
     /// Create a pipelined tree sampler.
     pub fn new() -> Self {
-        Self {
-            inner: TreeSampler::new(),
-        }
+        Self
     }
 
     /// Sample one label from each distribution in `batch`, modelling the
@@ -37,9 +32,10 @@ impl PipeTreeSampler {
     /// Panics if `batch` is empty or any distribution is invalid.
     pub fn sample_batch(&self, batch: &[&[f64]], rng: &mut dyn HwRng) -> (Vec<usize>, u64) {
         assert!(!batch.is_empty(), "batch must be non-empty");
+        let mut scratch = SampleScratch::new();
         let labels: Vec<usize> = batch
             .iter()
-            .map(|probs| self.sample(probs, rng).label)
+            .map(|probs| self.sample_into(probs, rng, &mut scratch).label)
             .collect();
         let n_max = batch.iter().map(|p| p.len()).max().unwrap();
         let cycles = self.latency_cycles(n_max) + (batch.len() as u64 - 1);
@@ -48,60 +44,12 @@ impl PipeTreeSampler {
 }
 
 impl Sampler for PipeTreeSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        let t = total * rng.next_f64();
-        self.sample_with_threshold(probs, t)
-    }
-
-    fn sample_into(
-        &self,
-        probs: &[f64],
-        rng: &mut dyn HwRng,
-        scratch: &mut SampleScratch,
-    ) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        let t = total * rng.next_f64();
-        scratch.tree.rebuild(probs);
-        let label = scratch.tree.traverse(t).min(probs.len() - 1);
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
-    }
-
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        let total = validate(probs);
-        assert!(
-            (0.0..total.max(f64::MIN_POSITIVE)).contains(&t),
-            "threshold out of range"
-        );
-        let tree = TreeSum::build(probs);
-        let label = tree.traverse(t).min(probs.len() - 1);
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        TreeSampler.select(probs, t, scratch)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
-        self.inner.latency_cycles(n)
+        TreeSampler.latency_cycles(n)
     }
 
     /// One sample per cycle in steady state.

@@ -1,8 +1,6 @@
 //! The prior-art sequential cumulative-scan sampler.
 
-use coopmc_rng::HwRng;
-
-use crate::{uniform_fallback, validate, SampleResult, Sampler};
+use crate::{SampleScratch, Sampler};
 
 /// The iterative sampler of previous Gibbs accelerator designs (§III-D).
 ///
@@ -23,39 +21,16 @@ impl SequentialSampler {
 }
 
 impl Sampler for SequentialSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        let t = total * rng.next_f64();
-        self.sample_with_threshold(probs, t)
-    }
-
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        let total = validate(probs);
-        assert!(
-            (0.0..total.max(f64::MIN_POSITIVE)).contains(&t),
-            "threshold out of range"
-        );
+    /// The second pass: accumulate until the running sum exceeds `t`.
+    fn select(&self, probs: &[f64], t: f64, _scratch: &mut SampleScratch) -> usize {
         let mut acc = 0.0;
-        let mut label = probs.len() - 1;
         for (i, &p) in probs.iter().enumerate() {
             acc += p;
             if acc > t {
-                label = i;
-                break;
+                return i;
             }
         }
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
+        probs.len() - 1
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {

@@ -1,8 +1,6 @@
 //! The TreeSampler micro-architecture (paper Fig. 8).
 
-use coopmc_rng::HwRng;
-
-use crate::{uniform_fallback, validate, SampleResult, SampleScratch, Sampler};
+use crate::{SampleScratch, Sampler};
 
 /// The *TreeSum* module: a binary adder tree holding the partial sums of a
 /// probability vector.
@@ -148,50 +146,10 @@ impl TreeSampler {
 }
 
 impl Sampler for TreeSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        // Thin wrapper over the scratch-reusing hot path.
-        let mut scratch = SampleScratch::new();
-        self.sample_into(probs, rng, &mut scratch)
-    }
-
-    fn sample_into(
-        &self,
-        probs: &[f64],
-        rng: &mut dyn HwRng,
-        scratch: &mut SampleScratch,
-    ) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        // ThresholdGen: total mass times a uniform draw from the PRNG.
-        let t = total * rng.next_f64();
+    /// TreeSum over `probs`, then the TraverseTree walk.
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
         scratch.tree.rebuild(probs);
-        let label = scratch.tree.traverse(t).min(probs.len() - 1);
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
-    }
-
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        let total = validate(probs);
-        assert!(
-            (0.0..total.max(f64::MIN_POSITIVE)).contains(&t),
-            "threshold out of range"
-        );
-        let tree = TreeSum::build(probs);
-        let label = tree.traverse(t).min(probs.len() - 1);
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
+        scratch.tree.traverse(t).min(probs.len() - 1)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
