@@ -21,12 +21,7 @@ use coopmc_sampler::{SampleResult, SampleScratch, Sampler};
 use crate::parallel::DEFAULT_BATCH_ROWS;
 use crate::pipeline::{PgBatch, ProbabilityPipeline};
 
-/// Modeled Parameter Update cost per variable commit, in cycles.
-///
-/// Must stay equal to `coopmc_hw::cycles::PU_CYCLES` — the journal's
-/// per-sweep `pu_cycles` and [`RunStats::simulated_hw_cycles`] both price
-/// PU with this constant, and a cross-crate test pins the two together.
-pub const PU_CYCLES: u64 = 4;
+pub use coopmc_kernels::cost::PU_CYCLES;
 
 /// Cumulative statistics of an engine run: deterministic counts and
 /// modeled hardware cycles only.

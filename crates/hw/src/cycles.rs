@@ -19,15 +19,11 @@
 
 use coopmc_kernels::cost::{
     ADD_CYCLES, DIV_CYCLES, EXP_APPROX_CYCLES, LOG_APPROX_CYCLES, LUT_CYCLES, MUL_CYCLES,
-    STAGE_REG_CYCLES, THRESHOLD_MUL_CYCLES, TREE_LAYER_CYCLES,
+    PU_CYCLES, STAGE_REG_CYCLES, THRESHOLD_MUL_CYCLES, TREE_LAYER_CYCLES,
 };
 use coopmc_sampler::{PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
 use crate::area::SamplerKind;
-
-/// Cycles for the Parameter Update stage: write the label, update the
-/// neighbour/count bookkeeping.
-pub const PU_CYCLES: u64 = 4;
 
 /// Inter-variable synchronisation overhead of the core's sequencer.
 pub const SYNC_CYCLES: u64 = 2;

@@ -3,16 +3,17 @@
 //! Every journal line carries the sweep's modeled PG/SD/PU cycles as
 //! accumulated by the engine while the chain actually ran. This module
 //! checks those totals against this crate's closed-form model — PU priced
-//! at [`crate::cycles::PU_CYCLES`] per update, SD at the sampler's
+//! at [`coopmc_kernels::cost::PU_CYCLES`] per update, SD at the sampler's
 //! `latency_cycles` formula — so a traced run is evidence that the engine
 //! accounting and the hardware model agree, not two models drifting apart.
 
+use coopmc_kernels::cost::PU_CYCLES;
 use coopmc_obs::journal::SweepSample;
 use coopmc_obs::profile::Kernel;
 use coopmc_obs::KernelReport;
 
 use crate::area::SamplerKind;
-use crate::cycles::{sd_cycles, PU_CYCLES};
+use crate::cycles::sd_cycles;
 
 /// Outcome of reconciling a journal against the cycle model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +103,10 @@ fn kernel_provenance(kernel: Kernel) -> (&'static str, bool) {
             true,
         ),
         Kernel::SdSampleRows => ("sampler latency_cycles tally (coopmc_hw::cycles)", true),
-        Kernel::PuUpdate => ("PU_CYCLES per committed update (coopmc_hw::cycles)", true),
+        Kernel::PuUpdate => (
+            "PU_CYCLES per committed update (coopmc_kernels::cost)",
+            true,
+        ),
         Kernel::Sweep => (
             "unmodeled host-side sweep orchestration (self time outside instrumented kernels)",
             false,

@@ -59,6 +59,11 @@ pub const STAGE_REG_CYCLES: u64 = 1;
 /// multiply plus the stage register that launches the TraverseTree walk.
 pub const THRESHOLD_GEN_CYCLES: u64 = THRESHOLD_MUL_CYCLES + STAGE_REG_CYCLES;
 
+/// Cycles for the Parameter Update stage: write the label, update the
+/// neighbour/count bookkeeping. The engine's run statistics and the
+/// hardware model both price PU with this one constant.
+pub const PU_CYCLES: u64 = 4;
+
 /// An additive tally of datapath operations, used by the instrumented
 /// pipelines to report how many of each primitive they executed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

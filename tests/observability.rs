@@ -85,16 +85,6 @@ fn traced_chain_reconciles_with_the_hw_cycle_model() {
 }
 
 #[test]
-fn engine_and_hw_model_agree_on_pu_cycles() {
-    // The engine prices PU at a pinned constant; the hardware model carries
-    // its own copy. A drift here would silently break reconciliation.
-    assert_eq!(
-        coopmc::core::engine::PU_CYCLES,
-        coopmc::hw::cycles::PU_CYCLES
-    );
-}
-
-#[test]
 fn chrome_trace_export_loads_as_json_with_events() {
     let (recorder, _, _) = traced_mrf_chain(3);
     let trace = recorder.chrome_trace_json(None);
