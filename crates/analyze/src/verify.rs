@@ -48,6 +48,7 @@ use coopmc_kernels::exp::TableExp;
 use coopmc_models::bn;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{self as mrf, Connectivity};
+use coopmc_obs::json;
 use coopmc_sim::circuits::{
     NormTreeCircuit, PgCoreCircuit, PipeTreeSamplerCircuit, TreeSamplerCircuit,
 };
@@ -240,11 +241,11 @@ impl VerifyReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"title\":");
+            json::write_str(&mut out, &s.title);
             out.push_str(&format!(
-                "{{\"title\":\"{}\",\"checks\":{},\"notes\":{},\"findings\":[",
-                json_escape(&s.title),
-                s.checks,
-                s.notes
+                ",\"checks\":{},\"notes\":{},\"findings\":[",
+                s.checks, s.notes
             ));
             for (j, f) in s.findings.iter().enumerate() {
                 if j > 0 {
@@ -255,19 +256,20 @@ impl VerifyReport {
                     Severity::Warning => "warning",
                     Severity::Note => "note",
                 };
-                out.push_str(&format!(
-                    "{{\"severity\":\"{severity}\",\"check\":\"{}\",\"message\":\"{}\"",
-                    json_escape(&f.check),
-                    json_escape(&f.message)
-                ));
-                out.push_str(&format!(",\"bound\":{}", json_number(f.bound)));
-                out.push_str(&format!(",\"limit\":{}", json_number(f.limit)));
+                out.push_str(&format!("{{\"severity\":\"{severity}\",\"check\":"));
+                json::write_str(&mut out, &f.check);
+                out.push_str(",\"message\":");
+                json::write_str(&mut out, &f.message);
+                out.push_str(",\"bound\":");
+                json::write_opt_num(&mut out, f.bound);
+                out.push_str(",\"limit\":");
+                json::write_opt_num(&mut out, f.limit);
                 out.push_str(",\"provenance\":[");
                 for (k, line) in f.provenance.iter().enumerate() {
                     if k > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("\"{}\"", json_escape(line)));
+                    json::write_str(&mut out, line);
                 }
                 out.push_str("]}");
             }
@@ -275,32 +277,6 @@ impl VerifyReport {
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// Escape a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an optional f64 as a JSON value (`null` when absent or
-/// non-finite — JSON has no infinities).
-fn json_number(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".into(),
     }
 }
 
@@ -1137,9 +1113,26 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_number(Some(0.25)), "0.25");
-        assert_eq!(json_number(Some(f64::INFINITY)), "null");
-        assert_eq!(json_number(None), "null");
+        let mut section = SectionReport::new("a\"b");
+        section.push(Finding {
+            severity: Severity::Error,
+            check: "c\\d".into(),
+            message: "line\nbreak".into(),
+            provenance: vec!["p\"q".into()],
+            bound: Some(0.25),
+            limit: Some(f64::INFINITY),
+        });
+        let json = VerifyReport {
+            sections: vec![section],
+        }
+        .to_json();
+        assert!(json.contains(r#"{"title":"a\"b","#), "{json}");
+        assert!(
+            json.contains(
+                r#""check":"c\\d","message":"line\nbreak","bound":0.25,"limit":null,"provenance":["p\"q"]"#
+            ),
+            "{json}"
+        );
+        assert!(json::parse(&json).is_ok(), "{json}");
     }
 }

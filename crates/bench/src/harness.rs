@@ -8,6 +8,8 @@
 
 use std::time::{Duration, Instant};
 
+use coopmc_obs::json;
+
 /// Re-export of the optimizer barrier: forces the compiler to materialize
 /// `x` without letting it optimize the producing computation away.
 pub fn black_box<T>(x: T) -> T {
@@ -153,15 +155,14 @@ impl JsonObject {
 
     /// Add a string field.
     pub fn string(mut self, key: &str, value: &str) -> Self {
-        self.fields
-            .push((key.to_owned(), format!("\"{}\"", escape(value))));
+        self.fields.push((key.to_owned(), json_str(value)));
         self
     }
 
     /// Add a finite-number field.
     pub fn number(mut self, key: &str, value: f64) -> Self {
         assert!(value.is_finite(), "JSON numbers must be finite");
-        self.fields.push((key.to_owned(), format_number(value)));
+        self.fields.push((key.to_owned(), json_num(value)));
         self
     }
 
@@ -176,7 +177,7 @@ impl JsonObject {
         let body: Vec<String> = self
             .fields
             .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
+            .map(|(k, v)| format!("{}: {v}", json_str(k)))
             .collect();
         format!("{{{}}}", body.join(", "))
     }
@@ -187,27 +188,17 @@ pub fn json_array(values: &[String]) -> String {
     format!("[{}]", values.join(", "))
 }
 
-fn format_number(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    json::write_str(&mut out, s);
+    out
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `v` as a JSON number (`null` if non-finite).
+fn json_num(v: f64) -> String {
+    let mut out = String::new();
+    json::write_num(&mut out, v);
     out
 }
 
@@ -263,14 +254,8 @@ impl Cell {
     /// JSON value rendering.
     fn render_json(&self) -> String {
         match self {
-            Cell::Text(s) => format!("\"{}\"", escape(s)),
-            Cell::Num(v, _) | Cell::Unit(v, _, _) => {
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".to_owned()
-                }
-            }
+            Cell::Text(s) => json_str(s),
+            Cell::Num(v, _) | Cell::Unit(v, _, _) => json_num(*v),
             Cell::Int(v) => format!("{v}"),
         }
     }
@@ -386,11 +371,7 @@ impl Table {
 
     /// Render the JSON view.
     fn render_json(&self) -> String {
-        let columns: Vec<String> = self
-            .columns
-            .iter()
-            .map(|c| format!("\"{}\"", escape(c)))
-            .collect();
+        let columns: Vec<String> = self.columns.iter().map(|c| json_str(c)).collect();
         let rows: Vec<String> = self
             .rows
             .iter()
@@ -400,7 +381,7 @@ impl Table {
             })
             .collect();
         let title = match &self.title {
-            Some(t) => format!("\"{}\"", escape(t)),
+            Some(t) => json_str(t),
             None => "null".to_owned(),
         };
         format!(
@@ -509,11 +490,7 @@ impl Report {
     /// Render the JSON emission, including provenance fields.
     pub fn render_json(&self) -> String {
         let tables: Vec<String> = self.tables.iter().map(Table::render_json).collect();
-        let notes: Vec<String> = self
-            .notes
-            .iter()
-            .map(|n| format!("\"{}\"", escape(n)))
-            .collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| json_str(n)).collect();
         let mut obj = JsonObject::new()
             .string("schema", REPORT_SCHEMA)
             .string("id", &self.id)

@@ -14,6 +14,8 @@
 //! prices them structurally, and `coopmc verify --export-schematic` renders
 //! them as graphviz `.dot` and stable JSON schematics.
 
+use coopmc_obs::json;
+
 use crate::netlist::{ComponentCensus, Mark, Netlist, Wire};
 
 /// Direction of a [`Pin`].
@@ -181,7 +183,9 @@ impl CircuitDescriptor {
         let pad = "  ".repeat(indent);
         let pad1 = "  ".repeat(indent + 1);
         s.push_str("{\n");
-        s.push_str(&format!("{pad1}\"name\": \"{}\",\n", escape(&self.name)));
+        s.push_str(&format!("{pad1}\"name\": "));
+        json::write_str(s, &self.name);
+        s.push_str(",\n");
         s.push_str(&format!("{pad1}\"kind\": \"{}\",\n", self.kind));
         s.push_str(&format!("{pad1}\"params\": {{"));
         for (i, (k, v)) in self.params.iter().enumerate() {
@@ -200,11 +204,9 @@ impl CircuitDescriptor {
                 PinDir::Input => "in",
                 PinDir::Output => "out",
             };
-            s.push_str(&format!(
-                "{{\"name\": \"{}\", \"wire\": {}, \"dir\": \"{dir}\"}}",
-                escape(&p.name),
-                p.wire
-            ));
+            s.push_str("{\"name\": ");
+            json::write_str(s, &p.name);
+            s.push_str(&format!(", \"wire\": {}, \"dir\": \"{dir}\"}}", p.wire));
         }
         s.push_str("],\n");
         let c = self.counts;
@@ -239,17 +241,6 @@ impl CircuitDescriptor {
         s.push('\n');
         s.push_str(&format!("{pad}}}"));
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Builds a [`CircuitDescriptor`] tree while its [`Netlist`] is being
