@@ -48,7 +48,7 @@ fn bench_factor_datapaths(h: &Harness) {
         QFormat::baseline32(),
     );
     let (mut work, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
-    let mut telemetry = PgTelemetry::new();
+    let (mut codes, mut telemetry) = (Vec::new(), PgTelemetry::new());
     h.run("factor_datapath/direct_mul_div", || {
         probs.clear();
         direct.evaluate_factors_into(black_box(rows()), &mut probs)
@@ -59,6 +59,7 @@ fn bench_factor_datapaths(h: &Harness) {
             numerators.len(),
             &mut work,
             &mut probs,
+            &mut codes,
             &mut ops,
             &mut telemetry,
             None,

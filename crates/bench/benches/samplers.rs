@@ -8,7 +8,7 @@ use coopmc_bench::harness::{black_box, Harness};
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::{
     AliasSampler, AliasTable, PipeTreeSampler, SampleScratch, Sampler, SequentialSampler,
-    TreeSampler,
+    TreeSampler, Weights,
 };
 
 fn bench_samplers(h: &Harness) {
@@ -34,6 +34,17 @@ fn bench_samplers(h: &Harness) {
         h.run(&format!("sampler_draw/tree_scratch/{n}"), || {
             s.sample_into(black_box(&probs), &mut rng, &mut scratch)
         });
+
+        // the same weights carried as integer codes with 0 fraction bits:
+        // the exact integer total and TreeSum a ROM row draws through
+        if matches!(n, 16 | 64) {
+            let codes: Vec<u64> = (1..=n as u64).collect();
+            let mut rng = SplitMix64::new(1);
+            h.run(&format!("sampler_draw/tree_codes/{n}"), || {
+                let weights = Weights::with_codes(black_box(&probs), black_box(&codes), 0);
+                s.sample_into(weights, &mut rng, &mut scratch)
+            });
+        }
 
         // alias method: full rebuild per draw (the honest Gibbs-loop cost)
         let s = AliasSampler::new();

@@ -46,11 +46,20 @@ fn main() {
             },
             &[0.7][..],
         );
-        let (mut dval, mut work, mut fval, mut ops) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut dval, mut work, mut fval, mut codes, mut ops) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
         direct.evaluate_factors_into([row], &mut dval);
         let tel = &mut PgTelemetry::new();
-        fusion.evaluate_factor_rows_into([row], 1, &mut work, &mut fval, &mut ops, tel, None);
+        fusion.evaluate_factor_rows_into(
+            [row],
+            1,
+            &mut work,
+            &mut fval,
+            &mut codes,
+            &mut ops,
+            tel,
+            None,
+        );
         let (dval, fval) = (dval[0], fval[0]);
         table.row(vec![
             Cell::int(depth as i64),

@@ -314,7 +314,7 @@ impl Lane {
         self.pg(pipeline, rec);
         let vars = &self.vars;
         sampler.sample_rows_into(
-            &self.batch.probs,
+            self.batch.weights(),
             self.rows.width(),
             |row| rng(vars[row]),
             &mut self.draws,
@@ -473,7 +473,7 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng> Scan<P, S, R> {
             lane.pg(&self.pipeline, rec);
             let sample = self
                 .sampler
-                .sample_into(&lane.batch.probs, rng, &mut lane.sd);
+                .sample_into(lane.batch.weights(), rng, &mut lane.sd);
             lane.tally.sd_ns += lane.lap(rec);
             model.update(var, sample.label);
             lane.tally.pu_ns += lane.lap(rec);

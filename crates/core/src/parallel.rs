@@ -287,7 +287,7 @@ pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline>(
                         mrf_ref.log_row_into(var, read, rows.push_log_row(n_labels));
                         pipeline.generate_rows_into(&rows, &mut pg);
                         let mut rng = draw_rng(seed ^ 0x5150, it, var);
-                        let label = sampler.sample_into(&pg.probs, &mut rng, &mut sd).label;
+                        let label = sampler.sample_into(pg.weights(), &mut rng, &mut sd).label;
                         shared[var].store(label, Ordering::Relaxed);
                         var += n_threads;
                     }

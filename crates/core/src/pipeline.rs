@@ -15,6 +15,7 @@ use coopmc_kernels::fusion::{DirectDatapath, LogFusion, StagePhases};
 use coopmc_kernels::log::TableLog;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::{factor_value, ScoreRows};
+use coopmc_sampler::Weights;
 
 /// Output of one PG evaluation of a single label-score row, through
 /// [`ProbabilityPipeline::generate_into`].
@@ -61,6 +62,11 @@ impl PartialEq for PgOutput {
 /// are batching-invariant), and `telemetry` is the merge of every row's
 /// observations. The batch also owns the datapaths' working memory, so a
 /// warm evaluation allocates nothing.
+///
+/// Where the CoopMC datapath reads its ROM on bus words, the batch also
+/// carries each probability's integer ROM code, and [`PgBatch::weights`]
+/// hands SD both forms. A caller that edits `probs` after such an
+/// evaluation must draw from `probs` itself, not from the weights.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PgBatch {
     /// Row-major unnormalized probabilities.
@@ -75,6 +81,11 @@ pub struct PgBatch {
     /// The rows' raw accumulator-bus words between the CoopMC datapath's
     /// stages.
     words: Vec<i64>,
+    /// Each probability's ROM code, `probs[i] == codes[i] · 2^-bits`, when
+    /// `code_bits` is `Some(bits)`; empty otherwise.
+    codes: Vec<u64>,
+    /// Fraction bits of `codes`, when the last evaluation wrote them.
+    code_bits: Option<u32>,
     /// The rows the label-score entry points convert their input to.
     label_rows: ScoreRows,
 }
@@ -99,6 +110,15 @@ impl PgBatch {
         &self.probs[row * width..(row + 1) * width]
     }
 
+    /// The row-major probabilities as SD reads them: with their integer
+    /// ROM codes where the last evaluation wrote them.
+    pub fn weights(&self) -> Weights<'_> {
+        match self.code_bits {
+            Some(bits) => Weights::with_codes(&self.probs, &self.codes, bits),
+            None => Weights::from(&self.probs),
+        }
+    }
+
     /// Evaluate `rows` one row at a time, as the float and fixed pipelines
     /// do: `row_into(row, probs, telemetry)` appends row `row`'s
     /// probabilities and returns its op tally. Each row observes into a
@@ -109,6 +129,8 @@ impl PgBatch {
         mut row_into: impl FnMut(usize, &mut Vec<f64>, &mut PgTelemetry) -> OpCounts,
     ) {
         self.probs.clear();
+        self.codes.clear();
+        self.code_bits = None;
         self.ops.clear();
         self.telemetry = PgTelemetry::new();
         for row in 0..rows.len() {
@@ -383,21 +405,25 @@ impl CoopMcPipeline {
 
 impl ProbabilityPipeline for CoopMcPipeline {
     /// One [`LogFusion`] call per stride, whatever its row count: log rows
-    /// skip the log kernels, factor rows go TableLog → LogFusion.
+    /// skip the log kernels, factor rows go TableLog → LogFusion. On bus
+    /// words the ROM read also writes the batch's codes.
     fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
         let (fusion, width) = (&self.fusion, rows.width());
-        let (words, probs, ops) = (&mut out.words, &mut out.probs, &mut out.ops);
-        let (telemetry, phases) = (&mut out.telemetry, out.phases.as_mut());
+        let (words, probs, codes) = (&mut out.words, &mut out.probs, &mut out.codes);
+        let (ops, telemetry, phases) = (&mut out.ops, &mut out.telemetry, out.phases.as_mut());
         *telemetry = PgTelemetry::new();
         match rows.logs() {
-            Some(logs) => fusion
-                .evaluate_log_score_rows_into(logs, width, words, probs, ops, telemetry, phases),
+            Some(logs) => fusion.evaluate_log_score_rows_into(
+                logs, width, words, probs, codes, ops, telemetry, phases,
+            ),
             None => {
                 let labels = rows.factors(0..rows.len());
-                fusion
-                    .evaluate_factor_rows_into(labels, width, words, probs, ops, telemetry, phases)
+                fusion.evaluate_factor_rows_into(
+                    labels, width, words, probs, codes, ops, telemetry, phases,
+                )
             }
         }
+        out.code_bits = fusion.code_bits();
     }
 
     fn name(&self) -> String {
@@ -833,16 +859,44 @@ mod tests {
         (probs, ops.to_vec(), tel)
     }
 
+    /// Require the codes `batch.weights()` hands SD for each `width`-label
+    /// row: `code · 2^-bits` equal to the row's probabilities bit for bit
+    /// when the pipeline reads its ROM at `bits` fraction bits and `bits +
+    /// ⌈log₂ width⌉ ≤ 53`, none otherwise.
+    fn assert_codes(batch: &PgBatch, width: usize, bits: Option<u32>, at: &str) {
+        let depth = width.next_power_of_two().trailing_zeros();
+        let bits = bits.filter(|&b| b + depth <= 53);
+        for (row, weights) in batch.weights().rows(width).enumerate() {
+            match (weights.codes(), bits) {
+                (Some((codes, got)), Some(bits)) => {
+                    assert_eq!(got, bits, "{at} row {row}");
+                    let scale = 1.0 / (1u64 << bits) as f64;
+                    let image: Vec<u64> = codes
+                        .iter()
+                        .map(|&c| (c as f64 * scale).to_bits())
+                        .collect();
+                    let probs: Vec<u64> = weights.probs().iter().map(|p| p.to_bits()).collect();
+                    assert_eq!(image, probs, "{at} row {row}");
+                }
+                (None, None) => {}
+                (codes, _) => panic!("{at} row {row}: codes {codes:?}, want {bits:?} bits"),
+            }
+        }
+    }
+
     #[test]
     fn batch_generate_is_bit_identical_to_scalar_for_all_pipelines() {
-        // CoopMC on bus words (64x8, 1024x24) and on the f64 path (48x8).
-        let pipelines: Vec<Box<dyn ProbabilityPipeline>> = vec![
-            Box::new(FloatPipeline::new()),
-            Box::new(FixedPipeline::new(8, true)),
-            Box::new(FixedPipeline::new(8, false)),
-            Box::new(CoopMcPipeline::new(64, 8)),
-            Box::new(CoopMcPipeline::new(1024, 24)),
-            Box::new(CoopMcPipeline::new(48, 8)),
+        // CoopMC on bus words (64x8, 1024x24, and 64x52, whose 64-label
+        // rows are too wide for exact code sums) and on the f64 path
+        // (48x8), each with the fraction bits of the codes it reads.
+        let pipelines: Vec<(Box<dyn ProbabilityPipeline>, Option<u32>)> = vec![
+            (Box::new(FloatPipeline::new()), None),
+            (Box::new(FixedPipeline::new(8, true)), None),
+            (Box::new(FixedPipeline::new(8, false)), None),
+            (Box::new(CoopMcPipeline::new(64, 8)), Some(8)),
+            (Box::new(CoopMcPipeline::new(1024, 24)), Some(24)),
+            (Box::new(CoopMcPipeline::new(64, 52)), Some(52)),
+            (Box::new(CoopMcPipeline::new(48, 8)), None),
         ];
         // One batch reused across pipelines, shapes, row forms and both
         // stride entry points, with the stage accumulator detached and
@@ -855,6 +909,8 @@ mod tests {
             });
             batch.telemetry.observe_norm_max(1e300);
             batch.telemetry.observe_exp_input(-1e300);
+            batch.codes.push(3);
+            batch.code_bits = Some(8);
         };
         let mut attached = PgBatch::new();
         attached.phases = Some(StagePhases::default());
@@ -902,7 +958,7 @@ mod tests {
                 inputs.push((scores.collect(), stride));
             }
             for (flat, stride) in &inputs {
-                for p in &pipelines {
+                for (p, bits) in &pipelines {
                     let (mut probs, mut ops, mut merged) =
                         (Vec::new(), Vec::new(), PgTelemetry::new());
                     for row_scores in flat.chunks_exact(width) {
@@ -921,9 +977,11 @@ mod tests {
                         p.generate_batch_into(flat, width, batch);
                         assert_eq!(batch.rows(width), rows, "{at}");
                         assert_eq!(got(batch), want, "{at}");
+                        assert_codes(batch, width, *bits, &at);
                         stale(batch);
                         p.generate_rows_into(stride, batch);
                         assert_eq!(got(batch), want, "{at} rows");
+                        assert_codes(batch, width, *bits, &format!("{at} rows"));
                         assert_eq!(batch.phases.is_some(), attached, "{at}");
                     }
                 }

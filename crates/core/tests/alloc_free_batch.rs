@@ -4,8 +4,9 @@
 //! batched PG path through the `LabelScore` entry point: once a
 //! warm-up call has grown the caller-owned `PgBatch` buffers (the converted
 //! rows and the datapath's working memory among them) to the stride's
-//! shape, every further `generate_batch_into` + `sample_rows_into` stride
-//! must allocate **nothing**.
+//! shape, every further `generate_batch_into` + `sample_rows_into` stride,
+//! drawn from the batch's ROM codes as the engines draw, must allocate
+//! **nothing**.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -71,12 +72,12 @@ fn warm_batch_strides_allocate_nothing() {
     let mut draws: Vec<SampleResult> = Vec::new();
     let mut sd = SampleScratch::new();
 
-    // Warm-up: grows the batch buffers, the draw vector and the sampler
-    // tree to this shape.
+    // Warm-up: grows the batch buffers, the draw vector and the sampler's
+    // code tree to this shape.
     for _ in 0..2 {
         pipeline.generate_batch_into(&scores, width, &mut batch);
         sampler.sample_rows_into(
-            &batch.probs,
+            batch.weights(),
             width,
             |row| SplitMix64::new(0xBA7C4 ^ row as u64),
             &mut draws,
@@ -89,7 +90,7 @@ fn warm_batch_strides_allocate_nothing() {
     for _ in 0..3 {
         pipeline.generate_batch_into(&scores, width, &mut batch);
         sampler.sample_rows_into(
-            &batch.probs,
+            batch.weights(),
             width,
             |row| SplitMix64::new(0xBA7C4 ^ row as u64),
             &mut draws,

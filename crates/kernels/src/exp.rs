@@ -147,7 +147,10 @@ impl ExpKernel for FixedExp {
 /// address.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableExp {
+    /// The ROM's `size_lut` entries, then the flush code's zero.
     entries: Vec<f64>,
+    /// The same ROM as integer codes, `entry · 2^bit_lut`.
+    codes: Vec<u64>,
     step: f64,
     bit_lut: u32,
     /// `log2(step_lut)` for a [`TableExp::new`] table of power-of-two
@@ -186,11 +189,17 @@ impl TableExp {
         assert!(range > 0.0, "range must be positive");
         let step = range / size_lut as f64;
         let max_raw = 1u64 << bit_lut; // entries are in (0, 1]
-        let entries = (0..size_lut)
+        let entries: Vec<f64> = (0..size_lut)
             .map(|k| quantize_unsigned((-(k as f64) * step).exp(), bit_lut, max_raw))
+            .chain([0.0])
+            .collect();
+        let codes = entries
+            .iter()
+            .map(|&e| (e * max_raw as f64) as u64)
             .collect();
         Self {
             entries,
+            codes,
             step,
             bit_lut,
             step_log2: None,
@@ -199,7 +208,7 @@ impl TableExp {
 
     /// Number of ROM entries.
     pub fn size_lut(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - 1
     }
 
     /// Fractional bits per ROM entry.
@@ -214,19 +223,19 @@ impl TableExp {
 
     /// Total ROM capacity in bits (drives the area model).
     pub fn rom_bits(&self) -> u64 {
-        self.entries.len() as u64 * self.bit_lut as u64
+        self.size_lut() as u64 * self.bit_lut as u64
     }
 
     /// Read entry `k` directly (`None` past the end — hardware returns 0).
     pub fn entry(&self, k: usize) -> Option<f64> {
-        self.entries.get(k).copied()
+        self.entries[..self.size_lut()].get(k).copied()
     }
 
     /// The input coverage of the ROM: inputs in `(-lut_range, 0]` resolve
     /// to an entry, anything below flushes to zero. Equals
     /// `step_lut · size_lut`.
     pub fn lut_range(&self) -> f64 {
-        self.step * self.entries.len() as f64
+        self.step * self.size_lut() as f64
     }
 
     /// Output-grid step of the ROM entries, `2^-bit_lut`.
@@ -282,7 +291,7 @@ impl ExpKernel for TableExp {
             return self.entries[0];
         }
         let k = (-x / self.step).floor();
-        if k >= self.entries.len() as f64 {
+        if k >= self.size_lut() as f64 {
             0.0
         } else {
             self.entries[k as usize]
@@ -302,7 +311,9 @@ impl ExpKernel for TableExp {
         let shift = u32::try_from(frac_bits as i32 + self.step_log2?).ok()?;
         (shift < u64::BITS).then_some(DistanceRom {
             entries: &self.entries,
+            codes: &self.codes,
             shift,
+            code_bits: self.bit_lut,
         })
     }
 }
@@ -316,31 +327,47 @@ impl ExpKernel for TableExp {
 /// `ROM[min(k, size_lut)]`, where address `size_lut` is the flush code
 /// that reads zero. That is the entry [`ExpKernel::exp`] reads for the
 /// input `−d·2^−f`, bit for bit, wherever `d` is exact in `f64`.
+///
+/// Each read also yields the entry's integer code, `entry · 2^code_bits`:
+/// the word the ROM outputs in hardware, which SD can sum exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct DistanceRom<'a> {
+    /// `size_lut` entries, then the flush code's zero.
     entries: &'a [f64],
+    /// The entries as integer codes, flush slot included.
+    codes: &'a [u64],
     /// Right shift from a distance word to a ROM address.
     shift: u32,
+    /// Fraction bits of the codes (the table's `bit_lut`).
+    code_bits: u32,
 }
 
 impl DistanceRom<'_> {
-    /// Read the ROM at every distance word: `out[i]` is the entry at
-    /// `min(distances[i] >> shift, size_lut)`, zero at the flush code.
-    /// Distances must be non-negative.
+    /// Fraction bits of the codes [`DistanceRom::read_into`] writes:
+    /// `probs[i] == codes[i] · 2^-code_bits`.
+    pub(crate) fn code_bits(&self) -> u32 {
+        self.code_bits
+    }
+
+    /// Read the ROM at every distance word: `probs[i]` is the entry at
+    /// `min(distances[i] >> shift, size_lut)`, zero at the flush code, and
+    /// `codes[i]` its integer code. Distances must be non-negative.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != distances.len()`.
-    pub(crate) fn read_into(&self, distances: &[i64], out: &mut [f64]) {
-        assert_eq!(
-            distances.len(),
-            out.len(),
+    /// Panics unless `probs` and `codes` are as long as `distances`.
+    pub(crate) fn read_into(&self, distances: &[i64], probs: &mut [f64], codes: &mut [u64]) {
+        assert!(
+            probs.len() == distances.len() && codes.len() == distances.len(),
             "a distance read requires matching input/output lengths"
         );
-        let flush = self.entries.len() as u64;
-        for (o, &d) in out.iter_mut().zip(distances) {
-            let k = (d as u64 >> self.shift).min(flush) as usize;
-            *o = self.entries.get(k).copied().unwrap_or(0.0);
+        let flush = self.entries.len() - 1;
+        let (entries, rom_codes) = (&self.entries[..=flush], &self.codes[..=flush]);
+        let outs = probs.iter_mut().zip(codes.iter_mut());
+        for ((p, c), &d) in outs.zip(distances) {
+            let k = (d as u64 >> self.shift).min(flush as u64) as usize;
+            *p = entries[k];
+            *c = rom_codes[k];
         }
     }
 }
@@ -428,7 +455,9 @@ mod tests {
             let scaled = e * 16.0;
             assert_eq!(scaled, scaled.round(), "entry {k} off-grid");
         }
+        // The flush slot past the last entry is no entry.
         assert_eq!(t.entry(16), None);
+        assert_eq!(t.size_lut(), 16);
     }
 
     #[test]
@@ -487,15 +516,20 @@ mod tests {
     }
 
     /// Read `distances` through `t`'s distance ROM and require, word by
-    /// word, the entry [`ExpKernel::exp`] reads for the dequantized input.
+    /// word, the entry [`ExpKernel::exp`] reads for the dequantized input,
+    /// and a code that is that entry times `2^bit_lut`.
     fn assert_reads_match_exp(t: &TableExp, distances: &[i64]) {
         let rom = t.distance_rom(BUS_FRAC).expect("a distance address");
         let mut out = vec![f64::MAX; distances.len()];
-        rom.read_into(distances, &mut out);
-        for (&d, &y) in distances.iter().zip(&out) {
+        let mut codes = vec![u64::MAX; distances.len()];
+        rom.read_into(distances, &mut out, &mut codes);
+        let scale = (1u64 << rom.code_bits()) as f64;
+        assert_eq!(rom.code_bits(), t.bit_lut());
+        for ((&d, &y), &c) in distances.iter().zip(&out).zip(&codes) {
             let want = t.exp(dequantized(d));
             let size = t.size_lut();
             assert_eq!(y.to_bits(), want.to_bits(), "size {size} distance {d}");
+            assert_eq!(c as f64, want * scale, "size {size} distance {d}");
         }
     }
 
@@ -556,8 +590,7 @@ mod tests {
     fn exp_batch_handles_empty_and_sub_lane_batches() {
         let t = TableExp::new(64, 8);
         let rom = t.distance_rom(BUS_FRAC).unwrap();
-        let mut empty: [f64; 0] = [];
-        rom.read_into(&[], &mut empty);
+        rom.read_into(&[], &mut [], &mut []);
         assert_reads_match_exp(&t, &[65536, 131072, 196608]);
     }
 
@@ -568,7 +601,7 @@ mod tests {
         let mut out = [0.0; 2];
         t.distance_rom(BUS_FRAC)
             .unwrap()
-            .read_into(&[65536], &mut out);
+            .read_into(&[65536], &mut out, &mut [0; 2]);
     }
 
     #[test]

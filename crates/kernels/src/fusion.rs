@@ -119,10 +119,11 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     /// stay integers: DyNorm is an integer max and subtract, and TableExp
     /// reads its ROM at `distance >> shift`. The log kernel's
     /// [`LogKernel::bus_tables`], when it has them, then read each factor's
-    /// log as a word. Every other configuration runs DyNorm and the exp
-    /// kernel on the words' `f64` images, row by row. Both give the same
-    /// result bit for bit; the `f64` path is the reference the word path is
-    /// tested against.
+    /// log as a word, and each ROM read also yields its integer code
+    /// ([`LogFusion::code_bits`]). Every other configuration runs DyNorm
+    /// and the exp kernel on the words' `f64` images, row by row. Both give
+    /// the same probabilities bit for bit; the `f64` path is the reference
+    /// the word path is tested against.
     pub fn new(log: L, exp: E, acc_fmt: QFormat) -> Self {
         let mut fusion = Self {
             log,
@@ -134,6 +135,14 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
             fusion.log_tables = fusion.log.bus_tables(acc_fmt);
         }
         fusion
+    }
+
+    /// Fraction bits of the integer codes an evaluation writes, when this
+    /// configuration runs on bus words: each probability is then exactly
+    /// `code · 2^-code_bits`, the ROM's output word. `None` on the `f64`
+    /// path, which writes no codes.
+    pub fn code_bits(&self) -> Option<u32> {
+        self.distance_rom().map(|rom| rom.code_bits())
     }
 
     /// The TableExp ROM the word stage reads, when this configuration runs
@@ -162,10 +171,12 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     ///
     /// `words` holds each label's accumulated word between accumulation
     /// and the exp stage, `probs` receives the row-major probability
-    /// vectors and `ops_per_row` one tally per row. A row's result does not
-    /// depend on the rows evaluated with it, so modeled cycle totals are
-    /// batching-invariant. All three buffers are cleared first; with warmed
-    /// buffers the evaluation is allocation-free. `telemetry` collects the
+    /// vectors, `codes` their integer ROM codes on the word path (nothing
+    /// on the `f64` path; see [`LogFusion::code_bits`]) and `ops_per_row`
+    /// one tally per row. A row's result does not depend on the rows
+    /// evaluated with it, so modeled cycle totals are batching-invariant.
+    /// All four buffers are cleared first; with warmed buffers the
+    /// evaluation is allocation-free. `telemetry` collects the
     /// DyNorm/exp-kernel observations for the run journal (a handful of
     /// comparisons, no allocation); `phases`, when attached, accumulates
     /// per-stage wall times for the kernel profiler. Neither changes the
@@ -182,6 +193,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         width: usize,
         words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
+        codes: &mut Vec<u64>,
         ops_per_row: &mut Vec<OpCounts>,
         telemetry: &mut PgTelemetry,
         phases: Option<&mut StagePhases>,
@@ -199,7 +211,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
             None => accumulate_into(labels, width, fmt, float_read, words, ops_per_row),
         }
         clock.lap(|p| &mut p.normalize_ns);
-        self.finish_into(words, width, probs, telemetry, clock);
+        self.finish_into(words, width, probs, codes, telemetry, clock);
     }
 
     /// Evaluate a stride of same-width rows whose scores are already in the
@@ -214,6 +226,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         width: usize,
         words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
+        codes: &mut Vec<u64>,
         ops_per_row: &mut Vec<OpCounts>,
         telemetry: &mut PgTelemetry,
         phases: Option<&mut StagePhases>,
@@ -224,29 +237,32 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         words.clear();
         words.extend(scores.iter().map(|&s| self.acc_fmt.quantize_nearest_raw(s)));
         clock.lap(|p| &mut p.normalize_ns);
-        self.finish_into(words, width, probs, telemetry, clock);
+        self.finish_into(words, width, probs, codes, telemetry, clock);
     }
 
     /// DyNorm and the exp kernel over the `width`-word rows of `words`,
-    /// into `probs` (cleared first). Each row's tally of these stages is
-    /// [`finish_ops`] on either path.
+    /// into `probs` and `codes` (both cleared first). Each row's tally of
+    /// these stages is [`finish_ops`] on either path.
     ///
     /// Where the configuration runs on words, the word stage covers every
     /// row at once: DyNorm as an integer max and subtract per row, which
     /// leaves each word's distance below its row's maximum, then one `rom`
-    /// read of every distance. Each row's telemetry comes from its minimum
-    /// and maximum word. Every other configuration runs the `f64` stage on
-    /// the words' images, row by row.
+    /// read of every distance into a probability and its code. Each row's
+    /// telemetry comes from its minimum and maximum word. Every other
+    /// configuration runs the `f64` stage on the words' images, row by row,
+    /// and writes no codes.
     #[inline]
     fn finish_into(
         &self,
         words: &mut [i64],
         width: usize,
         probs: &mut Vec<f64>,
+        codes: &mut Vec<u64>,
         telemetry: &mut PgTelemetry,
         mut clock: StageClock<'_>,
     ) {
         probs.clear();
+        codes.clear();
         if words.is_empty() {
             return;
         }
@@ -283,7 +299,8 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         }
         clock.lap(|p| &mut p.dynorm_ns);
         probs.resize(words.len(), 0.0);
-        rom.read_into(words, probs);
+        codes.resize(words.len(), 0);
+        rom.read_into(words, probs, codes);
         clock.lap(|p| &mut p.exp_ns);
     }
 }
@@ -421,6 +438,23 @@ mod tests {
         rows.iter().map(|(n, d)| (&n[..], &d[..])).collect()
     }
 
+    /// Require the codes an evaluation wrote: each probability times
+    /// `2^code_bits` on the word path, none on the `f64` path.
+    fn assert_codes<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        probs: &[f64],
+        codes: &[u64],
+    ) {
+        match fusion.code_bits() {
+            Some(bits) => {
+                let scale = (1u64 << bits) as f64;
+                let images: Vec<f64> = codes.iter().map(|&c| c as f64 / scale).collect();
+                assert_eq!(images, probs, "codes at {bits} fraction bits");
+            }
+            None => assert!(codes.is_empty(), "the f64 path wrote codes"),
+        }
+    }
+
     /// One unphased evaluation of a stride of `width`-label factor rows
     /// into fresh buffers.
     fn factor_stride<L: LogKernel, E: ExpKernel>(
@@ -429,11 +463,12 @@ mod tests {
         width: usize,
     ) -> (Vec<f64>, Vec<OpCounts>, PgTelemetry) {
         let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tel = PgTelemetry::new();
+        let (mut codes, mut tel) = (vec![7], PgTelemetry::new());
         let labels = labels.iter().copied();
         fusion.evaluate_factor_rows_into(
-            labels, width, &mut words, &mut probs, &mut ops, &mut tel, None,
+            labels, width, &mut words, &mut probs, &mut codes, &mut ops, &mut tel, None,
         );
+        assert_codes(fusion, &probs, &codes);
         (probs, ops, tel)
     }
 
@@ -445,10 +480,11 @@ mod tests {
         width: usize,
     ) -> (Vec<f64>, Vec<OpCounts>, PgTelemetry) {
         let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tel = PgTelemetry::new();
+        let (mut codes, mut tel) = (vec![7], PgTelemetry::new());
         fusion.evaluate_log_score_rows_into(
-            scores, width, &mut words, &mut probs, &mut ops, &mut tel, None,
+            scores, width, &mut words, &mut probs, &mut codes, &mut ops, &mut tel, None,
         );
+        assert_codes(fusion, &probs, &codes);
         (probs, ops, tel)
     }
 
@@ -503,7 +539,14 @@ mod tests {
         }
         let (mut probs, mut tel) = (Vec::new(), PgTelemetry::new());
         let clock = StageClock::start(None);
-        fusion.finish_into(&mut words, rows.len(), &mut probs, &mut tel, clock);
+        fusion.finish_into(
+            &mut words,
+            rows.len(),
+            &mut probs,
+            &mut Vec::new(),
+            &mut tel,
+            clock,
+        );
         ops.merge(&finish_ops(rows.len()));
         (probs, ops, tel)
     }
@@ -859,6 +902,7 @@ mod tests {
         let scores = [-10.0, -9.0, -12.0, -11.5];
         let labels: [Row; 2] = [(&[0.5, 0.7], &[]), (&[0.25], &[0.5])];
         let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        let mut codes = Vec::new();
 
         let (mut tel, mut log_phases) = (PgTelemetry::new(), StagePhases::default());
         fusion.evaluate_log_score_rows_into(
@@ -866,6 +910,7 @@ mod tests {
             2,
             &mut words,
             &mut probs,
+            &mut codes,
             &mut ops,
             &mut tel,
             Some(&mut log_phases),
@@ -883,6 +928,7 @@ mod tests {
             1,
             &mut words,
             &mut probs,
+            &mut codes,
             &mut ops,
             &mut tel,
             Some(&mut factor_phases),
@@ -898,7 +944,7 @@ mod tests {
     fn batched_rows_reuse_dirty_buffers_correctly() {
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tel = PgTelemetry::new();
+        let (mut codes, mut tel) = (Vec::new(), PgTelemetry::new());
         // A big first batch leaves stale content behind...
         let big: Vec<f64> = (0..40).map(|i| -(i as f64)).collect();
         fusion.evaluate_log_score_rows_into(
@@ -906,6 +952,7 @@ mod tests {
             8,
             &mut work,
             &mut probs,
+            &mut codes,
             &mut ops_rows,
             &mut tel,
             None,
@@ -918,11 +965,13 @@ mod tests {
             2,
             &mut work,
             &mut probs,
+            &mut codes,
             &mut ops_rows,
             &mut tel2,
             None,
         );
         assert_eq!(probs.len(), 4);
+        assert_eq!(codes.len(), 4);
         assert_eq!(ops_rows.len(), 2);
         assert_eq!(probs[..2], log_scores(&fusion, &small[..2]).0[..]);
     }

@@ -112,6 +112,7 @@ fn fusion_preserves_ratios() {
             ps.len(),
             &mut work,
             &mut probs,
+            &mut Vec::new(),
             &mut ops,
             tel,
             None,
@@ -194,6 +195,7 @@ fn direct_and_fused_agree_on_argmax() {
             ps.len(),
             &mut work,
             &mut fused,
+            &mut Vec::new(),
             &mut ops,
             &mut PgTelemetry::new(),
             None,

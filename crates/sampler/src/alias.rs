@@ -10,7 +10,7 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{validate, SampleScratch, Sampler, SequentialSampler};
+use crate::{validate, SampleScratch, Sampler, SequentialSampler, Weights};
 
 /// A built alias table over a fixed distribution.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -147,19 +147,19 @@ impl Sampler for AliasSampler {
     /// The alias method is not a CDF-inversion sampler; an explicit
     /// threshold maps through the CDF so cross-sampler equivalence tests
     /// still hold.
-    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
-        SequentialSampler.select(probs, t, scratch)
+    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
+        SequentialSampler.select(weights, t, scratch)
     }
 
     /// Build the table in `scratch`, then draw from it.
     fn draw(
         &self,
-        probs: &[f64],
+        weights: Weights<'_>,
         total: f64,
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
     ) -> usize {
-        scratch.vose.build(probs, total).sample(rng)
+        scratch.vose.build(weights.probs(), total).sample(rng)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {

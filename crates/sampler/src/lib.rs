@@ -20,8 +20,14 @@
 //! time and area. The code keeps that split: a micro-architecture defines
 //! only its CDF inversion ([`Sampler::select`]) and its cycle model, and
 //! every draw runs the one provided skeleton, [`Sampler::sample_into`]:
-//! validate, the all-zero fallback, ThresholdGen, then `select`. The
+//! the total mass, the all-zero fallback, ThresholdGen, then `select`. The
 //! equivalence is tested exhaustively in this crate.
+//!
+//! SD reads a distribution as [`Weights`]: the `f64` weights and, where PG
+//! read them off its ROM, the same weights as integer codes. On code rows
+//! the total is an exact integer sum (no per-weight validation: a code
+//! cannot be negative or NaN) and the tree samplers sum and walk in code
+//! units, drawing exactly the label the `f64` weights draw.
 //!
 //! # Example
 //!
@@ -66,11 +72,12 @@ pub struct SampleResult {
 /// Reusable per-draw working memory for [`Sampler::sample_into`].
 ///
 /// The scratch owns whatever buffers a sampler micro-architecture needs to
-/// rebuild per draw: the flat [`TreeSum`] node buffer for the tree samplers,
-/// the table and Vose's work lists for the alias sampler. Once warmed to the
-/// largest distribution seen, subsequent draws through the same scratch
-/// perform **zero heap allocations** — the property the Gibbs engine's hot
-/// path relies on.
+/// rebuild per draw: the flat [`TreeSum`] node buffers for the tree samplers
+/// (one over `f64` weights, one over integer codes), the table and Vose's
+/// work lists for the alias sampler. Once warmed to the largest
+/// distribution seen, subsequent draws through the same scratch perform
+/// **zero heap allocations** — the property the Gibbs engine's hot path
+/// relies on.
 ///
 /// A scratch is plain data: create one per sampling thread and pass it to
 /// every draw on that thread. It is not tied to a particular sampler; the
@@ -79,6 +86,8 @@ pub struct SampleResult {
 pub struct SampleScratch {
     /// Reusable adder-tree storage for the tree-based samplers.
     pub(crate) tree: TreeSum,
+    /// Reusable adder-tree storage over integer codes.
+    pub(crate) codes: TreeSum<u64>,
     /// Reusable alias table and work lists for the alias sampler.
     pub(crate) vose: Vose,
 }
@@ -90,9 +99,131 @@ impl SampleScratch {
     }
 }
 
+/// A distribution's weights as SD reads them: the `f64` weights and, where
+/// PG read them off its ROM, the same weights as integer codes.
+///
+/// Codes with `frac_bits` fraction bits stand for the weights
+/// `codes[i] · 2^-frac_bits`. Where they sum exactly ([`Weights::codes`]),
+/// the draw skeleton takes the total as their integer sum and
+/// [`TreeSampler`] sums and walks its tree in code units; both pick the
+/// label the `f64` weights pick, bit for bit. Any `f64` slice converts into
+/// weights without codes.
+#[derive(Debug, Clone, Copy)]
+pub struct Weights<'a> {
+    probs: &'a [f64],
+    codes: Option<(&'a [u64], u32)>,
+}
+
+impl<'a> Weights<'a> {
+    /// Weights carried both as `probs` and as `codes` with `frac_bits`
+    /// fraction bits. The caller guarantees that `probs[i]` is exactly
+    /// `codes[i] · 2^-frac_bits` and that the codes sum to at most `2^53`,
+    /// which weights of at most 1 (every ROM read) do wherever
+    /// [`Weights::codes`] hands the codes out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    #[inline]
+    pub fn with_codes(probs: &'a [f64], codes: &'a [u64], frac_bits: u32) -> Self {
+        assert_eq!(
+            probs.len(),
+            codes.len(),
+            "weights and codes must have equal lengths"
+        );
+        Self {
+            probs,
+            codes: Some((codes, frac_bits)),
+        }
+    }
+
+    /// The `f64` weights.
+    pub fn probs(&self) -> &'a [f64] {
+        self.probs
+    }
+
+    /// Number of labels.
+    pub fn len(&self) -> usize {
+        self.probs.len()
+    }
+
+    /// True for weights over no labels.
+    pub fn is_empty(&self) -> bool {
+        self.probs.is_empty()
+    }
+
+    /// The integer codes and their fraction bits, when the weights carry
+    /// them and `frac_bits + ⌈log₂ len⌉ ≤ 53`. Codes of weights at most 1
+    /// then have partial sums of at most `2^53`, exact in `f64` in any
+    /// order, so the codes give the total and the tree the `f64` weights
+    /// give.
+    #[inline]
+    pub fn codes(&self) -> Option<(&'a [u64], u32)> {
+        let (codes, frac_bits) = self.codes?;
+        let depth = self.probs.len().next_power_of_two().trailing_zeros();
+        let room = f64::MANTISSA_DIGITS.checked_sub(frac_bits)?;
+        (depth <= room).then_some((codes, frac_bits))
+    }
+
+    /// The `width`-label rows of a row-major batch, each with its share of
+    /// the codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or the length is not a multiple of `width`.
+    pub fn rows(self, width: usize) -> impl Iterator<Item = Weights<'a>> {
+        assert!(width > 0, "row width must be positive");
+        assert_eq!(
+            self.len() % width,
+            0,
+            "batch length must be a multiple of the row width"
+        );
+        (0..self.len() / width).map(move |row| {
+            let at = row * width..(row + 1) * width;
+            Weights {
+                probs: &self.probs[at.clone()],
+                codes: self.codes.map(|(codes, bits)| (&codes[at], bits)),
+            }
+        })
+    }
+
+    /// The total mass: the integer sum of the codes where
+    /// [`Weights::codes`] hands them out (a code cannot be negative or
+    /// NaN), otherwise [`validate`]'s serial sum of the `f64` weights. On
+    /// code rows the two are the same `f64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights are empty, or if they carry no usable codes
+    /// and an `f64` weight is negative or non-finite.
+    #[inline]
+    fn total(&self) -> f64 {
+        assert!(
+            !self.is_empty(),
+            "sampler requires a non-empty distribution"
+        );
+        match self.codes() {
+            Some((codes, frac_bits)) => {
+                codes.iter().sum::<u64>() as f64 * coopmc_fixed::unsigned_resolution(frac_bits)
+            }
+            None => validate(self.probs),
+        }
+    }
+}
+
+/// Weights without codes, from any `f64` slice.
+impl<'a, T: AsRef<[f64]> + ?Sized> From<&'a T> for Weights<'a> {
+    fn from(probs: &'a T) -> Self {
+        Self {
+            probs: probs.as_ref(),
+            codes: None,
+        }
+    }
+}
+
 /// A discrete-distribution sampler micro-architecture.
 ///
-/// `probs` are **unnormalized, non-negative** weights — exactly what the PG
+/// The weights are **unnormalized, non-negative** — exactly what the PG
 /// step hands over; no hardware normalizes the vector. If every weight is
 /// zero (the low-precision flush failure mode of Fig. 2), the sampler falls
 /// back to a uniform random label, matching the paper's description of that
@@ -107,7 +238,7 @@ pub trait Sampler {
     /// `A(n)` exceeds `t ∈ [0, total)`, or the last label if rounding
     /// leaves none. `scratch` holds whatever the micro-architecture
     /// rebuilds per draw.
-    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize;
+    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize;
 
     /// Latency in cycles of one sample for an `n`-label distribution.
     fn latency_cycles(&self, n: usize) -> u64;
@@ -121,63 +252,63 @@ pub trait Sampler {
         1.0 / self.latency_cycles(n) as f64
     }
 
-    /// Draw a label from `probs`, whose validated total mass `total` is
-    /// positive: ThresholdGen, then [`Sampler::select`].
+    /// Draw a label from `weights`, whose total mass `total` is positive:
+    /// ThresholdGen, then [`Sampler::select`].
     fn draw(
         &self,
-        probs: &[f64],
+        weights: Weights<'_>,
         total: f64,
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
     ) -> usize {
         // ThresholdGen: total mass times a uniform draw from the PRNG.
-        self.select(probs, total * rng.next_f64(), scratch)
+        self.select(weights, total * rng.next_f64(), scratch)
     }
 
-    /// Draw one label from `probs`, reusing `scratch` for any per-draw
-    /// working memory; a warmed scratch makes the draw allocation-free.
+    /// Draw one label from `weights` (an `f64` slice, or [`Weights`]
+    /// carrying ROM codes), reusing `scratch` for any per-draw working
+    /// memory; a warmed scratch makes the draw allocation-free.
     ///
-    /// The one draw path: validate `probs` once, fall back to a uniform
-    /// label if every weight is zero, otherwise [`Sampler::draw`].
+    /// The one draw path: take the total mass (the exact integer sum of
+    /// the codes where [`Weights::codes`] hands them out, otherwise the
+    /// validated `f64` sum), fall back to a uniform label if it is zero,
+    /// otherwise [`Sampler::draw`]. Codes and `f64` weights draw the same
+    /// label from the same RNG state.
+    ///
+    /// Requires `Self: Sized` so the trait stays object-safe; a `Box<dyn
+    /// Sampler>` is sized and draws through it.
     ///
     /// # Panics
     ///
-    /// Panics if `probs` is empty or contains a negative or non-finite
-    /// weight.
-    fn sample_into(
+    /// Panics if the weights are empty or, where they carry no usable
+    /// codes, contain a negative or non-finite weight.
+    fn sample_into<'a>(
         &self,
-        probs: &[f64],
+        weights: impl Into<Weights<'a>>,
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
-    ) -> SampleResult {
-        let total = validate(probs);
-        let fallback = total == 0.0;
-        let label = if fallback {
-            uniform_fallback(probs.len(), rng)
-        } else {
-            self.draw(probs, total, rng, scratch)
-        };
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback,
-        }
+    ) -> SampleResult
+    where
+        Self: Sized,
+    {
+        draw_once(self, weights.into(), rng, scratch)
     }
 
-    /// Draw one label through a fresh scratch: [`Sampler::sample_into`]
-    /// for callers outside a hot loop.
+    /// Draw one label from `probs` through a fresh scratch: the
+    /// [`Sampler::sample_into`] skeleton for callers outside a hot loop,
+    /// trait objects included.
     ///
     /// # Panics
     ///
     /// Same contract as [`Sampler::sample_into`].
     fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        self.sample_into(probs, rng, &mut SampleScratch::new())
+        draw_once(self, probs.into(), rng, &mut SampleScratch::new())
     }
 
-    /// Draw one label per `width`-wide row of a row-major batch of
-    /// probability vectors (the SD half of the batched color-class path),
-    /// pushing one [`SampleResult`] per row into `results` (cleared
-    /// first).
+    /// Draw one label per `width`-wide row of a row-major batch of weights
+    /// (the SD half of the batched color-class path), pushing one
+    /// [`SampleResult`] per row into `results` (cleared first). A batch's
+    /// codes, when it carries them, go to each row with its weights.
     ///
     /// `rng_for_row` supplies each row's RNG — the chromatic engine
     /// derives one per variable from `(seed, iteration, var)` — so the
@@ -186,17 +317,14 @@ pub trait Sampler {
     /// grouped into batches. The per-draw working memory in `scratch` is
     /// reused across rows, keeping a warmed batch draw allocation-free.
     ///
-    /// Requires `Self: Sized` so the trait stays object-safe; `Box<dyn
-    /// Sampler>` callers draw per row via [`Sampler::sample_into`].
-    ///
     /// # Panics
     ///
     /// Per row, the same contract as [`Sampler::sample_into`];
-    /// additionally panics if `width == 0` or `probs.len()` is not a
+    /// additionally panics if `width == 0` or the batch length is not a
     /// multiple of `width`.
-    fn sample_rows_into<F, R>(
+    fn sample_rows_into<'a, F, R>(
         &self,
-        probs: &[f64],
+        weights: impl Into<Weights<'a>>,
         width: usize,
         mut rng_for_row: F,
         results: &mut Vec<SampleResult>,
@@ -206,46 +334,45 @@ pub trait Sampler {
         F: FnMut(usize) -> R,
         R: HwRng,
     {
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(
-            probs.len() % width,
-            0,
-            "batch length must be a multiple of the row width"
-        );
         results.clear();
-        for (row, chunk) in probs.chunks_exact(width).enumerate() {
+        for (row, weights) in weights.into().rows(width).enumerate() {
             let mut rng = rng_for_row(row);
-            results.push(self.sample_into(chunk, &mut rng, scratch));
+            results.push(self.sample_into(weights, &mut rng, scratch));
         }
     }
 
     /// Deterministic core: [`Sampler::select`] with an explicit threshold
-    /// `t ∈ [0, total)`. Exposed so different micro-architectures can be
-    /// proven equivalent under the same threshold.
+    /// `t ∈ [0, total)`. Exposed so different micro-architectures, and the
+    /// code and `f64` forms of one distribution, can be proven equivalent
+    /// under the same threshold.
     ///
     /// # Panics
     ///
     /// Same contract as [`Sampler::sample_into`]; additionally `t` must be
     /// in `[0, total)`.
-    fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        let total = validate(probs);
+    fn sample_with_threshold<'a>(&self, weights: impl Into<Weights<'a>>, t: f64) -> SampleResult
+    where
+        Self: Sized,
+    {
+        let weights = weights.into();
+        let total = weights.total();
         assert!(
             (0.0..total.max(f64::MIN_POSITIVE)).contains(&t),
             "threshold out of range"
         );
         SampleResult {
-            label: self.select(probs, t, &mut SampleScratch::new()),
-            cycles: self.latency_cycles(probs.len()),
+            label: self.select(weights, t, &mut SampleScratch::new()),
+            cycles: self.latency_cycles(weights.len()),
             fallback: false,
         }
     }
 }
 
-/// Forwards what a micro-architecture defines, plus the draw skeleton, so
-/// a boxed draw is one virtual call.
+/// Forwards what a micro-architecture defines, so a boxed sampler draws
+/// through the one skeleton with the boxed `draw` and `select`.
 impl<S: Sampler + ?Sized> Sampler for Box<S> {
-    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
-        (**self).select(probs, t, scratch)
+    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
+        (**self).select(weights, t, scratch)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
@@ -262,21 +389,35 @@ impl<S: Sampler + ?Sized> Sampler for Box<S> {
 
     fn draw(
         &self,
-        probs: &[f64],
+        weights: Weights<'_>,
         total: f64,
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
     ) -> usize {
-        (**self).draw(probs, total, rng, scratch)
+        (**self).draw(weights, total, rng, scratch)
     }
+}
 
-    fn sample_into(
-        &self,
-        probs: &[f64],
-        rng: &mut dyn HwRng,
-        scratch: &mut SampleScratch,
-    ) -> SampleResult {
-        (**self).sample_into(probs, rng, scratch)
+/// The draw skeleton behind [`Sampler::sample_into`] and
+/// [`Sampler::sample`]: the total mass, the all-zero fallback, then
+/// [`Sampler::draw`].
+fn draw_once<S: Sampler + ?Sized>(
+    sampler: &S,
+    weights: Weights<'_>,
+    rng: &mut dyn HwRng,
+    scratch: &mut SampleScratch,
+) -> SampleResult {
+    let total = weights.total();
+    let fallback = total == 0.0;
+    let label = if fallback {
+        uniform_fallback(weights.len(), rng)
+    } else {
+        sampler.draw(weights, total, rng, scratch)
+    };
+    SampleResult {
+        label,
+        cycles: sampler.latency_cycles(weights.len()),
+        fallback,
     }
 }
 

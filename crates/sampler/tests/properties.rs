@@ -2,9 +2,10 @@
 //! statistically identical implementations of CDF-inversion sampling
 //! (deterministic generator harness from `coopmc-testkit`).
 
-use coopmc_rng::SplitMix64;
+use coopmc_rng::{HwRng, SplitMix64};
 use coopmc_sampler::{
-    PipeTreeSampler, SampleScratch, Sampler, SequentialSampler, TreeSampler, TreeSum,
+    AliasSampler, PipeTreeSampler, SampleScratch, Sampler, SequentialSampler, TreeSampler, TreeSum,
+    Weights,
 };
 use coopmc_testkit::{check, Gen};
 
@@ -121,11 +122,12 @@ fn sample_into_matches_sample() {
         let probs = arb_probs(g);
         let seed = g.u64();
         let mut scratch = SampleScratch::new();
-        for s in [
-            &TreeSampler::new() as &dyn Sampler,
-            &SequentialSampler::new(),
-            &PipeTreeSampler::new(),
-        ] {
+        let samplers: [Box<dyn Sampler>; 3] = [
+            Box::new(TreeSampler::new()),
+            Box::new(SequentialSampler::new()),
+            Box::new(PipeTreeSampler::new()),
+        ];
+        for s in &samplers {
             let mut rng_a = SplitMix64::new(seed);
             let mut rng_b = SplitMix64::new(seed);
             for _ in 0..16 {
@@ -159,4 +161,159 @@ fn empirical_cdf_deviation_small() {
         cdf_err = cdf_err.max((emp - exact).abs());
     }
     assert!(cdf_err < 0.01, "max CDF deviation {cdf_err}");
+}
+
+/// Every sampler micro-architecture, boxed.
+fn all_samplers() -> [Box<dyn Sampler>; 4] {
+    [
+        Box::new(SequentialSampler::new()),
+        Box::new(TreeSampler::new()),
+        Box::new(PipeTreeSampler::new()),
+        Box::new(AliasSampler::new()),
+    ]
+}
+
+/// Fraction bits of the code rows below: the ROM word widths from 0 to
+/// the widest `bit_lut`.
+const CODE_BITS: [u32; 7] = [0, 1, 8, 16, 24, 46, 52];
+
+/// `2^-bits` as an exact `f64`.
+fn ulp(bits: u32) -> f64 {
+    1.0 / (1u64 << bits) as f64
+}
+
+/// A width for `bits`-bit codes whose sums stay exact: `bits + ⌈log₂
+/// width⌉ ≤ 53`, up to 130 labels, one label now and then.
+fn exact_width(g: &mut Gen, bits: u32) -> usize {
+    let widest = 1usize << (53 - bits).min(8);
+    if g.index(5) == 0 {
+        1
+    } else {
+        g.usize_in(1, widest.min(130) + 1)
+    }
+}
+
+/// `n` ROM-style codes at `bits` fraction bits, each in `[0, 2^bits]`:
+/// zero-weight labels and full-scale codes among random ones, and now and
+/// then an all-zero row.
+fn arb_codes(g: &mut Gen, n: usize, bits: u32) -> Vec<u64> {
+    let one = 1u64 << bits;
+    let all_zero = g.index(8) == 0;
+    (0..n)
+        .map(|_| match g.index(5) {
+            _ if all_zero => 0,
+            0 => 0,
+            1 => one,
+            2 => one.saturating_sub(1),
+            _ => g.u64() % (one + 1),
+        })
+        .collect()
+}
+
+/// The codes' exact `f64` image.
+fn image(codes: &[u64], bits: u32) -> Vec<f64> {
+    codes.iter().map(|&c| c as f64 * ulp(bits)).collect()
+}
+
+/// A batch of code rows draws, row for row, what its exact `f64` image
+/// draws: the same `SampleResult` from the same RNG state, for every
+/// sampler, and the RNG left in the same state (the all-zero fallback
+/// included).
+#[test]
+fn code_rows_draw_what_their_f64_image_draws() {
+    check("code_rows_draw_what_their_f64_image_draws", 64, |g| {
+        let mut scratch = SampleScratch::new();
+        for bits in CODE_BITS {
+            let (width, rows) = (exact_width(g, bits), g.usize_in(1, 4));
+            let codes = arb_codes(g, width * rows, bits);
+            let probs = image(&codes, bits);
+            let batch = Weights::with_codes(&probs, &codes, bits);
+            assert!(batch.rows(width).all(|row| row.codes().is_some()));
+            let seed = g.u64();
+            let rng_for = |row: usize| SplitMix64::new(seed ^ row as u64);
+            for s in &all_samplers() {
+                let at = format!("{} at {bits} bits, {rows}x{width}", s.name());
+                let mut coded = Vec::new();
+                s.sample_rows_into(batch, width, rng_for, &mut coded, &mut scratch);
+                for (row, want_probs) in probs.chunks_exact(width).enumerate() {
+                    let (mut a, mut b) = (rng_for(row), rng_for(row));
+                    let weights = batch.rows(width).nth(row).expect("a row");
+                    for draw in 0..6 {
+                        let got = s.sample_into(weights, &mut a, &mut scratch);
+                        let want = s.sample_into(want_probs, &mut b, &mut scratch);
+                        assert_eq!(got, want, "{at}, row {row}, draw {draw}");
+                        if draw == 0 {
+                            assert_eq!(coded[row], want, "{at}, batched row {row}");
+                        }
+                    }
+                    assert_eq!(a.next_u64(), b.next_u64(), "{at}: RNG state");
+                }
+            }
+        }
+    });
+}
+
+/// At thresholds on every prefix sum (each a left-subtree sum on the walk
+/// to its label), one code unit and half a unit below them and at random
+/// points, a code row selects what its exact `f64` image selects.
+#[test]
+fn code_rows_select_what_their_f64_image_selects_at_subtree_sums() {
+    check(
+        "code_rows_select_what_their_f64_image_selects_at_subtree_sums",
+        64,
+        |g| {
+            for bits in CODE_BITS {
+                let width = exact_width(g, bits);
+                let codes = arb_codes(g, width, bits);
+                let total: u64 = codes.iter().sum();
+                if total == 0 {
+                    continue;
+                }
+                let probs = image(&codes, bits);
+                let weights = Weights::with_codes(&probs, &codes, bits);
+                let mut thresholds: Vec<f64> = codes
+                    .iter()
+                    .scan(0u64, |prefix, &c| {
+                        let at = *prefix;
+                        *prefix += c;
+                        Some(at)
+                    })
+                    .flat_map(|p| [p as f64, p as f64 - 1.0, p as f64 - 0.5])
+                    .map(|t| t * ulp(bits))
+                    .collect();
+                thresholds.push((total - 1) as f64 * ulp(bits));
+                thresholds.extend((0..8).map(|_| g.unit_f64() * total as f64 * ulp(bits)));
+                let total = total as f64 * ulp(bits);
+                for t in thresholds.into_iter().filter(|t| (0.0..total).contains(t)) {
+                    for s in &all_samplers() {
+                        assert_eq!(
+                            s.sample_with_threshold(weights, t),
+                            s.sample_with_threshold(&probs, t),
+                            "{} at {bits} bits, {width} labels, t = {t}",
+                            s.name()
+                        );
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// Codes are read only while `bits + ⌈log₂ width⌉ ≤ 53`: one label wider
+/// (54), the row takes the `f64` path. Codes that disagree with the
+/// weights show which form a draw read.
+#[test]
+fn rows_past_exact_code_sums_take_the_f64_path() {
+    for (bits, widest) in [(52u32, 2usize), (50, 8), (46, 128)] {
+        for (width, read) in [(widest, true), (widest + 1, false)] {
+            let probs = vec![1.0; width];
+            let codes = vec![0u64; width];
+            let weights = Weights::with_codes(&probs, &codes, bits);
+            let at = format!("{bits} bits, {width} labels");
+            assert_eq!(weights.codes().is_some(), read, "{at}");
+            let mut rng = SplitMix64::new(3);
+            let draw = TreeSampler::new().sample_into(weights, &mut rng, &mut SampleScratch::new());
+            assert_eq!(draw.fallback, read, "{at}");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 
 use coopmc_kernels::dynorm::dynorm_apply;
 use coopmc_kernels::exp::{ExpKernel, TableExp};
-use coopmc_sampler::{Sampler, SequentialSampler, TreeSampler};
+use coopmc_sampler::{Sampler, SequentialSampler, TreeSampler, Weights};
 use coopmc_sim::circuits::{NormTreeCircuit, PgCoreCircuit, TreeSamplerCircuit};
 use coopmc_testkit::check;
 
@@ -90,20 +90,35 @@ fn structural_census_tracks_area_model() {
 }
 
 /// Driving the structural pipeline end to end: PG core feeding the sampler
-/// circuit reproduces the behavioral engine's chosen label.
+/// circuit reproduces the label the behavioral engine draws from the PG
+/// core's outputs as integer ROM codes (`p · 2^8`, exact), at 8 and 64
+/// labels.
 #[test]
 fn pg_to_sampler_structural_path() {
-    let mut core = PgCoreCircuit::new(8, 2, 64, 8);
-    let factors: Vec<Vec<f64>> = (0..8).map(|i| vec![-(i as f64) * 0.7, -0.3]).collect();
-    let probs = core.evaluate(&factors);
-    let total: f64 = probs.iter().sum();
-    let mut sampler = TreeSamplerCircuit::new(8);
-    let behavioral = TreeSampler::new();
-    for k in 0..50 {
-        let t = total * (k as f64 + 0.5) / 50.5;
+    for labels in [8usize, 64] {
+        let mut core = PgCoreCircuit::new(labels, 2, 64, 8);
+        let factors: Vec<Vec<f64>> = (0..labels)
+            .map(|i| vec![-(i as f64) * 0.7 / (labels / 8) as f64, -0.3])
+            .collect();
+        let probs = core.evaluate(&factors);
+        let codes: Vec<u64> = probs.iter().map(|&p| (p * 256.0) as u64).collect();
+        let image: Vec<f64> = codes.iter().map(|&c| c as f64 / 256.0).collect();
         assert_eq!(
-            sampler.sample(&probs, t),
-            behavioral.sample_with_threshold(&probs, t).label
+            image, probs,
+            "{labels} labels: PG outputs sit on the 2^-8 grid"
         );
+        let weights = Weights::with_codes(&probs, &codes, 8);
+        assert!(weights.codes().is_some(), "{labels} labels");
+        let total: f64 = probs.iter().sum();
+        let mut sampler = TreeSamplerCircuit::new(labels);
+        let behavioral = TreeSampler::new();
+        for k in 0..50 {
+            let t = total * (k as f64 + 0.5) / 50.5;
+            assert_eq!(
+                sampler.sample(&probs, t),
+                behavioral.sample_with_threshold(weights, t).label,
+                "{labels} labels, t = {t}"
+            );
+        }
     }
 }
