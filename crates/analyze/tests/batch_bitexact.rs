@@ -3,7 +3,8 @@
 //!
 //! For each [`in_tree_configs`] pipeline shape, random same-width score
 //! strides — log-domain rows, LDA-shaped factor rows (two numerators, one
-//! denominator) and BN-shaped factor rows (numerators only), with row
+//! denominator) and BN-shaped factor rows (numerators only, one to four of
+//! them by row, so a stride holds several arities), with row
 //! counts on either side of the engine's 8-row stride, 64-label rows, and
 //! `LOG_ZERO`, NaN and infinite scores and zero factors — must produce
 //! **bit-identical** probabilities, per-row op counts and merged telemetry
@@ -39,17 +40,23 @@ fn random_scores(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Random factor labels: LDA-shaped (`(DT+α)(VT+β) / (ΣVT+βV)`) or, with
-/// `lda == false`, BN-shaped (one to four CPT entries, now and then zero).
-fn random_factors(rng: &mut SplitMix64, n: usize, lda: bool) -> Vec<(Vec<f64>, Vec<f64>)> {
-    (0..n)
+/// Random factor labels for `rows` rows of `width`, one arity per row:
+/// LDA-shaped (`(DT+α)(VT+β) / (ΣVT+βV)`) or, with `lda == false`,
+/// BN-shaped (one to four CPT entries by row, now and then zero).
+fn random_factors(
+    rng: &mut SplitMix64,
+    rows: usize,
+    width: usize,
+    lda: bool,
+) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..rows * width)
         .map(|i| {
             if lda {
                 let count = |rng: &mut SplitMix64, max: usize| rng.uniform_index(max) as f64;
                 let numerators = vec![count(rng, 40) + 0.1, count(rng, 12) + 0.01];
                 (numerators, vec![count(rng, 400) + 2.56])
             } else {
-                let numerators = (0..1 + i % 4).map(|_| match rng.uniform_index(9) {
+                let numerators = (0..1 + i / width % 4).map(|_| match rng.uniform_index(9) {
                     0 => 0.0,
                     _ => rng.next_f64(),
                 });
@@ -59,11 +66,17 @@ fn random_factors(rng: &mut SplitMix64, n: usize, lda: bool) -> Vec<(Vec<f64>, V
         .collect()
 }
 
-/// Factor labels as `LabelScore`s and as a stride of `width`-label rows.
+/// Factor labels, one arity per row, as `LabelScore`s and as a stride of
+/// `width`-label rows of columns.
 fn factor_inputs(labels: Vec<(Vec<f64>, Vec<f64>)>, width: usize) -> (Vec<LabelScore>, ScoreRows) {
     let mut stride = ScoreRows::new();
     for row in labels.chunks_exact(width) {
-        stride.push_factor_row(width, |l| (row[l].0.clone(), row[l].1.clone()));
+        let columns = stride.push_factor_row(width, row[0].0.len(), row[0].1.len());
+        for (l, (numerators, denominators)) in row.iter().enumerate() {
+            for (c, &x) in numerators.iter().chain(denominators).enumerate() {
+                columns[c * width + l] = x;
+            }
+        }
     }
     let scores = labels
         .into_iter()
@@ -175,7 +188,7 @@ fn batched_pg_is_bit_exact_for_every_in_tree_config() {
                 let log = log_inputs(&random_scores(&mut rng, rows * width), width);
                 assert_rows_bit_exact(&pipeline, &log, width, &mut outs, &what);
                 for lda in [true, false] {
-                    let labels = random_factors(&mut rng, rows * width, lda);
+                    let labels = random_factors(&mut rng, rows, width, lda);
                     let what = format!("{what} factors (lda: {lda})");
                     let factors = factor_inputs(labels, width);
                     assert_rows_bit_exact(&pipeline, &factors, width, &mut outs, &what);

@@ -39,8 +39,14 @@ fn bench_dynorm(h: &Harness) {
 }
 
 fn bench_factor_datapaths(h: &Harness) {
-    let numerators: Vec<[f64; 2]> = (0..64).map(|i| [0.1 + 0.01 * i as f64, 0.5]).collect();
-    let rows = || numerators.iter().map(|n| (&n[..], &[0.9][..]));
+    // One 64-label row: columns `0.1 + 0.01·l` and 0.5 over 0.9.
+    let width = 64;
+    let numerators: Vec<f64> = (0..width)
+        .map(|l| 0.1 + 0.01 * l as f64)
+        .chain(vec![0.5; width])
+        .collect();
+    let denominators = vec![0.9; width];
+    let row = (&numerators[..], &denominators[..]);
     let direct = DirectDatapath::new(QFormat::baseline32());
     let fused = LogFusion::new(
         TableLog::new(1024, 16),
@@ -51,12 +57,12 @@ fn bench_factor_datapaths(h: &Harness) {
     let (mut codes, mut telemetry) = (Vec::new(), PgTelemetry::new());
     h.run("factor_datapath/direct_mul_div", || {
         probs.clear();
-        direct.evaluate_factors_into(black_box(rows()), &mut probs)
+        direct.evaluate_factors_into(black_box(row), width, &mut probs)
     });
     h.run("factor_datapath/logfusion_lut", || {
         fused.evaluate_factor_rows_into(
-            black_box(rows()),
-            numerators.len(),
+            black_box([row]),
+            width,
             &mut work,
             &mut probs,
             &mut codes,

@@ -48,7 +48,7 @@ fn main() {
         );
         let (mut dval, mut work, mut fval, mut codes, mut ops) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        direct.evaluate_factors_into([row], &mut dval);
+        direct.evaluate_factors_into(row, 1, &mut dval);
         let tel = &mut PgTelemetry::new();
         fusion.evaluate_factor_rows_into(
             [row],

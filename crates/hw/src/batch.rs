@@ -1,8 +1,8 @@
 //! Modeled parallel-PG-unit (batched) datapath configuration.
 //!
-//! The chromatic engine's batch stride (`DEFAULT_BATCH_ROWS` rows per
-//! `generate_batch_into` call) models an accelerator that replicates the PG
-//! datapath into `pg_units` independent units, each evaluating one
+//! The chromatic engine's batch stride (up to `DEFAULT_BATCH_ROWS` rows
+//! per `generate_rows_into` call) models an accelerator that replicates
+//! the PG datapath into `pg_units` independent units, each evaluating one
 //! variable's label vector per issue slot. A color-class stride of `rows`
 //! same-shape variables then costs `ceil(rows / pg_units)` back-to-back
 //! unit passes plus one class-barrier synchronisation — the closed form

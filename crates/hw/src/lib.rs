@@ -13,7 +13,7 @@
 //! - [`area`] — the primitive component table and composite area for every
 //!   PG datapath variant (Table III) and sampler design (Fig. 14).
 //! - [`batch`] — the parallel-PG-unit (`pg_units`) bank that models the
-//!   engine's batched `generate_batch_into` strides, extending the Table
+//!   chromatic engine's `generate_rows_into` strides, extending the Table
 //!   III-style ratios to the vector datapath.
 //! - [`cycles`] — per-stage cycle composition for the PG/SD/PU flow.
 //! - [`power`] — activity-based relative energy/power (Table IV power

@@ -161,13 +161,13 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     /// Evaluate a stride of same-width factor rows (Eq. 11) into
     /// caller-owned buffers.
     ///
-    /// `labels` yields one borrowed `(numerators, denominators)` pair per
-    /// label, every row's labels in order, `width` labels to a row. Each
-    /// factor's log is read onto the accumulator bus as a raw word — from
-    /// the log kernel's integer tables where it has them, otherwise by
-    /// quantizing the kernel's `f64` log once — and summed as a raw integer
-    /// that saturates after every add and subtract, exactly as a `Fixed`
-    /// accumulator would.
+    /// `rows` yields each row's numerator and denominator columns, `width`
+    /// values to a column; rows may differ in arity. Each factor's log is
+    /// read onto the accumulator bus as a raw word — from the log kernel's
+    /// integer tables where it has them, otherwise by quantizing the
+    /// kernel's `f64` log once — and added column by column as a raw
+    /// integer that saturates after every add and subtract, exactly as a
+    /// `Fixed` accumulator would, each label in its factors' order.
     ///
     /// `words` holds each label's accumulated word between accumulation
     /// and the exp stage, `probs` receives the row-major probability
@@ -184,12 +184,12 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     ///
     /// # Panics
     ///
-    /// Panics if the labels do not fill whole rows of `width`. Only an
+    /// Panics if a row's columns are not whole columns of `width`. Only an
     /// empty stride may have width 0.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_factor_rows_into<'r>(
         &self,
-        labels: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+        rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
         width: usize,
         words: &mut Vec<i64>,
         probs: &mut Vec<f64>,
@@ -206,9 +206,9 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         match &self.log_tables {
             Some(tables) => {
                 let read = |x: f64| tables.word(x).unwrap_or_else(|| float_read(x));
-                accumulate_into(labels, width, fmt, read, words, ops_per_row);
+                accumulate_into(rows, width, fmt, read, words, ops_per_row);
             }
-            None => accumulate_into(labels, width, fmt, float_read, words, ops_per_row),
+            None => accumulate_into(rows, width, fmt, float_read, words, ops_per_row),
         }
         clock.lap(|p| &mut p.normalize_ns);
         self.finish_into(words, width, probs, codes, telemetry, clock);
@@ -232,7 +232,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         phases: Option<&mut StagePhases>,
     ) {
         ops_per_row.clear();
-        ops_per_row.resize(whole_rows(scores.len(), width), finish_ops(width));
+        ops_per_row.resize(whole_chunks(scores.len(), width), finish_ops(width));
         let mut clock = StageClock::start(phases);
         words.clear();
         words.extend(scores.iter().map(|&s| self.acc_fmt.quantize_nearest_raw(s)));
@@ -317,26 +317,27 @@ fn finish_ops(width: usize) -> OpCounts {
     }
 }
 
-/// The number of `width`-label rows that `len` labels fill. Panics unless
-/// they fill whole rows; only an empty stride may have width 0.
-fn whole_rows(len: usize, width: usize) -> usize {
-    let rows = len.checked_div(width).unwrap_or(0);
+/// The number of `width`-value rows or columns that `len` values fill.
+/// Panics unless they fill whole ones; only an empty stride has width 0.
+fn whole_chunks(len: usize, width: usize) -> usize {
+    let chunks = len.checked_div(width).unwrap_or(0);
     assert_eq!(
-        rows * width,
+        chunks * width,
         len,
         "batch length must be a multiple of the row width"
     );
-    rows
+    chunks
 }
 
-/// Sum each label's factor logs on the bus `fmt`: `log_raw` reads one
-/// factor's log as a raw word, and the accumulator saturates after every
-/// add and subtract, as a `Fixed` accumulator would. One word per label is
-/// appended to `words`, and one tally per `width`-label row to
-/// `ops_per_row`: its log reads and adds plus its [`finish_ops`].
+/// Sum each label's factor logs on the bus `fmt`, one `width`-value column
+/// at a time: `log_raw` reads one factor's log as a raw word, and the
+/// accumulator saturates after every add and subtract, as a `Fixed`
+/// accumulator would. One word per label is appended to `words`, and one
+/// tally per row to `ops_per_row`: its log reads and adds plus its
+/// [`finish_ops`].
 #[inline]
 fn accumulate_into<'r>(
-    labels: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+    rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
     width: usize,
     fmt: QFormat,
     log_raw: impl Fn(f64) -> i64,
@@ -344,32 +345,26 @@ fn accumulate_into<'r>(
     ops_per_row: &mut Vec<OpCounts>,
 ) {
     let (min, max) = (fmt.min_raw(), fmt.max_raw());
-    let (mut factors, mut in_row) = (0u64, 0usize);
-    // Both operands lie within ±2^62, so neither the sum nor the
-    // difference can overflow before the clamp saturates it.
-    for (numerators, denominators) in labels {
-        let mut acc = 0i64;
-        for &a in numerators {
-            acc = (acc + log_raw(a)).clamp(min, max);
+    for (numerators, denominators) in rows {
+        let start = words.len();
+        words.resize(start + width, 0);
+        let acc = &mut words[start..];
+        // Numerator columns add and denominator columns subtract. Both
+        // operands lie within ±2^62, so neither the sum nor the difference
+        // can overflow before the clamp saturates it.
+        for (columns, sign) in [(numerators, 1), (denominators, -1)] {
+            whole_chunks(columns.len(), width);
+            for column in columns.chunks_exact(width) {
+                for (w, &x) in acc.iter_mut().zip(column) {
+                    *w = (*w + sign * log_raw(x)).clamp(min, max);
+                }
+            }
         }
-        for &b in denominators {
-            acc = (acc - log_raw(b)).clamp(min, max);
-        }
-        words.push(acc);
-        factors += (numerators.len() + denominators.len()) as u64;
-        in_row += 1;
-        if in_row == width {
-            let mut ops = finish_ops(width);
-            ops.lut += factors;
-            ops.add += factors;
-            ops_per_row.push(ops);
-            (factors, in_row) = (0, 0);
-        }
+        let (mut ops, factors) = (finish_ops(width), numerators.len() + denominators.len());
+        ops.lut += factors as u64;
+        ops.add += factors as u64;
+        ops_per_row.push(ops);
     }
-    assert_eq!(
-        in_row, 0,
-        "batch length must be a multiple of the row width"
-    );
 }
 
 /// The direct (non-fused) baseline datapath: fixed-point multiplier and
@@ -386,35 +381,32 @@ impl DirectDatapath {
         Self { fmt }
     }
 
-    /// Bus format.
-    pub fn format(&self) -> QFormat {
-        self.fmt
-    }
-
-    /// Evaluate a label vector of factor rows (Eq. 11's numerators `a_i`
-    /// and denominators `b_j`) with explicit multiply/divide sequences.
-    /// `rows` yields one borrowed `(numerators, denominators)` pair per
-    /// label; the output vector is appended to `probs`, allocation-free
-    /// once it has capacity for every row.
-    pub fn evaluate_factors_into<'r>(
+    /// Evaluate one factor row of `width` labels (Eq. 11's numerator and
+    /// denominator columns) with explicit multiply/divide sequences, each
+    /// label in its factors' order. The row's probabilities are appended
+    /// to `probs`, allocation-free once it has the capacity.
+    pub fn evaluate_factors_into(
         &self,
-        rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+        (numerators, denominators): (&[f64], &[f64]),
+        width: usize,
         probs: &mut Vec<f64>,
     ) -> OpCounts {
-        let mut ops = OpCounts::new();
-        for (numerators, denominators) in rows {
+        let bus = |x: f64| Fixed::from_f64(x, self.fmt, Rounding::Nearest);
+        for label in 0..width {
             let mut acc = Fixed::one(self.fmt);
-            for &a in numerators {
-                acc = acc * Fixed::from_f64(a, self.fmt, Rounding::Nearest);
-                ops.mul += 1;
+            for &a in numerators.iter().skip(label).step_by(width) {
+                acc = acc * bus(a);
             }
-            for &b in denominators {
-                acc = acc / Fixed::from_f64(b, self.fmt, Rounding::Nearest);
-                ops.div += 1;
+            for &b in denominators.iter().skip(label).step_by(width) {
+                acc = acc / bus(b);
             }
             probs.push(acc.to_f64().max(0.0));
         }
-        ops
+        OpCounts {
+            mul: numerators.len() as u64,
+            div: denominators.len() as u64,
+            ..OpCounts::new()
+        }
     }
 }
 
@@ -430,12 +422,27 @@ mod tests {
         QFormat::baseline32()
     }
 
-    /// A factor label: borrowed numerators and denominators.
+    /// Borrowed numerators and denominators: one label's factors, or one
+    /// factor row's columns.
     type Row<'a> = (&'a [f64], &'a [f64]);
 
-    /// Borrow owned factor labels.
+    /// Borrow owned factor pairs.
     fn borrow(rows: &[(Vec<f64>, Vec<f64>)]) -> Vec<Row<'_>> {
         rows.iter().map(|(n, d)| (&n[..], &d[..])).collect()
+    }
+
+    /// Lay out `labels`, one `(numerators, denominators)` pair per label,
+    /// all of one arity, as a factor row's columns.
+    fn columns(labels: &[Row]) -> (Vec<f64>, Vec<f64>) {
+        let (n, d) = labels.first().map_or((0, 0), |(n, d)| (n.len(), d.len()));
+        let arities = labels.iter().map(|(ln, ld)| (ln.len(), ld.len()));
+        assert!(
+            arities.into_iter().all(|a| a == (n, d)),
+            "one arity per row"
+        );
+        let nums = (0..n).flat_map(|c| labels.iter().map(move |l| l.0[c]));
+        let dens = (0..d).flat_map(|c| labels.iter().map(move |l| l.1[c]));
+        (nums.collect(), dens.collect())
     }
 
     /// Require the codes an evaluation wrote: each probability times
@@ -455,18 +462,18 @@ mod tests {
         }
     }
 
-    /// One unphased evaluation of a stride of `width`-label factor rows
-    /// into fresh buffers.
+    /// One unphased evaluation of a stride of `width`-label factor rows,
+    /// given as columns, into fresh buffers.
     fn factor_stride<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
-        labels: &[Row],
+        rows: &[Row],
         width: usize,
     ) -> (Vec<f64>, Vec<OpCounts>, PgTelemetry) {
         let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         let (mut codes, mut tel) = (vec![7], PgTelemetry::new());
-        let labels = labels.iter().copied();
+        let rows = rows.iter().copied();
         fusion.evaluate_factor_rows_into(
-            labels, width, &mut words, &mut probs, &mut codes, &mut ops, &mut tel, None,
+            rows, width, &mut words, &mut probs, &mut codes, &mut ops, &mut tel, None,
         );
         assert_codes(fusion, &probs, &codes);
         (probs, ops, tel)
@@ -493,7 +500,8 @@ mod tests {
         fusion: &LogFusion<L, E>,
         labels: &[Row],
     ) -> (Vec<f64>, OpCounts) {
-        let (probs, ops, _) = factor_stride(fusion, labels, labels.len());
+        let (n, d) = columns(labels);
+        let (probs, ops, _) = factor_stride(fusion, &[(&n, &d)], labels.len());
         (probs, ops.first().copied().unwrap_or_default())
     }
 
@@ -506,94 +514,116 @@ mod tests {
         (probs, ops.first().copied().unwrap_or_default(), tel)
     }
 
-    /// One direct-datapath evaluation into a fresh buffer.
-    fn direct_factors(direct: &DirectDatapath, rows: &[Row]) -> (Vec<f64>, OpCounts) {
-        let mut probs = Vec::new();
-        let ops = direct.evaluate_factors_into(rows.iter().copied(), &mut probs);
+    /// One direct-datapath evaluation of one row holding every label of
+    /// `labels`, into a fresh buffer.
+    fn direct_factors(direct: &DirectDatapath, labels: &[Row]) -> (Vec<f64>, OpCounts) {
+        let ((n, d), mut probs) = (columns(labels), Vec::new());
+        let ops = direct.evaluate_factors_into((&n, &d), labels.len(), &mut probs);
         (probs, ops)
     }
 
-    /// The `Fixed` accumulation loop the raw accumulator replaced: one
-    /// `Fixed` quantization of the kernel's `f64` log and saturating
-    /// add/sub per factor, over one row of every label in `rows`.
+    /// The `Fixed` accumulation loop the raw accumulator replaced, label by
+    /// label over a stride of `width`-label factor rows: one `Fixed`
+    /// quantization of the kernel's `f64` log and saturating add/sub per
+    /// factor.
     fn fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
         rows: &[Row],
-    ) -> (Vec<f64>, OpCounts, PgTelemetry) {
+        width: usize,
+    ) -> (Vec<f64>, Vec<OpCounts>, PgTelemetry) {
         let fmt = fusion.acc_fmt;
-        let mut ops = OpCounts::new();
-        let mut words = Vec::new();
+        let read = |x: f64| Fixed::from_f64(fusion.log.log(x), fmt, Rounding::Nearest);
+        let (mut words, mut ops) = (Vec::new(), Vec::new());
         for &(numerators, denominators) in rows {
-            let mut acc = Fixed::zero(fmt);
-            for &a in numerators {
-                ops.lut += 1;
-                acc = acc + Fixed::from_f64(fusion.log.log(a), fmt, Rounding::Nearest);
-                ops.add += 1;
+            let mut row_ops = finish_ops(width);
+            for label in 0..width {
+                let mut acc = Fixed::zero(fmt);
+                for &a in numerators.iter().skip(label).step_by(width) {
+                    row_ops.lut += 1;
+                    acc = acc + read(a);
+                    row_ops.add += 1;
+                }
+                for &b in denominators.iter().skip(label).step_by(width) {
+                    row_ops.lut += 1;
+                    acc = acc - read(b);
+                    row_ops.add += 1;
+                }
+                words.push(acc.raw());
             }
-            for &b in denominators {
-                ops.lut += 1;
-                acc = acc - Fixed::from_f64(fusion.log.log(b), fmt, Rounding::Nearest);
-                ops.add += 1;
-            }
-            words.push(acc.raw());
+            ops.push(row_ops);
         }
         let (mut probs, mut tel) = (Vec::new(), PgTelemetry::new());
         let clock = StageClock::start(None);
         fusion.finish_into(
             &mut words,
-            rows.len(),
+            width,
             &mut probs,
             &mut Vec::new(),
             &mut tel,
             clock,
         );
-        ops.merge(&finish_ops(rows.len()));
         (probs, ops, tel)
     }
 
     /// Assert `fusion`'s raw accumulator reproduces [`fixed_loop`] bit for
-    /// bit on one row of every label in `rows`: probabilities, op tallies
-    /// and telemetry.
+    /// bit on a stride of `width`-label factor rows: probabilities, op
+    /// tallies and telemetry.
     fn assert_matches_fixed_loop<L: LogKernel, E: ExpKernel>(
         fusion: &LogFusion<L, E>,
         rows: &[Row],
+        width: usize,
         what: &str,
     ) {
-        let (want, want_ops, want_tel) = fixed_loop(fusion, rows);
-        let (probs, ops, tel) = factor_stride(fusion, rows, rows.len());
+        let (want, want_ops, want_tel) = fixed_loop(fusion, rows, width);
+        let (probs, ops, tel) = factor_stride(fusion, rows, width);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&probs), bits(&want), "{what}: probs");
-        assert_eq!(ops, [want_ops], "{what}: ops");
+        assert_eq!(ops, want_ops, "{what}: ops");
         assert_eq!(tel, want_tel, "{what}: telemetry");
     }
 
     #[test]
     fn raw_accumulator_matches_the_fixed_loop_on_saturating_rows_and_wide_buses() {
-        // Rows that saturate a narrow bus on the first factor, walk back
-        // from saturation (so per-add clamping shows), carry a zero factor
-        // (LOG_ZERO) or non-finite factors, plus LDA-shaped
+        // Rows of one arity each that saturate a narrow bus on the first
+        // factor, carry a zero factor (LOG_ZERO), non-finite factors or no
+        // factors at all, each as a stride of its own and all as one stride
+        // of several arities; plus strides of LDA-shaped
         // `(DT+α)(VT+β)/(ΣVT+βV)` rows.
-        let mut owned = vec![
-            (vec![1e300; 4], vec![1e300; 4]),
-            (vec![1e-300; 3], vec![1e-300, 1e-300]),
-            (vec![0.0, 1e300], vec![1e-300]),
-            (vec![f64::INFINITY, 0.5], vec![f64::NAN]),
-            (vec![3.0e4, 7.0e4], vec![2.5e-5]),
-            (vec![0.75], vec![]),
-            (vec![], vec![]),
+        let (big, tiny, inf) = (1e300, 1e-300, f64::INFINITY);
+        let owned = [
+            columns(&[
+                (&[big; 4], &[big; 4]),
+                (&[tiny; 4], &[big; 4]),
+                (&[big; 4], &[tiny; 4]),
+            ]),
+            columns(&[
+                (&[tiny; 3], &[tiny; 2]),
+                (&[big; 3], &[tiny; 2]),
+                (&[0.5; 3], &[2.0; 2]),
+            ]),
+            columns(&[
+                (&[0.0, big], &[tiny]),
+                (&[inf, 0.5], &[f64::NAN]),
+                (&[3.0e4, 7.0e4], &[2.5e-5]),
+            ]),
+            columns(&[(&[0.75], &[]), (&[1e-3], &[]), (&[0.5], &[])]),
+            columns(&[(&[][..], &[][..]); 3]),
         ];
+        let edges = borrow(&owned);
+        let mut lda = Vec::new();
         let mut state = 0x5EED_F00Du64;
         for _ in 0..64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
             let dt = (state >> 40) % 90;
             let vt = (state >> 20) % 400;
             let total = 400 + (state >> 8) % 6000;
-            owned.push((
+            lda.push((
                 vec![dt as f64 + 50.0 / 16.0, vt as f64 + 0.01],
                 vec![total as f64 + 0.01 * 256.0],
             ));
         }
-        let exprs = borrow(&owned);
+        let lda: Vec<_> = borrow(&lda).chunks(16).map(columns).collect();
+        let lda = borrow(&lda);
         let formats = [
             QFormat::new(1, 4).unwrap(),
             QFormat::new(5, 10).unwrap(),
@@ -604,9 +634,24 @@ mod tests {
             QFormat::new(0, 62).unwrap(),
             QFormat::new(61, 1).unwrap(),
         ];
+        // Every edge row alone, the edge rows as one stride, and the LDA
+        // stride.
+        fn check<L: LogKernel, E: ExpKernel>(
+            fusion: &LogFusion<L, E>,
+            edges: &[Row],
+            lda: &[Row],
+            what: &str,
+        ) {
+            for (i, row) in edges.iter().enumerate() {
+                let at = format!("{what} edge row {i}");
+                assert_matches_fixed_loop(fusion, std::slice::from_ref(row), 3, &at);
+            }
+            assert_matches_fixed_loop(fusion, edges, 3, &format!("{what} edge stride"));
+            assert_matches_fixed_loop(fusion, lda, 16, &format!("{what} lda stride"));
+        }
         for fmt in formats {
             let float = LogFusion::new(FloatLog::new(), FloatExp::new(), fmt);
-            assert_matches_fixed_loop(&float, &exprs, &format!("float-log {fmt}"));
+            check(&float, &edges, &lda, &format!("float-log {fmt}"));
             // Saturate upward from a negative sum, then walk back to just
             // above zero: a saturated word one step off survives to the
             // row's value (and to the NormTree maximum) on 55+-bit buses.
@@ -619,13 +664,19 @@ mod tests {
                     rest -= 1e300f64.ln();
                 }
                 walk_back.push(rest.exp());
-                let rows: [Row; 2] = [(&[0.5, f64::INFINITY], &walk_back), (&[1e-3], &[])];
-                assert_matches_fixed_loop(&float, &rows, &format!("walk-back {fmt}"));
+                let ones = vec![1.0; walk_back.len()];
+                let (n, d) = columns(&[(&[0.5, inf], &walk_back), (&[1e-3, 1.0], &ones)]);
+                let what = format!("walk-back {fmt}");
+                assert_matches_fixed_loop(&float, &[(&n, &d)], 2, &what);
             }
             for (size, bit) in [(64, 8), (1024, 24), (48, 16)] {
                 let table = LogFusion::new(TableLog::new(size, bit), TableExp::new(size, bit), fmt);
-                let what = format!("table-log {size}x{bit} {fmt}");
-                assert_matches_fixed_loop(&table, &exprs, &what);
+                check(
+                    &table,
+                    &edges,
+                    &lda,
+                    &format!("table-log {size}x{bit} {fmt}"),
+                );
             }
         }
     }
@@ -655,8 +706,9 @@ mod tests {
     #[test]
     fn word_path_matches_the_f64_reference_bit_for_bit() {
         // Log rows with LOG_ZERO, NaN and ±∞ scores, ties and deep
-        // flushes; factor rows shaped like LDA's and BN's, with zero,
-        // subnormal, negative, NaN and ±∞ factors.
+        // flushes; factor rows of one arity each, shaped like LDA's and
+        // BN's, with zero, subnormal, negative, NaN and ±∞ factors, and a
+        // row of no factors.
         let log_rows = [
             [-3.2, -1.0, -7.75, -1.0],
             [LOG_ZERO, -2.5, f64::NAN, 0.0],
@@ -667,16 +719,28 @@ mod tests {
         ];
         let flat: Vec<f64> = log_rows.concat();
         let owned = [
-            (vec![12.5, 3.01], vec![402.56]),
-            (vec![0.0, 0.5], vec![]),
-            (vec![f64::MIN_POSITIVE / 3.0, 2.0], vec![1.0]),
-            (vec![-0.25, 0.75], vec![f64::NAN]),
-            (vec![f64::INFINITY], vec![0.5]),
-            (vec![1e-300, 1e300], vec![f64::NEG_INFINITY]),
-            (vec![0.999_999, 1.0, 2.0 - 1e-15], vec![1.5]),
-            (vec![], vec![]),
+            columns(&[
+                (&[12.5, 3.01], &[402.56]),
+                (&[0.0, 0.5], &[1.0]),
+                (&[f64::MIN_POSITIVE / 3.0, 2.0], &[1.0]),
+                (&[-0.25, 0.75], &[f64::NAN]),
+            ]),
+            columns(&[
+                (&[1e-300, 1e300], &[f64::NEG_INFINITY]),
+                (&[f64::INFINITY, 1.0], &[0.5]),
+                (&[3.0, 0.25], &[0.5]),
+                (&[1.0, 1.0], &[1.0]),
+            ]),
+            columns(&[
+                (&[0.999_999, 1.0, 2.0 - 1e-15], &[1.5]),
+                (&[1.0; 3], &[1.5]),
+                (&[0.5, 2.0, 0.25], &[1.0]),
+                (&[0.0, 1.0, 1.0], &[1.0]),
+            ]),
+            columns(&[(&[0.75], &[]), (&[0.5], &[]), (&[1e-9], &[]), (&[0.0], &[])]),
+            columns(&[(&[][..], &[][..]); 4]),
         ];
-        let labels = borrow(&owned);
+        let factor_rows = borrow(&owned);
         let sizes = [
             (1, 8),
             (2, 1),
@@ -688,17 +752,17 @@ mod tests {
         ];
         for (size, bit) in sizes {
             let [words, reference] = words_and_reference(size, bit);
-            // The log rows one at a time and as one stride; the factor
-            // labels as one row and as a stride of two.
+            // Each row alone and every row of a form as one stride.
             let run = |f: &LogFusion<TableLog, TableExp>| {
                 let mut out: Vec<_> = log_rows
                     .iter()
                     .map(|row| as_bits(&log_stride(f, row, 4)))
                     .collect();
                 out.push(as_bits(&log_stride(f, &flat, 4)));
-                for width in [labels.len(), labels.len() / 2] {
-                    out.push(as_bits(&factor_stride(f, &labels, width)));
+                for row in &factor_rows {
+                    out.push(as_bits(&factor_stride(f, std::slice::from_ref(row), 4)));
                 }
+                out.push(as_bits(&factor_stride(f, &factor_rows, 4)));
                 out
             };
             assert_eq!(run(&words), run(&reference), "{size}x{bit}");
@@ -841,17 +905,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of the row width")]
     fn ragged_factor_strides_are_refused() {
+        // Three numerators do not fill whole columns of two labels.
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
-        let labels: [Row; 3] = [(&[0.5], &[]); 3];
-        factor_stride(&fusion, &labels, 2);
+        factor_stride(&fusion, &[(&[0.5; 3], &[])], 2);
     }
 
     #[test]
     fn batched_rows_are_bit_identical_to_per_row_scalar_calls() {
         // Cover a small (64) and a large (1024) exp table on bus words and
-        // a 48-entry one on the f64 path, several widths, and log and
-        // LDA-shaped factor strides: every row of a stride must equal that
-        // row evaluated alone.
+        // a 48-entry one on the f64 path, several widths, and log strides
+        // and factor strides of LDA-shaped and BN-shaped rows: every row of
+        // a stride must equal that row evaluated alone.
         for (size, bit) in [(64, 8), (1024, 24), (48, 8)] {
             let fusion = LogFusion::new(TableLog::new(size, bit), TableExp::new(size, bit), acc());
             for width in [1usize, 2, 3, 8, 13] {
@@ -862,9 +926,14 @@ mod tests {
                 let owned: Vec<_> = (0..rows * width)
                     .map(|i| {
                         let u = ((i * 13) % 29) as f64;
-                        (vec![u + 0.1, 0.5 * u + 0.01], vec![40.0 + 7.0 * u])
+                        match i / width % 3 {
+                            0 => (vec![u + 0.1, 0.5 * u + 0.01], vec![40.0 + 7.0 * u]),
+                            1 => (vec![u / 29.0 + 0.01], vec![]),
+                            _ => (vec![0.5, u / 29.0, 0.25], vec![]),
+                        }
                     })
                     .collect();
+                let owned: Vec<_> = borrow(&owned).chunks(width).map(columns).collect();
                 let labels = borrow(&owned);
                 let log = log_stride(&fusion, &flat, width);
                 let factor = factor_stride(&fusion, &labels, width);
@@ -881,7 +950,7 @@ mod tests {
                         ),
                         (
                             &mut factor_alone,
-                            factor_stride(&fusion, &labels[cols], width),
+                            factor_stride(&fusion, &labels[row..row + 1], width),
                         ),
                     ] {
                         alone.0.extend(probs);
@@ -900,7 +969,8 @@ mod tests {
     fn phased_evaluation_is_bit_identical_and_fills_phases() {
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc());
         let scores = [-10.0, -9.0, -12.0, -11.5];
-        let labels: [Row; 2] = [(&[0.5, 0.7], &[]), (&[0.25], &[0.5])];
+        // Two one-label factor rows of different arities.
+        let rows: [Row; 2] = [(&[0.5, 0.7], &[]), (&[0.25], &[0.5])];
         let (mut words, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         let mut codes = Vec::new();
 
@@ -924,7 +994,7 @@ mod tests {
         // Factor rows fill phases through the same plumbing.
         let (mut tel, mut factor_phases) = (PgTelemetry::new(), StagePhases::default());
         fusion.evaluate_factor_rows_into(
-            labels,
+            rows,
             1,
             &mut words,
             &mut probs,
@@ -933,7 +1003,7 @@ mod tests {
             &mut tel,
             Some(&mut factor_phases),
         );
-        assert_eq!((probs, ops, tel), factor_stride(&fusion, &labels, 1));
+        assert_eq!((probs, ops, tel), factor_stride(&fusion, &rows, 1));
         assert_ne!(factor_phases, StagePhases::default());
         let before = factor_phases;
         factor_phases.merge(&log_phases);

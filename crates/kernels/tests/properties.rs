@@ -104,11 +104,10 @@ fn fusion_preserves_ratios() {
             FloatExp::new(),
             QFormat::new(15, 30).unwrap(),
         );
-        let rows = ps.iter().map(|p| (std::slice::from_ref(p), &[][..]));
         let (mut work, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         let tel = &mut PgTelemetry::new();
         fusion.evaluate_factor_rows_into(
-            rows,
+            [(&ps[..], &[][..])],
             ps.len(),
             &mut work,
             &mut probs,
@@ -180,10 +179,15 @@ fn direct_and_fused_agree_on_argmax() {
         if sorted[0] - sorted[1] <= 0.02 {
             return;
         }
-        let numerators: Vec<[f64; 2]> = ps.iter().map(|&p| [p, 0.5]).collect();
-        let rows = || numerators.iter().map(|n| (&n[..], &[0.9][..]));
+        // One row: columns `p` and 0.5 over 0.9.
+        let numerators = [&ps[..], &vec![0.5; ps.len()]].concat();
+        let row = (&numerators[..], &vec![0.9; ps.len()][..]);
         let mut direct = Vec::new();
-        DirectDatapath::new(QFormat::baseline32()).evaluate_factors_into(rows(), &mut direct);
+        DirectDatapath::new(QFormat::baseline32()).evaluate_factors_into(
+            row,
+            ps.len(),
+            &mut direct,
+        );
         let (mut work, mut fused, mut ops) = (Vec::new(), Vec::new(), Vec::new());
         LogFusion::new(
             TableLog::new(1024, 24),
@@ -191,7 +195,7 @@ fn direct_and_fused_agree_on_argmax() {
             QFormat::new(15, 24).unwrap(),
         )
         .evaluate_factor_rows_into(
-            rows(),
+            [row],
             ps.len(),
             &mut work,
             &mut fused,

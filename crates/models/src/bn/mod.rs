@@ -229,13 +229,20 @@ impl GibbsModel for BayesNet {
         self.evidence[var].is_some()
     }
 
+    /// Columns of the Markov-blanket product: `var`'s own CPT entries, then
+    /// one column per child.
     fn row_into(&self, var: usize, rows: &mut ScoreRows) {
-        rows.push_factor_row(self.nodes[var].card, |label| {
-            let local = std::iter::once(self.local_prob(var, label));
-            let children = self.children[var].iter();
-            let blanket = children.map(move |&c| self.child_prob_given(c, var, label));
-            (local.chain(blanket), [])
-        });
+        let (card, children) = (self.nodes[var].card, &self.children[var]);
+        let columns = rows.push_factor_row(card, 1 + children.len(), 0);
+        let (local, blanket) = columns.split_at_mut(card);
+        for (label, slot) in local.iter_mut().enumerate() {
+            *slot = self.local_prob(var, label);
+        }
+        for (&child, column) in children.iter().zip(blanket.chunks_exact_mut(card)) {
+            for (label, slot) in column.iter_mut().enumerate() {
+                *slot = self.child_prob_given(child, var, label);
+            }
+        }
     }
 
     fn update(&mut self, var: usize, label: usize) {

@@ -182,15 +182,18 @@ impl GibbsModel for Lda {
         self.remove_token(var);
     }
 
+    /// Columns `DT + α` and `VT + β` over `ΣVT + βV`, one entry per topic.
     fn row_into(&self, var: usize, rows: &mut ScoreRows) {
-        let (d, v) = self.tokens[var];
-        rows.push_factor_row(self.n_topics, |k| {
-            let dt = self.dt[d as usize * self.n_topics + k] as f64;
-            let vt = self.vt[k * self.n_vocab + v as usize] as f64;
-            let total = self.topic_total[k] as f64;
-            let numerators = [dt + self.alpha, vt + self.beta];
-            (numerators, [total + self.beta * self.n_vocab as f64])
-        });
+        let (k, (d, v)) = (self.n_topics, self.tokens[var]);
+        let columns = rows.push_factor_row(k, 2, 1);
+        let doc = &self.dt[d as usize * k..];
+        let word = self.vt[v as usize..].iter().step_by(self.n_vocab);
+        let beta_v = self.beta * self.n_vocab as f64;
+        for (t, ((&dt, &vt), &total)) in doc.iter().zip(word).zip(&self.topic_total).enumerate() {
+            columns[t] = dt as f64 + self.alpha;
+            columns[k + t] = vt as f64 + self.beta;
+            columns[2 * k + t] = total as f64 + beta_v;
+        }
     }
 
     fn update(&mut self, var: usize, label: usize) {

@@ -67,16 +67,14 @@ impl LabelScore {
             LabelScore::Factors {
                 numerators,
                 denominators,
-            } => factor_value(numerators, denominators),
+            } => factor_value(numerators.iter().product(), denominators.iter().product()),
         }
     }
 }
 
-/// Exact (float) value of a factor label, `Π numerators / Π denominators`,
-/// or 0 if a denominator is 0.
-pub fn factor_value(numerators: &[f64], denominators: &[f64]) -> f64 {
-    let num: f64 = numerators.iter().product();
-    let den: f64 = denominators.iter().product();
+/// Exact (float) value of a factor label, `num / den`, from its numerator
+/// product `num` and denominator product `den`; 0 if `den` is 0.
+pub fn factor_value(num: f64, den: f64) -> f64 {
     if den == 0.0 {
         0.0
     } else {
@@ -163,8 +161,10 @@ mod tests {
 
     #[test]
     fn factor_row_models_append_factor_rows() {
+        // ASIA's node 0 has one child: a CPT column and the child's. An LDA
+        // token has two numerator columns and one denominator column.
         let mut rows = ScoreRows::new();
-        rows.push_factor_row(2, |_| ([0.5], []));
+        rows.push_factor_row(2, 1, 0).fill(0.5);
         bn::asia().row_into(0, &mut rows);
         let corpus = lda::Corpus {
             n_docs: 1,
@@ -173,10 +173,11 @@ mod tests {
         };
         lda::Lda::new(&corpus, 2, 0.1, 0.01).row_into(0, &mut rows);
         assert_eq!((rows.len(), rows.logs()), (3, None));
-        assert_eq!(rows.factors(0..1).next(), Some((&[0.5][..], &[][..])));
-        assert_eq!(
-            rows.factors(2..3).map(|(n, d)| (n.len(), d.len())).last(),
-            Some((2, 1))
-        );
+        assert_eq!(rows.factor_row(0), (&[0.5, 0.5][..], &[][..]));
+        let arity = |row| {
+            let (n, d) = rows.factor_row(row);
+            (n.len() / 2, d.len() / 2)
+        };
+        assert_eq!([arity(1), arity(2)], [(2, 0), (2, 1)]);
     }
 }

@@ -1,7 +1,5 @@
 //! The score rows a model hands to the Probability Generation step.
 
-use std::ops::Range;
-
 use crate::LabelScore;
 
 /// A row-major stride of score rows, all of one form and one width: what a
@@ -15,8 +13,10 @@ use crate::LabelScore;
 ///   `-β · TC` (Eq. 4);
 /// - a **factor row** holds, per label, the linear-domain numerators and
 ///   denominators of Eq. 11 (a Bayesian network's Markov-blanket product,
-///   Eq. 5; LDA's collapsed conditional, Eq. 6). Every label's factors lie
-///   in one flat array, numerators first, with per-label end offsets.
+///   Eq. 5; LDA's collapsed conditional, Eq. 6). Every label of a row has
+///   the same number of each, so the row is stored as columns of `width`
+///   values, one per factor, numerator columns first: column `c` holds
+///   factor `c` of every label. Rows of one stride may differ in arity.
 ///
 /// Rows are appended; every row has at least one label, and a stride holds
 /// rows of one form and one width (the `push_*` methods panic otherwise).
@@ -24,12 +24,10 @@ use crate::LabelScore;
 /// warm-up has grown them a gather allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScoreRows {
-    /// Log rows: the scores. Factor rows: each label's numerators, then
-    /// its denominators.
+    /// Log rows: the scores. Factor rows: each row's columns.
     values: Vec<f64>,
-    /// Factor rows only: per label, where its numerators and its
-    /// denominators end in `values`.
-    ends: Vec<(usize, usize)>,
+    /// Factor rows only: each row's `(numerators, denominators)` arity.
+    arities: Vec<(usize, usize)>,
     /// Labels per row; 0 while the stride is empty.
     width: usize,
     /// Number of rows.
@@ -43,7 +41,7 @@ impl ScoreRows {
     pub const fn new() -> Self {
         Self {
             values: Vec::new(),
-            ends: Vec::new(),
+            arities: Vec::new(),
             width: 0,
             rows: 0,
             factors: false,
@@ -68,12 +66,13 @@ impl ScoreRows {
     /// Drop every row, keeping the buffers.
     pub fn clear(&mut self) {
         self.values.clear();
-        self.ends.clear();
+        self.arities.clear();
         (self.width, self.rows, self.factors) = (0, 0, false);
     }
 
-    /// Open a row of `width` labels in the given form.
-    fn begin_row(&mut self, width: usize, factors: bool) {
+    /// Open a row of `width` labels in the given form, `len` values long,
+    /// and return its values, zeroed.
+    fn push_row(&mut self, width: usize, factors: bool, len: usize) -> &mut [f64] {
         assert!(width > 0, "row width must be positive");
         if self.is_empty() {
             (self.width, self.factors) = (width, factors);
@@ -83,32 +82,31 @@ impl ScoreRows {
             "a stride holds rows of one form and one width"
         );
         self.rows += 1;
+        let start = self.values.len();
+        self.values.resize(start + len, 0.0);
+        &mut self.values[start..]
     }
 
     /// Append a log row of `width` labels and return it, zeroed, for the
     /// caller to write.
     pub fn push_log_row(&mut self, width: usize) -> &mut [f64] {
-        self.begin_row(width, false);
-        let start = self.values.len();
-        self.values.resize(start + width, 0.0);
-        &mut self.values[start..]
+        self.push_row(width, false, width)
     }
 
-    /// Append a factor row of `width` labels: `label(l)` gives label `l`'s
-    /// numerators and denominators.
-    pub fn push_factor_row<N, D>(&mut self, width: usize, mut label: impl FnMut(usize) -> (N, D))
-    where
-        N: IntoIterator<Item = f64>,
-        D: IntoIterator<Item = f64>,
-    {
-        self.begin_row(width, true);
-        for l in 0..width {
-            let (numerators, denominators) = label(l);
-            self.values.extend(numerators);
-            let numerators_end = self.values.len();
-            self.values.extend(denominators);
-            self.ends.push((numerators_end, self.values.len()));
-        }
+    /// Append a factor row of `width` labels, each with `numerators`
+    /// numerators and `denominators` denominators, and return its
+    /// `numerators + denominators` columns, zeroed, for the caller to
+    /// write: `width` values each, numerator columns first.
+    pub fn push_factor_row(
+        &mut self,
+        width: usize,
+        numerators: usize,
+        denominators: usize,
+    ) -> &mut [f64] {
+        let start = self.values.len();
+        self.push_row(width, true, (numerators + denominators) * width);
+        self.arities.push((numerators, denominators));
+        &mut self.values[start..]
     }
 
     /// Every row's log-domain scores, row-major, or `None` if the rows are
@@ -124,29 +122,34 @@ impl ScoreRows {
         self.logs().map(|logs| &logs[row * w..(row + 1) * w])
     }
 
-    /// The `(numerators, denominators)` of every label of rows `rows`, row
-    /// after row. Panics, when iterated, if the rows are log rows or out of
-    /// range.
-    pub fn factors(
-        &self,
-        rows: Range<usize>,
-    ) -> impl Iterator<Item = (&[f64], &[f64])> + Clone + '_ {
-        let (values, ends) = (&self.values, &self.ends);
-        (rows.start * self.width..rows.end * self.width).map(move |i| {
-            let start = i.checked_sub(1).map_or(0, |prev| ends[prev].1);
-            let (numerators_end, end) = ends[i];
-            (&values[start..numerators_end], &values[numerators_end..end])
+    /// Every factor row's numerator columns and denominator columns,
+    /// `width` values to a column, in order; nothing if the rows are log
+    /// rows.
+    pub fn factor_rows(&self) -> impl Iterator<Item = (&[f64], &[f64])> + Clone + '_ {
+        let (w, mut rest) = (self.width, &self.values[..]);
+        self.arities.iter().map(move |&(n, d)| {
+            let (numerators, tail) = rest.split_at(n * w);
+            let (denominators, tail) = tail.split_at(d * w);
+            rest = tail;
+            (numerators, denominators)
         })
     }
 
-    /// Append `scores` as rows of `width` labels: log rows if every entry
-    /// is [`LabelScore::LogDomain`], otherwise factor rows in which a
-    /// `LogDomain(v)` entry is the single numerator `v.exp()`.
+    /// Row `row`'s [`ScoreRows::factor_rows`] columns. Panics if the rows
+    /// are log rows or hold no row `row`.
+    pub fn factor_row(&self, row: usize) -> (&[f64], &[f64]) {
+        self.factor_rows().nth(row).expect("no such factor row")
+    }
+
+    /// Append `scores` as rows of `width` labels: a row of
+    /// [`LabelScore::LogDomain`] entries as a log row, a row of
+    /// [`LabelScore::Factors`] of one arity as a factor row.
     ///
     /// # Panics
     ///
     /// Panics if `width == 0`, if `scores.len()` is not a multiple of
-    /// `width`, or if the rows do not fit the stride's form and width.
+    /// `width`, if a row mixes forms or arities, or if the rows do not fit
+    /// the stride's form and width.
     pub fn push_label_scores(&mut self, scores: &[LabelScore], width: usize) {
         assert!(width > 0, "row width must be positive");
         assert_eq!(
@@ -154,28 +157,27 @@ impl ScoreRows {
             0,
             "batch length must be a multiple of the row width"
         );
-        let log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
+        let shape = |score| {
+            let (log, numerators, denominators) = entries(score);
+            (log, numerators.len(), denominators.len())
+        };
         for row in scores.chunks_exact(width) {
-            if log {
-                let logs = self.push_log_row(width);
-                for (slot, score) in logs.iter_mut().zip(row) {
-                    if let LabelScore::LogDomain(v) = score {
-                        *slot = *v;
-                    }
+            let (log, n, d) = shape(&row[0]);
+            assert!(
+                row.iter().all(|s| shape(s) == (log, n, d)),
+                "a row's labels share one form and one arity"
+            );
+            let values = if log {
+                self.push_log_row(width)
+            } else {
+                self.push_factor_row(width, n, d)
+            };
+            for (l, score) in row.iter().enumerate() {
+                let (_, numerators, denominators) = entries(score);
+                for (c, &x) in numerators.iter().chain(denominators).enumerate() {
+                    values[c * width + l] = x;
                 }
-                continue;
             }
-            self.push_factor_row(width, |l| {
-                let (exp, numerators, denominators) = match &row[l] {
-                    LabelScore::LogDomain(v) => (Some(v.exp()), &[][..], &[][..]),
-                    LabelScore::Factors {
-                        numerators,
-                        denominators,
-                    } => (None, &numerators[..], &denominators[..]),
-                };
-                let numerators = exp.into_iter().chain(numerators.iter().copied());
-                (numerators, denominators.iter().copied())
-            });
         }
     }
 
@@ -188,27 +190,42 @@ impl ScoreRows {
             out.extend(logs.iter().map(|&v| LabelScore::LogDomain(v)));
             return;
         }
-        out.truncate(self.width);
-        out.resize_with(self.width, || LabelScore::LogDomain(0.0));
-        for (slot, (nums, dens)) in out.iter_mut().zip(self.factors(row..row + 1)) {
+        let (w, (nums, dens)) = (self.width, self.factor_row(row));
+        out.truncate(w);
+        out.resize_with(w, || LabelScore::LogDomain(0.0));
+        for (l, slot) in out.iter_mut().enumerate() {
+            let [n, d] = [nums, dens].map(|c| c.iter().skip(l).step_by(w).copied());
             match slot {
                 LabelScore::Factors {
                     numerators,
                     denominators,
                 } => {
                     numerators.clear();
-                    numerators.extend_from_slice(nums);
+                    numerators.extend(n);
                     denominators.clear();
-                    denominators.extend_from_slice(dens);
+                    denominators.extend(d);
                 }
                 LabelScore::LogDomain(_) => {
                     *slot = LabelScore::Factors {
-                        numerators: nums.to_vec(),
-                        denominators: dens.to_vec(),
+                        numerators: n.collect(),
+                        denominators: d.collect(),
                     }
                 }
             }
         }
+    }
+}
+
+/// A label score's form and entries: `(true, [v], [])` for a log score
+/// `v`, which a log row holds as its one column, and `(false, numerators,
+/// denominators)` for factors.
+fn entries(score: &LabelScore) -> (bool, &[f64], &[f64]) {
+    match score {
+        LabelScore::LogDomain(v) => (true, std::slice::from_ref(v), &[]),
+        LabelScore::Factors {
+            numerators,
+            denominators,
+        } => (false, numerators, denominators),
     }
 }
 
@@ -219,19 +236,25 @@ mod tests {
     #[test]
     fn factor_rows_keep_each_labels_factors_apart() {
         let mut rows = ScoreRows::new();
-        rows.push_factor_row(2, |l| ([1.0 + l as f64, 0.5], [4.0]));
-        rows.push_factor_row(2, |l| (vec![0.25; l], []));
-        assert_eq!((rows.len(), rows.width(), rows.logs()), (2, 2, None));
-        let row = |r: usize| rows.factors(r..r + 1).collect::<Vec<_>>();
+        rows.push_factor_row(2, 2, 1)
+            .copy_from_slice(&[1.0, 2.0, 0.5, 0.5, 4.0, 4.0]);
+        assert!(rows.push_factor_row(2, 0, 0).is_empty());
+        rows.push_factor_row(2, 1, 0).fill(0.25);
+        assert_eq!((rows.len(), rows.width(), rows.logs()), (3, 2, None));
+        let (two, one): (&[f64], &[f64]) = (&[1.0, 2.0, 0.5, 0.5], &[4.0, 4.0]);
+        let empty: &[f64] = &[];
+        assert_eq!(rows.factor_row(0), (two, one));
+        assert_eq!(rows.factor_row(1), (empty, empty));
+        let all: Vec<_> = rows.factor_rows().collect();
         assert_eq!(
-            row(0),
-            [(&[1.0, 0.5][..], &[4.0][..]), (&[2.0, 0.5], &[4.0])]
+            all,
+            [(two, one), (empty, empty), (&[0.25, 0.25][..], empty)]
         );
-        assert_eq!(row(1), [(&[][..], &[][..]), (&[0.25][..], &[][..])]);
         rows.clear();
         assert!(rows.is_empty());
         rows.push_log_row(3).copy_from_slice(&[-1.0, -2.0, -3.0]);
         assert_eq!(rows.log_row(0), Some(&[-1.0, -2.0, -3.0][..]));
+        assert_eq!(rows.factor_rows().count(), 0);
     }
 
     #[test]
@@ -239,7 +262,7 @@ mod tests {
     fn a_stride_refuses_a_second_form() {
         let mut rows = ScoreRows::new();
         rows.push_log_row(2);
-        rows.push_factor_row(2, |_| ([1.0], []));
+        rows.push_factor_row(2, 1, 0);
     }
 
     #[test]
@@ -248,30 +271,51 @@ mod tests {
         ScoreRows::new().push_log_row(0);
     }
 
-    #[test]
-    fn label_scores_round_trip_and_mixed_rows_read_log_entries_as_exp() {
-        let mixed = [
-            LabelScore::LogDomain(-0.5),
-            LabelScore::Factors {
-                numerators: vec![0.2, 0.5],
-                denominators: vec![0.8],
-            },
-        ];
-        let mut rows = ScoreRows::new();
-        rows.push_label_scores(&mixed, 2);
-        let row: Vec<_> = rows.factors(0..1).collect();
-        assert_eq!(row[0], (&[(-0.5f64).exp()][..], &[][..]));
-        assert_eq!(row[1], (&[0.2, 0.5][..], &[0.8][..]));
+    /// Factor label scores `(numerators, denominators)`.
+    fn factors(labels: &[(&[f64], &[f64])]) -> Vec<LabelScore> {
+        let factors = |&(n, d): &(&[f64], &[f64])| LabelScore::Factors {
+            numerators: n.to_vec(),
+            denominators: d.to_vec(),
+        };
+        labels.iter().map(factors).collect()
+    }
 
+    #[test]
+    fn label_scores_round_trip_through_columns() {
+        // Two factor rows of different arities in one stride, then log rows,
+        // each read back into an output that holds the other form.
+        let two = factors(&[(&[0.2, 0.5], &[0.8]), (&[0.4, 0.7], &[0.9])]);
+        let one = factors(&[(&[0.3], &[]), (&[0.6], &[])]);
+        let mut rows = ScoreRows::new();
+        rows.push_label_scores(&[two.clone(), one.clone()].concat(), 2);
+        assert_eq!(
+            rows.factor_row(0),
+            (&[0.2, 0.4, 0.5, 0.7][..], &[0.8, 0.9][..])
+        );
         let logs = [-1.0, -2.0, -3.0, -4.0].map(LabelScore::LogDomain);
-        let mut out = mixed.to_vec();
+        let mut out = logs.to_vec();
+        rows.label_scores_into(0, &mut out);
+        assert_eq!(out, two);
+        rows.label_scores_into(1, &mut out);
+        assert_eq!(out, one);
         rows.clear();
         rows.push_label_scores(&logs, 2);
         rows.label_scores_into(1, &mut out);
         assert_eq!(out, logs[2..]);
-        let mut again = ScoreRows::new();
-        again.push_label_scores(&mixed[1..], 1);
-        again.label_scores_into(0, &mut out);
-        assert_eq!(out, mixed[1..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one form and one arity")]
+    fn a_label_score_row_mixing_forms_is_refused() {
+        let mut row = factors(&[(&[0.2], &[])]);
+        row.push(LabelScore::LogDomain(-0.5));
+        ScoreRows::new().push_label_scores(&row, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one form and one arity")]
+    fn a_ragged_label_score_row_is_refused() {
+        let row = factors(&[(&[0.2, 0.5], &[0.8]), (&[0.4], &[0.8])]);
+        ScoreRows::new().push_label_scores(&row, 2);
     }
 }

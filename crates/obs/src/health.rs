@@ -743,7 +743,6 @@ pub struct EarlyStop<'a> {
     health: ChainHealth,
     rhat_threshold: f64,
     ess_budget: f64,
-    min_sweeps: u64,
     recorder: &'a dyn Recorder,
     info: StopInfo,
 }
@@ -754,7 +753,6 @@ impl std::fmt::Debug for EarlyStop<'_> {
             .field("health", &self.health)
             .field("rhat_threshold", &self.rhat_threshold)
             .field("ess_budget", &self.ess_budget)
-            .field("min_sweeps", &self.min_sweeps)
             .field("info", &self.info)
             .finish_non_exhaustive()
     }
@@ -762,7 +760,7 @@ impl std::fmt::Debug for EarlyStop<'_> {
 
 /// Minimum sweeps before an early stop may trigger (diagnostics over a
 /// near-empty window are noise).
-const DEFAULT_MIN_SWEEPS: u64 = 16;
+const MIN_SWEEPS: u64 = 16;
 
 impl<'a> EarlyStop<'a> {
     /// A controller around `health` with the given convergence criteria.
@@ -773,7 +771,6 @@ impl<'a> EarlyStop<'a> {
             health,
             rhat_threshold,
             ess_budget,
-            min_sweeps: DEFAULT_MIN_SWEEPS,
             recorder: &crate::trace::NoopRecorder,
             info: StopInfo::default(),
         }
@@ -787,12 +784,6 @@ impl<'a> EarlyStop<'a> {
     /// Forward refreshed health records to `recorder` (journal capture).
     pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Require at least `min_sweeps` before stopping.
-    pub fn with_min_sweeps(mut self, min_sweeps: u64) -> Self {
-        self.min_sweeps = min_sweeps;
         self
     }
 
@@ -826,7 +817,7 @@ impl ConvergenceController for EarlyStop<'_> {
         self.info.iteration = iteration;
         self.info.rhat = record.rhat;
         self.info.ess = record.ess;
-        if iteration >= self.min_sweeps {
+        if iteration >= MIN_SWEEPS {
             if let (Some(rhat), Some(ess)) = (record.rhat, record.ess) {
                 if rhat <= self.rhat_threshold && ess >= self.ess_budget {
                     self.info.stopped_early = true;
@@ -1092,7 +1083,7 @@ mod tests {
                 ..HealthConfig::default()
             },
         );
-        let mut ctl = EarlyStop::new(health, 1.05, 30.0).with_min_sweeps(16);
+        let mut ctl = EarlyStop::new(health, 1.05, 30.0);
         let series = ar1_series(400, 0.1, 77);
         let mut stopped_at = None;
         for (i, &v) in series.iter().enumerate() {

@@ -69,10 +69,10 @@ pub struct SweepSample {
     pub sd_cycles: u64,
     /// Modeled PU cycles this sweep (`PU_CYCLES × updates`).
     pub pu_cycles: u64,
-    /// Batched PG evaluations (`generate_batch_into` strides) this sweep;
-    /// 0 for scalar engines or a batch stride of 1.
+    /// The chromatic engine's PG strides (`generate_rows_into` calls) this
+    /// sweep, one-row strides included; 0 for the sequential engine.
     pub pg_batches: u64,
-    /// Total rows evaluated through batched PG strides this sweep.
+    /// Total rows evaluated through those strides this sweep.
     pub pg_batch_rows: u64,
     /// Largest NormTree maximum observed across the sweep's PG calls
     /// (`None` when no DyNorm datapath ran).
