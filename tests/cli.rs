@@ -5,7 +5,9 @@
 //! under each of them, and an early-stop run stops at the same sweep
 //! whether or not it writes a journal. A profiled, traced chromatic run
 //! puts every kernel span inside a journaled sweep. The sampler flag, by
-//! contrast, reaches the chain at any thread count.
+//! contrast, reaches the chain at any thread count. A 4-thread health run's
+//! `--metrics-out` keeps the series, order and non-wall-time values it was
+//! recorded with.
 
 use std::process::Command;
 
@@ -217,4 +219,165 @@ fn any_sampler_runs_chromatically() {
         assert_eq!(two, direct, "--sampler {name}");
     }
     assert_ne!(report("alias", "2"), report("tree", "2"));
+}
+
+/// `coopmc run stereo --sweeps 10 --threads 4 --health --metrics-out F` as
+/// recorded when the exposition came from a process-global registry: every
+/// series in order, each with its value unless that value depends on wall
+/// time (`_`). Kept values: every counter but `*_ns_total`, every
+/// histogram `_count`, `coopmc_pool_worker_jobs` and every
+/// `coopmc_health_*` series. `coopmc_health_flip_rate` is the value at the
+/// last refresh (sweep 8), not the 0.1987 the run prints after sweep 10.
+const STEREO_METRICS: &str = r#"# TYPE coopmc_health_ess gauge
+coopmc_health_ess{chain="0"} 3.688154611267233
+# TYPE coopmc_health_events_total counter
+coopmc_health_events_total{chain="0",kind="fallback_spike"} 0
+coopmc_health_events_total{chain="0",kind="flip_rate_drift"} 1
+coopmc_health_events_total{chain="0",kind="stuck_chain"} 0
+# TYPE coopmc_health_flip_rate gauge
+coopmc_health_flip_rate{chain="0"} 0.2408702373504639
+# TYPE coopmc_health_mcse gauge
+coopmc_health_mcse{chain="0"} 188.35584060257676
+# TYPE coopmc_health_rhat gauge
+coopmc_health_rhat{chain="0"} 2.0596820996222176
+# TYPE coopmc_health_rhat_split gauge
+coopmc_health_rhat_split{chain="0"} 1.5650484525958743
+# TYPE coopmc_label_flips_total counter
+coopmc_label_flips_total 3706
+# TYPE coopmc_modeled_pg_cycles_total counter
+coopmc_modeled_pg_cycles_total 737280
+# TYPE coopmc_modeled_pu_cycles_total counter
+coopmc_modeled_pu_cycles_total 61440
+# TYPE coopmc_modeled_sd_cycles_total counter
+coopmc_modeled_sd_cycles_total 168960
+# TYPE coopmc_phase_pg_duration_us histogram
+coopmc_phase_pg_duration_us_bucket{le="1"} _
+coopmc_phase_pg_duration_us_bucket{le="2"} _
+coopmc_phase_pg_duration_us_bucket{le="4"} _
+coopmc_phase_pg_duration_us_bucket{le="8"} _
+coopmc_phase_pg_duration_us_bucket{le="16"} _
+coopmc_phase_pg_duration_us_bucket{le="32"} _
+coopmc_phase_pg_duration_us_bucket{le="64"} _
+coopmc_phase_pg_duration_us_bucket{le="128"} _
+coopmc_phase_pg_duration_us_bucket{le="256"} _
+coopmc_phase_pg_duration_us_bucket{le="512"} _
+coopmc_phase_pg_duration_us_bucket{le="1024"} _
+coopmc_phase_pg_duration_us_bucket{le="2048"} _
+coopmc_phase_pg_duration_us_bucket{le="4096"} _
+coopmc_phase_pg_duration_us_bucket{le="8192"} _
+coopmc_phase_pg_duration_us_bucket{le="16384"} _
+coopmc_phase_pg_duration_us_bucket{le="32768"} _
+coopmc_phase_pg_duration_us_bucket{le="65536"} _
+coopmc_phase_pg_duration_us_bucket{le="131072"} _
+coopmc_phase_pg_duration_us_bucket{le="262144"} _
+coopmc_phase_pg_duration_us_bucket{le="524288"} _
+coopmc_phase_pg_duration_us_bucket{le="1048576"} _
+coopmc_phase_pg_duration_us_bucket{le="+Inf"} _
+coopmc_phase_pg_duration_us_sum _
+coopmc_phase_pg_duration_us_count 10
+# TYPE coopmc_phase_pg_ns_total counter
+coopmc_phase_pg_ns_total _
+# TYPE coopmc_phase_pu_duration_us histogram
+coopmc_phase_pu_duration_us_bucket{le="1"} _
+coopmc_phase_pu_duration_us_bucket{le="2"} _
+coopmc_phase_pu_duration_us_bucket{le="4"} _
+coopmc_phase_pu_duration_us_bucket{le="8"} _
+coopmc_phase_pu_duration_us_bucket{le="16"} _
+coopmc_phase_pu_duration_us_bucket{le="32"} _
+coopmc_phase_pu_duration_us_bucket{le="64"} _
+coopmc_phase_pu_duration_us_bucket{le="128"} _
+coopmc_phase_pu_duration_us_bucket{le="256"} _
+coopmc_phase_pu_duration_us_bucket{le="512"} _
+coopmc_phase_pu_duration_us_bucket{le="1024"} _
+coopmc_phase_pu_duration_us_bucket{le="2048"} _
+coopmc_phase_pu_duration_us_bucket{le="4096"} _
+coopmc_phase_pu_duration_us_bucket{le="8192"} _
+coopmc_phase_pu_duration_us_bucket{le="16384"} _
+coopmc_phase_pu_duration_us_bucket{le="32768"} _
+coopmc_phase_pu_duration_us_bucket{le="65536"} _
+coopmc_phase_pu_duration_us_bucket{le="131072"} _
+coopmc_phase_pu_duration_us_bucket{le="262144"} _
+coopmc_phase_pu_duration_us_bucket{le="524288"} _
+coopmc_phase_pu_duration_us_bucket{le="1048576"} _
+coopmc_phase_pu_duration_us_bucket{le="+Inf"} _
+coopmc_phase_pu_duration_us_sum _
+coopmc_phase_pu_duration_us_count 10
+# TYPE coopmc_phase_pu_ns_total counter
+coopmc_phase_pu_ns_total _
+# TYPE coopmc_phase_sd_duration_us histogram
+coopmc_phase_sd_duration_us_bucket{le="1"} _
+coopmc_phase_sd_duration_us_bucket{le="2"} _
+coopmc_phase_sd_duration_us_bucket{le="4"} _
+coopmc_phase_sd_duration_us_bucket{le="8"} _
+coopmc_phase_sd_duration_us_bucket{le="16"} _
+coopmc_phase_sd_duration_us_bucket{le="32"} _
+coopmc_phase_sd_duration_us_bucket{le="64"} _
+coopmc_phase_sd_duration_us_bucket{le="128"} _
+coopmc_phase_sd_duration_us_bucket{le="256"} _
+coopmc_phase_sd_duration_us_bucket{le="512"} _
+coopmc_phase_sd_duration_us_bucket{le="1024"} _
+coopmc_phase_sd_duration_us_bucket{le="2048"} _
+coopmc_phase_sd_duration_us_bucket{le="4096"} _
+coopmc_phase_sd_duration_us_bucket{le="8192"} _
+coopmc_phase_sd_duration_us_bucket{le="16384"} _
+coopmc_phase_sd_duration_us_bucket{le="32768"} _
+coopmc_phase_sd_duration_us_bucket{le="65536"} _
+coopmc_phase_sd_duration_us_bucket{le="131072"} _
+coopmc_phase_sd_duration_us_bucket{le="262144"} _
+coopmc_phase_sd_duration_us_bucket{le="524288"} _
+coopmc_phase_sd_duration_us_bucket{le="1048576"} _
+coopmc_phase_sd_duration_us_bucket{le="+Inf"} _
+coopmc_phase_sd_duration_us_sum _
+coopmc_phase_sd_duration_us_count 10
+# TYPE coopmc_phase_sd_ns_total counter
+coopmc_phase_sd_ns_total _
+# TYPE coopmc_pool_color_utilization gauge
+coopmc_pool_color_utilization{color="0"} _
+coopmc_pool_color_utilization{color="1"} _
+# TYPE coopmc_pool_worker_busy_ns gauge
+coopmc_pool_worker_busy_ns{worker="0"} _
+coopmc_pool_worker_busy_ns{worker="1"} _
+coopmc_pool_worker_busy_ns{worker="2"} _
+coopmc_pool_worker_busy_ns{worker="3"} _
+# TYPE coopmc_pool_worker_jobs gauge
+coopmc_pool_worker_jobs{worker="0"} 20
+coopmc_pool_worker_jobs{worker="1"} 20
+coopmc_pool_worker_jobs{worker="2"} 20
+coopmc_pool_worker_jobs{worker="3"} 20
+# TYPE coopmc_sweep_duration_us histogram
+coopmc_sweep_duration_us_bucket{le="10"} _
+coopmc_sweep_duration_us_bucket{le="100"} _
+coopmc_sweep_duration_us_bucket{le="1000"} _
+coopmc_sweep_duration_us_bucket{le="10000"} _
+coopmc_sweep_duration_us_bucket{le="100000"} _
+coopmc_sweep_duration_us_bucket{le="1000000"} _
+coopmc_sweep_duration_us_bucket{le="10000000"} _
+coopmc_sweep_duration_us_bucket{le="+Inf"} _
+coopmc_sweep_duration_us_sum _
+coopmc_sweep_duration_us_count 10
+# TYPE coopmc_sweeps_total counter
+coopmc_sweeps_total 10
+# TYPE coopmc_uniform_fallbacks_total counter
+coopmc_uniform_fallbacks_total 0
+# TYPE coopmc_updates_total counter
+coopmc_updates_total 15360
+"#;
+
+#[test]
+fn metrics_exposition_keeps_its_series_and_their_values() {
+    let path = temp_path("stereo.prom");
+    let args = "stereo --sweeps 10 --threads 4 --health --metrics-out";
+    let args: Vec<&str> = args.split_whitespace().chain([path.as_str()]).collect();
+    coopmc(&args);
+    let written = std::fs::read_to_string(&path).expect("metrics written");
+    std::fs::remove_file(&path).ok();
+    let got: Vec<&str> = written.lines().collect();
+    let want: Vec<&str> = STEREO_METRICS.lines().collect();
+    assert_eq!(got.len(), want.len(), "series changed:\n{written}");
+    for (got, want) in got.iter().zip(want) {
+        match want.strip_suffix(" _") {
+            Some(series) => assert_eq!(got.rsplit_once(' ').map(|(s, _)| s), Some(series)),
+            None => assert_eq!(*got, want),
+        }
+    }
 }
