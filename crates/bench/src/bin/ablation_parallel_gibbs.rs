@@ -47,9 +47,9 @@ fn main() {
         Cell::num(model.energy(), 1),
     ]);
 
-    // The chromatic runs are traced: the recorder feeds the process-global
-    // metrics registry (phase counters, pool utilization gauges), which
-    // `attach_metrics` snapshots into the report JSON below.
+    // The chromatic runs share one recorder, whose metrics (phase counters,
+    // pool utilization gauges) `attach_metrics` embeds in the report JSON
+    // below.
     let recorder = TraceRecorder::new();
     for threads in [2usize, 4, 8] {
         let mut model = app.mrf.clone();
@@ -81,7 +81,7 @@ fn main() {
         ]);
     }
     report.push(table);
-    report.attach_metrics();
+    report.attach_metrics(&recorder.metrics());
     report.note(
         "§V / [16]: chromatic and Hogwild PU parallelism compose with the \
          CoopMC PG/SD datapath. Expect all schedulers to land in the same \

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use coopmc_obs::json;
+use coopmc_obs::{json, Exposition};
 
 /// Re-export of the optimizer barrier: forces the compiler to materialize
 /// `x` without letting it optimize the producing computation away.
@@ -461,13 +461,11 @@ impl Report {
         self
     }
 
-    /// Snapshot the process-global [`coopmc_obs`] metrics registry into the
-    /// report. Call after the measured work: the Prometheus-style exposition
-    /// text is embedded in the JSON emission (key `"metrics"`), so a bin
-    /// that drove an instrumented engine ships its phase counters and pool
-    /// gauges alongside its tables.
-    pub fn attach_metrics(&mut self) -> &mut Self {
-        self.metrics = Some(coopmc_obs::render());
+    /// Embed `metrics` in the JSON emission (key `"metrics"`) as
+    /// Prometheus text, so a bin that drove an instrumented engine ships
+    /// its phase counters and pool gauges alongside its tables.
+    pub fn attach_metrics(&mut self, metrics: &Exposition) -> &mut Self {
+        self.metrics = Some(metrics.render());
         self
     }
 

@@ -68,8 +68,8 @@ fn warm_monitored_sweep_allocates_nothing() {
         TreeSampler::new(),
         SplitMix64::new(7),
     );
-    // Metrics on: gauge/counter handles are interned here at construction,
-    // so even the publish path must stay heap-free per sweep.
+    // Refresh every sweep, so the path that copies a refresh into the
+    // metrics gauges runs each time and must stay heap-free too.
     let health = ChainHealth::new(
         0,
         HealthConfig {

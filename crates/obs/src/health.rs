@@ -25,9 +25,9 @@
 //!   [`HealthEvent`] at most once per excursion.
 //!
 //! All state is preallocated at construction ([`ChainHealth::new`]): the
-//! ring, the rank/ESS scratch, the bounded event buffer and the metric
-//! handles. A warm [`ChainHealth::observe_sweep`] therefore performs **zero
-//! heap allocations** — proven by the counting-allocator test in
+//! ring, the rank/ESS scratch and the bounded event buffer. A warm
+//! [`ChainHealth::observe_sweep`] therefore performs **zero heap
+//! allocations** — proven by the counting-allocator test in
 //! `coopmc-core` (`tests/alloc_free_health.rs`) — and never touches the
 //! chain's RNG or labels, so health-on and health-off chains are
 //! bit-identical (pinned by `tests/health.rs` at the workspace root).
@@ -38,7 +38,7 @@
 //! falls to the threshold *and* windowed ESS reaches the budget — exactly
 //! the progress/early-stop signal the planned `coopmc-serve` needs.
 
-use crate::metrics::{self, Counter, Gauge};
+use crate::metrics::Exposition;
 use crate::trace::{Event, Recorder};
 
 /// Diagnostics refresh and detector tuning for one [`ChainHealth`].
@@ -63,9 +63,6 @@ pub struct HealthConfig {
     /// Capacity of the typed event buffer; further events are counted in
     /// [`ChainHealth::dropped_events`] instead of stored (no allocation).
     pub max_events: usize,
-    /// Publish per-chain gauges/counters to the global metrics registry
-    /// (handles are interned once at construction).
-    pub publish_metrics: bool,
 }
 
 impl Default for HealthConfig {
@@ -77,7 +74,6 @@ impl Default for HealthConfig {
             drift_tolerance: 0.25,
             fallback_spike: 0.05,
             max_events: 64,
-            publish_metrics: true,
         }
     }
 }
@@ -159,41 +155,16 @@ pub struct HealthRecord {
     pub events_fallback: u64,
 }
 
-/// Pre-registered metric handles for one chain (see
-/// [`HealthConfig::publish_metrics`]).
-#[derive(Debug, Clone, Copy)]
-struct HealthMetrics {
-    g_rhat: &'static Gauge,
-    g_rhat_split: &'static Gauge,
-    g_ess: &'static Gauge,
-    g_mcse: &'static Gauge,
-    g_flip_rate: &'static Gauge,
-    c_stuck: &'static Counter,
-    c_drift: &'static Counter,
-    c_fallback: &'static Counter,
-}
-
-impl HealthMetrics {
-    fn register(chain: u64) -> Self {
-        let chain = chain.to_string();
-        let labels: &[(&str, &str)] = &[("chain", &chain)];
-        let event = |kind: HealthEventKind| {
-            metrics::counter_with(
-                "coopmc_health_events_total",
-                &[("chain", &chain), ("kind", kind.name())],
-            )
-        };
-        Self {
-            g_rhat: metrics::gauge_with("coopmc_health_rhat", labels),
-            g_rhat_split: metrics::gauge_with("coopmc_health_rhat_split", labels),
-            g_ess: metrics::gauge_with("coopmc_health_ess", labels),
-            g_mcse: metrics::gauge_with("coopmc_health_mcse", labels),
-            g_flip_rate: metrics::gauge_with("coopmc_health_flip_rate", labels),
-            c_stuck: event(HealthEventKind::StuckChain),
-            c_drift: event(HealthEventKind::FlipRateDrift),
-            c_fallback: event(HealthEventKind::FallbackSpike),
-        }
-    }
+/// The diagnostics [`ChainHealth::metrics`] reports as gauges, as of the
+/// last refresh. A diagnostic that was `None` at a refresh keeps its
+/// previous value; all read 0 before the first.
+#[derive(Debug, Default)]
+struct Gauges {
+    rhat: f64,
+    rhat_split: f64,
+    ess: f64,
+    mcse: f64,
+    flip_rate: f64,
 }
 
 /// Incremental chain-health state: engine-owned, all buffers preallocated,
@@ -229,7 +200,7 @@ pub struct ChainHealth {
     record: HealthRecord,
     events: Vec<HealthEvent>,
     dropped_events: u64,
-    metrics: Option<HealthMetrics>,
+    gauges: Gauges,
 }
 
 /// Fast EWMA smoothing for the flip-rate detector (≈ 8-sweep memory).
@@ -238,8 +209,8 @@ const FLIP_FAST_ALPHA: f64 = 0.25;
 const FLIP_SLOW_ALPHA: f64 = 1.0 / 32.0;
 
 impl ChainHealth {
-    /// Preallocate every buffer and (optionally) intern the chain's metric
-    /// handles. No further allocation happens on the observe path.
+    /// Preallocate every buffer. No further allocation happens on the
+    /// observe path.
     ///
     /// # Panics
     ///
@@ -249,7 +220,6 @@ impl ChainHealth {
         assert!(cfg.window >= 8, "health window must hold >= 8 samples");
         assert!(cfg.refresh_stride > 0, "refresh stride must be positive");
         assert!(cfg.flatline_window > 0, "flatline window must be positive");
-        let metrics = cfg.publish_metrics.then(|| HealthMetrics::register(chain));
         Self {
             ring: Vec::with_capacity(cfg.window),
             chrono: Vec::with_capacity(cfg.window),
@@ -277,14 +247,8 @@ impl ChainHealth {
             drift_latched: false,
             fallback_latched: false,
             dropped_events: 0,
-            metrics: None,
+            gauges: Gauges::default(),
         }
-        .with_metrics(metrics)
-    }
-
-    fn with_metrics(mut self, metrics: Option<HealthMetrics>) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// The chain this state tracks.
@@ -451,13 +415,6 @@ impl ChainHealth {
         } else {
             self.dropped_events += 1;
         }
-        if let Some(m) = &self.metrics {
-            match kind {
-                HealthEventKind::StuckChain => m.c_stuck.inc(),
-                HealthEventKind::FlipRateDrift => m.c_drift.inc(),
-                HealthEventKind::FallbackSpike => m.c_fallback.inc(),
-            }
-        }
     }
 
     /// Recompute ESS / R-hat / MCSE over the current window using only the
@@ -503,22 +460,44 @@ impl ChainHealth {
         };
     }
 
-    /// Push the current snapshot into the pre-registered gauges.
-    fn publish(&self) {
-        let Some(m) = &self.metrics else { return };
-        if let Some(r) = self.record.rhat {
-            m.g_rhat.set(r);
+    /// Keep the refreshed snapshot's diagnostics as the gauge values.
+    fn publish(&mut self) {
+        let (r, g) = (&self.record, &mut self.gauges);
+        g.rhat = r.rhat.unwrap_or(g.rhat);
+        g.rhat_split = r.rhat_split.unwrap_or(g.rhat_split);
+        g.ess = r.ess.unwrap_or(g.ess);
+        g.mcse = r.mcse.unwrap_or(g.mcse);
+        g.flip_rate = r.flip_rate;
+    }
+
+    /// This chain's Prometheus series, labelled `chain`: the rank-normalized
+    /// and classic split R-hat, ESS, MCSE and flip-rate gauges as of the
+    /// last refresh (each keeps its last value across refreshes where it is
+    /// `None`), and `coopmc_health_events_total` per detector kind.
+    pub fn metrics(&self) -> Exposition {
+        let chain = self.chain.to_string();
+        let labels = [("chain", chain.as_str())];
+        let g = &self.gauges;
+        let mut out = Exposition::new();
+        for (name, value) in [
+            ("coopmc_health_rhat", g.rhat),
+            ("coopmc_health_rhat_split", g.rhat_split),
+            ("coopmc_health_ess", g.ess),
+            ("coopmc_health_mcse", g.mcse),
+            ("coopmc_health_flip_rate", g.flip_rate),
+        ] {
+            out.set_gauge(name, &labels, value);
         }
-        if let Some(r) = self.record.rhat_split {
-            m.g_rhat_split.set(r);
+        let r = &self.record;
+        for (kind, count) in [
+            (HealthEventKind::StuckChain, r.events_stuck),
+            (HealthEventKind::FlipRateDrift, r.events_drift),
+            (HealthEventKind::FallbackSpike, r.events_fallback),
+        ] {
+            let labels = [("chain", chain.as_str()), ("kind", kind.name())];
+            out.set_counter("coopmc_health_events_total", &labels, count);
         }
-        if let Some(e) = self.record.ess {
-            m.g_ess.set(e);
-        }
-        if let Some(s) = self.record.mcse {
-            m.g_mcse.set(s);
-        }
-        m.g_flip_rate.set(self.record.flip_rate);
+        out
     }
 }
 
@@ -927,13 +906,7 @@ mod tests {
     #[test]
     fn welford_moments_match_batch_computation() {
         let series = ar1_series(300, 0.6, 5);
-        let mut h = ChainHealth::new(
-            0,
-            HealthConfig {
-                publish_metrics: false,
-                ..HealthConfig::default()
-            },
-        );
+        let mut h = ChainHealth::new(0, HealthConfig::default());
         observe_series(&mut h, &series);
         let n = series.len() as f64;
         let mean = series.iter().sum::<f64>() / n;
@@ -952,7 +925,6 @@ mod tests {
             HealthConfig {
                 window: 16,
                 refresh_stride: 1,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -978,7 +950,6 @@ mod tests {
             3,
             HealthConfig {
                 flatline_window: 5,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -1004,7 +975,6 @@ mod tests {
             0,
             HealthConfig {
                 drift_tolerance: 0.2,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -1029,7 +999,6 @@ mod tests {
             0,
             HealthConfig {
                 fallback_spike: 0.05,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -1055,7 +1024,6 @@ mod tests {
             HealthConfig {
                 flatline_window: 1,
                 max_events: 4,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -1079,7 +1047,6 @@ mod tests {
             HealthConfig {
                 window: 64,
                 refresh_stride: 4,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -1109,7 +1076,6 @@ mod tests {
             HealthConfig {
                 window: 64,
                 refresh_stride: 4,
-                publish_metrics: false,
                 ..HealthConfig::default()
             },
         );
@@ -1136,13 +1102,7 @@ mod tests {
 
     #[test]
     fn monitor_mode_never_stops_but_tracks_diagnostics() {
-        let health = ChainHealth::new(
-            0,
-            HealthConfig {
-                publish_metrics: false,
-                ..HealthConfig::default()
-            },
-        );
+        let health = ChainHealth::new(0, HealthConfig::default());
         let mut ctl = EarlyStop::monitor(health);
         let series = ar1_series(100, 0.1, 5);
         for (i, &v) in series.iter().enumerate() {
@@ -1156,7 +1116,7 @@ mod tests {
     }
 
     #[test]
-    fn published_metrics_surface_in_the_registry() {
+    fn published_metrics_surface_in_the_exposition() {
         let mut h = ChainHealth::new(
             91,
             HealthConfig {
@@ -1166,10 +1126,51 @@ mod tests {
         );
         let series = ar1_series(32, 0.2, 13);
         observe_series(&mut h, &series);
-        let text = metrics::render();
-        assert!(text.contains("coopmc_health_rhat{chain=\"91\"}"));
-        assert!(text.contains("coopmc_health_ess{chain=\"91\"}"));
-        assert!(text.contains("coopmc_health_events_total{chain=\"91\",kind=\"stuck_chain\"}"));
+        let text = h.metrics().render();
+        let rec = h.record();
+        let line = |name: &str, v: f64| format!("{name}{{chain=\"91\"}} {v}\n");
+        assert!(text.contains(&line("coopmc_health_rhat", rec.rhat.unwrap())));
+        assert!(text.contains(&line("coopmc_health_ess", rec.ess.unwrap())));
+        assert!(text.contains("coopmc_health_events_total{chain=\"91\",kind=\"stuck_chain\"} 0\n"));
+        assert_eq!(text.matches("# TYPE").count(), 6);
+    }
+
+    /// The gauges are what the last refresh published: a diagnostic that
+    /// is `None` at a refresh keeps its last value, and the flip rate is
+    /// the refresh's, not the latest sweep's.
+    #[test]
+    fn gauges_hold_the_last_refresh() {
+        let gauge = |h: &ChainHealth, name: &str| {
+            let text = h.metrics().render();
+            let series = format!("{name}{{chain=\"0\"}} ");
+            let line = text.lines().find(|l| l.starts_with(&series)).unwrap();
+            line[series.len()..].parse::<f64>().unwrap()
+        };
+        let cfg = HealthConfig {
+            window: 8,
+            refresh_stride: 1,
+            ..HealthConfig::default()
+        };
+        let mut h = ChainHealth::new(0, cfg);
+        assert_eq!(gauge(&h, "coopmc_health_rhat_split"), 0.0);
+        // The window [1, 0, 0, 0, 0, 1, 1, 1] has a finite split R-hat; one
+        // more 1 makes it [0, 0, 0, 0, 1, 1, 1, 1], two constant halves
+        // with different values, whose split R-hat is infinite.
+        let series = [0., 1., 0., 1., 0., 1., 0., 1., 0., 0., 0., 0., 1., 1., 1.];
+        for (i, &v) in series.iter().enumerate() {
+            h.observe_sweep(i as u64 + 1, 10, 5, 0, Some(v));
+        }
+        let finite = h.record().rhat_split.expect("finite split R-hat");
+        h.observe_sweep(16, 10, 5, 0, Some(1.0));
+        assert_eq!(h.record().rhat_split, None);
+        assert_eq!(gauge(&h, "coopmc_health_rhat_split"), finite);
+
+        // Sweeps without a statistic move the flip-rate EWMA but refresh
+        // nothing.
+        let refreshed = h.record().flip_rate;
+        h.observe_sweep(17, 10, 0, 0, None);
+        assert!(h.record().flip_rate < refreshed);
+        assert_eq!(gauge(&h, "coopmc_health_flip_rate"), refreshed);
     }
 
     #[test]

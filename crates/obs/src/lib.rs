@@ -17,9 +17,10 @@
 //!    [`metrics`]) — one JSONL record per sweep per chain
 //!    (`coopmc-journal/1`) with the Table II phase split in wall time and
 //!    modeled cycles, DyNorm/TableExp telemetry, chain-quality statistics
-//!    and worker-pool utilization; a Chrome-trace export; and
-//!    relaxed-atomic counters, gauges and histograms in a process-global
-//!    registry with Prometheus-style text exposition.
+//!    and worker-pool utilization; a Chrome-trace export; and counters,
+//!    gauges and histograms in Prometheus text exposition
+//!    ([`Exposition`]). All three are reduced from the recorded run when
+//!    they are written; the crate keeps no process-global state.
 //! 3. **Profiling** ([`profile`]) — a hierarchical kernel-span profiler
 //!    ([`SpanProfiler`]) with fixed-capacity per-worker span rings,
 //!    per-`(lane, kernel)` self/total attribution and modeled-cycle
@@ -27,7 +28,8 @@
 //!    `coopmc-profile/1` journal section and the Chrome trace's kernel
 //!    tracks.
 //! 4. **Health** ([`health`]) — streaming ESS / R-hat / MCSE and anomaly
-//!    detectors, and the early-stop controller that forwards its
+//!    detectors, whose last refresh [`ChainHealth::metrics`] reports as
+//!    Prometheus series, and the early-stop controller that forwards its
 //!    refreshes as [`Event::Health`].
 //!
 //! The `coopmc-obs-check` binary validates a journal file against the
@@ -47,8 +49,6 @@ pub use health::{
 pub use journal::{
     ColorSample, ProfileSample, SweepSample, WorkerStats, HEALTH_SCHEMA, PROFILE_SCHEMA, SCHEMA,
 };
-pub use metrics::{
-    counter, counter_with, describe, gauge, gauge_with, histogram, log2_buckets, render,
-};
+pub use metrics::{log2_buckets, Exposition};
 pub use profile::{Kernel, KernelReport, SpanProfiler};
 pub use trace::{Event, NoopRecorder, Recorder, TraceRecorder};

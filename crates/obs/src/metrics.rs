@@ -1,86 +1,28 @@
-//! Relaxed-atomic counters, gauges and histograms with a process-global
-//! registry and Prometheus-style text exposition.
+//! Counters, gauges and histograms rendered in the Prometheus text
+//! exposition format.
 //!
-//! Hot paths hold `&'static` handles obtained once from the registry
-//! ([`counter`], [`gauge`], [`histogram`]); every subsequent update is a
-//! single relaxed atomic operation — no locks, no allocation. The registry
-//! itself is only locked at registration and exposition time, both of which
-//! happen off the sampling hot path.
+//! Metrics are a reducer over what a run recorded, built when they are
+//! written: [`TraceRecorder::metrics`](crate::TraceRecorder::metrics) sums
+//! its sweep samples and [`ChainHealth::metrics`](crate::ChainHealth::metrics)
+//! reports its last refresh, each into an [`Exposition`] that
+//! [`Exposition::render`] turns into text.
 //!
 //! Metric identity is `name` plus an ordered label set, mirroring the
 //! Prometheus data model: `coopmc_pool_worker_busy_ns{worker="3"}`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A detached counter (use the registry functions for exposition).
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Add `v` to the counter.
-    #[inline]
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge holding an arbitrary `f64` (stored as raw bits in an atomic).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Gauge {
-    /// A detached gauge initialized to `0.0`.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
+use std::fmt::Write;
 
 /// A histogram with fixed, caller-supplied bucket upper bounds plus the
 /// implicit `+Inf` bucket, tracking count and sum like Prometheus.
 #[derive(Debug)]
 pub struct Histogram {
     /// Upper bounds of the finite buckets, strictly increasing.
-    bounds: Box<[f64]>,
-    /// One cumulative-style slot per finite bound plus the `+Inf` slot.
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    /// Sum of observations, accumulated as `f64` bits via compare-exchange.
-    sum_bits: AtomicU64,
+    bounds: Vec<f64>,
+    /// One count per finite bound plus the `+Inf` slot.
+    buckets: Vec<u64>,
+    /// Sum of observations, added in observation order.
+    sum: f64,
 }
 
 impl Histogram {
@@ -96,215 +38,107 @@ impl Histogram {
             "histogram bounds must be strictly increasing"
         );
         Self {
-            bounds: bounds.into(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0),
+            bounds: bounds.to_vec(),
+            buckets: vec![0; bounds.len() + 1],
+            sum: 0.0,
         }
     }
 
     /// Record one observation.
-    pub fn observe(&self, v: f64) {
+    pub fn observe(&mut self, v: f64) {
         let idx = self
             .bounds
             .iter()
             .position(|&b| v <= b)
             .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Per-bucket raw (non-cumulative) counts, one per finite bound plus
-    /// the `+Inf` bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+        self.buckets[idx] += 1;
+        self.sum += v;
     }
 }
 
-/// The registered metric kinds.
+/// One series' value.
 #[derive(Debug)]
 enum Metric {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
+    Counter(u64),
+    Gauge(f64),
+    Histogram(Histogram),
 }
 
 /// Metric identity: name plus ordered label pairs.
 type Key = (String, Vec<(String, String)>);
 
-/// A set of named metrics with Prometheus text exposition.
-///
-/// Usually accessed through the process-global instance via the
-/// free functions [`counter`] / [`gauge`] / [`histogram`] / [`render`];
-/// separate registries exist only for tests.
+/// A set of named series, sorted by name and then label set, with
+/// Prometheus text exposition. Setting a series twice keeps the second
+/// value.
 #[derive(Debug, Default)]
-pub struct Registry {
-    metrics: Mutex<BTreeMap<Key, Metric>>,
-    /// Per-family `# HELP` text, keyed by metric name.
-    helps: Mutex<BTreeMap<String, String>>,
+pub struct Exposition {
+    series: BTreeMap<Key, Metric>,
 }
 
-impl Registry {
-    /// An empty registry.
+impl Exposition {
+    /// An empty exposition.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Get or create the counter `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different metric kind.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> &'static Counter {
-        let mut map = self.metrics.lock().unwrap();
-        match map
-            .entry(key_of(name, labels))
-            .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))))
-        {
-            Metric::Counter(c) => c,
-            _ => panic!("metric '{name}' already registered with another kind"),
-        }
+    /// Set the counter `name{labels}`.
+    pub fn set_counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+        self.series
+            .insert(key_of(name, labels), Metric::Counter(value));
     }
 
-    /// Get or create the gauge `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> &'static Gauge {
-        let mut map = self.metrics.lock().unwrap();
-        match map
-            .entry(key_of(name, labels))
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))))
-        {
-            Metric::Gauge(g) => g,
-            _ => panic!("metric '{name}' already registered with another kind"),
-        }
+    /// Set the gauge `name{labels}`.
+    pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.series
+            .insert(key_of(name, labels), Metric::Gauge(value));
     }
 
-    /// Get or create the histogram `name{labels}` with `bounds` (ignored if
-    /// the histogram already exists).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different metric kind.
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> &'static Histogram {
-        let mut map = self.metrics.lock().unwrap();
-        match map
-            .entry(key_of(name, labels))
-            .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new(bounds)))))
-        {
-            Metric::Histogram(h) => h,
-            _ => panic!("metric '{name}' already registered with another kind"),
-        }
+    /// Set the histogram `name{labels}`.
+    pub fn set_histogram(&mut self, name: &str, labels: &[(&str, &str)], value: Histogram) {
+        self.series
+            .insert(key_of(name, labels), Metric::Histogram(value));
     }
 
-    /// Attach `# HELP` text to the metric family `name`, emitted once per
-    /// family by [`Registry::render`]. Later calls overwrite earlier ones.
-    pub fn describe(&self, name: &str, help: &str) {
-        self.helps
-            .lock()
-            .unwrap()
-            .insert(name.to_owned(), help.to_owned());
+    /// Add every series of `other`, replacing any this one already holds.
+    pub fn extend(&mut self, other: Exposition) {
+        self.series.extend(other.series);
     }
 
-    /// Render every registered metric in the Prometheus text exposition
-    /// format. `# HELP` (when described) and `# TYPE` headers are emitted
-    /// exactly once per metric family, followed by one sample line per
-    /// series; label values are escaped per the exposition format
-    /// (`\` → `\\`, `"` → `\"`, newline → `\n`).
+    /// Render every series in the Prometheus text exposition format. A
+    /// `# TYPE` header is emitted exactly once per metric family, followed
+    /// by one sample line per series; label values are escaped per the
+    /// exposition format (`\` → `\\`, `"` → `\"`, newline → `\n`).
     pub fn render(&self) -> String {
-        let map = self.metrics.lock().unwrap();
-        let helps = self.helps.lock().unwrap();
         let mut out = String::new();
-        let mut last_name = "";
-        for ((name, labels), metric) in map.iter() {
-            if name != last_name {
+        let mut family = "";
+        for ((name, labels), metric) in &self.series {
+            if name != family {
                 let kind = match metric {
                     Metric::Counter(_) => "counter",
                     Metric::Gauge(_) => "gauge",
                     Metric::Histogram(_) => "histogram",
                 };
-                if let Some(help) = helps.get(name) {
-                    out.push_str(&format!(
-                        "# HELP {name} {}\n",
-                        help.replace('\\', "\\\\").replace('\n', "\\n")
-                    ));
-                }
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                last_name = name;
+                let _ = writeln!(out, "# TYPE {name} {kind}");
+                family = name;
             }
-            match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("{}{} {}\n", name, render_labels(labels), c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("{}{} {}\n", name, render_labels(labels), g.get()));
-                }
+            let series = render_labels(labels);
+            let _ = match metric {
+                Metric::Counter(c) => writeln!(out, "{name}{series} {c}"),
+                Metric::Gauge(g) => writeln!(out, "{name}{series} {g}"),
                 Metric::Histogram(h) => {
-                    let counts = h.bucket_counts();
-                    let mut cum = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
+                    let mut cum = 0;
+                    for (i, c) in h.buckets.iter().enumerate() {
                         cum += c;
-                        let le = if i < h.bounds.len() {
-                            format!("{}", h.bounds[i])
-                        } else {
-                            "+Inf".to_owned()
-                        };
-                        let mut with_le: Vec<(String, String)> = labels.clone();
+                        let le = h.bounds.get(i).map_or("+Inf".to_owned(), f64::to_string);
+                        let mut with_le = labels.clone();
                         with_le.push(("le".to_owned(), le));
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            name,
-                            render_labels(&with_le),
-                            cum
-                        ));
+                        let _ = writeln!(out, "{name}_bucket{} {cum}", render_labels(&with_le));
                     }
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        name,
-                        render_labels(labels),
-                        h.sum()
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        name,
-                        render_labels(labels),
-                        h.count()
-                    ));
+                    // The `+Inf` bucket's cumulative count is every observation.
+                    let _ = writeln!(out, "{name}_sum{series} {}", h.sum);
+                    writeln!(out, "{name}_count{series} {cum}")
                 }
-            }
+            };
         }
         out
     }
@@ -338,48 +172,6 @@ fn render_labels(labels: &[(String, String)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-/// The process-global registry behind [`counter`] / [`gauge`] /
-/// [`histogram`] / [`render`].
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
-/// Get or create a label-free counter in the global registry.
-pub fn counter(name: &str) -> &'static Counter {
-    global().counter(name, &[])
-}
-
-/// Get or create a labelled counter in the global registry.
-pub fn counter_with(name: &str, labels: &[(&str, &str)]) -> &'static Counter {
-    global().counter(name, labels)
-}
-
-/// Get or create a label-free gauge in the global registry.
-pub fn gauge(name: &str) -> &'static Gauge {
-    global().gauge(name, &[])
-}
-
-/// Get or create a labelled gauge in the global registry.
-pub fn gauge_with(name: &str, labels: &[(&str, &str)]) -> &'static Gauge {
-    global().gauge(name, labels)
-}
-
-/// Get or create a label-free histogram in the global registry.
-pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    global().histogram(name, &[], bounds)
-}
-
-/// Attach `# HELP` text to a metric family in the global registry.
-pub fn describe(name: &str, help: &str) {
-    global().describe(name, help)
-}
-
-/// Render the global registry in the Prometheus text format.
-pub fn render() -> String {
-    global().render()
-}
-
 /// Fixed power-of-two histogram bounds `2^lo, 2^(lo+1), …, 2^hi` —
 /// logarithmic coverage for latency-style distributions where one linear
 /// bucket width can't span microseconds to seconds.
@@ -396,42 +188,37 @@ pub fn log2_buckets(lo: i32, hi: i32) -> Vec<f64> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_and_gauges_round_trip() {
-        let r = Registry::new();
-        let c = r.counter("test_total", &[]);
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = r.gauge("test_level", &[("shard", "a")]);
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-        let text = r.render();
-        assert!(text.contains("# TYPE test_total counter"));
-        assert!(text.contains("test_total 5"));
-        assert!(text.contains("test_level{shard=\"a\"} 2.5"));
+    /// A histogram with `bounds` that observed `values` in order.
+    fn observed(bounds: &[f64], values: &[f64]) -> Histogram {
+        let mut h = Histogram::new(bounds);
+        for &v in values {
+            h.observe(v);
+        }
+        h
     }
 
     #[test]
-    fn repeated_registration_returns_the_same_handle() {
-        let r = Registry::new();
-        let a = r.counter("same", &[]);
-        a.add(3);
-        let b = r.counter("same", &[]);
-        assert_eq!(b.get(), 3);
+    fn counters_and_gauges_round_trip() {
+        let mut e = Exposition::new();
+        e.set_counter("test_total", &[], 5);
+        e.set_gauge("test_level", &[("shard", "a")], 2.5);
+        let text = e.render();
+        assert!(text.contains("# TYPE test_total counter"));
+        assert!(text.contains("test_total 5"));
+        assert!(text.contains("test_level{shard=\"a\"} 2.5"));
+        // Setting a series again keeps the later value.
+        e.set_gauge("test_level", &[("shard", "a")], 4.0);
+        assert!(e.render().contains("test_level{shard=\"a\"} 4\n"));
     }
 
     #[test]
     fn histogram_buckets_count_and_sum() {
-        let r = Registry::new();
-        let h = r.histogram("lat", &[], &[1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 5.0, 50.0, 500.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 560.5).abs() < 1e-9);
-        assert_eq!(h.bucket_counts(), vec![1, 2, 1, 1]);
-        let text = r.render();
+        let h = observed(&[1.0, 10.0, 100.0], &[0.5, 5.0, 5.0, 50.0, 500.0]);
+        assert!((h.sum - 560.5).abs() < 1e-9);
+        assert_eq!(h.buckets, [1, 2, 1, 1]);
+        let mut e = Exposition::new();
+        e.set_histogram("lat", &[], h);
+        let text = e.render();
         assert!(text.contains("lat_bucket{le=\"1\"} 1"));
         assert!(text.contains("lat_bucket{le=\"10\"} 3"));
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 5"));
@@ -439,49 +226,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "another kind")]
-    fn kind_conflicts_are_rejected() {
-        let r = Registry::new();
-        let _ = r.counter("conflict", &[]);
-        let _ = r.gauge("conflict", &[]);
-    }
-
-    #[test]
     fn histogram_edge_values_land_in_the_le_bucket() {
         // Prometheus buckets are `v <= bound`: a value exactly on a bound
         // belongs to that bound's bucket, not the next one.
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for v in [1.0, 2.0, 4.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.bucket_counts(), vec![1, 1, 1, 0]);
+        let mut h = observed(&[1.0, 2.0, 4.0], &[1.0, 2.0, 4.0]);
+        assert_eq!(h.buckets, [1, 1, 1, 0]);
         // Just past an edge spills into the next bucket.
         h.observe(1.0000000001);
-        assert_eq!(h.bucket_counts(), vec![1, 2, 1, 0]);
+        assert_eq!(h.buckets, [1, 2, 1, 0]);
     }
 
     #[test]
     fn histogram_underflow_and_overflow_buckets() {
-        let h = Histogram::new(&[10.0, 100.0]);
         // Below every bound (including negative and zero): first bucket.
-        h.observe(-5.0);
-        h.observe(0.0);
-        h.observe(9.9);
         // Above every bound: the +Inf bucket.
-        h.observe(101.0);
-        h.observe(f64::MAX);
-        assert_eq!(h.bucket_counts(), vec![3, 0, 2]);
-        assert_eq!(h.count(), 5);
+        let h = observed(&[10.0, 100.0], &[-5.0, 0.0, 9.9, 101.0, f64::MAX]);
+        assert_eq!(h.buckets, [3, 0, 2]);
     }
 
     #[test]
     fn histogram_le_exposition_is_cumulative_and_ordered() {
-        let r = Registry::new();
-        let h = r.histogram("edges", &[], &[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.0, 2.0, 3.0, 8.0] {
-            h.observe(v);
-        }
-        let text = r.render();
+        let mut e = Exposition::new();
+        let h = observed(&[1.0, 2.0, 4.0], &[0.5, 1.0, 2.0, 3.0, 8.0]);
+        e.set_histogram("edges", &[], h);
+        let text = e.render();
         // `le` lines appear in ascending bound order, ending at +Inf, with
         // cumulative counts.
         let lines: Vec<&str> = text
@@ -509,9 +277,8 @@ mod tests {
         assert_eq!(*wide.last().unwrap(), 1_048_576.0);
         assert!(wide.windows(2).all(|w| w[0] < w[1]));
         // Power-of-two values sit exactly on their own edge bucket.
-        let h = Histogram::new(&log2_buckets(0, 3));
-        h.observe(4.0);
-        assert_eq!(h.bucket_counts(), vec![0, 0, 1, 0, 0]);
+        let h = observed(&log2_buckets(0, 3), &[4.0]);
+        assert_eq!(h.buckets, [0, 0, 1, 0, 0]);
     }
 
     #[test]
@@ -522,21 +289,24 @@ mod tests {
 
     #[test]
     fn label_sets_are_distinct_series() {
-        let r = Registry::new();
-        r.counter("c", &[("w", "0")]).add(1);
-        r.counter("c", &[("w", "1")]).add(2);
-        let text = r.render();
+        let mut e = Exposition::new();
+        e.set_counter("c", &[("w", "0")], 1);
+        e.set_counter("c", &[("w", "1")], 2);
+        e.set_gauge("other", &[], 1.0);
+        let text = e.render();
         assert!(text.contains("c{w=\"0\"} 1"));
         assert!(text.contains("c{w=\"1\"} 2"));
-        // One TYPE header for both series.
+        // One TYPE header per family, however many series it holds.
         assert_eq!(text.matches("# TYPE c counter").count(), 1);
+        assert_eq!(text.matches("# TYPE other gauge").count(), 1);
+        assert_eq!(text.matches("# TYPE").count(), 2);
     }
 
     #[test]
     fn label_values_are_escaped() {
-        let r = Registry::new();
-        r.counter("esc", &[("path", "a\\b\"c\nd")]).add(1);
-        let text = r.render();
+        let mut e = Exposition::new();
+        e.set_counter("esc", &[("path", "a\\b\"c\nd")], 1);
+        let text = e.render();
         assert!(
             text.contains(r#"esc{path="a\\b\"c\nd"} 1"#),
             "escaped series line missing in:\n{text}"
@@ -549,29 +319,5 @@ mod tests {
                 "sample split across lines: {line:?}"
             );
         }
-    }
-
-    #[test]
-    fn help_and_type_are_emitted_exactly_once_per_family() {
-        let r = Registry::new();
-        r.describe("fam", "counts things\nacross lines \\ with escapes");
-        r.counter("fam", &[("w", "0")]).add(1);
-        r.counter("fam", &[("w", "1")]).add(2);
-        r.gauge("other", &[]).set(1.0);
-        let text = r.render();
-        assert_eq!(
-            text.matches("# HELP fam counts things\\nacross lines \\\\ with escapes")
-                .count(),
-            1,
-            "HELP must appear exactly once, escaped:\n{text}"
-        );
-        assert_eq!(text.matches("# TYPE fam counter").count(), 1);
-        // Families without a description get no HELP line at all.
-        assert_eq!(text.matches("# HELP other").count(), 0);
-        assert_eq!(text.matches("# TYPE other gauge").count(), 1);
-        // HELP precedes TYPE for the described family.
-        let help_at = text.find("# HELP fam").unwrap();
-        let type_at = text.find("# TYPE fam").unwrap();
-        assert!(help_at < type_at);
     }
 }

@@ -1,7 +1,7 @@
 //! The observation seam: a statically dispatched [`Recorder`] that the
 //! engines report one closed vocabulary of [`Event`]s to, and the
-//! [`TraceRecorder`] that reduces them to the run journal, the global
-//! metrics registry and a Chrome trace.
+//! [`TraceRecorder`] that keeps them and reduces them, when exported, to
+//! the run journal, a Chrome trace and the run's Prometheus metrics.
 //!
 //! The Gibbs engines are generic over `Rec: Recorder` and read every clock
 //! through [`Recorder::now_ns`], so a run has one clock and every event
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use crate::health::{split_rhat, windowed_ess, HealthRecord};
 use crate::journal::{render_health_line, render_line, SweepSample};
-use crate::metrics::{self, Gauge};
+use crate::metrics::{log2_buckets, Exposition, Histogram};
 use crate::profile::{Kernel, SpanProfiler};
 
 /// A sink for the engines' [`Event`]s.
@@ -157,52 +157,22 @@ struct TraceInner {
     sweeps: Vec<SweepSample>,
     /// Chain-health snapshots, interleaved into the journal on export.
     health: Vec<HealthRecord>,
-    /// Pool gauges by color class and by slot, registered on first use.
-    color_utilization: Vec<&'static Gauge>,
-    slot_busy_ns: Vec<&'static Gauge>,
-    slot_jobs: Vec<&'static Gauge>,
-}
-
-/// Gauge `name{label="i"}`, looked up in the registry once and then kept
-/// in `cache`.
-fn cached_gauge(
-    cache: &mut Vec<&'static Gauge>,
-    i: usize,
-    name: &str,
-    label: &str,
-) -> &'static Gauge {
-    while cache.len() <= i {
-        let value = cache.len().to_string();
-        cache.push(metrics::gauge_with(name, &[(label, &value)]));
-    }
-    cache[i]
 }
 
 /// How many of its chain's latest statistics a journal line's ESS and
 /// R-hat cover at most.
 const JOURNAL_WINDOW: usize = 4096;
 
+/// A sweep sample's count or duration, ns.
+type Field = fn(&SweepSample) -> u64;
+
 /// The journaling recorder: keeps sweep samples and health snapshots in
-/// memory, feeds the global metrics registry as sweeps end, and exports a
-/// JSONL journal and a Chrome trace.
+/// memory and exports them as a JSONL journal, a Chrome trace and
+/// Prometheus metrics.
 #[derive(Debug)]
 pub struct TraceRecorder {
     epoch: Instant,
     inner: Mutex<TraceInner>,
-    m_sweeps: &'static metrics::Counter,
-    m_updates: &'static metrics::Counter,
-    m_flips: &'static metrics::Counter,
-    m_fallbacks: &'static metrics::Counter,
-    m_pg_ns: &'static metrics::Counter,
-    m_sd_ns: &'static metrics::Counter,
-    m_pu_ns: &'static metrics::Counter,
-    m_pg_cycles: &'static metrics::Counter,
-    m_sd_cycles: &'static metrics::Counter,
-    m_pu_cycles: &'static metrics::Counter,
-    h_sweep_us: &'static metrics::Histogram,
-    h_pg_us: &'static metrics::Histogram,
-    h_sd_us: &'static metrics::Histogram,
-    h_pu_us: &'static metrics::Histogram,
 }
 
 impl Default for TraceRecorder {
@@ -212,49 +182,11 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder whose epoch is *now*, pre-registering its metrics in the
-    /// global registry so the recording hot path never allocates for them.
+    /// A recorder whose epoch is *now*.
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),
             inner: Mutex::new(TraceInner::default()),
-            m_sweeps: metrics::counter("coopmc_sweeps_total"),
-            m_updates: metrics::counter("coopmc_updates_total"),
-            m_flips: metrics::counter("coopmc_label_flips_total"),
-            m_fallbacks: metrics::counter("coopmc_uniform_fallbacks_total"),
-            m_pg_ns: metrics::counter("coopmc_phase_pg_ns_total"),
-            m_sd_ns: metrics::counter("coopmc_phase_sd_ns_total"),
-            m_pu_ns: metrics::counter("coopmc_phase_pu_ns_total"),
-            m_pg_cycles: metrics::counter("coopmc_modeled_pg_cycles_total"),
-            m_sd_cycles: metrics::counter("coopmc_modeled_sd_cycles_total"),
-            m_pu_cycles: metrics::counter("coopmc_modeled_pu_cycles_total"),
-            h_sweep_us: metrics::histogram(
-                "coopmc_sweep_duration_us",
-                &[
-                    10.0,
-                    100.0,
-                    1_000.0,
-                    10_000.0,
-                    100_000.0,
-                    1_000_000.0,
-                    10_000_000.0,
-                ],
-            ),
-            // Per-phase latency histograms: fixed log2 buckets from 1 µs to
-            // ~1 s so the Table II split is visible as a distribution, not
-            // just a total.
-            h_pg_us: metrics::histogram(
-                "coopmc_phase_pg_duration_us",
-                &metrics::log2_buckets(0, 20),
-            ),
-            h_sd_us: metrics::histogram(
-                "coopmc_phase_sd_duration_us",
-                &metrics::log2_buckets(0, 20),
-            ),
-            h_pu_us: metrics::histogram(
-                "coopmc_phase_pu_duration_us",
-                &metrics::log2_buckets(0, 20),
-            ),
         }
     }
 
@@ -362,47 +294,78 @@ impl TraceRecorder {
         )
     }
 
-    /// Journal one completed sweep: bump the registry's counters,
-    /// histograms and pool gauges, and keep the sample for export.
-    fn end_sweep(&self, sample: &SweepSample) {
-        self.m_sweeps.inc();
-        self.m_updates.add(sample.updates);
-        self.m_flips.add(sample.flips);
-        self.m_fallbacks.add(sample.uniform_fallbacks);
-        self.m_pg_ns.add(sample.pg_ns);
-        self.m_sd_ns.add(sample.sd_ns);
-        self.m_pu_ns.add(sample.pu_ns);
-        self.m_pg_cycles.add(sample.pg_cycles);
-        self.m_sd_cycles.add(sample.sd_cycles);
-        self.m_pu_cycles.add(sample.pu_cycles);
-        self.h_sweep_us.observe(sample.wall_ns as f64 / 1_000.0);
-        self.h_pg_us.observe(sample.pg_ns as f64 / 1_000.0);
-        self.h_sd_us.observe(sample.sd_ns as f64 / 1_000.0);
-        self.h_pu_us.observe(sample.pu_ns as f64 / 1_000.0);
-        let inner = &mut *self.inner.lock().unwrap();
-        for c in &sample.colors {
-            let util = &mut inner.color_utilization;
-            cached_gauge(
-                util,
-                c.class as usize,
-                "coopmc_pool_color_utilization",
-                "color",
-            )
-            .set(c.utilization);
+    /// The recorded sweeps as Prometheus series: `coopmc_sweeps_total`
+    /// and nine more counters summed over every sweep; four duration
+    /// histograms in µs (the whole sweep, and PG, SD and PU on log2 buckets
+    /// from 1 µs to ~1 s, so the Table II split shows as a distribution)
+    /// filled in sweep order, so `_sum` adds in that order; and the pool
+    /// gauges per color class and per worker slot, each holding the last
+    /// value a sweep reported for it. A recorder that saw no sweep exposes
+    /// zero counters and empty histograms.
+    pub fn metrics(&self) -> Exposition {
+        let inner = self.inner.lock().unwrap();
+        let sweeps = &inner.sweeps;
+        let mut out = Exposition::new();
+        out.set_counter("coopmc_sweeps_total", &[], sweeps.len() as u64);
+        let counters: [(&str, Field); 9] = [
+            ("coopmc_updates_total", |s| s.updates),
+            ("coopmc_label_flips_total", |s| s.flips),
+            ("coopmc_uniform_fallbacks_total", |s| s.uniform_fallbacks),
+            ("coopmc_phase_pg_ns_total", |s| s.pg_ns),
+            ("coopmc_phase_sd_ns_total", |s| s.sd_ns),
+            ("coopmc_phase_pu_ns_total", |s| s.pu_ns),
+            ("coopmc_modeled_pg_cycles_total", |s| s.pg_cycles),
+            ("coopmc_modeled_sd_cycles_total", |s| s.sd_cycles),
+            ("coopmc_modeled_pu_cycles_total", |s| s.pu_cycles),
+        ];
+        for (name, field) in counters {
+            out.set_counter(name, &[], sweeps.iter().map(field).sum());
         }
-        for (i, slot) in sample.slots.iter().enumerate() {
-            cached_gauge(
-                &mut inner.slot_busy_ns,
-                i,
-                "coopmc_pool_worker_busy_ns",
-                "worker",
-            )
-            .set(slot.busy_ns as f64);
-            cached_gauge(&mut inner.slot_jobs, i, "coopmc_pool_worker_jobs", "worker")
-                .set(slot.jobs as f64);
+        let sweep = [1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7];
+        let phase = log2_buckets(0, 20);
+        let histograms: [(&str, &[f64], Field); 4] = [
+            ("coopmc_sweep_duration_us", &sweep, |s| s.wall_ns),
+            ("coopmc_phase_pg_duration_us", &phase, |s| s.pg_ns),
+            ("coopmc_phase_sd_duration_us", &phase, |s| s.sd_ns),
+            ("coopmc_phase_pu_duration_us", &phase, |s| s.pu_ns),
+        ];
+        for (name, bounds, field) in histograms {
+            let mut h = Histogram::new(bounds);
+            for s in sweeps {
+                h.observe(field(s) as f64 / 1_000.0);
+            }
+            out.set_histogram(name, &[], h);
         }
-        inner.sweeps.push(sample.clone());
+        let (mut utilization, mut busy_ns, mut jobs) = (Vec::new(), Vec::new(), Vec::new());
+        for s in sweeps {
+            for c in &s.colors {
+                set_last(&mut utilization, c.class as usize, c.utilization);
+            }
+            for (i, slot) in s.slots.iter().enumerate() {
+                set_last(&mut busy_ns, i, slot.busy_ns as f64);
+                set_last(&mut jobs, i, slot.jobs as f64);
+            }
+        }
+        for (name, label, values) in [
+            ("coopmc_pool_color_utilization", "color", utilization),
+            ("coopmc_pool_worker_busy_ns", "worker", busy_ns),
+            ("coopmc_pool_worker_jobs", "worker", jobs),
+        ] {
+            for (i, v) in values.into_iter().enumerate() {
+                out.set_gauge(name, &[(label, &i.to_string())], v);
+            }
+        }
+        out
     }
+}
+
+/// Set gauge `i` of `values` to `v`; gauges below `i` that no sweep set
+/// yet read 0.
+fn set_last(values: &mut Vec<f64>, i: usize, v: f64) {
+    if values.len() <= i {
+        values.resize(i + 1, 0.0);
+    }
+    values[i] = v;
 }
 
 fn quoted(s: &str) -> String {
@@ -438,7 +401,7 @@ impl Recorder for TraceRecorder {
             Event::SweepEnd {
                 sample: Some(sample),
                 ..
-            } => self.end_sweep(sample),
+            } => self.inner.lock().unwrap().sweeps.push(sample.clone()),
             Event::Health(record) => self.inner.lock().unwrap().health.push(*record),
             _ => {}
         }
@@ -449,15 +412,6 @@ impl Recorder for TraceRecorder {
 mod tests {
     use super::*;
     use crate::journal::{validate_journal, ColorSample};
-
-    /// Run the tests that record sweeps one at a time: each bumps the
-    /// global `coopmc_updates_total` counter, which
-    /// `metrics_counters_accumulate` reads exactly.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     /// The journal record of sweep `iteration` with model statistic `stat`.
     fn sample(iteration: u64, stat: f64) -> SweepSample {
@@ -500,7 +454,6 @@ mod tests {
 
     #[test]
     fn journal_has_running_diagnostics() {
-        let _serial = serial();
         let rec = TraceRecorder::new();
         let mut x = 10.0;
         for it in 1..=12 {
@@ -520,7 +473,6 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_phase_spans() {
-        let _serial = serial();
         let rec = TraceRecorder::new();
         let mut s = sample(1, 1.0);
         s.colors.push(ColorSample {
@@ -564,7 +516,6 @@ mod tests {
     /// that made them: a pair reads one clock, so nothing is shifted.
     #[test]
     fn profiler_spans_merge_at_their_event_timestamps() {
-        let _serial = serial();
         let (rec, prof) = (TraceRecorder::new(), SpanProfiler::new(2));
         let pair = (&rec, &prof);
         assert!(pair.enabled() && pair.profiling());
@@ -597,14 +548,53 @@ mod tests {
 
     #[test]
     fn metrics_counters_accumulate() {
-        let _serial = serial();
         let rec = TraceRecorder::new();
-        let before = metrics::counter("coopmc_updates_total").get();
         push_sweep(&rec, 1, 0.0);
         push_sweep(&rec, 2, 0.0);
-        assert_eq!(metrics::counter("coopmc_updates_total").get(), before + 32);
-        assert!(metrics::render().contains("coopmc_sweep_duration_us_bucket"));
-        assert!(metrics::render().contains("coopmc_phase_pg_duration_us_bucket"));
+        let text = rec.metrics().render();
+        assert!(text.contains("coopmc_sweeps_total 2\n"));
+        assert!(text.contains("coopmc_updates_total 32\n"));
+        assert!(text.contains("coopmc_modeled_pg_cycles_total 320\n"));
+        assert!(text.contains("coopmc_phase_pg_duration_us_count 2\n"));
+        assert!(text.contains("coopmc_sweep_duration_us_bucket{le=\"10\"} 2\n"));
+    }
+
+    /// A recorder that saw no sweep exposes every counter at 0 and every
+    /// histogram empty, and no pool gauge.
+    #[test]
+    fn unused_recorder_exposes_zero_counters_and_empty_histograms() {
+        let text = TraceRecorder::new().metrics().render();
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        // 10 counters, 8 sweep buckets and 3 × 22 phase buckets, plus a
+        // `_sum` and a `_count` for each of the 4 histograms.
+        assert_eq!(samples.len(), 10 + 8 + 3 * 22 + 4 * 2, "{text}");
+        for line in samples {
+            assert!(line.ends_with(" 0"), "{line}");
+        }
+        assert_eq!(text.matches("# TYPE").count(), 14);
+        assert!(!text.contains("coopmc_pool_"));
+    }
+
+    /// `_sum` adds the sweeps' durations in the order they were recorded.
+    #[test]
+    fn histogram_sum_adds_in_sweep_order() {
+        let rec = TraceRecorder::new();
+        let walls = [100, 200, 300];
+        for (i, wall_ns) in walls.into_iter().enumerate() {
+            let s = SweepSample {
+                wall_ns,
+                ..sample(i as u64 + 1, 0.0)
+            };
+            record_sweep(&rec, &s);
+        }
+        let in_order = walls.iter().fold(0.0, |sum, &ns| sum + ns as f64 / 1_000.0);
+        // (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in the last bit.
+        assert_eq!(in_order, 0.6000000000000001);
+        let text = rec.metrics().render();
+        assert!(
+            text.contains(&format!("coopmc_sweep_duration_us_sum {in_order}\n")),
+            "{text}"
+        );
     }
 
     /// Pin: the incremental export diagnostics reproduce the full-series
@@ -613,7 +603,6 @@ mod tests {
     /// non-finite dropped) — on a fixed smooth series.
     #[test]
     fn incremental_export_matches_the_old_full_series_rescan() {
-        let _serial = serial();
         use coopmc_models::diagnostics::{effective_sample_size, gelman_rubin};
         let rec = TraceRecorder::new();
         let mut x = 5.0;
@@ -651,7 +640,6 @@ mod tests {
 
     #[test]
     fn health_records_interleave_after_their_sweep() {
-        let _serial = serial();
         let rec = TraceRecorder::new();
         for it in 1..=4u64 {
             push_sweep(&rec, it, it as f64);

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! Every subcommand refuses an unknown flag, a flag missing its value and
-//! an out-of-range value with a message and exit code 1; `hw --labels`
-//! takes 2..=65536 and sizes only the sampler-area rows.
+//! an out-of-range value with a message and exit code 1; `run --threads`
+//! takes 1..=256, and `hw --labels` takes 2..=65536 and sizes only the
+//! sampler-area rows.
 //!
 //! Pipeline SPECs: `float32`, `fixed:<bits>`, `fixed+dn:<bits>`,
 //! `coopmc:<size>x<bits>`. Sampler KINDs: `seq`, `tree`, `pipe`, `alias`.
@@ -175,6 +176,10 @@ fn flag_value(flag: &str, it: &mut std::slice::Iter<String>) -> Result<String, S
         .ok_or_else(|| format!("{flag} needs a value"))
 }
 
+/// Largest `--threads`. The pool spawns `threads − 1` OS threads up front,
+/// so a mistyped count must be refused before any of them starts.
+const MAX_THREADS: usize = 256;
+
 /// Parse the argument list of `run`.
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut out = RunArgs::default();
@@ -211,8 +216,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 out.threads = value()?
                     .parse()
                     .map_err(|_| "bad --threads value".to_owned())?;
-                if out.threads == 0 {
-                    return Err("--threads must be at least 1".to_owned());
+                if !(1..=MAX_THREADS).contains(&out.threads) {
+                    return Err(format!("--threads must be in 1..={MAX_THREADS}"));
                 }
             }
             "--health" => out.health = true,
@@ -509,7 +514,11 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         write_output(path, &recorder.chrome_trace_json(profiler.as_ref()))?;
     }
     if let Some(path) = &args.metrics_out {
-        write_output(path, &coopmc::obs::render())?;
+        let mut metrics = recorder.metrics();
+        if let Some(ctl) = &controller {
+            metrics.extend(ctl.health().metrics());
+        }
+        write_output(path, &metrics.render())?;
     }
     if let Some(p) = &profiler {
         // The divergence ledger is the profiled run's exit gate: artifacts
@@ -713,7 +722,12 @@ mod tests {
         let to_vec = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         assert!(parse_run_args(&to_vec(&[])).is_err());
         assert!(parse_run_args(&to_vec(&["w", "--sampler", "magic"])).is_err());
-        assert!(parse_run_args(&to_vec(&["w", "--threads", "0"])).is_err());
+        let err = parse_run_args(&to_vec(&["w", "--threads", "0"])).unwrap_err();
+        assert!(err.contains("1..=256"), "{err}");
+        // A mistyped pool size is refused before any worker is spawned.
+        let err = parse_run_args(&to_vec(&["w", "--threads", "257"])).unwrap_err();
+        assert!(err.contains("1..=256"), "{err}");
+        assert_eq!(args(&["w", "--threads", "256"]).threads, 256);
         let err = parse_run_args(&to_vec(&["w", "--sweeps", "0"])).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = parse_run_args(&to_vec(&["w", "--pipeline", "fixed:0"])).unwrap_err();

@@ -16,15 +16,6 @@ use coopmc::obs::{json, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
-/// Health config for tests: metrics off so parallel tests don't race on the
-/// process-global registry.
-fn quiet(cfg: HealthConfig) -> HealthConfig {
-    HealthConfig {
-        publish_metrics: false,
-        ..cfg
-    }
-}
-
 /// Run a traced single-thread MRF chain, optionally under a health monitor,
 /// and return the final labels plus the journal.
 fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
@@ -38,10 +29,10 @@ fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
     );
     let mut monitor = EarlyStop::monitor(ChainHealth::new(
         0,
-        quiet(HealthConfig {
+        HealthConfig {
             refresh_stride: 1,
             ..HealthConfig::default()
-        }),
+        },
     ))
     .with_recorder(&recorder);
     let mut none = NoControl;
@@ -103,7 +94,7 @@ fn early_stop_ends_an_easy_chain_inside_half_the_budget() {
         SplitMix64::new(2022),
         &recorder,
     );
-    let health = ChainHealth::new(0, quiet(HealthConfig::default()));
+    let health = ChainHealth::new(0, HealthConfig::default());
     let mut ctl = EarlyStop::new(health, 1.01, 50.0).with_recorder(&recorder);
     engine.run_controlled(&mut net, BUDGET, |n| Some(n.joint_prob().ln()), &mut ctl);
 
@@ -143,10 +134,10 @@ fn chromatic_health_diagnostics_are_thread_count_independent() {
         let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), threads, 77);
         let mut ctl = EarlyStop::monitor(ChainHealth::new(
             0,
-            quiet(HealthConfig {
+            HealthConfig {
                 refresh_stride: 1,
                 ..HealthConfig::default()
-            }),
+            },
         ));
         engine.run_controlled(&mut app.mrf, 16, |m| Some(m.energy()), &mut ctl);
         (app.mrf.labels(), *ctl.health().record())

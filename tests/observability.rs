@@ -1,7 +1,8 @@
 //! End-to-end observability checks: an enabled recorder yields a valid,
 //! reconcilable run journal and a loadable Chrome trace, and recording is
 //! invisible to the chain itself (thread-count independence holds with
-//! tracing on).
+//! tracing on). The recorder's pool gauges hold each slot's last sweep,
+//! also when engines of different sizes share it.
 
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
@@ -12,7 +13,7 @@ use coopmc::models::mrf::{image_segmentation, GridMrf};
 use coopmc::models::GibbsModel;
 use coopmc::obs::health::NoControl;
 use coopmc::obs::journal::validate_journal;
-use coopmc::obs::{json, TraceRecorder};
+use coopmc::obs::{json, SweepSample, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
@@ -115,10 +116,11 @@ fn recording_does_not_perturb_the_pooled_chain() {
             &recorder,
         );
         let updated = engine.run(&mut app.mrf, 6);
-        (updated, app.mrf.labels(), recorder.sweeps())
+        (updated, app.mrf.labels(), recorder)
     };
-    let (updated_1, labels_1, sweeps_1) = run(1);
-    let (updated_8, labels_8, sweeps_8) = run(8);
+    let (updated_1, labels_1, recorder_1) = run(1);
+    let (updated_8, labels_8, recorder_8) = run(8);
+    let (sweeps_1, sweeps_8) = (recorder_1.sweeps(), recorder_8.sweeps());
     assert_eq!(updated_1, updated_8);
     assert_eq!(labels_1, labels_8, "recording leaked into the chain");
     assert_eq!(sweeps_1.len(), 6);
@@ -137,8 +139,71 @@ fn recording_does_not_perturb_the_pooled_chain() {
             assert!(c.busy_ns <= c.wall_ns.saturating_mul(8));
         }
     }
-    // The pool's idle/busy accounting surfaces as process-global gauges.
-    let metrics = coopmc::obs::render();
-    assert!(metrics.contains("coopmc_pool_worker_busy_ns"));
-    assert!(metrics.contains("coopmc_pool_color_utilization"));
+    // The pool's idle/busy accounting surfaces as each recorder's own
+    // gauges, one per slot of its pool.
+    for (recorder, sweeps, slots) in [(recorder_1, sweeps_1, 1), (recorder_8, sweeps_8, 8)] {
+        let metrics = recorder.metrics().render();
+        assert_pool_gauges_hold_the_last_sweep(&metrics, &sweeps);
+        let busy = metrics.matches("coopmc_pool_worker_busy_ns{").count();
+        assert_eq!(busy, slots, "{metrics}");
+    }
+}
+
+/// The value of `series` (a name and its label set) in the Prometheus text
+/// `metrics`.
+fn series_value(metrics: &str, series: &str) -> Option<f64> {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// Assert that every pool gauge in `metrics` holds the value of the last of
+/// `sweeps` that reported its slot or color class.
+fn assert_pool_gauges_hold_the_last_sweep(metrics: &str, sweeps: &[SweepSample]) {
+    let slots = sweeps.iter().map(|s| s.slots.len()).max().unwrap();
+    for i in 0..slots {
+        let last = sweeps.iter().rev().find_map(|s| s.slots.get(i)).unwrap();
+        let gauge = |name: &str| series_value(metrics, &format!("{name}{{worker=\"{i}\"}}"));
+        assert_eq!(gauge("coopmc_pool_worker_jobs"), Some(last.jobs as f64));
+        assert_eq!(
+            gauge("coopmc_pool_worker_busy_ns"),
+            Some(last.busy_ns as f64)
+        );
+    }
+    for class in 0..2 {
+        let last = sweeps
+            .iter()
+            .rev()
+            .find_map(|s| s.colors.iter().find(|c| c.class == class))
+            .unwrap();
+        let series = format!("coopmc_pool_color_utilization{{color=\"{class}\"}}");
+        assert_eq!(series_value(metrics, &series), Some(last.utilization));
+    }
+}
+
+#[test]
+fn engines_sharing_a_recorder_leave_each_slot_its_last_sweep() {
+    // An 8-thread engine for 3 sweeps, then a 2-thread one for 2, on one
+    // recorder, as the parallel ablation shares one across its pool sizes:
+    // slots 0 and 1 end on the 2-thread run's last sweep (2 sweeps x 2
+    // color classes = 4 jobs), slots 2 to 7 on the 8-thread run's (6 jobs).
+    let recorder = TraceRecorder::new();
+    for (threads, sweeps) in [(8, 3), (2, 2)] {
+        let mut app = image_segmentation(24, 24, 31);
+        let pipeline = FixedPipeline::new(8, true);
+        ChromaticEngine::with_recorder(pipeline, TreeSampler::new(), threads, 7, &recorder)
+            .run(&mut app.mrf, sweeps);
+    }
+    let sweeps = recorder.sweeps();
+    let slots: Vec<usize> = sweeps.iter().map(|s| s.slots.len()).collect();
+    assert_eq!(slots, [8, 8, 8, 2, 2]);
+    let metrics = recorder.metrics().render();
+    assert_pool_gauges_hold_the_last_sweep(&metrics, &sweeps);
+    for worker in 0..8 {
+        let series = format!("coopmc_pool_worker_jobs{{worker=\"{worker}\"}}");
+        let jobs = if worker < 2 { 4.0 } else { 6.0 };
+        assert_eq!(series_value(&metrics, &series), Some(jobs), "{series}");
+    }
+    assert_eq!(metrics.matches("coopmc_pool_worker_jobs{").count(), 8);
+    assert!(metrics.contains("coopmc_sweeps_total 5\n"));
 }
