@@ -2,8 +2,12 @@
 //! model → pipeline → sampler → metrics.
 
 use coopmc::core::experiments::{mrf_converged_nmse, mrf_golden, mrf_trace};
-use coopmc::core::pipeline::PipelineConfig;
-use coopmc::models::mrf::{image_restoration, stereo_matching};
+use coopmc::core::parallel::ChromaticEngine;
+use coopmc::core::pipeline::{CoopMcPipeline, PipelineConfig};
+use coopmc::models::mrf::{
+    image_restoration, image_segmentation, sound_source_separation, stereo_matching, Connectivity,
+    GridMrf,
+};
 
 /// Fig. 2: at 64 labels, a 4-bit exp kernel without DyNorm cannot converge
 /// (the sampler degenerates to uniform choice), while the same kernel with
@@ -83,4 +87,42 @@ fn traces_descend_for_viable_datapaths() {
         let late = trace.last_value().unwrap();
         assert!(late < early, "{:?}: {early} -> {late}", config);
     }
+}
+
+/// `energy()` is every MRF run's per-sweep statistic (early stop, chain
+/// health, the benchmark's timed phase), so its bits are pinned: on the
+/// initial labels and after 3 chromatic sweeps, for the four MRF
+/// applications — restoration with its masked occlusion boxes, 8-connected
+/// stereo, segmentation and sound separation.
+#[test]
+fn mrf_energies_match_their_goldens() {
+    let apps: [(&str, GridMrf); 4] = [
+        ("restoration", image_restoration(40, 26, 2022).mrf),
+        (
+            "stereo-8",
+            stereo_matching(48, 32, 5)
+                .mrf
+                .with_connectivity(Connectivity::Eight),
+        ),
+        ("segmentation", image_segmentation(48, 40, 3).mrf),
+        ("sound", sound_source_separation(24, 32, 4).mrf),
+    ];
+    let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), 2, 909);
+    let got: Vec<(&str, u64, u64)> = apps
+        .into_iter()
+        .map(|(name, mut mrf)| {
+            let initial = mrf.energy().to_bits();
+            engine.run(&mut mrf, 3);
+            (name, initial, mrf.energy().to_bits())
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("restoration", 0x40c7_6bb6_ce7c_d4a1, 0x40bd_14ac_bf2e_679e),
+            ("stereo-8", 0x40c3_ba92_08c5_41c2, 0x40aa_029e_74ea_f2b8),
+            ("segmentation", 0x408e_6ee8_5f52_2824, 0x4071_ef95_05bf_1299),
+            ("sound", 0x4076_24d9_3160_47b5, 0x406b_30a9_4d9a_e85c),
+        ]
+    );
 }
