@@ -1,6 +1,7 @@
 //! The `pg-words` gate: the word operations CoopMC's PG datapath runs on
 //! the Q15.16 accumulator bus, checked by running them. The fused
-//! quantizers must match the `Fixed` round-trip and a half-away-from-zero
+//! quantizers, the slice quantizer's packed and per-value paths included,
+//! must match the `Fixed` round-trip and a half-away-from-zero
 //! reference, and every row of a batched PG pass, with the integer ROM
 //! codes it hands to SD, must match the same row evaluated alone on the
 //! `f64` reference datapath. [`verify_pg_words`] runs both for the
@@ -15,12 +16,13 @@ use coopmc_kernels::telemetry::PgTelemetry;
 use crate::netcheck::Severity;
 use crate::verify::Finding;
 
-/// Exhaustive equivalence of the fused scalar quantizers the batched
-/// kernels apply element-wise: `requantize_nearest` and the bus word of
-/// `quantize_nearest_raw` against the two-step `Fixed` round-trip, and
-/// `round_ties_away` against an independent
-/// half-away reference — over dense half-ulp grids plus the edge cases
-/// (NaN, infinities, saturation band).
+/// Exhaustive equivalence of the fused quantizers the batched kernels
+/// apply: `requantize_nearest`, the bus word of `quantize_nearest_raw` and
+/// the words of the slice quantizer `quantize_nearest_raw_into` (packed on
+/// Q15.16 and Q5.10, value by value on the 62-bit Q31.31) against the
+/// two-step `Fixed` round-trip, and `round_ties_away` against an
+/// independent half-away reference — over dense half-ulp grids plus the
+/// edge cases (NaN, infinities, saturation band).
 fn quantizer_checks(findings: &mut Vec<Finding>) -> usize {
     let mut checks = 0;
 
@@ -28,7 +30,9 @@ fn quantizer_checks(findings: &mut Vec<Finding>) -> usize {
     let fmts = [
         QFormat::baseline32(),
         QFormat::new(5, 10).expect("valid format"),
+        QFormat::new(31, 31).expect("valid format"),
     ];
+    let (mut xs, mut words) = (Vec::new(), Vec::new());
     'requant: for fmt in fmts {
         let res = fmt.resolution();
         let max = fmt.max_raw() as f64;
@@ -44,20 +48,28 @@ fn quantizer_checks(findings: &mut Vec<Finding>) -> usize {
         let grid = (-65_536i64..=65_536).map(|k| k as f64 * res / 2.0);
         let sat_band = (-512i64..=512).map(|k| (max + k as f64) * res);
         let neg_band = (-512i64..=512).map(|k| (k as f64 - max) * res);
-        for x in grid.chain(sat_band).chain(neg_band).chain(specials) {
+        xs.clear();
+        xs.extend(grid.chain(sat_band).chain(neg_band).chain(specials));
+        words.clear();
+        fmt.quantize_nearest_raw_into(&xs, &mut words);
+        for (&x, &slice_word) in xs.iter().zip(&words) {
             let fused = fmt.requantize_nearest(x);
             let fixed = Fixed::from_f64(x, fmt, Rounding::Nearest);
             let two_step = fixed.to_f64();
-            // The bus word the batched kernels quantize to is the same
-            // Fixed word.
+            // The bus word the batched kernels quantize to, a value or a
+            // slice at a time, is the same Fixed word.
             let word = fmt.quantize_nearest_raw(x);
-            if fused.to_bits() != two_step.to_bits() || word != fixed.raw() {
+            if fused.to_bits() != two_step.to_bits()
+                || word != fixed.raw()
+                || slice_word != fixed.raw()
+            {
                 findings.push(Finding {
                     severity: Severity::Error,
                     check: "requantize-equivalence".into(),
                     message: format!(
-                        "requantize_nearest({x:e}) = {fused:e} (word {word}) but the Fixed \
-                         round-trip gives {two_step:e} (word {}) ({fmt:?})",
+                        "requantize_nearest({x:e}) = {fused:e} (word {word}, slice word \
+                         {slice_word}) but the Fixed round-trip gives {two_step:e} (word {}) \
+                         ({fmt:?})",
                         fixed.raw()
                     ),
                     provenance: vec![format!(

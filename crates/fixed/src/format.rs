@@ -209,6 +209,38 @@ impl QFormat {
         rounded.clamp(self.min_raw(), self.max_raw())
     }
 
+    /// Append [`QFormat::quantize_nearest_raw`] of every value in `xs` to
+    /// `words`, word for word.
+    ///
+    /// On formats of at most 51 bits besides the sign (Q15.16 has 31) the
+    /// pass stays in `f64` lanes, with no `f64 → i64` conversion, so it
+    /// vectorizes on the baseline target. Each scaled value `s` is mapped
+    /// NaN to 0 and clamped to the raw range, which is exact in `f64`
+    /// there. Then `m = s + 1.5·2^52` lies in `[2^52, 2^53)`, whose `f64`
+    /// grid is the integers: the add rounds `s` to nearest-even, and `m`'s
+    /// bits less those of `1.5·2^52` are the rounded word. `s` less the
+    /// rounded value is exact, so an exact tie is seen as a remainder of
+    /// ±½ and moved one step away from zero. Clamping before rounding
+    /// gives the same word, since both bounds are integers. Wider formats
+    /// quantize value by value.
+    pub fn quantize_nearest_raw_into(&self, xs: &[f64], words: &mut Vec<i64>) {
+        if self.int_bits + self.frac_bits > 51 {
+            words.extend(xs.iter().map(|&x| self.quantize_nearest_raw(x)));
+            return;
+        }
+        const ROUND: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+        let scale = (1i64 << self.frac_bits) as f64;
+        let (min, max) = (self.min_raw() as f64, self.max_raw() as f64);
+        words.extend(xs.iter().map(|&x| {
+            let s = x * scale;
+            let s = if s.is_nan() { 0.0 } else { s }.clamp(min, max);
+            let m = s + ROUND;
+            let word = m.to_bits() as i64 - ROUND.to_bits() as i64;
+            let d = s - (m - ROUND);
+            word + i64::from(d == 0.5 && s > 0.0) - i64::from(d == -0.5 && s < 0.0)
+        }));
+    }
+
     /// The closed representable interval `[min_value, max_value]`.
     ///
     /// This is the contract a wire annotated with this format promises to
@@ -313,21 +345,40 @@ mod tests {
 
     #[test]
     fn requantize_nearest_is_bit_identical_to_fixed_round_trip() {
-        // `quantize_nearest_raw` rides along: it must equal `Fixed`'s raw
-        // word everywhere, saturation on the 55+-bit formats included.
+        // `quantize_nearest_raw` and the slice quantizer ride along: each
+        // must equal `Fixed`'s raw word everywhere, saturation on the
+        // 55+-bit formats included. The slice quantizer runs packed up to
+        // 51 bits besides the sign (Q20.31) and value by value above it
+        // (Q20.32 on); the probes hit every tie near zero and both
+        // saturation points, and ties at random magnitudes, each with its
+        // neighbouring `f64`s.
         use crate::Fixed;
         // Narrow, standard and near-maximal formats — including ones whose
         // max_raw exceeds 2^53 and is not f64-representable.
         let formats = [
+            QFormat::new(0, 1).unwrap(),
             QFormat::new(1, 4).unwrap(),
             QFormat::new(8, 8).unwrap(),
             QFormat::baseline32(),
+            QFormat::new(40, 0).unwrap(),
+            QFormat::new(20, 31).unwrap(),
+            QFormat::new(20, 32).unwrap(),
+            QFormat::new(31, 31).unwrap(),
             QFormat::new(15, 46).unwrap(),
             QFormat::new(3, 58).unwrap(),
             QFormat::new(0, 62).unwrap(),
         ];
+        let ulps = |t: f64| {
+            [
+                t,
+                f64::from_bits(t.to_bits() + 1),
+                f64::from_bits(t.to_bits().wrapping_sub(1)),
+            ]
+        };
+        let mut words = vec![-7];
         for fmt in formats {
             let res = fmt.resolution();
+            let (min, max) = (fmt.min_raw() as f64, fmt.max_raw() as f64);
             let mut probes = vec![
                 0.0,
                 -0.0,
@@ -345,6 +396,11 @@ mod tests {
                 res * 0.49999,
                 1.0e-320, // subnormal
             ];
+            for k in -2048i64..=2048 {
+                probes.extend(ulps((k as f64 + 0.5) * res));
+                probes.extend(ulps((max + k as f64 / 2.0) * res));
+                probes.extend(ulps((min + k as f64 / 2.0) * res));
+            }
             let mut state = 0x0DDB_1A5Eu64;
             for _ in 0..4000 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
@@ -352,8 +408,12 @@ mod tests {
                 for scale in [res, 1.0, fmt.max_value(), fmt.max_value() * 4.0] {
                     probes.push(u * scale);
                 }
+                probes.extend(ulps(((state >> (state % 64)) as f64 + 0.5) * res));
             }
-            for x in probes {
+            words.truncate(1);
+            fmt.quantize_nearest_raw_into(&probes, &mut words);
+            assert_eq!(words.len(), 1 + probes.len(), "{fmt}: one word per value");
+            for (&x, &word) in probes.iter().zip(&words[1..]) {
                 let fixed = Fixed::from_f64(x, fmt, Rounding::Nearest);
                 let (want, got) = (fixed.to_f64(), fmt.requantize_nearest(x));
                 assert_eq!(
@@ -363,6 +423,7 @@ mod tests {
                 );
                 let raw = fmt.quantize_nearest_raw(x);
                 assert_eq!(raw, fixed.raw(), "{fmt:?} x={x:e}: raw");
+                assert_eq!(word, fixed.raw(), "{fmt:?} x={x:e}: slice word");
             }
         }
     }

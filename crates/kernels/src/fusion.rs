@@ -235,7 +235,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         ops_per_row.resize(whole_chunks(scores.len(), width), finish_ops(width));
         let mut clock = StageClock::start(phases);
         words.clear();
-        words.extend(scores.iter().map(|&s| self.acc_fmt.quantize_nearest_raw(s)));
+        self.acc_fmt.quantize_nearest_raw_into(scores, words);
         clock.lap(|p| &mut p.normalize_ns);
         self.finish_into(words, width, probs, codes, telemetry, clock);
     }

@@ -15,6 +15,11 @@ pub use apps::{
 use crate::{GibbsModel, ScoreRows};
 
 /// A pairwise/unary cost function family used by the MRF energy (Eq. 3).
+///
+/// Every family is a function of `a − b` alone. [`GridMrf`] relies on it:
+/// it tabulates the smooth cost once per label difference, and for integer
+/// labels below 2^53 the difference is exact in `f64`, so a table read is
+/// bit-identical to [`CostFn::cost`]. A new family must keep that form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostFn {
     /// `min(|a - b|, trunc)` — the classic truncated-linear cost.
@@ -80,6 +85,10 @@ pub struct GridMrf {
     labels: Vec<usize>,
     data_cost: CostFn,
     smooth_cost: CostFn,
+    /// `smooth_cost.cost(j, n_labels − 1)` for `j` in `0..2·n_labels − 1`:
+    /// the smooth cost of every label difference `j + 1 − n_labels`, so
+    /// `cost(a, b)` is `smooth[n_labels − 1 + a − b]`.
+    smooth: Vec<f64>,
     beta: f64,
     /// Weight of the smoothness term relative to the data term.
     lambda: f64,
@@ -123,6 +132,10 @@ impl GridMrf {
             .map(|&y| (y.round().max(0.0) as usize).min(n_labels - 1))
             .collect();
         let data_mask = vec![true; width * height];
+        let top = (n_labels - 1) as f64;
+        let smooth = (0..2 * n_labels - 1)
+            .map(|j| smooth_cost.cost(j as f64, top))
+            .collect();
         Self {
             width,
             height,
@@ -133,6 +146,7 @@ impl GridMrf {
             labels,
             data_cost,
             smooth_cost,
+            smooth,
             beta,
             lambda,
         }
@@ -235,6 +249,7 @@ impl GridMrf {
 
     /// Total cost `TC_i(l)` of node `i` taking label `l` (Eq. 3): the
     /// per-label reference [`GridMrf::log_row_into`] reproduces bit for bit.
+    /// It evaluates [`CostFn::cost`] directly, not the smooth-cost table.
     pub fn total_cost(&self, i: usize, l: usize) -> f64 {
         let dc = if self.data_mask[i] {
             self.data_cost.cost(l as f64, self.observed[i])
@@ -252,7 +267,10 @@ impl GridMrf {
     /// `l`, into `out[l]`, with neighbour labels read through `read`.
     ///
     /// The neighbour labels, the data mask and the observation are read
-    /// once per row, not once per label. Every score then takes
+    /// once per row, not once per label. A neighbour labelled `b` adds its
+    /// smooth costs for labels `0..n` as one slice of the smooth-cost
+    /// table, `smooth[n − 1 − b..][..n]`, which holds the same `f64`s as
+    /// `smooth_cost.cost(l, b)` (see [`CostFn`]). Every score then takes
     /// [`GridMrf::total_cost`]'s float operations in the same order — the
     /// neighbour costs summed from `Iterator::sum`'s start value, then
     /// `dc + λ·Σ`, then `-β·tc` — so it is bit-identical to
@@ -265,21 +283,22 @@ impl GridMrf {
     ///
     /// Panics if `out.len()` is not the label count.
     pub fn log_row_into(&self, i: usize, read: impl Fn(usize) -> usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.n_labels, "one score per label");
-        let mut neighbours = [0.0; 8];
+        let n = self.n_labels;
+        assert_eq!(out.len(), n, "one score per label");
+        let mut neighbours = [0; 8];
         let mut k = 0;
         for j in self.neighbours(i) {
-            neighbours[k] = read(j) as f64;
+            neighbours[k] = read(j);
             k += 1;
         }
         let observed = self.data_mask[i].then(|| self.observed[i]);
         // Labels count in `u32`, whose conversion to `f64` vectorizes.
-        let labels = 0..u32::try_from(out.len()).expect("label count fits in u32");
+        let labels = 0..u32::try_from(n).expect("label count fits in u32");
         // `total_cost`'s `sum()` folds its neighbour costs from this value.
         out.fill(std::iter::empty::<f64>().sum());
         for &b in &neighbours[..k] {
-            for (l, s) in labels.clone().zip(out.iter_mut()) {
-                *s += self.smooth_cost.cost(f64::from(l), b);
+            for (s, &c) in out.iter_mut().zip(&self.smooth[n - 1 - b..][..n]) {
+                *s += c;
             }
         }
         for (l, s) in labels.zip(out.iter_mut()) {
@@ -289,42 +308,32 @@ impl GridMrf {
     }
 
     /// Total energy of the current configuration (for convergence
-    /// tracking). Pairwise terms are counted once per edge.
+    /// tracking). Pairwise terms are counted once per edge, each read from
+    /// the smooth-cost table, which gives [`CostFn::cost`]'s bits.
     pub fn energy(&self) -> f64 {
+        let top = self.n_labels - 1;
+        let smooth = |a: usize, b: usize| self.smooth[top + a - b];
         let mut e = 0.0;
         for i in 0..self.labels.len() {
+            let a = self.labels[i];
             if self.data_mask[i] {
-                e += self.data_cost.cost(self.labels[i] as f64, self.observed[i]);
+                e += self.data_cost.cost(a as f64, self.observed[i]);
             }
             let (x, y) = (i % self.width, i / self.width);
             if x + 1 < self.width {
-                e += self.lambda
-                    * self
-                        .smooth_cost
-                        .cost(self.labels[i] as f64, self.labels[i + 1] as f64);
+                e += self.lambda * smooth(a, self.labels[i + 1]);
             }
             if y + 1 < self.height {
-                e += self.lambda
-                    * self
-                        .smooth_cost
-                        .cost(self.labels[i] as f64, self.labels[i + self.width] as f64);
+                e += self.lambda * smooth(a, self.labels[i + self.width]);
             }
             if self.connectivity == Connectivity::Eight && y + 1 < self.height {
                 // Count each diagonal edge once via the down-left and
                 // down-right directions.
                 if x > 0 {
-                    e += self.lambda
-                        * self.smooth_cost.cost(
-                            self.labels[i] as f64,
-                            self.labels[i + self.width - 1] as f64,
-                        );
+                    e += self.lambda * smooth(a, self.labels[i + self.width - 1]);
                 }
                 if x + 1 < self.width {
-                    e += self.lambda
-                        * self.smooth_cost.cost(
-                            self.labels[i] as f64,
-                            self.labels[i + self.width + 1] as f64,
-                        );
+                    e += self.lambda * smooth(a, self.labels[i + self.width + 1]);
                 }
             }
         }
@@ -447,7 +456,10 @@ mod tests {
         // The appended row and its `LabelScore` form must equal the
         // per-label reference bit for bit, on every node (corners, edges, a
         // masked one) and label, for every cost family as data and as
-        // smooth cost, under both connectivities, at 4 and 70 labels.
+        // smooth cost, under both connectivities, at 2, 4, 64 and 70
+        // labels. The labels reach both ends of the range, so the rows read
+        // both ends of the smooth-cost table. `energy()` must equal a sum
+        // of `CostFn::cost` over the edges, each edge once, in its order.
         let costs = [
             CostFn::TruncatedLinear { trunc: 2.5 },
             CostFn::TruncatedQuadratic { trunc: 5.0 },
@@ -455,7 +467,11 @@ mod tests {
         ];
         let observed = vec![0.0, 1.3, 2.0, 3.7, 1.0, 2.2, 0.4, 3.0, 2.9, 1.1, 0.0, 3.0];
         let (mut rows, mut scores) = (ScoreRows::new(), Vec::new());
-        for n_labels in [4, 70] {
+        for n_labels in [2, 4, 64, 70] {
+            let labels: Vec<usize> = [3, 0, 2, 1, 1, 3, 0, 2, 2, 0, 3, 1]
+                .iter()
+                .map(|l| l * (n_labels - 1) / 3)
+                .collect();
             for data_cost in costs {
                 for smooth_cost in costs {
                     for connectivity in [Connectivity::Four, Connectivity::Eight] {
@@ -472,8 +488,19 @@ mod tests {
                         .with_connectivity(connectivity);
                         let mut mask = vec![true; 12];
                         mask[5] = false;
-                        m.set_data_mask(mask);
-                        m.set_labels(vec![3, 0, 2, 1, 1, 3, 0, 2, 2, 0, 3, 1]);
+                        m.set_data_mask(mask.clone());
+                        m.set_labels(labels.clone());
+                        let mut energy = 0.0;
+                        for i in 0..12 {
+                            let a = labels[i] as f64;
+                            if mask[i] {
+                                energy += data_cost.cost(a, observed[i]);
+                            }
+                            for j in m.neighbours(i).filter(|&j| j > i) {
+                                energy += 1.3 * smooth_cost.cost(a, labels[j] as f64);
+                            }
+                        }
+                        assert_eq!(m.energy().to_bits(), energy.to_bits(), "energy");
                         for var in 0..12 {
                             rows.clear();
                             rows.push_log_row(n_labels).fill(-9.0);
