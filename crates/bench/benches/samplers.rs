@@ -36,7 +36,8 @@ fn bench_samplers(h: &Harness) {
         });
 
         // the same weights carried as integer codes with 0 fraction bits:
-        // the exact integer total and TreeSum a ROM row draws through
+        // the exact integer total and code-unit scan a ROM row draws
+        // through, the same for every CDF-inversion sampler
         if matches!(n, 16 | 64) {
             let codes: Vec<u64> = (1..=n as u64).collect();
             let mut rng = SplitMix64::new(1);

@@ -72,8 +72,8 @@ fn warm_batch_strides_allocate_nothing() {
     let mut draws: Vec<SampleResult> = Vec::new();
     let mut sd = SampleScratch::new();
 
-    // Warm-up: grows the batch buffers, the draw vector and the sampler's
-    // code tree to this shape.
+    // Warm-up: grows the batch buffers and the draw vector to this shape
+    // (a code-row draw uses no sampler scratch).
     for _ in 0..2 {
         pipeline.generate_batch_into(&scores, width, &mut batch);
         sampler.sample_rows_into(

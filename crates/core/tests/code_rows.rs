@@ -1,6 +1,6 @@
 //! The engines hand PG's integer ROM codes to SD. Under the CoopMC datapath
-//! on bus words (`coopmc:64x8`) every draw of either engine selects from a
-//! row that carries codes; under the float reference none does.
+//! on bus words (`coopmc:64x8`) every draw of either engine reads a row
+//! that carries codes; under the float reference none does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -10,10 +10,10 @@ use coopmc_core::pipeline::{CoopMcPipeline, FloatPipeline, ProbabilityPipeline};
 use coopmc_models::bn::asia;
 use coopmc_models::mrf::image_restoration;
 use coopmc_obs::NoopRecorder;
-use coopmc_rng::SplitMix64;
+use coopmc_rng::{HwRng, SplitMix64};
 use coopmc_sampler::{SampleScratch, Sampler, TreeSampler, Weights};
 
-/// The tree sampler, counting the rows it selects from and those of them
+/// The tree sampler, counting the rows it draws from and those of them
 /// that carried usable codes.
 #[derive(Debug, Default)]
 struct CodeCounter {
@@ -22,7 +22,7 @@ struct CodeCounter {
 }
 
 impl CodeCounter {
-    /// `(rows, code rows)` selected from so far.
+    /// `(rows, code rows)` drawn from so far.
     fn counts(&self) -> (u64, u64) {
         let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
         (read(&self.rows), read(&self.code_rows))
@@ -30,12 +30,22 @@ impl CodeCounter {
 }
 
 impl Sampler for &CodeCounter {
-    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        TreeSampler::new().select(probs, t, scratch)
+    }
+
+    fn draw(
+        &self,
+        weights: Weights<'_>,
+        total: f64,
+        rng: &mut dyn HwRng,
+        scratch: &mut SampleScratch,
+    ) -> usize {
         self.rows.fetch_add(1, Ordering::Relaxed);
         if weights.codes().is_some() {
             self.code_rows.fetch_add(1, Ordering::Relaxed);
         }
-        TreeSampler::new().select(weights, t, scratch)
+        TreeSampler::new().draw(weights, total, rng, scratch)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
@@ -47,7 +57,7 @@ impl Sampler for &CodeCounter {
     }
 }
 
-/// `(draws, rows selected from, code rows)` of a sequential run on the
+/// `(draws, rows drawn from, code rows)` of a sequential run on the
 /// 64-label restoration MRF and on BN-ASIA's factor rows, then of a
 /// 2-thread chromatic run on the MRF.
 fn counts(pipeline: impl Fn() -> Box<dyn ProbabilityPipeline>) -> [(u64, u64, u64); 3] {
@@ -84,7 +94,7 @@ fn every_coopmc_draw_reads_a_code_row() {
         .enumerate()
     {
         // DyNorm maps each row's maximum to the entry 1.0, so no draw falls
-        // back and every draw selects.
+        // back and every draw reaches `Sampler::draw`.
         assert!(draws > 0, "run {run}");
         assert_eq!((rows, code_rows), (draws, draws), "run {run}");
     }

@@ -1,7 +1,8 @@
 //! Validate a CoopMC run journal (JSONL) against the `coopmc-journal/1`
-//! sweep schema and the `coopmc-health/1` chain-health schema (lines of the
-//! two kinds may interleave). CI runs this on the journal of a short traced
-//! MRF chain.
+//! sweep schema, the `coopmc-health/1` chain-health schema (lines of the
+//! two kinds may interleave) and the `coopmc-profile/1` profile schema (the
+//! per-run lines a `--profile` run appends). CI runs this on the journals
+//! of short traced, monitored and profiled runs.
 //!
 //! Usage: `coopmc-obs-check <journal.jsonl> [more.jsonl ...]`
 //! Exits non-zero with a diagnostic on the first invalid file.

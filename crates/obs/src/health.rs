@@ -155,8 +155,8 @@ pub struct HealthRecord {
     pub events_fallback: u64,
 }
 
-/// The diagnostics [`ChainHealth::metrics`] reports as gauges, as of the
-/// last refresh. A diagnostic that was `None` at a refresh keeps its
+/// The window diagnostics [`ChainHealth::metrics`] reports as gauges, as
+/// of the last refresh. A diagnostic that was `None` at a refresh keeps its
 /// previous value; all read 0 before the first.
 #[derive(Debug, Default)]
 struct Gauges {
@@ -164,7 +164,6 @@ struct Gauges {
     rhat_split: f64,
     ess: f64,
     mcse: f64,
-    flip_rate: f64,
 }
 
 /// Incremental chain-health state: engine-owned, all buffers preallocated,
@@ -467,13 +466,13 @@ impl ChainHealth {
         g.rhat_split = r.rhat_split.unwrap_or(g.rhat_split);
         g.ess = r.ess.unwrap_or(g.ess);
         g.mcse = r.mcse.unwrap_or(g.mcse);
-        g.flip_rate = r.flip_rate;
     }
 
     /// This chain's Prometheus series, labelled `chain`: the rank-normalized
-    /// and classic split R-hat, ESS, MCSE and flip-rate gauges as of the
-    /// last refresh (each keeps its last value across refreshes where it is
-    /// `None`), and `coopmc_health_events_total` per detector kind.
+    /// and classic split R-hat, ESS and MCSE gauges as of the last refresh
+    /// (each keeps its last value across refreshes where it is `None`), the
+    /// flip-rate gauge as of the latest sweep ([`HealthRecord::flip_rate`]),
+    /// and `coopmc_health_events_total` per detector kind.
     pub fn metrics(&self) -> Exposition {
         let chain = self.chain.to_string();
         let labels = [("chain", chain.as_str())];
@@ -484,7 +483,7 @@ impl ChainHealth {
             ("coopmc_health_rhat_split", g.rhat_split),
             ("coopmc_health_ess", g.ess),
             ("coopmc_health_mcse", g.mcse),
-            ("coopmc_health_flip_rate", g.flip_rate),
+            ("coopmc_health_flip_rate", self.record.flip_rate),
         ] {
             out.set_gauge(name, &labels, value);
         }
@@ -1135,9 +1134,9 @@ mod tests {
         assert_eq!(text.matches("# TYPE").count(), 6);
     }
 
-    /// The gauges are what the last refresh published: a diagnostic that
-    /// is `None` at a refresh keeps its last value, and the flip rate is
-    /// the refresh's, not the latest sweep's.
+    /// The window gauges are what the last refresh published: a
+    /// diagnostic that is `None` at a refresh keeps its last value. The
+    /// flip rate is the latest sweep's, not the refresh's.
     #[test]
     fn gauges_hold_the_last_refresh() {
         let gauge = |h: &ChainHealth, name: &str| {
@@ -1165,12 +1164,13 @@ mod tests {
         assert_eq!(h.record().rhat_split, None);
         assert_eq!(gauge(&h, "coopmc_health_rhat_split"), finite);
 
-        // Sweeps without a statistic move the flip-rate EWMA but refresh
-        // nothing.
+        // Sweeps without a statistic refresh nothing but move the flip-rate
+        // EWMA, and its gauge with it.
         let refreshed = h.record().flip_rate;
         h.observe_sweep(17, 10, 0, 0, None);
         assert!(h.record().flip_rate < refreshed);
-        assert_eq!(gauge(&h, "coopmc_health_flip_rate"), refreshed);
+        assert_eq!(gauge(&h, "coopmc_health_flip_rate"), h.record().flip_rate);
+        assert_eq!(gauge(&h, "coopmc_health_rhat_split"), finite);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!    `coopmc-profile/1` journal section and the Chrome trace's kernel
 //!    tracks.
 //! 4. **Health** ([`health`]) — streaming ESS / R-hat / MCSE and anomaly
-//!    detectors, whose last refresh [`ChainHealth::metrics`] reports as
+//!    detectors, whose diagnostics [`ChainHealth::metrics`] reports as
 //!    Prometheus series, and the early-stop controller that forwards its
 //!    refreshes as [`Event::Health`].
 //!

@@ -147,8 +147,8 @@ impl Sampler for AliasSampler {
     /// The alias method is not a CDF-inversion sampler; an explicit
     /// threshold maps through the CDF so cross-sampler equivalence tests
     /// still hold.
-    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
-        SequentialSampler.select(weights, t, scratch)
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        SequentialSampler.select(probs, t, scratch)
     }
 
     /// Build the table in `scratch`, then draw from it.

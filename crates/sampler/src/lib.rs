@@ -18,16 +18,16 @@
 //! `T = total · u, u ∼ U[0,1)`, new label = smallest `n` with
 //! `A_x(n) > T` — so they are *statistically identical*; they differ only in
 //! time and area. The code keeps that split: a micro-architecture defines
-//! only its CDF inversion ([`Sampler::select`]) and its cycle model, and
-//! every draw runs the one provided skeleton, [`Sampler::sample_into`]:
-//! the total mass, the all-zero fallback, ThresholdGen, then `select`. The
-//! equivalence is tested exhaustively in this crate.
+//! only its `f64` CDF inversion ([`Sampler::select`]) and its cycle model,
+//! and every draw runs the one provided skeleton, [`Sampler::sample_into`]:
+//! the total mass, the all-zero fallback, ThresholdGen, then the inversion.
+//! The equivalence is tested exhaustively in this crate.
 //!
 //! SD reads a distribution as [`Weights`]: the `f64` weights and, where PG
-//! read them off its ROM, the same weights as integer codes. On code rows
-//! the total is an exact integer sum (no per-weight validation: a code
-//! cannot be negative or NaN) and the tree samplers sum and walk in code
-//! units, drawing exactly the label the `f64` weights draw.
+//! read them off its ROM, the same weights as integer codes. The skeleton
+//! inverts code rows itself, on exact integer sums (no per-weight
+//! validation: a code cannot be negative or NaN), drawing exactly the label
+//! the `f64` weights draw.
 //!
 //! # Example
 //!
@@ -72,12 +72,11 @@ pub struct SampleResult {
 /// Reusable per-draw working memory for [`Sampler::sample_into`].
 ///
 /// The scratch owns whatever buffers a sampler micro-architecture needs to
-/// rebuild per draw: the flat [`TreeSum`] node buffers for the tree samplers
-/// (one over `f64` weights, one over integer codes), the table and Vose's
-/// work lists for the alias sampler. Once warmed to the largest
-/// distribution seen, subsequent draws through the same scratch perform
-/// **zero heap allocations** — the property the Gibbs engine's hot path
-/// relies on.
+/// rebuild per draw: the flat [`TreeSum`] node buffer for the tree
+/// samplers, the table and Vose's work lists for the alias sampler. Once
+/// warmed to the largest distribution seen, subsequent draws through the
+/// same scratch perform **zero heap allocations** — the property the Gibbs
+/// engine's hot path relies on.
 ///
 /// A scratch is plain data: create one per sampling thread and pass it to
 /// every draw on that thread. It is not tied to a particular sampler; the
@@ -86,8 +85,6 @@ pub struct SampleResult {
 pub struct SampleScratch {
     /// Reusable adder-tree storage for the tree-based samplers.
     pub(crate) tree: TreeSum,
-    /// Reusable adder-tree storage over integer codes.
-    pub(crate) codes: TreeSum<u64>,
     /// Reusable alias table and work lists for the alias sampler.
     pub(crate) vose: Vose,
 }
@@ -104,10 +101,9 @@ impl SampleScratch {
 ///
 /// Codes with `frac_bits` fraction bits stand for the weights
 /// `codes[i] · 2^-frac_bits`. Where they sum exactly ([`Weights::codes`]),
-/// the draw skeleton takes the total as their integer sum and
-/// [`TreeSampler`] sums and walks its tree in code units; both pick the
-/// label the `f64` weights pick, bit for bit. Any `f64` slice converts into
-/// weights without codes.
+/// the draw skeleton takes the total as their integer sum and inverts the
+/// row in code units; both pick what the `f64` weights pick, bit for bit.
+/// Any `f64` slice converts into weights without codes.
 #[derive(Debug, Clone, Copy)]
 pub struct Weights<'a> {
     probs: &'a [f64],
@@ -155,7 +151,7 @@ impl<'a> Weights<'a> {
     /// The integer codes and their fraction bits, when the weights carry
     /// them and `frac_bits + ⌈log₂ len⌉ ≤ 53`. Codes of weights at most 1
     /// then have partial sums of at most `2^53`, exact in `f64` in any
-    /// order, so the codes give the total and the tree the `f64` weights
+    /// order, so the codes give the total and the label the `f64` weights
     /// give.
     #[inline]
     pub fn codes(&self) -> Option<(&'a [u64], u32)> {
@@ -229,16 +225,15 @@ impl<'a, T: AsRef<[f64]> + ?Sized> From<&'a T> for Weights<'a> {
 /// back to a uniform random label, matching the paper's description of that
 /// degenerate regime.
 ///
-/// A micro-architecture implements [`Sampler::select`], its CDF inversion,
-/// plus [`Sampler::latency_cycles`] and [`Sampler::name`]. Every draw runs
-/// the provided skeleton [`Sampler::sample_into`]; the other draw methods
-/// are built on it or on `select`.
+/// A micro-architecture implements [`Sampler::select`], its CDF inversion
+/// of `f64` weights, plus [`Sampler::latency_cycles`] and [`Sampler::name`].
+/// Every draw runs the provided skeleton [`Sampler::sample_into`].
 pub trait Sampler {
-    /// The CDF inversion: the smallest label `n` whose cumulative mass
-    /// `A(n)` exceeds `t ∈ [0, total)`, or the last label if rounding
-    /// leaves none. `scratch` holds whatever the micro-architecture
-    /// rebuilds per draw.
-    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize;
+    /// The CDF inversion of `f64` weights: the smallest label `n` whose
+    /// cumulative mass `A(n)` exceeds `t ∈ [0, total)`, else the last label
+    /// with mass. `scratch` holds whatever the micro-architecture rebuilds
+    /// per draw. Code rows never reach it (see [`Sampler::draw`]).
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize;
 
     /// Latency in cycles of one sample for an `n`-label distribution.
     fn latency_cycles(&self, n: usize) -> u64;
@@ -253,7 +248,8 @@ pub trait Sampler {
     }
 
     /// Draw a label from `weights`, whose total mass `total` is positive:
-    /// ThresholdGen, then [`Sampler::select`].
+    /// ThresholdGen, then the inversion, in code units on code rows
+    /// ([`Weights::codes`]) and by [`Sampler::select`] otherwise.
     fn draw(
         &self,
         weights: Weights<'_>,
@@ -262,7 +258,7 @@ pub trait Sampler {
         scratch: &mut SampleScratch,
     ) -> usize {
         // ThresholdGen: total mass times a uniform draw from the PRNG.
-        self.select(weights, total * rng.next_f64(), scratch)
+        invert(self, weights, total * rng.next_f64(), scratch)
     }
 
     /// Draw one label from `weights` (an `f64` slice, or [`Weights`]
@@ -341,10 +337,10 @@ pub trait Sampler {
         }
     }
 
-    /// Deterministic core: [`Sampler::select`] with an explicit threshold
-    /// `t ∈ [0, total)`. Exposed so different micro-architectures, and the
-    /// code and `f64` forms of one distribution, can be proven equivalent
-    /// under the same threshold.
+    /// Deterministic core: the inversion [`Sampler::draw`] runs, with an
+    /// explicit threshold `t ∈ [0, total)`. Exposed so different
+    /// micro-architectures, and the code and `f64` forms of one
+    /// distribution, can be proven equivalent under the same threshold.
     ///
     /// # Panics
     ///
@@ -361,7 +357,7 @@ pub trait Sampler {
             "threshold out of range"
         );
         SampleResult {
-            label: self.select(weights, t, &mut SampleScratch::new()),
+            label: invert(self, weights, t, &mut SampleScratch::new()),
             cycles: self.latency_cycles(weights.len()),
             fallback: false,
         }
@@ -371,8 +367,8 @@ pub trait Sampler {
 /// Forwards what a micro-architecture defines, so a boxed sampler draws
 /// through the one skeleton with the boxed `draw` and `select`.
 impl<S: Sampler + ?Sized> Sampler for Box<S> {
-    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
-        (**self).select(weights, t, scratch)
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        (**self).select(probs, t, scratch)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
@@ -410,7 +406,7 @@ fn draw_once<S: Sampler + ?Sized>(
     let total = weights.total();
     let fallback = total == 0.0;
     let label = if fallback {
-        uniform_fallback(weights.len(), rng)
+        rng.uniform_index(weights.len())
     } else {
         sampler.draw(weights, total, rng, scratch)
     };
@@ -419,6 +415,32 @@ fn draw_once<S: Sampler + ?Sized>(
         cycles: sampler.latency_cycles(weights.len()),
         fallback,
     }
+}
+
+/// The inversion behind [`Sampler::draw`] and
+/// [`Sampler::sample_with_threshold`]. On code rows, the first label whose
+/// running code sum exceeds `⌊t · 2^frac_bits⌋`: for an integer sum `P`,
+/// `P > t · 2^frac_bits ⟺ P > ⌊t · 2^frac_bits⌋`, and the sums are the
+/// exact partial sums `select` compares, so the label is `select`'s.
+#[inline]
+fn invert<S: Sampler + ?Sized>(
+    sampler: &S,
+    weights: Weights<'_>,
+    t: f64,
+    scratch: &mut SampleScratch,
+) -> usize {
+    let Some((codes, frac_bits)) = weights.codes() else {
+        return sampler.select(weights.probs(), t, scratch);
+    };
+    let t_code = (t * (1u64 << frac_bits) as f64) as u64;
+    let mut sum = 0;
+    for (label, code) in codes.iter().enumerate() {
+        sum += code;
+        if sum > t_code {
+            return label;
+        }
+    }
+    codes.len() - 1
 }
 
 /// Validate a probability vector and return its total mass.
@@ -437,11 +459,6 @@ pub(crate) fn validate(probs: &[f64]) -> f64 {
         total += p;
     }
     total
-}
-
-/// The uniform fallback for an all-zero distribution.
-fn uniform_fallback(n: usize, rng: &mut dyn HwRng) -> usize {
-    rng.uniform_index(n)
 }
 
 #[cfg(test)]

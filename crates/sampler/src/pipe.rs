@@ -2,7 +2,7 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{SampleScratch, Sampler, TreeSampler, Weights};
+use crate::{SampleScratch, Sampler, TreeSampler};
 
 /// TreeSampler with shift registers between corresponding TreeSum and
 /// TraverseTree layers (paper §III-D, last paragraph).
@@ -44,8 +44,8 @@ impl PipeTreeSampler {
 }
 
 impl Sampler for PipeTreeSampler {
-    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
-        TreeSampler.select(weights, t, scratch)
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        TreeSampler.select(probs, t, scratch)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {

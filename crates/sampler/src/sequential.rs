@@ -1,6 +1,6 @@
 //! The prior-art sequential cumulative-scan sampler.
 
-use crate::{SampleScratch, Sampler, Weights};
+use crate::{SampleScratch, Sampler};
 
 /// The iterative sampler of previous Gibbs accelerator designs (§III-D).
 ///
@@ -22,8 +22,7 @@ impl SequentialSampler {
 
 impl Sampler for SequentialSampler {
     /// The second pass: accumulate until the running sum exceeds `t`.
-    fn select(&self, weights: Weights<'_>, t: f64, _scratch: &mut SampleScratch) -> usize {
-        let probs = weights.probs();
+    fn select(&self, probs: &[f64], t: f64, _scratch: &mut SampleScratch) -> usize {
         let mut acc = 0.0;
         for (i, &p) in probs.iter().enumerate() {
             acc += p;

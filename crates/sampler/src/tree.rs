@@ -1,8 +1,6 @@
 //! The TreeSampler micro-architecture (paper Fig. 8).
 
-use std::ops::{Add, Sub};
-
-use crate::{SampleScratch, Sampler, Weights};
+use crate::{SampleScratch, Sampler};
 
 /// The *TreeSum* module: a binary adder tree holding the partial sums of a
 /// distribution's weights.
@@ -18,28 +16,22 @@ use crate::{SampleScratch, Sampler, Weights};
 /// without touching the allocator — the hot-path requirement of the Gibbs
 /// inner loop. A default-constructed `TreeSum` is empty and must be
 /// `rebuild`-ed before use.
-///
-/// The adders' word is `f64` for weights, or `u64` for the integer codes
-/// [`TreeSampler`] sums in code units (see [`Weights::codes`]).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct TreeSum<T = f64> {
+pub struct TreeSum {
     /// Heap-ordered nodes: `2·padded` slots, slot 0 unused.
-    nodes: Vec<T>,
+    nodes: Vec<f64>,
     /// Number of physical leaf slots. Zero only for the empty default
     /// tree.
     padded: usize,
 }
 
-impl<T> TreeSum<T>
-where
-    T: Copy + Default + PartialOrd + Add<Output = T> + Sub<Output = T>,
-{
+impl TreeSum {
     /// Build the adder tree over `leaves`.
     ///
     /// # Panics
     ///
     /// Panics if `leaves` is empty.
-    pub fn build(leaves: &[T]) -> Self {
+    pub fn build(leaves: &[f64]) -> Self {
         let mut tree = TreeSum::default();
         tree.rebuild(leaves);
         tree
@@ -52,14 +44,14 @@ where
     /// # Panics
     ///
     /// Panics if `leaves` is empty.
-    pub fn rebuild(&mut self, leaves: &[T]) {
+    pub fn rebuild(&mut self, leaves: &[f64]) {
         assert!(!leaves.is_empty(), "TreeSum requires at least one leaf");
         let padded = leaves.len().next_power_of_two();
         self.padded = padded;
-        self.nodes.resize(2 * padded, T::default());
+        self.nodes.resize(2 * padded, 0.0);
         let (live, ties) = self.nodes[padded..].split_at_mut(leaves.len());
         live.copy_from_slice(leaves);
-        ties.fill(T::default());
+        ties.fill(0.0);
         // Two levels per pass from the leaves: each block of four nodes
         // of the level at `width` sums into two nodes of the level at
         // `width / 2` and one of the level at `width / 4`.
@@ -85,7 +77,7 @@ where
     /// # Panics
     ///
     /// Panics on an empty (default-constructed, never rebuilt) tree.
-    pub fn total(&self) -> T {
+    pub fn total(&self) -> f64 {
         *self.nodes.get(1).expect("empty TreeSum")
     }
 
@@ -109,7 +101,7 @@ where
     /// # Panics
     ///
     /// Panics if `level` or `index` is out of range.
-    pub fn node(&self, level: usize, index: usize) -> T {
+    pub fn node(&self, level: usize, index: usize) -> f64 {
         assert!(level <= self.depth(), "level {level} out of range");
         assert!(
             index < self.padded >> level,
@@ -121,13 +113,13 @@ where
     /// The *TraverseTree* walk: descend from the root comparing the carried
     /// threshold against the left child; go left if `t < left`, otherwise
     /// subtract `left` and go right (Fig. 8). Returns the selected leaf.
-    pub fn traverse(&self, mut t: T) -> usize {
+    pub fn traverse(&self, mut t: f64) -> usize {
         let mut j = 1;
         while j < self.padded {
             let left = self.nodes[2 * j];
             let right = t >= left;
             if right {
-                t = t - left;
+                t -= left;
             }
             j = 2 * j + usize::from(right);
         }
@@ -135,7 +127,8 @@ where
     }
 }
 
-/// The paper's TreeSampler: TreeSum + ThresholdGen + TraverseTree.
+/// The paper's TreeSampler: TreeSum + ThresholdGen + TraverseTree. It
+/// walks `f64` weights; the draw skeleton inverts code rows itself.
 ///
 /// Latency: `⌈log₂N⌉` cycles for the adder tree to settle, the
 /// ThresholdGen multiply, and `⌈log₂N⌉` cycles for the comparator walk —
@@ -153,25 +146,15 @@ impl TreeSampler {
 }
 
 impl Sampler for TreeSampler {
-    /// TreeSum, then the TraverseTree walk: over the integer codes where
-    /// [`Weights::codes`] hands them out, with the threshold in code units
-    /// `⌊t · 2^frac_bits⌋`, otherwise over the `f64` weights. Both walks
-    /// pick the same leaf: the code sums are exact, and below
-    /// `2^(53 − frac_bits)` so is every subtraction of the `f64` walk.
+    /// TreeSum, then the TraverseTree walk. The tree's sums can round apart
+    /// from the serial sums `t` was drawn under, so the walk can end on a
+    /// zero weight or the padding; it then takes the last positive weight
+    /// before that leaf.
     #[inline]
-    fn select(&self, weights: Weights<'_>, t: f64, scratch: &mut SampleScratch) -> usize {
-        let leaf = match weights.codes() {
-            Some((codes, frac_bits)) => {
-                scratch.codes.rebuild(codes);
-                let t_code = (t * (1u64 << frac_bits) as f64) as u64;
-                scratch.codes.traverse(t_code)
-            }
-            None => {
-                scratch.tree.rebuild(weights.probs());
-                scratch.tree.traverse(t)
-            }
-        };
-        leaf.min(weights.len() - 1)
+    fn select(&self, probs: &[f64], t: f64, scratch: &mut SampleScratch) -> usize {
+        scratch.tree.rebuild(probs);
+        let leaf = scratch.tree.traverse(t).min(probs.len() - 1);
+        (0..=leaf).rev().find(|&i| probs[i] > 0.0).unwrap_or(leaf)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
@@ -187,11 +170,11 @@ impl Sampler for TreeSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coopmc_rng::SplitMix64;
+    use coopmc_rng::{HwRng, SplitMix64};
 
     #[test]
     fn tree_sum_totals_and_structure() {
-        let t: TreeSum = TreeSum::build(&[0.1, 0.2, 0.3, 0.4]);
+        let t = TreeSum::build(&[0.1, 0.2, 0.3, 0.4]);
         assert!((t.total() - 1.0).abs() < 1e-12);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.adder_count(), 3);
@@ -201,7 +184,7 @@ mod tests {
 
     #[test]
     fn padding_to_power_of_two() {
-        let t: TreeSum = TreeSum::build(&[1.0, 2.0, 3.0]);
+        let t = TreeSum::build(&[1.0, 2.0, 3.0]);
         assert_eq!(t.leaf_count(), 4);
         assert_eq!(t.node(0, 3), 0.0);
         assert_eq!(t.total(), 6.0);
@@ -209,7 +192,7 @@ mod tests {
 
     #[test]
     fn rebuild_reuses_buffer_and_matches_build() {
-        let mut tree: TreeSum = TreeSum::build(&[0.5; 64]);
+        let mut tree = TreeSum::build(&[0.5; 64]);
         let cap = {
             tree.rebuild(&[1.0, 2.0, 3.0, 4.0, 5.0]);
             tree.nodes.capacity()
@@ -222,7 +205,7 @@ mod tests {
 
     #[test]
     fn single_leaf_tree() {
-        let t: TreeSum = TreeSum::build(&[3.5]);
+        let t = TreeSum::build(&[3.5]);
         assert_eq!(t.depth(), 0);
         assert_eq!(t.leaf_count(), 1);
         assert_eq!(t.total(), 3.5);
@@ -231,7 +214,7 @@ mod tests {
 
     #[test]
     fn traverse_implements_cdf_inverse() {
-        let t: TreeSum = TreeSum::build(&[0.2, 0.3, 0.5]);
+        let t = TreeSum::build(&[0.2, 0.3, 0.5]);
         assert_eq!(t.traverse(0.0), 0);
         assert_eq!(t.traverse(0.19), 0);
         assert_eq!(t.traverse(0.2), 1);
@@ -262,6 +245,42 @@ mod tests {
             let a = sampler.sample(&probs, &mut rng_a);
             let b = sampler.sample_into(&probs, &mut rng_b, &mut scratch);
             assert_eq!(a, b);
+        }
+    }
+
+    /// Labels 0–3 of this row sum one ulp lower in the tree than in
+    /// `validate`'s serial scan, so at the threshold a draw makes from the
+    /// largest `next_f64`, `1 − 2^-53`, the walk passes label 3 into the
+    /// zero weight. Both tree samplers take label 3, as the scan does.
+    /// Through `sample`, `Top` makes that draw.
+    #[test]
+    fn a_walk_onto_a_zero_weight_takes_the_last_positive_weight() {
+        struct Top;
+        impl HwRng for Top {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let probs = [
+            0.762280082457942,
+            0.0021060533511106927,
+            0.4453871940548014,
+            0.7215400323407826,
+            0.0,
+        ];
+        let total = crate::validate(&probs);
+        assert_eq!(total, 1.9313133622046368);
+        assert_eq!(TreeSum::build(&probs).total(), 1.9313133622046366);
+        let t = total * Top.next_f64();
+        assert_eq!(t, 1.9313133622046366);
+        let samplers: [Box<dyn Sampler>; 3] = [
+            Box::new(crate::SequentialSampler::new()),
+            Box::new(TreeSampler::new()),
+            Box::new(crate::PipeTreeSampler::new()),
+        ];
+        for s in samplers {
+            assert_eq!(s.sample_with_threshold(&probs, t).label, 3, "{}", s.name());
+            assert_eq!(s.sample(&probs, &mut Top).label, 3, "{}", s.name());
         }
     }
 

@@ -51,6 +51,33 @@ fn selected_label_has_mass() {
     });
 }
 
+/// Rows ending in zero weights, at the threshold one ulp below the serial
+/// total, where the tree's own sums can fall short of it and the walk can
+/// run into the zeros: the tree samplers pick the sequential scan's label,
+/// which has mass.
+#[test]
+fn trailing_zero_weights_are_not_selected_one_ulp_below_the_total() {
+    check(
+        "trailing_zero_weights_are_not_selected_one_ulp_below_the_total",
+        256,
+        |g| {
+            let mut probs = arb_probs(g);
+            let zeros = g.usize_in(1, 4);
+            probs.extend(std::iter::repeat_n(0.0, zeros));
+            let t = probs.iter().sum::<f64>().next_down();
+            let seq = SequentialSampler::new()
+                .sample_with_threshold(&probs, t)
+                .label;
+            assert!(probs[seq] > 0.0, "label {seq} has zero weight");
+            let tree = TreeSampler::new().sample_with_threshold(&probs, t).label;
+            let pipe = PipeTreeSampler::new()
+                .sample_with_threshold(&probs, t)
+                .label;
+            assert_eq!((tree, pipe), (seq, seq), "{} labels, t = {t}", probs.len());
+        },
+    );
+}
+
 #[test]
 fn tree_sum_is_consistent() {
     check("tree_sum_is_consistent", 256, |g| {

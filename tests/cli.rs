@@ -226,8 +226,8 @@ fn any_sampler_runs_chromatically() {
 /// series in order, each with its value unless that value depends on wall
 /// time (`_`). Kept values: every counter but `*_ns_total`, every
 /// histogram `_count`, `coopmc_pool_worker_jobs` and every
-/// `coopmc_health_*` series. `coopmc_health_flip_rate` is the value at the
-/// last refresh (sweep 8), not the 0.1987 the run prints after sweep 10.
+/// `coopmc_health_*` series. `coopmc_health_flip_rate` is the latest
+/// sweep's, the 0.1987 the run prints after sweep 10.
 const STEREO_METRICS: &str = r#"# TYPE coopmc_health_ess gauge
 coopmc_health_ess{chain="0"} 3.688154611267233
 # TYPE coopmc_health_events_total counter
@@ -235,7 +235,7 @@ coopmc_health_events_total{chain="0",kind="fallback_spike"} 0
 coopmc_health_events_total{chain="0",kind="flip_rate_drift"} 1
 coopmc_health_events_total{chain="0",kind="stuck_chain"} 0
 # TYPE coopmc_health_flip_rate gauge
-coopmc_health_flip_rate{chain="0"} 0.2408702373504639
+coopmc_health_flip_rate{chain="0"} 0.1986812402804693
 # TYPE coopmc_health_mcse gauge
 coopmc_health_mcse{chain="0"} 188.35584060257676
 # TYPE coopmc_health_rhat gauge
