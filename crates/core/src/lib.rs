@@ -20,7 +20,8 @@
 //! recorder receives the Table II PG/SD/PU wall times, the default
 //! `NoopRecorder` reads no clock. [`experiments`] holds the
 //! convergence-measurement helpers shared by the examples and the
-//! table/figure benches.
+//! table/figure benches, and [`anneal`] the MAP drivers (ICM and annealed
+//! Gibbs) over the same pipelines.
 //!
 //! # Quickstart
 //!
@@ -41,9 +42,9 @@
 // `deny` rather than `forbid`: the worker pool (`pool`) contains one
 // documented, locally-allowed unsafe block erasing a task's lifetime.
 
+pub mod anneal;
 pub mod engine;
 pub mod experiments;
-pub mod metropolis;
 pub mod parallel;
 pub mod pipeline;
 pub mod pool;

@@ -101,15 +101,6 @@ impl PgBatch {
         self.probs.len() / width.max(1)
     }
 
-    /// The probability slice of row `row` for a width-`width` batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is out of range.
-    pub fn probs_row(&self, row: usize, width: usize) -> &[f64] {
-        &self.probs[row * width..(row + 1) * width]
-    }
-
     /// The row-major probabilities as SD reads them: with their integer
     /// ROM codes where the last evaluation wrote them.
     pub fn weights(&self) -> Weights<'_> {
@@ -1113,7 +1104,7 @@ mod tests {
         p.generate_batch_into(&rows, 2, &mut batch);
         for (r, row_scores) in rows.chunks_exact(2).enumerate() {
             let scalar = generate(&p, row_scores);
-            assert_eq!(batch.probs_row(r, 2), &scalar.probs[..], "row {r}");
+            assert_eq!(batch.probs[r * 2..(r + 1) * 2], scalar.probs[..], "row {r}");
             assert_eq!(batch.ops[r], scalar.ops, "row {r}");
         }
     }

@@ -7,7 +7,7 @@ use coopmc_models::bn::earthquake;
 use coopmc_models::lda::{synthetic_corpus, CorpusSpec, Lda};
 use coopmc_models::mrf::image_segmentation;
 use coopmc_models::GibbsModel;
-use coopmc_rng::{Philox4x32, SplitMix64};
+use coopmc_rng::{HwRng, SplitMix64};
 use coopmc_sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
 fn pipelines() -> Vec<PipelineConfig> {
@@ -83,8 +83,25 @@ fn full_matrix_on_lda() {
     }
 }
 
-/// The engine is RNG-generic: a Philox counter stream drives the same
-/// machinery.
+/// A counter-based generator local to this test: word `i` of stream `key`
+/// is a fixed mix of `key` and `i`, so its only state is the counter.
+struct CounterRng {
+    key: u64,
+    counter: u64,
+}
+
+impl HwRng for CounterRng {
+    fn next_u64(&mut self) -> u64 {
+        self.counter += 1;
+        let mut z = self.key ^ self.counter.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// The engine is RNG-generic: a counter stream other than `SplitMix64`
+/// drives the same machinery.
 #[test]
 fn engine_accepts_counter_based_rng() {
     let mut app = image_segmentation(8, 8, 6);
@@ -92,7 +109,10 @@ fn engine_accepts_counter_based_rng() {
     let mut engine = GibbsEngine::new(
         PipelineConfig::coopmc(64, 8).build(),
         TreeSampler::new(),
-        Philox4x32::with_stream(42, 7),
+        CounterRng {
+            key: 42,
+            counter: 0,
+        },
     );
     engine.run(&mut app.mrf, 10);
     assert!(app.mrf.energy() < before);

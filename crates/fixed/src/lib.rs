@@ -87,30 +87,6 @@ pub fn unsigned_rounding_error(frac_bits: u32) -> f64 {
     unsigned_resolution(frac_bits) / 2.0
 }
 
-/// Stochastically round `x` onto the grid of `fmt`: the value quantizes up
-/// or down with probability proportional to its distance from each
-/// neighbouring grid point, driven by `u ∈ [0, 1)`.
-///
-/// Stochastic rounding makes the quantizer *unbiased* —
-/// `E[quantize(x)] = x` for in-range inputs — which matters for
-/// accumulation-heavy MCMC datapaths (cf. the statistical-robustness
-/// analysis of reduced-precision accelerators the CoopMC paper builds on).
-///
-/// # Panics
-///
-/// Panics if `u` is outside `[0, 1)`.
-pub fn quantize_stochastic(x: f64, fmt: QFormat, u: f64) -> Fixed {
-    assert!((0.0..1.0).contains(&u), "u must be in [0, 1)");
-    if x.is_nan() {
-        return Fixed::zero(fmt);
-    }
-    let scaled = x / fmt.resolution();
-    let floor = scaled.floor();
-    let frac = scaled - floor;
-    let rounded = if u < frac { floor + 1.0 } else { floor };
-    Fixed::from_f64(rounded * fmt.resolution(), fmt, Rounding::Nearest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,42 +164,5 @@ mod tests {
             let err = (quantize_unsigned(x, 3, 1 << 3) - x).abs();
             assert!(err <= unsigned_rounding_error(3));
         }
-    }
-
-    #[test]
-    fn stochastic_rounding_picks_neighbouring_grid_points() {
-        let fmt = QFormat::new(4, 2).unwrap(); // grid 0.25
-                                               // x = 0.6 sits between 0.5 and 0.75 with frac 0.4.
-        assert_eq!(quantize_stochastic(0.6, fmt, 0.39).to_f64(), 0.75);
-        assert_eq!(quantize_stochastic(0.6, fmt, 0.41).to_f64(), 0.5);
-        // On-grid values never move.
-        assert_eq!(quantize_stochastic(0.5, fmt, 0.999).to_f64(), 0.5);
-    }
-
-    #[test]
-    fn stochastic_rounding_is_unbiased_in_expectation() {
-        let fmt = QFormat::new(4, 2).unwrap();
-        let x = 0.6;
-        let n = 10_000;
-        let mean: f64 = (0..n)
-            .map(|i| quantize_stochastic(x, fmt, (i as f64 + 0.5) / n as f64).to_f64())
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - x).abs() < 1e-3, "mean {mean} should equal {x}");
-    }
-
-    #[test]
-    fn stochastic_rounding_handles_negatives_and_nan() {
-        let fmt = QFormat::new(4, 2).unwrap();
-        // -0.6: between -0.75 and -0.5, frac of scaled (-2.4) is 0.6.
-        assert_eq!(quantize_stochastic(-0.6, fmt, 0.59).to_f64(), -0.5);
-        assert_eq!(quantize_stochastic(-0.6, fmt, 0.61).to_f64(), -0.75);
-        assert!(quantize_stochastic(f64::NAN, fmt, 0.5).is_zero());
-    }
-
-    #[test]
-    #[should_panic(expected = "u must be in")]
-    fn stochastic_rounding_rejects_bad_u() {
-        let _ = quantize_stochastic(0.5, QFormat::new(4, 2).unwrap(), 1.0);
     }
 }

@@ -7,15 +7,8 @@
 //! same-shape variables then costs `ceil(rows / pg_units)` back-to-back
 //! unit passes plus one class-barrier synchronisation — the closed form
 //! the schedule verifier in `coopmc-analyze` re-derives from a dependence
-//! DAG, and the form that extends the Table III-style area/energy/cycle
-//! ratios to the vector datapath:
-//!
-//! - **area** scales linearly with `pg_units` (the units are replicas;
-//!   they share nothing but the sequencer),
-//! - **energy per sample** is constant (the same ops run per variable,
-//!   only more of them concurrently),
-//! - **cycles per class** shrink by up to `pg_units`× minus the
-//!   amortized barrier.
+//! DAG. Cycles per class shrink by up to `pg_units`× minus the amortized
+//! barrier.
 
 use crate::cycles::{PgTiming, SYNC_CYCLES};
 
@@ -74,19 +67,6 @@ impl PgUnitConfig {
         let slots = rows.div_ceil(self.pg_units) * self.pg_units;
         rows as f64 / slots as f64
     }
-
-    /// Area of the bank relative to one unit: the units are full replicas,
-    /// so the Table III per-datapath area simply multiplies.
-    pub fn area_scale(&self) -> f64 {
-        self.pg_units as f64
-    }
-
-    /// Energy per sample relative to one unit: every variable still runs
-    /// the identical op sequence on exactly one unit, so batching is
-    /// energy-neutral per sample in this first-order model.
-    pub fn energy_per_sample_scale(&self) -> f64 {
-        1.0
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +87,6 @@ mod tests {
         let b = bank(1);
         assert_eq!(b.class_cycles(13), 13 * b.per_call_cycles() + SYNC_CYCLES);
         assert!((b.speedup(13) - 1.0).abs() < 1e-12);
-        assert_eq!(b.area_scale(), 1.0);
     }
 
     #[test]
@@ -137,19 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn energy_per_sample_is_batch_invariant() {
-        for units in [1, 2, 8, 64] {
-            assert_eq!(bank(units).energy_per_sample_scale(), 1.0);
-        }
-    }
-
-    #[test]
     fn table_iii_style_ratios_extend_to_the_vector_datapath() {
-        // Doubling the units doubles area, at most doubles throughput
-        // (cycles halve for full strides), and leaves energy/sample flat.
+        // Doubling the units at most doubles throughput (cycles halve for
+        // full strides).
         let one = bank(4);
         let two = bank(8);
-        assert_eq!(two.area_scale() / one.area_scale(), 2.0);
         let rows = 64;
         let ratio = one.class_cycles(rows) as f64 / two.class_cycles(rows) as f64;
         assert!(ratio > 1.9 && ratio <= 2.0, "cycle ratio {ratio}");

@@ -57,12 +57,6 @@ impl PowerEstimate {
         );
         self.weighted_area / baseline.weighted_area
     }
-
-    /// Energy per variable given the steady-state period in cycles
-    /// (arbitrary units; meaningful as ratios).
-    pub fn energy_per_variable(&self, period_cycles: u64) -> f64 {
-        self.weighted_area * period_cycles as f64
-    }
 }
 
 #[cfg(test)]
@@ -85,13 +79,6 @@ mod tests {
         let mut alu = PowerEstimate::new();
         alu.add(100.0, ALPHA_ALU);
         assert!(rom.weighted_area < alu.weighted_area);
-    }
-
-    #[test]
-    fn energy_scales_with_period() {
-        let mut p = PowerEstimate::new();
-        p.add(10.0, 1.0);
-        assert_eq!(p.energy_per_variable(100), 100.0 * p.energy_per_variable(1));
     }
 
     #[test]

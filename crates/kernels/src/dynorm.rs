@@ -50,11 +50,6 @@ impl NormTree {
         self.width
     }
 
-    /// Number of comparator nodes in the physical tree (`width - 1`).
-    pub fn comparator_count(&self) -> usize {
-        self.width - 1
-    }
-
     /// Depth of the physical tree in layers.
     pub fn depth(&self) -> u32 {
         usize::BITS - (self.width - 1).leading_zeros()
@@ -159,7 +154,6 @@ mod tests {
     fn normtree_depth_and_comparators() {
         let t = NormTree::new(8);
         assert_eq!(t.depth(), 3);
-        assert_eq!(t.comparator_count(), 7);
         let t2 = NormTree::new(5);
         assert_eq!(t2.depth(), 3); // ceil(log2 5)
     }

@@ -2,8 +2,7 @@
 //!
 //! LogFusion (§III-C) converts every linear-domain factor through a log
 //! kernel before accumulation. As with the exponential, the paper's design
-//! point is a LUT-based kernel; the float and approximation-based variants
-//! exist as baselines.
+//! point is a LUT-based kernel; the float variant is the reference.
 
 use coopmc_fixed::{round_ties_away, Fixed, QFormat, Rounding};
 
@@ -108,61 +107,6 @@ impl LogKernel for FloatLog {
 
     fn name(&self) -> &'static str {
         "float-log"
-    }
-}
-
-/// Approximation-based fixed-point logarithm ALU (the DN+LF design point of
-/// Table III: a 32-bit approximation-function-based kernel).
-///
-/// Input and output ride a fixed-point bus with `frac_bits` fractional bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedLog {
-    fmt: QFormat,
-}
-
-impl FixedLog {
-    /// A kernel quantizing input and output to `frac_bits` fractional bits
-    /// (15 integer bits, Q15.f bus).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac_bits` is 0 or `frac_bits + 15` exceeds 62.
-    pub fn new(frac_bits: u32) -> Self {
-        Self {
-            fmt: QFormat::new(15, frac_bits).expect("valid log bus format"),
-        }
-    }
-}
-
-impl LogKernel for FixedLog {
-    fn log(&self, x: f64) -> f64 {
-        let xq = Fixed::from_f64(x, self.fmt, Rounding::Nearest).to_f64();
-        if xq <= 0.0 {
-            return LOG_ZERO;
-        }
-        // Hardware structure: priority encoder extracts the exponent e and
-        // mantissa m in [1, 2); a second fold maps m into [0.75, 1.5) so the
-        // polynomial argument stays small. ln(x) = e*ln2 + poly(m-1).
-        let mut e = xq.log2().floor();
-        let mut m = xq / e.exp2();
-        if m >= 1.5 {
-            m /= 2.0;
-            e += 1.0;
-        }
-        let t = m - 1.0; // in [-0.25, 0.5)
-                         // Degree-5 Taylor of ln(1+t): max error ~1.8e-3 at t=0.5, below the
-                         // output quantization for the bus widths the paper sweeps.
-        let poly = t - t * t / 2.0 + t.powi(3) / 3.0 - t.powi(4) / 4.0 + t.powi(5) / 5.0;
-        let val = e * std::f64::consts::LN_2 + poly;
-        Fixed::from_f64(val, self.fmt, Rounding::Nearest).to_f64()
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        crate::cost::LOG_APPROX_CYCLES
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-approx-log"
     }
 }
 
@@ -320,15 +264,6 @@ mod tests {
         assert_eq!(k.log(1.0), 0.0);
         assert_eq!(k.log(0.0), LOG_ZERO);
         assert_eq!(k.log(-3.0), LOG_ZERO);
-    }
-
-    #[test]
-    fn fixed_log_accurate_at_high_precision() {
-        let k = FixedLog::new(24);
-        for x in [0.001, 0.5, 1.0, 7.25, 1000.0] {
-            let err = (k.log(x) - x.ln()).abs();
-            assert!(err < 2e-2, "x={x} err={err}");
-        }
     }
 
     #[test]

@@ -8,11 +8,9 @@
 
 mod exact;
 mod networks;
-mod sampling;
 
 pub use exact::exact_marginal;
 pub use networks::{asia, cancer, earthquake, sprinkler, survey};
-pub use sampling::{forward_sample, likelihood_weighting};
 
 use crate::{GibbsModel, ScoreRows};
 
@@ -113,11 +111,6 @@ impl BayesNet {
         assert!(label < self.nodes[var].card, "evidence label out of range");
         self.evidence[var] = Some(label);
         self.labels[var] = label;
-    }
-
-    /// Remove evidence from `var`.
-    pub fn clear_evidence(&mut self, var: usize) {
-        self.evidence[var] = None;
     }
 
     /// Current evidence assignment.
@@ -380,9 +373,6 @@ mod tests {
         assert!(net.is_clamped(1));
         net.update(1, 0);
         assert_eq!(net.label(1), 1, "evidence must not be overwritten");
-        net.clear_evidence(1);
-        net.update(1, 0);
-        assert_eq!(net.label(1), 0);
     }
 
     #[test]

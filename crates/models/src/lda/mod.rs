@@ -14,11 +14,9 @@
 //! expression, the LogFusion showcase.
 
 mod corpus;
-mod inference;
 pub mod sparse;
 
 pub use corpus::{synthetic_corpus, Corpus, CorpusSpec};
-pub use inference::TopicModel;
 
 use crate::{GibbsModel, ScoreRows};
 

@@ -1,37 +1,26 @@
-//! Hardware-style pseudo-random number generators for MCMC accelerators.
+//! The pseudo-random number generator behind every chain.
 //!
 //! The CoopMC sampler (§III-D of the paper) draws its threshold from "a
-//! hardware Pseudo-random Number Generator (PRNG)". Accelerators of this
-//! class use linear-feedback shift registers or xorshift-family generators:
-//! a handful of XOR gates and a shift register, one fresh word per cycle.
-//! This crate provides bit-accurate software models of those generators
-//! behind the [`HwRng`] trait, plus a counting wrapper used by the
-//! instrumentation in `coopmc-core`.
+//! hardware Pseudo-random Number Generator (PRNG)". Every chain here draws
+//! from [`SplitMix64`] through the [`HwRng`] trait, the seam a test fakes a
+//! generator through.
 //!
-//! All generators are deterministic given a seed, which is what makes the
+//! The generator is deterministic given a seed, which is what makes the
 //! paper's experiments reproducible here.
 //!
 //! # Example
 //!
 //! ```
-//! use coopmc_rng::{HwRng, XorShift64Star};
+//! use coopmc_rng::{HwRng, SplitMix64};
 //!
-//! let mut rng = XorShift64Star::new(42);
+//! let mut rng = SplitMix64::new(42);
 //! let u = rng.next_f64();
 //! assert!((0.0..1.0).contains(&u));
 //! ```
 
-mod counting;
-mod lfsr;
-mod philox;
 mod splitmix;
-mod xorshift;
 
-pub use counting::CountingRng;
-pub use lfsr::{FibonacciLfsr, GaloisLfsr};
-pub use philox::Philox4x32;
 pub use splitmix::SplitMix64;
-pub use xorshift::XorShift64Star;
 
 /// A deterministic hardware-style random number generator.
 ///
@@ -41,8 +30,8 @@ pub trait HwRng {
     /// Produce the next 64 raw bits of generator output.
     fn next_u64(&mut self) -> u64;
 
-    /// Produce the next 32 raw bits (upper half of [`HwRng::next_u64`] by
-    /// default; narrow LFSRs override this with native-width output).
+    /// Produce the next 32 raw bits: the upper half of
+    /// [`HwRng::next_u64`] unless a generator overrides it.
     fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
@@ -91,17 +80,10 @@ mod tests {
 
     #[test]
     fn next_f64_in_unit_interval_for_all_generators() {
-        let mut gens: Vec<Box<dyn HwRng>> = vec![
-            Box::new(SplitMix64::new(7)),
-            Box::new(XorShift64Star::new(7)),
-            Box::new(GaloisLfsr::new_32(7)),
-            Box::new(FibonacciLfsr::new_16(7)),
-        ];
-        for g in &mut gens {
-            for _ in 0..1000 {
-                let u = g.next_f64();
-                assert!((0.0..1.0).contains(&u), "u = {u}");
-            }
+        let mut rng = SplitMix64::new(7);
+        for _ in 0..1000 {
+            let u = rng.next_f64();
+            assert!((0.0..1.0).contains(&u), "u = {u}");
         }
     }
 

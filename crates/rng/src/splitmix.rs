@@ -4,9 +4,9 @@ use crate::HwRng;
 
 /// SplitMix64: a counter-based generator with a strong finalizer.
 ///
-/// Used here as the "golden" software RNG for reference (float32) inference
-/// runs and as a seeding utility for the workload generators: every state is
-/// reachable, so there is no bad-seed handling at all.
+/// Every chain draws from it, the reference (float32) runs included, and
+/// the workload generators seed from it: every state is reachable, so there
+/// is no bad-seed handling at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,

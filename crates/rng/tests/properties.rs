@@ -1,25 +1,16 @@
 //! Property-based tests for the hardware RNG substrate (deterministic
 //! generator harness from `coopmc-testkit`).
 
-use coopmc_rng::{FibonacciLfsr, GaloisLfsr, HwRng, Philox4x32, SplitMix64, XorShift64Star};
+use coopmc_rng::{HwRng, SplitMix64};
 use coopmc_testkit::check;
 
 #[test]
 fn unit_interval_for_all_generators() {
     check("unit_interval_for_all_generators", 64, |g| {
-        let seed = g.u64();
-        let mut gens: Vec<Box<dyn HwRng>> = vec![
-            Box::new(SplitMix64::new(seed)),
-            Box::new(XorShift64Star::new(seed)),
-            Box::new(GaloisLfsr::new_32(seed)),
-            Box::new(FibonacciLfsr::new_16(seed)),
-            Box::new(Philox4x32::new(seed)),
-        ];
-        for r in &mut gens {
-            for _ in 0..50 {
-                let u = r.next_f64();
-                assert!((0.0..1.0).contains(&u));
-            }
+        let mut r = SplitMix64::new(g.u64());
+        for _ in 0..50 {
+            let u = r.next_f64();
+            assert!((0.0..1.0).contains(&u));
         }
     });
 }
@@ -39,27 +30,18 @@ fn uniform_index_in_range() {
 #[test]
 fn determinism_and_stream_separation() {
     check("determinism_and_stream_separation", 128, |g| {
-        let seed = g.u64();
         let s1 = g.u64();
         let s2 = g.u64();
         if s1 == s2 {
             return;
         }
-        let run = |stream: u64| -> Vec<u64> {
-            let mut r = Philox4x32::with_stream(seed, stream);
+        // A seed is SplitMix64's stream: equal seeds replay, distinct
+        // seeds diverge.
+        let run = |seed: u64| -> Vec<u64> {
+            let mut r = SplitMix64::new(seed);
             (0..8).map(|_| r.next_u64()).collect()
         };
         assert_eq!(run(s1), run(s1));
         assert_ne!(run(s1), run(s2));
-    });
-}
-
-#[test]
-fn lfsr_avoids_zero_state() {
-    check("lfsr_avoids_zero_state", 128, |g| {
-        let mut r = GaloisLfsr::new_32(g.u64());
-        for _ in 0..200 {
-            assert_ne!(r.step(), 0);
-        }
     });
 }

@@ -8,8 +8,8 @@
 use std::fs;
 use std::io::Write as _;
 
+use coopmc::core::anneal::{anneal_mrf, AnnealingSchedule};
 use coopmc::core::engine::GibbsEngine;
-use coopmc::core::metropolis::{anneal_mrf, AnnealingSchedule};
 use coopmc::core::pipeline::PipelineConfig;
 use coopmc::models::metrics::mse;
 use coopmc::models::mrf::{image_restoration, GridMrf};

@@ -1,12 +1,12 @@
 //! Integration tests for the extension subsystems: parallel scheduling,
-//! alternative MCMC drivers, diagnostics, alias sampling and the
-//! missing-data (inpainting) path — all exercised through the public facade.
+//! ICM, diagnostics, alias sampling and the missing-data (inpainting)
+//! path — all exercised through the public facade.
 
+use coopmc::core::anneal::icm_sweep;
 use coopmc::core::engine::{GibbsEngine, RunStats};
-use coopmc::core::metropolis::{icm_sweep, MetropolisEngine};
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline, PipelineConfig};
-use coopmc::models::bn::{cancer, exact_marginal, sprinkler, MarginalCounter};
+use coopmc::models::bn::{cancer, sprinkler};
 use coopmc::models::coloring::{verify_coloring, ChromaticModel};
 use coopmc::models::diagnostics::{
     effective_sample_size, empirical_distribution, gelman_rubin, total_variation,
@@ -67,29 +67,6 @@ fn bn_moral_colorings_are_valid() {
             .collect();
         assert!(verify_coloring(&adjacency, &classes));
     }
-}
-
-/// Metropolis–Hastings through the CoopMC datapath agrees with exact
-/// inference on the sprinkler network.
-#[test]
-fn metropolis_coopmc_matches_exact_on_sprinkler() {
-    let mut net = sprinkler();
-    let w = net.node_index("wetgrass").unwrap();
-    net.set_evidence(w, 0);
-    let r = net.node_index("rain").unwrap();
-    let exact = exact_marginal(&net, r)[0];
-
-    let mut mh = MetropolisEngine::new(CoopMcPipeline::new(256, 16), SplitMix64::new(3));
-    let mut counter = MarginalCounter::new(&net);
-    let mut stats = RunStats::default();
-    for it in 0..30_000u64 {
-        mh.sweep(&mut net, &mut stats);
-        if it >= 1000 {
-            counter.record(&net);
-        }
-    }
-    let est = counter.marginal(r)[0];
-    assert!((est - exact).abs() < 0.03, "MH {est} vs exact {exact}");
 }
 
 /// ICM through the float pipeline is a strict energy descent that the
