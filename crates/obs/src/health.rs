@@ -723,6 +723,9 @@ pub struct EarlyStop<'a> {
     ess_budget: f64,
     recorder: &'a dyn Recorder,
     info: StopInfo,
+    /// Sweeps this controller has observed; the journal iteration it is
+    /// handed keeps counting across an engine's `run` calls.
+    sweeps: u64,
 }
 
 impl std::fmt::Debug for EarlyStop<'_> {
@@ -732,12 +735,13 @@ impl std::fmt::Debug for EarlyStop<'_> {
             .field("rhat_threshold", &self.rhat_threshold)
             .field("ess_budget", &self.ess_budget)
             .field("info", &self.info)
+            .field("sweeps", &self.sweeps)
             .finish_non_exhaustive()
     }
 }
 
-/// Minimum sweeps before an early stop may trigger (diagnostics over a
-/// near-empty window are noise).
+/// Minimum sweeps a controller observes before an early stop may trigger
+/// (diagnostics over a near-empty window are noise).
 const MIN_SWEEPS: u64 = 16;
 
 impl<'a> EarlyStop<'a> {
@@ -751,6 +755,7 @@ impl<'a> EarlyStop<'a> {
             ess_budget,
             recorder: &crate::trace::NoopRecorder,
             info: StopInfo::default(),
+            sweeps: 0,
         }
     }
 
@@ -795,7 +800,8 @@ impl ConvergenceController for EarlyStop<'_> {
         self.info.iteration = iteration;
         self.info.rhat = record.rhat;
         self.info.ess = record.ess;
-        if iteration >= MIN_SWEEPS {
+        self.sweeps += 1;
+        if self.sweeps >= MIN_SWEEPS {
             if let (Some(rhat), Some(ess)) = (record.rhat, record.ess) {
                 if rhat <= self.rhat_threshold && ess >= self.ess_budget {
                     self.info.stopped_early = true;
@@ -1086,6 +1092,23 @@ mod tests {
         }
         assert!(!ctl.stop_info().stopped_early);
         assert!(ctl.stop_info().rhat.unwrap() > 1.5);
+    }
+
+    #[test]
+    fn early_stop_counts_the_sweeps_it_observed() {
+        // Engines keep the journal iteration monotone across `run` calls,
+        // so a controller may first see iteration 1,001; the minimum-sweep
+        // guard must still wait for 16 observed sweeps.
+        let stop_after = |first: u64| {
+            let mut ctl = EarlyStop::new(ChainHealth::new(0, HealthConfig::default()), 1.5, 4.0);
+            let series = ar1_series(64, 0.1, 5);
+            (first..)
+                .zip(&series)
+                .position(|(it, &v)| ctl.observe_sweep(it, 100, 40, 0, Some(v)) == Decision::Stop)
+                .map(|i| i + 1)
+        };
+        assert_eq!(stop_after(1), Some(MIN_SWEEPS as usize));
+        assert_eq!(stop_after(1_001), Some(MIN_SWEEPS as usize));
     }
 
     #[test]

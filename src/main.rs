@@ -276,10 +276,30 @@ fn parse_hw_args(args: &[String]) -> Result<usize, String> {
     Ok(labels)
 }
 
-fn find_workload(name: &str) -> Option<WorkloadSpec> {
-    all_workloads().into_iter().find(|w| {
-        w.name.eq_ignore_ascii_case(name) || w.name.to_lowercase().contains(&name.to_lowercase())
-    })
+/// The workload `name` selects: a case-insensitive exact name wins, then
+/// the one name that contains `name`. No match, or several, is an error
+/// naming every match.
+fn find_workload(name: &str) -> Result<WorkloadSpec, String> {
+    let all = all_workloads();
+    if let Some(&w) = all.iter().find(|w| w.name.eq_ignore_ascii_case(name)) {
+        return Ok(w);
+    }
+    let lower = name.to_lowercase();
+    let matches: Vec<WorkloadSpec> = all
+        .into_iter()
+        .filter(|w| w.name.to_lowercase().contains(&lower))
+        .collect();
+    match matches[..] {
+        [w] => Ok(w),
+        [] => Err(format!("no workload matches '{name}'")),
+        _ => {
+            let names: Vec<&str> = matches.iter().map(|w| w.name).collect();
+            Err(format!(
+                "'{name}' matches several workloads: {}",
+                names.join(", ")
+            ))
+        }
+    }
 }
 
 /// A `--sampler` choice; `Sync` so the chromatic engine's pool can share it.
@@ -463,8 +483,7 @@ fn run_workload(
 }
 
 fn cmd_run(args: RunArgs) -> Result<(), String> {
-    let spec = find_workload(&args.workload)
-        .ok_or_else(|| format!("no workload matches '{}'", args.workload))?;
+    let spec = find_workload(&args.workload)?;
     args.check_threads(spec.kind)?;
     println!(
         "running {} | pipeline {:?} | sampler {} | {} sweeps | seed {} | {} thread(s)",
@@ -856,6 +875,26 @@ mod tests {
     fn workload_lookup_is_fuzzy() {
         assert_eq!(find_workload("bn-asia").unwrap().name, "BN-ASIA");
         assert_eq!(find_workload("stereo").unwrap().name, "MRF-Stereo Matching");
-        assert!(find_workload("nonexistent-model").is_none());
+        assert!(find_workload("nonexistent-model").is_err());
+        // Every name CI, the tests and the docs use resolves.
+        for (arg, name) in [
+            ("segmentation", "MRF-Image Segmentation"),
+            ("restoration", "MRF-Image Restoration"),
+            ("asia", "BN-ASIA"),
+            ("bn-earthquake", "BN-EARTHQUAKE"),
+            ("nips", "LDA-NIPS"),
+            ("lda-nips", "LDA-NIPS"),
+        ] {
+            assert_eq!(find_workload(arg).unwrap().name, name, "{arg}");
+        }
+        // A family prefix matches several workloads: refused, each named.
+        for (arg, count) in [("lda", 3), ("mrf", 4), ("bn", 3)] {
+            let err = find_workload(arg).unwrap_err();
+            let named = all_workloads()
+                .iter()
+                .filter(|w| err.contains(w.name))
+                .count();
+            assert_eq!(named, count, "{arg}: {err}");
+        }
     }
 }
