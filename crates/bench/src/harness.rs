@@ -202,11 +202,23 @@ fn json_num(v: f64) -> String {
     out
 }
 
+/// `v` with `decimals` digits after the point, or as `{:.3e}` when it is
+/// nonzero but smaller in magnitude than one unit of the last digit.
+fn render_num(v: f64, decimals: usize) -> String {
+    if v != 0.0 && v.abs() < 10f64.powi(-(decimals as i32)) {
+        format!("{v:.3e}")
+    } else {
+        format!("{v:.decimals$}")
+    }
+}
+
 /// One cell of a [`Table`] row.
 ///
 /// Text cells render left-aligned; numeric cells right-aligned with a fixed
-/// number of decimals. In the JSON emission, text cells become strings and
-/// numeric cells become numbers (non-finite values become `null`).
+/// number of decimals, except that a nonzero value below that resolution
+/// prints in scientific notation with 4 significant digits rather than as
+/// zero. In the JSON emission, text cells become strings and numeric cells
+/// become numbers (non-finite values become `null`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// Left-aligned text.
@@ -245,8 +257,8 @@ impl Cell {
     fn render_text(&self) -> String {
         match self {
             Cell::Text(s) => s.clone(),
-            Cell::Num(v, d) => format!("{v:.d$}"),
-            Cell::Unit(v, d, suffix) => format!("{v:.d$}{suffix}"),
+            Cell::Num(v, d) => render_num(*v, *d),
+            Cell::Unit(v, d, suffix) => format!("{}{suffix}", render_num(*v, *d)),
             Cell::Int(v) => format!("{v}"),
         }
     }
@@ -571,6 +583,32 @@ mod tests {
         assert_eq!(lines[0], "name             v");
         assert_eq!(lines[1], "a-long-label  1.25");
         assert_eq!(lines[2], "b              50%");
+    }
+
+    #[test]
+    fn values_below_the_printed_resolution_render_in_scientific_notation() {
+        let mut t = Table::new(&["v"]);
+        t.row(vec![Cell::num(1.2e-10, 9)]);
+        t.row(vec![Cell::num(3.7e-12, 9)]);
+        t.row(vec![Cell::num(0.0, 9)]);
+        t.row(vec![Cell::num(0.001234, 3)]);
+        t.row(vec![Cell::unit(-1.604e-28, 4, "x")]);
+        let s = t.render_stdout();
+        let cells: Vec<&str> = s.lines().skip(1).map(str::trim).collect();
+        assert_eq!(
+            cells,
+            [
+                "1.200e-10",
+                "3.700e-12",
+                "0.000000000",
+                "0.001",
+                "-1.604e-28x"
+            ]
+        );
+        // The JSON keeps the plain numbers.
+        assert!(t
+            .render_json()
+            .contains("[[0.00000000012], [0.0000000000037], [0], "));
     }
 
     #[test]
