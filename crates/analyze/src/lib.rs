@@ -69,6 +69,6 @@ pub use schedule::{
     tree_sampler_dag, verify_schedules, DepDag, ScheduleFinding,
 };
 pub use verify::{
-    run_all, run_broken_demo, run_sections, VerifyArgs, VerifyReport, JSON_SCHEMA_VERSION,
-    SECTION_TITLES,
+    print_stdout, run_all, run_broken_demo, run_sections, VerifyArgs, VerifyReport,
+    JSON_SCHEMA_VERSION, SECTION_TITLES,
 };

@@ -39,7 +39,10 @@
 //!
 //! [`VerifyArgs`] parses the flags of the `coopmc-verify` binary and the
 //! `coopmc verify` subcommand, and [`VerifyArgs::run`] is the body both
-//! entry points run.
+//! entry points run. Both print through [`print_stdout`], as the rest of
+//! the `coopmc` CLI does.
+
+use std::io::{ErrorKind, Write};
 
 use coopmc_fixed::{QFormat, Rounding};
 use coopmc_hw::cycles::LatencyTable;
@@ -946,15 +949,27 @@ impl VerifyArgs {
             run_sections(self.only.as_deref())?
         };
         if self.json {
-            println!("{}", report.to_json());
+            print_stdout(&format!("{}\n", report.to_json()))?;
         } else {
-            print!("{}", report.render());
+            print_stdout(&report.render())?;
         }
         if report.has_errors() {
             Err("static verification failed".to_owned())
         } else {
             Ok(())
         }
+    }
+}
+
+/// Write `text` to stdout. A closed stdout (`BrokenPipe`, as when a reader
+/// such as `head` has exited) ends the printing, not the command: the text
+/// is dropped and the command goes on with its other work. Any other write
+/// error is returned as the message for stderr.
+pub fn print_stdout(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
+        _ => Ok(()),
     }
 }
 
