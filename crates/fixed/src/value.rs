@@ -57,11 +57,6 @@ impl Fixed {
         }
     }
 
-    /// Zero in format `fmt`.
-    pub fn zero(fmt: QFormat) -> Self {
-        Self { raw: 0, fmt }
-    }
-
     /// One in format `fmt` (saturates if 1.0 is not representable).
     pub fn one(fmt: QFormat) -> Self {
         Self::from_raw(1i64 << fmt.frac_bits(), fmt)
@@ -98,11 +93,6 @@ impl Fixed {
     /// The format this value is stored in.
     pub fn format(self) -> QFormat {
         self.fmt
-    }
-
-    /// True if the value is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.raw == 0
     }
 
     /// Move the value into another format, shifting the binary point and
@@ -384,7 +374,7 @@ mod tests {
     fn div_by_zero_saturates_signed() {
         let fmt = q(4, 4);
         let a = Fixed::from_f64(2.0, fmt, Rounding::Nearest);
-        let z = Fixed::zero(fmt);
+        let z = Fixed::from_raw(0, fmt);
         assert_eq!((a / z).to_f64(), fmt.max_value());
         assert_eq!(((-a) / z).to_f64(), fmt.min_value());
     }
@@ -471,14 +461,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "format mismatch")]
     fn mixing_formats_panics() {
-        let a = Fixed::zero(q(4, 4));
-        let b = Fixed::zero(q(4, 8));
+        let a = Fixed::from_raw(0, q(4, 4));
+        let b = Fixed::from_raw(0, q(4, 8));
         let _ = a + b;
     }
 
     #[test]
     fn nan_quantizes_to_zero() {
-        assert!(Fixed::from_f64(f64::NAN, q(4, 4), Rounding::Nearest).is_zero());
+        assert_eq!(
+            Fixed::from_f64(f64::NAN, q(4, 4), Rounding::Nearest).raw(),
+            0
+        );
     }
 
     #[test]
@@ -487,7 +480,7 @@ mod tests {
         let a = Fixed::from_f64(1.0, fmt, Rounding::Nearest);
         let b = Fixed::from_f64(2.0, fmt, Rounding::Nearest);
         assert!(a < b);
-        assert_eq!(a.partial_cmp(&Fixed::zero(q(4, 8))), None);
+        assert_eq!(a.partial_cmp(&Fixed::from_raw(0, q(4, 8))), None);
     }
 
     #[test]

@@ -537,7 +537,7 @@ mod tests {
         for &(numerators, denominators) in rows {
             let mut row_ops = finish_ops(width);
             for label in 0..width {
-                let mut acc = Fixed::zero(fmt);
+                let mut acc = Fixed::from_raw(0, fmt);
                 for &a in numerators.iter().skip(label).step_by(width) {
                     row_ops.lut += 1;
                     acc = acc + read(a);

@@ -30,12 +30,6 @@ pub trait HwRng {
     /// Produce the next 64 raw bits of generator output.
     fn next_u64(&mut self) -> u64;
 
-    /// Produce the next 32 raw bits: the upper half of
-    /// [`HwRng::next_u64`] unless a generator overrides it.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw in `[0, 1)` with 53 bits of precision.
     fn next_f64(&mut self) -> f64 {
         // Take the top 53 bits, the mantissa width of f64.
