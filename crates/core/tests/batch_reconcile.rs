@@ -63,7 +63,7 @@ fn batched_runs_reconcile_against_the_cycle_model() {
         bank.per_call_cycles() + coopmc_hw::cycles::SYNC_CYCLES
     );
 
-    let journal = engine.recorder().journal_jsonl();
+    let journal = engine.recorder().journal_jsonl(None);
     assert_eq!(validate_journal(&journal).unwrap(), sweeps as usize);
     assert!(journal.contains("\"pg_batches\":"));
     assert!(journal.contains("\"pg_batch_rows\":"));

@@ -81,7 +81,7 @@ fn repeated_journaling_runs_keep_one_valid_journal() {
     assert_eq!(a.mrf.labels(), b.mrf.labels());
     let iterations: Vec<u64> = recorder.sweeps().iter().map(|s| s.iteration).collect();
     assert_eq!(iterations, [1, 2, 3, 4, 5, 6]);
-    assert_eq!(validate_journal(&recorder.journal_jsonl()), Ok(6));
+    assert_eq!(validate_journal(&recorder.journal_jsonl(None)), Ok(6));
 }
 
 /// The float datapath, except that its first evaluation emits a NaN weight.

@@ -21,16 +21,24 @@
 //! - **MCSE** — Monte-Carlo standard error `sqrt(window variance / ESS)`.
 //! - **Anomaly detectors** — stuck-chain/flatline (no label flips over a
 //!   window of sweeps), flip-rate drift (fast EWMA diverging from slow
-//!   EWMA), and uniform-fallback spikes — each emitting a typed
-//!   [`HealthEvent`] at most once per excursion.
+//!   EWMA), and uniform-fallback spikes — each counted once per excursion
+//!   in the [`HealthRecord`]'s `events_*` field of its
+//!   [`HealthEventKind`]. No event log is kept.
 //!
 //! All state is preallocated at construction ([`ChainHealth::new`]): the
-//! ring, the rank/ESS scratch and the bounded event buffer. A warm
-//! [`ChainHealth::observe_sweep`] therefore performs **zero heap
-//! allocations** — proven by the counting-allocator test in
-//! `coopmc-core` (`tests/alloc_free_health.rs`) — and never touches the
-//! chain's RNG or labels, so health-on and health-off chains are
-//! bit-identical (pinned by `tests/health.rs` at the workspace root).
+//! ring and the rank/ESS scratch. A warm [`ChainHealth::observe_sweep`]
+//! therefore performs **zero heap allocations** — proven by the
+//! counting-allocator test in `coopmc-core` (`tests/alloc_free_health.rs`)
+//! — and never touches the chain's RNG or labels, so health-on and
+//! health-off chains are bit-identical (pinned by `tests/health.rs` at the
+//! workspace root).
+//!
+//! A [`ChainHealth`] is a reducer over a chain's sweep counts and
+//! statistic. It runs in two places on the same inputs: inside
+//! [`EarlyStop`], which decides while the chain runs, and inside
+//! [`TraceRecorder::journal_jsonl`](crate::TraceRecorder::journal_jsonl),
+//! which replays it over the recorded sweeps to write the journal's
+//! `coopmc-health/1` lines.
 //!
 //! The [`ConvergenceController`] trait is the hook the engines consult
 //! between sweeps (`run_controlled`): [`NoControl`] statically dispatches
@@ -38,8 +46,9 @@
 //! falls to the threshold *and* windowed ESS reaches the budget — exactly
 //! the progress/early-stop signal the planned `coopmc-serve` needs.
 
+use std::marker::PhantomData;
+
 use crate::metrics::Exposition;
-use crate::trace::{Event, Recorder};
 
 /// Diagnostics refresh and detector tuning for one [`ChainHealth`].
 #[derive(Debug, Clone, PartialEq)]
@@ -60,9 +69,6 @@ pub struct HealthConfig {
     /// Fraction of a sweep's updates hitting the uniform fallback that
     /// triggers [`HealthEventKind::FallbackSpike`].
     pub fallback_spike: f64,
-    /// Capacity of the typed event buffer; further events are counted in
-    /// [`ChainHealth::dropped_events`] instead of stored (no allocation).
-    pub max_events: usize,
 }
 
 impl Default for HealthConfig {
@@ -73,7 +79,6 @@ impl Default for HealthConfig {
             flatline_window: 32,
             drift_tolerance: 0.25,
             fallback_spike: 0.05,
-            max_events: 64,
         }
     }
 }
@@ -103,20 +108,6 @@ impl HealthEventKind {
             Self::FallbackSpike => "fallback_spike",
         }
     }
-}
-
-/// One detector firing, with the observation that triggered it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthEvent {
-    /// Which detector fired.
-    pub kind: HealthEventKind,
-    /// Chain the event belongs to.
-    pub chain: u64,
-    /// 1-based sweep iteration at which it fired.
-    pub iteration: u64,
-    /// Detector-specific magnitude: flatline run length, |fast − slow|
-    /// EWMA divergence, or fallback fraction.
-    pub value: f64,
 }
 
 /// A snapshot of every streaming diagnostic for one chain.
@@ -171,7 +162,6 @@ struct Gauges {
 #[derive(Debug)]
 pub struct ChainHealth {
     cfg: HealthConfig,
-    chain: u64,
     // Welford moments over the full chain.
     count: u64,
     mean: f64,
@@ -197,8 +187,6 @@ pub struct ChainHealth {
     fallback_latched: bool,
     // Outputs.
     record: HealthRecord,
-    events: Vec<HealthEvent>,
-    dropped_events: u64,
     gauges: Gauges,
 }
 
@@ -224,13 +212,11 @@ impl ChainHealth {
             chrono: Vec::with_capacity(cfg.window),
             ranks: Vec::with_capacity(cfg.window),
             zscores: Vec::with_capacity(cfg.window),
-            events: Vec::with_capacity(cfg.max_events),
             record: HealthRecord {
                 chain,
                 ..HealthRecord::default()
             },
             cfg,
-            chain,
             count: 0,
             mean: 0.0,
             m2: 0.0,
@@ -245,36 +231,14 @@ impl ChainHealth {
             stuck_latched: false,
             drift_latched: false,
             fallback_latched: false,
-            dropped_events: 0,
             gauges: Gauges::default(),
         }
-    }
-
-    /// The chain this state tracks.
-    pub fn chain(&self) -> u64 {
-        self.chain
-    }
-
-    /// The configuration this state was built with.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// The latest diagnostics snapshot (fields are `None`/zero until enough
     /// sweeps have been observed).
     pub fn record(&self) -> &HealthRecord {
         &self.record
-    }
-
-    /// Every stored anomaly event, in firing order (bounded by
-    /// [`HealthConfig::max_events`]).
-    pub fn events(&self) -> &[HealthEvent] {
-        &self.events
-    }
-
-    /// Events that arrived after the bounded buffer filled.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
     }
 
     /// Observe one completed sweep. `stat` is the chain's scalar statistic
@@ -293,7 +257,7 @@ impl ChainHealth {
     ) -> bool {
         self.sweeps += 1;
         self.record.iteration = iteration;
-        self.detect(iteration, updates, flips, uniform_fallbacks);
+        self.detect(updates, flips, uniform_fallbacks);
         let mut refreshed = false;
         if let Some(v) = stat {
             self.push_stat(v);
@@ -339,9 +303,9 @@ impl ChainHealth {
     }
 
     /// Run the anomaly detectors for one sweep. Each detector is
-    /// edge-triggered: it fires once when its condition first holds and
+    /// edge-triggered: it counts once when its condition first holds and
     /// re-arms when the condition clears.
-    fn detect(&mut self, iteration: u64, updates: u64, flips: u64, fallbacks: u64) {
+    fn detect(&mut self, updates: u64, flips: u64, fallbacks: u64) {
         let flip_rate = if updates == 0 {
             0.0
         } else {
@@ -366,11 +330,6 @@ impl ChainHealth {
         if self.zero_flip_run >= self.cfg.flatline_window && !self.stuck_latched {
             self.stuck_latched = true;
             self.record.events_stuck += 1;
-            self.emit(
-                HealthEventKind::StuckChain,
-                iteration,
-                self.zero_flip_run as f64,
-            );
         }
 
         // Flip-rate drift: fast EWMA diverging from the slow reference.
@@ -380,7 +339,6 @@ impl ChainHealth {
             if !self.drift_latched {
                 self.drift_latched = true;
                 self.record.events_drift += 1;
-                self.emit(HealthEventKind::FlipRateDrift, iteration, divergence);
             }
         } else if divergence < self.cfg.drift_tolerance / 2.0 {
             self.drift_latched = false;
@@ -396,23 +354,9 @@ impl ChainHealth {
             if !self.fallback_latched {
                 self.fallback_latched = true;
                 self.record.events_fallback += 1;
-                self.emit(HealthEventKind::FallbackSpike, iteration, fallback_frac);
             }
         } else if fallback_frac <= self.cfg.fallback_spike / 2.0 {
             self.fallback_latched = false;
-        }
-    }
-
-    fn emit(&mut self, kind: HealthEventKind, iteration: u64, value: f64) {
-        if self.events.len() < self.cfg.max_events {
-            self.events.push(HealthEvent {
-                kind,
-                chain: self.chain,
-                iteration,
-                value,
-            });
-        } else {
-            self.dropped_events += 1;
         }
     }
 
@@ -474,7 +418,7 @@ impl ChainHealth {
     /// flip-rate gauge as of the latest sweep ([`HealthRecord::flip_rate`]),
     /// and `coopmc_health_events_total` per detector kind.
     pub fn metrics(&self) -> Exposition {
-        let chain = self.chain.to_string();
+        let chain = self.record.chain.to_string();
         let labels = [("chain", chain.as_str())];
         let g = &self.gauges;
         let mut out = Exposition::new();
@@ -713,38 +657,28 @@ pub struct StopInfo {
 
 /// Early-stop convergence controller: wraps a [`ChainHealth`] and stops the
 /// chain once rank-normalized split R-hat ≤ `rhat_threshold` **and**
-/// windowed ESS ≥ `ess_budget`. Refreshed [`HealthRecord`] snapshots are
-/// forwarded to the attached [`Recorder`] as [`Event::Health`] (so
-/// `--journal-out` captures them); the default `NoopRecorder` discards
-/// them for free.
+/// windowed ESS ≥ `ess_budget`. It only decides; a journal replays the same
+/// diagnostics from its own sweep records
+/// ([`TraceRecorder::journal_jsonl`](crate::TraceRecorder::journal_jsonl)).
+#[derive(Debug)]
 pub struct EarlyStop<'a> {
     health: ChainHealth,
     rhat_threshold: f64,
     ess_budget: f64,
-    recorder: &'a dyn Recorder,
     info: StopInfo,
     /// Sweeps this controller has observed; the journal iteration it is
     /// handed keeps counting across an engine's `run` calls.
     sweeps: u64,
-}
-
-impl std::fmt::Debug for EarlyStop<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EarlyStop")
-            .field("health", &self.health)
-            .field("rhat_threshold", &self.rhat_threshold)
-            .field("ess_budget", &self.ess_budget)
-            .field("info", &self.info)
-            .field("sweeps", &self.sweeps)
-            .finish_non_exhaustive()
-    }
+    /// No reference lives here: the lifetime parameter stays only because
+    /// gibbsbench, whose signatures are pinned, names `EarlyStop<'static>`.
+    lifetime: PhantomData<&'a ()>,
 }
 
 /// Minimum sweeps a controller observes before an early stop may trigger
 /// (diagnostics over a near-empty window are noise).
 const MIN_SWEEPS: u64 = 16;
 
-impl<'a> EarlyStop<'a> {
+impl EarlyStop<'_> {
     /// A controller around `health` with the given convergence criteria.
     /// Pass `f64::INFINITY` as `ess_budget` (or `0.0` as `rhat_threshold`)
     /// to monitor without ever stopping.
@@ -753,21 +687,15 @@ impl<'a> EarlyStop<'a> {
             health,
             rhat_threshold,
             ess_budget,
-            recorder: &crate::trace::NoopRecorder,
             info: StopInfo::default(),
             sweeps: 0,
+            lifetime: PhantomData,
         }
     }
 
     /// A monitor-only controller: streams diagnostics, never stops.
     pub fn monitor(health: ChainHealth) -> Self {
         Self::new(health, 0.0, f64::INFINITY)
-    }
-
-    /// Forward refreshed health records to `recorder` (journal capture).
-    pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// The wrapped health state.
@@ -790,13 +718,9 @@ impl ConvergenceController for EarlyStop<'_> {
         uniform_fallbacks: u64,
         stat: Option<f64>,
     ) -> Decision {
-        let refreshed =
-            self.health
-                .observe_sweep(iteration, updates, flips, uniform_fallbacks, stat);
+        self.health
+            .observe_sweep(iteration, updates, flips, uniform_fallbacks, stat);
         let record = self.health.record();
-        if refreshed && self.recorder.enabled() {
-            self.recorder.record(Event::Health(record));
-        }
         self.info.iteration = iteration;
         self.info.rhat = record.rhat;
         self.info.ess = record.ess;
@@ -958,14 +882,19 @@ mod tests {
                 ..HealthConfig::default()
             },
         );
-        for i in 0..20u64 {
-            h.observe_sweep(i + 1, 64, 0, 0, Some(1.0));
-        }
-        assert_eq!(h.record().events_stuck, 1, "latched after first firing");
-        let ev = &h.events()[0];
-        assert_eq!(ev.kind, HealthEventKind::StuckChain);
-        assert_eq!(ev.chain, 3);
-        assert_eq!(ev.iteration, 5);
+        let counts: Vec<u64> = (1..=20)
+            .map(|it| {
+                h.observe_sweep(it, 64, 0, 0, Some(1.0));
+                h.record().events_stuck
+            })
+            .collect();
+        // The fifth flip-free sweep completes the flatline window.
+        assert_eq!(counts[..5], [0, 0, 0, 0, 1]);
+        assert!(
+            counts[5..].iter().all(|&c| c == 1),
+            "latched after first firing"
+        );
+        assert_eq!(h.record().chain, 3);
         // Flips resume, then flatline again: a second event.
         h.observe_sweep(21, 64, 10, 0, Some(2.0));
         for i in 0..6u64 {
@@ -992,10 +921,6 @@ mod tests {
             h.observe_sweep(41 + i, 100, 0, 0, Some(i as f64));
         }
         assert_eq!(h.record().events_drift, 1);
-        assert!(h
-            .events()
-            .iter()
-            .any(|e| e.kind == HealthEventKind::FlipRateDrift));
     }
 
     #[test]
@@ -1007,42 +932,17 @@ mod tests {
                 ..HealthConfig::default()
             },
         );
-        h.observe_sweep(1, 100, 50, 0, None);
-        h.observe_sweep(2, 100, 50, 20, None); // 20% fallback: spike
-        h.observe_sweep(3, 100, 50, 19, None); // still high: latched
-        h.observe_sweep(4, 100, 50, 0, None); // clears
-        h.observe_sweep(5, 100, 50, 30, None); // second spike
-        assert_eq!(h.record().events_fallback, 2);
-        let values: Vec<f64> = h
-            .events()
-            .iter()
-            .filter(|e| e.kind == HealthEventKind::FallbackSpike)
-            .map(|e| e.value)
+        // 0 %, then a 20 % spike, 19 % (still high: latched), 0 % (clears)
+        // and a second spike at 30 %.
+        let counts: Vec<u64> = [0, 20, 19, 0, 30]
+            .into_iter()
+            .zip(1..)
+            .map(|(fallbacks, it)| {
+                h.observe_sweep(it, 100, 50, fallbacks, None);
+                h.record().events_fallback
+            })
             .collect();
-        assert_eq!(values, vec![0.2, 0.3]);
-    }
-
-    #[test]
-    fn event_buffer_is_bounded() {
-        let mut h = ChainHealth::new(
-            0,
-            HealthConfig {
-                flatline_window: 1,
-                max_events: 4,
-                ..HealthConfig::default()
-            },
-        );
-        // Alternate flatline and flips so the stuck detector re-fires.
-        for i in 0..20u64 {
-            let flips = if i % 2 == 0 { 0 } else { 8 };
-            h.observe_sweep(i + 1, 16, flips, 0, None);
-        }
-        assert_eq!(h.events().len(), 4);
-        assert!(h.dropped_events() > 0);
-        assert_eq!(
-            h.record().events_stuck,
-            h.events().len() as u64 + h.dropped_events()
-        );
+        assert_eq!(counts, [0, 1, 1, 1, 2]);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! 1. **Seam** ([`trace`]) — the engines report to a statically dispatched
 //!    [`Recorder`]: two flags (journaling, profiling), one clock
-//!    ([`Recorder::now_ns`]) and one closed [`Event`] vocabulary (sweep
-//!    start, sweep end with its journal record, kernel time, health
-//!    refresh). The disabled form, [`NoopRecorder`], reads no clock and
+//!    ([`Recorder::now_ns`]) and one closed [`Event`] vocabulary of three
+//!    variants (sweep start, sweep end with its journal record, kernel
+//!    time). The disabled form, [`NoopRecorder`], reads no clock and
 //!    compiles to nothing, so the warm-sweep zero-allocation guarantee
 //!    survives instrumentation (proved by the counting-allocator tests in
 //!    `coopmc-core`). A pair `(A, B)` feeds both members one stream on
@@ -17,7 +17,9 @@
 //!    [`metrics`]) — one JSONL record per sweep per chain
 //!    (`coopmc-journal/1`) with the Table II phase split in wall time and
 //!    modeled cycles, DyNorm/TableExp telemetry, chain-quality statistics
-//!    and worker-pool utilization; a Chrome-trace export; and counters,
+//!    and worker-pool utilization, and optionally the `coopmc-health/1`
+//!    lines a [`ChainHealth`] replayed over those records makes; a
+//!    Chrome-trace export; and counters,
 //!    gauges and histograms in Prometheus text exposition
 //!    ([`Exposition`]). All three are reduced from the recorded run when
 //!    they are written; the crate keeps no process-global state.
@@ -28,9 +30,11 @@
 //!    `coopmc-profile/1` journal section and the Chrome trace's kernel
 //!    tracks.
 //! 4. **Health** ([`health`]) — streaming ESS / R-hat / MCSE and anomaly
-//!    detectors, whose diagnostics [`ChainHealth::metrics`] reports as
-//!    Prometheus series, and the early-stop controller that forwards its
-//!    refreshes as [`Event::Health`].
+//!    detectors that count their firings, whose diagnostics
+//!    [`ChainHealth::metrics`] reports as Prometheus series, and the
+//!    early-stop controller, which only decides: it reduces the same
+//!    sweep counts and statistic the journal records, and the journal
+//!    replays its health lines from them.
 //!
 //! The `coopmc-obs-check` binary validates a journal file against the
 //! schemas; CI runs it on a freshly traced chain.
@@ -43,8 +47,8 @@ pub mod profile;
 pub mod trace;
 
 pub use health::{
-    ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig, HealthEvent,
-    HealthEventKind, HealthRecord, NoControl, StopInfo,
+    ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig, HealthEventKind,
+    HealthRecord, NoControl, StopInfo,
 };
 pub use journal::{
     ColorSample, ProfileSample, SweepSample, WorkerStats, HEALTH_SCHEMA, PROFILE_SCHEMA, SCHEMA,

@@ -415,7 +415,6 @@ impl Recorder for SpanProfiler {
                 let lane = lane.min(self.cycles.len() - 1);
                 self.cycles[lane][kernel as usize].fetch_add(cycles, Ordering::Relaxed);
             }
-            Event::Health(_) => {}
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The observation seam: a statically dispatched [`Recorder`] that the
 //! engines report one closed vocabulary of [`Event`]s to, and the
 //! [`TraceRecorder`] that keeps them and reduces them, when exported, to
-//! the run journal, a Chrome trace and the run's Prometheus metrics.
+//! the run journal (chain-health lines included), a Chrome trace and the
+//! run's Prometheus metrics.
 //!
 //! The Gibbs engines are generic over `Rec: Recorder` and read every clock
 //! through [`Recorder::now_ns`], so a run has one clock and every event
@@ -18,11 +19,11 @@
 //! trace / metrics after the run. A pair `(A, B)` of recorders passes every
 //! event to both members and times the run with the first one's clock.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::health::{split_rhat, windowed_ess, HealthRecord};
+use crate::health::{split_rhat, windowed_ess, ChainHealth, HealthConfig};
 use crate::journal::{render_health_line, render_line, SweepSample};
 use crate::metrics::{log2_buckets, Exposition, Histogram};
 use crate::profile::{Kernel, SpanProfiler};
@@ -95,8 +96,6 @@ pub enum Event<'a> {
         /// Modeled hardware cycles.
         cycles: u64,
     },
-    /// A chain-health refresh, forwarded by the early-stop controller.
-    Health(&'a HealthRecord),
 }
 
 /// The zero-cost disabled recorder: every method is an inlined no-op.
@@ -152,13 +151,6 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
     }
 }
 
-#[derive(Debug, Default)]
-struct TraceInner {
-    sweeps: Vec<SweepSample>,
-    /// Chain-health snapshots, interleaved into the journal on export.
-    health: Vec<HealthRecord>,
-}
-
 /// How many of its chain's latest statistics a journal line's ESS and
 /// R-hat cover at most.
 const JOURNAL_WINDOW: usize = 4096;
@@ -166,13 +158,12 @@ const JOURNAL_WINDOW: usize = 4096;
 /// A sweep sample's count or duration, ns.
 type Field = fn(&SweepSample) -> u64;
 
-/// The journaling recorder: keeps sweep samples and health snapshots in
-/// memory and exports them as a JSONL journal, a Chrome trace and
-/// Prometheus metrics.
+/// The journaling recorder: keeps sweep samples in memory and exports them
+/// as a JSONL journal, a Chrome trace and Prometheus metrics.
 #[derive(Debug)]
 pub struct TraceRecorder {
     epoch: Instant,
-    inner: Mutex<TraceInner>,
+    sweeps: Mutex<Vec<SweepSample>>,
 }
 
 impl Default for TraceRecorder {
@@ -186,18 +177,16 @@ impl TraceRecorder {
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),
-            inner: Mutex::new(TraceInner::default()),
+            sweeps: Mutex::new(Vec::new()),
         }
     }
 
     /// The recorded sweep samples, in arrival order.
     pub fn sweeps(&self) -> Vec<SweepSample> {
-        self.inner.lock().unwrap().sweeps.clone()
+        self.sweeps.lock().unwrap().clone()
     }
 
-    /// Render the run journal as JSONL, one line per sweep per chain, with
-    /// any chain-health snapshots ([`Event::Health`]) interleaved after the
-    /// sweep they were refreshed at.
+    /// Render the run journal as JSONL, one line per sweep per chain.
     ///
     /// A line whose sweep carries a model statistic also carries the
     /// running ESS ([`windowed_ess`], ≥ 4 samples) and split-chain
@@ -206,22 +195,26 @@ impl TraceRecorder {
     /// 4,096 of them or fewer. Per-line values are identical to a
     /// full-series rescan for chains up to that window; past it the
     /// diagnostics cover the trailing window only.
-    pub fn journal_jsonl(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+    ///
+    /// With `health`, one [`ChainHealth`] per chain replays the chain's
+    /// recorded sweeps (iteration, counts and statistic, the inputs an
+    /// [`EarlyStop`](crate::EarlyStop) with this configuration saw), and
+    /// each refresh's `coopmc-health/1` line follows the line of the sweep
+    /// it refreshed at. Each chain's replay covers its whole recording.
+    pub fn journal_jsonl(&self, health: Option<&HealthConfig>) -> String {
+        let sweeps = self.sweeps.lock().unwrap();
         let mut out = String::new();
-        // Each chain's statistics so far, in sweep order.
-        let mut stats: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        // Health snapshots not yet emitted, in arrival order per chain.
-        let mut pending: BTreeMap<u64, VecDeque<&HealthRecord>> = BTreeMap::new();
-        for r in &inner.health {
-            pending.entry(r.chain).or_default().push_back(r);
-        }
-        for s in &inner.sweeps {
+        // Each chain's statistics so far, in sweep order, and its replay.
+        let mut chains: BTreeMap<u64, (Vec<f64>, Option<ChainHealth>)> = BTreeMap::new();
+        for s in sweeps.iter() {
+            let (stats, replay) = chains.entry(s.chain).or_insert_with(|| {
+                let replay = health.map(|cfg| ChainHealth::new(s.chain, cfg.clone()));
+                (Vec::new(), replay)
+            });
             let (mut ess, mut rhat) = (None, None);
             if let Some(v) = s.stat {
-                let chain = stats.entry(s.chain).or_default();
-                chain.push(v);
-                let window = &chain[chain.len().saturating_sub(JOURNAL_WINDOW)..];
+                stats.push(v);
+                let window = &stats[stats.len().saturating_sub(JOURNAL_WINDOW)..];
                 ess = (window.len() >= 4).then(|| windowed_ess(window));
                 rhat = (window.len() >= 8)
                     .then(|| split_rhat(window))
@@ -229,19 +222,11 @@ impl TraceRecorder {
             }
             out.push_str(&render_line(s, ess, rhat));
             out.push('\n');
-            if let Some(queue) = pending.get_mut(&s.chain) {
-                while queue.front().is_some_and(|r| r.iteration <= s.iteration) {
-                    out.push_str(&render_health_line(queue.pop_front().unwrap()));
+            if let Some(h) = replay {
+                if h.observe_sweep(s.iteration, s.updates, s.flips, s.uniform_fallbacks, s.stat) {
+                    out.push_str(&render_health_line(h.record()));
                     out.push('\n');
                 }
-            }
-        }
-        // Health records past the last recorded sweep of their chain (or on
-        // chains with no sweep lines at all) flush at the end.
-        for queue in pending.values_mut() {
-            for r in queue.drain(..) {
-                out.push_str(&render_health_line(r));
-                out.push('\n');
             }
         }
         out
@@ -259,9 +244,9 @@ impl TraceRecorder {
     /// observed one engine; their lanes become thread ids `1000 + lane`,
     /// sorting after the chain rows.
     pub fn chrome_trace_json(&self, profiler: Option<&SpanProfiler>) -> String {
-        let inner = self.inner.lock().unwrap();
+        let sweeps = self.sweeps.lock().unwrap();
         let mut events = Vec::new();
-        for s in &inner.sweeps {
+        for s in sweeps.iter() {
             let sweep = format!("sweep {}", s.iteration);
             events.push(render_trace_event(
                 &sweep, "sweep", s.start_ns, s.wall_ns, s.chain,
@@ -303,8 +288,7 @@ impl TraceRecorder {
     /// value a sweep reported for it. A recorder that saw no sweep exposes
     /// zero counters and empty histograms.
     pub fn metrics(&self) -> Exposition {
-        let inner = self.inner.lock().unwrap();
-        let sweeps = &inner.sweeps;
+        let sweeps = self.sweeps.lock().unwrap();
         let mut out = Exposition::new();
         out.set_counter("coopmc_sweeps_total", &[], sweeps.len() as u64);
         let counters: [(&str, Field); 9] = [
@@ -331,13 +315,13 @@ impl TraceRecorder {
         ];
         for (name, bounds, field) in histograms {
             let mut h = Histogram::new(bounds);
-            for s in sweeps {
+            for s in sweeps.iter() {
                 h.observe(field(s) as f64 / 1_000.0);
             }
             out.set_histogram(name, &[], h);
         }
         let (mut utilization, mut busy_ns, mut jobs) = (Vec::new(), Vec::new(), Vec::new());
-        for s in sweeps {
+        for s in sweeps.iter() {
             for c in &s.colors {
                 set_last(&mut utilization, c.class as usize, c.utilization);
             }
@@ -397,13 +381,12 @@ impl Recorder for TraceRecorder {
     }
 
     fn record(&self, event: Event<'_>) {
-        match event {
-            Event::SweepEnd {
-                sample: Some(sample),
-                ..
-            } => self.inner.lock().unwrap().sweeps.push(sample.clone()),
-            Event::Health(record) => self.inner.lock().unwrap().health.push(*record),
-            _ => {}
+        if let Event::SweepEnd {
+            sample: Some(sample),
+            ..
+        } = event
+        {
+            self.sweeps.lock().unwrap().push(sample.clone());
         }
     }
 }
@@ -460,7 +443,7 @@ mod tests {
             x = x * 0.9 + (it % 3) as f64;
             push_sweep(&rec, it, x);
         }
-        let journal = rec.journal_jsonl();
+        let journal = rec.journal_jsonl(None);
         assert_eq!(validate_journal(&journal).unwrap(), 12);
         let lines: Vec<&str> = journal.lines().collect();
         let first = crate::json::parse(lines[0]).unwrap();
@@ -612,7 +595,7 @@ mod tests {
             series.push(x);
             push_sweep(&rec, it, x);
         }
-        let journal = rec.journal_jsonl();
+        let journal = rec.journal_jsonl(None);
         for (i, line) in journal.lines().enumerate() {
             let v = crate::json::parse(line).unwrap();
             let n = i + 1;
@@ -638,49 +621,60 @@ mod tests {
         }
     }
 
+    /// With a health configuration, one `ChainHealth` per chain replays
+    /// that chain's sweeps, and each refresh's line follows the line of the
+    /// sweep it refreshed at.
     #[test]
     fn health_records_interleave_after_their_sweep() {
         let rec = TraceRecorder::new();
         for it in 1..=4u64 {
-            push_sweep(&rec, it, it as f64);
+            for chain in [0, 1] {
+                let s = SweepSample {
+                    chain,
+                    ..sample(it, (it * (chain + 1)) as f64)
+                };
+                record_sweep(&rec, &s);
+            }
         }
-        let mut r = HealthRecord {
-            chain: 0,
-            iteration: 2,
-            samples: 2,
-            window: 2,
-            flip_rate: 0.25,
-            ..HealthRecord::default()
+        let cfg = HealthConfig {
+            window: 8,
+            refresh_stride: 2,
+            ..HealthConfig::default()
         };
-        rec.record(Event::Health(&r));
-        r.iteration = 9; // past the last sweep: flushed at the end
-        r.samples = 9;
-        r.window = 9;
-        rec.record(Event::Health(&r));
-        let journal = rec.journal_jsonl();
-        assert_eq!(validate_journal(&journal).unwrap(), 6);
-        let schemas: Vec<String> = journal
+        let journal = rec.journal_jsonl(Some(&cfg));
+        assert_eq!(validate_journal(&journal).unwrap(), 12);
+        // `s` marks a sweep line and `h` a health line, each with its chain.
+        let shape: Vec<String> = journal
             .lines()
             .map(|l| {
-                crate::json::parse(l)
-                    .unwrap()
-                    .get("schema")
-                    .unwrap()
-                    .as_str()
-                    .unwrap()
-                    .to_owned()
+                let v = crate::json::parse(l).unwrap();
+                let kind = match v.get("schema").unwrap().as_str().unwrap() {
+                    crate::journal::HEALTH_SCHEMA => 'h',
+                    _ => 's',
+                };
+                format!("{kind}{}", v.get("chain").unwrap().as_num().unwrap())
             })
             .collect();
-        assert_eq!(
-            schemas,
-            vec![
-                "coopmc-journal/1",
-                "coopmc-journal/1",
-                "coopmc-health/1",
-                "coopmc-journal/1",
-                "coopmc-journal/1",
-                "coopmc-health/1",
-            ]
-        );
+        let want = [
+            "s0", "s1", "s0", "h0", "s1", "h1", "s0", "s1", "s0", "h0", "s1", "h1",
+        ];
+        assert_eq!(shape, want);
+        // Chain 1's lines are what a `ChainHealth` fed its sweeps reports.
+        let mut h = ChainHealth::new(1, cfg);
+        let mut replayed = Vec::new();
+        for it in 1..=4u64 {
+            let s = sample(it, (it * 2) as f64);
+            if h.observe_sweep(it, s.updates, s.flips, s.uniform_fallbacks, s.stat) {
+                replayed.push(render_health_line(h.record()));
+            }
+        }
+        let chain1: Vec<&str> = journal
+            .lines()
+            .filter(|l| l.starts_with("{\"schema\":\"coopmc-health/1\",\"chain\":1,"))
+            .collect();
+        assert_eq!(chain1, replayed);
+        // Without one, the journal is the sweep lines alone.
+        let plain: Vec<&str> = journal.lines().filter(|l| !l.contains("health")).collect();
+        assert_eq!(rec.journal_jsonl(None).lines().collect::<Vec<_>>(), plain);
     }
 }

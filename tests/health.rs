@@ -1,8 +1,9 @@
 //! End-to-end chain-health integration: monitoring is invisible to the
 //! chain (bit-identical labels and chain-visible journal fields with health
 //! on vs off), the early-stop controller ends an easy-converging chain well
-//! inside its sweep budget with the converged R-hat on record, and health
-//! diagnostics are thread-count independent on the chromatic engine.
+//! inside its sweep budget with the converged R-hat on record in the
+//! journal's replayed health lines, and health diagnostics are thread-count
+//! independent on the chromatic engine.
 
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
@@ -11,13 +12,14 @@ use coopmc::models::bn::asia;
 use coopmc::models::mrf::image_segmentation;
 use coopmc::models::GibbsModel;
 use coopmc::obs::health::{ChainHealth, ConvergenceController, EarlyStop, HealthConfig, NoControl};
-use coopmc::obs::journal::{validate_journal, HEALTH_SCHEMA};
+use coopmc::obs::journal::{render_health_line, validate_journal, HEALTH_SCHEMA};
 use coopmc::obs::{json, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
-/// Run a traced single-thread MRF chain, optionally under a health monitor,
-/// and return the final labels plus the journal.
+/// Run a traced single-thread MRF chain, optionally under a health monitor
+/// whose configuration the journal then replays, and return the final
+/// labels plus the journal.
 fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
     let mut app = image_segmentation(24, 24, 11);
     let recorder = TraceRecorder::new();
@@ -27,18 +29,16 @@ fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
         SplitMix64::new(9),
         &recorder,
     );
-    let mut monitor = EarlyStop::monitor(ChainHealth::new(
-        0,
-        HealthConfig {
-            refresh_stride: 1,
-            ..HealthConfig::default()
-        },
-    ))
-    .with_recorder(&recorder);
+    let cfg = HealthConfig {
+        refresh_stride: 1,
+        ..HealthConfig::default()
+    };
+    let mut monitor = EarlyStop::monitor(ChainHealth::new(0, cfg.clone()));
     let mut none = NoControl;
     let ctl: &mut dyn ConvergenceController = if health { &mut monitor } else { &mut none };
     engine.run_controlled(&mut app.mrf, sweeps, |m| Some(m.energy()), ctl);
-    (app.mrf.labels(), recorder.journal_jsonl())
+    let journal = recorder.journal_jsonl(health.then_some(&cfg));
+    (app.mrf.labels(), journal)
 }
 
 /// The chain-visible fields of one `coopmc-journal/1` sweep line (wall-clock
@@ -95,7 +95,7 @@ fn early_stop_ends_an_easy_chain_inside_half_the_budget() {
         &recorder,
     );
     let health = ChainHealth::new(0, HealthConfig::default());
-    let mut ctl = EarlyStop::new(health, 1.01, 50.0).with_recorder(&recorder);
+    let mut ctl = EarlyStop::new(health, 1.01, 50.0);
     engine.run_controlled(&mut net, BUDGET, |n| Some(n.joint_prob().ln()), &mut ctl);
 
     let info = ctl.stop_info();
@@ -112,9 +112,16 @@ fn early_stop_ends_an_easy_chain_inside_half_the_budget() {
     assert!(rhat <= 1.01, "stopped with R-hat {rhat} > threshold");
     assert!(info.ess.expect("a stop decision carries ESS") >= 50.0);
 
-    // The converged diagnostics are on record in the journal.
-    let journal = recorder.journal_jsonl();
+    // The converged diagnostics are on record in the journal: its replay
+    // ends on the controller's own last record, at the stop sweep.
+    let journal = recorder.journal_jsonl(Some(&HealthConfig::default()));
     validate_journal(&journal).expect("early-stopped journal must validate");
+    let last = journal.lines().rfind(|l| l.contains(HEALTH_SCHEMA));
+    assert_eq!(
+        last,
+        Some(render_health_line(ctl.health().record()).as_str())
+    );
+    assert_eq!(ctl.health().record().iteration, info.iteration);
     let journaled_rhat = journal
         .lines()
         .filter(|l| l.contains(HEALTH_SCHEMA))

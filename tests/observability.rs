@@ -37,7 +37,7 @@ fn traced_mrf_chain(sweeps: u64) -> (TraceRecorder, u64, usize) {
 fn traced_chain_journal_is_valid_monotone_and_time_consistent() {
     let (recorder, updates, _) = traced_mrf_chain(5);
 
-    let journal = recorder.journal_jsonl();
+    let journal = recorder.journal_jsonl(None);
     let lines = validate_journal(&journal).expect("journal must self-validate");
     assert_eq!(lines, 5);
     // The run's per-sweep statistic is on every journal line.
