@@ -7,10 +7,11 @@
 //!    the profiler existed — the instrumentation hooks cost nothing and
 //!    change nothing when disabled. BN chromatic goldens (ASIA, and SURVEY
 //!    with its 3- and 2-label nodes) and sequential factor-row goldens
-//!    (LDA-NIPS, BN-ASIA) pin the factor-row path through every pipeline,
-//!    64-label restoration and 8-connected stereo goldens pin the wide
-//!    log-domain rows through every engine, and sampler goldens pin the
-//!    sequential, pipelined-tree and alias samplers' draws.
+//!    (LDA-NIPS, BN-ASIA and 128-topic LDA) pin the factor-row path
+//!    through every pipeline, 64-label restoration and 8-connected stereo
+//!    goldens pin the wide log-domain rows through every engine, and
+//!    sampler goldens pin the sequential, pipelined-tree and alias
+//!    samplers' draws.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
 //! 3. **Flamegraph accounting.** The collapsed-stack self times of a real
@@ -27,6 +28,7 @@ use coopmc::core::parallel::{hogwild_mrf_sweeps, ChromaticEngine};
 use coopmc::core::pipeline::{CoopMcPipeline, FixedPipeline, FloatPipeline, ProbabilityPipeline};
 use coopmc::hw::reconcile::divergence_ledger;
 use coopmc::models::bn::{asia, survey};
+use coopmc::models::lda::{synthetic_corpus, CorpusSpec, Lda};
 use coopmc::models::mrf::{image_restoration, image_segmentation, stereo_matching, Connectivity};
 use coopmc::models::workloads::{all_workloads, BuiltWorkload};
 use coopmc::models::GibbsModel;
@@ -197,7 +199,7 @@ fn sequential_factor_row_chains_match_their_goldens() {
 }
 
 /// LDA-NIPS at CI scale.
-fn lda_nips() -> coopmc::models::lda::Lda {
+fn lda_nips() -> Lda {
     let nips = all_workloads()
         .into_iter()
         .find(|w| w.name == "LDA-NIPS")
@@ -276,6 +278,44 @@ fn factor_row_chains_match_their_goldens_through_every_pipeline() {
             0x661d_0944_0233_51a4,
             "SURVEY fixed8+dynorm chromatic chain drifted at {threads} threads"
         );
+    }
+}
+
+/// A 128-topic LDA model, Table I's label count, over a corpus of LDA-NIPS's
+/// CI-scale shape (60 documents of 80 tokens, 256 words) with 128 planted
+/// topics.
+fn lda_128_topics() -> Lda {
+    let corpus = synthetic_corpus(&CorpusSpec {
+        n_docs: 60,
+        n_vocab: 256,
+        n_topics: 128,
+        doc_len: 80,
+        topics_per_doc: 3,
+        seed: 2022,
+    });
+    let mut lda = Lda::new(&corpus, 128, 50.0 / 128.0, 0.01);
+    lda.randomize_topics(2022 ^ 0x1DA);
+    lda
+}
+
+#[test]
+fn wide_lda_chains_match_their_goldens_through_every_pipeline() {
+    // 128-label factor rows through the sequential engine: CoopMC on bus
+    // words (64x8), with float log reads and the f64 finish (100x8), and
+    // with float log reads and the word finish (64x20); the direct
+    // fixed-point datapath; and the float reference. Recorded before LDA
+    // gathered its rows as counts.
+    let cases: [(Box<dyn ProbabilityPipeline>, u64); 5] = [
+        (Box::new(CoopMcPipeline::new(64, 8)), 0xcc2d_d4b8_3e12_bae9),
+        (Box::new(CoopMcPipeline::new(100, 8)), 0x25fa_a7fd_43ca_a1b3),
+        (Box::new(CoopMcPipeline::new(64, 20)), 0x8cd8_3448_71ef_4756),
+        (Box::new(FixedPipeline::new(8, true)), 0x8268_5b00_a2b8_448b),
+        (Box::new(FloatPipeline::new()), 0xb0c1_b299_3fd6_2103),
+    ];
+    for (pipeline, want) in cases {
+        let name = pipeline.name();
+        let got = seq_sweep_checksum(pipeline, TreeSampler::new(), &mut lda_128_topics(), 2022, 4);
+        assert_eq!(got, want, "128-topic LDA {name} chain drifted");
     }
 }
 
