@@ -11,10 +11,10 @@ use coopmc_fixed::QFormat;
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::dynorm::dynorm_apply;
 use coopmc_kernels::exp::{ExpKernel, FixedExp, TableExp};
-use coopmc_kernels::fusion::{DirectDatapath, LogFusion, StagePhases};
+use coopmc_kernels::fusion::{CountTables, DirectDatapath, LogFusion, StagePhases};
 use coopmc_kernels::log::TableLog;
 use coopmc_kernels::telemetry::PgTelemetry;
-use coopmc_models::{factor_value, ScoreRows};
+use coopmc_models::{factor_value, RowForm, ScoreRows};
 use coopmc_sampler::Weights;
 
 /// Output of one PG evaluation of a single label-score row, through
@@ -67,6 +67,10 @@ impl PartialEq for PgOutput {
 /// carries each probability's integer ROM code, and [`PgBatch::weights`]
 /// hands SD both forms. A caller that edits `probs` after such an
 /// evaluation must draw from `probs` itself, not from the weights.
+///
+/// The batch keeps the CoopMC datapath's count-indexed log words
+/// ([`CountTables`]) across evaluations, keyed by datapath, so one batch
+/// may serve several pipelines.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PgBatch {
     /// Row-major unnormalized probabilities.
@@ -88,6 +92,11 @@ pub struct PgBatch {
     code_bits: Option<u32>,
     /// The rows the label-score entry points convert their input to.
     label_rows: ScoreRows,
+    /// The log words of count rows' columns, by count.
+    count_tables: CountTables,
+    /// A count row's `f64` image, for the pipelines that read factor rows
+    /// as `f64` columns.
+    image: Vec<f64>,
 }
 
 impl PgBatch {
@@ -111,13 +120,14 @@ impl PgBatch {
     }
 
     /// Evaluate `rows` one row at a time, as the float and fixed pipelines
-    /// do: `row_into(row, probs, telemetry)` appends row `row`'s
-    /// probabilities and returns its op tally. Each row observes into a
+    /// do: `row_into(row, probs, telemetry)` appends a row's probabilities
+    /// and returns its op tally, the row given as its log scores or its
+    /// `f64` factor columns (a count row's image). Each row observes into a
     /// fresh telemetry that is then merged into the batch's.
     fn per_row(
         &mut self,
         rows: &ScoreRows,
-        mut row_into: impl FnMut(usize, &mut Vec<f64>, &mut PgTelemetry) -> OpCounts,
+        mut row_into: impl FnMut(Row<'_>, &mut Vec<f64>, &mut PgTelemetry) -> OpCounts,
     ) {
         self.probs.clear();
         self.codes.clear();
@@ -125,12 +135,24 @@ impl PgBatch {
         self.ops.clear();
         self.telemetry = PgTelemetry::new();
         for row in 0..rows.len() {
+            let row = match rows.log_row(row) {
+                Some(logs) => Row::Log(logs),
+                None => Row::Factors(rows.factor_columns(row, &mut self.image)),
+            };
             let mut telemetry = PgTelemetry::new();
             self.ops
                 .push(row_into(row, &mut self.probs, &mut telemetry));
             self.telemetry.merge(&telemetry);
         }
     }
+}
+
+/// One row as the float and fixed pipelines read it.
+enum Row<'a> {
+    /// A log row's scores.
+    Log(&'a [f64]),
+    /// A factor row's numerator and denominator columns.
+    Factors((&'a [f64], &'a [f64])),
 }
 
 /// A Probability Generation datapath.
@@ -243,10 +265,9 @@ impl ProbabilityPipeline for FloatPipeline {
         // (`-∞` for zero or negative mass), read down the row's columns.
         let w = rows.width();
         out.per_row(rows, |row, probs, telemetry| {
-            match rows.log_row(row) {
-                Some(logs) => float_row_into(logs.iter().copied(), probs, telemetry),
-                None => {
-                    let (nums, dens) = rows.factor_row(row);
+            match row {
+                Row::Log(logs) => float_row_into(logs.iter().copied(), probs, telemetry),
+                Row::Factors((nums, dens)) => {
                     let logs = (0..w).map(|l| {
                         let [n, d] = [nums, dens].map(|c| c.iter().skip(l).step_by(w).product());
                         match factor_value(n, d) {
@@ -329,11 +350,12 @@ impl ProbabilityPipeline for FixedPipeline {
         // (optionally normalized); factor rows run the direct
         // multiplier/divider datapath (no NormTree, no exp kernel —
         // nothing to observe).
-        out.per_row(rows, |row, probs, telemetry| match rows.log_row(row) {
-            Some(logs) => self.log_row_into(logs, probs, telemetry),
-            None => self
-                .direct
-                .evaluate_factors_into(rows.factor_row(row), rows.width(), probs),
+        out.per_row(rows, |row, probs, telemetry| match row {
+            Row::Log(logs) => self.log_row_into(logs, probs, telemetry),
+            Row::Factors(columns) => {
+                self.direct
+                    .evaluate_factors_into(columns, rows.width(), probs)
+            }
         });
     }
 
@@ -378,23 +400,46 @@ impl CoopMcPipeline {
 }
 
 impl ProbabilityPipeline for CoopMcPipeline {
-    /// One [`LogFusion`] call per stride, whatever its row count: log rows
-    /// skip the log kernels, factor rows go TableLog → LogFusion. On bus
-    /// words the ROM read also writes the batch's codes.
+    /// One [`LogFusion`] call per stride, whatever its row count, on the
+    /// path the row form picks: log rows skip the log kernels, factor rows
+    /// go TableLog → LogFusion, and count rows read their factors' log
+    /// words by count from the batch's tables. On bus words the ROM read
+    /// also writes the batch's codes.
     fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
         let (fusion, width) = (&self.fusion, rows.width());
         let (words, probs, codes) = (&mut out.words, &mut out.probs, &mut out.codes);
         let (ops, telemetry, phases) = (&mut out.ops, &mut out.telemetry, out.phases.as_mut());
         *telemetry = PgTelemetry::new();
-        match rows.logs() {
-            Some(logs) => fusion.evaluate_log_score_rows_into(
-                logs, width, words, probs, codes, ops, telemetry, phases,
+        match rows.form() {
+            RowForm::Log => fusion.evaluate_log_score_rows_into(
+                rows.logs().unwrap_or_default(),
+                width,
+                words,
+                probs,
+                codes,
+                ops,
+                telemetry,
+                phases,
             ),
-            None => {
-                let factor_rows = rows.factor_rows();
-                fusion.evaluate_factor_rows_into(
-                    factor_rows,
+            RowForm::Factors => fusion.evaluate_factor_rows_into(
+                rows.factor_rows(),
+                width,
+                words,
+                probs,
+                codes,
+                ops,
+                telemetry,
+                phases,
+            ),
+            RowForm::Counts => {
+                let count_rows = rows.count_rows().map(|row| {
+                    let columns = row.columns.iter().map(|c| (c.constant, c.bound));
+                    (row.counts, row.numerators, columns)
+                });
+                fusion.evaluate_count_rows_into(
+                    count_rows,
                     width,
+                    &mut out.count_tables,
                     words,
                     probs,
                     codes,

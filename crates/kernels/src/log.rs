@@ -35,6 +35,10 @@ pub trait LogKernel {
     /// Short human-readable kernel name for reports.
     fn name(&self) -> &'static str;
 
+    /// Everything the kernel's reads depend on besides their input: two
+    /// kernels with equal keys read the same log of every input.
+    fn key(&self) -> LogKey;
+
     /// The kernel as two integer tables of words on the bus `fmt`, when it
     /// reads exactly that way ([`LogTables`]). `None`, the default, means
     /// every input goes through [`LogKernel::log`] and is quantized onto
@@ -43,6 +47,21 @@ pub trait LogKernel {
         let _ = fmt;
         None
     }
+}
+
+/// What a [`LogKernel`]'s reads depend on besides their input
+/// ([`LogKernel::key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LogKey {
+    /// The reference [`FloatLog`].
+    Float,
+    /// A [`TableLog`] of `size_lut` entries of `bit_lut` fraction bits.
+    Table {
+        /// ROM entries.
+        size_lut: usize,
+        /// Fraction bits per entry.
+        bit_lut: u32,
+    },
 }
 
 /// A [`TableLog`] read as two integer tables of accumulator-bus words.
@@ -107,6 +126,10 @@ impl LogKernel for FloatLog {
 
     fn name(&self) -> &'static str {
         "float-log"
+    }
+
+    fn key(&self) -> LogKey {
+        LogKey::Float
     }
 }
 
@@ -225,6 +248,13 @@ impl LogKernel for TableLog {
 
     fn name(&self) -> &'static str {
         "table-log"
+    }
+
+    fn key(&self) -> LogKey {
+        LogKey::Table {
+            size_lut: self.entries.len(),
+            bit_lut: self.bit_lut,
+        }
     }
 
     fn bus_tables(&self, fmt: QFormat) -> Option<LogTables> {

@@ -34,7 +34,7 @@ pub mod workloads;
 
 use std::cell::Cell;
 
-pub use rows::ScoreRows;
+pub use rows::{CountColumn, CountRow, RowForm, ScoreRows};
 
 /// One label's score as a standalone value: the boundary form of a
 /// [`ScoreRows`] entry, for callers that still pass rows label by label
@@ -161,23 +161,48 @@ mod tests {
 
     #[test]
     fn factor_row_models_append_factor_rows() {
-        // ASIA's node 0 has one child: a CPT column and the child's. An LDA
-        // token has two numerator columns and one denominator column.
+        // ASIA's node 0 has one child: a CPT column and the child's,
+        // appended to a stride after a filled row.
         let mut rows = ScoreRows::new();
         rows.push_factor_row(2, 1, 0).fill(0.5);
         bn::asia().row_into(0, &mut rows);
+        assert_eq!(
+            (rows.len(), rows.form(), rows.logs()),
+            (2, RowForm::Factors, None)
+        );
+        assert_eq!(rows.factor_row(0), (&[0.5, 0.5][..], &[][..]));
+        let (n, d) = rows.factor_row(1);
+        assert_eq!((n.len() / 2, d.len() / 2), (2, 0));
+        // An LDA token appends a count row: two numerator columns and one
+        // denominator column, bounded by the longest document, the most
+        // frequent word and the token count, whose image is `DT + α`,
+        // `VT + β` and `ΣVT + βV`. Both tokens start in topic 0.
         let corpus = lda::Corpus {
             n_docs: 1,
             n_vocab: 2,
             tokens: vec![(0, 0), (0, 1)],
         };
-        lda::Lda::new(&corpus, 2, 0.1, 0.01).row_into(0, &mut rows);
-        assert_eq!((rows.len(), rows.logs()), (3, None));
-        assert_eq!(rows.factor_row(0), (&[0.5, 0.5][..], &[][..]));
-        let arity = |row| {
-            let (n, d) = rows.factor_row(row);
-            (n.len() / 2, d.len() / 2)
-        };
-        assert_eq!([arity(1), arity(2)], [(2, 0), (2, 1)]);
+        let (alpha, beta) = (0.1, 0.01);
+        let model = lda::Lda::new(&corpus, 2, alpha, beta);
+        rows.clear();
+        model.row_into(0, &mut rows);
+        model.row_into(1, &mut rows);
+        assert_eq!(
+            (rows.len(), rows.form(), rows.logs()),
+            (2, RowForm::Counts, None)
+        );
+        assert_eq!(rows.factor_rows().count(), 0);
+        let row = rows.count_rows().next().expect("a count row");
+        assert_eq!((row.numerators, row.counts), (2, &[2, 0, 1, 0, 2, 0][..]));
+        let beta_v = beta * 2.0;
+        let column = |constant, bound| CountColumn { constant, bound };
+        assert_eq!(
+            row.columns,
+            [column(alpha, 2), column(beta, 1), column(beta_v, 2)]
+        );
+        let mut image = Vec::new();
+        let (nums, dens) = rows.factor_columns(0, &mut image);
+        assert_eq!(nums, [2.0 + alpha, alpha, 1.0 + beta, beta]);
+        assert_eq!(dens, [2.0 + beta_v, beta_v]);
     }
 }
