@@ -5,9 +5,10 @@
 //! and the tree sampler: after a warm-up run has grown every scratch buffer
 //! (the engine's score rows, PG batch with the datapath's working memory,
 //! and sampler buffers), a full sweep must allocate **nothing**. A warm
-//! LDA-NIPS sweep through the CoopMC pipeline pins the factor-row path
-//! (TableLog → LogFusion) too, and warm 64-label restoration sweeps pin the
-//! log rows that the fixed-point and (boxed) CoopMC pipelines read in
+//! LDA-NIPS sweep through the CoopMC pipeline pins the count-row path
+//! (count-indexed log words → LogFusion) too, as do warm 128-topic LDA
+//! sweeps through every pipeline, and warm 64-label restoration sweeps pin
+//! the log rows that the fixed-point and (boxed) CoopMC pipelines read in
 //! place. Boxed, as the CLI builds them, the sequential, pipelined-tree and
 //! alias samplers draw through the same scratch; the alias sampler keeps
 //! its table there.
@@ -23,7 +24,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coopmc_core::engine::{GibbsEngine, RunStats};
-use coopmc_core::pipeline::{CoopMcPipeline, FixedPipeline, PipelineConfig, ProbabilityPipeline};
+use coopmc_core::pipeline::{
+    CoopMcPipeline, FixedPipeline, FloatPipeline, PipelineConfig, ProbabilityPipeline,
+};
+use coopmc_models::lda::{synthetic_corpus, CorpusSpec, Lda};
 use coopmc_models::mrf::{image_restoration, image_segmentation};
 use coopmc_models::workloads::{all_workloads, BuiltWorkload};
 use coopmc_models::GibbsModel;
@@ -138,8 +142,9 @@ fn warm_steady_state_sweep_allocates_nothing() {
          ({allocs} allocations observed)"
     );
 
-    // The factor-row path: every LDA score row is `(DT+α)(VT+β)/(ΣVT+βV)`,
-    // read by the CoopMC pipeline's TableLog and LogFusion accumulator.
+    // The count-row path: every LDA score row is `(DT+α)(VT+β)/(ΣVT+βV)`,
+    // gathered as counts whose log words the CoopMC pipeline reads from
+    // its count tables.
     let nips = all_workloads()
         .into_iter()
         .find(|w| w.name == "LDA-NIPS")
@@ -163,10 +168,50 @@ fn warm_steady_state_sweep_allocates_nothing() {
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         allocs, 0,
-        "a warm LDA sweep through the CoopMC factor path must not touch the heap \
+        "a warm LDA sweep through the CoopMC count path must not touch the heap \
          ({allocs} allocations observed)"
     );
     assert_eq!(stats.updates, 2 * lda.num_variables() as u64);
+
+    // 128-topic count rows, Table I's label count, through every datapath
+    // that reads them: CoopMC on bus words, with float log reads and the
+    // f64 finish, and with float log reads and the word finish; and the
+    // count rows' f64 image in the fixed-point and float pipelines.
+    let corpus = synthetic_corpus(&CorpusSpec {
+        n_docs: 60,
+        n_vocab: 256,
+        n_topics: 128,
+        doc_len: 80,
+        topics_per_doc: 3,
+        seed: 2022,
+    });
+    let pipelines: [Box<dyn ProbabilityPipeline>; 5] = [
+        Box::new(CoopMcPipeline::new(64, 8)),
+        Box::new(CoopMcPipeline::new(100, 8)),
+        Box::new(CoopMcPipeline::new(64, 20)),
+        Box::new(FixedPipeline::new(8, true)),
+        Box::new(FloatPipeline::new()),
+    ];
+    for pipeline in pipelines {
+        let name = pipeline.name();
+        let mut lda = Lda::new(&corpus, 128, 50.0 / 128.0, 0.01);
+        lda.randomize_topics(2022);
+        let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(2022));
+        let mut stats = RunStats::default();
+        engine.sweep(&mut lda, &mut stats);
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        engine.sweep(&mut lda, &mut stats);
+        ARMED.store(false, Ordering::SeqCst);
+
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            allocs, 0,
+            "a warm 128-topic LDA sweep through {name} must not touch the heap \
+             ({allocs} allocations observed)"
+        );
+    }
 
     // 64-label log-domain rows, gathered into a stride that PG reads in
     // place.
