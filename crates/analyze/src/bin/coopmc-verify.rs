@@ -17,14 +17,14 @@
 
 use std::process::ExitCode;
 
-use coopmc_analyze::VerifyArgs;
+use coopmc_analyze::{print_stderr, VerifyArgs};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match VerifyArgs::parse(&args).and_then(|args| args.run()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("{msg}");
+            print_stderr(&format!("{msg}\n"));
             ExitCode::FAILURE
         }
     }

@@ -33,11 +33,12 @@
 //!
 //! Output goes to stdout through [`print_stdout`]: when stdout closes early
 //! (`coopmc run … | head -1`) the printing stops and the command still
-//! writes every file its flags name, exiting as it would have.
+//! writes every file its flags name, exiting as it would have. Messages go
+//! to stderr through [`print_stderr`] under the same rule.
 
 use std::process::ExitCode;
 
-use coopmc::analyze::{print_stdout, VerifyArgs};
+use coopmc::analyze::{print_stderr, print_stdout, VerifyArgs};
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{PipelineConfig, ProbabilityPipeline};
@@ -600,7 +601,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("{msg}");
+            print_stderr(&format!("{msg}\n"));
             ExitCode::FAILURE
         }
     }

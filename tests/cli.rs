@@ -257,6 +257,32 @@ fn a_closed_stdout_stops_the_printing_not_the_command() {
     assert_eq!(coopmc::obs::journal::validate_journal(&written), Ok(1));
 }
 
+/// Commands that print to stderr, handed a stderr whose reader is already
+/// gone, exit as they would have, without a panic: a failed `run` with 1,
+/// and `verify` with 0 after writing its schematics.
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    let schematics = temp_path("closed-stderr-schematics");
+    for (args, code) in [
+        (&["run", "nonexistent-model"][..], 1),
+        (&["run", "bn-asia", "--threads", "0"], 1),
+        (&["verify", "--export-schematic", &schematics], 0),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_coopmc"))
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("spawn coopmc");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+    let written = std::fs::read_dir(&schematics).map_or(0, |dir| dir.count());
+    std::fs::remove_dir_all(&schematics).ok();
+    assert!(written > 0, "verify wrote no schematics");
+}
+
 /// A stdout that refuses writes for any other reason ends the command with
 /// exit 1 and a message.
 #[cfg(target_os = "linux")]
