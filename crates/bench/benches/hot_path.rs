@@ -85,7 +85,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     });
     rows.push(pg_row("coopmc64x8", "generate_into", &m));
 
-    // One LDA-NIPS token: 16 factor rows `(DT+α)(VT+β)/(ΣVT+βV)`.
+    // One LDA-NIPS token: a 16-topic count row `(DT+α)(VT+β)/(ΣVT+βV)`.
     let nips = all_workloads()
         .into_iter()
         .find(|w| w.name == "LDA-NIPS")
