@@ -17,7 +17,8 @@
 
 use std::process::ExitCode;
 
-use coopmc_analyze::{print_stderr, VerifyArgs};
+use coopmc_analyze::VerifyArgs;
+use coopmc_obs::print_stderr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

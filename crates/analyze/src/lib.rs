@@ -70,6 +70,6 @@ pub use schedule::{
     tree_sampler_dag, verify_schedules, DepDag, ScheduleFinding,
 };
 pub use verify::{
-    print_stderr, print_stdout, run_all, run_broken_demo, run_sections, VerifyArgs, VerifyReport,
-    JSON_SCHEMA_VERSION, SECTION_TITLES,
+    run_all, run_broken_demo, run_sections, VerifyArgs, VerifyReport, JSON_SCHEMA_VERSION,
+    SECTION_TITLES,
 };

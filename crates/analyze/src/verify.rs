@@ -40,10 +40,8 @@
 //!
 //! [`VerifyArgs`] parses the flags of the `coopmc-verify` binary and the
 //! `coopmc verify` subcommand, and [`VerifyArgs::run`] is the body both
-//! entry points run. Both print through [`print_stdout`], as the rest of
-//! the `coopmc` CLI does.
-
-use std::io::{ErrorKind, Write};
+//! entry points run. Both print through [`coopmc_obs::print_stdout`], as
+//! every binary of the workspace does.
 
 use coopmc_fixed::{QFormat, Rounding};
 use coopmc_hw::cycles::LatencyTable;
@@ -52,7 +50,7 @@ use coopmc_kernels::exp::TableExp;
 use coopmc_models::bn;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{self as mrf, Connectivity};
-use coopmc_obs::json;
+use coopmc_obs::{json, print_stderr, print_stdout};
 use coopmc_sim::circuits::{
     NormTreeCircuit, PgCoreCircuit, PipeTreeSamplerCircuit, TreeSamplerCircuit,
 };
@@ -960,27 +958,6 @@ impl VerifyArgs {
             Ok(())
         }
     }
-}
-
-/// Write `text` to stdout. A closed stdout (`BrokenPipe`, as when a reader
-/// such as `head` has exited) ends the printing, not the command: the text
-/// is dropped and the command goes on with its other work. Any other write
-/// error is returned as the message for stderr.
-pub fn print_stdout(text: &str) -> Result<(), String> {
-    let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
-        _ => Ok(()),
-    }
-}
-
-/// Write `text` to stderr under [`print_stdout`]'s rule: a closed stderr
-/// ends the printing, not the command, whose exit code stays what it would
-/// have been. stderr is where a write error would be reported, so every
-/// write error drops the text.
-pub fn print_stderr(text: &str) {
-    let mut err = std::io::stderr().lock();
-    let _ = err.write_all(text.as_bytes()).and_then(|()| err.flush());
 }
 
 #[cfg(test)]

@@ -17,10 +17,15 @@
 //!
 //! Sweep rows are informational only: they depend on `host_cpus` and are
 //! already marked `"starved"` when oversubscribed, so they are not gated.
+//!
+//! Exit codes: 0 when the gate passes, 1 when it fails, 2 for a usage
+//! error, an unreadable document or a stdout that refuses writes. A closed
+//! stdout or stderr drops the text, never the exit code.
 
 use std::process::ExitCode;
 
 use coopmc_obs::json::{parse, Value};
+use coopmc_obs::{print_stderr, print_stdout};
 
 /// Allowed fractional throughput regression before the gate fails (15%).
 const TOLERANCE: f64 = 0.15;
@@ -99,22 +104,22 @@ fn run(baseline_path: &str, candidate_path: &str) -> Result<bool, String> {
     }
 
     let mut ok = true;
-    println!(
-        "{:<48} {:>14} {:>14} {:>8}  verdict",
+    let mut out = format!(
+        "{:<48} {:>14} {:>14} {:>8}  verdict\n",
         "pg row", "baseline/s", "candidate/s", "delta"
     );
     for (key, base) in &baseline {
         match candidate.iter().find(|(k, _)| k == key) {
             None => {
                 ok = false;
-                println!("{key:<48} {base:>14.0} {:>14} {:>8}  MISSING", "-", "-");
+                out += &format!("{key:<48} {base:>14.0} {:>14} {:>8}  MISSING\n", "-", "-");
             }
             Some((_, new)) => {
                 let delta = new / base - 1.0;
                 let fail = delta < -TOLERANCE;
                 ok &= !fail;
-                println!(
-                    "{key:<48} {base:>14.0} {new:>14.0} {:>7.1}%  {}",
+                out += &format!(
+                    "{key:<48} {base:>14.0} {new:>14.0} {:>7.1}%  {}\n",
                     delta * 100.0,
                     if fail { "FAIL" } else { "ok" }
                 );
@@ -123,9 +128,16 @@ fn run(baseline_path: &str, candidate_path: &str) -> Result<bool, String> {
     }
     for (key, _) in &candidate {
         if !baseline.iter().any(|(k, _)| k == key) {
-            println!("{key:<48} (new row, not gated)");
+            out += &format!("{key:<48} (new row, not gated)\n");
         }
     }
+    if ok {
+        out += &format!(
+            "\nbench gate: all pg rows within {:.0}%\n",
+            TOLERANCE * 100.0
+        );
+    }
+    print_stdout(&out)?;
     Ok(ok)
 }
 
@@ -134,25 +146,22 @@ fn main() -> ExitCode {
     let [baseline, candidate] = match args.as_slice() {
         [b, c] => [b.clone(), c.clone()],
         _ => {
-            eprintln!("usage: bench_gate <baseline.json> <candidate.json>");
+            print_stderr("usage: bench_gate <baseline.json> <candidate.json>\n");
             return ExitCode::from(2);
         }
     };
     match run(&baseline, &candidate) {
-        Ok(true) => {
-            println!("\nbench gate: all pg rows within {:.0}%", TOLERANCE * 100.0);
-            ExitCode::SUCCESS
-        }
+        Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
-            eprintln!(
+            print_stderr(&format!(
                 "\nbench gate: FAILED — pg throughput regressed more than {:.0}% \
-                 (or a baseline row vanished)",
+                 (or a baseline row vanished)\n",
                 TOLERANCE * 100.0
-            );
+            ));
             ExitCode::FAILURE
         }
         Err(e) => {
-            eprintln!("bench gate: {e}");
+            print_stderr(&format!("bench gate: {e}\n"));
             ExitCode::from(2)
         }
     }

@@ -24,13 +24,13 @@
 
 use std::time::Instant;
 
-use coopmc_bench::harness::{Cell, Report, Table};
+use coopmc_bench::harness::{print_or_warn, Cell, Report, Table};
 use coopmc_core::engine::GibbsEngine;
 use coopmc_core::parallel::ChromaticEngine;
 use coopmc_core::pipeline::CoopMcPipeline;
 use coopmc_core::pool::WorkerPool;
 use coopmc_models::mrf::image_segmentation;
-use coopmc_obs::{NoopRecorder, SpanProfiler};
+use coopmc_obs::{print_stderr, NoopRecorder, SpanProfiler};
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::TreeSampler;
 
@@ -171,7 +171,7 @@ fn main() {
     let dir = std::env::var("COOPMC_REPORT_DIR").unwrap_or_else(|_| "results".to_owned());
     let path = std::path::Path::new(&dir).join("scaling_profile.jsonl");
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &profile_journal)) {
-        Ok(()) => println!("profile journal: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        Ok(()) => print_or_warn(&format!("profile journal: {}\n", path.display())),
+        Err(e) => print_stderr(&format!("warning: cannot write {}: {e}\n", path.display())),
     }
 }

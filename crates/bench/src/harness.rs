@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use coopmc_obs::{json, Exposition};
+use coopmc_obs::{json, print_stderr, print_stdout, Exposition};
 
 /// Re-export of the optimizer barrier: forces the compiler to materialize
 /// `x` without letting it optimize the producing computation away.
@@ -51,12 +51,21 @@ impl Measurement {
 
     /// Print a one-line `name  median  (min)` report.
     pub fn report(&self) {
-        println!(
-            "{:<44} {:>12}  (min {:>10})",
+        print_or_warn(&format!(
+            "{:<44} {:>12}  (min {:>10})\n",
             self.name,
             format_ns(self.median_ns()),
             format_ns(self.min_ns())
-        );
+        ));
+    }
+}
+
+/// Print `text` to stdout under [`print_stdout`]'s rule. A bench binary
+/// goes on to write its files whatever stdout does: a closed stdout drops
+/// the text, and any other write error is a warning on stderr.
+pub fn print_or_warn(text: &str) {
+    if let Err(e) = print_stdout(text) {
+        print_stderr(&format!("warning: {e}\n"));
     }
 }
 
@@ -521,16 +530,17 @@ impl Report {
     /// The output directory defaults to `results/` under the current
     /// directory and can be overridden with `COOPMC_REPORT_DIR`. A failure
     /// to write the JSON file is reported on stderr but does not kill the
-    /// bin — the stdout view already happened.
+    /// bin — the stdout view already happened. Printing goes through
+    /// [`print_or_warn`], so the JSON file is written whatever stdout does.
     pub fn finish(&self) {
-        print!("{}", self.render_stdout());
+        print_or_warn(&self.render_stdout());
         let dir = std::env::var("COOPMC_REPORT_DIR").unwrap_or_else(|_| "results".to_owned());
         let path = std::path::Path::new(&dir).join(format!("{}.json", self.id));
         let write = std::fs::create_dir_all(&dir)
             .and_then(|()| std::fs::write(&path, self.render_json() + "\n"));
         match write {
-            Ok(()) => println!("\nreport JSON: {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+            Ok(()) => print_or_warn(&format!("\nreport JSON: {}\n", path.display())),
+            Err(e) => print_stderr(&format!("warning: cannot write {}: {e}\n", path.display())),
         }
     }
 }

@@ -18,7 +18,7 @@ use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::mrf::image_segmentation;
 use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::journal::validate_journal;
-use coopmc_obs::TraceRecorder;
+use coopmc_obs::{HealthConfig, TraceRecorder};
 use coopmc_sampler::TreeSampler;
 
 #[test]
@@ -63,7 +63,7 @@ fn batched_runs_reconcile_against_the_cycle_model() {
         bank.per_call_cycles() + coopmc_hw::cycles::SYNC_CYCLES
     );
 
-    let journal = engine.recorder().journal_jsonl(None);
+    let journal = engine.recorder().journal_jsonl(&HealthConfig::default());
     assert_eq!(validate_journal(&journal).unwrap(), sweeps as usize);
     assert!(journal.contains("\"pg_batches\":"));
     assert!(journal.contains("\"pg_batch_rows\":"));

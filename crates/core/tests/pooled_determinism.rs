@@ -15,7 +15,7 @@ use coopmc_core::pipeline::{
 use coopmc_models::mrf::image_segmentation;
 use coopmc_models::{GibbsModel, ScoreRows};
 use coopmc_obs::journal::validate_journal;
-use coopmc_obs::TraceRecorder;
+use coopmc_obs::{HealthConfig, TraceRecorder};
 use coopmc_sampler::TreeSampler;
 
 #[test]
@@ -81,7 +81,10 @@ fn repeated_journaling_runs_keep_one_valid_journal() {
     assert_eq!(a.mrf.labels(), b.mrf.labels());
     let iterations: Vec<u64> = recorder.sweeps().iter().map(|s| s.iteration).collect();
     assert_eq!(iterations, [1, 2, 3, 4, 5, 6]);
-    assert_eq!(validate_journal(&recorder.journal_jsonl(None)), Ok(6));
+    assert_eq!(
+        validate_journal(&recorder.journal_jsonl(&HealthConfig::default())),
+        Ok(6)
+    );
 }
 
 /// The float datapath, except that its first evaluation emits a NaN weight.

@@ -34,11 +34,11 @@
 //! workspace root).
 //!
 //! A [`ChainHealth`] is a reducer over a chain's sweep counts and
-//! statistic. It runs in two places on the same inputs: inside
-//! [`EarlyStop`], which decides while the chain runs, and inside
+//! statistic, the one source of its convergence diagnostics. It runs in
+//! two places on the same inputs: inside [`EarlyStop`], which decides while
+//! the chain runs, and inside
 //! [`TraceRecorder::journal_jsonl`](crate::TraceRecorder::journal_jsonl),
-//! which replays it over the recorded sweeps to write the journal's
-//! `coopmc-health/1` lines.
+//! which replays it over every journal's sweeps to write its health lines.
 //!
 //! The [`ConvergenceController`] trait is the hook the engines consult
 //! between sweeps (`run_controlled`): [`NoControl`] statically dispatches
@@ -448,13 +448,13 @@ impl ChainHealth {
 /// `coopmc_models::diagnostics` (initial-positive pair sums) with Geyer's
 /// *initial-monotone* strengthening — each pair sum is additionally clamped
 /// to be no larger than its predecessor. For series whose autocorrelation
-/// decays monotonically the two truncations agree exactly, which is what
-/// the journal-export pin test relies on. Result is capped at `n`.
+/// decays monotonically the two truncations agree exactly (a unit test
+/// pins that). Result is capped at `n`.
 ///
 /// # Panics
 ///
 /// Panics on series shorter than 4 samples.
-pub fn windowed_ess(series: &[f64]) -> f64 {
+fn windowed_ess(series: &[f64]) -> f64 {
     let n = series.len();
     assert!(n >= 4, "series must have at least 4 samples");
     let mean = series.iter().sum::<f64>() / n as f64;
@@ -487,15 +487,15 @@ pub fn windowed_ess(series: &[f64]) -> f64 {
 }
 
 /// Classic split R-hat over one window: the first `2·(n/2)` samples are
-/// split into two half-chains and run through the Gelman–Rubin formula
-/// (the exact split `journal_jsonl` historically used, including the
-/// odd-length truncation). May be `inf` for constant-but-different halves
-/// and slightly below 1 for well-mixed windows; not clamped.
+/// split into two half-chains and run through the Gelman–Rubin formula (an
+/// odd-length window drops its last sample). May be `inf` for
+/// constant-but-different halves and slightly below 1 for well-mixed
+/// windows; not clamped.
 ///
 /// # Panics
 ///
 /// Panics on windows shorter than 8 samples.
-pub fn split_rhat(window: &[f64]) -> f64 {
+fn split_rhat(window: &[f64]) -> f64 {
     let half = window.len() / 2;
     assert!(half >= 4, "split R-hat needs at least 8 samples");
     let a = &window[..half];
@@ -526,11 +526,7 @@ pub fn split_rhat(window: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics on windows shorter than 8 samples.
-pub fn rank_normalized_split_rhat(
-    window: &[f64],
-    ranks: &mut Vec<u32>,
-    zscores: &mut Vec<f64>,
-) -> f64 {
+fn rank_normalized_split_rhat(window: &[f64], ranks: &mut Vec<u32>, zscores: &mut Vec<f64>) -> f64 {
     let n = window.len();
     assert!(
         n >= 8,
@@ -561,7 +557,7 @@ pub fn rank_normalized_split_rhat(
 /// # Panics
 ///
 /// Panics unless `0 < p < 1`.
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile needs p in (0, 1), got {p}");
     const A: [f64; 6] = [
         -3.969683028665376e+01,

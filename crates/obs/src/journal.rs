@@ -1,13 +1,15 @@
 //! The run journal: one JSONL record per sweep per chain.
 //!
-//! Every enabled recorder emits the same schema (`coopmc-journal/1`),
+//! Every enabled recorder emits the same schema (`coopmc-journal/2`),
 //! whether the sweep came from the sequential [`GibbsEngine`], the
 //! chromatic worker-pool engine or a bench harness — so regression tooling
 //! can diff runs across engines, precision configs and PRs. Each line
 //! carries the Table II phase split (wall time *and* modeled hardware
-//! cycles), the DyNorm/TableExp kernel telemetry of §III, chain-quality
-//! statistics (label-flip rate, uniform-fallback count, running ESS and
-//! split-chain Gelman–Rubin), and per-color worker-pool utilization.
+//! cycles), the DyNorm/TableExp kernel telemetry of §III, the sweep's
+//! label flips, uniform fallbacks and model statistic, and per-color
+//! worker-pool utilization. The chain's convergence diagnostics are not
+//! on the sweep lines: they are the interleaved `coopmc-health/1` lines,
+//! one series per chain.
 //!
 //! [`GibbsEngine`]: ../../coopmc_core/engine/struct.GibbsEngine.html
 
@@ -15,7 +17,7 @@ use crate::health::HealthRecord;
 use crate::json::{self, Value};
 
 /// Schema identifier embedded in every journal line.
-pub const SCHEMA: &str = "coopmc-journal/1";
+pub const SCHEMA: &str = "coopmc-journal/2";
 
 /// Schema identifier of chain-health records interleaved into the journal.
 pub const HEALTH_SCHEMA: &str = "coopmc-health/1";
@@ -116,10 +118,8 @@ pub fn phase_percent(sweeps: &[SweepSample]) -> Option<(f64, f64, f64)> {
     })
 }
 
-/// Render one journal line (no trailing newline). `ess` / `rhat` are the
-/// running diagnostics computed over the chain so far; pass `None` while
-/// there are too few samples.
-pub fn render_line(s: &SweepSample, ess: Option<f64>, rhat: Option<f64>) -> String {
+/// Render one journal line (no trailing newline).
+pub fn render_line(s: &SweepSample) -> String {
     let mut out = String::with_capacity(512);
     out.push('{');
     out.push_str("\"schema\":");
@@ -148,8 +148,6 @@ pub fn render_line(s: &SweepSample, ess: Option<f64>, rhat: Option<f64>) -> Stri
         ("exp_in_min", s.exp_in_min),
         ("exp_in_max", s.exp_in_max),
         ("stat", s.stat),
-        ("ess", ess),
-        ("rhat", rhat),
     ] {
         out.push_str(&format!(",\"{key}\":"));
         json::write_opt_num(&mut out, v);
@@ -211,6 +209,31 @@ pub fn render_health_line(r: &HealthRecord) -> String {
     out
 }
 
+/// Check what every journal line carries: the `schema` tag `schema`, a
+/// numeric `chain`, and each of `counts` as a non-negative integer.
+fn check_header(v: &Value, schema: &str, counts: &[&str]) -> Result<(), String> {
+    let tag = v
+        .get("schema")
+        .and_then(Value::as_str)
+        .ok_or("missing 'schema' field")?;
+    if tag != schema {
+        return Err(format!("schema '{tag}' is not '{schema}'"));
+    }
+    v.get("chain")
+        .and_then(Value::as_num)
+        .ok_or("missing numeric 'chain'")?;
+    for &key in counts {
+        let n = v
+            .get(key)
+            .and_then(Value::as_num)
+            .ok_or_else(|| format!("missing numeric '{key}'"))?;
+        if n < 0.0 || n != n.trunc() {
+            return Err(format!("'{key}' must be a non-negative integer, got {n}"));
+        }
+    }
+    Ok(())
+}
+
 /// The fields a health line must carry as non-negative integers.
 const HEALTH_COUNTS: [&str; 6] = [
     "iteration",
@@ -228,25 +251,7 @@ const HEALTH_COUNTS: [&str; 6] = [
 /// fraction. (`rhat_split` is the classic unclamped estimator and is only
 /// required to be a number or null.)
 pub fn validate_health_line(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing 'schema' field")?;
-    if schema != HEALTH_SCHEMA {
-        return Err(format!("schema '{schema}' is not '{HEALTH_SCHEMA}'"));
-    }
-    v.get("chain")
-        .and_then(Value::as_num)
-        .ok_or("missing numeric 'chain'")?;
-    for key in HEALTH_COUNTS {
-        let n = v
-            .get(key)
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("missing numeric '{key}'"))?;
-        if n < 0.0 || n != n.trunc() {
-            return Err(format!("'{key}' must be a non-negative integer, got {n}"));
-        }
-    }
+    check_header(v, HEALTH_SCHEMA, &HEALTH_COUNTS)?;
     if v.get("iteration").and_then(Value::as_num) == Some(0.0) {
         return Err("'iteration' is 1-based and must be positive".to_owned());
     }
@@ -372,25 +377,7 @@ const PROFILE_COUNTS: [&str; 7] = [
 /// time, and `unclosed` must be zero — a nonzero value means the span
 /// stack was imbalanced during the run.
 pub fn validate_profile_line(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing 'schema' field")?;
-    if schema != PROFILE_SCHEMA {
-        return Err(format!("schema '{schema}' is not '{PROFILE_SCHEMA}'"));
-    }
-    v.get("chain")
-        .and_then(Value::as_num)
-        .ok_or("missing numeric 'chain'")?;
-    for key in PROFILE_COUNTS {
-        let n = v
-            .get(key)
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("missing numeric '{key}'"))?;
-        if n < 0.0 || n != n.trunc() {
-            return Err(format!("'{key}' must be a non-negative integer, got {n}"));
-        }
-    }
+    check_header(v, PROFILE_SCHEMA, &PROFILE_COUNTS)?;
     let name = v
         .get("kernel")
         .and_then(Value::as_str)
@@ -442,41 +429,16 @@ const REQUIRED_COUNTS: [&str; 14] = [
 ];
 
 /// The fields that must be present as a finite number **or** `null`.
-const NULLABLE_NUMS: [&str; 6] = [
-    "norm_max",
-    "exp_in_min",
-    "exp_in_max",
-    "stat",
-    "ess",
-    "rhat",
-];
+const NULLABLE_NUMS: [&str; 4] = ["norm_max", "exp_in_min", "exp_in_max", "stat"];
 
-/// Validate one parsed journal line against the `coopmc-journal/1` schema.
+/// Validate one parsed journal line against the `coopmc-journal/2` schema.
 ///
 /// Checks the schema tag, that every required count field is present and a
 /// non-negative integer-valued number, that nullable numeric fields are
 /// numbers or `null`, and that `colors` (if present) is an array of
 /// well-formed color samples with `0 ≤ utilization ≤ 1`.
 pub fn validate_line(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing 'schema' field")?;
-    if schema != SCHEMA {
-        return Err(format!("schema '{schema}' is not '{SCHEMA}'"));
-    }
-    v.get("chain")
-        .and_then(Value::as_num)
-        .ok_or("missing numeric 'chain'")?;
-    for key in REQUIRED_COUNTS {
-        let n = v
-            .get(key)
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("missing numeric '{key}'"))?;
-        if n < 0.0 || n != n.trunc() {
-            return Err(format!("'{key}' must be a non-negative integer, got {n}"));
-        }
-    }
+    check_header(v, SCHEMA, &REQUIRED_COUNTS)?;
     if v.get("iteration").and_then(Value::as_num) == Some(0.0) {
         return Err("'iteration' is 1-based and must be positive".to_owned());
     }
@@ -613,21 +575,18 @@ mod tests {
 
     #[test]
     fn rendered_lines_validate() {
-        let text = format!(
-            "{}\n{}\n",
-            render_line(&sample(1), None, None),
-            render_line(&sample(2), Some(3.4), Some(1.01)),
-        );
+        let text = format!("{}\n{}\n", render_line(&sample(1)), render_line(&sample(2)),);
         assert_eq!(validate_journal(&text).unwrap(), 2);
+        // The chain's diagnostics live on its health lines alone.
+        for line in text.lines() {
+            let v = crate::json::parse(line).unwrap();
+            assert!(v.get("ess").is_none() && v.get("rhat").is_none(), "{line}");
+        }
     }
 
     #[test]
     fn non_monotone_iterations_are_rejected() {
-        let text = format!(
-            "{}\n{}\n",
-            render_line(&sample(2), None, None),
-            render_line(&sample(2), None, None),
-        );
+        let text = format!("{}\n{}\n", render_line(&sample(2)), render_line(&sample(2)),);
         let err = validate_journal(&text).unwrap_err();
         assert!(err.contains("not greater"), "{err}");
     }
@@ -637,29 +596,31 @@ mod tests {
         let a = sample(5);
         let mut b = sample(3);
         b.chain = 1;
-        let text = format!(
-            "{}\n{}\n",
-            render_line(&a, None, None),
-            render_line(&b, None, None)
-        );
+        let text = format!("{}\n{}\n", render_line(&a), render_line(&b));
         assert_eq!(validate_journal(&text).unwrap(), 2);
     }
 
     #[test]
     fn schema_violations_are_caught() {
-        let bad = r#"{"schema":"coopmc-journal/1","chain":0,"iteration":1}"#;
+        let bad = r#"{"schema":"coopmc-journal/2","chain":0,"iteration":1}"#;
         let v = crate::json::parse(bad).unwrap();
         assert!(validate_line(&v).is_err());
         let wrong_schema = r#"{"schema":"other/9"}"#;
         let v = crate::json::parse(wrong_schema).unwrap();
         assert!(validate_line(&v).unwrap_err().contains("schema"));
+        // A whole line of the old sweep schema, `ess` and `rhat` included.
+        let old = render_line(&sample(1))
+            .replace(SCHEMA, "coopmc-journal/1")
+            .replace(",\"colors\"", ",\"ess\":3.4,\"rhat\":1.01,\"colors\"");
+        let err = validate_journal(&old).unwrap_err();
+        assert!(err.contains("'coopmc-journal/2'"), "{err}");
     }
 
     #[test]
     fn bad_utilization_is_rejected() {
         let mut s = sample(1);
         s.colors[0].utilization = 1.5;
-        let v = crate::json::parse(&render_line(&s, None, None)).unwrap();
+        let v = crate::json::parse(&render_line(&s)).unwrap();
         assert!(validate_line(&v).unwrap_err().contains("utilization"));
     }
 
@@ -691,8 +652,8 @@ mod tests {
     fn health_lines_render_and_validate_interleaved() {
         let text = format!(
             "{}\n{}\n{}\n{}\n",
-            render_line(&sample(1), None, None),
-            render_line(&sample(2), Some(3.4), Some(1.01)),
+            render_line(&sample(1)),
+            render_line(&sample(2)),
             render_health_line(&health(2)),
             render_health_line(&health(4)),
         );
@@ -750,7 +711,7 @@ mod tests {
     fn profile_lines_render_validate_and_interleave() {
         let text = format!(
             "{}\n{}\n{}\n",
-            render_line(&sample(1), None, None),
+            render_line(&sample(1)),
             render_profile_line(&profile("pg.exp_batch", "pg")),
             render_profile_line(&profile("sd.sample_rows", "sd")),
         );

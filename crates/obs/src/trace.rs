@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::health::{split_rhat, windowed_ess, ChainHealth, HealthConfig};
+use crate::health::{ChainHealth, HealthConfig};
 use crate::journal::{render_health_line, render_line, SweepSample};
 use crate::metrics::{log2_buckets, Exposition, Histogram};
 use crate::profile::{Kernel, SpanProfiler};
@@ -151,10 +151,6 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
     }
 }
 
-/// How many of its chain's latest statistics a journal line's ESS and
-/// R-hat cover at most.
-const JOURNAL_WINDOW: usize = 4096;
-
 /// A sweep sample's count or duration, ns.
 type Field = fn(&SweepSample) -> u64;
 
@@ -186,47 +182,29 @@ impl TraceRecorder {
         self.sweeps.lock().unwrap().clone()
     }
 
-    /// Render the run journal as JSONL, one line per sweep per chain.
+    /// Render the run journal as JSONL: one line per sweep per chain, and
+    /// the chain's health lines.
     ///
-    /// A line whose sweep carries a model statistic also carries the
-    /// running ESS ([`windowed_ess`], ≥ 4 samples) and split-chain
-    /// Gelman–Rubin ([`split_rhat`], ≥ 8 samples, kept only when finite) of
-    /// its chain's statistics so far, computed directly over the last
-    /// 4,096 of them or fewer. Per-line values are identical to a
-    /// full-series rescan for chains up to that window; past it the
-    /// diagnostics cover the trailing window only.
-    ///
-    /// With `health`, one [`ChainHealth`] per chain replays the chain's
-    /// recorded sweeps (iteration, counts and statistic, the inputs an
-    /// [`EarlyStop`](crate::EarlyStop) with this configuration saw), and
+    /// One [`ChainHealth`] per chain, configured by `health`, replays the
+    /// chain's recorded sweeps (iteration, counts and statistic, the inputs
+    /// an [`EarlyStop`](crate::EarlyStop) with this configuration saw), and
     /// each refresh's `coopmc-health/1` line follows the line of the sweep
-    /// it refreshed at. Each chain's replay covers its whole recording.
-    pub fn journal_jsonl(&self, health: Option<&HealthConfig>) -> String {
+    /// it refreshed at. Each chain's replay covers its whole recording. A
+    /// replay refreshes only on a statistic, so a chain whose sweeps carry
+    /// none journals its sweep lines alone.
+    pub fn journal_jsonl(&self, health: &HealthConfig) -> String {
         let sweeps = self.sweeps.lock().unwrap();
         let mut out = String::new();
-        // Each chain's statistics so far, in sweep order, and its replay.
-        let mut chains: BTreeMap<u64, (Vec<f64>, Option<ChainHealth>)> = BTreeMap::new();
+        let mut chains: BTreeMap<u64, ChainHealth> = BTreeMap::new();
         for s in sweeps.iter() {
-            let (stats, replay) = chains.entry(s.chain).or_insert_with(|| {
-                let replay = health.map(|cfg| ChainHealth::new(s.chain, cfg.clone()));
-                (Vec::new(), replay)
-            });
-            let (mut ess, mut rhat) = (None, None);
-            if let Some(v) = s.stat {
-                stats.push(v);
-                let window = &stats[stats.len().saturating_sub(JOURNAL_WINDOW)..];
-                ess = (window.len() >= 4).then(|| windowed_ess(window));
-                rhat = (window.len() >= 8)
-                    .then(|| split_rhat(window))
-                    .filter(|r| r.is_finite());
-            }
-            out.push_str(&render_line(s, ess, rhat));
+            out.push_str(&render_line(s));
             out.push('\n');
-            if let Some(h) = replay {
-                if h.observe_sweep(s.iteration, s.updates, s.flips, s.uniform_fallbacks, s.stat) {
-                    out.push_str(&render_health_line(h.record()));
-                    out.push('\n');
-                }
+            let h = chains
+                .entry(s.chain)
+                .or_insert_with(|| ChainHealth::new(s.chain, health.clone()));
+            if h.observe_sweep(s.iteration, s.updates, s.flips, s.uniform_fallbacks, s.stat) {
+                out.push_str(&render_health_line(h.record()));
+                out.push('\n');
             }
         }
         out
@@ -394,7 +372,7 @@ impl Recorder for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{validate_journal, ColorSample};
+    use crate::journal::{validate_journal, ColorSample, HEALTH_SCHEMA};
 
     /// The journal record of sweep `iteration` with model statistic `stat`.
     fn sample(iteration: u64, stat: f64) -> SweepSample {
@@ -435,6 +413,8 @@ mod tests {
         record_sweep(rec, &sample(iteration, stat));
     }
 
+    /// The chain's running diagnostics are on its health lines, and only
+    /// there: a sweep line carries the statistic they are computed from.
     #[test]
     fn journal_has_running_diagnostics() {
         let rec = TraceRecorder::new();
@@ -443,15 +423,27 @@ mod tests {
             x = x * 0.9 + (it % 3) as f64;
             push_sweep(&rec, it, x);
         }
-        let journal = rec.journal_jsonl(None);
-        assert_eq!(validate_journal(&journal).unwrap(), 12);
-        let lines: Vec<&str> = journal.lines().collect();
-        let first = crate::json::parse(lines[0]).unwrap();
-        assert!(first.get("ess").unwrap().is_null(), "too few samples yet");
-        let last = crate::json::parse(lines[11]).unwrap();
+        let cfg = HealthConfig {
+            refresh_stride: 2,
+            ..HealthConfig::default()
+        };
+        let journal = rec.journal_jsonl(&cfg);
+        // 12 sweep lines and a health line at every second sweep.
+        assert_eq!(validate_journal(&journal).unwrap(), 18);
+        let (health, sweeps): (Vec<_>, Vec<_>) = journal
+            .lines()
+            .map(|l| crate::json::parse(l).unwrap())
+            .partition(|v| v.get("schema").unwrap().as_str() == Some(HEALTH_SCHEMA));
+        assert!(
+            health[0].get("ess").unwrap().is_null(),
+            "too few samples yet"
+        );
+        let last = &health[5];
         assert!(last.get("ess").unwrap().as_num().unwrap() > 0.0);
-        assert!(last.get("rhat").unwrap().as_num().unwrap() > 0.0);
-        assert_eq!(last.get("stat").unwrap().as_num(), Some(x));
+        assert!(last.get("rhat").unwrap().as_num().unwrap() >= 1.0);
+        let sweep = &sweeps[11];
+        assert_eq!(sweep.get("stat").unwrap().as_num(), Some(x));
+        assert!(sweep.get("ess").is_none() && sweep.get("rhat").is_none());
     }
 
     #[test]
@@ -580,50 +572,8 @@ mod tests {
         );
     }
 
-    /// Pin: the incremental export diagnostics reproduce the full-series
-    /// rescan this PR removed — `effective_sample_size` over the chain so
-    /// far and split-chain `gelman_rubin` (odd-length tail dropped,
-    /// non-finite dropped) — on a fixed smooth series.
-    #[test]
-    fn incremental_export_matches_the_old_full_series_rescan() {
-        use coopmc_models::diagnostics::{effective_sample_size, gelman_rubin};
-        let rec = TraceRecorder::new();
-        let mut x = 5.0;
-        let mut series = Vec::new();
-        for it in 1..=40u64 {
-            x = 0.7 * x + ((it * 2_654_435_761) % 97) as f64 / 97.0;
-            series.push(x);
-            push_sweep(&rec, it, x);
-        }
-        let journal = rec.journal_jsonl(None);
-        for (i, line) in journal.lines().enumerate() {
-            let v = crate::json::parse(line).unwrap();
-            let n = i + 1;
-            let want_ess = (n >= 4).then(|| effective_sample_size(&series[..n]));
-            let want_rhat = (n >= 8)
-                .then(|| {
-                    let (a, b) = series[..n].split_at(n / 2);
-                    gelman_rubin(&[a.to_vec(), b[..a.len()].to_vec()])
-                })
-                .filter(|r| r.is_finite());
-            let got_ess = v.get("ess").unwrap().as_num();
-            let got_rhat = v.get("rhat").unwrap().as_num();
-            match (want_ess, got_ess) {
-                (None, None) => {}
-                (Some(w), Some(g)) => assert!((w - g).abs() < 1e-9, "line {n}: ess {g} vs {w}"),
-                other => panic!("line {n}: ess mismatch {other:?}"),
-            }
-            match (want_rhat, got_rhat) {
-                (None, None) => {}
-                (Some(w), Some(g)) => assert!((w - g).abs() < 1e-9, "line {n}: rhat {g} vs {w}"),
-                other => panic!("line {n}: rhat mismatch {other:?}"),
-            }
-        }
-    }
-
-    /// With a health configuration, one `ChainHealth` per chain replays
-    /// that chain's sweeps, and each refresh's line follows the line of the
-    /// sweep it refreshed at.
+    /// One `ChainHealth` per chain replays that chain's sweeps, and each
+    /// refresh's line follows the line of the sweep it refreshed at.
     #[test]
     fn health_records_interleave_after_their_sweep() {
         let rec = TraceRecorder::new();
@@ -641,7 +591,7 @@ mod tests {
             refresh_stride: 2,
             ..HealthConfig::default()
         };
-        let journal = rec.journal_jsonl(Some(&cfg));
+        let journal = rec.journal_jsonl(&cfg);
         assert_eq!(validate_journal(&journal).unwrap(), 12);
         // `s` marks a sweep line and `h` a health line, each with its chain.
         let shape: Vec<String> = journal
@@ -649,7 +599,7 @@ mod tests {
             .map(|l| {
                 let v = crate::json::parse(l).unwrap();
                 let kind = match v.get("schema").unwrap().as_str().unwrap() {
-                    crate::journal::HEALTH_SCHEMA => 'h',
+                    HEALTH_SCHEMA => 'h',
                     _ => 's',
                 };
                 format!("{kind}{}", v.get("chain").unwrap().as_num().unwrap())
@@ -660,7 +610,7 @@ mod tests {
         ];
         assert_eq!(shape, want);
         // Chain 1's lines are what a `ChainHealth` fed its sweeps reports.
-        let mut h = ChainHealth::new(1, cfg);
+        let mut h = ChainHealth::new(1, cfg.clone());
         let mut replayed = Vec::new();
         for it in 1..=4u64 {
             let s = sample(it, (it * 2) as f64);
@@ -673,8 +623,18 @@ mod tests {
             .filter(|l| l.starts_with("{\"schema\":\"coopmc-health/1\",\"chain\":1,"))
             .collect();
         assert_eq!(chain1, replayed);
-        // Without one, the journal is the sweep lines alone.
-        let plain: Vec<&str> = journal.lines().filter(|l| !l.contains("health")).collect();
-        assert_eq!(rec.journal_jsonl(None).lines().collect::<Vec<_>>(), plain);
+        // Sweeps without a statistic refresh nothing: their journal is the
+        // sweep lines alone.
+        let plain = TraceRecorder::new();
+        for it in 1..=16u64 {
+            let s = SweepSample {
+                stat: None,
+                ..sample(it, 0.0)
+            };
+            record_sweep(&plain, &s);
+        }
+        let journal = plain.journal_jsonl(&cfg);
+        assert_eq!(validate_journal(&journal), Ok(16));
+        assert!(!journal.contains(HEALTH_SCHEMA));
     }
 }

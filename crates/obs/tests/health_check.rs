@@ -1,10 +1,12 @@
 //! `coopmc-obs-check` end-to-end: the real binary accepts a journal whose
 //! health lines are well-formed and rejects corrupted fixtures — out-of-range
 //! diagnostics (R-hat below 1, negative ESS, ESS exceeding the window) and
-//! non-monotone health iterations — with a pointed diagnostic on stderr.
+//! non-monotone health iterations — with a pointed diagnostic on stderr. A
+//! closed stdout or stderr changes none of its exit codes.
 
+use std::ffi::OsStr;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use coopmc_obs::health::HealthRecord;
 use coopmc_obs::journal::render_health_line;
@@ -117,4 +119,37 @@ fn non_monotone_health_iterations_fail_the_check() {
         "health iterations must be strictly increasing per chain"
     );
     assert!(stderr.contains("iteration"), "stderr: {stderr}");
+}
+
+/// The exit code of `coopmc-obs-check <args>` when its stdout, or with
+/// `on_stderr` its stderr, is a pipe whose reader is already gone.
+fn exit_code_with_a_closed_pipe(args: &[&OsStr], on_stderr: bool) -> Option<i32> {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_coopmc-obs-check"));
+    cmd.args(args);
+    if on_stderr {
+        cmd.stdout(Stdio::null()).stderr(writer);
+    } else {
+        cmd.stdout(writer).stderr(Stdio::null());
+    }
+    cmd.status().expect("coopmc-obs-check must run").code()
+}
+
+/// Usage and read errors keep their exit codes, 2 and 1, when the message
+/// cannot be printed.
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    assert_eq!(exit_code_with_a_closed_pipe(&[], true), Some(2));
+    let missing = OsStr::new("/nonexistent.jsonl");
+    assert_eq!(exit_code_with_a_closed_pipe(&[missing], true), Some(1));
+}
+
+/// A valid journal passes when its verdict cannot be printed.
+#[test]
+fn a_closed_stdout_keeps_the_exit_code() {
+    let path = fixture("closed-stdout", &valid_journal());
+    let code = exit_code_with_a_closed_pipe(&[path.as_os_str()], false);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, Some(0));
 }

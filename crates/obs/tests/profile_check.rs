@@ -78,13 +78,12 @@ fn accepts_a_valid_profile_journal() {
 fn accepts_profile_lines_interleaved_with_sweep_lines() {
     // A real `--journal-out` file mixes sweep samples and the appended
     // profile section; the checker must dispatch per line on `schema`.
-    let sweep = "{\"schema\":\"coopmc-journal/1\",\"chain\":0,\"iteration\":1,\
+    let sweep = "{\"schema\":\"coopmc-journal/2\",\"chain\":0,\"iteration\":1,\
                  \"start_ns\":0,\"wall_ns\":100,\"updates\":4,\"flips\":2,\
                  \"uniform_fallbacks\":0,\"pg_ns\":40,\"sd_ns\":30,\"pu_ns\":20,\
                  \"pg_cycles\":400,\"sd_cycles\":300,\"pu_cycles\":16,\
                  \"pg_batches\":1,\"pg_batch_rows\":4,\"norm_max\":null,\
-                 \"exp_in_min\":null,\"exp_in_max\":null,\"stat\":null,\
-                 \"ess\":null,\"rhat\":null}\n";
+                 \"exp_in_min\":null,\"exp_in_max\":null,\"stat\":null}\n";
     let journal = format!("{sweep}{}", valid_journal());
     let (ok, _, stderr) = check("interleaved", &journal);
     assert!(ok, "mixed journal must pass: {stderr}");

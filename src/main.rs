@@ -29,7 +29,11 @@
 //! early-stop flags additionally end the run once rank-normalized R-hat ≤ R
 //! **and** windowed ESS ≥ E (each implies `--health`; the other threshold
 //! defaults to R = 1.01, E = 100). Neither journals anything by itself: the
-//! engines record only for the output and profile flags.
+//! engines record only for the output and profile flags. Every
+//! `--journal-out` journal carries the chain's health lines, replayed from
+//! its sweep records with the configuration `--health` runs, so a journal
+//! holds the same health lines with or without `--health`, and a monitored
+//! run's printed summary is its journal's last health line.
 //!
 //! Output goes to stdout through [`print_stdout`]: when stdout closes early
 //! (`coopmc run … | head -1`) the printing stops and the command still
@@ -38,7 +42,7 @@
 
 use std::process::ExitCode;
 
-use coopmc::analyze::{print_stderr, print_stdout, VerifyArgs};
+use coopmc::analyze::VerifyArgs;
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{PipelineConfig, ProbabilityPipeline};
@@ -53,7 +57,9 @@ use coopmc::models::mrf::GridMrf;
 use coopmc::models::workloads::{all_workloads, BuiltWorkload, ModelKind, WorkloadSpec};
 use coopmc::models::GibbsModel;
 use coopmc::obs::health::{ChainHealth, ConvergenceController, EarlyStop, HealthConfig, NoControl};
-use coopmc::obs::{NoopRecorder, Recorder, SpanProfiler, TraceRecorder};
+use coopmc::obs::{
+    print_stderr, print_stdout, NoopRecorder, Recorder, SpanProfiler, TraceRecorder,
+};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
@@ -496,9 +502,11 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         .profile_enabled()
         .then(|| SpanProfiler::new(args.threads));
     // One configuration for the controller and for the journal, which
-    // replays the controller's health records from its own sweep records.
-    let health = args.health_enabled().then(HealthConfig::default);
-    let mut controller = health.as_ref().map(|cfg| build_controller(&args, cfg));
+    // replays the chain's health records from its own sweep records.
+    let health = HealthConfig::default();
+    let mut controller = args
+        .health_enabled()
+        .then(|| build_controller(&args, &health));
     let built = spec.build(args.seed);
     let ctl = controller.as_mut();
     // The recorder follows the output and profile flags alone: a health or
@@ -524,7 +532,7 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         }
     }
     if let Some(path) = &args.journal_out {
-        let mut journal = recorder.journal_jsonl(health.as_ref());
+        let mut journal = recorder.journal_jsonl(&health);
         if let Some(p) = &profiler {
             journal.push_str(&p.journal_jsonl(0));
         }

@@ -87,7 +87,7 @@ fn assert_flags_are_chain_invisible(tag: &str, args: &str, objective: &str) -> S
         assert_eq!(chain_report(&coopmc(&run)), plain, "{run:?}");
     }
     let written = std::fs::read_to_string(&journal).expect("journal written");
-    assert!(written.contains("coopmc-journal/1") && written.contains("coopmc-profile/1"));
+    assert!(written.contains("coopmc-journal/2") && written.contains("coopmc-profile/1"));
     let prom = std::fs::read_to_string(&metrics).expect("metrics written");
     assert!(prom.contains("coopmc_sweeps_total"));
     let written_trace = std::fs::read_to_string(&trace).expect("trace written");
@@ -202,7 +202,9 @@ fn health_lines(tag: &str, args: &str) -> (usize, u64) {
 /// Health lines carry no wall time, so a journal's are deterministic. These
 /// are the lines the CLI wrote when they were pinned: a monitored stereo
 /// chain, the early-stopped BN-ASIA chain (stopped at sweep 424) and a
-/// 2-thread chromatic stereo chain.
+/// 2-thread chromatic stereo chain. Every journal replays its chain's
+/// health with the configuration `--health` runs, so the journal-only runs
+/// of the same chains (BN-ASIA's to sweep 424) write the same lines.
 #[test]
 fn journal_health_lines_keep_their_pinned_values() {
     for (tag, args, lines, checksum) in [
@@ -221,6 +223,24 @@ fn journal_health_lines_keep_their_pinned_values() {
         (
             "pin-stereo2",
             "stereo --sweeps 30 --threads 2 --health",
+            3,
+            0x4326_947d_55e5_41ed,
+        ),
+        (
+            "only-stereo",
+            "stereo --sweeps 20",
+            2,
+            0x2f3a_fd01_065c_4d3c,
+        ),
+        (
+            "only-asia",
+            "bn-asia --pipeline float32 --sweeps 424",
+            53,
+            0x306b_0164_32e5_9632,
+        ),
+        (
+            "only-stereo2",
+            "stereo --sweeps 30 --threads 2",
             3,
             0x4326_947d_55e5_41ed,
         ),

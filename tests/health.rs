@@ -1,9 +1,9 @@
 //! End-to-end chain-health integration: monitoring is invisible to the
-//! chain (bit-identical labels and chain-visible journal fields with health
-//! on vs off), the early-stop controller ends an easy-converging chain well
-//! inside its sweep budget with the converged R-hat on record in the
-//! journal's replayed health lines, and health diagnostics are thread-count
-//! independent on the chromatic engine.
+//! chain (bit-identical labels, chain-visible journal fields and replayed
+//! health lines with health on vs off), the early-stop controller ends an
+//! easy-converging chain well inside its sweep budget with the converged
+//! R-hat on record in the journal's replayed health lines, and health
+//! diagnostics are thread-count independent on the chromatic engine.
 
 use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
@@ -17,9 +17,9 @@ use coopmc::obs::{json, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
-/// Run a traced single-thread MRF chain, optionally under a health monitor
-/// whose configuration the journal then replays, and return the final
-/// labels plus the journal.
+/// Run a traced single-thread MRF chain, optionally under a health monitor,
+/// and return the final labels plus the journal, which replays the
+/// monitor's configuration either way.
 fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
     let mut app = image_segmentation(24, 24, 11);
     let recorder = TraceRecorder::new();
@@ -37,11 +37,11 @@ fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
     let mut none = NoControl;
     let ctl: &mut dyn ConvergenceController = if health { &mut monitor } else { &mut none };
     engine.run_controlled(&mut app.mrf, sweeps, |m| Some(m.energy()), ctl);
-    let journal = recorder.journal_jsonl(health.then_some(&cfg));
+    let journal = recorder.journal_jsonl(&cfg);
     (app.mrf.labels(), journal)
 }
 
-/// The chain-visible fields of one `coopmc-journal/1` sweep line (wall-clock
+/// The chain-visible fields of one `coopmc-journal/2` sweep line (wall-clock
 /// fields are nondeterministic and excluded).
 fn chain_visible(line: &str) -> (u64, u64, u64, u64, Option<f64>) {
     let v = json::parse(line).expect("journal line must be JSON");
@@ -64,23 +64,23 @@ fn health_monitoring_is_chain_invisible() {
         "health observation leaked into the chain"
     );
 
-    // The health-on journal adds coopmc-health/1 lines but leaves every
-    // chain-visible sweep field untouched.
-    let sweeps = |journal: &str| {
-        journal
-            .lines()
-            .filter(|l| !l.contains(HEALTH_SCHEMA))
-            .map(chain_visible)
-            .collect::<Vec<_>>()
+    // Both journals replay their health lines from their sweep lines, so
+    // the monitor changes neither a chain-visible sweep field nor a health
+    // line.
+    let split = |journal: &str| {
+        let (health, sweeps): (Vec<&str>, Vec<&str>) =
+            journal.lines().partition(|l| l.contains(HEALTH_SCHEMA));
+        let sweeps: Vec<_> = sweeps.into_iter().map(chain_visible).collect();
+        (health.join("\n"), sweeps)
     };
-    assert_eq!(sweeps(&journal_off), sweeps(&journal_on));
-    assert_eq!(sweeps(&journal_off).len(), 12);
-    assert!(
-        journal_on.lines().any(|l| l.contains(HEALTH_SCHEMA)),
-        "monitored run must journal health records"
-    );
-    validate_journal(&journal_on).expect("mixed sweep + health journal must validate");
-    validate_journal(&journal_off).expect("plain journal must validate");
+    let (health_off, sweeps_off) = split(&journal_off);
+    let (health_on, sweeps_on) = split(&journal_on);
+    assert_eq!(sweeps_off, sweeps_on);
+    assert_eq!(sweeps_off.len(), 12);
+    assert_eq!(health_off, health_on);
+    assert_eq!(health_on.lines().count(), 12, "one refresh a sweep");
+    validate_journal(&journal_on).expect("monitored run's journal must validate");
+    validate_journal(&journal_off).expect("unmonitored run's journal must validate");
 }
 
 #[test]
@@ -114,7 +114,7 @@ fn early_stop_ends_an_easy_chain_inside_half_the_budget() {
 
     // The converged diagnostics are on record in the journal: its replay
     // ends on the controller's own last record, at the stop sweep.
-    let journal = recorder.journal_jsonl(Some(&HealthConfig::default()));
+    let journal = recorder.journal_jsonl(&HealthConfig::default());
     validate_journal(&journal).expect("early-stopped journal must validate");
     let last = journal.lines().rfind(|l| l.contains(HEALTH_SCHEMA));
     assert_eq!(

@@ -11,7 +11,7 @@ use coopmc::hw::area::SamplerKind;
 use coopmc::hw::reconcile::reconcile;
 use coopmc::models::mrf::{image_segmentation, GridMrf};
 use coopmc::models::GibbsModel;
-use coopmc::obs::health::NoControl;
+use coopmc::obs::health::{HealthConfig, NoControl};
 use coopmc::obs::journal::validate_journal;
 use coopmc::obs::{json, SweepSample, TraceRecorder};
 use coopmc::rng::SplitMix64;
@@ -37,7 +37,7 @@ fn traced_mrf_chain(sweeps: u64) -> (TraceRecorder, u64, usize) {
 fn traced_chain_journal_is_valid_monotone_and_time_consistent() {
     let (recorder, updates, _) = traced_mrf_chain(5);
 
-    let journal = recorder.journal_jsonl(None);
+    let journal = recorder.journal_jsonl(&HealthConfig::default());
     let lines = validate_journal(&journal).expect("journal must self-validate");
     assert_eq!(lines, 5);
     // The run's per-sweep statistic is on every journal line.
