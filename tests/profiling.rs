@@ -9,9 +9,10 @@
 //!    with its 3- and 2-label nodes) and sequential factor-row goldens
 //!    (LDA-NIPS, BN-ASIA and 128-topic LDA) pin the factor-row path
 //!    through every pipeline, 64-label restoration and 8-connected stereo
-//!    goldens pin the wide log-domain rows through every engine, and
-//!    sampler goldens pin the sequential, pipelined-tree and alias
-//!    samplers' draws.
+//!    goldens pin the wide log-domain rows through every engine,
+//!    `coopmc:64x52` goldens pin rows whose codes are too wide to sum
+//!    exactly, and sampler goldens pin the sequential, pipelined-tree and
+//!    alias samplers' draws.
 //! 2. **Chain invisibility.** With profiling *on*, the chains are
 //!    bit-identical to the profile-off chains.
 //! 3. **Flamegraph accounting.** The collapsed-stack self times of a real
@@ -414,6 +415,50 @@ fn wide_mrf_chains_match_their_goldens() {
         0x2a8b_c4b1_77eb_f563,
         "restoration hogwild chain drifted"
     );
+}
+
+#[test]
+fn restoration_chains_past_the_code_gate_match_their_goldens() {
+    // `coopmc:64x52` reads its ROM on bus words, but a 64-label row of
+    // 52-bit codes is too wide for exact code sums (52 + 6 > 53 bits), so
+    // every draw takes the f64 path; so does a 16-label LDA count row.
+    // Chromatic chains at every thread count, sequential restoration
+    // chains through the tree and alias samplers, and LDA-NIPS.
+    let golden = [
+        0x3004_985c_1c53_dddd,
+        0x3004_985c_1c53_dddd,
+        0x3004_985c_1c53_dddd,
+        0x1221_68c2_a1c6_b002,
+        0x5bd8_1894_519c_a9ab,
+        0xa83e_65ad_fc34_a37d,
+    ];
+    let got = [
+        restore_chromatic_checksum(CoopMcPipeline::new(64, 52), TreeSampler::new(), 1, 10),
+        restore_chromatic_checksum(CoopMcPipeline::new(64, 52), TreeSampler::new(), 2, 10),
+        restore_chromatic_checksum(CoopMcPipeline::new(64, 52), TreeSampler::new(), 3, 10),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 52),
+            TreeSampler::new(),
+            &mut image_restoration(40, 26, 2022).mrf,
+            7,
+            10,
+        ),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 52),
+            AliasSampler::new(),
+            &mut image_restoration(40, 26, 2022).mrf,
+            7,
+            10,
+        ),
+        seq_sweep_checksum(
+            CoopMcPipeline::new(64, 52),
+            TreeSampler::new(),
+            &mut lda_nips(),
+            2022,
+            8,
+        ),
+    ];
+    assert_eq!(got, golden, "coopmc:64x52 restoration chains drifted");
 }
 
 /// The chains a sampler golden pins: a sequential 64-label restoration
