@@ -2,17 +2,17 @@
 //! the Q15.16 accumulator bus, checked by running them. The fused
 //! quantizers, the slice quantizer's packed and per-value paths included,
 //! must match the `Fixed` round-trip and a half-away-from-zero
-//! reference; every row of a batched PG pass, with the integer ROM codes
-//! it hands to SD, must match the same row evaluated alone on the `f64`
-//! reference datapath; and count rows read through count-indexed log
-//! words must match their `f64` images on the factor path.
+//! reference; every row of a batched PG pass, as the integer ROM codes and
+//! row total it hands to SD, must match the same row evaluated alone on
+//! the `f64` reference datapath; and count rows read through count-indexed
+//! log words must match their `f64` images on the factor path.
 //! [`verify_pg_words`] runs them all for the `pg-words` section of
 //! `coopmc-verify`.
 
 use coopmc_fixed::{round_ties_away, Fixed, QFormat, Rounding};
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::exp::TableExp;
-use coopmc_kernels::fusion::{CountTables, LogFusion};
+use coopmc_kernels::fusion::{CountTables, LogFusion, RowCodes};
 use coopmc_kernels::log::{TableLog, LOG_ZERO};
 use coopmc_kernels::telemetry::PgTelemetry;
 
@@ -128,15 +128,17 @@ fn quantizer_checks(findings: &mut Vec<Finding>) -> usize {
 
 /// Row isolation of the batched PG pass: `evaluate_log_score_rows_into`
 /// on the CLI default datapath runs DyNorm row by row on bus words, then
-/// one distance read across row boundaries. The check is a
-/// bounded-exhaustive differential — every row of a batch must be
-/// bit-identical to that row evaluated alone on the `f64` reference
+/// reads every row's ROM codes and their total in one pass per row. The
+/// check is a bounded-exhaustive differential — every row of a batch must
+/// be bit-identical to that row evaluated alone on the `f64` reference
 /// datapath (the same ROM as a `TableExp::with_range` table, which has no
 /// distance address), across a grid of score patterns and row widths and
-/// a stride that reads every ROM address, and each row's codes must be
-/// those reference probabilities times `2^bit_lut`, the exact integer form
-/// SD sums (a `row-codes` finding otherwise). This is deliberately labeled
-/// a check, not a bit-level theorem.
+/// a stride that reads every ROM address: its codes must be the reference
+/// probabilities times `2^bit_lut` (a `row-isolation` finding otherwise),
+/// and its total must be the sum of those codes, the exact integer total
+/// SD draws with, with no `f64` probability written beside them (a
+/// `row-codes` finding otherwise). This is deliberately labeled a check,
+/// not a bit-level theorem.
 fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
     let datapath = |exp| LogFusion::new(TableLog::new(64, 8), exp, QFormat::baseline32());
     let fusion = datapath(TableExp::new(64, 8));
@@ -148,10 +150,9 @@ fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
         &[-1.0, -1.0, -1.0, -1.0],
         &[LOG_ZERO, -15.99, -16.0, f64::NAN],
     ];
-    let (mut words, mut probs, mut alone, mut ops) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let (mut codes, mut no_codes) = (Vec::new(), Vec::new());
-    let scale = fusion.code_bits().map(|bits| (1u64 << bits) as f64);
+    let (mut stage, mut probs, mut alone, mut ops) =
+        (RowCodes::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut reference_stage = RowCodes::new();
     let mut strides: Vec<Vec<&[f64]>> = [2usize, 4]
         .iter()
         .flat_map(|&width| {
@@ -170,64 +171,64 @@ fn row_isolation_checks(findings: &mut Vec<Finding>) -> usize {
         fusion.evaluate_log_score_rows_into(
             &batch,
             width,
-            &mut words,
+            &mut stage,
             &mut probs,
-            &mut codes,
             &mut ops,
             &mut telemetry,
             None,
         );
+        let (codes, totals, bits) = stage.codes().unwrap_or((&[], &[], 0));
+        let scale = (1u64 << bits) as f64;
         for (row, pat) in stride.iter().enumerate() {
             let mut telemetry = PgTelemetry::new();
             reference.evaluate_log_score_rows_into(
                 pat,
                 width,
-                &mut words,
+                &mut reference_stage,
                 &mut alone,
-                &mut no_codes,
                 &mut ops,
                 &mut telemetry,
                 None,
             );
-            let got = &probs[row * width..(row + 1) * width];
-            if got
-                .iter()
-                .zip(&alone)
-                .any(|(g, w)| g.to_bits() != w.to_bits())
+            let got = codes.get(row * width..(row + 1) * width).unwrap_or(&[]);
+            let images: Vec<f64> = got.iter().map(|&c| c as f64 / scale).collect();
+            if images.len() != width
+                || images
+                    .iter()
+                    .zip(&alone)
+                    .any(|(g, w)| g.to_bits() != w.to_bits())
             {
                 findings.push(Finding {
                     severity: Severity::Error,
                     check: "row-isolation".into(),
                     message: format!(
-                        "evaluate_log_score_rows_into: row {row} of a {rows}×{width} batch \
-                         diverges from that row evaluated alone on the f64 reference datapath"
+                        "evaluate_log_score_rows_into: the codes of row {row} of a {rows}×{width} \
+                         batch are not that row's probabilities on the f64 reference datapath \
+                         times 2^bit_lut"
                     ),
-                    provenance: vec![format!("batch row: {got:?}"), format!("alone: {alone:?}")],
+                    provenance: vec![
+                        format!("batch row codes: {got:?} at {bits} bits"),
+                        format!("alone: {alone:?}"),
+                    ],
                     bound: None,
                     limit: None,
                 });
                 return 1;
             }
-            let row_codes = codes.get(row * width..(row + 1) * width).unwrap_or(&[]);
-            let exact = |scale| {
-                row_codes.len() == width
-                    && row_codes
-                        .iter()
-                        .zip(&alone)
-                        .all(|(&c, &w)| c as f64 == w * scale)
-            };
-            if !scale.is_some_and(exact) {
+            let total = totals.get(row).copied();
+            let want = alone.iter().map(|&w| (w * scale) as u64).sum::<u64>();
+            if total != Some(want) || !probs.is_empty() {
                 findings.push(Finding {
                     severity: Severity::Error,
                     check: "row-codes".into(),
                     message: format!(
-                        "evaluate_log_score_rows_into: the codes of row {row} of a \
-                         {rows}×{width} batch are not that row's f64 reference \
-                         probabilities times 2^bit_lut"
+                        "evaluate_log_score_rows_into: row {row} of a {rows}×{width} batch \
+                         hands SD the total {total:?}, not its codes' sum {want}, or writes \
+                         f64 probabilities beside its codes"
                     ),
                     provenance: vec![
-                        format!("batch row codes: {row_codes:?}"),
-                        format!("alone: {alone:?}"),
+                        format!("batch row codes: {got:?}"),
+                        format!("f64 probabilities written: {}", probs.len()),
                     ],
                     bound: None,
                     limit: None,
@@ -247,7 +248,8 @@ type CountRow = (Vec<u32>, usize, Vec<(f64, u32)>);
 /// `evaluate_count_rows_into`, which reads each factor's log word from a
 /// table by count, and their `f64` images (each count plus its column's
 /// constant) through `evaluate_factor_rows_into`. Every probability,
-/// code, op tally and telemetry value must agree bit for bit, on the CLI
+/// code, row total, op tally and telemetry value must agree bit for bit,
+/// on the CLI
 /// default (64x8: bus tables and the word finish) and on configurations
 /// without bus tables (64x20: float log reads and the word finish; 100x8:
 /// float log reads and the `f64` finish). The strides hold LDA-shaped
@@ -302,8 +304,7 @@ fn count_word_checks(findings: &mut Vec<Finding>) -> usize {
         .collect();
     strides.extend([1, 16].map(|width| (width, edges(width).to_vec())));
     let mut tables = CountTables::new();
-    let (mut words, mut probs, mut codes, mut ops) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut stage, mut probs, mut ops) = (RowCodes::new(), Vec::new(), Vec::new());
     for (name, fusion) in &configs {
         for (width, rows) in &strides {
             let count_rows = rows
@@ -314,14 +315,13 @@ fn count_word_checks(findings: &mut Vec<Finding>) -> usize {
                 count_rows,
                 *width,
                 &mut tables,
-                &mut words,
+                &mut stage,
                 &mut probs,
-                &mut codes,
                 &mut ops,
                 &mut telemetry,
                 None,
             );
-            let got = outputs(&probs, &codes, &ops, &telemetry);
+            let got = outputs(&probs, &stage, &ops, &telemetry);
             let images: Vec<(Vec<f64>, Vec<f64>)> =
                 rows.iter()
                     .map(|(counts, n, columns)| {
@@ -337,14 +337,13 @@ fn count_word_checks(findings: &mut Vec<Finding>) -> usize {
             fusion.evaluate_factor_rows_into(
                 images.iter().map(|(n, d)| (&n[..], &d[..])),
                 *width,
-                &mut words,
+                &mut stage,
                 &mut probs,
-                &mut codes,
                 &mut ops,
                 &mut telemetry,
                 None,
             );
-            let want = outputs(&probs, &codes, &ops, &telemetry);
+            let want = outputs(&probs, &stage, &ops, &telemetry);
             if got != want {
                 findings.push(Finding {
                     severity: Severity::Error,
@@ -365,18 +364,22 @@ fn count_word_checks(findings: &mut Vec<Finding>) -> usize {
     1
 }
 
-/// An evaluation's outputs as bits: probabilities, codes, op tallies and
-/// telemetry.
+/// An evaluation's codes, each row's total and their fraction bits.
+type Codes = Option<(Vec<u64>, Vec<u64>, u32)>;
+
+/// An evaluation's outputs as bits: probabilities, codes with their row
+/// totals, op tallies and telemetry.
 fn outputs(
     probs: &[f64],
-    codes: &[u64],
+    stage: &RowCodes,
     ops: &[OpCounts],
     telemetry: &PgTelemetry,
-) -> (Vec<u64>, Vec<u64>, Vec<OpCounts>, [Option<u64>; 3]) {
+) -> (Vec<u64>, Codes, Vec<OpCounts>, [Option<u64>; 3]) {
     let t = telemetry;
+    let codes = stage.codes();
     (
         probs.iter().map(|p| p.to_bits()).collect(),
-        codes.to_vec(),
+        codes.map(|(codes, totals, bits)| (codes.to_vec(), totals.to_vec(), bits)),
         ops.to_vec(),
         [t.norm_max, t.exp_in_min, t.exp_in_max].map(|v| v.map(f64::to_bits)),
     )

@@ -11,6 +11,8 @@
 //! whether evaluated row-by-row through the `LabelScore` wrapper
 //! `generate_into`, in one `generate_batch_into` call, or in place with
 //! `generate_rows_into`, with the stage accumulator detached or attached.
+//! Where a datapath reads its ROM on bus words, the probabilities a stride
+//! hands SD are its codes' exact images.
 
 use coopmc_analyze::contracts::in_tree_configs;
 use coopmc_core::pipeline::{CoopMcPipeline, PgBatch, PgOutput, ProbabilityPipeline};
@@ -119,8 +121,10 @@ fn stale(out: &mut PgBatch) {
 
 /// Evaluate the width-`width` rows of `scores` / `stride` (one input in
 /// two forms) through both stride entry points into each of `outs`, and
-/// require the row-by-row `generate_into` result bit for bit: probs,
-/// per-row ops and merged telemetry.
+/// require the row-by-row `generate_into` result bit for bit: the
+/// probabilities SD reads (the codes' images on bus words), per-row ops
+/// and merged telemetry, and from `generate_batch_into` the same
+/// probabilities in `probs`.
 fn assert_rows_bit_exact(
     pipeline: &CoopMcPipeline,
     (scores, stride): &(Vec<LabelScore>, ScoreRows),
@@ -138,7 +142,8 @@ fn assert_rows_bit_exact(
     }
     let check = |out: &PgBatch, path: &str, attached: bool| {
         let at = format!("{path} (phases attached: {attached}): {what}");
-        assert_eq!(out.probs, probs, "probs diverge: {at}");
+        let images: Vec<f64> = out.weights().images().collect();
+        assert_eq!(images, probs, "probs diverge: {at}");
         assert_eq!(out.ops, ops, "ops diverge: {at}");
         assert_eq!(out.telemetry, merged, "telemetry diverges: {at}");
         assert_eq!(out.phases.is_some(), attached, "{at}");
@@ -148,6 +153,7 @@ fn assert_rows_bit_exact(
         stale(out);
         pipeline.generate_batch_into(scores, width, out);
         check(out, "generate_batch_into", attached);
+        assert_eq!(out.probs, probs, "generate_batch_into probs: {what}");
         stale(out);
         pipeline.generate_rows_into(stride, out);
         check(out, "generate_rows_into", attached);

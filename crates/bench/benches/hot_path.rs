@@ -81,7 +81,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let mut out = PgBatch::new();
     let m = h.run("pg/coopmc64x8/one_row", || {
         black_box(&coopmc).generate_rows_into(black_box(&row), &mut out);
-        out.probs[0]
+        out.weights().images().next()
     });
     rows.push(pg_row("coopmc64x8", "generate_into", &m));
 
@@ -97,7 +97,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let mut out = PgBatch::new();
     let m = h.run("pg/coopmc64x8/one_row/lda16", || {
         black_box(&coopmc).generate_rows_into(black_box(&token), &mut out);
-        out.probs[0]
+        out.weights().images().next()
     });
     rows.push(pg_row("coopmc64x8", "generate_into/lda16", &m));
 
@@ -109,7 +109,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
         let mut batch = PgBatch::new();
         let m = h.run(&format!("pg/coopmc64x8/stride/{batch_rows}"), || {
             black_box(&coopmc).generate_rows_into(black_box(&stride), &mut batch);
-            batch.probs[0]
+            batch.weights().images().next()
         });
         let api = format!("generate_batch_into/rows={batch_rows}");
         rows.push(pg_batch_row("coopmc64x8", &api, batch_rows, &m));
@@ -123,7 +123,7 @@ fn bench_pg(h: &Harness, rows: &mut Vec<String>) {
     let mut batch = PgBatch::new();
     let m = h.run("pg/coopmc64x8/stride/restore64", || {
         black_box(&coopmc).generate_rows_into(black_box(&restore_rows), &mut batch);
-        batch.probs[0]
+        batch.weights().images().next()
     });
     let api = "generate_log_rows_into/restore64";
     rows.push(pg_batch_row("coopmc64x8", api, stride, &m));

@@ -7,7 +7,7 @@ use coopmc_bench::harness::{black_box, Harness};
 use coopmc_fixed::QFormat;
 use coopmc_kernels::dynorm::dynorm_apply;
 use coopmc_kernels::exp::{ExpKernel, FixedExp, FloatExp, TableExp};
-use coopmc_kernels::fusion::{DirectDatapath, LogFusion};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion, RowCodes};
 use coopmc_kernels::log::TableLog;
 use coopmc_kernels::telemetry::PgTelemetry;
 
@@ -53,8 +53,8 @@ fn bench_factor_datapaths(h: &Harness) {
         TableExp::new(1024, 16),
         QFormat::baseline32(),
     );
-    let (mut work, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut codes, mut telemetry) = (Vec::new(), PgTelemetry::new());
+    let (mut stage, mut probs, mut ops) = (RowCodes::new(), Vec::new(), Vec::new());
+    let mut telemetry = PgTelemetry::new();
     h.run("factor_datapath/direct_mul_div", || {
         probs.clear();
         direct.evaluate_factors_into(black_box(row), width, &mut probs)
@@ -63,9 +63,8 @@ fn bench_factor_datapaths(h: &Harness) {
         fused.evaluate_factor_rows_into(
             black_box([row]),
             width,
-            &mut work,
+            &mut stage,
             &mut probs,
-            &mut codes,
             &mut ops,
             &mut telemetry,
             None,

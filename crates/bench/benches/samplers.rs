@@ -35,14 +35,15 @@ fn bench_samplers(h: &Harness) {
             s.sample_into(black_box(&probs), &mut rng, &mut scratch)
         });
 
-        // the same weights carried as integer codes with 0 fraction bits:
-        // the exact integer total and code-unit scan a ROM row draws
-        // through, the same for every CDF-inversion sampler
+        // the same weights carried as integer codes with 0 fraction bits
+        // and their total: the code-unit scan a ROM row draws through, the
+        // same for every CDF-inversion sampler
         if matches!(n, 16 | 64) {
             let codes: Vec<u64> = (1..=n as u64).collect();
+            let total = [codes.iter().sum::<u64>()];
             let mut rng = SplitMix64::new(1);
             h.run(&format!("sampler_draw/tree_codes/{n}"), || {
-                let weights = Weights::with_codes(black_box(&probs), black_box(&codes), 0);
+                let weights = Weights::from_codes(black_box(&codes), black_box(&total), 0);
                 s.sample_into(weights, &mut rng, &mut scratch)
             });
         }

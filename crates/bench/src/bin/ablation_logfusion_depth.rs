@@ -4,10 +4,10 @@
 //! conversions, log-domain computation is still faster").
 
 use coopmc_bench::harness::{Cell, Report, Table};
-use coopmc_fixed::QFormat;
+use coopmc_fixed::{unsigned_resolution, QFormat};
 use coopmc_kernels::cost::{ADD_CYCLES, DIV_CYCLES, LUT_CYCLES, MUL_CYCLES};
 use coopmc_kernels::exp::TableExp;
-use coopmc_kernels::fusion::{DirectDatapath, LogFusion};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion, RowCodes};
 use coopmc_kernels::log::TableLog;
 use coopmc_kernels::telemetry::PgTelemetry;
 
@@ -46,21 +46,15 @@ fn main() {
             },
             &[0.7][..],
         );
-        let (mut dval, mut work, mut fval, mut codes, mut ops) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut dval, mut stage, mut probs, mut ops) =
+            (Vec::new(), RowCodes::new(), Vec::new(), Vec::new());
         direct.evaluate_factors_into(row, 1, &mut dval);
         let tel = &mut PgTelemetry::new();
-        fusion.evaluate_factor_rows_into(
-            [row],
-            1,
-            &mut work,
-            &mut fval,
-            &mut codes,
-            &mut ops,
-            tel,
-            None,
-        );
-        let (dval, fval) = (dval[0], fval[0]);
+        fusion.evaluate_factor_rows_into([row], 1, &mut stage, &mut probs, &mut ops, tel, None);
+        // The fused datapath runs on bus words: its value is the ROM
+        // code's exact image.
+        let (codes, _, bits) = stage.codes().expect("a word-path datapath");
+        let (dval, fval) = (dval[0], codes[0] as f64 * unsigned_resolution(bits));
         table.row(vec![
             Cell::int(depth as i64),
             Cell::int(direct_cycles as i64),

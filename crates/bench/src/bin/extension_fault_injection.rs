@@ -32,17 +32,21 @@ fn run_with_faults(
     let sampler = TreeSampler::new();
     let mut rng = SplitMix64::new(seeds::CHAIN);
     let mut fault_rng = SplitMix64::new(seeds::CHAIN ^ 0xFA17);
-    let (mut rows, mut pg) = (ScoreRows::new(), PgBatch::new());
+    let (mut rows, mut pg, mut probs) = (ScoreRows::new(), PgBatch::new(), Vec::new());
     let mut tail = Vec::new();
     for sweep in 0..30 {
         for var in 0..model.num_variables() {
             rows.clear();
             model.row_into(var, &mut rows);
             pipeline.generate_rows_into(&rows, &mut pg);
+            // The ProbReg holds the row's probabilities: the ROM codes'
+            // exact images.
+            probs.clear();
+            probs.extend(pg.weights().images());
             if let Some(inj) = &injector {
-                inj.corrupt_vector(&mut pg.probs, &mut fault_rng);
+                inj.corrupt_vector(&mut probs, &mut fault_rng);
             }
-            let label = sampler.sample(&pg.probs, &mut rng).label;
+            let label = sampler.sample(&probs, &mut rng).label;
             model.update(var, label);
         }
         if sweep >= 22 {

@@ -25,10 +25,10 @@ pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &
         model.row_into(var, &mut rows);
         pipeline.generate_rows_into(&rows, &mut pg);
         let best = pg
-            .probs
-            .iter()
+            .weights()
+            .images()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .map(|(i, _)| i)
             .unwrap_or(model.label(var));
         if best != model.label(var) {

@@ -31,7 +31,7 @@ pub trait ExpKernel {
     /// bits address it ([`DistanceRom`]). `None`, the default, means the
     /// kernel has no such address: its inputs go through
     /// [`ExpKernel::exp`] as `f64`.
-    fn distance_rom(&self, frac_bits: u32) -> Option<DistanceRom<'_>> {
+    fn distance_rom(&self, frac_bits: u32) -> Option<DistanceRom> {
         let _ = frac_bits;
         None
     }
@@ -149,8 +149,6 @@ impl ExpKernel for FixedExp {
 pub struct TableExp {
     /// The ROM's `size_lut` entries, then the flush code's zero.
     entries: Vec<f64>,
-    /// The same ROM as integer codes, `entry · 2^bit_lut`.
-    codes: Vec<u64>,
     step: f64,
     bit_lut: u32,
     /// `log2(step_lut)` for a [`TableExp::new`] table of power-of-two
@@ -193,13 +191,8 @@ impl TableExp {
             .map(|k| quantize_unsigned((-(k as f64) * step).exp(), bit_lut, max_raw))
             .chain([0.0])
             .collect();
-        let codes = entries
-            .iter()
-            .map(|&e| (e * max_raw as f64) as u64)
-            .collect();
         Self {
             entries,
-            codes,
             step,
             bit_lut,
             step_log2: None,
@@ -306,69 +299,69 @@ impl ExpKernel for TableExp {
         "table-exp"
     }
 
-    fn distance_rom(&self, frac_bits: u32) -> Option<DistanceRom<'_>> {
+    fn distance_rom(&self, frac_bits: u32) -> Option<DistanceRom> {
         // k = ⌊d·2^-f / 2^s⌋ = d >> (f + s) while f + s is non-negative.
         let shift = u32::try_from(frac_bits as i32 + self.step_log2?).ok()?;
-        (shift < u64::BITS).then_some(DistanceRom {
-            entries: &self.entries,
-            codes: &self.codes,
+        let scale = (1u64 << self.bit_lut) as f64;
+        (shift < u64::BITS).then(|| DistanceRom {
+            codes: self.entries.iter().map(|&e| (e * scale) as u64).collect(),
             shift,
             code_bits: self.bit_lut,
         })
     }
 }
 
-/// A [`TableExp`] ROM addressed by DyNorm distance words (§III-B).
+/// A [`TableExp`] ROM addressed by DyNorm distance words (§III-B), holding
+/// each entry as the integer code the ROM outputs in hardware.
 ///
 /// After DyNorm every bus word `w` of a row sits `d = max − w ≥ 0` words
 /// below the row's maximum, and its exp input is `−d·2^−f` on a bus with
 /// `f` fraction bits. With `step_lut = 2^s`, the paper's address
 /// `k = ⌊−x/step_lut⌋` is then `d >> (f + s)`, and the read is
 /// `ROM[min(k, size_lut)]`, where address `size_lut` is the flush code
-/// that reads zero. That is the entry [`ExpKernel::exp`] reads for the
-/// input `−d·2^−f`, bit for bit, wherever `d` is exact in `f64`.
-///
-/// Each read also yields the entry's integer code, `entry · 2^code_bits`:
-/// the word the ROM outputs in hardware, which SD can sum exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct DistanceRom<'a> {
-    /// `size_lut` entries, then the flush code's zero.
-    entries: &'a [f64],
-    /// The entries as integer codes, flush slot included.
-    codes: &'a [u64],
+/// that reads zero. A code is its entry times `2^code_bits`, so its image
+/// `code · 2^-code_bits` is the entry [`ExpKernel::exp`] reads for the
+/// input `−d·2^−f`, bit for bit, wherever `d` is exact in `f64`; SD sums
+/// the codes exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistanceRom {
+    /// The entries' codes, then the flush code's zero.
+    codes: Vec<u64>,
     /// Right shift from a distance word to a ROM address.
     shift: u32,
     /// Fraction bits of the codes (the table's `bit_lut`).
     code_bits: u32,
 }
 
-impl DistanceRom<'_> {
-    /// Fraction bits of the codes [`DistanceRom::read_into`] writes:
-    /// `probs[i] == codes[i] · 2^-code_bits`.
+impl DistanceRom {
+    /// Fraction bits of the codes [`DistanceRom::read_row`] writes.
     pub(crate) fn code_bits(&self) -> u32 {
         self.code_bits
     }
 
-    /// Read the ROM at every distance word: `probs[i]` is the entry at
-    /// `min(distances[i] >> shift, size_lut)`, zero at the flush code, and
-    /// `codes[i]` its integer code. Distances must be non-negative.
+    /// Read one row's codes straight from its bus words: `codes[i]` is the
+    /// code at `min((hi − words[i]) >> shift, size_lut)`, zero at the flush
+    /// code, where `hi` is the row's maximum word. Returns the codes' sum,
+    /// which wraps only for rows too wide to sum exactly in `f64` anyway.
     ///
     /// # Panics
     ///
-    /// Panics unless `probs` and `codes` are as long as `distances`.
-    pub(crate) fn read_into(&self, distances: &[i64], probs: &mut [f64], codes: &mut [u64]) {
-        assert!(
-            probs.len() == distances.len() && codes.len() == distances.len(),
-            "a distance read requires matching input/output lengths"
+    /// Panics unless `codes` is as long as `words`.
+    #[inline]
+    pub(crate) fn read_row(&self, words: &[i64], hi: i64, codes: &mut [u64]) -> u64 {
+        assert_eq!(
+            codes.len(),
+            words.len(),
+            "a row read requires matching input/output lengths"
         );
-        let flush = self.entries.len() - 1;
-        let (entries, rom_codes) = (&self.entries[..=flush], &self.codes[..=flush]);
-        let outs = probs.iter_mut().zip(codes.iter_mut());
-        for ((p, c), &d) in outs.zip(distances) {
-            let k = (d as u64 >> self.shift).min(flush as u64) as usize;
-            *p = entries[k];
-            *c = rom_codes[k];
+        let flush = self.codes.len() - 1;
+        let rom = &self.codes[..=flush];
+        let mut total = 0u64;
+        for (c, &w) in codes.iter_mut().zip(words) {
+            *c = rom[((hi - w) as u64 >> self.shift).min(flush as u64) as usize];
+            total = total.wrapping_add(*c);
         }
+        total
     }
 }
 
@@ -515,22 +508,25 @@ mod tests {
         (-d) as f64 / (1i64 << BUS_FRAC) as f64
     }
 
-    /// Read `distances` through `t`'s distance ROM and require, word by
-    /// word, the entry [`ExpKernel::exp`] reads for the dequantized input,
-    /// and a code that is that entry times `2^bit_lut`.
+    /// Read `distances` through `t`'s distance ROM, as one row of words
+    /// that far below its maximum, and require, word by word, a code that
+    /// is the entry [`ExpKernel::exp`] reads for the dequantized input
+    /// times `2^bit_lut`, and the codes' sum as the row's total.
     fn assert_reads_match_exp(t: &TableExp, distances: &[i64]) {
         let rom = t.distance_rom(BUS_FRAC).expect("a distance address");
-        let mut out = vec![f64::MAX; distances.len()];
+        let hi = 3 << 40;
+        let words: Vec<i64> = distances.iter().map(|&d| hi - d).collect();
         let mut codes = vec![u64::MAX; distances.len()];
-        rom.read_into(distances, &mut out, &mut codes);
+        let total = rom.read_row(&words, hi, &mut codes);
         let scale = (1u64 << rom.code_bits()) as f64;
         assert_eq!(rom.code_bits(), t.bit_lut());
-        for ((&d, &y), &c) in distances.iter().zip(&out).zip(&codes) {
+        for (&d, &c) in distances.iter().zip(&codes) {
             let want = t.exp(dequantized(d));
             let size = t.size_lut();
-            assert_eq!(y.to_bits(), want.to_bits(), "size {size} distance {d}");
-            assert_eq!(c as f64, want * scale, "size {size} distance {d}");
+            let image = c as f64 / scale;
+            assert_eq!(image.to_bits(), want.to_bits(), "size {size} distance {d}");
         }
+        assert_eq!(total, codes.iter().sum::<u64>(), "size {}", t.size_lut());
     }
 
     /// Distances exercising every address regime: zero, one word either
@@ -590,7 +586,7 @@ mod tests {
     fn exp_batch_handles_empty_and_sub_lane_batches() {
         let t = TableExp::new(64, 8);
         let rom = t.distance_rom(BUS_FRAC).unwrap();
-        rom.read_into(&[], &mut [], &mut []);
+        assert_eq!(rom.read_row(&[], 0, &mut []), 0);
         assert_reads_match_exp(&t, &[65536, 131072, 196608]);
     }
 
@@ -598,10 +594,9 @@ mod tests {
     #[should_panic(expected = "matching input/output lengths")]
     fn exp_batch_rejects_length_mismatch() {
         let t = TableExp::new(64, 8);
-        let mut out = [0.0; 2];
         t.distance_rom(BUS_FRAC)
             .unwrap()
-            .read_into(&[65536], &mut out, &mut [0; 2]);
+            .read_row(&[65536], 65536, &mut [0; 2]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use coopmc_fixed::QFormat;
 use coopmc_kernels::dynorm::{dynorm_apply, NormTree};
 use coopmc_kernels::exp::{ExpKernel, FixedExp, FloatExp, TableExp};
-use coopmc_kernels::fusion::{DirectDatapath, LogFusion};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion, RowCodes};
 use coopmc_kernels::log::{FloatLog, LogKernel, TableLog};
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_testkit::{check, Gen};
@@ -104,14 +104,13 @@ fn fusion_preserves_ratios() {
             FloatExp::new(),
             QFormat::new(15, 30).unwrap(),
         );
-        let (mut work, mut probs, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut out, mut probs, mut ops) = (RowCodes::new(), Vec::new(), Vec::new());
         let tel = &mut PgTelemetry::new();
         fusion.evaluate_factor_rows_into(
             [(&ps[..], &[][..])],
             ps.len(),
-            &mut work,
+            &mut out,
             &mut probs,
-            &mut Vec::new(),
             &mut ops,
             tel,
             None,
@@ -188,7 +187,7 @@ fn direct_and_fused_agree_on_argmax() {
             ps.len(),
             &mut direct,
         );
-        let (mut work, mut fused, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut out, mut probs, mut ops) = (RowCodes::new(), Vec::new(), Vec::new());
         LogFusion::new(
             TableLog::new(1024, 24),
             TableExp::new(1024, 24),
@@ -197,13 +196,20 @@ fn direct_and_fused_agree_on_argmax() {
         .evaluate_factor_rows_into(
             [row],
             ps.len(),
-            &mut work,
-            &mut fused,
-            &mut Vec::new(),
+            &mut out,
+            &mut probs,
             &mut ops,
             &mut PgTelemetry::new(),
             None,
         );
+        // The datapath runs on bus words: the codes' images are its
+        // probabilities.
+        let (codes, _, bits) = out.codes().expect("a word-path row");
+        assert!(probs.is_empty());
+        let fused: Vec<f64> = codes
+            .iter()
+            .map(|&c| c as f64 / (1u64 << bits) as f64)
+            .collect();
         let argmax = |v: &[f64]| {
             v.iter()
                 .enumerate()

@@ -375,7 +375,10 @@ impl ChainHealth {
         }
         debug_assert_eq!(self.chrono.len(), n);
 
-        self.record.ess = (n >= 4).then(|| windowed_ess(&self.chrono));
+        // The window's mean and population variance, which ESS and MCSE
+        // share.
+        let moments = (n >= 4).then(|| window_moments(&self.chrono));
+        self.record.ess = moments.map(|moments| windowed_ess(&self.chrono, moments));
         if n >= 8 {
             let split = split_rhat(&self.chrono);
             self.record.rhat_split = split.is_finite().then_some(split);
@@ -388,17 +391,8 @@ impl ChainHealth {
             self.record.rhat = None;
             self.record.rhat_split = None;
         }
-        self.record.mcse = match self.record.ess {
-            Some(ess) if ess > 0.0 => {
-                let wmean = self.chrono.iter().sum::<f64>() / n as f64;
-                let wvar = self
-                    .chrono
-                    .iter()
-                    .map(|&x| (x - wmean).powi(2))
-                    .sum::<f64>()
-                    / n as f64;
-                Some((wvar / ess).sqrt())
-            }
+        self.record.mcse = match (self.record.ess, moments) {
+            (Some(ess), Some((_, var))) if ess > 0.0 => Some((var / ess).sqrt()),
             _ => None,
         };
     }
@@ -444,21 +438,28 @@ impl ChainHealth {
     }
 }
 
+/// A window's mean and population variance.
+fn window_moments(series: &[f64]) -> (f64, f64) {
+    let n = series.len() as f64;
+    let mean = series.iter().sum::<f64>() / n;
+    let var = series.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / n;
+    (mean, var)
+}
+
 /// Windowed effective sample size: the `effective_sample_size` estimator of
 /// `coopmc_models::diagnostics` (initial-positive pair sums) with Geyer's
 /// *initial-monotone* strengthening — each pair sum is additionally clamped
 /// to be no larger than its predecessor. For series whose autocorrelation
 /// decays monotonically the two truncations agree exactly (a unit test
-/// pins that). Result is capped at `n`.
+/// pins that). Result is capped at `n`. `(mean, var)` are the series'
+/// [`window_moments`].
 ///
 /// # Panics
 ///
 /// Panics on series shorter than 4 samples.
-fn windowed_ess(series: &[f64]) -> f64 {
+fn windowed_ess(series: &[f64], (mean, var): (f64, f64)) -> f64 {
     let n = series.len();
     assert!(n >= 4, "series must have at least 4 samples");
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let var = series.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / n as f64;
     if var == 0.0 {
         // A constant window carries one effective observation.
         return 1.0;
@@ -775,7 +776,7 @@ mod tests {
     fn windowed_ess_matches_full_series_estimator_when_window_covers_it() {
         let series = ar1_series(200, 0.8, 42);
         let old = effective_sample_size(&series);
-        let new = windowed_ess(&series);
+        let new = windowed_ess(&series, window_moments(&series));
         assert!(
             (old - new).abs() < 1e-9,
             "windowed {new} vs full-series {old}"
@@ -783,7 +784,7 @@ mod tests {
         // Sticky chains keep a small ESS, iid-ish chains a large one.
         assert!(new < 100.0, "AR(0.8) ESS must be well below n: {new}");
         let iid = ar1_series(200, 0.0, 7);
-        assert!(windowed_ess(&iid) > 100.0);
+        assert!(windowed_ess(&iid, window_moments(&iid)) > 100.0);
     }
 
     #[test]

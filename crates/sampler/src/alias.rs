@@ -32,20 +32,20 @@ pub(crate) struct Vose {
 }
 
 impl Vose {
-    /// Fill the table over `probs`, whose total mass `total` is positive,
-    /// in `O(N)`.
-    fn build(&mut self, probs: &[f64], total: f64) -> &AliasTable {
+    /// Fill the table over `weights` (their `f64` images, for codes), whose
+    /// total mass `total` is positive, in `O(N)`.
+    fn build(&mut self, weights: Weights<'_>, total: f64) -> &AliasTable {
         let Self {
             table,
             small,
             large,
         } = self;
-        let n = probs.len();
+        let n = weights.len();
         // The scaled weights are the work values; a column's value is final
         // once it leaves the small list.
         let work = &mut table.prob;
         work.clear();
-        work.extend(probs.iter().map(|&p| p * n as f64 / total));
+        work.extend(weights.images().map(|p| p * n as f64 / total));
         table.alias.clear();
         table.alias.resize(n, 0);
         small.clear();
@@ -88,7 +88,7 @@ impl AliasTable {
         let total = validate(probs);
         assert!(total > 0.0, "alias table needs positive total mass");
         let mut vose = Vose::default();
-        vose.build(probs, total);
+        vose.build(probs.into(), total);
         vose.table
     }
 
@@ -151,7 +151,8 @@ impl Sampler for AliasSampler {
         SequentialSampler.select(probs, t, scratch)
     }
 
-    /// Build the table in `scratch`, then draw from it.
+    /// Build the table in `scratch` from the weights, codes as their
+    /// images, then draw from it.
     fn draw(
         &self,
         weights: Weights<'_>,
@@ -159,7 +160,7 @@ impl Sampler for AliasSampler {
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
     ) -> usize {
-        scratch.vose.build(weights.probs(), total).sample(rng)
+        scratch.vose.build(weights, total).sample(rng)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {

@@ -107,7 +107,8 @@ fn pg_to_sampler_structural_path() {
             image, probs,
             "{labels} labels: PG outputs sit on the 2^-8 grid"
         );
-        let weights = Weights::with_codes(&probs, &codes, 8);
+        let total = [codes.iter().sum::<u64>()];
+        let weights = Weights::from_codes(&codes, &total, 8);
         assert!(weights.codes().is_some(), "{labels} labels");
         let total: f64 = probs.iter().sum();
         let mut sampler = TreeSamplerCircuit::new(labels);
