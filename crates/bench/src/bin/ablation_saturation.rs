@@ -16,7 +16,6 @@ use coopmc_fixed::{Fixed, QFormat, Rounding};
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::dynorm::dynorm_apply;
 use coopmc_kernels::exp::{ExpKernel, TableExp};
-use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::metrics::normalized_mse;
 use coopmc_models::mrf::image_restoration;
 use coopmc_models::{GibbsModel, ScoreRows};
@@ -69,9 +68,7 @@ impl NarrowAccPipeline {
 
 impl ProbabilityPipeline for NarrowAccPipeline {
     fn generate_rows_into(&self, rows: &ScoreRows, out: &mut PgBatch) {
-        out.probs.clear();
-        out.ops.clear();
-        out.telemetry = PgTelemetry::new();
+        out.clear();
         let logs = rows.logs().expect("the ablation runs log-domain MRF rows");
         for row in logs.chunks_exact(rows.width().max(1)) {
             let mut log_scores: Vec<f64> = row.iter().map(|&v| self.accumulate(v)).collect();
