@@ -1,7 +1,26 @@
 //! End-to-end tests of the `coopmc-verify` gate binary: exit codes and
 //! diagnostics, exactly as CI consumes them.
+//!
+//! The `--json` and `--demo-broken --json` reports are pinned byte for byte
+//! by the goldens under `tests/golden/`. Regenerate them with
+//! `COOPMC_BLESS=1 cargo test -p coopmc-analyze --test gate`.
 
+use std::path::PathBuf;
 use std::process::Command;
+
+use coopmc_testkit::assert_golden;
+
+/// Run the gate binary with `args` and compare its stdout with the golden
+/// `name`.
+fn assert_report_golden(args: &[&str], name: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_coopmc-verify"))
+        .args(args)
+        .output()
+        .expect("run coopmc-verify");
+    let stdout = String::from_utf8(out.stdout).expect("the report is UTF-8");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    assert_golden(&dir, name, &stdout);
+}
 
 #[test]
 fn gate_passes_on_the_current_tree() {
@@ -40,6 +59,19 @@ fn gate_emits_structured_json_for_ci() {
             "missing section {title} in JSON output"
         );
     }
+}
+
+#[test]
+fn json_report_matches_its_golden() {
+    assert_report_golden(&["--json"], "coopmc-verify.json");
+}
+
+#[test]
+fn broken_json_report_matches_its_golden() {
+    assert_report_golden(
+        &["--demo-broken", "--json"],
+        "coopmc-verify-demo-broken.json",
+    );
 }
 
 #[test]

@@ -11,49 +11,31 @@ use std::rc::Rc;
 
 use coopmc_sim::circuits::{NormTreeCircuit, PgCoreCircuit, TreeSamplerCircuit};
 use coopmc_sim::{CircuitDescriptor, DescriptorBuilder, LutSpec, Netlist};
-use coopmc_testkit::{check, Gen};
+use coopmc_testkit::{assert_golden, check, Gen};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Compare `rendered` against the committed golden, or rewrite it when
-/// `COOPMC_BLESS` is set.
-fn assert_golden(name: &str, rendered: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var("COOPMC_BLESS").is_ok() {
-        std::fs::create_dir_all(golden_dir()).expect("golden dir");
-        std::fs::write(&path, rendered).expect("bless golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with COOPMC_BLESS=1", name));
-    assert_eq!(
-        rendered, want,
-        "schematic export for {name} drifted from its golden; \
-         rerun with COOPMC_BLESS=1 if the change is intentional"
-    );
-}
-
 #[test]
 fn norm_tree_schematic_matches_golden() {
     let d = NormTreeCircuit::new(4).descriptor().clone();
-    assert_golden("norm-tree-4.dot", &d.to_dot());
-    assert_golden("norm-tree-4.json", &d.to_json());
+    assert_golden(&golden_dir(), "norm-tree-4.dot", &d.to_dot());
+    assert_golden(&golden_dir(), "norm-tree-4.json", &d.to_json());
 }
 
 #[test]
 fn pg_core_schematic_matches_golden() {
     let d = PgCoreCircuit::new(2, 2, 16, 8).descriptor().clone();
-    assert_golden("pg-core-2x2-16x8.dot", &d.to_dot());
-    assert_golden("pg-core-2x2-16x8.json", &d.to_json());
+    assert_golden(&golden_dir(), "pg-core-2x2-16x8.dot", &d.to_dot());
+    assert_golden(&golden_dir(), "pg-core-2x2-16x8.json", &d.to_json());
 }
 
 #[test]
 fn tree_sampler_schematic_matches_golden() {
     let d = TreeSamplerCircuit::new(4).descriptor().clone();
-    assert_golden("tree-sampler-4.dot", &d.to_dot());
-    assert_golden("tree-sampler-4.json", &d.to_json());
+    assert_golden(&golden_dir(), "tree-sampler-4.dot", &d.to_dot());
+    assert_golden(&golden_dir(), "tree-sampler-4.json", &d.to_json());
 }
 
 /// A random netlist with random (possibly nested) descriptor brackets:

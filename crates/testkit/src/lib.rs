@@ -12,6 +12,9 @@
 //! are small by construction (callers bound their own sizes), and the
 //! printed seed replays the exact failing case.
 //!
+//! [`assert_golden`] pins a rendered artifact (a schematic, a report) byte
+//! for byte against a committed golden file.
+//!
 //! # Example
 //!
 //! ```
@@ -22,6 +25,8 @@
 //!     assert_eq!(a + b, b + a);
 //! });
 //! ```
+
+use std::path::Path;
 
 use coopmc_rng::{HwRng, SplitMix64};
 
@@ -143,6 +148,27 @@ pub fn check(name: &str, cases: usize, mut property: impl FnMut(&mut Gen)) {
 pub fn check_seeded(seed: u64, mut property: impl FnMut(&mut Gen)) {
     let mut g = Gen::new(seed);
     property(&mut g);
+}
+
+/// Compare `rendered` with the golden file `dir/name`, or rewrite that file
+/// when the `COOPMC_BLESS` environment variable is set.
+///
+/// # Panics
+///
+/// Panics when the golden is missing or differs from `rendered`.
+pub fn assert_golden(dir: &Path, name: &str, rendered: &str) {
+    let path = dir.join(name);
+    if std::env::var("COOPMC_BLESS").is_ok() {
+        std::fs::create_dir_all(dir).expect("golden dir");
+        std::fs::write(&path, rendered).expect("bless golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with COOPMC_BLESS=1"));
+    assert_eq!(
+        rendered, want,
+        "{name} drifted from its golden; rerun with COOPMC_BLESS=1 if the change is intentional"
+    );
 }
 
 /// Derive a decorrelated per-case seed from the property name and index.
