@@ -5,9 +5,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coopmc_kernels::cost::{
-    OpCounts, ADD_CYCLES, DIV_CYCLES, EXP_APPROX_CYCLES, LUT_CYCLES, MUL_CYCLES, TREE_LAYER_CYCLES,
-};
+use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::{GibbsModel, ScoreRows};
@@ -150,10 +148,8 @@ impl Tally {
     /// its wall time and its modeled cycles. One event per kernel keeps
     /// ring traffic proportional to chunks, not variables.
     ///
-    /// The cycle split mirrors how the fused PG datapath spends its op
-    /// tally: accumulator add/mul/div land in `pg.normalize`, NormTree
-    /// comparators in `pg.dynorm`, TableExp/TableLog lookups and
-    /// approximation-ALU calls in `pg.exp_batch` — together exactly
+    /// The PG kernels `pg.normalize`, `pg.dynorm` and `pg.exp_batch` carry
+    /// the op tally's [`OpCounts::stage_cycles`], whose sum is
     /// [`OpCounts::sequential_cycles`], so the ledger's modeled total
     /// matches the journal's `pg_cycles`. SD is the sampler's own latency
     /// tally and PU is [`PU_CYCLES`] per committed update, matching
@@ -162,24 +158,13 @@ impl Tally {
         if !rec.profiling() {
             return;
         }
-        let (ops, phases) = (&self.ops, &self.phases);
+        let phases = &self.phases;
+        let [normalize, dynorm, exp] = self.ops.stage_cycles();
         for (kernel, dur_ns, cycles) in [
             (Kernel::PgGather, self.gather_ns, 0),
-            (
-                Kernel::PgNormalize,
-                phases.normalize_ns,
-                ops.add * ADD_CYCLES + ops.mul * MUL_CYCLES + ops.div * DIV_CYCLES,
-            ),
-            (
-                Kernel::PgDynorm,
-                phases.dynorm_ns,
-                ops.cmp * TREE_LAYER_CYCLES,
-            ),
-            (
-                Kernel::PgExpBatch,
-                phases.exp_ns,
-                ops.lut * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
-            ),
+            (Kernel::PgNormalize, phases.normalize_ns, normalize),
+            (Kernel::PgDynorm, phases.dynorm_ns, dynorm),
+            (Kernel::PgExpBatch, phases.exp_ns, exp),
             (Kernel::SdSampleRows, self.sd_ns, self.sd_cycles),
             (Kernel::PuUpdate, self.pu_ns, PU_CYCLES * self.updates),
         ] {

@@ -88,16 +88,23 @@ impl OpCounts {
         Self::default()
     }
 
+    /// The tally's cycles per fused-PG stage, `[normalize, dynorm, exp]`:
+    /// accumulator add/mul/div, NormTree comparators, and TableExp/TableLog
+    /// lookups plus approximation-ALU calls.
+    pub fn stage_cycles(&self) -> [u64; 3] {
+        [
+            self.add * ADD_CYCLES + self.mul * MUL_CYCLES + self.div * DIV_CYCLES,
+            self.cmp * TREE_LAYER_CYCLES,
+            self.lut * LUT_CYCLES + self.approx * EXP_APPROX_CYCLES,
+        ]
+    }
+
     /// Total latency in cycles if every operation executed sequentially on a
     /// single shared ALU of each kind (the worst-case, used for the
-    /// software-model sanity checks; the hw crate models real pipelining).
+    /// software-model sanity checks; the hw crate models real pipelining):
+    /// the sum of [`OpCounts::stage_cycles`].
     pub fn sequential_cycles(&self) -> u64 {
-        self.add * ADD_CYCLES
-            + self.mul * MUL_CYCLES
-            + self.div * DIV_CYCLES
-            + self.lut * LUT_CYCLES
-            + self.approx * EXP_APPROX_CYCLES
-            + self.cmp * TREE_LAYER_CYCLES
+        self.stage_cycles().iter().sum()
     }
 
     /// Merge another tally into this one.
@@ -128,6 +135,26 @@ mod tests {
         assert_eq!(
             c.sequential_cycles(),
             2 * ADD_CYCLES + MUL_CYCLES + 3 * LUT_CYCLES
+        );
+    }
+
+    #[test]
+    fn stage_cycles_split_the_tally_by_pg_stage() {
+        let c = OpCounts {
+            add: 3,
+            mul: 2,
+            div: 1,
+            lut: 5,
+            approx: 4,
+            cmp: 7,
+        };
+        assert_eq!(
+            c.stage_cycles(),
+            [
+                3 * ADD_CYCLES + 2 * MUL_CYCLES + DIV_CYCLES,
+                7 * TREE_LAYER_CYCLES,
+                5 * LUT_CYCLES + 4 * EXP_APPROX_CYCLES,
+            ]
         );
     }
 
