@@ -13,7 +13,8 @@
 //!
 //! Errors live in `[0, +∞]` ordered by `≤`; every transfer function is
 //! monotone, so the register fixpoint is the same ascent the range analysis
-//! performs. Composition rules:
+//! performs, run by its interpreter ([`crate::netcheck`]). Composition
+//! rules:
 //!
 //! - `add`/`sub`: errors add (`|a±b − (a'±b')| ≤ e_a + e_b`).
 //! - `max`: errors max (`|max(a,b) − max(a',b')| ≤ max(e_a, e_b)`).
@@ -46,7 +47,7 @@ use coopmc_kernels::exp::TableExp;
 use coopmc_sim::{Component, Netlist, Wire};
 
 use crate::contracts::{ContractViolation, DatapathConfig};
-use crate::netcheck::{RangeAnalysis, Severity};
+use crate::netcheck::{application, interpret, Interpretation, RangeAnalysis, Severity};
 
 /// One named contribution to the end-to-end error budget.
 #[derive(Debug, Clone)]
@@ -351,57 +352,33 @@ impl LutKey {
 /// The per-wire worst-case errors of one netlist.
 #[derive(Debug)]
 pub struct ErrorAnalysis {
-    errors: Vec<f64>,
-    driver: Vec<Option<usize>>,
-    widened: bool,
+    state: Interpretation<f64>,
 }
 
 impl ErrorAnalysis {
     /// Sound upper bound on `|fixed wire value − reference value|`.
     pub fn error(&self, wire: Wire) -> f64 {
-        self.errors[wire]
+        self.state.values[wire]
     }
 
     /// True if the register error fixpoint did not converge and register
     /// errors were widened to `+∞`.
     pub fn widened(&self) -> bool {
-        self.widened
+        self.state.widened
     }
 
     /// Provenance trace for `wire`: the chain of driving components with
     /// their error bounds, innermost first, up to `depth` operand levels.
     pub fn provenance(&self, netlist: &Netlist, wire: Wire, depth: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut frontier = vec![wire];
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for w in frontier {
-                if !seen.insert(w) {
-                    continue;
-                }
-                match self.driver[w] {
-                    Some(c) => {
-                        let comp = &netlist.components()[c];
-                        let ops: Vec<String> =
-                            comp.operands().iter().map(|o| format!("w{o}")).collect();
-                        out.push(format!(
-                            "w{w} = {}({}) err ≤ {:.3e}",
-                            comp.label(),
-                            ops.join(", "),
-                            self.errors[w]
-                        ));
-                        next.extend(comp.operands());
-                    }
-                    None => out.push(format!("w{w} err ≤ {:.3e}", self.errors[w])),
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        out
+        self.state
+            .provenance(netlist, wire, depth, |w, comp| match comp {
+                Some(c) => format!(
+                    "w{w} = {} err ≤ {:.3e}",
+                    application(&c.label(), c),
+                    self.error(w)
+                ),
+                None => format!("w{w} err ≤ {:.3e}", self.error(w)),
+            })
     }
 }
 
@@ -439,96 +416,61 @@ fn table_exp_error(table: &TableExp, lo: f64, hi: f64, e_in: f64) -> f64 {
 /// input wire (e.g. one accumulator-grid rounding per quantized factor);
 /// undeclared inputs are exact. `lut_models` attaches [`LutErrorModel`]s by
 /// [`LutKey`] — ROM id or component index; undeclared LUTs propagate `+∞`.
+/// Register errors that still grow after
+/// [`crate::netcheck::MAX_PASSES`] passes are widened to `+∞`.
 pub fn analyze_errors(
     netlist: &Netlist,
     ranges: &RangeAnalysis,
     input_errors: &[(Wire, f64)],
     lut_models: &[(LutKey, LutErrorModel)],
-    max_iterations: usize,
 ) -> ErrorAnalysis {
-    let n = netlist.n_wires();
-    let mut err = vec![0.0f64; n];
+    let mut err = vec![0.0f64; netlist.n_wires()];
     for &(w, e) in input_errors {
         assert!(e >= 0.0, "input error bounds must be nonnegative");
         err[w] = e;
     }
-    let mut driver = vec![None; n];
-    for (c, comp) in netlist.components().iter().enumerate() {
-        driver[comp.out()] = Some(c);
-    }
 
-    let propagate = |err: &mut Vec<f64>| {
-        for (c, comp) in netlist.components().iter().enumerate() {
-            match *comp {
-                Component::Const { out, .. } => err[out] = 0.0,
-                Component::Add { a, b, out } | Component::Sub { a, b, out } => {
-                    err[out] = err[a] + err[b]
+    let transfer = |c: usize, comp: &Component, err: &[f64]| match *comp {
+        Component::Const { .. } => 0.0,
+        Component::Add { a, b, .. } | Component::Sub { a, b, .. } => err[a] + err[b],
+        Component::Max { a, b, .. } => err[a].max(err[b]),
+        Component::Ge { a, b, .. } => {
+            // The comparison flips only if the operand gap can be bridged
+            // by the combined operand error.
+            let gap = ranges.interval(a) - ranges.interval(b);
+            let slack = err[a] + err[b];
+            if gap.lo > slack || gap.hi < -slack {
+                0.0
+            } else {
+                1.0
+            }
+        }
+        Component::Mux { sel, lo, hi, .. } => {
+            let mut e = err[lo].max(err[hi]);
+            if err[sel] > 0.0 {
+                // A flipped select swaps branches: add the spread between
+                // the two branch ranges.
+                e += ranges.interval(lo).hull(ranges.interval(hi)).width();
+            }
+            e
+        }
+        Component::Lut { input, .. } => {
+            let model = lut_models.iter().find(|(key, _)| key.matches(c, comp));
+            let iv = ranges.interval(input);
+            match model {
+                Some((_, LutErrorModel::TableExp(t))) => {
+                    table_exp_error(t, iv.lo, iv.hi, err[input])
                 }
-                Component::Max { a, b, out } => err[out] = err[a].max(err[b]),
-                Component::Ge { a, b, out } => {
-                    // The comparison flips only if the operand gap can be
-                    // bridged by the combined operand error.
-                    let gap = ranges.interval(a) - ranges.interval(b);
-                    let slack = err[a] + err[b];
-                    err[out] = if gap.lo > slack || gap.hi < -slack {
-                        0.0
-                    } else {
-                        1.0
-                    };
-                }
-                Component::Mux { sel, lo, hi, out } => {
-                    let mut e = err[lo].max(err[hi]);
-                    if err[sel] > 0.0 {
-                        // A flipped select swaps branches: add the spread
-                        // between the two branch ranges.
-                        e += ranges.interval(lo).hull(ranges.interval(hi)).width();
-                    }
-                    err[out] = e;
-                }
-                Component::Lut { input, out, .. } => {
-                    let model = lut_models.iter().find(|(key, _)| key.matches(c, comp));
-                    let iv = ranges.interval(input);
-                    err[out] = match model {
-                        Some((_, LutErrorModel::TableExp(t))) => {
-                            table_exp_error(t, iv.lo, iv.hi, err[input])
-                        }
-                        Some((_, LutErrorModel::Lipschitz(l))) => l * err[input],
-                        None => f64::INFINITY,
-                    };
-                }
+                Some((_, LutErrorModel::Lipschitz(l))) => l * err[input],
+                None => f64::INFINITY,
             }
         }
     };
-
-    let mut iterations = 0;
-    let mut widened = false;
-    loop {
-        propagate(&mut err);
-        iterations += 1;
-        let mut changed = false;
-        for &(d, q) in netlist.registers() {
-            if err[d] > err[q] {
-                err[q] = err[d];
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        if iterations >= max_iterations {
-            for &(_, q) in netlist.registers() {
-                err[q] = f64::INFINITY;
-            }
-            propagate(&mut err);
-            widened = true;
-            break;
-        }
-    }
-
+    // A register's error rises only where its input's error is larger
+    // (not `f64::max`, so a NaN input error leaves the register as is).
+    let join = |q: f64, d: f64| if d > q { d } else { q };
     ErrorAnalysis {
-        errors: err,
-        driver,
-        widened,
+        state: interpret(netlist, err, f64::INFINITY, transfer, join),
     }
 }
 
@@ -536,7 +478,7 @@ pub fn analyze_errors(
 mod tests {
     use super::*;
     use crate::interval::Interval;
-    use crate::netcheck::{analyze, AnalysisOptions};
+    use crate::netcheck::analyze;
     use coopmc_sim::LutSpec;
 
     fn cfg(name: &str, size: usize, bit: u32) -> DatapathConfig {
@@ -602,9 +544,8 @@ mod tests {
         let ra = analyze(
             &n,
             &[(a, Interval::new(0.0, 1.0)), (b, Interval::new(0.0, 1.0))],
-            &AnalysisOptions::default(),
         );
-        let ea = analyze_errors(&n, &ra, &[(a, 0.25), (b, 0.5)], &[], 64);
+        let ea = analyze_errors(&n, &ra, &[(a, 0.25), (b, 0.5)], &[]);
         assert_eq!(ea.error(s), 0.75);
         assert_eq!(ea.error(m), 0.5);
         assert_eq!(ea.error(d), 1.25);
@@ -620,13 +561,12 @@ mod tests {
         let ra = analyze(
             &n,
             &[(a, Interval::new(5.0, 6.0)), (b, Interval::new(0.0, 1.0))],
-            &AnalysisOptions::default(),
         );
         // Gap [4, 6] >> combined slack 0.2: cannot flip.
-        let ea = analyze_errors(&n, &ra, &[(a, 0.1), (b, 0.1)], &[], 64);
+        let ea = analyze_errors(&n, &ra, &[(a, 0.1), (b, 0.1)], &[]);
         assert_eq!(ea.error(g), 0.0);
         // Slack 6.0 bridges the gap: the comparison may flip.
-        let ea = analyze_errors(&n, &ra, &[(a, 3.0), (b, 3.0)], &[], 64);
+        let ea = analyze_errors(&n, &ra, &[(a, 3.0), (b, 3.0)], &[]);
         assert_eq!(ea.error(g), 1.0);
     }
 
@@ -635,22 +575,18 @@ mod tests {
         let mut n = Netlist::new();
         let a = n.input();
         let l = n.lut(a, LutSpec::opaque("identity", std::rc::Rc::new(|x: f64| x)));
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(0.0, 1.0))],
-            &AnalysisOptions::default(),
-        );
+        let ra = analyze(&n, &[(a, Interval::new(0.0, 1.0))]);
         // No model at all: the ROM's output error is unbounded.
-        let ea = analyze_errors(&n, &ra, &[(a, 0.0)], &[], 64);
+        let ea = analyze_errors(&n, &ra, &[(a, 0.0)], &[]);
         assert!(ea.error(l).is_infinite());
         // A model keyed to a *different* id must not attach either.
         let miss = [(LutKey::Id("table-exp"), LutErrorModel::Lipschitz(1.0))];
-        let ea = analyze_errors(&n, &ra, &[(a, 0.0)], &miss, 64);
+        let ea = analyze_errors(&n, &ra, &[(a, 0.0)], &miss);
         assert!(ea.error(l).is_infinite());
         // Keyed by index or by the right id, the Lipschitz model applies.
         for key in [LutKey::Index(0), LutKey::Id("identity")] {
             let hit = [(key, LutErrorModel::Lipschitz(1.0))];
-            let ea = analyze_errors(&n, &ra, &[(a, 0.25)], &hit, 64);
+            let ea = analyze_errors(&n, &ra, &[(a, 0.25)], &hit);
             assert_eq!(ea.error(l), 0.25);
         }
     }
@@ -680,12 +616,8 @@ mod tests {
         let mut n = Netlist::new();
         let a = n.input();
         let b = n.add(a, a);
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(0.0, 1.0))],
-            &AnalysisOptions::default(),
-        );
-        let ea = analyze_errors(&n, &ra, &[(a, 0.125)], &[], 64);
+        let ra = analyze(&n, &[(a, Interval::new(0.0, 1.0))]);
+        let ea = analyze_errors(&n, &ra, &[(a, 0.125)], &[]);
         let p = ea.provenance(&n, b, 3);
         assert!(p[0].contains("Add"));
         assert!(p.iter().any(|l| l.contains("2.500e-1")));
@@ -696,12 +628,8 @@ mod tests {
         let mut n = Netlist::new();
         let a = n.input();
         let q = n.register(a);
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(0.0, 1.0))],
-            &AnalysisOptions::default(),
-        );
-        let ea = analyze_errors(&n, &ra, &[(a, 0.5)], &[], 64);
+        let ra = analyze(&n, &[(a, Interval::new(0.0, 1.0))]);
+        let ea = analyze_errors(&n, &ra, &[(a, 0.5)], &[]);
         assert_eq!(ea.error(q), 0.5);
         assert!(!ea.widened());
 
@@ -714,12 +642,8 @@ mod tests {
             let r = n.register(w);
             w = n.add(r, a);
         }
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(0.0, 0.0))],
-            &AnalysisOptions::default(),
-        );
-        let ea = analyze_errors(&n, &ra, &[(a, 1.0)], &[], 8);
+        let ra = analyze(&n, &[(a, Interval::new(0.0, 0.0))]);
+        let ea = analyze_errors(&n, &ra, &[(a, 1.0)], &[]);
         assert!(ea.widened());
         assert!(ea.error(w).is_infinite());
     }

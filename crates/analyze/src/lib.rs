@@ -9,7 +9,9 @@
 //!   every wire gets a sound `[lo, hi]` enclosure of the values it can ever
 //!   carry, which is then checked against the wire's intended
 //!   [`coopmc_fixed::QFormat`] (overflow, precision loss, unreachable
-//!   saturation), with component-level provenance traces.
+//!   saturation), with component-level provenance traces. Its one
+//!   interpreter (register fixpoint, driving-component index, provenance
+//!   walker) also runs [`errprop`]'s error domain.
 //! - [`contracts`] — closed-form checks of the paper's datapath invariants
 //!   for any (accumulator format, TableExp geometry, DyNorm) combination:
 //!   the DyNorm output range must sit inside the LUT domain, the LogFusion
@@ -63,7 +65,7 @@ pub use errprop::{
     ErrorBudget, LutErrorModel, QualityContract,
 };
 pub use interval::Interval;
-pub use netcheck::{AnalysisOptions, RangeAnalysis, Severity, WireDiagnostic};
+pub use netcheck::{RangeAnalysis, Severity, WireDiagnostic};
 pub use races::{check_chromatic, check_classes, ChromaticError, ColoringAudit};
 pub use schedule::{
     check_claim, dag_from_descriptor, normtree_dag, pg_invocation_cycles, sequential_sampler_dag,

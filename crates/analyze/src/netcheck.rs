@@ -8,8 +8,12 @@
 //! interval until a fixed point is reached; because the abstract state only
 //! ever grows, the iteration is a monotone ascent and converges in at most
 //! one pass per pipeline stage. Circuits that do not converge within
-//! [`AnalysisOptions::max_iterations`] are *widened* (registers jump to
-//! `(-∞, ∞)`), which keeps the result sound at the cost of precision.
+//! [`MAX_PASSES`] passes are *widened* (registers jump to `(-∞, ∞)`),
+//! which keeps the result sound at the cost of precision.
+//!
+//! The error pass ([`crate::errprop::analyze_errors`]) runs over the same
+//! interpreter with its own domain: one register fixpoint, one index of
+//! driving components and one provenance walker serve both.
 //!
 //! # Relational refinement for DyNorm
 //!
@@ -29,22 +33,115 @@ use coopmc_sim::{Component, Netlist, Wire};
 
 use crate::interval::Interval;
 
-/// Tunables for [`analyze`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisOptions {
-    /// Register fixed-point iterations before widening kicks in.
-    pub max_iterations: usize,
-    /// Interior sample count used to bound LUT transfer functions.
-    pub lut_samples: usize,
+/// Register fixpoint passes before a still-growing register loop is
+/// widened to top.
+pub const MAX_PASSES: usize = 64;
+
+/// Interior sample count used to bound LUT transfer functions.
+const LUT_SAMPLES: usize = 256;
+
+/// One abstract value per wire, as a netlist fixpoint leaves them, with
+/// the index of each wire's driving component for provenance.
+#[derive(Debug)]
+pub(crate) struct Interpretation<T> {
+    pub(crate) values: Vec<T>,
+    driven_by: Vec<Option<usize>>,
+    pub(crate) passes: usize,
+    pub(crate) widened: bool,
 }
 
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 64,
-            lut_samples: 256,
+/// The netlist interpreter both passes share. Starting from `values`, it
+/// sets every component's output to `transfer(index, component, values)`
+/// in build order, then joins each register's `q` with its `d` through
+/// `join(q, d)`, and repeats until no register changes. After
+/// [`MAX_PASSES`] passes every `q` is set to `top` and the components run
+/// once more.
+pub(crate) fn interpret<T: Copy + PartialEq>(
+    netlist: &Netlist,
+    mut values: Vec<T>,
+    top: T,
+    transfer: impl Fn(usize, &Component, &[T]) -> T,
+    join: impl Fn(T, T) -> T,
+) -> Interpretation<T> {
+    let propagate = |values: &mut Vec<T>| {
+        for (c, comp) in netlist.components().iter().enumerate() {
+            values[comp.out()] = transfer(c, comp, values);
+        }
+    };
+    let mut passes = 0;
+    let mut widened = false;
+    loop {
+        propagate(&mut values);
+        passes += 1;
+        let mut changed = false;
+        for &(d, q) in netlist.registers() {
+            let joined = join(values[q], values[d]);
+            if joined != values[q] {
+                values[q] = joined;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+        if passes >= MAX_PASSES {
+            for &(_, q) in netlist.registers() {
+                values[q] = top;
+            }
+            propagate(&mut values);
+            widened = true;
+            break;
         }
     }
+    let mut driven_by = vec![None; netlist.n_wires()];
+    for (c, comp) in netlist.components().iter().enumerate() {
+        driven_by[comp.out()] = Some(c);
+    }
+    Interpretation {
+        values,
+        driven_by,
+        passes,
+        widened,
+    }
+}
+
+impl<T> Interpretation<T> {
+    /// Provenance trace for `wire`: one `line(wire, driving component)`
+    /// per wire of the driving chain, up to `depth` levels of operands,
+    /// innermost first. No component drives an input or a register.
+    pub(crate) fn provenance(
+        &self,
+        netlist: &Netlist,
+        wire: Wire,
+        depth: usize,
+        line: impl Fn(Wire, Option<&Component>) -> String,
+    ) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut frontier = vec![wire];
+        let mut seen = BTreeSet::new();
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for w in frontier {
+                if !seen.insert(w) {
+                    continue;
+                }
+                let comp = self.driven_by[w].map(|c| &netlist.components()[c]);
+                out.push(line(w, comp));
+                next.extend(comp.map_or_else(Vec::new, Component::operands));
+            }
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
+        }
+        out
+    }
+}
+
+/// `Name(wA, wB)`: a component applied to its operand wires.
+pub(crate) fn application(name: &str, comp: &Component) -> String {
+    let ops: Vec<String> = comp.operands().iter().map(|o| format!("w{o}")).collect();
+    format!("{name}({})", ops.join(", "))
 }
 
 /// Severity of a diagnostic. Only [`Severity::Error`] fails the
@@ -109,73 +206,38 @@ impl std::fmt::Display for WireDiagnostic {
 /// The result of analyzing one netlist.
 #[derive(Debug)]
 pub struct RangeAnalysis {
-    intervals: Vec<Interval>,
-    /// Component index driving each wire (None for inputs/registers).
-    driver: Vec<Option<usize>>,
-    iterations: usize,
-    widened: bool,
+    state: Interpretation<Interval>,
 }
 
 impl RangeAnalysis {
     /// The inferred enclosure of `wire`.
     pub fn interval(&self, wire: Wire) -> Interval {
-        self.intervals[wire]
+        self.state.values[wire]
     }
 
     /// Register fixed-point iterations performed.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.state.passes
     }
 
     /// True if the register fixed point did not converge and the analysis
     /// fell back to `(-∞, ∞)` register bounds.
     pub fn widened(&self) -> bool {
-        self.widened
+        self.state.widened
     }
 
     /// Provenance trace for `wire`: the chain of driving components, up to
     /// `depth` levels of operands, innermost first.
     pub fn provenance(&self, netlist: &Netlist, wire: Wire, depth: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut frontier = vec![wire];
-        let mut seen = BTreeSet::new();
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for w in frontier {
-                if !seen.insert(w) {
-                    continue;
-                }
-                match self.driver[w] {
-                    Some(c) => {
-                        let comp = &netlist.components()[c];
-                        let ops: Vec<String> =
-                            comp.operands().iter().map(|o| format!("w{o}")).collect();
-                        out.push(format!(
-                            "w{w} = {}({}) ∈ {}",
-                            comp.kind(),
-                            ops.join(", "),
-                            self.intervals[w]
-                        ));
-                        next.extend(comp.operands());
-                    }
-                    None => {
-                        let role = if netlist.inputs().contains(&w) {
-                            "input"
-                        } else if netlist.registers().iter().any(|&(_, q)| q == w) {
-                            "register"
-                        } else {
-                            "floating"
-                        };
-                        out.push(format!("w{w} = {role} ∈ {}", self.intervals[w]));
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        out
+        self.state.provenance(netlist, wire, depth, |w, comp| {
+            let source = match comp {
+                Some(c) => application(c.kind(), c),
+                None if netlist.inputs().contains(&w) => "input".to_string(),
+                None if netlist.registers().iter().any(|&(_, q)| q == w) => "register".to_string(),
+                None => "floating".to_string(),
+            };
+            format!("w{w} = {source} ∈ {}", self.interval(w))
+        })
     }
 
     /// Check wires against their intended formats, producing diagnostics.
@@ -191,7 +253,7 @@ impl RangeAnalysis {
     ) -> Vec<WireDiagnostic> {
         let mut out = Vec::new();
         for &(wire, format) in checks {
-            let iv = self.intervals[wire];
+            let iv = self.interval(wire);
             let diag = |kind, severity, message| WireDiagnostic {
                 wire,
                 kind,
@@ -247,19 +309,11 @@ impl RangeAnalysis {
 ///
 /// Inputs not named in `inputs` keep the simulator's initial value `[0, 0]`
 /// (the same behaviour as never driving them in [`Netlist::step`]).
-pub fn analyze(
-    netlist: &Netlist,
-    inputs: &[(Wire, Interval)],
-    opts: &AnalysisOptions,
-) -> RangeAnalysis {
+pub fn analyze(netlist: &Netlist, inputs: &[(Wire, Interval)]) -> RangeAnalysis {
     let n = netlist.n_wires();
     let mut iv = vec![Interval::point(0.0); n];
     for &(w, i) in inputs {
         iv[w] = i;
-    }
-    let mut driver = vec![None; n];
-    for (c, comp) in netlist.components().iter().enumerate() {
-        driver[comp.out()] = Some(c);
     }
 
     // Structural dominance: dom[w] = wires that w is provably >= of,
@@ -274,73 +328,34 @@ pub fn analyze(
         }
     }
 
-    let propagate = |iv: &mut Vec<Interval>| {
-        for comp in netlist.components() {
-            match *comp {
-                Component::Const { out, value } => iv[out] = Interval::point(value),
-                Component::Add { a, b, out } => iv[out] = iv[a] + iv[b],
-                Component::Sub { a, b, out } => {
-                    let mut r = iv[a] - iv[b];
-                    // Relational refinement: b >= a structurally (b is a
-                    // max over a set containing a) pins the upper bound,
-                    // and symmetrically for the lower bound.
-                    if a == b || dom[b].contains(&a) {
-                        r.hi = r.hi.min(0.0);
-                        r.lo = r.lo.min(r.hi);
-                    }
-                    if dom[a].contains(&b) {
-                        r.lo = r.lo.max(0.0);
-                        r.hi = r.hi.max(r.lo);
-                    }
-                    iv[out] = r;
-                }
-                Component::Max { a, b, out } => iv[out] = iv[a].max(iv[b]),
-                Component::Ge { a, b, out } => iv[out] = iv[a].ge(iv[b]),
-                Component::Mux { sel, lo, hi, out } => {
-                    iv[out] = Interval::mux(iv[sel], iv[lo], iv[hi])
-                }
-                Component::Lut {
-                    input,
-                    out,
-                    ref spec,
-                } => iv[out] = iv[input].lut(&*spec.f, opts.lut_samples),
+    let transfer = |_: usize, comp: &Component, iv: &[Interval]| match *comp {
+        Component::Const { value, .. } => Interval::point(value),
+        Component::Add { a, b, .. } => iv[a] + iv[b],
+        Component::Sub { a, b, .. } => {
+            let mut r = iv[a] - iv[b];
+            // Relational refinement: b >= a structurally (b is a max over
+            // a set containing a) pins the upper bound, and symmetrically
+            // for the lower bound.
+            if a == b || dom[b].contains(&a) {
+                r.hi = r.hi.min(0.0);
+                r.lo = r.lo.min(r.hi);
             }
+            if dom[a].contains(&b) {
+                r.lo = r.lo.max(0.0);
+                r.hi = r.hi.max(r.lo);
+            }
+            r
         }
+        Component::Max { a, b, .. } => iv[a].max(iv[b]),
+        Component::Ge { a, b, .. } => iv[a].ge(iv[b]),
+        Component::Mux { sel, lo, hi, .. } => Interval::mux(iv[sel], iv[lo], iv[hi]),
+        Component::Lut {
+            input, ref spec, ..
+        } => iv[input].lut(&*spec.f, LUT_SAMPLES),
     };
-
-    let mut iterations = 0;
-    let mut widened = false;
-    loop {
-        propagate(&mut iv);
-        iterations += 1;
-        // Latch: register outputs grow by hull with their d-interval.
-        let mut changed = false;
-        for &(d, q) in netlist.registers() {
-            let new = iv[q].hull(iv[d]);
-            if new != iv[q] {
-                iv[q] = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        if iterations >= opts.max_iterations {
-            for &(_, q) in netlist.registers() {
-                iv[q] = Interval::top();
-            }
-            propagate(&mut iv);
-            widened = true;
-            break;
-        }
-    }
-
-    RangeAnalysis {
-        intervals: iv,
-        driver,
-        iterations,
-        widened,
-    }
+    // Latch: register outputs grow by hull with their d-interval.
+    let state = interpret(netlist, iv, Interval::top(), transfer, Interval::hull);
+    RangeAnalysis { state }
 }
 
 #[cfg(test)]
@@ -360,7 +375,6 @@ mod tests {
         let ra = analyze(
             &n,
             &[(a, Interval::new(-1.0, 2.0)), (b, Interval::new(0.0, 3.0))],
-            &AnalysisOptions::default(),
         );
         assert_eq!(ra.interval(s), Interval::new(-1.0, 5.0));
         assert_eq!(ra.interval(t), Interval::new(5.0, 11.0));
@@ -382,7 +396,6 @@ mod tests {
                 (s0, Interval::new(-8.0, 0.0)),
                 (s1, Interval::new(-8.0, 0.0)),
             ],
-            &AnalysisOptions::default(),
         );
         assert_eq!(ra.interval(sh), Interval::new(-8.0, 0.0));
     }
@@ -393,11 +406,7 @@ mod tests {
         let a = n.input();
         let q1 = n.register(a);
         let q2 = n.register(q1);
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(-3.0, 5.0))],
-            &AnalysisOptions::default(),
-        );
+        let ra = analyze(&n, &[(a, Interval::new(-3.0, 5.0))]);
         // Reset value 0 is reachable, so the hull includes it.
         assert_eq!(ra.interval(q2), Interval::new(-3.0, 5.0));
         assert!(!ra.widened());
@@ -415,11 +424,7 @@ mod tests {
             let r = n.register(w);
             w = n.add(r, one);
         }
-        let opts = AnalysisOptions {
-            max_iterations: 8,
-            ..Default::default()
-        };
-        let ra = analyze(&n, &[], &opts);
+        let ra = analyze(&n, &[]);
         assert!(ra.widened());
         assert!(!ra.interval(w).is_finite());
     }
@@ -429,11 +434,7 @@ mod tests {
         let mut n = Netlist::new();
         let a = n.input();
         let e = n.lut(a, LutSpec::opaque("exp", Rc::new(|x: f64| x.exp())));
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(-2.0, 0.0))],
-            &AnalysisOptions::default(),
-        );
+        let ra = analyze(&n, &[(a, Interval::new(-2.0, 0.0))]);
         let iv = ra.interval(e);
         assert!(iv.contains(1.0) && iv.contains((-2.0f64).exp()));
         assert!(iv.hi <= 1.0 + 1e-12);
@@ -448,7 +449,6 @@ mod tests {
         let ra = analyze(
             &n,
             &[(a, Interval::new(0.0, 6.0)), (b, Interval::new(0.0, 6.0))],
-            &AnalysisOptions::default(),
         );
         let fmt = QFormat::new(3, 2).unwrap(); // [-8, 7.75]
         let diags = ra.check_wires(&n, &[(s, fmt)]);
@@ -463,11 +463,7 @@ mod tests {
         let mut n = Netlist::new();
         let a = n.input();
         let s = n.add(a, a);
-        let ra = analyze(
-            &n,
-            &[(a, Interval::new(0.0, 0.5))],
-            &AnalysisOptions::default(),
-        );
+        let ra = analyze(&n, &[(a, Interval::new(0.0, 0.5))]);
         let wide = QFormat::baseline32();
         let diags = ra.check_wires(&n, &[(s, wide)]);
         assert_eq!(diags.len(), 1);

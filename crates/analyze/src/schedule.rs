@@ -15,7 +15,8 @@
 //!   busy more than one cycle per sample, and list scheduling must find no
 //!   structural hazard on shared comparators;
 //! - the in-netlist register depth of the DAG must equal the latency of
-//!   the actual [`PipeTreeSamplerCircuit`] netlist;
+//!   the actual pipelined sampler netlist
+//!   ([`coopmc_sim::circuits::TreeSamplerCircuit::pipelined`]);
 //! - the steady-state cycles-per-variable of every case-study core must
 //!   stay compute-bound on the paper's SRAM roofline.
 //!
@@ -46,9 +47,9 @@ use coopmc_hw::cycles::{LatencyTable, PgTiming, SYNC_CYCLES};
 use coopmc_hw::pgpipe::{self, PipeKind};
 use coopmc_hw::roofline::roofline;
 use coopmc_sampler::{PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
-use coopmc_sim::circuits::PipeTreeSamplerCircuit;
 use coopmc_sim::CircuitDescriptor;
 
+use crate::descriptor::sampler_circuit;
 use crate::netcheck::Severity;
 
 /// Index of an op inside a [`DepDag`].
@@ -839,11 +840,11 @@ pub fn verify_schedules(lt: &LatencyTable) -> (usize, Vec<ScheduleFinding>) {
     // pipelined-sampler circuit exactly.
     for n in [4usize, 8, 16, 64] {
         checks += 1;
-        let circuit = PipeTreeSamplerCircuit::new(n);
+        let (subject, circuit) = sampler_circuit(n, true);
         let dag = tree_sampler_dag(n, lt, false);
         out.extend(check_claim(
             "pipe-tree-netlist-latency",
-            &format!("PipeTreeSamplerCircuit({n})"),
+            &subject,
             circuit.latency() as u64,
             dag.netlist_depth(),
             dag.describe(&dag.critical_path()),
@@ -1152,7 +1153,7 @@ mod tests {
             assert_eq!(derived.netlist_depth(), hand.netlist_depth());
             assert_eq!(derived.min_initiation_interval(), 1);
         }
-        let pipe = dag_from_descriptor(PipeTreeSamplerCircuit::new(16).descriptor(), &table);
+        let pipe = dag_from_descriptor(TreeSamplerCircuit::pipelined(16).descriptor(), &table);
         let hand = tree_sampler_dag(16, &table, false);
         assert_eq!(pipe.critical_path().length, hand.critical_path().length);
     }

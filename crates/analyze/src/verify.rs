@@ -51,15 +51,16 @@ use coopmc_models::bn;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{self as mrf, Connectivity};
 use coopmc_obs::{json, print_stderr, print_stdout};
-use coopmc_sim::circuits::{
-    NormTreeCircuit, PgCoreCircuit, PipeTreeSamplerCircuit, TreeSamplerCircuit,
-};
+use coopmc_sim::circuits::{NormTreeCircuit, PgCoreCircuit};
 use coopmc_sim::{Component, Netlist, Wire};
 
 use crate::contracts::{check_datapath, in_tree_configs, ContractViolation, DatapathConfig};
-use crate::errprop::{analyze_errors, check_quality, declared_contract, LutErrorModel, LutKey};
+use crate::descriptor::sampler_circuit;
+use crate::errprop::{
+    analyze_errors, check_quality, declared_contract, ErrorAnalysis, LutErrorModel, LutKey,
+};
 use crate::interval::Interval;
-use crate::netcheck::{analyze, AnalysisOptions, DiagnosticKind, Severity};
+use crate::netcheck::{analyze, DiagnosticKind, Severity};
 use crate::races::check_chromatic;
 use crate::schedule::{check_claim, tree_sampler_dag, verify_schedules};
 
@@ -331,7 +332,6 @@ fn score_domain_checks(
 /// Section 1: abstract interpretation of the structural circuits.
 fn netlist_ranges(envelope: Interval) -> SectionReport {
     let mut section = SectionReport::new("netlist-ranges");
-    let opts = AnalysisOptions::default();
     let acc = QFormat::baseline32();
     let prob = QFormat::probability(16).expect("valid probability format");
 
@@ -340,7 +340,7 @@ fn netlist_ranges(envelope: Interval) -> SectionReport {
         let tree = NormTreeCircuit::new(width);
         let inputs: Vec<(Wire, Interval)> =
             tree.input_wires().iter().map(|&w| (w, envelope)).collect();
-        let ra = analyze(tree.netlist(), &inputs, &opts);
+        let ra = analyze(tree.netlist(), &inputs);
         let checks = score_domain_checks(tree.netlist(), acc, prob, tree.input_wires());
         section.checks += checks.len();
         absorb_diagnostics(
@@ -368,7 +368,7 @@ fn netlist_ranges(envelope: Interval) -> SectionReport {
             .flatten()
             .map(|&w| (w, per_factor))
             .collect();
-        let ra = analyze(core.netlist(), &inputs, &opts);
+        let ra = analyze(core.netlist(), &inputs);
         let flat: Vec<Wire> = core.factor_wires().iter().flatten().copied().collect();
         let lane_prob = QFormat::probability(bit_lut).expect("valid probability format");
         let checks = score_domain_checks(core.netlist(), acc, lane_prob, &flat);
@@ -401,15 +401,15 @@ fn netlist_ranges(envelope: Interval) -> SectionReport {
     // TreeSampler (combinational + pipelined): probability sums, the
     // traverse walk and the label reconstruction on a Q8.16 sampler bus.
     let sampler_fmt = QFormat::new(8, 16).expect("valid sampler format");
-    for n_labels in [6usize, 64] {
-        let tree = TreeSamplerCircuit::new(n_labels);
+    for (n_labels, pipelined) in [(6usize, false), (64, false), (8, true), (16, true)] {
+        let (subject, tree) = sampler_circuit(n_labels, pipelined);
         let mut inputs: Vec<(Wire, Interval)> = tree
             .leaf_wires()
             .iter()
             .map(|&w| (w, Interval::new(0.0, 1.0)))
             .collect();
         inputs.push((tree.threshold_wire(), Interval::new(0.0, n_labels as f64)));
-        let ra = analyze(tree.netlist(), &inputs, &opts);
+        let ra = analyze(tree.netlist(), &inputs);
         let checks: Vec<(Wire, QFormat)> = tree
             .netlist()
             .components()
@@ -420,36 +420,13 @@ fn netlist_ranges(envelope: Interval) -> SectionReport {
         section.checks += checks.len();
         absorb_diagnostics(
             &mut section,
-            &format!("TreeSamplerCircuit({n_labels})"),
+            &subject,
             ra.check_wires(tree.netlist(), &checks),
-        );
-    }
-    for n_labels in [8usize, 16] {
-        let pipe = PipeTreeSamplerCircuit::new(n_labels);
-        let mut inputs: Vec<(Wire, Interval)> = pipe
-            .leaf_wires()
-            .iter()
-            .map(|&w| (w, Interval::new(0.0, 1.0)))
-            .collect();
-        inputs.push((pipe.threshold_wire(), Interval::new(0.0, n_labels as f64)));
-        let ra = analyze(pipe.netlist(), &inputs, &opts);
-        let checks: Vec<(Wire, QFormat)> = pipe
-            .netlist()
-            .components()
-            .iter()
-            .filter(|c| !matches!(c, Component::Const { .. } | Component::Ge { .. }))
-            .map(|c| (c.out(), sampler_fmt))
-            .collect();
-        section.checks += checks.len();
-        absorb_diagnostics(
-            &mut section,
-            &format!("PipeTreeSamplerCircuit({n_labels})"),
-            ra.check_wires(pipe.netlist(), &checks),
         );
         if ra.widened() {
             section.error(
                 "analysis-widened",
-                format!("PipeTreeSamplerCircuit({n_labels}): register analysis widened"),
+                format!("{subject}: register analysis widened"),
             );
         }
     }
@@ -528,26 +505,7 @@ fn errprop_section() -> SectionReport {
             size_lut,
             bit_lut,
         );
-        let envelope = Interval::new(cfg.score_floor, cfg.score_ceiling);
-        let per_factor = Interval::new(envelope.lo / factors as f64, envelope.hi / factors as f64);
-        let inputs: Vec<(Wire, Interval)> = core
-            .factor_wires()
-            .iter()
-            .flatten()
-            .map(|&w| (w, per_factor))
-            .collect();
-        let ra = analyze(core.netlist(), &inputs, &AnalysisOptions::default());
-        let q = cfg.acc.rounding_error_bound(Rounding::Nearest);
-        let input_errors: Vec<(Wire, f64)> = core
-            .factor_wires()
-            .iter()
-            .flatten()
-            .map(|&w| (w, q))
-            .collect();
-        // One id-keyed declaration covers every "table-exp" ROM instance.
-        let table = TableExp::with_range(size_lut, bit_lut, cfg.lut_range);
-        let lut_models = [(LutKey::Id("table-exp"), LutErrorModel::TableExp(table))];
-        let ea = analyze_errors(core.netlist(), &ra, &input_errors, &lut_models, 64);
+        let ea = pg_core_errors(&core, &cfg);
         let budget = crate::errprop::propagate_datapath(&cfg, WORKLOAD_LABELS, factors as u64);
         let closed_form = budget.rel_factor + budget.abs_floor;
         for &out in core.output_wires() {
@@ -577,6 +535,23 @@ fn errprop_section() -> SectionReport {
         }
     }
     section
+}
+
+/// The wire-level error pass over a PG core built for `cfg`: each factor
+/// input spans its share of the score envelope and carries one
+/// accumulator-grid rounding, and one id-keyed declaration covers every
+/// "table-exp" ROM instance.
+fn pg_core_errors(core: &PgCoreCircuit, cfg: &DatapathConfig) -> ErrorAnalysis {
+    let factors = core.factor_wires()[0].len() as f64;
+    let per_factor = Interval::new(cfg.score_floor / factors, cfg.score_ceiling / factors);
+    let q = cfg.acc.rounding_error_bound(Rounding::Nearest);
+    let wires = core.factor_wires().iter().flatten();
+    let inputs: Vec<(Wire, Interval)> = wires.clone().map(|&w| (w, per_factor)).collect();
+    let input_errors: Vec<(Wire, f64)> = wires.map(|&w| (w, q)).collect();
+    let ra = analyze(core.netlist(), &inputs);
+    let table = TableExp::with_range(cfg.size_lut, cfg.bit_lut, cfg.lut_range);
+    let lut_models = [(LutKey::Id("table-exp"), LutErrorModel::TableExp(table))];
+    analyze_errors(core.netlist(), &ra, &input_errors, &lut_models)
 }
 
 /// Section 5: schedule/hazard verification against the reference latency
@@ -751,24 +726,7 @@ pub fn run_broken_demo() -> VerifyReport {
     let (budget, violations) =
         check_quality(&coarse, &contract, WORKLOAD_LABELS, WORKLOAD_FACTOR_OPS);
     let core = PgCoreCircuit::new(4, 3, coarse.size_lut, coarse.bit_lut);
-    let per_factor = Interval::new(coarse.score_floor / 3.0, coarse.score_ceiling / 3.0);
-    let inputs: Vec<(Wire, Interval)> = core
-        .factor_wires()
-        .iter()
-        .flatten()
-        .map(|&w| (w, per_factor))
-        .collect();
-    let ra = analyze(core.netlist(), &inputs, &AnalysisOptions::default());
-    let q = coarse.acc.rounding_error_bound(Rounding::Nearest);
-    let input_errors: Vec<(Wire, f64)> = core
-        .factor_wires()
-        .iter()
-        .flatten()
-        .map(|&w| (w, q))
-        .collect();
-    let table = TableExp::with_range(coarse.size_lut, coarse.bit_lut, coarse.lut_range);
-    let lut_models = [(LutKey::Id("table-exp"), LutErrorModel::TableExp(table))];
-    let ea = analyze_errors(core.netlist(), &ra, &input_errors, &lut_models, 64);
+    let ea = pg_core_errors(&core, &coarse);
     let worst = core
         .output_wires()
         .iter()

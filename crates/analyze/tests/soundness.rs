@@ -11,7 +11,7 @@
 use std::rc::Rc;
 
 use coopmc_analyze::interval::Interval;
-use coopmc_analyze::netcheck::{analyze, AnalysisOptions};
+use coopmc_analyze::netcheck::analyze;
 use coopmc_analyze::races::{check_chromatic, check_classes, ChromaticError};
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::{image_segmentation, Connectivity};
@@ -78,7 +78,7 @@ fn random_netlist(g: &mut Gen) -> (Netlist, Vec<(Wire, Interval)>) {
 fn simulated_values_stay_inside_predicted_intervals() {
     check("analyzer_soundness_random_netlists", 96, |g| {
         let (mut netlist, enclosures) = random_netlist(g);
-        let ra = analyze(&netlist, &enclosures, &AnalysisOptions::default());
+        let ra = analyze(&netlist, &enclosures);
         for _ in 0..12 {
             let inputs: Vec<(Wire, f64)> = enclosures
                 .iter()
@@ -111,7 +111,7 @@ fn pg_core_outputs_stay_inside_predicted_intervals() {
             .flatten()
             .map(|&w| (w, per_factor))
             .collect();
-        let ra = analyze(core.netlist(), &enclosures, &AnalysisOptions::default());
+        let ra = analyze(core.netlist(), &enclosures);
         let out_wires: Vec<Wire> = core.output_wires().to_vec();
         for _ in 0..8 {
             let factor_values: Vec<Vec<f64>> = (0..lanes)
@@ -135,7 +135,7 @@ fn normtree_stream_stays_inside_predicted_intervals() {
         let env = Interval::new(-128.0, 32.0);
         let enclosures: Vec<(Wire, Interval)> =
             tree.input_wires().iter().map(|&w| (w, env)).collect();
-        let ra = analyze(tree.netlist(), &enclosures, &AnalysisOptions::default());
+        let ra = analyze(tree.netlist(), &enclosures);
         let out = tree.output_wire();
         for _ in 0..10 {
             let v: Vec<f64> = (0..width).map(|_| grid_point(g, env.lo, env.hi)).collect();

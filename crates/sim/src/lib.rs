@@ -9,7 +9,14 @@
 //! - [`circuits::NormTreeCircuit`] — the DyNorm comparator tree (Fig. 3),
 //! - [`circuits::PgCoreCircuit`] — the fused PG core: factor adders → log
 //!   LUT → NormTree → broadcast subtract → TableExp (Fig. 6),
-//! - [`circuits::TreeSamplerCircuit`] — TreeSum + TraverseTree (Fig. 8).
+//! - [`circuits::TreeSamplerCircuit`] — TreeSum + TraverseTree (Fig. 8),
+//!   combinational ([`circuits::TreeSamplerCircuit::new`]) or pipelined
+//!   with register stages inserted between the two trees, one label per
+//!   cycle (the PipeTreeSampler, [`circuits::TreeSamplerCircuit::pipelined`]).
+//!
+//! Each hardware tree is built in one place: one pairwise-tree helper
+//! builds the NormTree layers (registered or combinational) and the
+//! TreeSum levels.
 //!
 //! Every circuit also carries a typed [`CircuitDescriptor`] (see
 //! [`descriptor`]): named pins, typed component counts and named children,

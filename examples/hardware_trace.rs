@@ -8,7 +8,7 @@
 use coopmc::kernels::dynorm::dynorm_apply;
 use coopmc::kernels::exp::{ExpKernel, TableExp};
 use coopmc::sampler::{Sampler, TreeSampler};
-use coopmc::sim::circuits::{NormTreeCircuit, PgCoreCircuit, PipeTreeSamplerCircuit};
+use coopmc::sim::circuits::{NormTreeCircuit, PgCoreCircuit, TreeSamplerCircuit};
 
 fn main() {
     // --- Fig. 6: the fused PG core, 4 lanes x 3 factors, 64x8 TableExp ---
@@ -61,7 +61,7 @@ fn main() {
     // --- Fig. 8: pipelined TreeSampler, one sample per cycle ---
     println!("\npipelined TreeSampler (16 labels), one fresh draw per cycle:");
     let n_labels = 16;
-    let mut sampler = PipeTreeSamplerCircuit::new(n_labels);
+    let mut sampler = TreeSamplerCircuit::pipelined(n_labels);
     let behavioral = TreeSampler::new();
     let latency = sampler.latency();
     println!("  latency: {latency} cycles; steady-state throughput: 1 label/cycle");
